@@ -3,7 +3,7 @@
 //!
 //! Unlike the figure harnesses (which run the discrete-event simulator), this drives
 //! the real thing: protocol replicas on OS threads, messages Wire-encoded into
-//! length+CRC frames over loopback TCP, one flush per driver step in batched mode
+//! length+CRC frames over loopback TCP, one flush per drained burst in batched mode
 //! versus one flush per send in the unbatched baseline. Recorded per configuration:
 //! completed commands/s, transport messages/s and bytes/s per replica, and the
 //! flush count (the syscall-pressure proxy the batching exists to shrink).

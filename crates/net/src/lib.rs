@@ -15,11 +15,12 @@
 //!   it came from — the corrupt-frame battery under `tests/` truncates and bit-flips
 //!   every frame at every byte offset.
 //! * [`transport`] — the [`Transport`] trait: per-peer *ordered* byte channels with
-//!   batched sends (frames queue locally until [`Transport::flush`], so one driver
-//!   step costs one write per peer, not one per message), flush coalescing in the
-//!   writer threads, and bounded writer queues for backpressure. [`tcp`] implements
-//!   it over std loopback TCP sockets: one listener per endpoint, per-peer writer
-//!   threads, reader threads feeding a single inbox, and lazy reconnection through a
+//!   batched sends (frames queue locally until [`Transport::flush`], so a burst of
+//!   handled frames costs one write per peer, not one per message), flush coalescing
+//!   in the writer threads, and bounded writer queues for backpressure. [`tcp`]
+//!   implements it over std loopback TCP sockets: one listener per endpoint, per-peer
+//!   writer threads, reader threads feeding a single inbox one batch of frames per
+//!   `read`, and lazy reconnection through a
 //!   shared address book so a restarted process (fresh listener, fresh port) is
 //!   reachable again without any coordination.
 //! * [`planet`] — [`PlanetTransport`], a wrapper over any transport that injects the

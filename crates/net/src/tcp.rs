@@ -9,10 +9,14 @@
 //! * an **accept thread** polls the listener and spawns one **reader thread** per
 //!   inbound connection; the reader validates a hello (`b"TNET"` + sender id +
 //!   sender incarnation — a connection from an incarnation the book has replaced is
-//!   closed before any frame surfaces), then decodes `[len][crc][payload]` frames
-//!   and feeds them into the endpoint's single inbox channel — any malformed or
-//!   checksum-failing frame closes the connection (it can only mean corruption; the
-//!   peer will reconnect);
+//!   closed before any frame surfaces), then reads through one reused 64 KiB buffer:
+//!   every complete `[len][crc][payload]` frame a `read` brought in is validated and
+//!   the lot handed to the endpoint's inbox as **one batch** — one channel send and at
+//!   most one wake-up of the receiving thread per `read`, however many frames it
+//!   carried ([`Transport::recv_timeout`] serves the batch frame by frame from a local
+//!   queue). A malformed or checksum-failing frame closes the connection (it can only
+//!   mean corruption; the peer will reconnect): the frames before it in the batch are
+//!   delivered, none after it;
 //! * one **writer thread per peer** is created lazily on first send. It owns the
 //!   outbound connection, dials the peer's *current* address from the book when
 //!   disconnected (rate-limited), and writes whole batches. The queue between
@@ -34,7 +38,11 @@
 //! peers' readers see EOF, their writers start failing and drop frames — exactly
 //! "connections die with their process". A restarted process obtains a *fresh*
 //! endpoint (new port, incremented *incarnation*) whose book entry replaces the old
-//! one; peers' writers re-dial lazily and traffic resumes. No frame is ever
+//! one. The send and write paths look the book up once per blob — a whole burst — not
+//! per frame. A peer's writer remembers which incarnation its open connection was
+//! dialed to: when the book has moved on it drops that connection and dials the new
+//! address at once (no back-off — the peer is known to be listening), so the first
+//! batch after a restart is not written into the dead socket. No frame is ever
 //! delivered twice, and no frame ever crosses incarnations: outbound blobs are
 //! stamped with the destination incarnation they were addressed to and dropped by
 //! the writer if the book has moved on ([`TransportStats::frames_dropped_stale`]),
@@ -42,8 +50,8 @@
 //! the hello — the same hygiene the simulator enforces with its incarnation tags.
 
 use crate::transport::{RecvError, Transport, TransportStats};
-use crate::wire::MAX_FRAME_LEN;
-use std::collections::BTreeMap;
+use crate::wire::{DecodeError, MAX_FRAME_LEN};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,7 +60,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tempo_kernel::id::ProcessId;
-use tempo_store::wal::crc32;
+use tempo_store::wal::{crc32, read_frame};
 
 /// Connection hello: magic + sender id + sender incarnation, written once per
 /// outbound connection.
@@ -61,12 +69,19 @@ const HELLO_MAGIC: &[u8; 4] = b"TNET";
 /// Hello length on the wire: 4-byte magic, 8-byte sender id, 8-byte incarnation.
 const HELLO_LEN: usize = 20;
 
+/// Frame header length on the wire: 4-byte payload length, 4-byte CRC.
+const FRAME_HEADER: usize = 8;
+
+/// Size of a reader's reused buffer: one `read` takes in up to this much, and every
+/// complete frame in it reaches the inbox as one batch.
+const READ_BUF: usize = 64 << 10;
+
 /// Minimum wait between failed dial attempts to one peer (a crashed peer must not
 /// turn its writers into hot connect loops).
 const DIAL_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Bounded writer queue depth, in flush blobs. A flush against a full queue blocks
-/// (backpressure); 256 step-sized blobs of slack absorb bursts without unbounded
+/// (backpressure); 256 burst-sized blobs of slack absorb bursts without unbounded
 /// memory.
 const WRITER_QUEUE_BLOBS: usize = 256;
 
@@ -102,6 +117,10 @@ impl AtomicStats {
             flush_stalls: self.flush_stalls.load(Ordering::Relaxed),
         }
     }
+
+    fn count_dropped(&self, frames: u64) {
+        self.frames_dropped.fetch_add(frames, Ordering::Relaxed);
+    }
 }
 
 /// One address-book entry: where a process currently listens, and which incarnation
@@ -114,14 +133,37 @@ struct BookEntry {
     incarnation: u64,
 }
 
-type Book = Arc<Mutex<BTreeMap<ProcessId, BookEntry>>>;
+/// The address book. Registrations are rare; a lookup costs one uncontended lock per
+/// blob, and a blob carries a whole burst.
+#[derive(Debug, Default)]
+struct Book {
+    entries: Mutex<BTreeMap<ProcessId, BookEntry>>,
+}
+
+impl Book {
+    /// Registers `id` at `addr`, returning its new incarnation.
+    fn register(&self, id: ProcessId, addr: SocketAddr) -> u64 {
+        let mut entries = self.entries.lock().expect("address book lock");
+        let incarnation = entries.get(&id).map_or(1, |e| e.incarnation + 1);
+        entries.insert(id, BookEntry { addr, incarnation });
+        incarnation
+    }
+
+    fn lookup(&self, id: ProcessId) -> Option<BookEntry> {
+        let entries = self.entries.lock().expect("address book lock");
+        entries.get(&id).copied()
+    }
+}
 
 /// The deployment mesh: the shared address book endpoints register with and dial
 /// through. Cloning is cheap (one `Arc`).
 #[derive(Debug, Clone, Default)]
 pub struct TcpMesh {
-    book: Book,
+    book: Arc<Book>,
 }
+
+/// What a reader hands the inbox: the valid frames of one `read`, in arrival order.
+type Batch = Vec<(ProcessId, Vec<u8>)>;
 
 impl TcpMesh {
     /// Creates an empty mesh.
@@ -136,12 +178,7 @@ impl TcpMesh {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let incarnation = {
-            let mut book = self.book.lock().expect("address book lock");
-            let incarnation = book.get(&id).map_or(1, |e| e.incarnation + 1);
-            book.insert(id, BookEntry { addr, incarnation });
-            incarnation
-        };
+        let incarnation = self.book.register(id, addr);
 
         let stats = Arc::new(AtomicStats::default());
         let stop = Arc::new(AtomicBool::new(false));
@@ -152,8 +189,7 @@ impl TcpMesh {
             let stop = Arc::clone(&stop);
             let accepted = Arc::clone(&accepted);
             let stats = Arc::clone(&stats);
-            let inbox_tx = inbox_tx.clone();
-            let book = self.book.clone();
+            let book = Arc::clone(&self.book);
             std::thread::Builder::new()
                 .name(format!("tnet-accept-{id}"))
                 .spawn(move || accept_loop(listener, stop, accepted, inbox_tx, stats, book))
@@ -163,10 +199,10 @@ impl TcpMesh {
         Ok(TcpTransport {
             local: id,
             incarnation,
-            book: self.book.clone(),
+            book: Arc::clone(&self.book),
             inbox: inbox_rx,
-            writers: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            ready: VecDeque::new(),
+            peers: BTreeMap::new(),
             batch,
             stop,
             accepted,
@@ -180,9 +216,9 @@ fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     accepted: Arc<Mutex<Vec<TcpStream>>>,
-    inbox: Sender<(ProcessId, Vec<u8>)>,
+    inbox: Sender<Batch>,
     stats: Arc<AtomicStats>,
-    book: Book,
+    book: Arc<Book>,
 ) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -194,7 +230,7 @@ fn accept_loop(
                 }
                 let inbox = inbox.clone();
                 let stats = Arc::clone(&stats);
-                let book = book.clone();
+                let book = Arc::clone(&book);
                 let _ = std::thread::Builder::new()
                     .name("tnet-reader".to_string())
                     .spawn(move || reader_loop(stream, inbox, stats, book));
@@ -207,17 +243,34 @@ fn accept_loop(
     }
 }
 
+/// Moves every complete, valid frame at the front of `buf` into `batch`. Returns how
+/// many bytes they took, and whether what follows them failed its checksum rather
+/// than merely being incomplete.
+fn parse_frames(buf: &[u8], from: ProcessId, batch: &mut Batch) -> (usize, bool) {
+    let mut at = 0;
+    loop {
+        match read_frame(buf, at) {
+            Ok((payload, end)) => {
+                batch.push((from, payload.to_vec()));
+                at = end;
+            }
+            Err(DecodeError::Truncated) => return (at, false),
+            Err(_) => return (at, true),
+        }
+    }
+}
+
 /// Reads frames off one inbound connection until EOF or the first malformed frame
-/// (truncated header, oversized length, checksum mismatch) — corruption closes the
-/// connection cleanly, it never panics and never reaches the inbox. Every malformed
-/// frame is counted in `frames_corrupt` before the connection dies: the reader does
-/// not die silently, it leaves a visible mark that feeds detector suspicion (a peer
-/// whose traffic keeps corrupting stops proving its liveness).
+/// (oversized length, checksum mismatch) — corruption closes the connection cleanly,
+/// it never panics and never reaches the inbox. Every malformed frame is counted in
+/// `frames_corrupt` before the connection dies: the reader does not die silently, it
+/// leaves a visible mark that feeds detector suspicion (a peer whose traffic keeps
+/// corrupting stops proving its liveness).
 fn reader_loop(
     mut stream: TcpStream,
-    inbox: Sender<(ProcessId, Vec<u8>)>,
+    inbox: Sender<Batch>,
     stats: Arc<AtomicStats>,
-    book: Book,
+    book: Arc<Book>,
 ) {
     let mut hello = [0u8; HELLO_LEN];
     if stream.read_exact(&mut hello).is_err() || &hello[..4] != HELLO_MAGIC {
@@ -229,45 +282,70 @@ fn reader_loop(
     // already replaced is a ghost of the sender's previous life — close it before a
     // single frame crosses over. Incarnation 0 is the wildcard for raw peers that
     // never registered (the book then has no opinion either).
-    if from_incarnation != 0 {
-        let current = book
-            .lock()
-            .expect("address book lock")
-            .get(&from)
-            .map(|e| e.incarnation);
-        if let Some(current) = current {
-            if from_incarnation < current {
-                return;
-            }
-        }
+    if from_incarnation != 0
+        && book
+            .lookup(from)
+            .is_some_and(|current| from_incarnation < current.incarnation)
+    {
+        return;
     }
-    loop {
-        let mut header = [0u8; 8];
-        if stream.read_exact(&mut header).is_err() {
-            return; // EOF: the peer closed or crashed.
-        }
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_LEN {
-            // A corrupt length: close rather than allocate it.
-            stats.frames_corrupt.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut payload = vec![0u8; len];
-        if stream.read_exact(&mut payload).is_err() {
-            return;
-        }
-        if crc32(&payload) != crc {
-            // Corrupt frame: the stream can no longer be trusted.
-            stats.frames_corrupt.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        stats.frames_received.fetch_add(1, Ordering::Relaxed);
+    // Hands one batch to the inbox; `false` once the endpoint is gone.
+    let deliver = |batch: Batch| {
+        let bytes: usize = batch.iter().map(|(_, payload)| payload.len()).sum();
+        stats
+            .frames_received
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         stats
             .bytes_received
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        if inbox.send((from, payload)).is_err() {
-            return; // Endpoint gone.
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        inbox.send(batch).is_ok()
+    };
+    let mut buf = vec![0u8; READ_BUF];
+    let mut filled = 0;
+    loop {
+        let mut batch = Batch::new();
+        let (consumed, corrupt) = parse_frames(&buf[..filled], from, &mut batch);
+        if !batch.is_empty() && !deliver(batch) {
+            return;
+        }
+        if corrupt {
+            stats.frames_corrupt.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // Whatever is left is the head of one frame: move it to the front, where
+        // the buffer has room for the rest of it.
+        buf.copy_within(consumed..filled, 0);
+        filled -= consumed;
+        if filled >= FRAME_HEADER {
+            let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+            let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
+            if len > MAX_FRAME_LEN {
+                // A corrupt length: close rather than allocate it.
+                stats.frames_corrupt.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            if FRAME_HEADER + len > buf.len() {
+                // A frame the buffer can never hold (a state-transfer image): read
+                // the rest of it straight into its own allocation.
+                let mut payload = vec![0u8; len];
+                let have = filled - FRAME_HEADER;
+                payload[..have].copy_from_slice(&buf[FRAME_HEADER..filled]);
+                filled = 0;
+                if stream.read_exact(&mut payload[have..]).is_err() {
+                    return;
+                }
+                if crc32(&payload) != crc {
+                    stats.frames_corrupt.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                if !deliver(vec![(from, payload)]) {
+                    return;
+                }
+            }
+        }
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) | Err(_) => return, // EOF: the peer closed or crashed.
+            Ok(n) => filled += n,
         }
     }
 }
@@ -276,87 +354,93 @@ fn reader_loop(
 /// count (for drop accounting when the peer is unreachable), and the incarnation of
 /// the destination these frames were addressed to (0 = unknown peer, deliver to
 /// whoever answers).
-type Blob = (Vec<u8>, u64, u64);
+#[derive(Debug, Default)]
+struct Blob {
+    bytes: Vec<u8>,
+    frames: u64,
+    incarnation: u64,
+}
 
-struct PeerWriter {
+/// The sending side's state for one peer.
+struct Peer {
     tx: SyncSender<Blob>,
-    /// Blobs handed to this writer and not yet taken off the channel (the per-peer
-    /// queue-depth gauge feeding [`TransportStats::queue_depth_peak`]).
+    /// Blobs handed to this peer's writer and not yet taken off the channel (the
+    /// per-peer queue-depth gauge feeding [`TransportStats::queue_depth_peak`]).
     depth: Arc<AtomicU64>,
+    /// Frames sent and not yet flushed.
+    pending: Blob,
 }
 
 fn writer_loop(
     local: ProcessId,
     local_incarnation: u64,
     to: ProcessId,
-    book: Book,
+    book: Arc<Book>,
     rx: Receiver<Blob>,
     stats: Arc<AtomicStats>,
     depth: Arc<AtomicU64>,
 ) {
     let mut stream: Option<TcpStream> = None;
     let mut last_fail: Option<Instant> = None;
+    // The incarnation of `to` that the last dial, successful or not, aimed at.
+    let mut dialed = 0;
+    let mut coalesced: Vec<u8> = Vec::new();
     while let Ok(first) = rx.recv() {
         // Flush coalescing: everything queued since the last write goes in one syscall.
         let mut blobs = vec![first];
-        while let Ok(more) = rx.try_recv() {
-            blobs.push(more);
-        }
+        blobs.extend(rx.try_iter());
         depth.fetch_sub(blobs.len() as u64, Ordering::Relaxed);
-        // Restart-reconnect hygiene: frames queued toward an incarnation the book has
-        // since replaced must not deliver to its successor — drop them here, exactly
-        // where the sim's nemesis counts crash drops.
-        let current = book
-            .lock()
-            .expect("address book lock")
-            .get(&to)
-            .map(|e| e.incarnation);
-        if let Some(current) = current {
-            blobs.retain(|(_, frames, incarnation)| {
-                if *incarnation != 0 && *incarnation != current {
-                    stats.frames_dropped.fetch_add(*frames, Ordering::Relaxed);
+        let target = book.lookup(to);
+        if let Some(target) = target {
+            // Restart-reconnect hygiene: frames queued toward an incarnation the book
+            // has since replaced must not deliver to its successor — drop them here,
+            // exactly where the sim's nemesis counts crash drops.
+            blobs.retain(|blob| {
+                let stale = blob.incarnation != 0 && blob.incarnation != target.incarnation;
+                if stale {
+                    stats.count_dropped(blob.frames);
                     stats
                         .frames_dropped_stale
-                        .fetch_add(*frames, Ordering::Relaxed);
-                    false
-                } else {
-                    true
+                        .fetch_add(blob.frames, Ordering::Relaxed);
                 }
+                !stale
             });
             if blobs.is_empty() {
                 continue;
             }
+            // The peer has re-registered since the last dial: an open connection
+            // leads to its previous life, where a write would vanish without an
+            // error, and a back-off concerns an address it has left. The new
+            // incarnation is listening, so dial it now.
+            if dialed != target.incarnation {
+                stream = None;
+                last_fail = None;
+            }
         }
         if stream.is_none() && last_fail.is_none_or(|at| at.elapsed() >= DIAL_BACKOFF) {
-            let addr = book
-                .lock()
-                .expect("address book lock")
-                .get(&to)
-                .map(|e| e.addr);
-            stream = addr.and_then(|addr| dial(local, local_incarnation, addr));
+            if let Some(target) = target {
+                dialed = target.incarnation;
+                stream = dial(local, local_incarnation, target.addr);
+            }
             if stream.is_none() {
                 last_fail = Some(Instant::now());
             }
         }
-        match &mut stream {
-            Some(s) => {
-                let mut buf = Vec::with_capacity(blobs.iter().map(|(b, _, _)| b.len()).sum());
-                for (bytes, _, _) in &blobs {
-                    buf.extend_from_slice(bytes);
-                }
-                if s.write_all(&buf).is_err() {
-                    // The connection died with the peer: these frames are lost, the
-                    // next batch re-dials (the peer may have restarted elsewhere).
-                    stream = None;
-                    last_fail = Some(Instant::now());
-                    let frames: u64 = blobs.iter().map(|(_, n, _)| *n).sum();
-                    stats.frames_dropped.fetch_add(frames, Ordering::Relaxed);
-                }
-            }
-            None => {
-                let frames: u64 = blobs.iter().map(|(_, n, _)| *n).sum();
-                stats.frames_dropped.fetch_add(frames, Ordering::Relaxed);
-            }
+        let frames: u64 = blobs.iter().map(|blob| blob.frames).sum();
+        let Some(s) = &mut stream else {
+            stats.count_dropped(frames);
+            continue;
+        };
+        coalesced.clear();
+        for blob in &blobs {
+            coalesced.extend_from_slice(&blob.bytes);
+        }
+        if s.write_all(&coalesced).is_err() {
+            // The connection died with the peer: these frames are lost, the next
+            // batch re-dials (the peer may have restarted elsewhere).
+            stream = None;
+            last_fail = Some(Instant::now());
+            stats.count_dropped(frames);
         }
     }
 }
@@ -379,11 +463,11 @@ pub struct TcpTransport {
     /// Which life of `local` this endpoint is (1 on first registration, +1 per
     /// restart); carried in the hello of every outbound connection.
     incarnation: u64,
-    book: Book,
-    inbox: Receiver<(ProcessId, Vec<u8>)>,
-    writers: BTreeMap<ProcessId, PeerWriter>,
-    /// Per-peer unflushed frame bytes and frame counts.
-    pending: BTreeMap<ProcessId, Blob>,
+    book: Arc<Book>,
+    inbox: Receiver<Batch>,
+    /// The rest of the batch last taken off the inbox.
+    ready: VecDeque<(ProcessId, Vec<u8>)>,
+    peers: BTreeMap<ProcessId, Peer>,
     batch: bool,
     stop: Arc<AtomicBool>,
     accepted: Arc<Mutex<Vec<TcpStream>>>,
@@ -406,23 +490,27 @@ impl TcpTransport {
     pub fn incarnation(&self) -> u64 {
         self.incarnation
     }
+}
 
-    fn writer(&mut self, to: ProcessId) -> &PeerWriter {
-        let local = self.local;
-        let local_incarnation = self.incarnation;
-        let book = self.book.clone();
-        let stats = Arc::clone(&self.stats);
-        self.writers.entry(to).or_insert_with(|| {
-            let (tx, rx) = sync_channel::<Blob>(WRITER_QUEUE_BLOBS);
-            let depth = Arc::new(AtomicU64::new(0));
-            let writer_depth = Arc::clone(&depth);
-            let _ = std::thread::Builder::new()
-                .name(format!("tnet-writer-{local}-{to}"))
-                .spawn(move || {
-                    writer_loop(local, local_incarnation, to, book, rx, stats, writer_depth)
-                });
-            PeerWriter { tx, depth }
-        })
+/// Starts the writer thread toward `to` and returns the sending side's handle on it.
+fn spawn_writer(
+    local: ProcessId,
+    local_incarnation: u64,
+    to: ProcessId,
+    book: &Arc<Book>,
+    stats: &Arc<AtomicStats>,
+) -> Peer {
+    let (book, stats) = (Arc::clone(book), Arc::clone(stats));
+    let (tx, rx) = sync_channel::<Blob>(WRITER_QUEUE_BLOBS);
+    let depth = Arc::new(AtomicU64::new(0));
+    let writer_depth = Arc::clone(&depth);
+    let _ = std::thread::Builder::new()
+        .name(format!("tnet-writer-{local}-{to}"))
+        .spawn(move || writer_loop(local, local_incarnation, to, book, rx, stats, writer_depth));
+    Peer {
+        tx,
+        depth,
+        pending: Blob::default(),
     }
 }
 
@@ -436,22 +524,21 @@ impl Transport for TcpTransport {
             payload.len() <= MAX_FRAME_LEN,
             "frame exceeds MAX_FRAME_LEN"
         );
-        let (buf, count, incarnation) = self.pending.entry(to).or_default();
-        if buf.is_empty() {
+        // The writer thread toward a peer is created lazily, on the first send.
+        let peer = self.peers.entry(to).or_insert_with(|| {
+            spawn_writer(self.local, self.incarnation, to, &self.book, &self.stats)
+        });
+        if peer.pending.frames == 0 {
             // Stamp the blob with the destination's incarnation *now*: if the peer
             // restarts between this send and the writer's dial, the frames belong to
             // the dead incarnation and must be dropped, not delivered to its heir.
-            *incarnation = self
-                .book
-                .lock()
-                .expect("address book lock")
-                .get(&to)
-                .map_or(0, |e| e.incarnation);
+            peer.pending.incarnation = self.book.lookup(to).map_or(0, |e| e.incarnation);
         }
+        let buf = &mut peer.pending.bytes;
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&crc32(payload).to_le_bytes());
         buf.extend_from_slice(payload);
-        *count += 1;
+        peer.pending.frames += 1;
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_sent
@@ -462,50 +549,50 @@ impl Transport for TcpTransport {
     }
 
     fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        for (to, blob) in pending {
-            let frames = blob.1;
+        let mut flushed = false;
+        for peer in self.peers.values_mut() {
+            if peer.pending.frames == 0 {
+                continue;
+            }
+            flushed = true;
+            let blob = std::mem::take(&mut peer.pending);
+            let frames = blob.frames;
             // Pre-account the blob in the depth gauge *before* it can reach the
             // channel, so the writer's decrement never observes an unaccounted blob
             // (the gauge would underflow). Undone below if the blob never queues.
-            let depth = {
-                let writer = self.writer(to);
-                writer.depth.fetch_add(1, Ordering::Relaxed) + 1
-            };
+            let depth = peer.depth.fetch_add(1, Ordering::Relaxed) + 1;
             self.stats
                 .queue_depth_peak
                 .fetch_max(depth, Ordering::Relaxed);
-            match self.writers[&to].tx.try_send(blob) {
-                Ok(()) => {}
+            let queued = match peer.tx.try_send(blob) {
+                Ok(()) => true,
                 Err(TrySendError::Full(blob)) => {
                     // Backpressure: wait for the writer to drain.
                     self.stats.flush_stalls.fetch_add(1, Ordering::Relaxed);
-                    if self.writers[&to].tx.send(blob).is_err() {
-                        self.stats
-                            .frames_dropped
-                            .fetch_add(frames, Ordering::Relaxed);
-                        self.writers[&to].depth.fetch_sub(1, Ordering::Relaxed);
-                    }
+                    peer.tx.send(blob).is_ok()
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.stats
-                        .frames_dropped
-                        .fetch_add(frames, Ordering::Relaxed);
-                    self.writers[&to].depth.fetch_sub(1, Ordering::Relaxed);
-                }
+                Err(TrySendError::Disconnected(_)) => false,
+            };
+            if !queued {
+                self.stats.count_dropped(frames);
+                peer.depth.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        if flushed {
+            self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProcessId, Vec<u8>), RecvError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        loop {
+            if let Some(frame) = self.ready.pop_front() {
+                return Ok(frame);
+            }
+            match self.inbox.recv_timeout(timeout) {
+                Ok(batch) => self.ready = batch.into(),
+                Err(mpsc::RecvTimeoutError::Timeout) => return Err(RecvError::Timeout),
+                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(RecvError::Closed),
+            }
         }
     }
 
@@ -518,11 +605,11 @@ impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         // Shut down inbound sockets so reader threads unblock and exit; writer
-        // threads exit once their senders drop with `self.writers`.
+        // threads exit once their senders drop with `self.peers`.
         for stream in self.accepted.lock().expect("accepted lock").drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        self.writers.clear();
+        self.peers.clear();
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -532,6 +619,35 @@ impl Drop for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_store::wal::frame;
+
+    /// A raw connection to `to`'s listener that has said hello as `sender`.
+    fn raw_peer(mesh: &TcpMesh, to: ProcessId, sender: ProcessId, incarnation: u64) -> TcpStream {
+        let addr = mesh.book.lookup(to).expect("registered").addr;
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut hello = HELLO_MAGIC.to_vec();
+        hello.extend_from_slice(&sender.to_le_bytes());
+        hello.extend_from_slice(&incarnation.to_le_bytes());
+        raw.write_all(&hello).unwrap();
+        raw
+    }
+
+    /// A frame whose checksum does not match its payload.
+    fn corrupt_frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = frame(payload);
+        bytes[4] ^= 0xFF;
+        bytes
+    }
+
+    fn assert_closed(raw: &mut TcpStream) {
+        let mut buf = [0u8; 1];
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(
+            raw.read(&mut buf).unwrap_or(0),
+            0,
+            "connection must be closed"
+        );
+    }
 
     #[test]
     fn two_endpoints_exchange_frames_in_order() {
@@ -612,44 +728,26 @@ mod tests {
     fn corrupt_frames_close_the_connection_without_reaching_the_inbox() {
         let mesh = TcpMesh::new();
         let mut b = mesh.endpoint(31, true).unwrap();
-        let addr = mesh.book.lock().unwrap().get(&31).unwrap().addr;
-        // A raw connection speaking the hello, then a frame whose CRC is wrong.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let mut hello = Vec::new();
-        hello.extend_from_slice(HELLO_MAGIC);
-        hello.extend_from_slice(&30u64.to_le_bytes());
-        hello.extend_from_slice(&0u64.to_le_bytes()); // wildcard incarnation
-        raw.write_all(&hello).unwrap();
+        // A raw connection speaking the hello (wildcard incarnation), then a frame
+        // whose CRC is wrong.
+        let mut raw = raw_peer(&mesh, 31, 30, 0);
         let payload = b"corrupt";
-        raw.write_all(&(payload.len() as u32).to_le_bytes())
-            .unwrap();
-        raw.write_all(&(crc32(payload) ^ 0xFFFF).to_le_bytes())
-            .unwrap();
-        raw.write_all(payload).unwrap();
+        raw.write_all(&corrupt_frame(payload)).unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_millis(200)),
             Err(RecvError::Timeout),
             "a corrupt frame must never surface"
         );
         // The reader closed the connection: our next read sees EOF.
-        let mut buf = [0u8; 1];
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(
-            raw.read(&mut buf).unwrap_or(0),
-            0,
-            "connection must be closed"
-        );
+        assert_closed(&mut raw);
         assert_eq!(
             b.stats().frames_corrupt,
             1,
             "the corrupt frame must be counted, not swallowed silently"
         );
         // A fresh, well-formed connection still works.
-        let mut ok = TcpStream::connect(addr).unwrap();
-        ok.write_all(&hello).unwrap();
-        ok.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-        ok.write_all(&crc32(payload).to_le_bytes()).unwrap();
-        ok.write_all(payload).unwrap();
+        let mut ok = raw_peer(&mesh, 31, 30, 0);
+        ok.write_all(&frame(payload)).unwrap();
         let (from, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((from, got.as_slice()), (30, payload.as_slice()));
     }
@@ -711,36 +809,18 @@ mod tests {
         assert_eq!(second.incarnation(), 2);
         // A raw connection claiming to be incarnation 1 of sender 60: the reader
         // must close it at the hello, frames and all.
-        let addr = mesh.book.lock().unwrap().get(&61).unwrap().addr;
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let mut hello = Vec::new();
-        hello.extend_from_slice(HELLO_MAGIC);
-        hello.extend_from_slice(&60u64.to_le_bytes());
-        hello.extend_from_slice(&1u64.to_le_bytes()); // stale incarnation
-        raw.write_all(&hello).unwrap();
+        let mut raw = raw_peer(&mesh, 61, 60, 1);
         let payload = b"ghost";
-        raw.write_all(&(payload.len() as u32).to_le_bytes())
-            .unwrap();
-        raw.write_all(&crc32(payload).to_le_bytes()).unwrap();
-        raw.write_all(payload).unwrap();
+        raw.write_all(&frame(payload)).unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_millis(300)),
             Err(RecvError::Timeout),
             "frames from a stale incarnation must never surface"
         );
-        let mut buf = [0u8; 1];
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "must be closed");
+        assert_closed(&mut raw);
         // The *current* incarnation is accepted.
-        let mut ok = TcpStream::connect(addr).unwrap();
-        let mut hello = Vec::new();
-        hello.extend_from_slice(HELLO_MAGIC);
-        hello.extend_from_slice(&60u64.to_le_bytes());
-        hello.extend_from_slice(&2u64.to_le_bytes());
-        ok.write_all(&hello).unwrap();
-        ok.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-        ok.write_all(&crc32(payload).to_le_bytes()).unwrap();
-        ok.write_all(payload).unwrap();
+        let mut ok = raw_peer(&mesh, 61, 60, 2);
+        ok.write_all(&frame(payload)).unwrap();
         let (from, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((from, got.as_slice()), (60, payload.as_slice()));
     }
@@ -749,26 +829,170 @@ mod tests {
     fn oversized_length_prefix_closes_the_connection() {
         let mesh = TcpMesh::new();
         let mut b = mesh.endpoint(41, true).unwrap();
-        let addr = mesh.book.lock().unwrap().get(&41).unwrap().addr;
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let mut hello = Vec::new();
-        hello.extend_from_slice(HELLO_MAGIC);
-        hello.extend_from_slice(&40u64.to_le_bytes());
-        hello.extend_from_slice(&0u64.to_le_bytes()); // wildcard incarnation
-        raw.write_all(&hello).unwrap();
+        let mut raw = raw_peer(&mesh, 41, 40, 0);
         raw.write_all(&(u32::MAX).to_le_bytes()).unwrap(); // absurd length
         raw.write_all(&0u32.to_le_bytes()).unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_millis(200)),
             Err(RecvError::Timeout)
         );
-        let mut buf = [0u8; 1];
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(
-            raw.read(&mut buf).unwrap_or(0),
-            0,
-            "connection must be closed"
-        );
+        assert_closed(&mut raw);
         assert_eq!(b.stats().frames_corrupt, 1);
+    }
+
+    /// The stale-connection bug: a writer whose open connection was dialed to the
+    /// peer's previous life used to write the first batch after the restart into the
+    /// dead socket (no error, frames gone) and resume only a back-off later.
+    #[test]
+    fn the_first_frame_flushed_after_a_peer_restart_arrives() {
+        let mesh = TcpMesh::new();
+        let mut a = mesh.endpoint(70, true).unwrap();
+        let mut b = mesh.endpoint(71, true).unwrap();
+        a.send(71, b"before");
+        a.flush();
+        b.recv_timeout(Duration::from_secs(5))
+            .expect("connection established");
+        drop(b);
+        let mut b2 = mesh.endpoint(71, true).unwrap();
+        a.send(71, b"after");
+        a.flush();
+        let (from, payload) = b2
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the first frame after the restart must not be lost");
+        assert_eq!((from, payload.as_slice()), (70, b"after".as_slice()));
+        assert_eq!(a.stats().frames_dropped, 0);
+    }
+
+    #[test]
+    fn parse_frames_stops_at_an_incomplete_frame_and_flags_a_corrupt_one() {
+        let mut stream = Vec::new();
+        for i in 0u8..3 {
+            stream.extend_from_slice(&frame(&[i; 10]));
+        }
+        let whole = stream.len();
+        // Cut inside the third frame's header, then inside its payload: two frames
+        // come out, the third stays for the next read, nothing is corrupt.
+        for cut in [2 * 18 + 3, 2 * 18 + 12] {
+            let mut batch = Batch::new();
+            assert_eq!(parse_frames(&stream[..cut], 9, &mut batch), (36, false));
+            assert_eq!(batch, vec![(9, vec![0; 10]), (9, vec![1; 10])]);
+        }
+        let mut batch = Batch::new();
+        assert_eq!(parse_frames(&stream, 9, &mut batch), (whole, false));
+        assert_eq!(batch.len(), 3);
+        // A corrupt frame in the middle: the one before it is taken, it is not.
+        stream[18 + 8] ^= 1;
+        let mut batch = Batch::new();
+        assert_eq!(parse_frames(&stream, 9, &mut batch), (18, true));
+        assert_eq!(batch, vec![(9, vec![0; 10])]);
+    }
+
+    #[test]
+    fn frames_split_across_reads_are_reassembled() {
+        let mesh = TcpMesh::new();
+        let mut b = mesh.endpoint(81, true).unwrap();
+        let mut raw = raw_peer(&mesh, 81, 80, 0);
+        let stream = [frame(b"first"), frame(b"second"), frame(b"third")].concat();
+        // One write ends inside the second frame's header, the next inside the third
+        // frame's payload; each waits until the reader has taken the previous one.
+        let second_header = frame(b"first").len() + 5;
+        let third_payload = stream.len() - 2;
+        raw.write_all(&stream[..second_header]).unwrap();
+        let (_, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got, b"first");
+        raw.write_all(&stream[second_header..third_payload])
+            .unwrap();
+        let (_, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got, b"second");
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(50)),
+            Err(RecvError::Timeout),
+            "an incomplete frame must not surface"
+        );
+        raw.write_all(&stream[third_payload..]).unwrap();
+        let (_, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got, b"third");
+    }
+
+    #[test]
+    fn a_header_straddling_the_read_buffer_boundary_is_reassembled() {
+        let mesh = TcpMesh::new();
+        let mut b = mesh.endpoint(83, true).unwrap();
+        let mut raw = raw_peer(&mesh, 83, 82, 0);
+        // The first frame ends 4 bytes short of the buffer's end, so the second
+        // frame's header lies across it whenever a read fills the buffer; then more
+        // than another buffer's worth of small frames, all in one write.
+        let mut payloads = vec![vec![0xAB; READ_BUF - 4 - FRAME_HEADER]];
+        payloads.extend((0..3_000u32).map(|i| i.to_le_bytes().repeat(6)));
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        raw.write_all(&stream).unwrap();
+        for expected in &payloads {
+            let (_, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(&got, expected);
+        }
+        assert_eq!(b.stats().frames_corrupt, 0);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_read_buffer_arrives_intact() {
+        let mesh = TcpMesh::new();
+        let mut a = mesh.endpoint(84, true).unwrap();
+        let mut b = mesh.endpoint(85, true).unwrap();
+        let big: Vec<u8> = (0..5 * READ_BUF + 123).map(|i| (i % 251) as u8).collect();
+        a.send(85, b"small-before");
+        a.send(85, &big);
+        a.send(85, b"small-after");
+        a.flush();
+        for expected in [b"small-before".as_slice(), &big, b"small-after"] {
+            let (from, got) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(from, 84);
+            assert!(got == expected, "a {}-byte frame differs", expected.len());
+        }
+        assert_eq!(b.stats().frames_received, 3);
+    }
+
+    #[test]
+    fn a_thousand_frames_in_one_flush_arrive_in_order() {
+        let mesh = TcpMesh::new();
+        let mut a = mesh.endpoint(86, true).unwrap();
+        let mut b = mesh.endpoint(87, true).unwrap();
+        for i in 0u64..1_000 {
+            a.send(87, &i.to_le_bytes());
+        }
+        a.flush();
+        assert_eq!(a.stats().flushes, 1);
+        for i in 0u64..1_000 {
+            let (_, payload) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(payload, i.to_le_bytes());
+        }
+        assert_eq!(b.stats().frames_received, 1_000);
+    }
+
+    #[test]
+    fn a_corrupt_frame_mid_burst_delivers_what_preceded_it_and_nothing_after() {
+        let mesh = TcpMesh::new();
+        let mut b = mesh.endpoint(89, true).unwrap();
+        let mut raw = raw_peer(&mesh, 89, 88, 0);
+        let mut burst = Vec::new();
+        for i in 0u8..5 {
+            burst.extend_from_slice(&frame(&[i; 32]));
+        }
+        burst.extend_from_slice(&corrupt_frame(&[5; 32]));
+        for i in 6u8..11 {
+            burst.extend_from_slice(&frame(&[i; 32]));
+        }
+        raw.write_all(&burst).unwrap();
+        for i in 0u8..5 {
+            let (from, payload) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!((from, payload), (88, vec![i; 32]));
+        }
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(200)),
+            Err(RecvError::Timeout),
+            "nothing after the corrupt frame may surface"
+        );
+        assert_closed(&mut raw);
+        assert_eq!(b.stats().frames_corrupt, 1);
+        assert_eq!(b.stats().frames_received, 5);
     }
 }

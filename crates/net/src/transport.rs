@@ -8,10 +8,15 @@
 //!   guarantee the protocols do *not* actually require, but which TCP provides and the
 //!   sim's event queue mimics; nothing may be duplicated).
 //! * **Batching** — [`Transport::send`] only queues; [`Transport::flush`] hands
-//!   everything queued to the I/O layer, one coalesced write per peer. The kernel
-//!   `Driver` produces all of a dispatch step's sends before the scheduler transports
-//!   them, so a step costs one flush — the 5 ms socket-flush batching of the paper's
-//!   implementation, at step granularity.
+//!   everything queued to the I/O layer, one coalesced write per peer. The unit the
+//!   runtime flushes is the *burst*: a replica handles every frame already in its
+//!   inbox (up to a fixed frame budget), queueing each dispatch step's sends, and
+//!   flushes once when the inbox runs dry or the budget is spent. A drained burst
+//!   costs one flush, and at most one write and one wake-up per peer, however many
+//!   frames it held — the socket-flush batching of the paper's implementation, with
+//!   the load rather than a 5 ms timer setting the batch size. Receiving mirrors it:
+//!   [`Transport::recv_timeout`] with a zero timeout takes the next frame that has
+//!   already arrived and never waits, which is how a burst is drained.
 //! * **Best-effort delivery** — a frame addressed to a crashed, partitioned or
 //!   unreachable peer may be dropped silently (counted in [`TransportStats`]). The
 //!   protocols already tolerate loss; retransmission is their job, not the

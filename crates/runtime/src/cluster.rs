@@ -3,13 +3,18 @@
 //! # Anatomy of a run
 //!
 //! * **Replicas.** Each process of the [`Config`] runs one thread owning a
-//!   [`Driver`] and a transport endpoint. The loop mirrors the simulator's event
-//!   dispatch: fire due protocol timers, otherwise block on the transport until the
-//!   next timer deadline; every driver step's sends are encoded once per message and
-//!   flushed as one batch per peer (the transport's write coalescing), and its
-//!   executions answer clients and feed the history. The driver's persist hook runs
-//!   *before* the step's output is routed, so the write-ahead guarantee of DESIGN.md
-//!   §6 carries over to real sockets and real fsyncs unchanged.
+//!   [`Driver`] and a transport endpoint. A turn of its loop fires due protocol
+//!   timers and detector events, flushes, and blocks on the transport until the next
+//!   deadline; once a frame arrives it handles a *burst* — that frame and every
+//!   frame already waiting behind it, up to a fixed budget — running one driver step
+//!   per frame, and flushes once at the end of the burst. Every step's sends are
+//!   encoded once per message into one reused buffer and queued per peer (the
+//!   transport's write coalescing), and its executions answer clients and feed the
+//!   history. The driver's persist hook runs inside the step, *before* its output is
+//!   routed, and a flush carries only what was routed before it, so the write-ahead
+//!   guarantee of DESIGN.md §6 carries over to real sockets and real fsyncs
+//!   unchanged; timers, the detector and the stop flag are looked at between bursts,
+//!   so the budget bounds how long a full inbox can keep them waiting.
 //! * **Clients.** [`ClientSession`]s own their own endpoints (ids above
 //!   [`CLIENT_ID_BASE`]). A submission goes to the closest live replica of the
 //!   command's target shard; completion requires an execution notice from the watched
@@ -77,8 +82,8 @@ pub struct NetOpts {
     pub seed: u64,
     /// Record the client/replica [`History`] for the `tempo-fault` checker.
     pub record_history: bool,
-    /// Transport batching: `true` coalesces each driver step's sends into one write
-    /// per peer (the default); `false` flushes every send (the bench baseline).
+    /// Transport batching: `true` coalesces each burst's sends into one write per
+    /// peer (the default); `false` flushes every send (the bench baseline).
     pub batch: bool,
     /// How long a client waits for a command before aborting it (the command may
     /// still take effect — exactly the simulator's `client_timeout_us`).
@@ -135,24 +140,10 @@ const ENV_SUSPECT: u8 = 4;
 const ENV_UNSUSPECT: u8 = 5;
 const ENV_HEARTBEAT: u8 = 6;
 
-fn encode_peer<M: Wire>(msg: &M) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(ENV_PEER);
-    msg.encode_into(&mut w);
-    w.into_bytes()
-}
-
 pub(crate) fn encode_request(cmd: &Command) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u8(ENV_REQUEST);
     cmd.encode_into(&mut w);
-    w.into_bytes()
-}
-
-fn encode_reply(reply: &ClientReply) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(ENV_REPLY);
-    reply.encode_into(&mut w);
     w.into_bytes()
 }
 
@@ -284,10 +275,219 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 
 // ------------------------------------------------------------------- replicas
 
+/// Most frames a replica handles between two flushes. A burst ends when the inbox
+/// runs dry or after this many frames, whichever comes first: the first keeps an idle
+/// replica's latency at one frame, the second bounds how long its peers wait for the
+/// burst's output and how long timers and the detector go unchecked (a few
+/// milliseconds, against a 25 ms heartbeat). It is a bound, not an operating point:
+/// `tempo-perf` has 256 closed-loop sessions fill an inbox with about 150 frames, and
+/// a budget under that (64) cut every burst short at the same length on every
+/// replica, which cost throughput on all `lan_*` workloads (DESIGN.md §3).
+const BURST_FRAMES: usize = 256;
+
+/// One replica incarnation as its thread sees it: the driver, the endpoint and what
+/// routing a step's output needs.
+struct Replica<P: Protocol> {
+    driver: Driver<P>,
+    transport: Box<dyn Transport>,
+    /// Every other replica: whom heartbeats go to and whom the detector watches.
+    peers: Vec<ProcessId>,
+    detector: Option<FailureDetector>,
+    tracer: Tracer,
+    shared: Arc<Shared>,
+    id: ProcessId,
+    shard: ShardId,
+    incarnation: u64,
+    /// Every outbound message and reply is encoded here, one at a time.
+    encoded: Writer,
+}
+
+impl<P> Replica<P>
+where
+    P: Protocol,
+    P::Message: Wire,
+{
+    /// Acts on one driver step: peer sends are encoded once and fanned out,
+    /// executions answer the issuing client's endpoint and feed the history. Nothing
+    /// is flushed here — the loop flushes once per burst. The driver already ran the
+    /// protocol's persist hook, so everything queued here is backed by durable state
+    /// before any flush can carry it (write-ahead across the wire).
+    fn route(&mut self, output: Output<P::Message>) {
+        for send in output.sends {
+            self.encoded.clear();
+            self.encoded.put_u8(ENV_PEER);
+            send.msg.encode_into(&mut self.encoded);
+            for to in send.to {
+                debug_assert_ne!(to, self.id, "protocols deliver self-sends internally");
+                self.transport.send(to, self.encoded.as_bytes());
+            }
+        }
+        for exec in output.executed {
+            if let Some(history) = &self.shared.history {
+                history.lock().expect("history lock").record_execution(
+                    self.shard,
+                    self.id,
+                    self.incarnation,
+                    exec.rifl,
+                );
+            }
+            self.encoded.clear();
+            self.encoded.put_u8(ENV_REPLY);
+            ClientReply::from_result(self.shard, &exec.result).encode_into(&mut self.encoded);
+            self.transport
+                .send(CLIENT_ID_BASE + exec.rifl.client, self.encoded.as_bytes());
+        }
+    }
+
+    fn suspect(&mut self, q: ProcessId) {
+        Protocol::suspect(self.driver.protocol_mut(), q);
+        self.tracer
+            .process_event(self.shared.now_us(), self.id, ProcEvent::Suspect(q));
+    }
+
+    fn unsuspect(&mut self, q: ProcessId) {
+        Protocol::unsuspect(self.driver.protocol_mut(), q);
+        self.tracer
+            .process_event(self.shared.now_us(), self.id, ProcEvent::Unsuspect(q));
+    }
+
+    /// Handles one inbound frame and queues what it produced.
+    fn on_frame(&mut self, from: ProcessId, bytes: &[u8]) {
+        // Any frame from a replica peer is proof of life.
+        if from < CLIENT_ID_BASE {
+            let now = self.shared.now_us();
+            if let Some(event) = self.detector.as_mut().and_then(|d| d.heartbeat(from, now)) {
+                let DetectorEvent::Unsuspect(q) = event else {
+                    unreachable!("heartbeats only unsuspect")
+                };
+                self.unsuspect(q);
+            }
+        }
+        match decode_inbound::<P::Message>(bytes) {
+            Ok(Inbound::Peer(msg)) if from < CLIENT_ID_BASE => {
+                let output = self.driver.handle(from, msg, self.shared.now_us());
+                self.route(output);
+            }
+            Ok(Inbound::Request(cmd)) if from >= CLIENT_ID_BASE => {
+                let output = self.driver.submit(cmd, self.shared.now_us());
+                self.route(output);
+            }
+            // Control-frame suspicion stays wired in detector mode as the test
+            // override (the supervisor only *sends* it in oracle mode).
+            Ok(Inbound::Suspect(p)) if from == CONTROL_ID => self.suspect(p),
+            Ok(Inbound::Unsuspect(p)) if from == CONTROL_ID => self.unsuspect(p),
+            Ok(Inbound::Heartbeat) => {} // Liveness already fed above.
+            // Anything else — decode failures included — is dropped: the CRC layer
+            // already screened corruption, so this can only be mis-addressed harness
+            // traffic.
+            _ => {}
+        }
+    }
+
+    /// Snapshots this replica's counters into the shared registry: each replica owns
+    /// its driver and endpoint, so it is the only thread that can read them.
+    fn sample_metrics(&self, registry: &Mutex<tempo_trace::MetricsRegistry>, now: u64) {
+        let id = self.id;
+        let m = self.driver.metrics();
+        let t = self.transport.stats();
+        let mut registry = registry.lock().expect("registry lock");
+        registry.sample(&format!("p{id}.committed"), now, m.committed);
+        registry.sample(&format!("p{id}.executed"), now, m.executed);
+        registry.sample(&format!("p{id}.messages_sent"), now, m.messages_sent);
+        registry.sample(&format!("p{id}.frames_sent"), now, t.frames_sent);
+        registry.sample(&format!("p{id}.frames_dropped"), now, t.frames_dropped);
+        registry.sample(&format!("p{id}.queue_depth_peak"), now, t.queue_depth_peak);
+        if let Some(det) = self.detector.as_ref() {
+            registry.sample(&format!("p{id}.suspicions"), now, det.stats().suspicions);
+        }
+    }
+
+    /// The replica's event loop, until `stop` is raised or the endpoint closes.
+    fn run(mut self, stop: &AtomicBool) -> ReplicaExit {
+        let mut next_heartbeat_us = self.shared.now_us(); // First beacon right away.
+        let mut next_sample_us = self.shared.now_us();
+        while !stop.load(Ordering::Relaxed) {
+            let now = self.shared.now_us();
+            if let (Some(interval), Some(registry)) = (
+                self.shared.metrics_interval_us,
+                self.shared.registry.as_ref(),
+            ) {
+                if now >= next_sample_us {
+                    next_sample_us = now + interval.max(1);
+                    self.sample_metrics(registry, now);
+                }
+            }
+            if let Some(det) = self.detector.as_mut() {
+                if now >= next_heartbeat_us {
+                    next_heartbeat_us = now + self.shared.detector_interval_us();
+                    for q in &self.peers {
+                        self.transport.send(*q, &[ENV_HEARTBEAT]);
+                    }
+                }
+                for event in det.tick(now) {
+                    match event {
+                        DetectorEvent::Suspect(q) => self.suspect(q),
+                        DetectorEvent::Unsuspect(q) => self.unsuspect(q),
+                    }
+                }
+            }
+            // Fire overdue timers before waiting: a busy inbox must not starve the
+            // protocol's periodic events.
+            if self.driver.next_timer_due().is_some_and(|due| due <= now) {
+                let output = self.driver.fire_due(now);
+                self.route(output);
+            }
+            // Beacons and timer output leave before this thread may block.
+            self.transport.flush();
+            let mut timeout = self
+                .driver
+                .next_timer_due()
+                .map(|due| Duration::from_micros(due.saturating_sub(now)))
+                .unwrap_or(STOP_POLL)
+                .min(STOP_POLL);
+            if let Some(det) = self.detector.as_ref() {
+                // Fold the next heartbeat and the earliest suspicion deadline into
+                // the wait so detection latency is bounded by the options, not by
+                // the poll granularity.
+                let mut due = next_heartbeat_us;
+                if let Some(deadline) = det.next_deadline() {
+                    due = due.min(deadline);
+                }
+                timeout = timeout.min(Duration::from_micros(due.saturating_sub(now)));
+            }
+            // One burst: block for the first frame, then take what is already there
+            // without waiting, and flush everything the burst produced at once.
+            let mut taken = 0;
+            let closed = loop {
+                match self.transport.recv_timeout(timeout) {
+                    Ok((from, bytes)) => self.on_frame(from, &bytes),
+                    Err(RecvError::Timeout) => break false,
+                    Err(RecvError::Closed) => break true,
+                }
+                taken += 1;
+                if taken == BURST_FRAMES {
+                    break false;
+                }
+                timeout = Duration::ZERO;
+            };
+            self.transport.flush();
+            if closed {
+                break;
+            }
+        }
+        let detector_stats = self.detector.map(|det| det.stats()).unwrap_or_default();
+        (
+            self.driver.metrics(),
+            self.transport.stats(),
+            detector_stats,
+        )
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn spawn_replica<P>(
     protocol: P,
-    mut transport: Box<dyn Transport>,
+    transport: Box<dyn Transport>,
     id: ProcessId,
     shard: ShardId,
     incarnation: u64,
@@ -303,8 +503,8 @@ where
     let handle = std::thread::Builder::new()
         .name(format!("replica-{id}-i{incarnation}"))
         .spawn(move || {
-            let mut driver = Driver::from_protocol(protocol);
             let tracer = shared.tracer(id);
+            let mut driver = Driver::from_protocol(protocol);
             driver.set_tracer(tracer.clone());
             for q in initial_suspects {
                 Protocol::suspect(driver.protocol_mut(), q);
@@ -315,205 +515,41 @@ where
                 Some(planet) => planet.view_for(shared.config, id),
                 None => View::trivial(shared.config, id),
             };
-            let output = driver.start(view, shared.now_us());
-            route_output(output, &mut transport, &shared, id, shard, incarnation);
-            if incarnation > 0 {
-                let output = driver.rejoin(incarnation, shared.now_us());
-                route_output(output, &mut transport, &shared, id, shard, incarnation);
-            }
-            // Detector mode: a fresh detector per incarnation (fresh grace period for
-            // everyone), fed by heartbeats this loop broadcasts and by every frame a
-            // peer sends — both travel the same chaos-afflicted transport, which is
-            // exactly what makes suspicion fallible.
             let peers: Vec<ProcessId> = shared
                 .membership
                 .all_processes()
                 .into_iter()
                 .filter(|q| *q != id)
                 .collect();
-            let mut detector = shared
+            // Detector mode: a fresh detector per incarnation (fresh grace period for
+            // everyone), fed by heartbeats the loop broadcasts and by every frame a
+            // peer sends — both travel the same chaos-afflicted transport, which is
+            // exactly what makes suspicion fallible.
+            let detector = shared
                 .detector
                 .map(|opts| FailureDetector::new(opts, peers.iter().copied(), shared.now_us()));
-            let heartbeat_frame = {
-                let mut w = Writer::new();
-                w.put_u8(ENV_HEARTBEAT);
-                w.into_bytes()
+            let mut replica = Replica {
+                driver,
+                transport,
+                peers,
+                detector,
+                tracer,
+                shared,
+                id,
+                shard,
+                incarnation,
+                encoded: Writer::new(),
             };
-            let mut next_heartbeat_us = shared.now_us(); // First beacon right away.
-            let mut next_sample_us = shared.now_us();
-            while !stop_flag.load(Ordering::Relaxed) {
-                let now = shared.now_us();
-                // Self-sampled counter time series: each replica owns its driver and
-                // endpoint, so it is the only thread that can read these counters.
-                if let (Some(interval), Some(registry)) =
-                    (shared.metrics_interval_us, shared.registry.as_ref())
-                {
-                    if now >= next_sample_us {
-                        next_sample_us = now + interval.max(1);
-                        let m = driver.metrics();
-                        let t = transport.stats();
-                        let mut registry = registry.lock().expect("registry lock");
-                        registry.sample(&format!("p{id}.committed"), now, m.committed);
-                        registry.sample(&format!("p{id}.executed"), now, m.executed);
-                        registry.sample(&format!("p{id}.messages_sent"), now, m.messages_sent);
-                        registry.sample(&format!("p{id}.frames_sent"), now, t.frames_sent);
-                        registry.sample(&format!("p{id}.frames_dropped"), now, t.frames_dropped);
-                        registry.sample(
-                            &format!("p{id}.queue_depth_peak"),
-                            now,
-                            t.queue_depth_peak,
-                        );
-                        if let Some(det) = detector.as_ref() {
-                            registry.sample(
-                                &format!("p{id}.suspicions"),
-                                now,
-                                det.stats().suspicions,
-                            );
-                        }
-                    }
-                }
-                if let Some(det) = detector.as_mut() {
-                    if now >= next_heartbeat_us {
-                        next_heartbeat_us = now + shared.detector_interval_us();
-                        for q in &peers {
-                            transport.send(*q, &heartbeat_frame);
-                        }
-                        transport.flush();
-                    }
-                    for event in det.tick(now) {
-                        match event {
-                            DetectorEvent::Suspect(q) => {
-                                Protocol::suspect(driver.protocol_mut(), q);
-                                tracer.process_event(now, id, ProcEvent::Suspect(q));
-                            }
-                            DetectorEvent::Unsuspect(q) => {
-                                Protocol::unsuspect(driver.protocol_mut(), q);
-                                tracer.process_event(now, id, ProcEvent::Unsuspect(q));
-                            }
-                        }
-                    }
-                }
-                // Fire overdue timers before waiting: a busy inbox must not starve
-                // the protocol's periodic events.
-                if driver.next_timer_due().is_some_and(|due| due <= now) {
-                    let output = driver.fire_due(now);
-                    route_output(output, &mut transport, &shared, id, shard, incarnation);
-                    continue;
-                }
-                let mut timeout = driver
-                    .next_timer_due()
-                    .map(|due| Duration::from_micros(due.saturating_sub(now)))
-                    .unwrap_or(STOP_POLL)
-                    .min(STOP_POLL);
-                if let Some(det) = detector.as_ref() {
-                    // Fold the next heartbeat and the earliest suspicion deadline into
-                    // the wait so detection latency is bounded by the options, not by
-                    // the poll granularity.
-                    let mut due = next_heartbeat_us;
-                    if let Some(deadline) = det.next_deadline() {
-                        due = due.min(deadline);
-                    }
-                    timeout = timeout.min(Duration::from_micros(due.saturating_sub(now)));
-                }
-                match transport.recv_timeout(timeout) {
-                    Ok((from, bytes)) => {
-                        // Any frame from a replica peer is proof of life.
-                        if from < CLIENT_ID_BASE {
-                            if let Some(event) = detector
-                                .as_mut()
-                                .and_then(|det| det.heartbeat(from, shared.now_us()))
-                            {
-                                let DetectorEvent::Unsuspect(q) = event else {
-                                    unreachable!("heartbeats only unsuspect")
-                                };
-                                Protocol::unsuspect(driver.protocol_mut(), q);
-                                tracer.process_event(shared.now_us(), id, ProcEvent::Unsuspect(q));
-                            }
-                        }
-                        match decode_inbound::<P::Message>(&bytes) {
-                            Ok(Inbound::Peer(msg)) if from < CLIENT_ID_BASE => {
-                                let output = driver.handle(from, msg, shared.now_us());
-                                route_output(
-                                    output,
-                                    &mut transport,
-                                    &shared,
-                                    id,
-                                    shard,
-                                    incarnation,
-                                );
-                            }
-                            Ok(Inbound::Request(cmd)) if from >= CLIENT_ID_BASE => {
-                                let output = driver.submit(cmd, shared.now_us());
-                                route_output(
-                                    output,
-                                    &mut transport,
-                                    &shared,
-                                    id,
-                                    shard,
-                                    incarnation,
-                                );
-                            }
-                            // Control-frame suspicion stays wired in detector mode as
-                            // the test override (the supervisor only *sends* it in
-                            // oracle mode).
-                            Ok(Inbound::Suspect(p)) if from == CONTROL_ID => {
-                                Protocol::suspect(driver.protocol_mut(), p);
-                                tracer.process_event(shared.now_us(), id, ProcEvent::Suspect(p));
-                            }
-                            Ok(Inbound::Unsuspect(p)) if from == CONTROL_ID => {
-                                Protocol::unsuspect(driver.protocol_mut(), p);
-                                tracer.process_event(shared.now_us(), id, ProcEvent::Unsuspect(p));
-                            }
-                            Ok(Inbound::Heartbeat) => {} // Liveness already fed above.
-                            // Anything else — decode failures included — is dropped:
-                            // the CRC layer already screened corruption, so this can
-                            // only be mis-addressed harness traffic.
-                            _ => {}
-                        }
-                    }
-                    Err(RecvError::Timeout) => {}
-                    Err(RecvError::Closed) => break,
-                }
+            let output = replica.driver.start(view, replica.shared.now_us());
+            replica.route(output);
+            if incarnation > 0 {
+                let output = replica.driver.rejoin(incarnation, replica.shared.now_us());
+                replica.route(output);
             }
-            let detector_stats = detector.as_ref().map(|det| det.stats()).unwrap_or_default();
-            (driver.metrics(), transport.stats(), detector_stats)
+            replica.run(&stop_flag)
         })
         .expect("spawn replica thread");
     Seat { stop, handle }
-}
-
-/// Acts on one driver step: peer sends are encoded once and fanned out, executions
-/// answer the issuing client's endpoint and feed the history, and the whole step is
-/// flushed as one batch per peer. The driver already ran the protocol's persist hook,
-/// so everything sent here is backed by durable state (write-ahead across the wire).
-fn route_output<M: Wire>(
-    output: Output<M>,
-    transport: &mut Box<dyn Transport>,
-    shared: &Shared,
-    id: ProcessId,
-    shard: ShardId,
-    incarnation: u64,
-) {
-    for send in output.sends {
-        let bytes = encode_peer(&send.msg);
-        for to in send.to {
-            debug_assert_ne!(to, id, "protocols deliver self-sends internally");
-            transport.send(to, &bytes);
-        }
-    }
-    for exec in output.executed {
-        if let Some(history) = &shared.history {
-            history.lock().expect("history lock").record_execution(
-                shard,
-                id,
-                incarnation,
-                exec.rifl,
-            );
-        }
-        let reply = ClientReply::from_result(shard, &exec.result);
-        transport.send(CLIENT_ID_BASE + exec.rifl.client, &encode_reply(&reply));
-    }
-    transport.flush();
 }
 
 // ----------------------------------------------------------------- supervisor
@@ -1185,6 +1221,71 @@ mod tests {
         assert_eq!(tally.completed, 3 * 2 * 5, "all complete: {tally:?}");
         let report = cluster.shutdown();
         assert!(report.total_metrics().fast_paths > 0, "fast paths taken");
+    }
+
+    /// A replica takes frames in bursts and looks at its timers, its detector and
+    /// its stop flag only between them. Under a load that never lets an inbox run
+    /// dry, heartbeats must still go out and be seen (no suspicion), the protocol's
+    /// periodic promises must still flow (commands become stable and execute
+    /// everywhere), and a stop must still be seen within a poll.
+    #[test]
+    fn bursts_do_not_starve_timers_or_the_detector() {
+        use crate::load::{run_load, LoadOpts};
+        use tempo_load::ZipfMix;
+        let cluster = NetCluster::start(
+            Config::full(3, 1),
+            NetOpts {
+                detector: Some(DetectorOpts::default()),
+                ..NetOpts::default()
+            },
+            tempo_factory(),
+        )
+        .expect("cluster starts");
+        // A round's work is all due within 100 ms, so the 256 sessions turn it into
+        // a closed loop of that depth that keeps every inbox non-empty; rounds repeat
+        // until the replicas have spent a second that way, whatever the build
+        // profile and the host.
+        const ROUND: u64 = 20_000;
+        let mut busy = Duration::ZERO;
+        let mut completed = 0;
+        for round in 0.. {
+            let opts = LoadOpts {
+                sessions: 256,
+                sockets_per_site: 1,
+                rate_per_s: ROUND as f64 * 10.0,
+                warmup: Duration::ZERO,
+                measure: Duration::from_millis(100),
+                poisson: false,
+                seed: round,
+                op_timeout: Duration::from_secs(60),
+            };
+            let begun = Instant::now();
+            let load = run_load(&cluster, opts, |pump| {
+                ZipfMix::new(4096, 0.5, 0.5, 3 * round + pump as u64).with_payload(100)
+            });
+            busy += begun.elapsed();
+            assert_eq!(load.aborted, 0, "no command may time out: {load:?}");
+            assert!(
+                load.completed >= ROUND - 3,
+                "every command completes: {load:?}"
+            );
+            completed += load.completed;
+            if busy >= Duration::from_secs(1) {
+                break;
+            }
+        }
+        let stopping = Instant::now();
+        let report = cluster.shutdown();
+        let stopped_in = stopping.elapsed();
+        assert!(stopped_in < 10 * STOP_POLL, "shutdown took {stopped_in:?}");
+        assert_eq!(report.detector.suspicions, 0, "{:?}", report.detector);
+        assert!(report.detector.heartbeats > 0, "{:?}", report.detector);
+        for metrics in &report.metrics {
+            assert!(
+                metrics.executed >= completed,
+                "stability must advance at every replica: {metrics:?}"
+            );
+        }
     }
 
     #[test]

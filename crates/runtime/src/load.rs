@@ -590,6 +590,35 @@ mod tests {
         assert!(s.p50_ms > 0.0 && s.p99_ms >= s.p50_ms, "summary: {s:?}");
     }
 
+    /// A second run re-registers the pumps' client ids: the replicas' writers must
+    /// notice the new incarnations instead of answering into the first run's closed
+    /// sockets (which used to strand the first reply to every pump until it timed
+    /// out).
+    #[test]
+    fn back_to_back_runs_on_one_cluster_both_complete() {
+        use tempo_kernel::config::Config;
+        let cluster = NetCluster::start(Config::full(3, 1), NetOpts::default(), tempo_factory())
+            .expect("cluster starts");
+        for run in 0..2u64 {
+            let opts = LoadOpts {
+                sessions: 32,
+                sockets_per_site: 1,
+                rate_per_s: 400.0,
+                warmup: Duration::ZERO,
+                measure: Duration::from_millis(500),
+                poisson: false,
+                seed: run,
+                op_timeout: Duration::from_secs(5),
+            };
+            let report = run_load(&cluster, opts, |p| {
+                ZipfMix::ycsb_b(256, 0.5, 10 * run + p as u64)
+            });
+            assert!(report.completed >= 190, "run {run}: {report:?}");
+            assert_eq!(report.aborted, 0, "run {run}: {report:?}");
+        }
+        cluster.shutdown();
+    }
+
     #[test]
     fn sessions_cap_in_flight_and_backlog_charges_queueing() {
         // One session, offered faster than one in-flight op can complete: ops queue

@@ -20,9 +20,11 @@ use tempo_runtime::{run_workload, NetCluster, NetOpts, RuntimeFactory, RuntimeRe
 use tempo_workload::RwConflict;
 
 const CLIENTS_PER_SITE: usize = 2;
-/// Long enough that the run is still in flight when the last scheduled fault fires
-/// (loopback commands complete in milliseconds; the schedules below span ~1 s).
-const COMMANDS_PER_CLIENT: usize = 40;
+/// Long enough that the run is still in flight when the last scheduled fault fires:
+/// the schedules below span up to ~0.75 s, and a fault-free debug-build run of this
+/// many commands (720 in all, each a couple of `FileStore` syncs) takes ~0.9 s on a
+/// 2-core host.
+const COMMANDS_PER_CLIENT: usize = 120;
 
 /// Protocol timeouts tightened for wall-clock chaos runs: recovery fires within
 /// hundreds of milliseconds instead of seconds, so a crashed coordinator's commands
@@ -118,9 +120,25 @@ fn coordinator_crash_and_restart_passes_the_checker_on_five_seeds() {
 
 /// Coordinator crash with *no* restart: f = 1 is spent for good; the survivors must
 /// still finish the run (recovery assigns timestamps to the orphaned commands).
+///
+/// A replica notices its crash between two bursts, and a burst handles every ack
+/// that has arrived, so a crash on a quiet network tends to find the coordinator
+/// with nothing proposed and uncommitted. The schedule therefore slows the links
+/// *into* the coordinator shortly before it dies: the acks of whatever it proposes
+/// from then on are still on their way when it does, which is the "proposed but not
+/// committed" state the preset is named for.
 #[test]
 fn coordinator_crash_without_restart_still_completes() {
-    let schedule = NemesisSchedule::coordinator_crash(0, 60_000);
+    let slow_acks = |from| FaultEvent::DelaySpike {
+        from,
+        to: 0,
+        extra_us: 200_000,
+    };
+    let schedule = NemesisSchedule::new(vec![
+        (30_000, slow_acks(1)),
+        (30_000, slow_acks(2)),
+        (60_000, FaultEvent::Crash(0)),
+    ]);
     let report = run_chaos(11, "crash-only", schedule);
     assert_eq!(report.faults.crashes, 1);
     let total = report.total_metrics();

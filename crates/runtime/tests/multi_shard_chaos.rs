@@ -259,15 +259,17 @@ fn duplicate_reorder_gray_preset_keeps_cross_shard_histories_serializable() {
 #[test]
 fn open_loop_multi_shard_load_records_a_checkable_history() {
     let config = Config::new(3, 1, SHARDS);
+    // Process ids recur: a store left behind by an earlier run under this one's id
+    // would boot the replicas from that run's snapshots.
+    let root = std::env::temp_dir().join(format!("tempo-multishard-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     let cluster = NetCluster::start(
         config,
         NetOpts {
             record_history: true,
             ..NetOpts::default()
         },
-        filestore_factory(
-            std::env::temp_dir().join(format!("tempo-multishard-load-{}", std::process::id())),
-        ),
+        filestore_factory(root.clone()),
     )
     .expect("cluster starts");
     let opts = LoadOpts {
@@ -284,6 +286,7 @@ fn open_loop_multi_shard_load_records_a_checkable_history() {
         YcsbTMix::new(SHARDS as u64, KEYS_PER_SHARD, 0.6, 0.5, 900 + p as u64)
     });
     let report = cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
     assert!(
         load_report.completed > 0,
         "the open-loop run must complete measured ops: {load_report:?}"

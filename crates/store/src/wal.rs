@@ -60,15 +60,31 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLE[b]` is the CRC register after shifting the byte `b` through it.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`, one table lookup per byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     !crc
 }
@@ -104,6 +120,16 @@ impl Writer {
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// The bytes accumulated so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empties the writer, keeping its allocation for the next value.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Consumes the writer, returning the accumulated bytes.
@@ -587,6 +613,34 @@ mod tests {
     fn crc32_matches_known_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bit-at-a-time definition the table is derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_equals_the_bitwise_reference() {
+        let mut rng = tempo_kernel::rand::Rng::new(0xC4C);
+        for round in 0..600 {
+            // Every short length once, then random lengths up to 4096.
+            let len = if round <= 64 {
+                round
+            } else {
+                rng.gen_range(4097) as usize
+            };
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "length {len}");
+        }
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
