@@ -16,47 +16,27 @@ use tempo_bench::{header, short_mode};
 use tempo_core::Tempo;
 use tempo_fault::{DetectorOpts, FaultEvent, NemesisSchedule, RandomNemesisOpts};
 use tempo_kernel::{Config, Protocol};
-use tempo_load::ZipfMix;
+use tempo_load::{ConflictMix, ZipfMix};
 use tempo_planet::Planet;
 use tempo_runtime::{run_load, LoadOpts, NetCluster, NetOpts, RuntimeFactory};
 use tempo_sim::{run, RunReport, SimOpts};
-use tempo_workload::{ConflictWorkload, RwConflict, Workload};
 
-fn chaos_run<W: Workload>(
+fn chaos_run(
     label: &str,
     config: Config,
     schedule: NemesisSchedule,
     seed: u64,
-    workload: W,
+    mix: ConflictMix,
 ) -> RunReport {
-    chaos_run_with(label, config, schedule, seed, workload, None)
+    chaos_run_with(label, config, schedule, seed, mix, None)
 }
 
-/// Same run with the oracle off: replicas suspect each other through the simulated
-/// failure detector instead of being told.
-fn chaos_run_detector<W: Workload>(
+fn chaos_run_with(
     label: &str,
     config: Config,
     schedule: NemesisSchedule,
     seed: u64,
-    workload: W,
-) -> RunReport {
-    chaos_run_with(
-        label,
-        config,
-        schedule,
-        seed,
-        workload,
-        Some(DetectorOpts::default()),
-    )
-}
-
-fn chaos_run_with<W: Workload>(
-    label: &str,
-    config: Config,
-    schedule: NemesisSchedule,
-    seed: u64,
-    workload: W,
+    mix: ConflictMix,
     detector: Option<DetectorOpts>,
 ) -> RunReport {
     let clients = if short_mode() { 2 } else { 4 };
@@ -74,7 +54,7 @@ fn chaos_run_with<W: Workload>(
             detector,
             ..SimOpts::default()
         },
-        workload,
+        mix,
     );
     assert!(
         !report.stalled,
@@ -198,7 +178,7 @@ fn main() {
         config,
         NemesisSchedule::coordinator_crash(0, 60_000),
         7,
-        RwConflict::new(0.2, 0.4, 16, 7),
+        ConflictMix::new(0.2, 16, 7).with_hot_reads(0.4),
     );
     assert!(
         coordinator.metrics.recoveries_completed >= 1,
@@ -211,7 +191,7 @@ fn main() {
         Config::full(5, 2),
         NemesisSchedule::rolling_crashes(Config::full(5, 2), 200_000, 400_000),
         11,
-        ConflictWorkload::new(0.1, 16, 11),
+        ConflictMix::new(0.1, 16, 11),
     );
     record(&mut records, "rolling_crashes_f2", &rolling);
 
@@ -220,7 +200,7 @@ fn main() {
         config,
         NemesisSchedule::split_brain_and_heal(config, 100_000, 1_500_000),
         13,
-        RwConflict::new(0.3, 0.5, 16, 13),
+        ConflictMix::new(0.3, 16, 13).with_hot_reads(0.5),
     );
     record(&mut records, "split_brain_and_heal", &split);
 
@@ -229,7 +209,7 @@ fn main() {
         config,
         NemesisSchedule::lossy_link_soak(config, 0.1, 0, 2_000_000),
         17,
-        RwConflict::new(0.3, 0.5, 16, 17),
+        ConflictMix::new(0.3, 16, 17).with_hot_reads(0.5),
     );
     record(&mut records, "lossy_link_soak", &soak);
 
@@ -250,7 +230,7 @@ fn main() {
             config,
             schedule,
             seed,
-            ConflictWorkload::new(0.1, 16, seed),
+            ConflictMix::new(0.1, 16, seed),
         );
         assert!(
             report.faults.events() > 0,
@@ -273,7 +253,7 @@ fn main() {
             s
         },
         19,
-        RwConflict::new(0.3, 0.5, 16, 19),
+        ConflictMix::new(0.3, 16, 19).with_hot_reads(0.5),
     );
     assert!(slow.faults.slowed > 0, "the slow-node window must fire");
     record(&mut records, "slow_node_lossy", &slow);
@@ -283,7 +263,7 @@ fn main() {
         config,
         NemesisSchedule::duplicate_reorder_soak(config, 0.4, 0, 3_000_000),
         23,
-        RwConflict::new(0.3, 0.5, 16, 23),
+        ConflictMix::new(0.3, 16, 23).with_hot_reads(0.5),
     );
     assert!(
         soak.faults.duplicated > 0 && soak.faults.reordered > 0,
@@ -291,12 +271,15 @@ fn main() {
     );
     record(&mut records, "dup_reorder_soak", &soak);
 
-    let detector = chaos_run_detector(
+    // Same run with the oracle off: replicas suspect each other through the simulated
+    // failure detector instead of being told.
+    let detector = chaos_run_with(
         "detector-rolling",
         config,
         NemesisSchedule::rolling_crashes(config, 300_000, 500_000),
         29,
-        RwConflict::new(0.3, 0.5, 16, 29),
+        ConflictMix::new(0.3, 16, 29).with_hot_reads(0.5),
+        Some(DetectorOpts::default()),
     );
     assert!(
         detector.detector.suspicions > 0,

@@ -24,12 +24,11 @@ use tempo_bench::{header, short_mode};
 use tempo_core::Tempo;
 use tempo_fault::{DetectorOpts, FaultEvent, NemesisSchedule};
 use tempo_kernel::{Config, Protocol};
-use tempo_load::ZipfMix;
+use tempo_load::{ConflictMix, ZipfMix};
 use tempo_planet::Planet;
 use tempo_runtime::{run_load, LoadOpts, NetCluster, NetOpts, RuntimeFactory};
 use tempo_sim::{run, RunReport, SimOpts};
 use tempo_trace::{ChromeTrace, PhaseLatencies};
-use tempo_workload::{ConflictWorkload, RwConflict};
 
 /// One traced deterministic run: the sim side of every measurement below.
 fn traced_sim(seed: u64) -> RunReport {
@@ -46,7 +45,7 @@ fn traced_sim(seed: u64) -> RunReport {
             metrics_interval_us: Some(100_000),
             ..SimOpts::default()
         },
-        ConflictWorkload::new(0.1, 16, seed),
+        ConflictMix::new(0.1, 16, seed),
     )
 }
 
@@ -143,7 +142,7 @@ fn main() {
                 trace: traced,
                 ..SimOpts::default()
             },
-            ConflictWorkload::new(0.1, 16, 7),
+            ConflictMix::new(0.1, 16, 7),
         );
         let elapsed = wall.elapsed().as_secs_f64();
         assert!(!report.stalled);
@@ -209,7 +208,7 @@ fn main() {
             client_timeout_us: Some(15_000_000),
             ..SimOpts::default()
         },
-        RwConflict::new(0.3, 0.5, 16, 19),
+        ConflictMix::new(0.3, 16, 19).with_hot_reads(0.5),
     );
     assert!(!gray.stalled, "gray-chaos run stalled: {}", gray.summary());
     let gray_trace = gray.trace.as_ref().expect("gray trace");

@@ -14,9 +14,9 @@ pub mod json;
 
 use tempo_kernel::config::Config;
 use tempo_kernel::protocol::Protocol;
+use tempo_load::{ConflictMix, YcsbTMix};
 use tempo_planet::Planet;
 use tempo_sim::{CpuModel, RunReport, SimOpts, Simulation};
-use tempo_workload::{BatchedConflict, ConflictWorkload, Workload, YcsbT};
 
 /// Number of commands each simulated client issues in the scaled-down harnesses.
 pub const COMMANDS_PER_CLIENT: usize = 20;
@@ -45,16 +45,8 @@ pub fn full_replication<P: Protocol>(
     payload: usize,
     cpu: Option<CpuModel>,
 ) -> RunReport {
-    let config = Config::full(5, f);
-    let opts = SimOpts {
-        clients_per_site,
-        commands_per_client: COMMANDS_PER_CLIENT,
-        cpu,
-        seed: 42,
-        ..SimOpts::default()
-    };
-    let workload = ConflictWorkload::new(conflict_rate, payload, 42);
-    Simulation::<P, _>::new(config, Planet::ec2(), opts, workload).run()
+    let mix = ConflictMix::new(conflict_rate, payload, 42);
+    microbenchmark::<P>(f, clients_per_site, cpu, mix)
 }
 
 /// Runs a full-replication deployment with the batching workload of Figure 8.
@@ -65,16 +57,28 @@ pub fn full_replication_batched<P: Protocol>(
     batch: usize,
     cpu: Option<CpuModel>,
 ) -> RunReport {
-    let config = Config::full(5, f);
-    let opts = SimOpts {
+    let mix = ConflictMix::new(0.02, payload, 42).with_batch(batch);
+    microbenchmark::<P>(f, clients_per_site, cpu, mix)
+}
+
+fn microbenchmark<P: Protocol>(
+    f: usize,
+    clients_per_site: usize,
+    cpu: Option<CpuModel>,
+    mix: ConflictMix,
+) -> RunReport {
+    let opts = sim_opts(clients_per_site, cpu);
+    Simulation::<P, _>::new(Config::full(5, f), Planet::ec2(), opts, mix).run()
+}
+
+fn sim_opts(clients_per_site: usize, cpu: Option<CpuModel>) -> SimOpts {
+    SimOpts {
         clients_per_site,
         commands_per_client: COMMANDS_PER_CLIENT,
         cpu,
         seed: 42,
         ..SimOpts::default()
-    };
-    let workload = BatchedConflict::new(0.02, payload, batch, 42);
-    Simulation::<P, _>::new(config, Planet::ec2(), opts, workload).run()
+    }
 }
 
 /// Runs a partial-replication deployment (3 EC2 sites per shard) with the YCSB+T workload
@@ -87,28 +91,12 @@ pub fn partial_replication<P: Protocol>(
     cpu: Option<CpuModel>,
 ) -> RunReport {
     let config = Config::new(3, 1, shards);
-    let opts = SimOpts {
-        clients_per_site,
-        commands_per_client: COMMANDS_PER_CLIENT,
-        cpu,
-        seed: 42,
-        ..SimOpts::default()
-    };
+    let opts = sim_opts(clients_per_site, cpu);
     // The paper uses 1M keys per shard with thousands of clients; the scaled-down harness
     // shrinks the key universe so that the probability of two in-flight transactions
     // touching a common key stays comparable at the lower client counts.
-    let workload = YcsbT::new(shards, 2_000, zipf, write_ratio, 42);
-    Simulation::<P, _>::new(config, Planet::ec2_three_regions(), opts, workload).run()
-}
-
-/// Runs an arbitrary workload on an arbitrary planet (used by ablation harnesses).
-pub fn custom<P: Protocol, W: Workload>(
-    config: Config,
-    planet: Planet,
-    opts: SimOpts,
-    workload: W,
-) -> RunReport {
-    Simulation::<P, W>::new(config, planet, opts, workload).run()
+    let mix = YcsbTMix::new(shards as u64, 2_000, zipf, write_ratio, 42);
+    Simulation::<P, _>::new(config, Planet::ec2_three_regions(), opts, mix).run()
 }
 
 /// Formats a ratio like "1.8x".

@@ -234,6 +234,12 @@ impl History {
         self.invocations.len()
     }
 
+    /// Every invoked command, ordered by request identifier — per client, the
+    /// sequence of commands it submitted (what a seed must reproduce).
+    pub fn invoked(&self) -> impl Iterator<Item = &Command> + '_ {
+        self.invocations.values().map(|inv| &inv.cmd)
+    }
+
     /// The requests executed by `process` across all its incarnations, in order (used
     /// by tests asserting that survivors executed a recovered command).
     pub fn executed_by(&self, process: ProcessId) -> Vec<Rifl> {
@@ -305,7 +311,7 @@ impl History {
 
     /// The history viewed as atomic multi-key transactions: per `(shard, key)` access
     /// footprints with observed entry/exit values, derived from the client-visible
-    /// outputs (see [`key_accesses`] for the derivation rules).
+    /// outputs (see `key_accesses` for the derivation rules).
     pub fn transactions(&self) -> Vec<Txn> {
         self.invocations
             .iter()

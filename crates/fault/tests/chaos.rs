@@ -7,7 +7,7 @@
 //! commands stranded by faults instead of hanging) and its recorded history must pass
 //! per-key linearizability, replica agreement and at-most-once execution.
 //!
-//! Restart-bearing schedules run `RwConflict` (reads included) like everything else:
+//! Restart-bearing schedules run the read/write `ConflictMix` like everything else:
 //! since the rejoin state transfer (`MStateRequest`/`MState`, DESIGN.md §6), a
 //! restarted replica — durable store or not — gates execution until a peer's applied
 //! image installs, so the reads it serves are fresh. The write-only restriction that
@@ -18,9 +18,9 @@ use tempo_core::Tempo;
 use tempo_fault::{History, NemesisSchedule, RandomNemesisOpts};
 use tempo_kernel::id::Rifl;
 use tempo_kernel::Config;
+use tempo_load::ConflictMix;
 use tempo_planet::Planet;
-use tempo_sim::{run, RunReport, SimOpts};
-use tempo_workload::{ConflictWorkload, RwConflict, Workload};
+use tempo_sim::{RunReport, SimOpts};
 
 fn chaos_opts(schedule: NemesisSchedule, seed: u64) -> SimOpts {
     SimOpts {
@@ -34,32 +34,43 @@ fn chaos_opts(schedule: NemesisSchedule, seed: u64) -> SimOpts {
     }
 }
 
-fn checked_run<W: Workload>(
+/// The read/write microbenchmark every history-checked scenario runs: hot-key
+/// commands are `Get`s and `Add`s, so the checker has observations to falsify.
+fn rw(conflict_rate: f64, read_ratio: f64, seed: u64) -> ConflictMix {
+    ConflictMix::new(conflict_rate, 16, seed).with_hot_reads(read_ratio)
+}
+
+/// One chaos run of any protocol held to the common bar: it terminates, every command
+/// is accounted for, and the recorded history passes the checker.
+fn checked_run<P: tempo_kernel::protocol::Protocol>(
     config: Config,
     schedule: NemesisSchedule,
     seed: u64,
-    workload: W,
+    mix: ConflictMix,
 ) -> RunReport {
-    let report = run::<Tempo, _>(
+    let report = tempo_sim::run::<P, _>(
         config,
         Planet::equidistant(config.n(), 50.0),
         chaos_opts(schedule, seed),
-        workload,
+        mix,
     );
     assert!(
         !report.stalled,
-        "seed {seed}: run stalled (summary: {})",
+        "{} seed {seed}: run stalled ({})",
+        report.protocol,
         report.summary()
     );
     assert_eq!(
         report.completed + report.aborted,
         (config.n() * 2 * 5) as u64,
-        "seed {seed}: every command must be accounted for"
+        "{} seed {seed}: every command must be accounted for",
+        report.protocol
     );
     let history = report.history.as_ref().expect("history recorded");
     if let Err(violation) = history.check() {
         panic!(
-            "seed {seed}: history check failed: {violation}\n{}",
+            "{} seed {seed}: history check failed: {violation}\n{}",
+            report.protocol,
             report.summary()
         );
     }
@@ -81,7 +92,7 @@ fn coordinator_crash_mid_commit_recovers_the_command() {
     // lands after the proposals were made but before any MProposeAck returns — the
     // commit is the coordinator's to send, and it never will.
     let schedule = NemesisSchedule::coordinator_crash(0, 60_000);
-    let report = checked_run(config, schedule, 7, RwConflict::new(0.2, 0.4, 16, 7));
+    let report = checked_run::<Tempo>(config, schedule, 7, rw(0.2, 0.4, 7));
     assert!(
         report.metrics.recoveries_started >= 1,
         "a survivor must take over: {}",
@@ -112,7 +123,7 @@ fn rolling_crashes_preset_stays_safe() {
     for (f, seed) in [(1usize, 11u64), (2, 12)] {
         let config = Config::full(5, f);
         let schedule = NemesisSchedule::rolling_crashes(config, 200_000, 400_000);
-        let report = checked_run(config, schedule, seed, RwConflict::new(0.2, 0.4, 16, seed));
+        let report = checked_run::<Tempo>(config, schedule, seed, rw(0.2, 0.4, seed));
         assert_eq!(report.faults.crashes as usize, f);
         assert_eq!(report.faults.restarts as usize, f);
         assert!(report.completed > 0);
@@ -126,7 +137,7 @@ fn rolling_crashes_preset_stays_safe() {
 fn split_brain_and_heal_stays_safe() {
     let config = Config::full(5, 1);
     let schedule = NemesisSchedule::split_brain_and_heal(config, 100_000, 1_500_000);
-    let report = checked_run(config, schedule, 13, RwConflict::new(0.3, 0.5, 16, 13));
+    let report = checked_run::<Tempo>(config, schedule, 13, rw(0.3, 0.5, 13));
     assert_eq!(report.faults.partitions, 1);
     assert_eq!(report.faults.heals, 1);
     assert!(
@@ -144,7 +155,7 @@ fn split_brain_and_heal_stays_safe() {
 fn lossy_link_soak_stays_safe() {
     let config = Config::full(5, 1);
     let schedule = NemesisSchedule::lossy_link_soak(config, 0.1, 0, 2_000_000);
-    let report = checked_run(config, schedule, 17, RwConflict::new(0.3, 0.5, 16, 17));
+    let report = checked_run::<Tempo>(config, schedule, 17, rw(0.3, 0.5, 17));
     assert!(
         report.faults.dropped_link > 0,
         "the soak must actually drop messages: {}",
@@ -153,7 +164,7 @@ fn lossy_link_soak_stays_safe() {
     assert!(report.completed > 0);
 }
 
-/// The satellite property test: seeded random nemesis schedules × `ConflictWorkload`
+/// The satellite property test: seeded random nemesis schedules × `ConflictMix`
 /// for Tempo with f = 1 and f = 2 — every run must pass the checker. Together the two
 /// configurations cover at least 20 seeds (the CI acceptance bar).
 #[test]
@@ -170,7 +181,7 @@ fn random_nemesis_schedules_pass_the_checker_f1() {
             incidents: 3,
             seed,
         });
-        let report = checked_run(config, schedule, seed, ConflictWorkload::new(0.1, 16, seed));
+        let report = checked_run::<Tempo>(config, schedule, seed, ConflictMix::new(0.1, 16, seed));
         assert!(report.completed > 0, "seed {seed}: nothing completed");
         assert!(
             report.faults.events() > 0,
@@ -189,7 +200,7 @@ fn random_nemesis_schedules_pass_the_checker_f2() {
             incidents: 3,
             seed,
         });
-        let report = checked_run(config, schedule, seed, ConflictWorkload::new(0.1, 16, seed));
+        let report = checked_run::<Tempo>(config, schedule, seed, ConflictMix::new(0.1, 16, seed));
         assert!(report.completed > 0, "seed {seed}: nothing completed");
         assert!(
             report.faults.events() > 0,
@@ -207,7 +218,7 @@ fn restarted_replica_rejoins_and_serves_new_commands() {
         (200_000, tempo_fault::FaultEvent::Crash(0)),
         (600_000, tempo_fault::FaultEvent::Restart(0)),
     ]);
-    let report = checked_run(config, schedule, 23, RwConflict::new(0.2, 0.4, 16, 23));
+    let report = checked_run::<Tempo>(config, schedule, 23, rw(0.2, 0.4, 23));
     // Incarnation 1 specifically: the all-incarnations view would pass on pre-crash
     // executions alone and say nothing about the rejoin.
     let executed_by_new_incarnation: Vec<Rifl> = history(&report).executed_by_incarnation(0, 1);
@@ -221,43 +232,6 @@ fn restarted_replica_rejoins_and_serves_new_commands() {
 
 // ------------------------------------------------------------- gray failures (§9)
 
-/// Generic twin of `checked_run` for the cross-protocol conformance scenarios: same
-/// accounting and history bar, any protocol.
-fn checked_run_as<P: tempo_kernel::protocol::Protocol, W: Workload>(
-    config: Config,
-    schedule: NemesisSchedule,
-    seed: u64,
-    workload: W,
-) -> RunReport {
-    let report = tempo_sim::run::<P, _>(
-        config,
-        Planet::equidistant(config.n(), 50.0),
-        chaos_opts(schedule, seed),
-        workload,
-    );
-    assert!(
-        !report.stalled,
-        "{} seed {seed}: run stalled ({})",
-        report.protocol,
-        report.summary()
-    );
-    assert_eq!(
-        report.completed + report.aborted,
-        (config.n() * 2 * 5) as u64,
-        "{} seed {seed}: every command must be accounted for",
-        report.protocol
-    );
-    let history = report.history.as_ref().expect("history recorded");
-    if let Err(violation) = history.check() {
-        panic!(
-            "{} seed {seed}: history check failed: {violation}\n{}",
-            report.protocol,
-            report.summary()
-        );
-    }
-    report
-}
-
 /// Duplicate + reorder soak, cross-protocol: every link duplicates and reorders frames
 /// for the whole run. Idempotent handlers and FIFO-independence are *protocol*
 /// obligations, so Tempo, Atlas and FPaxos must all ride it out with full completion —
@@ -267,8 +241,7 @@ fn duplicate_and_reorder_soak_is_safe_across_protocols() {
     let config = Config::full(5, 1);
     fn soak<P: tempo_kernel::protocol::Protocol>(config: Config, seed: u64) {
         let schedule = NemesisSchedule::duplicate_reorder_soak(config, 0.4, 0, 3_000_000);
-        let report =
-            checked_run_as::<P, _>(config, schedule, seed, RwConflict::new(0.3, 0.5, 16, seed));
+        let report = checked_run::<P>(config, schedule, seed, rw(0.3, 0.5, seed));
         assert!(
             report.faults.duplicated > 0 && report.faults.reordered > 0,
             "{} seed {seed}: the soak must actually fire: {:?}",
@@ -296,7 +269,7 @@ fn slow_node_with_lossy_links_stays_safe() {
     for seed in [51u64, 52, 53] {
         let mut schedule = NemesisSchedule::slow_node(4, 500_000, 100_000, 2_000_000);
         schedule.merge(NemesisSchedule::lossy_link_soak(config, 0.05, 0, 2_000_000));
-        let report = checked_run(config, schedule, seed, RwConflict::new(0.3, 0.5, 16, seed));
+        let report = checked_run::<Tempo>(config, schedule, seed, rw(0.3, 0.5, seed));
         assert!(
             report.faults.slowed > 0,
             "seed {seed}: the slow node must have delayed frames: {:?}",
@@ -321,7 +294,7 @@ fn detector_mode_rolling_crashes_pass_the_checker_on_five_seeds() {
                 detector: Some(tempo_fault::DetectorOpts::default()),
                 ..chaos_opts(schedule, seed)
             },
-            RwConflict::new(0.2, 0.4, 16, seed),
+            rw(0.2, 0.4, seed),
         );
         assert!(!report.stalled, "seed {seed}: {}", report.summary());
         let history = report.history.as_ref().expect("history recorded");

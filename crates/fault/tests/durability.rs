@@ -12,9 +12,9 @@ use std::path::PathBuf;
 use tempo_core::{Tempo, TempoOptions};
 use tempo_fault::{FaultEvent, NemesisSchedule};
 use tempo_kernel::Config;
+use tempo_load::ConflictMix;
 use tempo_planet::Planet;
 use tempo_sim::{run_with_factory, ProtocolFactory, RunReport, SimOpts};
-use tempo_workload::RwConflict;
 
 fn schedule() -> NemesisSchedule {
     NemesisSchedule::new(vec![
@@ -35,10 +35,10 @@ fn opts(seed: u64) -> SimOpts {
     }
 }
 
-fn workload(seed: u64) -> RwConflict {
+fn mix(seed: u64) -> ConflictMix {
     // Heavy hot-key traffic with a read mix: the history checker gets plenty of
     // observations to falsify if the restarted replica serves a stale store.
-    RwConflict::new(0.6, 0.5, 16, seed)
+    ConflictMix::new(0.6, 16, seed).with_hot_reads(0.5)
 }
 
 fn run_scenario(seed: u64, factory: ProtocolFactory<Tempo>) -> RunReport {
@@ -47,7 +47,7 @@ fn run_scenario(seed: u64, factory: ProtocolFactory<Tempo>) -> RunReport {
         config,
         Planet::equidistant(3, 50.0),
         opts(seed),
-        workload(seed),
+        mix(seed),
         factory,
     );
     assert!(!report.stalled, "run stalled: {}", report.summary());

@@ -29,9 +29,9 @@ use tempo_kernel::id::{ProcessId, Rifl, ShardId};
 use tempo_kernel::kvstore::KVStore;
 use tempo_kernel::protocol::{Action, Executed, Protocol, ProtocolMetrics, TimerId, View};
 use tempo_kernel::rand::Rng;
+use tempo_load::YcsbTMix;
 use tempo_planet::Planet;
 use tempo_sim::{run, SimOpts};
-use tempo_workload::YcsbT;
 
 // ---------------------------------------------------------------------------------
 // Anomaly corpus: hand-written histories with known defects.
@@ -752,7 +752,7 @@ fn random_multi_shard_run(config: Config, seed: u64) -> tempo_sim::RunReport {
         config,
         Planet::equidistant(config.n(), 50.0),
         chaos_opts(schedule, seed),
-        YcsbT::new(2, 16, 0.6, 0.5, seed),
+        YcsbTMix::new(2, 16, 0.6, 0.5, seed),
     )
 }
 

@@ -77,6 +77,6 @@ pub use driver::{Driver, Outbound, Output};
 pub use id::{ClientId, Dot, ProcessId, Rifl, ShardId, SiteId};
 pub use kvstore::KVStore;
 pub use membership::Membership;
-pub use metrics::{Histogram, Percentile};
+pub use metrics::Percentile;
 pub use protocol::{Action, Executed, Executor, Protocol, TimerId, View};
 pub use trace::{CmdPhase, ProcEvent, TraceEvent, TraceLog, Tracer};

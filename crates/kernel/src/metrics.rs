@@ -1,8 +1,9 @@
 //! Latency histograms and throughput accounting.
 //!
 //! The paper reports per-site average latency (Figure 5), tail percentiles from the 95th
-//! to the 99.99th (Figure 6) and throughput/latency curves (Figures 7-9). [`Histogram`]
-//! records individual latency samples (in microseconds) and computes those statistics.
+//! to the 99.99th (Figure 6) and throughput/latency curves (Figures 7-9).
+//! [`LogHistogram`] records latency samples (in microseconds) into log-spaced buckets
+//! and computes those statistics; [`Throughput`] does the commands-per-second part.
 
 use std::fmt;
 
@@ -27,99 +28,9 @@ impl fmt::Display for Percentile {
     }
 }
 
-/// A latency histogram: records samples in microseconds and answers percentile queries.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a latency sample in microseconds.
-    pub fn record(&mut self, sample_us: u64) {
-        self.samples.push(sample_us);
-        self.sorted = false;
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the histogram holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-    }
-
-    /// Mean latency in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let sum: u128 = self.samples.iter().map(|s| u128::from(*s)).sum();
-        (sum as f64 / self.samples.len() as f64) / 1000.0
-    }
-
-    /// Minimum latency in milliseconds (0 when empty).
-    pub fn min_ms(&mut self) -> f64 {
-        self.ensure_sorted();
-        self.samples.first().map_or(0.0, |s| *s as f64 / 1000.0)
-    }
-
-    /// Maximum latency in milliseconds (0 when empty).
-    pub fn max_ms(&mut self) -> f64 {
-        self.ensure_sorted();
-        self.samples.last().map_or(0.0, |s| *s as f64 / 1000.0)
-    }
-
-    /// The requested percentile in milliseconds (0 when empty).
-    ///
-    /// Uses the nearest-rank method, which is what latency reporting tools commonly use.
-    pub fn percentile_ms(&mut self, p: Percentile) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let p = p.0.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        let index = rank.max(1).min(self.samples.len()) - 1;
-        self.samples[index] as f64 / 1000.0
-    }
-
-    /// Convenience: the median in milliseconds.
-    pub fn median_ms(&mut self) -> f64 {
-        self.percentile_ms(Percentile(50.0))
-    }
-
-    /// All samples, in microseconds (sorted ascending).
-    pub fn sorted_samples(&mut self) -> &[u64] {
-        self.ensure_sorted();
-        &self.samples
-    }
-}
-
 /// The shared percentile block reported by every latency-measuring harness
 /// (`BENCH_load.json`, `BENCH_runtime.json`, the fig6 simulator bench): one schema,
-/// whether the samples came from an exact [`Histogram`] or a streaming
-/// [`LogHistogram`]. All latencies are milliseconds.
+/// filled in by [`LogHistogram::summary`]. All latencies are milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples the block summarizes.
@@ -148,10 +59,10 @@ const LOG_BUCKETS: usize = ((LOG_MAX_BITS - LOG_SUB_BITS) as usize + 1) * LOG_SU
 
 /// A streaming, HDR-style log-bucketed latency histogram.
 ///
-/// Unlike [`Histogram`] (which keeps every sample and answers exact percentiles),
-/// this records into a fixed array of log-spaced buckets: [`LogHistogram::record`] is
-/// an index computation plus a counter increment — no allocation, no sorting — so it
-/// can sit on the hot path of an open-loop load generator recording every operation.
+/// Rather than keeping every sample, this records into a fixed array of log-spaced
+/// buckets: [`LogHistogram::record`] is an index computation plus a counter increment
+/// — no allocation, no sorting — so it can sit on the hot path of an open-loop load
+/// generator recording every operation. Count, sum (hence the mean) and max are exact.
 /// Values below 64 µs are exact; above that, each power of two is split into 64
 /// sub-buckets, bounding the relative quantile error by 1/64 (~1.6%). Quantiles
 /// report the midpoint of the answering bucket.
@@ -239,7 +150,7 @@ impl LogHistogram {
         }
     }
 
-    /// Mean in milliseconds (same query surface as [`Histogram`]).
+    /// Mean of the recorded samples, in milliseconds (exact, not bucketed).
     pub fn mean_ms(&self) -> f64 {
         self.mean_us() / 1000.0
     }
@@ -275,7 +186,7 @@ impl LogHistogram {
         self.max_us
     }
 
-    /// A percentile in milliseconds (same query surface as [`Histogram`]).
+    /// A percentile in milliseconds (see [`quantile_us`](Self::quantile_us)).
     pub fn percentile_ms(&self, p: Percentile) -> f64 {
         self.quantile_us(p.0 / 100.0) as f64 / 1000.0
     }
@@ -290,21 +201,6 @@ impl LogHistogram {
             p99_ms: self.percentile_ms(Percentile(99.0)),
             p999_ms: self.percentile_ms(Percentile(99.9)),
             max_ms: self.max_us as f64 / 1000.0,
-        }
-    }
-}
-
-impl Histogram {
-    /// The shared percentile block of this histogram (exact, from the raw samples).
-    pub fn summary(&mut self) -> LatencySummary {
-        LatencySummary {
-            samples: self.len() as u64,
-            mean_ms: self.mean_ms(),
-            p50_ms: self.percentile_ms(Percentile(50.0)),
-            p95_ms: self.percentile_ms(Percentile(95.0)),
-            p99_ms: self.percentile_ms(Percentile(99.0)),
-            p999_ms: self.percentile_ms(Percentile(99.9)),
-            max_ms: self.max_ms(),
         }
     }
 }
@@ -347,56 +243,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_histogram_is_zero() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean_ms(), 0.0);
-        assert_eq!(h.percentile_ms(Percentile(99.0)), 0.0);
-        assert_eq!(h.max_ms(), 0.0);
-    }
-
-    #[test]
-    fn mean_and_percentiles() {
-        let mut h = Histogram::new();
-        for ms in 1..=100u64 {
-            h.record(ms * 1000);
-        }
-        assert_eq!(h.len(), 100);
-        assert!((h.mean_ms() - 50.5).abs() < 1e-9);
-        assert_eq!(h.median_ms(), 50.0);
-        assert_eq!(h.percentile_ms(Percentile(95.0)), 95.0);
-        assert_eq!(h.percentile_ms(Percentile(99.0)), 99.0);
-        assert_eq!(h.percentile_ms(Percentile(100.0)), 100.0);
-        assert_eq!(h.min_ms(), 1.0);
-        assert_eq!(h.max_ms(), 100.0);
-    }
-
-    #[test]
-    fn percentile_is_monotone() {
-        let mut h = Histogram::new();
-        for i in 0..1000u64 {
-            h.record((i * i) % 7919 + 1);
-        }
-        let mut last = 0.0;
-        for p in [50.0, 90.0, 95.0, 99.0, 99.9, 99.99] {
-            let v = h.percentile_ms(Percentile(p));
-            assert!(v >= last, "percentile {p} went down");
-            last = v;
-        }
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        a.record(1000);
-        let mut b = Histogram::new();
-        b.record(3000);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.mean_ms() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn throughput_units() {
         let t = Throughput::new(230_000, 1_000_000);
         assert!((t.ops_per_second() - 230_000.0).abs() < 1e-6);
@@ -432,12 +278,19 @@ mod tests {
         assert_eq!(h.max_us(), 63);
     }
 
-    /// The satellite bar: log-bucketed quantiles must agree with the exact
-    /// sorted-sample percentiles of the same data within the bucketing tolerance
-    /// (half a bucket width, i.e. ~1/128 relative).
+    /// The reference `LogHistogram` is checked against: the exact nearest-rank
+    /// percentile of the raw samples (sorted ascending), in milliseconds.
+    fn exact_percentile_ms(sorted: &[u64], p: f64) -> f64 {
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1] as f64 / 1000.0
+    }
+
+    /// Log-bucketed quantiles must agree with the exact sorted-sample percentiles of
+    /// the same data within the bucketing tolerance (half a bucket width, i.e. ~1/128
+    /// relative); count, mean and max must agree exactly.
     #[test]
     fn log_histogram_quantiles_match_exact_percentiles() {
-        let mut exact = Histogram::new();
+        let mut samples = Vec::new();
         let mut log = LogHistogram::new();
         // A deterministic long-tailed sequence spanning ~4 decades (100 µs .. 1 s).
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -451,11 +304,12 @@ mod tests {
             } else {
                 base
             };
-            exact.record(sample);
+            samples.push(sample);
             log.record(sample);
         }
+        samples.sort_unstable();
         for p in [50.0, 90.0, 95.0, 99.0, 99.9, 99.99] {
-            let want = exact.percentile_ms(Percentile(p));
+            let want = exact_percentile_ms(&samples, p);
             let got = log.percentile_ms(Percentile(p));
             let tolerance = want / 64.0 + 1e-3;
             assert!(
@@ -463,9 +317,10 @@ mod tests {
                 "p{p}: log-bucketed {got}ms vs exact {want}ms (tolerance {tolerance}ms)"
             );
         }
-        assert!((log.mean_us() / 1000.0 - exact.mean_ms()).abs() < 1e-9);
-        assert_eq!(log.max_us() as f64 / 1000.0, exact.max_ms());
-        assert_eq!(log.summary().samples, exact.len() as u64);
+        let exact_mean_us = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
+        assert!((log.mean_us() - exact_mean_us).abs() < 1e-6);
+        assert_eq!(log.max_us(), *samples.last().expect("samples"));
+        assert_eq!(log.summary().samples, samples.len() as u64);
     }
 
     #[test]
@@ -552,19 +407,5 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(63);
         assert_eq!(h.quantile_us(1.0), 63);
-    }
-
-    #[test]
-    fn exact_histogram_summary_matches_percentile_queries() {
-        let mut h = Histogram::new();
-        for ms in 1..=1000u64 {
-            h.record(ms * 1000);
-        }
-        let s = h.summary();
-        assert_eq!(s.samples, 1000);
-        assert_eq!(s.p50_ms, 500.0);
-        assert_eq!(s.p99_ms, 990.0);
-        assert!((999.0..=1000.0).contains(&s.p999_ms), "p999 {}", s.p999_ms);
-        assert_eq!(s.max_ms, 1000.0);
     }
 }

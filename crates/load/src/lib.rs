@@ -1,24 +1,26 @@
-//! `tempo-load` — open-loop load generation for the real (networked) stack.
+//! `tempo-load` — load generation: what clients submit, and when.
 //!
-//! The paper's headline figures (6 and 7) are measured under sustained multi-client
-//! load across wide-area regions. This crate provides the generator side of that
-//! measurement, independent of any transport or runtime:
+//! The paper's evaluation runs three workloads — the conflict-rate microbenchmark
+//! (§6.2–6.3), its batched form (Figure 8) and YCSB+T (§6.4) — under sustained
+//! multi-client load. This crate is the generator side of every harness in the
+//! workspace, independent of any transport or runtime:
 //!
+//! * [`Mix`] / [`ConflictMix`] / [`ZipfMix`] / [`YcsbTMix`] — what each command does:
+//!   the microbenchmark's hot key with probability ρ, Zipf-distributed keys with
+//!   YCSB-style read/write ratios, and the YCSB+T multi-shard transaction mix of
+//!   Figure 9 (two distinct (shard, key) accesses per command). The request
+//!   identifier is supplied by the caller, so the simulator can count per client and
+//!   a load driver can encode session slots into it.
 //! * [`Arrivals`] — open-loop arrival schedules: fixed-rate or Poisson, seeded and
 //!   deterministic, emitting *intended* submission times in microseconds. Latency is
 //!   measured from the intended time, not the actual send, so queueing delay caused
 //!   by an overloaded system is charged to the system rather than silently dropped
 //!   (the coordinated-omission stance; see DESIGN.md §8).
-//! * [`Mix`] / [`ZipfMix`] / [`YcsbTMix`] — what each command does: Zipf-distributed
-//!   keys with an optional hot-key override (the microbenchmark's conflict knob) and
-//!   YCSB-style read/write ratios, plus the YCSB+T multi-shard transaction mix of
-//!   Figure 9 (two distinct (shard, key) accesses per command), with the request
-//!   identifier supplied by the caller so a driver can encode session slots into it.
 //!
-//! The pieces that *apply* this load to a cluster live in `tempo-runtime`
-//! (`LoadDriver`) and the WAN emulation lives in `tempo-net` (`PlanetTransport`);
-//! the streaming histograms the driver records into are
-//! `tempo_kernel::metrics::LogHistogram`.
+//! The pieces that *apply* this load live in `tempo-sim` (closed-loop simulated
+//! clients) and `tempo-runtime` (`run_workload`, `run_load`), the WAN emulation
+//! lives in `tempo-net` (`PlanetTransport`), and the streaming histograms they record
+//! into are `tempo_kernel::metrics::LogHistogram`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,4 +29,4 @@ mod arrivals;
 mod mix;
 
 pub use arrivals::Arrivals;
-pub use mix::{Mix, YcsbTMix, ZipfMix};
+pub use mix::{ConflictMix, Mix, YcsbTMix, ZipfMix};

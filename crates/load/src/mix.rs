@@ -1,11 +1,13 @@
-//! Key and operation mixes for load-driven sessions.
+//! Command mixes: what each client command does.
 //!
-//! [`tempo_workload::Workload`](../../tempo_workload/trait.Workload.html) assigns
-//! request identifiers itself (one counter per client), which fits closed-loop
-//! clients but not a load driver that multiplexes thousands of logical sessions over
-//! a few sockets and needs to encode the session slot into the identifier for O(1)
-//! completion matching. A [`Mix`] therefore takes the [`Rifl`] from the caller and
-//! only decides *what* the command does: which keys, read or write, what payload.
+//! A [`Mix`] is the one command-generator trait of the workspace, used by the
+//! simulator's closed-loop clients, `tempo-runtime`'s `run_workload` and its
+//! open-loop `run_load` alike. The caller owns request identity — it passes the
+//! [`Rifl`] in — and the mix only decides *what* the command does: which keys, read
+//! or write, what payload. That split is what lets a load driver multiplexing
+//! thousands of sessions over a few sockets encode the session slot into the
+//! identifier, and it keeps every generator free of per-client bookkeeping.
+//! All mixes are deterministic given their seed.
 
 use tempo_kernel::command::{Command, KVOp, Key};
 use tempo_kernel::id::{Rifl, ShardId};
@@ -19,6 +21,122 @@ pub trait Mix: Send {
 
     /// A short label for reports ("zipf-0.70/r0.50", ...).
     fn name(&self) -> String;
+
+    /// How many application-level operations one command represents (1 unless the
+    /// mix batches).
+    fn ops_per_command(&self) -> u64 {
+        1
+    }
+}
+
+/// The conflict-rate microbenchmark of §6.2/§6.3 (single shard).
+///
+/// Each command carries one 8-byte key and `payload_size` bytes. With probability
+/// `conflict_rate` (the paper's ρ) the key is the hot key 0, so the command conflicts
+/// with every other such command; otherwise it is a key no other command ever uses —
+/// derived from the caller's `(rifl.client, rifl.seq)`, which the closed-loop
+/// harnesses number `1, 2, …` per client (keys of different clients stay apart for
+/// the first 10⁹ commands of each). `conflict_rate = 1` makes every command conflict.
+///
+/// By default every command is a blind `Put`. [`with_hot_reads`](Self::with_hot_reads)
+/// turns the hot-key commands into `Get`/`Add(1)` so that a history checker has
+/// observations to falsify, and [`with_batch`](Self::with_batch) aggregates several
+/// draws into one multi-key command (Figure 8).
+#[derive(Debug, Clone)]
+pub struct ConflictMix {
+    conflict_rate: f64,
+    hot_read_ratio: Option<f64>,
+    batch: u64,
+    payload_size: usize,
+    rng: Rng,
+}
+
+impl ConflictMix {
+    /// The microbenchmark with the given conflict rate (e.g. `0.02` for 2 %) and
+    /// per-command payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conflict_rate ∉ [0, 1]`.
+    pub fn new(conflict_rate: f64, payload_size: usize, seed: u64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&conflict_rate),
+            "conflict rate must be in [0, 1], got {conflict_rate}"
+        );
+        Self {
+            conflict_rate,
+            hot_read_ratio: None,
+            batch: 1,
+            payload_size,
+            rng: Rng::new(seed),
+        }
+    }
+
+    /// Makes hot-key commands observable: a `Get` with probability `read_ratio`,
+    /// otherwise an `Add(1)` (a read-modify-write whose output reveals its position
+    /// in the linearization). A writes-only history is almost vacuously linearizable;
+    /// this is the form the `tempo-fault` checkers run. Cold commands stay `Put`s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `read_ratio ∉ [0, 1]`.
+    pub fn with_hot_reads(mut self, read_ratio: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&read_ratio),
+            "read ratio must be in [0, 1], got {read_ratio}"
+        );
+        self.hot_read_ratio = Some(read_ratio);
+        self
+    }
+
+    /// Aggregates `batch` single-key draws into one multi-key command carrying
+    /// `batch` payloads (the paper batches single-partition commands into one at each
+    /// site every 5 ms or 105 commands).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`.
+    pub fn with_batch(mut self, batch: usize) -> Self {
+        assert!(batch >= 1, "a batch holds at least one command");
+        self.batch = batch as u64;
+        self
+    }
+}
+
+impl Mix for ConflictMix {
+    fn next(&mut self, rifl: Rifl) -> Command {
+        // The batch's draws are numbered as if the client had issued them one by
+        // one: command `seq` holds draws `(seq - 1) * batch + 1 ..= seq * batch`.
+        let first = rifl.seq.wrapping_sub(1).wrapping_mul(self.batch);
+        let ops: Vec<(ShardId, Key, KVOp)> = (1..=self.batch)
+            .map(|i| {
+                let n = first.wrapping_add(i);
+                if !self.rng.gen_bool(self.conflict_rate) {
+                    let key = rifl.client.wrapping_mul(1_000_000_000).wrapping_add(1 + n);
+                    return (0, key, KVOp::Put(n));
+                }
+                let op = match self.hot_read_ratio {
+                    None => KVOp::Put(n),
+                    Some(reads) if self.rng.gen_bool(reads) => KVOp::Get,
+                    Some(_) => KVOp::Add(1),
+                };
+                (0, 0, op)
+            })
+            .collect();
+        Command::new(rifl, ops, self.payload_size * self.batch as usize)
+    }
+
+    fn name(&self) -> String {
+        let (rate, batch) = (self.conflict_rate, self.batch);
+        match self.hot_read_ratio {
+            Some(reads) => format!("conflict-{rate:.2}/r{reads:.2}/b{batch}"),
+            None => format!("conflict-{rate:.2}/b{batch}"),
+        }
+    }
+
+    fn ops_per_command(&self) -> u64 {
+        self.batch
+    }
 }
 
 /// The standard mix: single-key commands with Zipf-distributed keys, an optional
@@ -35,7 +153,6 @@ pub trait Mix: Send {
 /// how the runtime's stores partition the key space. Deterministic given the seed.
 #[derive(Debug, Clone)]
 pub struct ZipfMix {
-    keys: u64,
     zipf: Zipf,
     rng: Rng,
     read_ratio: f64,
@@ -57,7 +174,6 @@ impl ZipfMix {
             "read ratio must be in [0, 1], got {read_ratio}"
         );
         Self {
-            keys,
             zipf: Zipf::new(keys, theta),
             rng: Rng::new(seed),
             read_ratio,
@@ -135,7 +251,6 @@ impl Mix for ZipfMix {
         if self.hot_ratio > 0.0 {
             name.push_str(&format!("/hot{:.2}", self.hot_ratio));
         }
-        let _ = self.keys; // keys are implied by the sampler; kept for Debug output
         name
     }
 }
@@ -146,9 +261,7 @@ impl Mix for ZipfMix {
 ///
 /// A fraction `write_ratio` of commands write every key they touch (`Add(1)`, so the
 /// serializability checker can trace values through counters); the rest read every
-/// key (`Get`). This mirrors `tempo_workload::YcsbT` — same key-space layout, same
-/// all-read/all-write command shape — but with the request identity owned by the
-/// caller, which is what `run_load` session slots need.
+/// key (`Get`).
 #[derive(Debug, Clone)]
 pub struct YcsbTMix {
     shards: u64,
@@ -368,6 +481,156 @@ mod tests {
             (4_500..=5_500).contains(&writes),
             "write share {writes}/10000, expected ~5000"
         );
+    }
+
+    /// The `key:op` pairs of `calls` commands drawn alternately for clients 3 and 7
+    /// from one shared mix, each client numbering its own commands from 1 — the way
+    /// the simulator drives a mix.
+    fn pairs_for_two_clients(mix: &mut ConflictMix, calls: u64) -> String {
+        let pairs = (0..calls).flat_map(|i| {
+            let client = if i % 2 == 0 { 3 } else { 7 };
+            let cmd = mix.next(Rifl::new(client, i / 2 + 1));
+            cmd.ops_of(0).to_vec()
+        });
+        let rendered: Vec<String> = pairs.map(|(key, op)| format!("{key}:{op:?}")).collect();
+        rendered.join(" ")
+    }
+
+    /// The literals below were captured at PR 12 from the three generators this mix
+    /// replaced — `ConflictWorkload::new(0.3, 16, 42)`, `RwConflict::new(0.6, 0.5, 16,
+    /// 42)` and `BatchedConflict::new(0.3, 16, 4, 42)` — under the same call pattern:
+    /// same seed, same hot/cold draws, same keys and values. The simulator's recorded
+    /// figures depend on them.
+    #[test]
+    fn conflict_mix_draws_what_the_retired_generators_drew() {
+        let plain = "3000000002:Put(1) 7000000002:Put(1) 3000000003:Put(2) 7000000003:Put(2) \
+             3000000004:Put(3) 7000000004:Put(3) 0:Put(4) 7000000005:Put(4) \
+             0:Put(5) 7000000006:Put(5) 3000000007:Put(6) 7000000007:Put(6) \
+             3000000008:Put(7) 0:Put(7) 3000000009:Put(8) 7000000009:Put(8) \
+             0:Put(9) 0:Put(9) 3000000011:Put(10) 7000000011:Put(10) \
+             0:Put(11) 7000000012:Put(11) 3000000013:Put(12) 7000000013:Put(12) \
+             3000000014:Put(13) 0:Put(13) 3000000015:Put(14) 7000000015:Put(14) \
+             3000000016:Put(15) 7000000016:Put(15) 0:Put(16) 7000000017:Put(16)";
+        let mut mix = ConflictMix::new(0.3, 16, 42);
+        assert_eq!(pairs_for_two_clients(&mut mix, 32), plain);
+
+        let read_write = "3000000002:Put(1) 0:Add(1) 3000000003:Put(2) 7000000003:Put(2) \
+             0:Get 7000000004:Put(3) 0:Add(1) 0:Add(1) \
+             3000000006:Put(5) 0:Get 0:Get 0:Add(1) \
+             0:Get 7000000008:Put(7) 3000000009:Put(8) 0:Add(1) \
+             0:Get 7000000010:Put(9) 0:Add(1) 0:Add(1) \
+             3000000012:Put(11) 0:Add(1) 3000000013:Put(12) 7000000013:Put(12) \
+             0:Add(1) 7000000014:Put(13) 3000000015:Put(14) 0:Get \
+             0:Get 0:Add(1) 0:Add(1) 0:Add(1)";
+        let mut mix = ConflictMix::new(0.6, 16, 42).with_hot_reads(0.5);
+        assert_eq!(pairs_for_two_clients(&mut mix, 32), read_write);
+
+        let batched = "3000000002:Put(1) 3000000003:Put(2) 3000000004:Put(3) 3000000005:Put(4) \
+             7000000002:Put(1) 7000000003:Put(2) 0:Put(3) 7000000005:Put(4) \
+             0:Put(5) 3000000007:Put(6) 3000000008:Put(7) 3000000009:Put(8) \
+             7000000006:Put(5) 0:Put(6) 7000000008:Put(7) 7000000009:Put(8) \
+             0:Put(9) 0:Put(10) 3000000012:Put(11) 3000000013:Put(12) \
+             0:Put(9) 7000000011:Put(10) 7000000012:Put(11) 7000000013:Put(12) \
+             3000000014:Put(13) 0:Put(14) 3000000016:Put(15) 3000000017:Put(16) \
+             7000000014:Put(13) 7000000015:Put(14) 0:Put(15) 7000000017:Put(16)";
+        let mut mix = ConflictMix::new(0.3, 16, 42).with_batch(4);
+        assert_eq!(pairs_for_two_clients(&mut mix, 8), batched);
+        // A batch is one single-shard command of `batch` keys and `batch` payloads.
+        assert_eq!(mix.ops_per_command(), 4);
+        assert_eq!(mix.name(), "conflict-0.30/b4");
+        let cmd = mix.next(Rifl::new(3, 5));
+        assert_eq!((cmd.op_count(), cmd.payload_size), (4, 64));
+        assert_eq!(cmd.shard_count(), 1);
+    }
+
+    #[test]
+    fn conflict_mix_hits_the_requested_conflict_rate() {
+        let mut mix = ConflictMix::new(0.1, 100, 42);
+        let total = 20_000u64;
+        let mut hot = 0;
+        for i in 0..total {
+            let rifl = Rifl::new(i % 8, i / 8 + 1);
+            let cmd = mix.next(rifl);
+            assert_eq!(cmd.rifl, rifl, "the caller's identity is stamped unchanged");
+            assert_eq!(cmd.payload_size, 100);
+            assert_eq!(cmd.shard_count(), 1);
+            if cmd.keys_of(0).next() == Some(0) {
+                hot += 1;
+            }
+        }
+        let rate = hot as f64 / total as f64;
+        assert!((0.08..0.12).contains(&rate), "conflict rate off: {rate}");
+        assert_eq!(mix.ops_per_command(), 1);
+    }
+
+    #[test]
+    fn conflict_mix_cold_keys_never_collide_across_clients() {
+        for batch in [1, 3] {
+            let mut mix = ConflictMix::new(0.0, 0, 7).with_batch(batch);
+            let mut keys = std::collections::BTreeSet::new();
+            for client in 0..50u64 {
+                for seq in 1..=50u64 {
+                    for key in mix.next(Rifl::new(client, seq)).keys_of(0) {
+                        assert_ne!(key, 0, "a cold draw must not land on the hot key");
+                        assert!(keys.insert(key), "duplicate key {key}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conflict_rate_one_puts_every_command_on_the_hot_key() {
+        // The all-conflicts workload, with observable ops: about half reads, half
+        // read-modify-writes (the cold side of this form is pinned by the literals).
+        let mut mix = ConflictMix::new(1.0, 0, 3).with_hot_reads(0.5);
+        let mut reads = 0;
+        for i in 0..1000u64 {
+            let cmd = mix.next(Rifl::new(i % 4, i / 4 + 1));
+            assert!(matches!(cmd.ops_of(0), [(0, KVOp::Get | KVOp::Add(1))]));
+            reads += u64::from(cmd.is_read_only());
+        }
+        assert!((300..700).contains(&reads), "mix off: {reads}/1000 reads");
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict rate must be in [0, 1]")]
+    fn conflict_mix_refuses_a_rate_above_one() {
+        let _ = ConflictMix::new(1.5, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "read ratio must be in [0, 1]")]
+    fn conflict_mix_refuses_a_negative_read_ratio() {
+        let _ = ConflictMix::new(0.5, 0, 1).with_hot_reads(-0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a batch holds at least one command")]
+    fn conflict_mix_refuses_an_empty_batch() {
+        let _ = ConflictMix::new(0.5, 0, 1).with_batch(0);
+    }
+
+    /// More keys per command than (shard, key) pairs exist would spin the rejection
+    /// loop forever.
+    #[test]
+    #[should_panic(expected = "5 keys per command but only 4 (shard, key) pairs")]
+    fn ycsb_t_refuses_more_keys_per_command_than_pairs_exist() {
+        let _ = YcsbTMix::new(2, 2, 0.5, 0.5, 1).with_keys_per_command(5);
+    }
+
+    #[test]
+    fn ycsb_t_write_ratio_zero_is_read_only_and_zipf_concentrates_accesses() {
+        let mut mix = YcsbTMix::new(2, 1_000_000, 0.7, 0.0, 5);
+        let draws = 4000;
+        let mut hot = 0;
+        for i in 0..draws {
+            let cmd = mix.next(rifl(i));
+            assert!(cmd.is_read_only());
+            hot += cmd.keys().filter(|&(_, key)| key < 10_000).count();
+        }
+        // With zipf 0.7, the hottest 1% of keys receive well over 1% of accesses.
+        assert!(hot as f64 / (2 * draws) as f64 > 0.1, "hot share {hot}");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! locking; [`Transport::flush`] moves each buffer to its writer as one blob, and the
 //! writer additionally drains everything queued before issuing a single
 //! `write_all` — so bursts collapse into few syscalls end to end. Constructing the
-//! endpoint with `batch = false` flushes on every send instead (the unbatched
-//! baseline of the `runtime_throughput` bench).
+//! endpoint with `batch = false` flushes on every send instead — no cluster runs
+//! that way; it is the reference of `tempo-perf`'s loopback frames/s layer rows.
 //!
 //! # Crash/restart behaviour
 //!

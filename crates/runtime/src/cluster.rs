@@ -58,13 +58,13 @@ use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::LogHistogram;
 use tempo_kernel::protocol::{Protocol, ProtocolMetrics, View};
 use tempo_kernel::trace::{CmdPhase, ProcEvent, TraceLog, Tracer, DEFAULT_TRACE_CAPACITY};
+use tempo_load::Mix;
 use tempo_net::wire::{DecodeError, Reader, Wire, Writer};
 use tempo_net::{
     ChaosNet, ChaosTransport, ClientReply, ClientRequest, PlanetNet, PlanetTransport, RecvError,
     TcpMesh, Transport, TransportStats, CLIENT_ID_BASE, CONTROL_ID,
 };
 use tempo_planet::Planet;
-use tempo_workload::Workload;
 
 /// Builds the protocol instance of one process: at boot with incarnation 0 and on
 /// every nemesis `Restart` with the 1-based restart count (same contract as the
@@ -82,9 +82,6 @@ pub struct NetOpts {
     pub seed: u64,
     /// Record the client/replica [`History`] for the `tempo-fault` checker.
     pub record_history: bool,
-    /// Transport batching: `true` coalesces each burst's sends into one write per
-    /// peer (the default); `false` flushes every send (the bench baseline).
-    pub batch: bool,
     /// How long a client waits for a command before aborting it (the command may
     /// still take effect — exactly the simulator's `client_timeout_us`).
     pub client_timeout: Duration,
@@ -119,7 +116,6 @@ impl Default for NetOpts {
             nemesis: None,
             seed: 1,
             record_history: false,
-            batch: true,
             client_timeout: Duration::from_secs(10),
             planet: None,
             detector: None,
@@ -564,7 +560,6 @@ fn supervisor_loop<P>(
     dead: Arc<Mutex<Vec<ReplicaExit>>>,
     done: Arc<AtomicBool>,
     mut factory: RuntimeFactory<P>,
-    batch: bool,
 ) where
     P: Protocol + Send + 'static,
     P::Message: Wire + Send + 'static,
@@ -615,7 +610,7 @@ fn supervisor_loop<P>(
                         .process_event(shared.now_us(), p, ProcEvent::Restart(p));
                     let shard = shared.membership.shard_of(p);
                     let protocol = factory(p, shard, shared.config, incarnation);
-                    let transport = make_transport(&mesh, Some(&chaos), planet.as_ref(), p, batch)
+                    let transport = make_transport(&mesh, Some(&chaos), planet.as_ref(), p)
                         .expect("bind restarted replica endpoint");
                     // The restarted incarnation is seeded with the oracle's knowledge
                     // of who else is down — only in oracle mode; a detector-mode
@@ -676,9 +671,8 @@ fn make_transport(
     chaos: Option<&Arc<ChaosNet>>,
     planet: Option<&Arc<PlanetNet>>,
     id: ProcessId,
-    batch: bool,
 ) -> std::io::Result<Box<dyn Transport>> {
-    let mut transport: Box<dyn Transport> = Box::new(mesh.endpoint(id, batch)?);
+    let mut transport: Box<dyn Transport> = Box::new(mesh.endpoint(id, true)?);
     if let Some(net) = planet {
         transport = Box::new(PlanetTransport::new(transport, Arc::clone(net)));
     }
@@ -816,8 +810,7 @@ impl NetCluster {
         for id in membership.all_processes() {
             let shard = membership.shard_of(id);
             let protocol = factory(id, shard, config, 0);
-            let transport =
-                make_transport(&mesh, chaos.as_ref(), planet_net.as_ref(), id, opts.batch)?;
+            let transport = make_transport(&mesh, chaos.as_ref(), planet_net.as_ref(), id)?;
             let seat = spawn_replica(
                 protocol,
                 transport,
@@ -839,11 +832,10 @@ impl NetCluster {
             let seats = Arc::clone(&seats);
             let dead = Arc::clone(&dead);
             let done = Arc::clone(&done);
-            let batch = opts.batch;
             std::thread::Builder::new()
                 .name("supervisor".to_string())
                 .spawn(move || {
-                    supervisor_loop(net, mesh, planet, shared, seats, dead, done, factory, batch)
+                    supervisor_loop(net, mesh, planet, shared, seats, dead, done, factory)
                 })
                 .expect("spawn supervisor thread")
         });
@@ -895,7 +887,7 @@ impl NetCluster {
         if let Some(net) = &self.planet_net {
             net.register(id, site);
         }
-        make_transport(&self.mesh, None, self.planet_net.as_ref(), id, true)
+        make_transport(&self.mesh, None, self.planet_net.as_ref(), id)
     }
 
     /// Opens a client session colocated with `site`. Commands submitted through it
@@ -1088,34 +1080,37 @@ pub struct WorkloadTally {
 }
 
 /// Runs a closed-loop workload against the cluster: `clients_per_site` client threads
-/// per site, each issuing `commands_per_client` commands from the shared `workload`
-/// through its own [`ClientSession`] — the networked analogue of the simulator's
-/// client loop.
-pub fn run_workload<W: Workload + Send + 'static>(
+/// per site, each issuing `commands_per_client` commands through its own
+/// [`ClientSession`] — the networked analogue of the simulator's client loop.
+///
+/// `mix_for(client)` builds each client's own mix, so no lock sits on the submit path
+/// and — seeded per client, e.g. `|c| ConflictMix::new(0.1, 16, seed + c)` — what client
+/// `c` submits, as `(c, 1), (c, 2), …`, depends on the seed alone, not on thread timing.
+pub fn run_workload<M, F>(
     cluster: &NetCluster,
     clients_per_site: usize,
     commands_per_client: usize,
-    workload: W,
-) -> WorkloadTally {
-    let workload = Arc::new(Mutex::new(workload));
+    mut mix_for: F,
+) -> WorkloadTally
+where
+    M: Mix + 'static,
+    F: FnMut(ClientId) -> M,
+{
     let mut threads = Vec::new();
     let sites = cluster.shared.membership.sites() as u64;
     let mut client_id: ClientId = 0;
     for site in 0..sites {
         for _ in 0..clients_per_site {
             let mut session = cluster.client(site, client_id).expect("client endpoint");
-            let workload = Arc::clone(&workload);
+            let mut mix = mix_for(client_id);
             client_id += 1;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("client-{}", session.id()))
                     .spawn(move || {
                         let mut tally = WorkloadTally::default();
-                        for _ in 0..commands_per_client {
-                            let cmd = {
-                                let mut workload = workload.lock().expect("workload lock");
-                                workload.next_command(session.id())
-                            };
+                        for seq in 1..=commands_per_client as u64 {
+                            let cmd = mix.next(Rifl::new(session.id(), seq));
                             let submitted = Instant::now();
                             if session.submit(cmd).is_some() {
                                 tally.completed += 1;
@@ -1145,7 +1140,7 @@ mod tests {
     use super::*;
     use tempo_core::Tempo;
     use tempo_kernel::command::KVOp;
-    use tempo_workload::ConflictWorkload;
+    use tempo_load::ConflictMix;
 
     fn tempo_factory() -> RuntimeFactory<Tempo> {
         Box::new(|id, shard, config, _incarnation| Tempo::new(id, shard, config))
@@ -1193,19 +1188,33 @@ mod tests {
             .expect("failure-free run passes the checker");
     }
 
+    /// Clients at every site complete concurrently — and a seed reproduces its
+    /// commands: every client draws from its own mix, so what each client submits
+    /// does not depend on how the client threads interleave.
     #[test]
-    fn concurrent_clients_from_every_site() {
-        let cluster = NetCluster::start(Config::full(3, 1), NetOpts::default(), tempo_factory())
+    fn concurrent_clients_from_every_site_invoke_what_their_seeds_say() {
+        let invoked = || {
+            let cluster = NetCluster::start(
+                Config::full(3, 1),
+                NetOpts {
+                    record_history: true,
+                    ..NetOpts::default()
+                },
+                tempo_factory(),
+            )
             .expect("cluster starts");
-        let tally = run_workload(&cluster, 2, 5, ConflictWorkload::new(0.2, 16, 7));
-        assert_eq!(
-            tally.completed,
-            3 * 2 * 5,
-            "all commands complete: {tally:?}"
-        );
-        assert_eq!(tally.aborted, 0);
-        let report = cluster.shutdown();
-        assert!(report.total_metrics().executed > 0);
+            let tally = run_workload(&cluster, 2, 12, |c| {
+                ConflictMix::new(0.4, 16, 31 + c).with_hot_reads(0.5)
+            });
+            assert_eq!(tally.completed, 3 * 2 * 12, "all complete: {tally:?}");
+            let report = cluster.shutdown();
+            assert!(report.total_metrics().executed > 0);
+            let history = report.history.expect("history recorded");
+            history.invoked().cloned().collect::<Vec<Command>>()
+        };
+        let first = invoked();
+        assert_eq!(first.len(), 3 * 2 * 12);
+        assert_eq!(first, invoked());
     }
 
     /// The Atlas baseline (dependency-based, graph executor) must run on the same
@@ -1217,7 +1226,7 @@ mod tests {
             Box::new(|id, shard, config, _incarnation| Atlas::new(id, shard, config));
         let cluster = NetCluster::start(Config::full(3, 1), NetOpts::default(), factory)
             .expect("cluster starts");
-        let tally = run_workload(&cluster, 2, 5, ConflictWorkload::new(0.3, 16, 11));
+        let tally = run_workload(&cluster, 2, 5, |c| ConflictMix::new(0.3, 16, 11 + c));
         assert_eq!(tally.completed, 3 * 2 * 5, "all complete: {tally:?}");
         let report = cluster.shutdown();
         assert!(report.total_metrics().fast_paths > 0, "fast paths taken");
@@ -1286,23 +1295,5 @@ mod tests {
                 "stability must advance at every replica: {metrics:?}"
             );
         }
-    }
-
-    #[test]
-    fn unbatched_transport_also_completes() {
-        let cluster = NetCluster::start(
-            Config::full(3, 1),
-            NetOpts {
-                batch: false,
-                ..NetOpts::default()
-            },
-            tempo_factory(),
-        )
-        .expect("cluster starts");
-        let tally = run_workload(&cluster, 1, 3, ConflictWorkload::new(0.0, 16, 9));
-        assert_eq!(tally.completed, 9);
-        let report = cluster.shutdown();
-        // Unbatched mode flushes per send: at least one flush per frame.
-        assert!(report.transport.flushes >= report.transport.frames_sent);
     }
 }

@@ -8,7 +8,7 @@
 //! [`Wire`](tempo_net::Wire) codec and shipped over loopback TCP sockets, durable
 //! state on a real `FileStore` fsyncing under true concurrency.
 //!
-//! Two runtimes:
+//! One cluster, two ways to load it:
 //!
 //! * [`NetCluster`] — the primary, transport-backed cluster. A
 //!   [`RuntimeFactory`] builds each replica (wire a `tempo-store::FileStore` per
@@ -23,11 +23,12 @@
 //!   [`Planet`](tempo_planet::Planet) in [`NetOpts`], the whole deployment runs
 //!   across emulated wide-area regions (latency injection on every endpoint,
 //!   geographic quorum views).
+//! * [`run_workload`] — closed-loop clients over a [`NetCluster`], one thread and one
+//!   seeded `tempo-load` mix per client: the networked analogue of the simulator's
+//!   client loop, and what the chaos batteries run.
 //! * [`run_load`] — the open-loop load driver over a [`NetCluster`]: seeded arrival
 //!   schedules from `tempo-load`, thousands of logical sessions over a few sockets,
 //!   tail latency measured from intended arrival times (DESIGN.md §8).
-//! * [`ThreadedCluster`] — the legacy channel-based cluster (no serialization, no
-//!   sockets), kept as the zero-copy baseline and for planet-delay experiments.
 //!
 //! The crate stays std-only: transports, framing and chaos all come from workspace
 //! crates.
@@ -37,10 +38,8 @@
 
 pub mod cluster;
 pub mod load;
-pub mod threaded;
 
 pub use cluster::{
     run_workload, ClientSession, NetCluster, NetOpts, RuntimeFactory, RuntimeReport, WorkloadTally,
 };
 pub use load::{run_load, LoadOpts, LoadReport};
-pub use threaded::ThreadedCluster;

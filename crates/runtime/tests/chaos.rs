@@ -16,8 +16,8 @@ use std::time::Duration;
 use tempo_core::{Tempo, TempoOptions};
 use tempo_fault::{FaultEvent, NemesisSchedule, RandomNemesisOpts};
 use tempo_kernel::config::Config;
+use tempo_load::ConflictMix;
 use tempo_runtime::{run_workload, NetCluster, NetOpts, RuntimeFactory, RuntimeReport};
-use tempo_workload::RwConflict;
 
 const CLIENTS_PER_SITE: usize = 2;
 /// Long enough that the run is still in flight when the last scheduled fault fires:
@@ -70,12 +70,9 @@ fn run_chaos(seed: u64, name: &str, schedule: NemesisSchedule) -> RuntimeReport 
         filestore_factory(root.clone()),
     )
     .expect("cluster starts");
-    let tally = run_workload(
-        &cluster,
-        CLIENTS_PER_SITE,
-        COMMANDS_PER_CLIENT,
-        RwConflict::new(0.6, 0.5, 16, seed),
-    );
+    let tally = run_workload(&cluster, CLIENTS_PER_SITE, COMMANDS_PER_CLIENT, |client| {
+        ConflictMix::new(0.6, 16, 100 * seed + client).with_hot_reads(0.5)
+    });
     let report = cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(

@@ -15,9 +15,9 @@ use std::time::Duration;
 use tempo_core::{Tempo, TempoOptions};
 use tempo_fault::{DetectorOpts, FaultEvent, NemesisSchedule};
 use tempo_kernel::config::Config;
+use tempo_load::ConflictMix;
 use tempo_runtime::{run_workload, NetCluster, NetOpts, RuntimeFactory, RuntimeReport};
 use tempo_store::{FaultStore, StoreFaultPlan};
-use tempo_workload::RwConflict;
 
 const CLIENTS_PER_SITE: usize = 2;
 const COMMANDS_PER_CLIENT: usize = 40;
@@ -73,12 +73,9 @@ fn run_detector_chaos(
         factory,
     )
     .expect("cluster starts");
-    let tally = run_workload(
-        &cluster,
-        CLIENTS_PER_SITE,
-        COMMANDS_PER_CLIENT,
-        RwConflict::new(0.6, 0.5, 16, seed),
-    );
+    let tally = run_workload(&cluster, CLIENTS_PER_SITE, COMMANDS_PER_CLIENT, |client| {
+        ConflictMix::new(0.6, 16, 100 * seed + client).with_hot_reads(0.5)
+    });
     let report = cluster.shutdown();
     assert_eq!(
         tally.completed + tally.aborted,

@@ -26,7 +26,6 @@ use tempo_load::YcsbTMix;
 use tempo_runtime::{
     run_load, run_workload, LoadOpts, NetCluster, NetOpts, RuntimeFactory, RuntimeReport,
 };
-use tempo_workload::YcsbT;
 
 const CLIENTS_PER_SITE: usize = 2;
 const COMMANDS_PER_CLIENT: usize = 40;
@@ -89,12 +88,9 @@ fn checked_multi_shard_run(
         filestore_factory(root.clone()),
     )
     .expect("cluster starts");
-    let tally = run_workload(
-        &cluster,
-        CLIENTS_PER_SITE,
-        COMMANDS_PER_CLIENT,
-        YcsbT::new(SHARDS, KEYS_PER_SHARD, 0.5, 0.5, seed),
-    );
+    let tally = run_workload(&cluster, CLIENTS_PER_SITE, COMMANDS_PER_CLIENT, |client| {
+        YcsbTMix::new(SHARDS as u64, KEYS_PER_SHARD, 0.5, 0.5, 100 * seed + client)
+    });
     let report = cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
     let sites = config.n();

@@ -62,12 +62,12 @@ use tempo_kernel::config::Config;
 use tempo_kernel::driver::{Driver, Output};
 use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
 use tempo_kernel::membership::Membership;
-use tempo_kernel::metrics::{Histogram, LogHistogram};
+use tempo_kernel::metrics::LogHistogram;
 use tempo_kernel::protocol::{Protocol, ProtocolMetrics, WireSize};
 use tempo_kernel::trace::{CmdPhase, ProcEvent, TraceLog, Tracer, DEFAULT_TRACE_CAPACITY};
+use tempo_load::Mix;
 use tempo_planet::Planet;
 use tempo_trace::{MetricsRegistry, PhaseBreakdown};
-use tempo_workload::Workload;
 
 /// Analytical CPU/network cost model (the substitute for the paper's real-cluster
 /// hardware bottlenecks, see DESIGN.md §2).
@@ -118,7 +118,7 @@ pub struct SimOpts {
     pub commands_per_client: usize,
     /// Optional CPU cost model; `None` reproduces the paper's idealized simulator mode.
     pub cpu: Option<CpuModel>,
-    /// Seed for workload randomness (and, offset, for nemesis message-drop draws).
+    /// Seed of the nemesis's message-drop draws (the command mix carries its own seed).
     pub seed: u64,
     /// Safety cap on simulated time; a run that exceeds it is reported as stalled.
     pub max_sim_time_us: u64,
@@ -149,10 +149,6 @@ pub struct SimOpts {
     /// sent, completed commands, suspicions) every this many simulated microseconds
     /// into [`RunReport::registry`] — the time-series half of the observability plane.
     pub metrics_interval_us: Option<u64>,
-    /// Test-only: additionally keep every latency sample in an exact [`Histogram`]
-    /// ([`RunReport::exact_overall`]) for cross-checking the log-bucketed quantiles.
-    /// Costs one `Vec` push per completion; leave off outside tests.
-    pub exact_latencies: bool,
 }
 
 impl Default for SimOpts {
@@ -169,7 +165,6 @@ impl Default for SimOpts {
             detector: None,
             trace: false,
             metrics_interval_us: None,
-            exact_latencies: false,
         }
     }
 }
@@ -266,14 +261,14 @@ struct ClientState {
 }
 
 /// The discrete-event simulation of one protocol deployment.
-pub struct Simulation<P: Protocol, W: Workload> {
+pub struct Simulation<P: Protocol, M: Mix> {
     config: Config,
     membership: Membership,
     planet: Planet,
     opts: SimOpts,
     factory: ProtocolFactory<P>,
     drivers: BTreeMap<ProcessId, Driver<P>>,
-    workload: W,
+    mix: M,
     clients: BTreeMap<ClientId, ClientState>,
     queue: BinaryHeap<Event<P::Message>>,
     next_seq: u64,
@@ -295,8 +290,6 @@ pub struct Simulation<P: Protocol, W: Workload> {
     last_completion: u64,
     per_site: BTreeMap<SiteId, LogHistogram>,
     overall: LogHistogram,
-    /// Test-only exact twin of `overall` (`SimOpts::exact_latencies`).
-    exact_overall: Option<Histogram>,
     /// One lifecycle-event ring per process (`SimOpts::trace`); restarted incarnations
     /// keep appending to their process's ring. Empty when tracing is off, which makes
     /// every trace lookup on the hot path a failed BTreeMap probe of an empty map.
@@ -304,18 +297,19 @@ pub struct Simulation<P: Protocol, W: Workload> {
     registry: Option<MetricsRegistry>,
 }
 
-impl<P: Protocol, W: Workload> Simulation<P, W> {
-    /// Creates a simulation of `config` deployed over `planet` running `workload`.
+impl<P: Protocol, M: Mix> Simulation<P, M> {
+    /// Creates a simulation of `config` deployed over `planet` whose clients draw their
+    /// commands from `mix`.
     ///
     /// # Panics
     ///
     /// Panics if the planet does not have exactly one region per site of the config.
-    pub fn new(config: Config, planet: Planet, opts: SimOpts, workload: W) -> Self {
+    pub fn new(config: Config, planet: Planet, opts: SimOpts, mix: M) -> Self {
         Self::with_factory(
             config,
             planet,
             opts,
-            workload,
+            mix,
             Box::new(|id, shard, config, _incarnation| P::new(id, shard, config)),
         )
     }
@@ -333,7 +327,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         config: Config,
         planet: Planet,
         opts: SimOpts,
-        workload: W,
+        mix: M,
         mut factory: ProtocolFactory<P>,
     ) -> Self {
         assert_eq!(
@@ -395,7 +389,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                 .collect(),
             None => BTreeMap::new(),
         };
-        let exact_overall = opts.exact_latencies.then(Histogram::new);
         let registry = opts
             .metrics_interval_us
             .is_some()
@@ -407,7 +400,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             opts,
             factory,
             drivers,
-            workload,
+            mix,
             clients,
             queue: BinaryHeap::new(),
             next_seq: 0,
@@ -425,7 +418,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             last_completion: 0,
             per_site,
             overall: LogHistogram::new(),
-            exact_overall,
             tracers,
             registry,
         }
@@ -592,9 +584,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                     .expect("site histogram exists")
                     .record(latency);
                 self.overall.record(latency);
-                if let Some(exact) = &mut self.exact_overall {
-                    exact.record(latency);
-                }
                 // The reply "hop" is the watched replica handing the result back; the
                 // sim models it as instantaneous, so Replied lands at the execution
                 // instant (execute→reply measures queueing only under a real runtime).
@@ -631,9 +620,10 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
     }
 
     fn submit_for_client(&mut self, client_id: ClientId, at: u64) {
-        let site = self.clients[&client_id].site;
-        let cmd: Command = self.workload.next_command(client_id);
-        let rifl = cmd.rifl;
+        let client = &self.clients[&client_id];
+        let site = client.site;
+        let rifl = Rifl::new(client_id, client.issued as u64 + 1);
+        let cmd: Command = self.mix.next(rifl);
         self.first_submit = self.first_submit.min(at);
         // Watch, per accessed shard, the closest live replica for the response; the
         // submission target is the watched replica of the target shard.
@@ -1116,7 +1106,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             completed: self.completed_total,
             aborted: self.aborted_total,
             per_client,
-            ops_per_command: self.workload.ops_per_command(),
+            ops_per_command: self.mix.ops_per_command(),
             duration_us: duration,
             metrics,
             faults: self.nemesis.map(|n| n.summary()).unwrap_or_default(),
@@ -1131,32 +1121,31 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             trace,
             phases,
             registry: self.registry,
-            exact_overall: self.exact_overall,
             stalled,
         }
     }
 }
 
 /// Convenience entry point: builds and runs a simulation in one call.
-pub fn run<P: Protocol, W: Workload>(
+pub fn run<P: Protocol, M: Mix>(
     config: Config,
     planet: Planet,
     opts: SimOpts,
-    workload: W,
+    mix: M,
 ) -> RunReport {
-    Simulation::<P, W>::new(config, planet, opts, workload).run()
+    Simulation::<P, M>::new(config, planet, opts, mix).run()
 }
 
 /// Convenience entry point with a custom [`ProtocolFactory`] (see
 /// [`Simulation::with_factory`]): how durable-store-backed deployments are run.
-pub fn run_with_factory<P: Protocol, W: Workload>(
+pub fn run_with_factory<P: Protocol, M: Mix>(
     config: Config,
     planet: Planet,
     opts: SimOpts,
-    workload: W,
+    mix: M,
     factory: ProtocolFactory<P>,
 ) -> RunReport {
-    Simulation::<P, W>::with_factory(config, planet, opts, workload, factory).run()
+    Simulation::<P, M>::with_factory(config, planet, opts, mix, factory).run()
 }
 
 #[cfg(test)]
@@ -1165,7 +1154,7 @@ mod tests {
     use tempo_atlas::Atlas;
     use tempo_core::Tempo;
     use tempo_fpaxos::FPaxos;
-    use tempo_workload::ConflictWorkload;
+    use tempo_load::{ConflictMix, YcsbTMix};
 
     fn small_opts() -> SimOpts {
         SimOpts {
@@ -1175,6 +1164,17 @@ mod tests {
         }
     }
 
+    /// What a generator change could move: the run's length, its completions, the
+    /// messages the protocols sent and the mean client latency.
+    fn fingerprint(report: &RunReport) -> (u64, u64, u64, f64) {
+        (
+            report.duration_us,
+            report.completed,
+            report.metrics.messages_sent,
+            report.overall.mean_us(),
+        )
+    }
+
     #[test]
     fn tempo_completes_all_commands_on_ec2() {
         let config = Config::full(5, 1);
@@ -1182,7 +1182,7 @@ mod tests {
             config,
             Planet::ec2(),
             small_opts(),
-            ConflictWorkload::new(0.02, 100, 7),
+            ConflictMix::new(0.02, 100, 7),
         );
         assert!(!report.stalled, "simulation stalled");
         assert_eq!(report.completed, 5 * 4 * 5);
@@ -1202,7 +1202,7 @@ mod tests {
             config,
             Planet::ec2(),
             small_opts(),
-            ConflictWorkload::new(0.02, 100, 7),
+            ConflictMix::new(0.02, 100, 7),
         );
         assert!(!report.stalled);
         let leader = report.site_mean_ms(0); // Ireland hosts process 0, the leader.
@@ -1220,7 +1220,7 @@ mod tests {
             config,
             Planet::ec2(),
             small_opts(),
-            ConflictWorkload::new(0.02, 100, 7),
+            ConflictMix::new(0.02, 100, 7),
         );
         let spread = |r: &RunReport| {
             let means: Vec<f64> = (0..5).map(|s| r.site_mean_ms(s)).collect();
@@ -1232,7 +1232,7 @@ mod tests {
             config,
             Planet::ec2(),
             small_opts(),
-            ConflictWorkload::new(0.02, 100, 7),
+            ConflictMix::new(0.02, 100, 7),
         );
         assert!(
             spread(&tempo) < spread(&fpaxos),
@@ -1249,7 +1249,7 @@ mod tests {
             config,
             Planet::ec2(),
             small_opts(),
-            ConflictWorkload::new(0.02, 100, 7),
+            ConflictMix::new(0.02, 100, 7),
         );
         assert!(!report.stalled);
         assert_eq!(report.completed, 100);
@@ -1269,7 +1269,7 @@ mod tests {
             config,
             planet.clone(),
             base.clone(),
-            ConflictWorkload::new(0.0, 4096, 3),
+            ConflictMix::new(0.0, 4096, 3),
         );
         let with_cpu = run::<Tempo, _>(
             config,
@@ -1282,7 +1282,7 @@ mod tests {
                 }),
                 ..base
             },
-            ConflictWorkload::new(0.0, 4096, 3),
+            ConflictMix::new(0.0, 4096, 3),
         );
         assert!(!ideal.stalled && !with_cpu.stalled);
         assert!(
@@ -1298,10 +1298,34 @@ mod tests {
     fn multi_shard_deployment_completes() {
         let config = Config::new(3, 1, 2);
         let planet = Planet::ec2_three_regions();
-        let workload = tempo_workload::YcsbT::new(2, 1000, 0.5, 0.5, 11);
-        let report = run::<Tempo, _>(config, planet, small_opts(), workload);
+        let mix = YcsbTMix::new(2, 1000, 0.5, 0.5, 11);
+        let report = run::<Tempo, _>(config, planet, small_opts(), mix);
         assert!(!report.stalled, "partial replication run stalled");
         assert_eq!(report.completed, 3 * 4 * 5);
+        // Literals captured at PR 12 with the generator `YcsbTMix` replaced.
+        assert_eq!(fingerprint(&report), (1_086_000, 60, 1650, 213_961.8));
+    }
+
+    #[test]
+    fn conflict_run_with_cpu_model_matches_pinned_literals() {
+        // Literals captured at PR 12 with the generator `ConflictMix` replaced: same
+        // seed, same hot/cold draws, same simulated run.
+        let report = run::<Tempo, _>(
+            Config::full(3, 1),
+            Planet::equidistant(3, 50.0),
+            SimOpts {
+                clients_per_site: 8,
+                commands_per_client: 10,
+                cpu: Some(CpuModel::cluster()),
+                ..SimOpts::default()
+            },
+            ConflictMix::new(0.1, 100, 42),
+        );
+        assert!(!report.stalled);
+        assert_eq!(
+            fingerprint(&report),
+            (751_772, 240, 1484, 75_174.458_333_333_33)
+        );
     }
 
     #[test]
@@ -1312,7 +1336,7 @@ mod tests {
                 config,
                 Planet::equidistant(3, 80.0),
                 small_opts(),
-                ConflictWorkload::new(0.1, 10, 42),
+                ConflictMix::new(0.1, 10, 42),
             )
         };
         let a = go();
@@ -1338,7 +1362,7 @@ mod tests {
                     record_history: true,
                     ..SimOpts::default()
                 },
-                ConflictWorkload::new(0.1, 10, 42),
+                ConflictMix::new(0.1, 10, 42),
             )
         };
         let a = go();
@@ -1367,7 +1391,7 @@ mod tests {
                     detector: Some(tempo_fault::DetectorOpts::default()),
                     ..SimOpts::default()
                 },
-                ConflictWorkload::new(0.05, 10, 9),
+                ConflictMix::new(0.05, 10, 9),
             )
         };
         let report = go();
@@ -1412,7 +1436,7 @@ mod tests {
                 detector: Some(tempo_fault::DetectorOpts::default()),
                 ..SimOpts::default()
             },
-            ConflictWorkload::new(0.05, 10, 17),
+            ConflictMix::new(0.05, 10, 17),
         );
         assert!(!report.stalled, "run must terminate despite the slow node");
         assert_eq!(report.faults.slow_nodes, 1);
@@ -1457,7 +1481,7 @@ mod tests {
                 record_history: true,
                 ..SimOpts::default()
             },
-            ConflictWorkload::new(0.2, 10, 23),
+            ConflictMix::new(0.2, 10, 23),
         );
         assert!(!report.stalled);
         assert!(report.faults.duplicated > 0, "no duplicates injected");
@@ -1483,10 +1507,9 @@ mod tests {
                     commands_per_client: 5,
                     trace: true,
                     metrics_interval_us: Some(100_000),
-                    exact_latencies: true,
                     ..SimOpts::default()
                 },
-                ConflictWorkload::new(0.05, 10, 3),
+                ConflictMix::new(0.05, 10, 3),
             )
         };
         let report = go();
@@ -1508,12 +1531,8 @@ mod tests {
         }
 
         // The end-to-end interval is the client latency: its mean must agree with the
-        // report's (exact) mean within the log-bucket error — and the exact twin
-        // (`exact_latencies`) agrees with the log-bucketed overall.
-        let exact = report.exact_overall.as_ref().expect("exact twin");
-        assert_eq!(exact.len() as u64, report.overall.len());
-        assert!((exact.mean_ms() - report.overall.mean_ms()).abs() < 1e-9);
-        assert!((e2e.histogram.mean_ms() - exact.mean_ms()).abs() < 1e-9);
+        // report's, which `LogHistogram` keeps exactly (sum and count, not buckets).
+        assert!((e2e.histogram.mean_ms() - report.overall.mean_ms()).abs() < 1e-9);
 
         // The metrics time series sampled and ended at the final counter values.
         let registry = report.registry.as_ref().expect("registry sampled");
@@ -1554,7 +1573,7 @@ mod tests {
                 record_history: true,
                 ..SimOpts::default()
             },
-            ConflictWorkload::new(0.05, 10, 9),
+            ConflictMix::new(0.05, 10, 9),
         );
         assert!(!report.stalled, "run must terminate despite the crash");
         assert_eq!(report.faults.crashes, 1);

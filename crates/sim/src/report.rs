@@ -5,7 +5,7 @@ use std::fmt;
 use tempo_fault::{DetectorStats, FaultSummary, History};
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{ClientId, SiteId};
-use tempo_kernel::metrics::{Histogram, LogHistogram, Percentile, Throughput};
+use tempo_kernel::metrics::{LogHistogram, Percentile, Throughput};
 use tempo_kernel::protocol::ProtocolMetrics;
 use tempo_kernel::trace::TraceLog;
 use tempo_planet::Region;
@@ -68,9 +68,6 @@ pub struct RunReport {
     pub phases: Option<PhaseLatencies>,
     /// Sampled counter time series, when `SimOpts::metrics_interval_us` was set.
     pub registry: Option<MetricsRegistry>,
-    /// Test-only exact twin of [`overall`](RunReport::overall)
-    /// (`SimOpts::exact_latencies`), for cross-checking log-bucketed quantiles.
-    pub exact_overall: Option<Histogram>,
     /// Whether the run hit the simulated-time cap before every client finished.
     pub stalled: bool,
 }
@@ -208,7 +205,6 @@ mod tests {
             trace: None,
             phases: None,
             registry: None,
-            exact_overall: None,
             stalled: false,
         }
     }

@@ -6,9 +6,9 @@
 use tempo_core::Tempo;
 use tempo_fpaxos::FPaxos;
 use tempo_kernel::Config;
+use tempo_load::ConflictMix;
 use tempo_planet::{ec2_region_label, Planet};
 use tempo_sim::{run, SimOpts};
-use tempo_workload::ConflictWorkload;
 
 fn main() {
     let config = Config::full(5, 1);
@@ -24,15 +24,10 @@ fn main() {
         config,
         planet.clone(),
         opts.clone(),
-        ConflictWorkload::new(0.02, 100, 1),
+        ConflictMix::new(0.02, 100, 1),
     );
     println!("running FPaxos f=1 with the leader in Ireland...");
-    let fpaxos = run::<FPaxos, _>(
-        config,
-        planet.clone(),
-        opts,
-        ConflictWorkload::new(0.02, 100, 1),
-    );
+    let fpaxos = run::<FPaxos, _>(config, planet.clone(), opts, ConflictMix::new(0.02, 100, 1));
 
     println!("\nper-site mean latency (ms):");
     println!("{:<16} {:>10} {:>10}", "site", "Tempo", "FPaxos");

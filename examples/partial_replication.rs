@@ -6,9 +6,9 @@
 use tempo_core::Tempo;
 use tempo_janus::Janus;
 use tempo_kernel::Config;
+use tempo_load::YcsbTMix;
 use tempo_planet::Planet;
 use tempo_sim::{run, CpuModel, SimOpts};
-use tempo_workload::YcsbT;
 
 fn main() {
     let planet = Planet::ec2_three_regions();
@@ -30,13 +30,13 @@ fn main() {
             config,
             planet.clone(),
             opts.clone(),
-            YcsbT::new(shards, 100_000, 0.7, 0.5, 7),
+            YcsbTMix::new(shards as u64, 100_000, 0.7, 0.5, 7),
         );
         let janus = run::<Janus, _>(
             config,
             planet.clone(),
             opts.clone(),
-            YcsbT::new(shards, 100_000, 0.7, 0.5, 7),
+            YcsbTMix::new(shards as u64, 100_000, 0.7, 0.5, 7),
         );
         println!(
             "{:<8} {:>16.2} {:>16.2}",

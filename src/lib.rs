@@ -13,20 +13,20 @@
 //! * [`sim`] — the discrete-event simulator (with the fault plane),
 //! * [`store`] — durable replica state: WAL + snapshots behind the `Store` trait,
 //! * [`net`] — wire codec + pluggable transports (TCP, chaos injection),
-//! * [`runtime`] — the cluster runtime: the networked `NetCluster` over `tempo-net`
-//!   and the legacy channel-based `ThreadedCluster`,
+//! * [`runtime`] — the cluster runtime: `NetCluster`, one driver thread per replica
+//!   over `tempo-net` sockets, with closed-loop and open-loop client drivers,
 //! * [`trace`] — post-run trace analysis: phase-latency breakdown, Chrome trace
 //!   export (Perfetto-loadable) and the sampled metrics time series,
-//! * [`workload`] — microbenchmark, YCSB+T and batching workloads,
-//! * [`load`] — open-loop load generation: arrival schedules, Zipf/YCSB mixes and
-//!   the latency-measurement conventions of BENCH_load.json.
+//! * [`load`] — load generation: the command mixes of the paper's evaluation
+//!   (conflict-rate microbenchmark and its batched form, Zipf/YCSB, YCSB+T) and the
+//!   open-loop arrival schedules behind BENCH_load.json.
 //!
 //! # Quick start (API v2)
 //!
 //! Protocols are deterministic state machines producing typed actions — `Send` messages,
 //! `Deliver` executed commands (push-based completions), and `Schedule` for their own
 //! periodic timers. The same state machine runs unchanged under the synchronous test
-//! harness, the discrete-event simulator and the threaded runtime, because all three
+//! harness, the discrete-event simulator and the networked runtime, because all three
 //! schedule over the kernel's generic `Driver`:
 //!
 //! ```
@@ -66,4 +66,3 @@ pub use tempo_runtime as runtime;
 pub use tempo_sim as sim;
 pub use tempo_store as store;
 pub use tempo_trace as trace;
-pub use tempo_workload as workload;

@@ -7,9 +7,9 @@ use tempo_core::Tempo;
 use tempo_fpaxos::FPaxos;
 use tempo_janus::Janus;
 use tempo_kernel::Config;
+use tempo_load::{ConflictMix, YcsbTMix};
 use tempo_planet::Planet;
 use tempo_sim::{run, CpuModel, RunReport, SimOpts};
-use tempo_workload::{ConflictWorkload, YcsbT};
 
 fn opts() -> SimOpts {
     SimOpts {
@@ -24,7 +24,7 @@ fn full<P: tempo_kernel::protocol::Protocol>(f: usize) -> RunReport {
         Config::full(5, f),
         Planet::ec2(),
         opts(),
-        ConflictWorkload::new(0.02, 100, 3),
+        ConflictMix::new(0.02, 100, 3),
     )
 }
 
@@ -61,7 +61,7 @@ fn partial_replication_protocols_complete_ycsbt() {
                 config,
                 planet.clone(),
                 opts(),
-                YcsbT::new(4, 10_000, 0.7, 0.5, 3),
+                YcsbTMix::new(4, 10_000, 0.7, 0.5, 3),
             ),
         ),
         (
@@ -70,7 +70,7 @@ fn partial_replication_protocols_complete_ycsbt() {
                 config,
                 planet.clone(),
                 opts(),
-                YcsbT::new(4, 10_000, 0.7, 0.5, 3),
+                YcsbTMix::new(4, 10_000, 0.7, 0.5, 3),
             ),
         ),
     ] {
@@ -87,13 +87,13 @@ fn tempo_latency_is_insensitive_to_the_conflict_rate() {
         Config::full(5, 1),
         Planet::ec2(),
         opts(),
-        ConflictWorkload::new(0.02, 100, 3),
+        ConflictMix::new(0.02, 100, 3),
     );
     let high = run::<Tempo, _>(
         Config::full(5, 1),
         Planet::ec2(),
         opts(),
-        ConflictWorkload::new(0.5, 100, 3),
+        ConflictMix::new(0.5, 100, 3),
     );
     assert!(!low.stalled && !high.stalled);
     let ratio = high.mean_latency_ms() / low.mean_latency_ms();
@@ -122,13 +122,13 @@ fn fpaxos_leader_is_a_throughput_bottleneck_under_cpu_model() {
         Config::full(5, 1),
         Planet::ec2(),
         cpu_opts.clone(),
-        ConflictWorkload::new(0.02, 4096, 3),
+        ConflictMix::new(0.02, 4096, 3),
     );
     let fpaxos = run::<FPaxos, _>(
         Config::full(5, 1),
         Planet::ec2(),
         cpu_opts.clone(),
-        ConflictWorkload::new(0.02, 4096, 3),
+        ConflictMix::new(0.02, 4096, 3),
     );
     assert!(!tempo.stalled && !fpaxos.stalled);
     assert!(
