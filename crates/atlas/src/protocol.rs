@@ -214,27 +214,6 @@ impl Atlas {
         self.info.entry(dot).or_insert_with(Info::new)
     }
 
-    fn send(
-        &mut self,
-        mut targets: Vec<ProcessId>,
-        msg: Message,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        targets.sort_unstable();
-        targets.dedup();
-        let to_self = targets.contains(&self.process);
-        let remote: Vec<ProcessId> = targets.into_iter().filter(|t| *t != self.process).collect();
-        if !remote.is_empty() {
-            // `messages_sent` is counted per destination by the kernel `Driver`.
-            out.push(Action::send(remote, msg.clone()));
-        }
-        if to_self {
-            let actions = self.dispatch(self.process, msg, now_us);
-            out.extend(actions);
-        }
-    }
-
     fn command_keys(cmd: &Command, shard: ShardId) -> Vec<u64> {
         cmd.keys_of(shard).collect()
     }
@@ -247,7 +226,6 @@ impl Atlas {
         cmd: Command,
         quorum: Vec<ProcessId>,
         coordinator_deps: BTreeSet<Dot>,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         {
@@ -264,7 +242,7 @@ impl Atlas {
         deps.extend(coordinator_deps);
         self.info_mut(dot).deps = deps.clone();
         let ack = Message::MCollectAck { dot, deps };
-        self.send(vec![from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
     }
 
     fn handle_collect_ack(
@@ -272,7 +250,6 @@ impl Atlas {
         from: ProcessId,
         dot: Dot,
         deps: BTreeSet<Dot>,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         let f = self.config.f();
@@ -325,8 +302,7 @@ impl Atlas {
                 cmd,
                 deps: union,
             };
-            let targets = self.shard_peers.clone();
-            self.send(targets, commit, now_us, out);
+            out.push(Action::send(self.shard_peers.clone(), commit));
         } else {
             self.metrics.slow_paths += 1;
             {
@@ -340,8 +316,7 @@ impl Atlas {
                 deps: union,
                 ballot: self.rank,
             };
-            let targets = self.shard_peers.clone();
-            self.send(targets, consensus, now_us, out);
+            out.push(Action::send(self.shard_peers.clone(), consensus));
         }
         let _ = quorum;
     }
@@ -351,7 +326,6 @@ impl Atlas {
         dot: Dot,
         cmd: Command,
         deps: BTreeSet<Dot>,
-        _now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         {
@@ -381,7 +355,6 @@ impl Atlas {
         cmd: Command,
         deps: BTreeSet<Dot>,
         ballot: u64,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         {
@@ -396,7 +369,7 @@ impl Atlas {
             }
         }
         let ack = Message::MConsensusAck { dot, ballot };
-        self.send(vec![from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
     }
 
     fn handle_consensus_ack(
@@ -404,7 +377,6 @@ impl Atlas {
         from: ProcessId,
         dot: Dot,
         ballot: u64,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         let slow_quorum = self.config.slow_quorum_size();
@@ -428,36 +400,7 @@ impl Atlas {
             (info.cmd.clone().expect("payload known"), info.deps.clone())
         };
         let commit = Message::MCommit { dot, cmd, deps };
-        let targets = self.shard_peers.clone();
-        self.send(targets, commit, now_us, out);
-    }
-
-    fn dispatch(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        let mut out = Vec::new();
-        match msg {
-            Message::MCollect {
-                dot,
-                cmd,
-                quorum,
-                deps,
-            } => self.handle_collect(from, dot, cmd, quorum, deps, now_us, &mut out),
-            Message::MCollectAck { dot, deps } => {
-                self.handle_collect_ack(from, dot, deps, now_us, &mut out)
-            }
-            Message::MCommit { dot, cmd, deps } => {
-                self.handle_commit(dot, cmd, deps, now_us, &mut out)
-            }
-            Message::MConsensus {
-                dot,
-                cmd,
-                deps,
-                ballot,
-            } => self.handle_consensus(from, dot, cmd, deps, ballot, now_us, &mut out),
-            Message::MConsensusAck { dot, ballot } => {
-                self.handle_consensus_ack(from, dot, ballot, now_us, &mut out)
-            }
-        }
-        out
+        out.push(Action::send(self.shard_peers.clone(), commit));
     }
 }
 
@@ -487,26 +430,48 @@ impl Protocol for Atlas {
         Vec::new()
     }
 
-    fn submit(&mut self, cmd: Command, now_us: u64) -> Vec<Action<Message>> {
+    fn submit(&mut self, cmd: Command, _now_us: u64) -> Vec<Action<Message>> {
         assert!(
             cmd.accesses(self.shard),
             "commands must be submitted at a process replicating one of their shards"
         );
         let dot = self.dot_gen.next_id();
-        let quorum = self.view.fast_quorum(self.shard, self.fast_quorum_size());
+        let mut quorum = self.view.fast_quorum(self.shard, self.fast_quorum_size());
         let msg = Message::MCollect {
             dot,
             cmd,
             quorum: quorum.clone(),
             deps: BTreeSet::new(),
         };
-        let mut out = Vec::new();
-        self.send(quorum, msg, now_us, &mut out);
-        out
+        // Destinations go out in identifier order, whatever the view's distance order.
+        quorum.sort_unstable();
+        vec![Action::send(quorum, msg)]
     }
 
-    fn handle(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        self.dispatch(from, msg, now_us)
+    fn handle(&mut self, from: ProcessId, msg: Message, _now_us: u64) -> Vec<Action<Message>> {
+        let mut out = Vec::new();
+        match msg {
+            Message::MCollect {
+                dot,
+                cmd,
+                quorum,
+                deps,
+            } => self.handle_collect(from, dot, cmd, quorum, deps, &mut out),
+            Message::MCollectAck { dot, deps } => {
+                self.handle_collect_ack(from, dot, deps, &mut out)
+            }
+            Message::MCommit { dot, cmd, deps } => self.handle_commit(dot, cmd, deps, &mut out),
+            Message::MConsensus {
+                dot,
+                cmd,
+                deps,
+                ballot,
+            } => self.handle_consensus(from, dot, cmd, deps, ballot, &mut out),
+            Message::MConsensusAck { dot, ballot } => {
+                self.handle_consensus_ack(from, dot, ballot, &mut out)
+            }
+        }
+        out
     }
 
     fn timer(&mut self, _timer: TimerId, _now_us: u64) -> Vec<Action<Message>> {

@@ -16,7 +16,7 @@ fn set_clock(cluster: &mut LocalCluster<Tempo>, process: ProcessId, value: u64) 
         dot: Dot::new(process, u64::MAX),
         ts: value,
     };
-    let _ = cluster.process_mut(process).handle(process, msg, 0);
+    cluster.deliver(process, process, msg);
 }
 
 struct Scenario {

@@ -283,25 +283,11 @@ impl Caesar {
             .and_then(|i| matches!(i.status, Status::Committed).then_some(i.ts))
     }
 
-    fn send(
-        &mut self,
-        mut targets: Vec<ProcessId>,
-        msg: Message,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        targets.sort_unstable();
-        targets.dedup();
-        let to_self = targets.contains(&self.process);
-        let remote: Vec<ProcessId> = targets.into_iter().filter(|t| *t != self.process).collect();
-        if !remote.is_empty() {
-            // `messages_sent` is counted per destination by the kernel `Driver`.
-            out.push(Action::send(remote, msg.clone()));
-        }
-        if to_self {
-            let actions = self.dispatch(self.process, msg, now_us);
-            out.extend(actions);
-        }
+    /// The `size` closest replicas of this shard, in identifier order.
+    fn sorted_fast_quorum(&self, size: usize) -> Vec<ProcessId> {
+        let mut quorum = self.view.fast_quorum(self.shard, size);
+        quorum.sort_unstable();
+        quorum
     }
 
     fn keys(cmd: &Command, shard: ShardId) -> Vec<u64> {
@@ -332,7 +318,6 @@ impl Caesar {
         coordinator: ProcessId,
         dot: Dot,
         ts: TimestampId,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         let cmd = self.info[&dot].cmd.clone();
@@ -368,11 +353,11 @@ impl Caesar {
             .filter(|d| self.info[d].ts < ts)
             .collect();
         let reply = Message::MProposeAck { dot, ok, deps };
-        self.send(vec![coordinator], reply, now_us, out);
+        out.push(Action::send_one(coordinator, reply));
     }
 
     /// Re-evaluates blocked replies after `committed` changed status.
-    fn unblock(&mut self, committed: Dot, now_us: u64, out: &mut Vec<Action<Message>>) {
+    fn unblock(&mut self, committed: Dot, out: &mut Vec<Action<Message>>) {
         let mut ready = Vec::new();
         for blocked in &mut self.blocked {
             blocked.blockers.remove(&committed);
@@ -382,7 +367,7 @@ impl Caesar {
         }
         self.blocked.retain(|b| !b.blockers.is_empty());
         for (coordinator, dot, ts) in ready {
-            self.answer_proposal(coordinator, dot, ts, now_us, out);
+            self.answer_proposal(coordinator, dot, ts, out);
         }
     }
 
@@ -392,7 +377,6 @@ impl Caesar {
         cmd: Command,
         ts: TimestampId,
         deps: BTreeSet<Dot>,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         let first = match self.info.get_mut(&dot) {
@@ -430,10 +414,10 @@ impl Caesar {
         // Hand the command to the execution stage (dependency-based stability, §3.3).
         let executed = self.executor.handle(CommitInfo { dot, cmd, ts, deps });
         out.extend(executed.into_iter().map(Action::Deliver));
-        self.unblock(dot, now_us, out);
+        self.unblock(dot, out);
     }
 
-    fn coordinator_finish(&mut self, dot: Dot, now_us: u64, out: &mut Vec<Action<Message>>) {
+    fn coordinator_finish(&mut self, dot: Dot, out: &mut Vec<Action<Message>>) {
         let (cmd, ts, deps) = {
             let info = &self.info[&dot];
             let mut deps = BTreeSet::new();
@@ -447,126 +431,7 @@ impl Caesar {
         };
         self.info.get_mut(&dot).expect("info exists").committed_sent = true;
         let commit = Message::MCommit { dot, cmd, ts, deps };
-        let targets = self.shard_peers.clone();
-        self.send(targets, commit, now_us, out);
-    }
-
-    fn dispatch(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        let mut out = Vec::new();
-        match msg {
-            Message::MPropose { dot, cmd, ts } => {
-                if self.info.contains_key(&dot) {
-                    return out;
-                }
-                self.clock = self.clock.max(ts.time);
-                self.info.insert(
-                    dot,
-                    Info {
-                        cmd: cmd.clone(),
-                        ts,
-                        status: Status::Proposed,
-                        acks: BTreeMap::new(),
-                        retry_acks: BTreeMap::new(),
-                        committed_sent: false,
-                        retried: false,
-                    },
-                );
-                self.register(dot, &cmd);
-                self.answer_proposal(from, dot, ts, now_us, &mut out);
-            }
-            Message::MProposeAck { dot, ok, deps } => {
-                let quorum = self.fast_quorum_size();
-                let ready = {
-                    let Some(info) = self.info.get_mut(&dot) else {
-                        return out;
-                    };
-                    if info.committed_sent || info.retried || dot.source != self.process {
-                        return out;
-                    }
-                    info.acks.insert(from, (ok, deps));
-                    info.acks.len() >= quorum
-                };
-                if !ready {
-                    return out;
-                }
-                let all_ok = self.info[&dot].acks.values().all(|(ok, _)| *ok);
-                if all_ok {
-                    self.metrics.fast_paths += 1;
-                    self.coordinator_finish(dot, now_us, &mut out);
-                } else {
-                    // Slow path: retry with a strictly higher timestamp.
-                    self.metrics.slow_paths += 1;
-                    self.clock += 1;
-                    let new_ts = TimestampId {
-                        time: self.clock,
-                        proc: self.process,
-                    };
-                    let cmd = {
-                        let info = self.info.get_mut(&dot).expect("info exists");
-                        info.retried = true;
-                        info.ts = new_ts;
-                        info.cmd.clone()
-                    };
-                    let targets: Vec<ProcessId> = self
-                        .view
-                        .fast_quorum(self.shard, self.config.majority())
-                        .to_vec();
-                    let retry = Message::MRetry {
-                        dot,
-                        cmd,
-                        ts: new_ts,
-                    };
-                    self.send(targets, retry, now_us, &mut out);
-                }
-            }
-            Message::MRetry { dot, cmd, ts } => {
-                self.clock = self.clock.max(ts.time);
-                let conflicting = {
-                    if let std::collections::btree_map::Entry::Vacant(e) = self.info.entry(dot) {
-                        e.insert(Info {
-                            cmd: cmd.clone(),
-                            ts,
-                            status: Status::Proposed,
-                            acks: BTreeMap::new(),
-                            retry_acks: BTreeMap::new(),
-                            committed_sent: false,
-                            retried: true,
-                        });
-                        self.register(dot, &cmd);
-                    } else {
-                        let info = self.info.get_mut(&dot).expect("info exists");
-                        info.ts = ts;
-                    }
-                    self.conflicts(dot, &cmd)
-                };
-                let deps: BTreeSet<Dot> = conflicting
-                    .into_iter()
-                    .filter(|d| self.info[d].ts < ts)
-                    .collect();
-                let reply = Message::MRetryAck { dot, deps };
-                self.send(vec![from], reply, now_us, &mut out);
-            }
-            Message::MRetryAck { dot, deps } => {
-                let majority = self.config.majority();
-                let ready = {
-                    let Some(info) = self.info.get_mut(&dot) else {
-                        return out;
-                    };
-                    if info.committed_sent {
-                        return out;
-                    }
-                    info.retry_acks.insert(from, deps);
-                    info.retry_acks.len() >= majority
-                };
-                if ready {
-                    self.coordinator_finish(dot, now_us, &mut out);
-                }
-            }
-            Message::MCommit { dot, cmd, ts, deps } => {
-                self.commit(dot, cmd, ts, deps, now_us, &mut out);
-            }
-        }
-        out
+        out.push(Action::send(self.shard_peers.clone(), commit));
     }
 }
 
@@ -611,7 +476,7 @@ impl Protocol for Caesar {
         Vec::new()
     }
 
-    fn submit(&mut self, cmd: Command, now_us: u64) -> Vec<Action<Message>> {
+    fn submit(&mut self, cmd: Command, _now_us: u64) -> Vec<Action<Message>> {
         assert!(cmd.accesses(self.shard));
         let dot = self.dot_gen.next_id();
         self.clock += 1;
@@ -619,15 +484,123 @@ impl Protocol for Caesar {
             time: self.clock,
             proc: self.process,
         };
-        let quorum = self.view.fast_quorum(self.shard, self.fast_quorum_size());
-        let msg = Message::MPropose { dot, cmd, ts };
-        let mut out = Vec::new();
-        self.send(quorum, msg, now_us, &mut out);
-        out
+        let quorum = self.sorted_fast_quorum(self.fast_quorum_size());
+        vec![Action::send(quorum, Message::MPropose { dot, cmd, ts })]
     }
 
-    fn handle(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        self.dispatch(from, msg, now_us)
+    fn handle(&mut self, from: ProcessId, msg: Message, _now_us: u64) -> Vec<Action<Message>> {
+        let mut out = Vec::new();
+        match msg {
+            Message::MPropose { dot, cmd, ts } => {
+                if self.info.contains_key(&dot) {
+                    return out;
+                }
+                self.clock = self.clock.max(ts.time);
+                self.info.insert(
+                    dot,
+                    Info {
+                        cmd: cmd.clone(),
+                        ts,
+                        status: Status::Proposed,
+                        acks: BTreeMap::new(),
+                        retry_acks: BTreeMap::new(),
+                        committed_sent: false,
+                        retried: false,
+                    },
+                );
+                self.register(dot, &cmd);
+                self.answer_proposal(from, dot, ts, &mut out);
+            }
+            Message::MProposeAck { dot, ok, deps } => {
+                let quorum = self.fast_quorum_size();
+                let ready = {
+                    let Some(info) = self.info.get_mut(&dot) else {
+                        return out;
+                    };
+                    if info.committed_sent || info.retried || dot.source != self.process {
+                        return out;
+                    }
+                    info.acks.insert(from, (ok, deps));
+                    info.acks.len() >= quorum
+                };
+                if !ready {
+                    return out;
+                }
+                let all_ok = self.info[&dot].acks.values().all(|(ok, _)| *ok);
+                if all_ok {
+                    self.metrics.fast_paths += 1;
+                    self.coordinator_finish(dot, &mut out);
+                } else {
+                    // Slow path: retry with a strictly higher timestamp.
+                    self.metrics.slow_paths += 1;
+                    self.clock += 1;
+                    let new_ts = TimestampId {
+                        time: self.clock,
+                        proc: self.process,
+                    };
+                    let cmd = {
+                        let info = self.info.get_mut(&dot).expect("info exists");
+                        info.retried = true;
+                        info.ts = new_ts;
+                        info.cmd.clone()
+                    };
+                    let targets = self.sorted_fast_quorum(self.config.majority());
+                    let retry = Message::MRetry {
+                        dot,
+                        cmd,
+                        ts: new_ts,
+                    };
+                    out.push(Action::send(targets, retry));
+                }
+            }
+            Message::MRetry { dot, cmd, ts } => {
+                self.clock = self.clock.max(ts.time);
+                let conflicting = {
+                    if let std::collections::btree_map::Entry::Vacant(e) = self.info.entry(dot) {
+                        e.insert(Info {
+                            cmd: cmd.clone(),
+                            ts,
+                            status: Status::Proposed,
+                            acks: BTreeMap::new(),
+                            retry_acks: BTreeMap::new(),
+                            committed_sent: false,
+                            retried: true,
+                        });
+                        self.register(dot, &cmd);
+                    } else {
+                        let info = self.info.get_mut(&dot).expect("info exists");
+                        info.ts = ts;
+                    }
+                    self.conflicts(dot, &cmd)
+                };
+                let deps: BTreeSet<Dot> = conflicting
+                    .into_iter()
+                    .filter(|d| self.info[d].ts < ts)
+                    .collect();
+                let reply = Message::MRetryAck { dot, deps };
+                out.push(Action::send_one(from, reply));
+            }
+            Message::MRetryAck { dot, deps } => {
+                let majority = self.config.majority();
+                let ready = {
+                    let Some(info) = self.info.get_mut(&dot) else {
+                        return out;
+                    };
+                    if info.committed_sent {
+                        return out;
+                    }
+                    info.retry_acks.insert(from, deps);
+                    info.retry_acks.len() >= majority
+                };
+                if ready {
+                    self.coordinator_finish(dot, &mut out);
+                }
+            }
+            Message::MCommit { dot, cmd, ts, deps } => {
+                self.commit(dot, cmd, ts, deps, &mut out);
+            }
+        }
+        out
     }
 
     fn timer(&mut self, _timer: TimerId, _now_us: u64) -> Vec<Action<Message>> {

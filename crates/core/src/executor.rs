@@ -291,6 +291,11 @@ impl TempoExecutor {
                 result,
             });
             self.executed_count += 1;
+            debug_assert!(
+                (ts, dot) > self.floor,
+                "executed {dot:?}@{ts} at or below the boundary {:?}",
+                self.floor
+            );
             self.floor = (ts, dot);
             self.executed_dots.push(dot);
             self.announced.remove(&dot);

@@ -38,7 +38,8 @@
 //! * [`gc`] — committed-command garbage collection via executed watermarks,
 //! * [`protocol`] — the [`Tempo`] *ordering* state machine: commit, multi-partition and
 //!   recovery protocols, plus the protocol-owned timers (promise broadcast, liveness
-//!   scan),
+//!   scan); messages a process addresses to itself are plain sends that the kernel's
+//!   `Driver` delivers back, so no handler runs inside another,
 //! * [`executor`] — the [`TempoExecutor`] *execution* stage: stability-ordered
 //!   execution, fed with commit/stability events and independently testable,
 //! * [`wire`] — the `tempo-net` [`Wire`](tempo_net::Wire) codec for the full message

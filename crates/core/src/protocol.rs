@@ -12,6 +12,13 @@
 //!   maximum over shards, `MBump` for faster stability and the `MStable` exchange;
 //! * the **recovery protocol** (§5 / Algorithm 4) and the liveness mechanisms of
 //!   Appendix B (`MRecNAck`, `MCommitRequest`, periodic payload resend).
+//!
+//! Handlers never call one another. Algorithm 1 sends to the sending process freely
+//! (`MSubmit`, `MPropose`, `MProposeAck`, `MCommit` all reach the coordinator itself);
+//! here that is an ordinary [`Action::Send`] whose targets include this process, and the
+//! kernel's `Driver` hands the copy back through [`Protocol::handle`] once the handler
+//! that emitted it has returned — so a handler's view of `self` is never changed under
+//! it by another handler.
 
 use crate::clock::Clock;
 use crate::executor::{ExecutionInfo, TempoExecutor};
@@ -33,7 +40,8 @@ use tempo_kernel::util::max_and_count;
 use tempo_store::snapshot::{AcceptState, QueuedCommit};
 use tempo_store::{Snapshot, Store, WalRecord};
 
-/// Timer driving the periodic `MPromises` broadcast (Algorithm 2, line 45).
+/// Timer driving the periodic `MPromises` broadcast (Algorithm 2, line 45), registered
+/// by the protocol itself via [`Action::Schedule`].
 pub const TIMER_PROMISES: TimerId = TimerId(1);
 /// Timer driving the liveness scan: payload resend, `MCommitRequest` and recovery
 /// take-over for commands pending too long (Appendix B).
@@ -45,16 +53,23 @@ const HOLE_SCAN_LIMIT: usize = 32;
 /// Most commit-hole suspects tracked at once.
 const HOLE_SUSPECT_CAP: usize = 256;
 
-/// Tunable options of the Tempo implementation. The defaults match the configuration
-/// evaluated in the paper; the other settings are used by the ablation benchmarks.
+/// Interval of the periodic `MPromises` broadcast (the paper flushes sockets every 5 ms),
+/// in microseconds.
+const PROMISE_INTERVAL_US: u64 = 5_000;
+/// Interval of the liveness scan over pending commands, in microseconds.
+const LIVENESS_INTERVAL_US: u64 = 5_000;
+/// Clock floors are persisted in chunks of this many timestamps: one `ClockFloor` record
+/// covers the next `CLOCK_FLOOR_CHUNK` proposals, and a restart skips at most that many
+/// unused timestamps (it can never reuse a promised one).
+const CLOCK_FLOOR_CHUNK: u64 = 64;
+
+/// Tunable options of the Tempo implementation. The defaults are the configuration
+/// evaluated in the paper; every field has a caller that sets it (tests of the timeouts,
+/// snapshot pacing and dot floors, the amnesia demonstrations, `table1_fastpath`'s
+/// ablation). `MBump` (§4, "Faster stability") and promise piggybacking on
+/// `MProposeAck`/`MCommit` (§3.2) are always on.
 #[derive(Debug, Clone, Copy)]
 pub struct TempoOptions {
-    /// Send `MBump` messages to colocated sibling-shard processes when proposing
-    /// (§4, "Faster stability"). Only relevant for multi-shard commands.
-    pub mbump: bool,
-    /// Piggyback promises on `MProposeAck`/`MCommit` (§3.2). Disabling this forces
-    /// stability to be driven solely by the periodic `MPromises` broadcast.
-    pub piggyback_promises: bool,
     /// Ablation: take the fast path only when *all* fast-quorum proposals are equal
     /// (an EPaxos-like condition) instead of Tempo's `count(max) >= f`.
     pub all_equal_fast_path: bool,
@@ -64,13 +79,6 @@ pub struct TempoOptions {
     /// How long a command may stay pending before a non-leader process asks for the
     /// commit outcome (`MCommitRequest`) and re-sends the payload, in microseconds.
     pub commit_request_timeout_us: u64,
-    /// Interval of the periodic `MPromises` broadcast (the paper flushes sockets every
-    /// 5 ms), in microseconds. Registered by the protocol itself via
-    /// [`Action::Schedule`] on [`TIMER_PROMISES`].
-    pub promise_interval_us: u64,
-    /// Interval of the liveness scan over pending commands, in microseconds
-    /// ([`TIMER_LIVENESS`]).
-    pub liveness_interval_us: u64,
     /// After the `MRejoin` handshake, request a snapshot of the applied state from a
     /// shard peer (`MStateRequest`/`MState`) and gate execution until it installs:
     /// even with a durable store the replica misses every command committed while it
@@ -80,31 +88,21 @@ pub struct TempoOptions {
     /// Install a durable snapshot (truncating the WAL) once this many records have
     /// been appended since the previous snapshot. Only relevant with a store.
     pub snapshot_every_appends: u64,
-    /// Persist clock floors in chunks of this many timestamps: one `ClockFloor` record
-    /// covers the next `clock_floor_chunk` proposals, and a restart skips at most that
-    /// many unused timestamps (it can never reuse a promised one).
-    pub clock_floor_chunk: u64,
-    /// Persist dot floors in chunks of this many sequences (mirroring
-    /// `clock_floor_chunk`): one `DotFloor` record covers the next
-    /// `dot_floor_chunk` submissions, so dot uniqueness across store-backed restarts
-    /// holds by replay alone — without relying on the incarnation bands
-    /// (`incarnation << 48`) that diskless rejoins need.
+    /// Persist dot floors in chunks of this many sequences (like the clock floor's):
+    /// one `DotFloor` record covers the next `dot_floor_chunk` submissions, so dot
+    /// uniqueness across store-backed restarts holds by replay alone — without relying
+    /// on the incarnation bands (`incarnation << 48`) that diskless rejoins need.
     pub dot_floor_chunk: u64,
 }
 
 impl Default for TempoOptions {
     fn default() -> Self {
         Self {
-            mbump: true,
-            piggyback_promises: true,
             all_equal_fast_path: false,
             recovery_timeout_us: 2_000_000,
             commit_request_timeout_us: 1_000_000,
-            promise_interval_us: 5_000,
-            liveness_interval_us: 5_000,
             state_transfer: true,
             snapshot_every_appends: 256,
-            clock_floor_chunk: 64,
             dot_floor_chunk: 64,
         }
     }
@@ -382,15 +380,6 @@ impl Tempo {
             .unwrap_or(false)
     }
 
-    /// Explicitly triggers recovery for a command (Algorithm 4, `recover`). Normally
-    /// recovery is triggered from `tick` after `recovery_timeout_us`; tests and
-    /// failure-injection harnesses may call this directly.
-    pub fn recover(&mut self, dot: Dot, now_us: u64) -> Vec<Action<Message>> {
-        let mut out = Vec::new();
-        self.start_recovery(dot, now_us, &mut out);
-        out
-    }
-
     // ---------------------------------------------------------------- helpers
 
     fn info_mut(&mut self, dot: Dot, now_us: u64) -> &mut CommandInfo {
@@ -406,45 +395,6 @@ impl Tempo {
             self.rank
         } else {
             self.rank + r * ((current - 1) / r + 1)
-        }
-    }
-
-    /// Sends `msg` to `targets` (which must be duplicate-free — every caller builds its
-    /// target set from unique memberships); self-addressed copies are handled immediately
-    /// (Algorithm 1 assumes immediate self-delivery) and any resulting actions are
-    /// appended to `out`. The message is *moved* into the action or the self-dispatch —
-    /// it is cloned only when it must go both ways.
-    fn send(
-        &mut self,
-        targets: &[ProcessId],
-        msg: Message,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        debug_assert!(
-            targets
-                .iter()
-                .all(|t| targets.iter().filter(|u| *u == t).count() == 1),
-            "send targets must be duplicate-free"
-        );
-        let to_self = targets.contains(&self.process);
-        let remote: Vec<ProcessId> = targets
-            .iter()
-            .copied()
-            .filter(|t| *t != self.process)
-            .collect();
-        if !remote.is_empty() {
-            // `messages_sent` is counted per destination by the kernel `Driver`.
-            if to_self {
-                out.push(Action::send(remote, msg.clone()));
-                let actions = self.dispatch(self.process, msg, now_us);
-                out.extend(actions);
-            } else {
-                out.push(Action::send(remote, msg));
-            }
-        } else if to_self {
-            let actions = self.dispatch(self.process, msg, now_us);
-            out.extend(actions);
         }
     }
 
@@ -478,6 +428,12 @@ impl Tempo {
         // locally (Algorithm 2, line 47). It also pins the safe promise frontier below
         // `t` until the command is executed at every shard peer.
         if self.attached_ts.insert(dot, t).is_none() {
+            // Proposals come off a strictly increasing clock, so no two dots ever share
+            // an attached timestamp (timestamp uniqueness, Property 1's premise).
+            debug_assert!(
+                self.attached_pending.last().is_none_or(|(ts, _)| *ts < t),
+                "timestamp {t} attached to a second dot"
+            );
             self.attached_pending.insert((t, dot));
         }
         let process = self.process;
@@ -573,7 +529,7 @@ impl Tempo {
 
     /// Keeps the durable clock floor ahead of the live clock, in chunks: whenever the
     /// clock passes the persisted floor, one `ClockFloor` record reserves the next
-    /// `clock_floor_chunk` timestamps. Recovery resumes from the persisted floor — an
+    /// [`CLOCK_FLOOR_CHUNK`] timestamps. Recovery resumes from the persisted floor — an
     /// over-approximation, so a restart may *skip* unused timestamps (harmless: nobody
     /// was promised them) but can never reuse a promised one.
     fn wal_log_clock_floor(&mut self) {
@@ -582,7 +538,7 @@ impl Tempo {
         }
         let clock = self.clock.value();
         if clock > self.persisted_clock {
-            let floor = clock + self.options.clock_floor_chunk;
+            let floor = clock + CLOCK_FLOOR_CHUNK;
             self.wal_append(WalRecord::ClockFloor(floor));
             self.persisted_clock = floor;
         }
@@ -837,15 +793,10 @@ impl Tempo {
         let target = live[(self.state_request_attempts as usize) % live.len()];
         self.state_request_attempts += 1;
         self.last_state_request_us = now_us;
-        self.send(&[target], Message::MStateRequest, now_us, out);
+        out.push(Action::send_one(target, Message::MStateRequest));
     }
 
-    fn handle_state_request(
-        &mut self,
-        from: ProcessId,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
+    fn handle_state_request(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
         if !self.joined || self.awaiting_state {
             // Mid-rejoin (or mid-transfer) state is not a trustworthy image.
             return;
@@ -868,7 +819,7 @@ impl Tempo {
                 })
                 .collect(),
         };
-        self.send(&[from], msg, now_us, out);
+        out.push(Action::send_one(from, msg));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1027,12 +978,12 @@ impl Tempo {
             quorums: quorums.clone(),
             ts: t,
         };
-        self.send(&fast_quorum, propose, now_us, out);
+        out.push(Action::send(fast_quorum, propose));
         self.tracer
             .phase(now_us, self.process, rifl, CmdPhase::Proposed);
         if !payload_targets.is_empty() {
             let payload = Message::MPayload { dot, cmd, quorums };
-            self.send(&payload_targets, payload, now_us, out);
+            out.push(Action::send(payload_targets, payload));
         }
     }
 
@@ -1097,20 +1048,15 @@ impl Tempo {
         self.pending.insert(dot);
         let (proposal, detached) = self.clock_proposal(dot, ts, now_us);
         self.info_mut(dot, now_us).ts = proposal;
-        let piggyback = if self.options.piggyback_promises {
-            detached.into_iter().collect()
-        } else {
-            Vec::new()
-        };
         let ack = Message::MProposeAck {
             dot,
             ts: proposal,
-            detached: piggyback,
+            detached: detached.into_iter().collect(),
         };
-        self.send(&[from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
         // §4, "Faster stability": tell colocated sibling-shard processes to bump their
         // clocks to this proposal.
-        if self.options.mbump && cmd.is_multi_shard() {
+        if cmd.is_multi_shard() {
             let siblings: Vec<ProcessId> = self
                 .local_coordinators_of(&cmd)
                 .into_iter()
@@ -1118,7 +1064,7 @@ impl Tempo {
                 .collect();
             if !siblings.is_empty() {
                 let bump = Message::MBump { dot, ts: proposal };
-                self.send(&siblings, bump, now_us, out);
+                out.push(Action::send(siblings, bump));
             }
         }
         // A commit may have been waiting for the payload (multi-shard or slow-path races).
@@ -1131,7 +1077,6 @@ impl Tempo {
         dot: Dot,
         ts: u64,
         detached: Vec<PromiseRange>,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         // Algorithm 1, lines 17-21 (pre: id ∈ propose and a reply from the full quorum).
@@ -1188,22 +1133,17 @@ impl Tempo {
                 let info = self.info.get_mut(&dot).expect("info exists");
                 info.commit_sent = true;
             }
-            let promises = if self.options.piggyback_promises {
-                PromiseBundle {
-                    attached,
-                    detached: proposal_detached,
-                }
-            } else {
-                PromiseBundle::default()
-            };
             let commit = Message::MCommit {
                 dot,
                 shard,
                 ts: t,
-                promises,
+                promises: PromiseBundle {
+                    attached,
+                    detached: proposal_detached,
+                },
             };
             let targets = self.all_replicas_of(&cmd);
-            self.send(&targets, commit, now_us, out);
+            out.push(Action::send(targets, commit));
         } else {
             self.metrics.slow_paths += 1;
             {
@@ -1216,8 +1156,7 @@ impl Tempo {
                 ts: t,
                 ballot: my_ballot,
             };
-            let targets = self.shard_peers.clone();
-            self.send(&targets, consensus, now_us, out);
+            out.push(Action::send(self.shard_peers.to_vec(), consensus));
         }
     }
 
@@ -1347,7 +1286,7 @@ impl Tempo {
             // garbage-collecting their metadata out from under its executor.
             if cmd.is_multi_shard() {
                 let targets = self.all_replicas_of(&cmd);
-                self.send(&targets, Message::MStable { dot }, now_us, out);
+                out.push(Action::send(targets, Message::MStable { dot }));
             }
             self.sync_stability(now_us, out);
             return;
@@ -1410,7 +1349,7 @@ impl Tempo {
                     dot,
                     ballot: info.bal,
                 };
-                self.send(&[from], nack, now_us, out);
+                out.push(Action::send_one(from, nack));
                 return;
             }
             info.ts = ts;
@@ -1427,7 +1366,7 @@ impl Tempo {
         });
         self.clock_bump(ts);
         let ack = Message::MConsensusAck { dot, ballot };
-        self.send(&[from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
     }
 
     fn handle_consensus_ack(
@@ -1435,7 +1374,6 @@ impl Tempo {
         from: ProcessId,
         dot: Dot,
         ballot: u64,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         // Algorithm 5, lines 35-37 (pre: bal[id] = b, |Q| = f + 1).
@@ -1460,7 +1398,6 @@ impl Tempo {
             Some(cmd) => cmd,
             // Without the payload the commit targets are unknown; fall back to the shard.
             None => {
-                let targets = self.shard_peers.clone();
                 self.info.get_mut(&dot).expect("info exists").commit_sent = true;
                 let commit = Message::MCommit {
                     dot,
@@ -1468,22 +1405,15 @@ impl Tempo {
                     ts,
                     promises: PromiseBundle::default(),
                 };
-                self.send(&targets, commit, now_us, out);
+                out.push(Action::send(self.shard_peers.to_vec(), commit));
                 return;
             }
         };
-        {
-            let info = self.info.get_mut(&dot).expect("info exists");
-            info.commit_sent = true;
-        }
-        let promises = if self.options.piggyback_promises {
-            let info = self.info.get(&dot).expect("info exists");
-            PromiseBundle {
-                attached: info.proposals.iter().map(|(p, t)| (*p, *t)).collect(),
-                detached: info.proposal_detached.clone(),
-            }
-        } else {
-            PromiseBundle::default()
+        let info = self.info.get_mut(&dot).expect("info exists");
+        info.commit_sent = true;
+        let promises = PromiseBundle {
+            attached: info.proposals.iter().map(|(p, t)| (*p, *t)).collect(),
+            detached: info.proposal_detached.clone(),
         };
         let commit = Message::MCommit {
             dot,
@@ -1492,7 +1422,7 @@ impl Tempo {
             promises,
         };
         let targets = self.all_replicas_of(&cmd);
-        self.send(&targets, commit, now_us, out);
+        out.push(Action::send(targets, commit));
     }
 
     // --------------------------------------------------------------- execution
@@ -1617,6 +1547,13 @@ impl Tempo {
             // every command committed while this replica was down.
             return;
         }
+        // The executor's watermark comes from here or from an installed transfer's
+        // boundary, and neither regresses — so it is never ahead of both.
+        debug_assert!(
+            self.executor.stable_timestamp()
+                <= self.last_stable_fed.max(self.executor.exec_floor().0),
+            "the executor's stable watermark is ahead of what it was fed"
+        );
         let stable = self.promises.stable_timestamp();
         if stable <= self.last_stable_fed {
             return;
@@ -1646,28 +1583,13 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        // Resolve the whole batch before sending anything: `MStable` to a target set
-        // that includes this process dispatches `handle_stable` *synchronously*
-        // (see `send`), which can execute — and GC-collect — a later dot of this very
-        // batch (queued behind the first, unblocked by its attestation) before the
-        // loop reaches it. At take-time every announced dot still has its metadata;
-        // mid-loop it may not.
-        let announced: Vec<(Dot, Vec<ProcessId>)> = self
-            .executor
-            .take_newly_stable()
-            .into_iter()
-            .map(|dot| {
-                let cmd = self
-                    .info
-                    .get(&dot)
-                    .and_then(|i| i.cmd.clone())
-                    .expect("announced commands have a payload");
-                let targets = self.all_replicas_of(&cmd);
-                (dot, targets)
-            })
-            .collect();
-        for (dot, targets) in announced {
-            self.send(&targets, Message::MStable { dot }, now_us, out);
+        for dot in self.executor.take_newly_stable() {
+            let cmd = self.info[&dot]
+                .cmd
+                .as_ref()
+                .expect("announced commands have a payload");
+            let targets = self.all_replicas_of(cmd);
+            out.push(Action::send(targets, Message::MStable { dot }));
         }
         let executed_dots = self.executor.take_executed_dots();
         let any_executed = !executed_dots.is_empty();
@@ -1765,8 +1687,7 @@ impl Tempo {
                     .last_probe_us = now_us;
                 // Ask around for a commit outcome we might have missed.
                 let request = Message::MCommitRequest { dot };
-                let targets = self.shard_peers.clone();
-                self.send(&targets, request, now_us, out);
+                out.push(Action::send(self.shard_peers.to_vec(), request));
                 // Re-send the payload so that every replica can take part in recovery
                 // (Algorithm 6, line 77).
                 if has_payload {
@@ -1783,7 +1704,7 @@ impl Tempo {
                         quorums,
                     };
                     let targets = self.all_replicas_of(&cmd);
-                    self.send(&targets, payload, now_us, out);
+                    out.push(Action::send(targets, payload));
                 }
             }
             // If we are the shard leader and the command has been pending for long
@@ -1836,8 +1757,10 @@ impl Tempo {
         });
         self.hole_suspects = suspects;
         for dot in probes {
-            let targets = self.shard_peers.clone();
-            self.send(&targets, Message::MCommitRequest { dot }, now_us, out);
+            out.push(Action::send(
+                self.shard_peers.to_vec(),
+                Message::MCommitRequest { dot },
+            ));
         }
     }
 
@@ -1865,16 +1788,11 @@ impl Tempo {
             .filter(|p| *p != self.process)
             .collect();
         if !targets.is_empty() {
-            self.send(&targets, Message::MPromiseRequest, now_us, out);
+            out.push(Action::send(targets, Message::MPromiseRequest));
         }
     }
 
-    fn handle_promise_request(
-        &mut self,
-        from: ProcessId,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
+    fn handle_promise_request(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
         if !self.joined || self.incarnation > 0 || self.recovered {
             // A restarted (or store-restored) incarnation cannot enumerate its
             // previous life's in-flight attached proposals, so it must not claim
@@ -1886,7 +1804,7 @@ impl Tempo {
             clock: self.clock.value(),
             pending: self.attached_pending.iter().copied().collect(),
         };
-        self.send(&[from], repair, now_us, out);
+        out.push(Action::send_one(from, repair));
     }
 
     /// Absorbs a peer's complete promise state: everything in `[1, clock]` except the
@@ -1927,7 +1845,7 @@ impl Tempo {
                 if !info.buffered_attached.contains(&(from, ts)) {
                     info.buffered_attached.push((from, ts));
                 }
-                self.send(&[from], Message::MCommitRequest { dot }, now_us, out);
+                out.push(Action::send_one(from, Message::MCommitRequest { dot }));
             }
             next = next.max(ts + 1);
         }
@@ -1960,8 +1878,7 @@ impl Tempo {
         self.tracer
             .process_event(now_us, self.process, ProcEvent::RecoveryStarted);
         let rec = Message::MRec { dot, ballot };
-        let targets = self.shard_peers.clone();
-        self.send(&targets, rec, now_us, out);
+        out.push(Action::send(self.shard_peers.to_vec(), rec));
     }
 
     fn handle_rec(
@@ -1991,7 +1908,7 @@ impl Tempo {
                     cmd,
                     ts: info.final_ts,
                 };
-                self.send(&[from], msg, now_us, out);
+                out.push(Action::send_one(from, msg));
             }
             return;
         }
@@ -2005,7 +1922,7 @@ impl Tempo {
         };
         if let Some(bal) = nack {
             let msg = Message::MRecNAck { dot, ballot: bal };
-            self.send(&[from], msg, now_us, out);
+            out.push(Action::send_one(from, msg));
             return;
         }
         // Cannot participate without the payload (the phase would still be `start`).
@@ -2054,7 +1971,7 @@ impl Tempo {
             abal,
             ballot,
         };
-        self.send(&[from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2066,7 +1983,6 @@ impl Tempo {
         phase: RecPhase,
         abal: u64,
         ballot: u64,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         // Algorithm 4, lines 86-96 (pre: bal[id] = b, |Q| = r - f).
@@ -2133,8 +2049,7 @@ impl Tempo {
             ts: proposal,
             ballot,
         };
-        let targets = self.shard_peers.clone();
-        self.send(&targets, consensus, now_us, out);
+        out.push(Action::send(self.shard_peers.to_vec(), consensus));
     }
 
     fn handle_rec_nack(
@@ -2164,13 +2079,7 @@ impl Tempo {
         }
     }
 
-    fn handle_commit_request(
-        &mut self,
-        from: ProcessId,
-        dot: Dot,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
+    fn handle_commit_request(&mut self, from: ProcessId, dot: Dot, out: &mut Vec<Action<Message>>) {
         let reply = {
             let info = match self.info.get(&dot) {
                 Some(info) => info,
@@ -2186,7 +2095,7 @@ impl Tempo {
             })
         };
         if let Some(msg) = reply {
-            self.send(&[from], msg, now_us, out);
+            out.push(Action::send_one(from, msg));
         }
     }
 
@@ -2216,7 +2125,7 @@ impl Tempo {
     /// Broadcasts `MRejoin` to the shard peers (initially from [`Protocol::rejoin`],
     /// re-sent from the liveness timer while the handshake is incomplete so that message
     /// loss cannot leave the process unjoined forever).
-    fn send_rejoin(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
+    fn send_rejoin(&mut self, out: &mut Vec<Action<Message>>) {
         let targets: Vec<ProcessId> = self
             .shard_peers
             .iter()
@@ -2224,11 +2133,11 @@ impl Tempo {
             .filter(|p| *p != self.process)
             .collect();
         if !targets.is_empty() {
-            self.send(&targets, Message::MRejoin, now_us, out);
+            out.push(Action::send(targets, Message::MRejoin));
         }
     }
 
-    fn handle_rejoin(&mut self, from: ProcessId, now_us: u64, out: &mut Vec<Action<Message>>) {
+    fn handle_rejoin(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
         if !self.joined {
             // A process that is itself mid-rejoin has nothing trustworthy to report.
             return;
@@ -2238,7 +2147,7 @@ impl Tempo {
             your_highest: self.promises.highest_promise(from),
             prefixes: self.promises.prefixes(),
         };
-        self.send(&[from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
     }
 
     fn handle_rejoin_ack(
@@ -2314,98 +2223,6 @@ impl Tempo {
             | Message::MState { .. } => None,
         }
     }
-
-    fn dispatch(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        let mut out = Vec::new();
-        // A message about a garbage-collected dot is stale by construction (every shard
-        // peer has executed the command); dropping it also keeps the dot's metadata from
-        // being resurrected as a zombie `info` entry.
-        if let Some(dot) = Self::message_dot(&msg) {
-            if self.gc.is_collected(dot) {
-                return out;
-            }
-        }
-        match msg {
-            Message::MSubmit { dot, cmd, quorums } => {
-                self.handle_submit(dot, cmd, quorums, now_us, &mut out)
-            }
-            Message::MPropose {
-                dot,
-                cmd,
-                quorums,
-                ts,
-            } => self.handle_propose(from, dot, cmd, quorums, ts, now_us, &mut out),
-            Message::MPayload { dot, cmd, quorums } => {
-                self.handle_payload(dot, cmd, quorums, now_us, &mut out)
-            }
-            Message::MProposeAck { dot, ts, detached } => {
-                self.handle_propose_ack(from, dot, ts, detached, now_us, &mut out)
-            }
-            Message::MCommit {
-                dot,
-                shard,
-                ts,
-                promises,
-            } => self.handle_commit(dot, shard, ts, promises, now_us, &mut out),
-            Message::MConsensus { dot, ts, ballot } => {
-                self.handle_consensus(from, dot, ts, ballot, now_us, &mut out)
-            }
-            Message::MConsensusAck { dot, ballot } => {
-                self.handle_consensus_ack(from, dot, ballot, now_us, &mut out)
-            }
-            Message::MBump { dot: _, ts } => {
-                // Bumping the clock is always safe; it only makes future proposals larger.
-                self.clock_bump(ts);
-            }
-            Message::MPromises {
-                detached,
-                attached,
-                executed,
-                frontier,
-            } => self.handle_promises(
-                from, detached, attached, executed, frontier, now_us, &mut out,
-            ),
-            Message::MStable { dot } => self.handle_stable(from, dot, now_us, &mut out),
-            Message::MRec { dot, ballot } => self.handle_rec(from, dot, ballot, now_us, &mut out),
-            Message::MRecAck {
-                dot,
-                ts,
-                phase,
-                abal,
-                ballot,
-            } => self.handle_rec_ack(from, dot, ts, phase, abal, ballot, now_us, &mut out),
-            Message::MRecNAck { dot, ballot } => {
-                self.handle_rec_nack(dot, ballot, now_us, &mut out)
-            }
-            Message::MCommitRequest { dot } => {
-                self.handle_commit_request(from, dot, now_us, &mut out)
-            }
-            Message::MCommitInfo { dot, cmd, ts } => {
-                self.handle_commit_info(dot, cmd, ts, now_us, &mut out)
-            }
-            Message::MPromiseRequest => self.handle_promise_request(from, now_us, &mut out),
-            Message::MPromiseRepair { clock, pending } => {
-                self.handle_promise_repair(from, clock, pending, now_us, &mut out)
-            }
-            Message::MRejoin => self.handle_rejoin(from, now_us, &mut out),
-            Message::MRejoinAck {
-                clock,
-                your_highest,
-                prefixes,
-            } => self.handle_rejoin_ack(from, clock, your_highest, prefixes, now_us, &mut out),
-            Message::MStateRequest => self.handle_state_request(from, now_us, &mut out),
-            Message::MState {
-                floor_ts,
-                floor_dot,
-                kv,
-                watermarks,
-                queued,
-            } => self.handle_state(
-                floor_ts, floor_dot, kv, watermarks, queued, now_us, &mut out,
-            ),
-        }
-        out
-    }
 }
 
 impl Protocol for Tempo {
@@ -2434,12 +2251,12 @@ impl Protocol for Tempo {
         self.view = view;
         // Tempo owns two periodic events: the promise broadcast and the liveness scan.
         vec![
-            Action::schedule(TIMER_PROMISES, self.options.promise_interval_us),
-            Action::schedule(TIMER_LIVENESS, self.options.liveness_interval_us),
+            Action::schedule(TIMER_PROMISES, PROMISE_INTERVAL_US),
+            Action::schedule(TIMER_LIVENESS, LIVENESS_INTERVAL_US),
         ]
     }
 
-    fn submit(&mut self, cmd: Command, now_us: u64) -> Vec<Action<Message>> {
+    fn submit(&mut self, cmd: Command, _now_us: u64) -> Vec<Action<Message>> {
         // Algorithm 1, lines 1-4: the submitting process must replicate one of the shards
         // the command accesses (pre: i ∈ I_c).
         assert!(
@@ -2459,13 +2276,97 @@ impl Protocol for Tempo {
         }
         let targets = self.alive_coordinators(&cmd);
         let msg = Message::MSubmit { dot, cmd, quorums };
-        let mut out = Vec::new();
-        self.send(&targets, msg, now_us, &mut out);
-        out
+        vec![Action::send(targets, msg)]
     }
 
     fn handle(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        self.dispatch(from, msg, now_us)
+        let mut out = Vec::new();
+        // A message about a garbage-collected dot is stale by construction (every shard
+        // peer has executed the command); dropping it also keeps the dot's metadata from
+        // being resurrected as a zombie `info` entry.
+        if let Some(dot) = Self::message_dot(&msg) {
+            if self.gc.is_collected(dot) {
+                return out;
+            }
+        }
+        match msg {
+            Message::MSubmit { dot, cmd, quorums } => {
+                self.handle_submit(dot, cmd, quorums, now_us, &mut out)
+            }
+            Message::MPropose {
+                dot,
+                cmd,
+                quorums,
+                ts,
+            } => self.handle_propose(from, dot, cmd, quorums, ts, now_us, &mut out),
+            Message::MPayload { dot, cmd, quorums } => {
+                self.handle_payload(dot, cmd, quorums, now_us, &mut out)
+            }
+            Message::MProposeAck { dot, ts, detached } => {
+                self.handle_propose_ack(from, dot, ts, detached, &mut out)
+            }
+            Message::MCommit {
+                dot,
+                shard,
+                ts,
+                promises,
+            } => self.handle_commit(dot, shard, ts, promises, now_us, &mut out),
+            Message::MConsensus { dot, ts, ballot } => {
+                self.handle_consensus(from, dot, ts, ballot, now_us, &mut out)
+            }
+            Message::MConsensusAck { dot, ballot } => {
+                self.handle_consensus_ack(from, dot, ballot, &mut out)
+            }
+            Message::MBump { dot: _, ts } => {
+                // Bumping the clock is always safe; it only makes future proposals larger.
+                self.clock_bump(ts);
+            }
+            Message::MPromises {
+                detached,
+                attached,
+                executed,
+                frontier,
+            } => self.handle_promises(
+                from, detached, attached, executed, frontier, now_us, &mut out,
+            ),
+            Message::MStable { dot } => self.handle_stable(from, dot, now_us, &mut out),
+            Message::MRec { dot, ballot } => self.handle_rec(from, dot, ballot, now_us, &mut out),
+            Message::MRecAck {
+                dot,
+                ts,
+                phase,
+                abal,
+                ballot,
+            } => self.handle_rec_ack(from, dot, ts, phase, abal, ballot, &mut out),
+            Message::MRecNAck { dot, ballot } => {
+                self.handle_rec_nack(dot, ballot, now_us, &mut out)
+            }
+            Message::MCommitRequest { dot } => self.handle_commit_request(from, dot, &mut out),
+            Message::MCommitInfo { dot, cmd, ts } => {
+                self.handle_commit_info(dot, cmd, ts, now_us, &mut out)
+            }
+            Message::MPromiseRequest => self.handle_promise_request(from, &mut out),
+            Message::MPromiseRepair { clock, pending } => {
+                self.handle_promise_repair(from, clock, pending, now_us, &mut out)
+            }
+            Message::MRejoin => self.handle_rejoin(from, &mut out),
+            Message::MRejoinAck {
+                clock,
+                your_highest,
+                prefixes,
+            } => self.handle_rejoin_ack(from, clock, your_highest, prefixes, now_us, &mut out),
+            Message::MStateRequest => self.handle_state_request(from, &mut out),
+            Message::MState {
+                floor_ts,
+                floor_dot,
+                kv,
+                watermarks,
+                queued,
+            } => self.handle_state(
+                floor_ts, floor_dot, kv, watermarks, queued, now_us, &mut out,
+            ),
+        }
+        out
     }
 
     fn suspect(&mut self, process: ProcessId) {
@@ -2476,7 +2377,7 @@ impl Protocol for Tempo {
         Tempo::unsuspect(self, process);
     }
 
-    fn rejoin(&mut self, incarnation: u64, now_us: u64) -> Vec<Action<Message>> {
+    fn rejoin(&mut self, incarnation: u64, _now_us: u64) -> Vec<Action<Message>> {
         self.incarnation = incarnation;
         // Reserve a disjoint band of the dot sequence space per incarnation: a restarted
         // process must never reuse a dot of a previous life (the old dot may be executed
@@ -2495,7 +2396,7 @@ impl Protocol for Tempo {
         self.exec_gaps.clear();
         self.hole_suspects.clear();
         let mut out = Vec::new();
-        self.send_rejoin(now_us, &mut out);
+        self.send_rejoin(&mut out);
         out
     }
 
@@ -2529,6 +2430,12 @@ impl Protocol for Tempo {
                     if !targets.is_empty() {
                         let executed = self.gc.executed_frontier();
                         self.gc.record_broadcast(&executed);
+                        // Attachments land above the clock they were drawn from, so the
+                        // claimed prefix only grows (per-process promise monotonicity).
+                        debug_assert!(
+                            frontier >= self.last_frontier_sent,
+                            "promise frontier regressed"
+                        );
                         self.last_frontier_sent = frontier;
                         if !promises_pending {
                             self.metrics.gc_messages += targets.len() as u64;
@@ -2539,7 +2446,7 @@ impl Protocol for Tempo {
                             executed,
                             frontier,
                         };
-                        self.send(&targets, msg, now_us, &mut out);
+                        out.push(Action::send(targets, msg));
                     }
                 }
                 // Execution might have become possible thanks to locally generated
@@ -2548,10 +2455,7 @@ impl Protocol for Tempo {
                 // Durable snapshots are paced off the same timer: off the message hot
                 // path, and naturally quiescent when the WAL is.
                 self.maybe_snapshot();
-                out.push(Action::schedule(
-                    TIMER_PROMISES,
-                    self.options.promise_interval_us,
-                ));
+                out.push(Action::schedule(TIMER_PROMISES, PROMISE_INTERVAL_US));
             }
             TIMER_LIVENESS => {
                 if self.joined {
@@ -2567,12 +2471,9 @@ impl Protocol for Tempo {
                 } else {
                     // Mid-rejoin: retry the handshake instead of probing pending dots
                     // (an unanswered MRejoin must not strand the process forever).
-                    self.send_rejoin(now_us, &mut out);
+                    self.send_rejoin(&mut out);
                 }
-                out.push(Action::schedule(
-                    TIMER_LIVENESS,
-                    self.options.liveness_interval_us,
-                ));
+                out.push(Action::schedule(TIMER_LIVENESS, LIVENESS_INTERVAL_US));
             }
             _ => {}
         }

@@ -107,16 +107,17 @@ fn accepted_consensus_state_survives_and_rejects_stale_ballots() {
     let stores = stores(config);
     let mut cluster = durable_cluster(config, &stores, TempoOptions::default());
     // Process 1 (rank 2) runs a consensus round for a dot at ballot 2; process 0
-    // accepts. (Direct protocol injection: the WAL append happens in the handler.)
+    // accepts. (Injected as one driver step: the handler appends to the WAL and the
+    // step's persist hook syncs it before the ack is queued.)
     let dot = Dot::new(1, 1);
-    let _ = cluster.process_mut(0).handle(
+    cluster.deliver(
         1,
+        0,
         Message::MConsensus {
             dot,
             ts: 7,
             ballot: 2,
         },
-        0,
     );
     assert_eq!(cluster.process(0).consensus_state(dot), Some((7, 2, 2)));
 
@@ -215,12 +216,12 @@ fn dot_floor_makes_clean_restart_dots_unique_without_incarnation_bands() {
         .iter()
         .find_map(|a| match a {
             tempo_kernel::protocol::Action::Send {
-                msg: Message::MPropose { dot, .. },
+                msg: Message::MSubmit { dot, .. },
                 ..
             } => Some(*dot),
             _ => None,
         })
-        .expect("submission proposes");
+        .expect("submission names its dot");
     assert_eq!(new_dot.source, 0);
     assert!(
         new_dot.sequence > 7,
@@ -242,12 +243,12 @@ fn dot_floor_makes_clean_restart_dots_unique_without_incarnation_bands() {
         .iter()
         .find_map(|a| match a {
             tempo_kernel::protocol::Action::Send {
-                msg: Message::MPropose { dot, .. },
+                msg: Message::MSubmit { dot, .. },
                 ..
             } => Some(*dot),
             _ => None,
         })
-        .expect("submission proposes");
+        .expect("submission names its dot");
     assert_eq!(reused.sequence, 1, "the diskless baseline reuses dots");
 }
 

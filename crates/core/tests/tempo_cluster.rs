@@ -5,7 +5,7 @@
 //! timestamp agreement (Property 1), ordering, the fast-path condition of Table 1, the
 //! stability examples of Figures 2-4 and the recovery protocol of §5.
 
-use tempo_core::{Message, Phase, Tempo, TempoOptions};
+use tempo_core::{Message, Phase, PromiseBundle, PromiseRange, Quorums, Tempo, TempoOptions};
 use tempo_kernel::config::Config;
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
@@ -28,7 +28,7 @@ fn set_clock(cluster: &mut LocalCluster<Tempo>, process: ProcessId, value: u64) 
         dot: Dot::new(process, u64::MAX),
         ts: value,
     };
-    let _ = cluster.process_mut(process).handle(process, msg, 0);
+    cluster.deliver(process, process, msg);
     assert_eq!(cluster.process(process).clock_value(), value);
 }
 
@@ -442,7 +442,7 @@ fn slow_path_consensus_tolerates_duplicate_acks() {
     let ts = cluster.process(0).committed_timestamp(dot).unwrap();
     // Replay a consensus ack; the committed timestamp must not change.
     let replay = Message::MConsensusAck { dot, ballot: 1 };
-    let _ = cluster.process_mut(0).handle(1, replay, 0);
+    cluster.deliver(1, 0, replay);
     assert_eq!(cluster.process(0).committed_timestamp(dot), Some(ts));
     assert_eq!(cluster.process(0).metrics().committed, 1);
 }
@@ -507,12 +507,9 @@ fn stale_messages_for_collected_dots_are_dropped() {
     assert!(cluster.process(0).phase_of(dot).is_none());
     // A stale in-flight message about the collected dot must not resurrect metadata.
     let before = cluster.process(0).info_len();
-    let _ = cluster
-        .process_mut(0)
-        .handle(1, Message::MCommitRequest { dot }, 0);
-    let _ = cluster
-        .process_mut(0)
-        .handle(1, Message::MRec { dot, ballot: 5 }, 0);
+    cluster.deliver(1, 0, Message::MCommitRequest { dot });
+    cluster.deliver(1, 0, Message::MRec { dot, ballot: 5 });
+    assert_eq!(cluster.in_flight(), 0, "stale messages get no answer");
     assert_eq!(cluster.process(0).info_len(), before);
     assert!(cluster.process(0).phase_of(dot).is_none());
 }
@@ -543,4 +540,92 @@ fn executions_follow_timestamp_order_per_process() {
         let executed = cluster.executed(p);
         assert_eq!(executed.len(), 20);
     }
+}
+
+#[test]
+fn one_executor_batch_may_announce_execute_and_collect_its_own_commands() {
+    // The scenario behind PR 9's `exec_absorb` panic. A straggler (process 2 of shard 0)
+    // holds two cross-shard commands queued behind each other: both committed, both
+    // already attested by the sibling shard and executed at both shard peers, while its
+    // own stability still lags below them. One `MPromises` then lifts stability past
+    // both, so a single executor batch announces *and* executes the pair, and the pair
+    // is collectable the moment it executes. `exec_absorb` announces straight out of
+    // `take_newly_stable()`, which is only sound because the `MStable` copies addressed
+    // to this process are delivered after it returns: handled in the middle of the
+    // loop, the first would claim the batch's executed dots and garbage-collect the
+    // second command's metadata before the loop reached it.
+    let config = Config::new(3, 1, 2);
+    let mut cluster = LocalCluster::<Tempo>::new(config);
+    let straggler: ProcessId = 2;
+    let quorums: Quorums = [(0, vec![0, 1]), (1, vec![3, 4])].into();
+    for (seq, ts) in [(1u64, 11u64), (2, 12)] {
+        let dot = Dot::new(0, seq);
+        let cmd = Command::new(
+            rifl(1, seq),
+            vec![(0, 10, KVOp::Put(seq)), (1, 20, KVOp::Put(seq))],
+            0,
+        );
+        let payload = Message::MPayload {
+            dot,
+            cmd,
+            quorums: quorums.clone(),
+        };
+        cluster.deliver(0, straggler, payload);
+        // Shard 0 decided `ts` (process 1's clock ran ahead); shard 1 proposed lower.
+        let first_proposal = if seq == 1 { 1 } else { ts };
+        for (from, shard, shard_ts, attached) in [
+            (0, 0, ts, vec![(0, first_proposal), (1, ts)]),
+            (3, 1, seq, Vec::new()),
+        ] {
+            let promises = PromiseBundle {
+                attached,
+                detached: Vec::new(),
+            };
+            let commit = Message::MCommit {
+                dot,
+                shard,
+                ts: shard_ts,
+                promises,
+            };
+            cluster.deliver(from, straggler, commit);
+        }
+        assert_eq!(
+            cluster.process(straggler).committed_timestamp(dot),
+            Some(ts)
+        );
+        cluster.deliver(3, straggler, Message::MStable { dot });
+    }
+    assert!(cluster.process(straggler).stable_timestamp() < 11);
+    let executed_everywhere = vec![(0, 2)];
+    let caught_up = Message::MPromises {
+        detached: Vec::new(),
+        attached: Vec::new(),
+        executed: executed_everywhere.clone(),
+        frontier: 0,
+    };
+    cluster.deliver(1, straggler, caught_up);
+    assert!(cluster.executed(straggler).is_empty());
+    // The lagging promises of process 0 arrive: timestamps 1..=12 are now promised by a
+    // majority (0 and the straggler itself), so 11 and 12 become stable at once.
+    let lifts_stability = Message::MPromises {
+        detached: vec![PromiseRange::new(2, 11)],
+        attached: vec![(Dot::new(0, 1), 1), (Dot::new(0, 2), 12)],
+        executed: executed_everywhere,
+        frontier: 0,
+    };
+    cluster.deliver(0, straggler, lifts_stability);
+    let order: Vec<Rifl> = cluster
+        .executed(straggler)
+        .into_iter()
+        .map(|e| e.rifl)
+        .collect();
+    assert_eq!(order, vec![rifl(1, 1), rifl(1, 2)]);
+    let tempo = cluster.process(straggler);
+    assert_eq!(tempo.stable_timestamp(), 12);
+    assert_eq!(
+        tempo.info_len(),
+        0,
+        "both commands collected within the step"
+    );
+    assert!(tempo.gc_tracker().is_collected(Dot::new(0, 2)));
 }

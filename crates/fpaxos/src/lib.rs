@@ -204,28 +204,8 @@ impl FPaxos {
         self.executor.decided_slots()
     }
 
-    fn send(
-        &mut self,
-        mut targets: Vec<ProcessId>,
-        msg: Message,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        targets.sort_unstable();
-        targets.dedup();
-        let to_self = targets.contains(&self.process);
-        let remote: Vec<ProcessId> = targets.into_iter().filter(|t| *t != self.process).collect();
-        if !remote.is_empty() {
-            // `messages_sent` is counted per destination by the kernel `Driver`.
-            out.push(Action::send(remote, msg.clone()));
-        }
-        if to_self {
-            let actions = self.dispatch(self.process, msg, now_us);
-            out.extend(actions);
-        }
-    }
-
-    /// The leader's write quorum: itself plus the `f` closest other replicas.
+    /// The leader's write quorum: itself plus the `f` closest other replicas, in
+    /// identifier order.
     fn write_quorum(&self) -> Vec<ProcessId> {
         let mut quorum = vec![self.process];
         for p in self.view.closest(self.shard) {
@@ -236,10 +216,11 @@ impl FPaxos {
                 quorum.push(*p);
             }
         }
+        quorum.sort_unstable();
         quorum
     }
 
-    fn leader_propose(&mut self, cmd: Command, now_us: u64, out: &mut Vec<Action<Message>>) {
+    fn leader_propose(&mut self, cmd: Command, out: &mut Vec<Action<Message>>) {
         debug_assert!(self.is_leader());
         if !self.proposed.insert(cmd.rifl) {
             // Duplicate submission (a re-forwarded or network-duplicated frame): the
@@ -255,7 +236,7 @@ impl FPaxos {
             ballot: self.ballot,
             cmd,
         };
-        self.send(quorum, msg, now_us, out);
+        out.push(Action::send(quorum, msg));
     }
 
     fn handle_accept(
@@ -264,7 +245,6 @@ impl FPaxos {
         slot: u64,
         ballot: u64,
         cmd: Command,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         if ballot < self.ballot {
@@ -274,7 +254,7 @@ impl FPaxos {
         // Acceptors only store the proposal; the decided log is written on MDecided.
         let _ = cmd;
         let ack = Message::MAccepted { slot, ballot };
-        self.send(vec![from], ack, now_us, out);
+        out.push(Action::send_one(from, ack));
     }
 
     fn handle_accepted(
@@ -282,7 +262,6 @@ impl FPaxos {
         from: ProcessId,
         slot: u64,
         ballot: u64,
-        now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
         if !self.is_leader() || ballot != self.ballot {
@@ -302,8 +281,7 @@ impl FPaxos {
         let (cmd, _) = self.proposals.remove(&slot).expect("proposal exists");
         self.metrics.fast_paths += 1;
         let msg = Message::MDecided { slot, cmd };
-        let targets = self.shard_peers.clone();
-        self.send(targets, msg, now_us, out);
+        out.push(Action::send(self.shard_peers.clone(), msg));
     }
 
     fn handle_decided(&mut self, slot: u64, cmd: Command, out: &mut Vec<Action<Message>>) {
@@ -313,29 +291,6 @@ impl FPaxos {
         self.metrics.committed += 1;
         let executed = self.executor.handle(SlotInfo { slot, cmd });
         out.extend(executed.into_iter().map(Action::Deliver));
-    }
-
-    fn dispatch(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        let mut out = Vec::new();
-        match msg {
-            Message::MForward { cmd } => {
-                if self.is_leader() {
-                    self.leader_propose(cmd, now_us, &mut out);
-                } else {
-                    // The leader may have changed; forward again.
-                    let leader = self.leader;
-                    self.send(vec![leader], Message::MForward { cmd }, now_us, &mut out);
-                }
-            }
-            Message::MAccept { slot, ballot, cmd } => {
-                self.handle_accept(from, slot, ballot, cmd, now_us, &mut out)
-            }
-            Message::MAccepted { slot, ballot } => {
-                self.handle_accepted(from, slot, ballot, now_us, &mut out)
-            }
-            Message::MDecided { slot, cmd } => self.handle_decided(slot, cmd, &mut out),
-        }
-        out
     }
 }
 
@@ -381,20 +336,37 @@ impl Protocol for FPaxos {
         Vec::new()
     }
 
-    fn submit(&mut self, cmd: Command, now_us: u64) -> Vec<Action<Message>> {
+    fn submit(&mut self, cmd: Command, _now_us: u64) -> Vec<Action<Message>> {
         assert!(cmd.accesses(self.shard));
         let mut out = Vec::new();
         if self.is_leader() {
-            self.leader_propose(cmd, now_us, &mut out);
+            self.leader_propose(cmd, &mut out);
         } else {
-            let leader = self.leader;
-            self.send(vec![leader], Message::MForward { cmd }, now_us, &mut out);
+            out.push(Action::send_one(self.leader, Message::MForward { cmd }));
         }
         out
     }
 
-    fn handle(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        self.dispatch(from, msg, now_us)
+    fn handle(&mut self, from: ProcessId, msg: Message, _now_us: u64) -> Vec<Action<Message>> {
+        let mut out = Vec::new();
+        match msg {
+            Message::MForward { cmd } => {
+                if self.is_leader() {
+                    self.leader_propose(cmd, &mut out);
+                } else {
+                    // The leader may have changed; forward again.
+                    out.push(Action::send_one(self.leader, Message::MForward { cmd }));
+                }
+            }
+            Message::MAccept { slot, ballot, cmd } => {
+                self.handle_accept(from, slot, ballot, cmd, &mut out)
+            }
+            Message::MAccepted { slot, ballot } => {
+                self.handle_accepted(from, slot, ballot, &mut out)
+            }
+            Message::MDecided { slot, cmd } => self.handle_decided(slot, cmd, &mut out),
+        }
+        out
     }
 
     fn timer(&mut self, _timer: TimerId, _now_us: u64) -> Vec<Action<Message>> {

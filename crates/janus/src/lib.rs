@@ -23,7 +23,6 @@ use tempo_atlas::graph::ConflictIndex;
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, DotGen, ProcessId, ShardId};
-use tempo_kernel::membership::Membership;
 use tempo_kernel::protocol::{
     Action, Executor, Protocol, ProtocolMetrics, TimerId, View, WireSize,
 };
@@ -122,7 +121,6 @@ pub struct Janus {
     shard: ShardId,
     config: Config,
     view: View,
-    membership: Membership,
     dot_gen: DotGen,
     conflicts: ConflictIndex,
     info: BTreeMap<Dot, Info>,
@@ -154,27 +152,6 @@ impl Janus {
 
     fn info_mut(&mut self, dot: Dot) -> &mut Info {
         self.info.entry(dot).or_insert_with(Info::new)
-    }
-
-    fn send(
-        &mut self,
-        mut targets: Vec<ProcessId>,
-        msg: Message,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        targets.sort_unstable();
-        targets.dedup();
-        let to_self = targets.contains(&self.process);
-        let remote: Vec<ProcessId> = targets.into_iter().filter(|t| *t != self.process).collect();
-        if !remote.is_empty() {
-            // `messages_sent` is counted per destination by the kernel `Driver`.
-            out.push(Action::send(remote, msg.clone()));
-        }
-        if to_self {
-            let actions = self.dispatch(self.process, msg, now_us);
-            out.extend(actions);
-        }
     }
 
     fn try_commit(&mut self, dot: Dot, out: &mut Vec<Action<Message>>) {
@@ -228,13 +205,66 @@ impl Janus {
         let executed = self.executor.handle(GraphInfo { dot, cmd, deps });
         out.extend(executed.into_iter().map(Action::Deliver));
     }
+}
 
-    fn dispatch(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
+impl Protocol for Janus {
+    type Message = Message;
+    type Executor = GraphExecutor;
+
+    const NAME: &'static str = "Janus*";
+
+    fn new(process: ProcessId, shard: ShardId, config: Config) -> Self {
+        Self {
+            process,
+            shard,
+            config,
+            view: View::trivial(config, process),
+            dot_gen: DotGen::new(process),
+            conflicts: ConflictIndex::new(),
+            info: BTreeMap::new(),
+            executor: GraphExecutor::new(process, shard, config),
+            metrics: ProtocolMetrics::default(),
+        }
+    }
+
+    fn id(&self) -> ProcessId {
+        self.process
+    }
+
+    fn shard(&self) -> ShardId {
+        self.shard
+    }
+
+    fn discover(&mut self, view: View) -> Vec<Action<Message>> {
+        assert_eq!(view.config, self.config);
+        self.view = view;
+        // Janus* has no periodic tasks; recovery is out of scope for the baseline.
+        Vec::new()
+    }
+
+    fn submit(&mut self, cmd: Command, _now_us: u64) -> Vec<Action<Message>> {
+        assert!(cmd.accesses(self.shard));
+        let dot = self.dot_gen.next_id();
+        let mut quorums = BTreeMap::new();
+        for shard in cmd.shards() {
+            quorums.insert(
+                shard,
+                self.view.fast_quorum(shard, self.config.fast_quorum_size()),
+            );
+        }
+        let targets = self.view.local_coordinators(&cmd);
+        vec![Action::send(
+            targets,
+            Message::MSubmit { dot, cmd, quorums },
+        )]
+    }
+
+    fn handle(&mut self, from: ProcessId, msg: Message, _now_us: u64) -> Vec<Action<Message>> {
         let mut out = Vec::new();
         match msg {
             Message::MSubmit { dot, cmd, quorums } => {
                 // This process coordinates the command at its own shard.
-                let quorum = quorums
+                let mut quorum = quorums
                     .get(&self.shard)
                     .cloned()
                     .expect("quorums cover the coordinator's shard");
@@ -244,7 +274,9 @@ impl Janus {
                     quorum: quorum.clone(),
                     deps: BTreeSet::new(),
                 };
-                self.send(quorum, collect, now_us, &mut out);
+                // Destinations go out in identifier order, whatever the view's order.
+                quorum.sort_unstable();
+                out.push(Action::send(quorum, collect));
             }
             Message::MCollect {
                 dot,
@@ -266,7 +298,7 @@ impl Janus {
                 deps.extend(coordinator_deps);
                 self.info_mut(dot).own_deps = deps.clone();
                 let ack = Message::MCollectAck { dot, deps };
-                self.send(vec![from], ack, now_us, &mut out);
+                out.push(Action::send_one(from, ack));
             }
             Message::MCollectAck { dot, deps } => {
                 let f = self.config.f();
@@ -312,7 +344,7 @@ impl Janus {
                     cmd,
                     deps: union,
                 };
-                self.send(targets, msg, now_us, &mut out);
+                out.push(Action::send(targets, msg));
             }
             Message::MShardDeps {
                 dot,
@@ -331,66 +363,6 @@ impl Janus {
             }
         }
         out
-    }
-}
-
-impl Protocol for Janus {
-    type Message = Message;
-    type Executor = GraphExecutor;
-
-    const NAME: &'static str = "Janus*";
-
-    fn new(process: ProcessId, shard: ShardId, config: Config) -> Self {
-        let membership = Membership::from_config(&config);
-        Self {
-            process,
-            shard,
-            config,
-            view: View::trivial(config, process),
-            membership,
-            dot_gen: DotGen::new(process),
-            conflicts: ConflictIndex::new(),
-            info: BTreeMap::new(),
-            executor: GraphExecutor::new(process, shard, config),
-            metrics: ProtocolMetrics::default(),
-        }
-    }
-
-    fn id(&self) -> ProcessId {
-        self.process
-    }
-
-    fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    fn discover(&mut self, view: View) -> Vec<Action<Message>> {
-        assert_eq!(view.config, self.config);
-        self.view = view;
-        // Janus* has no periodic tasks; recovery is out of scope for the baseline.
-        Vec::new()
-    }
-
-    fn submit(&mut self, cmd: Command, now_us: u64) -> Vec<Action<Message>> {
-        assert!(cmd.accesses(self.shard));
-        let dot = self.dot_gen.next_id();
-        let mut quorums = BTreeMap::new();
-        for shard in cmd.shards() {
-            quorums.insert(
-                shard,
-                self.view.fast_quorum(shard, self.config.fast_quorum_size()),
-            );
-        }
-        let targets = self.view.local_coordinators(&cmd);
-        let msg = Message::MSubmit { dot, cmd, quorums };
-        let mut out = Vec::new();
-        self.send(targets, msg, now_us, &mut out);
-        out
-    }
-
-    fn handle(&mut self, from: ProcessId, msg: Message, now_us: u64) -> Vec<Action<Message>> {
-        let _ = &self.membership;
-        self.dispatch(from, msg, now_us)
     }
 
     fn timer(&mut self, _timer: TimerId, _now_us: u64) -> Vec<Action<Message>> {

@@ -3,9 +3,11 @@
 //! A [`Driver`] owns one [`Protocol`] instance together with its pending timer queue and
 //! is the single place where protocol [`Action`]s are interpreted:
 //!
-//! * `Send` actions are collected into [`Output::sends`] for the embedding scheduler to
-//!   transport (FIFO queue in [`crate::harness::LocalCluster`], latency-modelled event
-//!   queue in `tempo-sim`, channels in `tempo-runtime`);
+//! * `Send` actions are split: the remote destinations are collected into
+//!   [`Output::sends`] for the embedding scheduler to transport (FIFO queue in
+//!   [`crate::harness::LocalCluster`], latency-modelled event queue in `tempo-sim`,
+//!   sockets in `tempo-runtime`), and a copy addressed to the sending process itself is
+//!   handed straight back through [`Protocol::handle`] — *self-delivery*, below;
 //! * `Deliver` actions are collected into [`Output::executed`] — the push-based
 //!   completion stream that replaced v1's `drain_executed` polling;
 //! * `Schedule` actions are absorbed into the driver's timer queue; the scheduler asks
@@ -16,9 +18,20 @@
 //! all protocols (a `Send` to `k` remote peers counts as `k` messages), so message
 //! accounting cannot drift between protocol implementations.
 //!
+//! **Self-delivery** is decided here and nowhere else. Algorithm 1 lets a process send
+//! to itself and assumes the message arrives; a protocol just names itself in `to`. The
+//! driver delivers that copy with `handle(id, msg, now_us)` *after the handler that
+//! produced it has returned* and before the step returns — an explicit work-list walked
+//! in action order, depth-first over the returned action lists — so no handler ever runs
+//! in the middle of another, and remote sends and `Deliver`s keep the order in which the
+//! handlers issued them. Self-deliveries never reach a scheduler and are not counted in
+//! `messages_sent`; the message is moved when it goes only to its sender and cloned once
+//! when it also goes to remote peers.
+//!
 //! It is also the single place where the **persistence hook** fires: at the end of every
-//! dispatch step — after the protocol's actions were absorbed, before the step's
-//! [`Output`] is returned to the scheduler — the driver calls [`Protocol::persist`].
+//! dispatch step — after the protocol's actions were absorbed and its self-deliveries
+//! drained, before the step's [`Output`] is returned to the scheduler — the driver calls
+//! [`Protocol::persist`], once.
 //! Since schedulers only transport messages they received in an `Output`, a protocol
 //! that flushes its durable store in `persist` gets the write-ahead guarantee for free:
 //! no message leaves the process before the state that produced it is durable.
@@ -37,7 +50,7 @@ use crate::trace::{CmdPhase, Tracer};
 use std::collections::BTreeSet;
 
 /// An outbound message produced by one driver step: `msg` must be transported to every
-/// process in `to` (all remote; self-addressed messages never reach the driver).
+/// process in `to` (all remote: the driver has already delivered the sender's own copy).
 #[derive(Debug, Clone)]
 pub struct Outbound<M> {
     /// Destination processes.
@@ -76,6 +89,9 @@ pub struct Driver<P: Protocol> {
     /// Pending one-shot timers as `(absolute due time in µs, timer)`.
     timers: BTreeSet<(u64, TimerId)>,
     messages_sent: u64,
+    /// The self-delivery work-list: action lists still being walked, innermost last.
+    /// Empty between steps; a field only so that its allocation is reused.
+    worklist: Vec<std::vec::IntoIter<Action<P::Message>>>,
     /// Lifecycle tracing handle; disabled by default (one branch per dispatch point).
     tracer: Tracer,
 }
@@ -93,6 +109,7 @@ impl<P: Protocol> Driver<P> {
             protocol,
             timers: BTreeSet::new(),
             messages_sent: 0,
+            worklist: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -109,18 +126,14 @@ impl<P: Protocol> Driver<P> {
     /// (typically timer registrations). Must be called once before any other step.
     pub fn start(&mut self, view: View, now_us: u64) -> Output<P::Message> {
         let actions = self.protocol.discover(view);
-        let output = self.absorb(actions, now_us);
-        self.protocol.persist();
-        output
+        self.step(actions, now_us)
     }
 
     /// Runs the protocol's rejoin hook for a process rebuilt after a crash (see
     /// [`Protocol::rejoin`]) and absorbs the handshake actions it produces.
     pub fn rejoin(&mut self, incarnation: u64, now_us: u64) -> Output<P::Message> {
         let actions = self.protocol.rejoin(incarnation, now_us);
-        let output = self.absorb(actions, now_us);
-        self.protocol.persist();
-        output
+        self.step(actions, now_us)
     }
 
     /// Submits a client command.
@@ -128,17 +141,13 @@ impl<P: Protocol> Driver<P> {
         self.tracer
             .phase(now_us, self.protocol.id(), cmd.rifl, CmdPhase::Submitted);
         let actions = self.protocol.submit(cmd, now_us);
-        let output = self.absorb(actions, now_us);
-        self.protocol.persist();
-        output
+        self.step(actions, now_us)
     }
 
     /// Delivers a message from `from`.
     pub fn handle(&mut self, from: ProcessId, msg: P::Message, now_us: u64) -> Output<P::Message> {
         let actions = self.protocol.handle(from, msg, now_us);
-        let output = self.absorb(actions, now_us);
-        self.protocol.persist();
-        output
+        self.step(actions, now_us)
     }
 
     /// The absolute time (µs) at which the earliest pending timer is due, if any.
@@ -177,12 +186,18 @@ impl<P: Protocol> Driver<P> {
         metrics
     }
 
-    fn absorb(&mut self, actions: Vec<Action<P::Message>>, now_us: u64) -> Output<P::Message> {
+    /// One dispatch step: absorbs `actions` and drains the self-deliveries they cause,
+    /// then persists — once, before the output can reach a transport.
+    fn step(&mut self, actions: Vec<Action<P::Message>>, now_us: u64) -> Output<P::Message> {
         let mut output = Output::empty();
         self.absorb_into(actions, now_us, &mut output);
+        self.protocol.persist();
         output
     }
 
+    /// Interprets `actions` and, depth-first, the actions of every self-delivery they
+    /// cause: a `Send` naming this process is handled right where it stands in the list,
+    /// once the handler that returned the list is off the stack.
     fn absorb_into(
         &mut self,
         actions: Vec<Action<P::Message>>,
@@ -190,36 +205,46 @@ impl<P: Protocol> Driver<P> {
         output: &mut Output<P::Message>,
     ) {
         let this = self.protocol.id();
-        for action in actions {
+        let mut worklist = std::mem::take(&mut self.worklist);
+        worklist.push(actions.into_iter());
+        while let Some(action) = worklist.last_mut().map(Iterator::next) {
             match action {
-                Action::Send { mut to, msg } => {
-                    // Enforce the self-delivery invariant once, for every scheduler:
-                    // protocols handle self-addressed messages internally, so a `Send`
-                    // must never loop back through the transport (nor inflate
-                    // `messages_sent`).
-                    debug_assert!(
-                        !to.contains(&this),
-                        "protocols deliver self-sends internally"
-                    );
-                    to.retain(|t| *t != this);
-                    if to.is_empty() {
-                        continue;
-                    }
-                    self.messages_sent += to.len() as u64;
-                    output.sends.push(Outbound { to, msg });
+                None => {
+                    worklist.pop();
                 }
-                Action::Deliver(executed) => {
+                Some(Action::Send { mut to, msg }) => {
+                    let before = to.len();
+                    to.retain(|t| *t != this);
+                    let to_self = to.len() < before;
+                    self.messages_sent += to.len() as u64;
+                    // Moved when it goes one way only, cloned once when it goes both.
+                    let local = if to.is_empty() {
+                        to_self.then_some(msg)
+                    } else if to_self {
+                        let copy = msg.clone();
+                        output.sends.push(Outbound { to, msg: copy });
+                        Some(msg)
+                    } else {
+                        output.sends.push(Outbound { to, msg });
+                        None
+                    };
+                    if let Some(msg) = local {
+                        worklist.push(self.protocol.handle(this, msg, now_us).into_iter());
+                    }
+                }
+                Some(Action::Deliver(executed)) => {
                     self.tracer
                         .phase(now_us, this, executed.rifl, CmdPhase::Executed);
                     output.executed.push(executed);
                 }
-                Action::Schedule { timer, after_us } => {
+                Some(Action::Schedule { timer, after_us }) => {
                     // Clamp to at least 1 µs so a zero-delay reschedule cannot spin
                     // `fire_due` forever.
                     self.timers.insert((now_us + after_us.max(1), timer));
                 }
             }
         }
+        self.worklist = worklist;
     }
 }
 
@@ -256,18 +281,42 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Ping;
+    thread_local! {
+        /// Clones of [`Ping`] made on this test's thread.
+        static PING_CLONES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message that counts its clones; the payload is the number of self-hops left.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Ping(u32);
+
+    impl Clone for Ping {
+        fn clone(&self) -> Self {
+            PING_CLONES.with(|c| c.set(c.get() + 1));
+            Ping(self.0)
+        }
+    }
 
     impl WireSize for Ping {}
 
-    /// A protocol that broadcasts one ping per submission, executes on submission, and
-    /// keeps a periodic timer alive.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Seen {
+        Handled { from: ProcessId, hops: u32 },
+        Persisted,
+    }
+
+    /// A protocol that sends `Ping(hops)` to `targets` (the next two processes, unless a
+    /// test says otherwise) per submission, executes on submission, and keeps a periodic
+    /// timer alive. Handling `Ping(n > 0)` forwards `Ping(n - 1)` to itself and then
+    /// reports `Ping(n)` to the next process; `handle` and `persist` calls are logged.
     #[derive(Debug)]
     struct Echo {
         process: ProcessId,
         executor: EchoExecutor,
         timer_firings: u64,
+        targets: Vec<ProcessId>,
+        hops: u32,
+        seen: Vec<Seen>,
     }
 
     const ECHO_TIMER: TimerId = TimerId(1);
@@ -282,6 +331,9 @@ mod tests {
                 process,
                 executor: EchoExecutor::new(process, shard, config),
                 timer_firings: 0,
+                targets: vec![process + 1, process + 2],
+                hops: 0,
+                seen: Vec::new(),
             }
         }
 
@@ -298,7 +350,7 @@ mod tests {
         }
 
         fn submit(&mut self, cmd: Command, _now_us: u64) -> Vec<Action<Ping>> {
-            let mut out = vec![Action::send(vec![self.process + 1, self.process + 2], Ping)];
+            let mut out = vec![Action::send(self.targets.clone(), Ping(self.hops))];
             out.extend(
                 self.executor
                     .handle(cmd.rifl)
@@ -308,14 +360,25 @@ mod tests {
             out
         }
 
-        fn handle(&mut self, _from: ProcessId, _msg: Ping, _now_us: u64) -> Vec<Action<Ping>> {
-            Vec::new()
+        fn handle(&mut self, from: ProcessId, msg: Ping, _now_us: u64) -> Vec<Action<Ping>> {
+            self.seen.push(Seen::Handled { from, hops: msg.0 });
+            match msg.0 {
+                0 => Vec::new(),
+                n => vec![
+                    Action::send_one(self.process, Ping(n - 1)),
+                    Action::send_one(self.process + 1, Ping(n)),
+                ],
+            }
         }
 
         fn timer(&mut self, timer: TimerId, _now_us: u64) -> Vec<Action<Ping>> {
             assert_eq!(timer, ECHO_TIMER);
             self.timer_firings += 1;
             vec![Action::schedule(ECHO_TIMER, 1_000)]
+        }
+
+        fn persist(&mut self) {
+            self.seen.push(Seen::Persisted);
         }
 
         fn executor(&self) -> &EchoExecutor {
@@ -330,6 +393,19 @@ mod tests {
     fn cmd(seq: u64) -> Command {
         use crate::command::KVOp;
         Command::single(Rifl::new(1, seq), 0, 0, KVOp::Get, 0)
+    }
+
+    /// A started `Echo` at process 1 whose submissions send `Ping(hops)` to `targets`,
+    /// with the log and the clone counter cleared.
+    fn echo(targets: Vec<ProcessId>, hops: u32) -> Driver<Echo> {
+        let config = Config::full(3, 1);
+        let mut driver = Driver::<Echo>::new(1, 0, config);
+        let _ = driver.start(View::trivial(config, 1), 0);
+        let echo = driver.protocol_mut();
+        (echo.targets, echo.hops) = (targets, hops);
+        echo.seen.clear();
+        PING_CLONES.with(|c| c.set(0));
+        driver
     }
 
     #[test]
@@ -354,6 +430,57 @@ mod tests {
         let _ = driver.submit(cmd(2), 0);
         // Two submissions, each sending to two peers: 4 point-to-point messages.
         assert_eq!(driver.metrics().messages_sent, 4);
+    }
+
+    #[test]
+    fn send_to_self_and_a_peer_is_delivered_to_both() {
+        // Holds in optimised builds as well (CI runs this module with `--release`): the
+        // sender's copy is delivered, never dropped on the way to the transport.
+        let mut driver = echo(vec![1, 2], 0);
+        let output = driver.submit(cmd(1), 0);
+        assert_eq!(output.sends.len(), 1, "one outbound, to the peer only");
+        assert_eq!(output.sends[0].to, vec![2]);
+        assert_eq!(output.sends[0].msg, Ping(0));
+        assert_eq!(driver.metrics().messages_sent, 1);
+        // The sender's copy was handled once, inside the step, before its persist.
+        assert_eq!(
+            driver.protocol().seen,
+            vec![Seen::Handled { from: 1, hops: 0 }, Seen::Persisted]
+        );
+        assert_eq!(
+            PING_CLONES.with(|c| c.get()),
+            1,
+            "cloned once to go both ways"
+        );
+    }
+
+    #[test]
+    fn self_chain_drains_in_order_within_one_step_and_persists_once() {
+        let mut driver = echo(vec![1], 2);
+        let output = driver.submit(cmd(1), 0);
+        assert_eq!(
+            driver.protocol().seen,
+            vec![
+                Seen::Handled { from: 1, hops: 2 },
+                Seen::Handled { from: 1, hops: 1 },
+                Seen::Handled { from: 1, hops: 0 },
+                Seen::Persisted,
+            ]
+        );
+        // Depth-first in action order: each link's self-send is drained before the
+        // remote send that follows it, and the submission's own `Deliver` comes last.
+        let sent: Vec<_> = output.sends.iter().map(|s| (&s.to[..], &s.msg)).collect();
+        assert_eq!(sent, vec![(&[2][..], &Ping(1)), (&[2][..], &Ping(2))]);
+        assert_eq!(output.executed.len(), 1);
+        assert_eq!(driver.metrics().messages_sent, 2);
+        assert_eq!(
+            PING_CLONES.with(|c| c.get()),
+            0,
+            "self-only sends are moved"
+        );
+        // The work-list is empty again and the next step starts clean.
+        let _ = driver.handle(0, Ping(0), 0);
+        assert_eq!(driver.protocol().seen.len(), 6);
     }
 
     #[test]

@@ -136,7 +136,6 @@ impl<P: Protocol> LocalCluster<P> {
         }
         for send in output.sends {
             for target in send.to {
-                debug_assert_ne!(target, from, "protocols deliver self-sends internally");
                 self.queue.push_back(InFlight {
                     from,
                     to: target,
@@ -181,17 +180,23 @@ impl<P: Protocol> LocalCluster<P> {
                     continue;
                 }
             }
-            let now = self.now_us;
-            let output = self
-                .drivers
-                .get_mut(&inflight.to)
-                .expect("unknown destination")
-                .handle(inflight.from, inflight.msg, now);
+            self.deliver(inflight.from, inflight.to, inflight.msg);
             self.delivered += 1;
-            self.absorb(inflight.to, output);
             return true;
         }
         false
+    }
+
+    /// Injects `msg` at `to` as if `from` had sent it: one driver step whose output is
+    /// absorbed like any other (run [`Self::run_to_quiescence`] to deliver what it sent).
+    pub fn deliver(&mut self, from: ProcessId, to: ProcessId, msg: P::Message) {
+        let now = self.now_us;
+        let output = self
+            .drivers
+            .get_mut(&to)
+            .expect("unknown destination")
+            .handle(from, msg, now);
+        self.absorb(to, output);
     }
 
     /// Delivers messages until none are in flight.

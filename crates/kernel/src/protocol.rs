@@ -57,9 +57,11 @@ impl fmt::Display for TimerId {
 /// An action requested by a protocol state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action<M> {
-    /// Send `msg` to every process in `to` (self-addressed messages are delivered
-    /// immediately by the protocol itself, as assumed in Algorithm 1, so `to` only ever
-    /// contains remote processes by the time an action reaches the runtime).
+    /// Send `msg` to every process in `to`, which may name the sending process itself
+    /// (Algorithm 1 sends to self and assumes the message arrives): the
+    /// [`crate::driver::Driver`] hands that copy back through [`Protocol::handle`] once
+    /// the current handler has returned, and passes only the remote destinations on to
+    /// the runtime. `to` must be duplicate-free.
     Send {
         /// Destination processes.
         to: Vec<ProcessId>,
@@ -364,9 +366,10 @@ pub trait Protocol: Sized {
         Vec::new()
     }
 
-    /// Persistence hook, called by the [`crate::driver::Driver`] at the end of every
-    /// dispatch step — after the protocol's actions were absorbed, *before* the step's
-    /// outbound messages are handed to the scheduler's transport. A protocol with a
+    /// Persistence hook, called by the [`crate::driver::Driver`] once at the end of every
+    /// dispatch step — after the protocol's actions were absorbed and the self-addressed
+    /// messages among them handled, *before* the step's outbound messages are handed to
+    /// the scheduler's transport. A protocol with a
     /// durable store flushes it here (one batched `fsync` per step), which yields the
     /// write-ahead guarantee: no message leaves a process before the state that
     /// produced it is durable. The default (for in-memory protocols) is a no-op.

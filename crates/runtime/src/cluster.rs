@@ -314,7 +314,6 @@ where
             self.encoded.put_u8(ENV_PEER);
             send.msg.encode_into(&mut self.encoded);
             for to in send.to {
-                debug_assert_ne!(to, self.id, "protocols deliver self-sends internally");
                 self.transport.send(to, self.encoded.as_bytes());
             }
         }

@@ -108,8 +108,7 @@ impl CpuModel {
 /// Simulation options.
 ///
 /// There is no tick interval here: periodic behaviour belongs to the protocols, which
-/// schedule their own timers (e.g. Tempo's 5 ms promise broadcast, configurable via
-/// `TempoOptions::promise_interval_us`).
+/// schedule their own timers (e.g. Tempo's 5 ms promise broadcast).
 #[derive(Debug, Clone)]
 pub struct SimOpts {
     /// Closed-loop clients per site.
@@ -472,7 +471,6 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             // One allocation per broadcast; each destination holds a reference.
             let msg = Arc::new(send.msg);
             for target in send.to {
-                debug_assert_ne!(target, from, "protocols deliver self-sends internally");
                 // Sending costs CPU/outgoing bandwidth at the sender.
                 if let Some(cpu) = self.opts.cpu {
                     send_cost += cpu.message_cost_us(wire_size);

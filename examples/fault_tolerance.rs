@@ -6,7 +6,6 @@
 use tempo_core::{Phase, Tempo};
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{Dot, Rifl};
-use tempo_kernel::protocol::Protocol;
 use tempo_kernel::{Command, Config, KVOp};
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
         dot: Dot::new(9, 9),
         ts: 7,
     };
-    let _ = cluster.process_mut(1).handle(1, bump, 0);
+    cluster.deliver(1, 1, bump);
 
     println!(
         "replica 0 submits a command, reaches its fast quorum, then crashes before committing"

@@ -12,7 +12,9 @@
 //!   and keep them alive by re-scheduling from `Protocol::timer` — and firing timers is
 //!   harmless at quiescence;
 //! * driver-maintained metrics: `messages_sent` counts per-destination deliveries and
-//!   agrees with the number of messages the transport actually carried.
+//!   agrees with the number of messages the transport actually carried;
+//! * self-delivery belongs to the driver: a protocol that addresses a message to itself
+//!   gets it back through `Protocol::handle` (never inline, never through the transport).
 
 use tempo_atlas::{Atlas, EPaxos};
 use tempo_caesar::Caesar;
@@ -22,7 +24,8 @@ use tempo_janus::Janus;
 use tempo_kernel::driver::Driver;
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{ProcessId, Rifl, ShardId};
-use tempo_kernel::protocol::{Executor, Protocol, View};
+use tempo_kernel::protocol::{Action, Executor, Protocol, ProtocolMetrics, TimerId, View};
+use tempo_kernel::trace::Tracer;
 use tempo_kernel::{Command, Config, KVOp};
 
 /// Expected timer behaviour of a protocol under test.
@@ -215,11 +218,159 @@ fn lossy_commit_round<P: Protocol>(
     cluster.dropped
 }
 
+/// A counting shim: wraps `P`, forwards everything, and records what reaches the
+/// protocol through its public entry points — in particular the `handle` calls whose
+/// sender is the process itself, which only the driver's self-delivery produces.
+struct Counted<P: Protocol> {
+    inner: P,
+    /// Every `handle` call, whoever sent the message.
+    handled: u64,
+    /// The kinds (first word of the `Debug` form) of the messages handled with
+    /// `from == id()`, in order.
+    from_self: Vec<String>,
+    /// Entry points (`submit`/`handle`/`timer`) active right now, and the most ever.
+    depth: u32,
+    max_depth: u32,
+}
+
+impl<P: Protocol> Counted<P> {
+    fn entered<T>(&mut self, call: impl FnOnce(&mut P) -> T) -> T {
+        self.depth += 1;
+        self.max_depth = self.max_depth.max(self.depth);
+        let result = call(&mut self.inner);
+        self.depth -= 1;
+        result
+    }
+}
+
+impl<P: Protocol> Protocol for Counted<P> {
+    type Message = P::Message;
+    type Executor = P::Executor;
+    const NAME: &'static str = P::NAME;
+
+    fn new(process: ProcessId, shard: ShardId, config: Config) -> Self {
+        Self {
+            inner: P::new(process, shard, config),
+            handled: 0,
+            from_self: Vec::new(),
+            depth: 0,
+            max_depth: 0,
+        }
+    }
+
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+
+    fn shard(&self) -> ShardId {
+        self.inner.shard()
+    }
+
+    fn discover(&mut self, view: View) -> Vec<Action<P::Message>> {
+        self.inner.discover(view)
+    }
+
+    fn submit(&mut self, cmd: Command, now_us: u64) -> Vec<Action<P::Message>> {
+        self.entered(|inner| inner.submit(cmd, now_us))
+    }
+
+    fn handle(&mut self, from: ProcessId, msg: P::Message, now_us: u64) -> Vec<Action<P::Message>> {
+        self.handled += 1;
+        if from == self.id() {
+            let debug = format!("{msg:?}");
+            let kind = debug.split(|c: char| !c.is_alphanumeric()).next();
+            self.from_self.push(kind.unwrap_or_default().to_string());
+        }
+        self.entered(|inner| inner.handle(from, msg, now_us))
+    }
+
+    fn timer(&mut self, timer: TimerId, now_us: u64) -> Vec<Action<P::Message>> {
+        self.entered(|inner| inner.timer(timer, now_us))
+    }
+
+    fn suspect(&mut self, process: ProcessId) {
+        self.inner.suspect(process);
+    }
+
+    fn unsuspect(&mut self, process: ProcessId) {
+        self.inner.unsuspect(process);
+    }
+
+    fn rejoin(&mut self, incarnation: u64, now_us: u64) -> Vec<Action<P::Message>> {
+        self.inner.rejoin(incarnation, now_us)
+    }
+
+    fn persist(&mut self) {
+        self.inner.persist();
+    }
+
+    fn attach_tracer(&mut self, tracer: Tracer) {
+        self.inner.attach_tracer(tracer);
+    }
+
+    fn executor(&self) -> &P::Executor {
+        self.inner.executor()
+    }
+
+    fn metrics(&self) -> ProtocolMetrics {
+        self.inner.metrics()
+    }
+}
+
+/// One put/get round submitted at process 0 (every protocol's coordinator for it — the
+/// FPaxos leader included) through the counting shim.
+fn counted_put_get<P: Protocol>(config: Config) -> LocalCluster<Counted<P>> {
+    let mut cluster = LocalCluster::<Counted<P>>::new(config);
+    cluster.submit(0, put(1, 1, 42, 7));
+    cluster.submit(0, get(1, 2, 42));
+    for _ in 0..4 {
+        cluster.tick_all(5_000);
+    }
+    cluster
+}
+
+/// Self-delivery contract: the coordinator's messages to itself come back through
+/// `handle` (a protocol dispatching them inline would show the shim none), one entry
+/// point at a time, and never by way of the transport.
+fn self_delivery_round<P: Protocol>(config: Config) {
+    let cluster = counted_put_get::<P>(config);
+    let shims: Vec<&Counted<P>> = cluster
+        .process_ids()
+        .into_iter()
+        .map(|p| cluster.process(p))
+        .collect();
+    assert!(
+        !shims[0].from_self.is_empty(),
+        "{}: the coordinator must hear from itself through the driver",
+        P::NAME
+    );
+    for shim in &shims {
+        assert_eq!(
+            shim.max_depth,
+            1,
+            "{}: nested entry at {}",
+            P::NAME,
+            shim.id()
+        );
+    }
+    // No `Outbound` named its sender: everything handled beyond what the transport
+    // carried is a self-delivery, and every self-addressed message is one of those.
+    let handled: u64 = shims.iter().map(|s| s.handled).sum();
+    let from_self: u64 = shims.iter().map(|s| s.from_self.len() as u64).sum();
+    assert_eq!(
+        handled - cluster.delivered,
+        from_self,
+        "{}: a self-addressed message travelled through the transport",
+        P::NAME
+    );
+}
+
 fn conformance<P: Protocol>(config: Config, timers: Timers) {
     put_get_round::<P>(config);
     contended_round::<P>(config);
     timer_contract::<P>(config, timers);
     message_accounting::<P>(config);
+    self_delivery_round::<P>(config);
 }
 
 #[test]
@@ -227,6 +378,23 @@ fn tempo_conforms() {
     conformance::<Tempo>(Config::full(5, 1), Timers::Periodic);
     // f = 2 exercises Tempo's slow path under the contended round.
     conformance::<Tempo>(Config::full(5, 2), Timers::Periodic);
+}
+
+#[test]
+fn tempo_fast_path_self_deliveries_are_pinned() {
+    // n = 3, f = 1, fast quorum 2: the coordinator submits to itself, proposes to
+    // itself, acknowledges to itself and commits to itself — four self-deliveries per
+    // command — and nobody else ever addresses itself.
+    let cluster = counted_put_get::<Tempo>(Config::full(3, 1));
+    let per_command = ["MSubmit", "MPropose", "MProposeAck", "MCommit"];
+    assert_eq!(
+        cluster.process(0).from_self,
+        [per_command, per_command].concat()
+    );
+    assert_eq!(cluster.process(0).inner.metrics().fast_paths, 2);
+    for peer in [1, 2] {
+        assert!(cluster.process(peer).from_self.is_empty(), "peer {peer}");
+    }
 }
 
 #[test]
