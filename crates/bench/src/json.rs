@@ -36,7 +36,7 @@ impl Record {
 }
 
 /// The shared latency-percentile block: the same field names in every latency-bearing
-/// `BENCH_*.json` (`BENCH_load.json`, `BENCH_runtime.json`, `BENCH_fig6.json`), so
+/// `BENCH_*.json` (`BENCH_load.json`, `BENCH_trace.json`, `BENCH_fig6.json`), so
 /// tail-latency trajectories are comparable across harnesses.
 pub fn latency_fields(summary: &LatencySummary) -> Vec<(String, f64)> {
     vec![

@@ -9,8 +9,9 @@
 //!   never propose it for any command.
 //!
 //! Promises generated locally are buffered here until the protocol broadcasts them
-//! (piggybacked on `MProposeAck`/`MCommit`, or in the periodic `MPromises` message —
-//! footnote 2 of the paper: a promise is sent only once in the absence of failures).
+//! (piggybacked on `MProposeAck`/`MCommit`, or in an `MPromises` message — sent at the
+//! end of the burst that generated a detached promise, and periodically; footnote 2 of
+//! the paper: a promise is sent only once in the absence of failures).
 
 use crate::promises::PromiseRange;
 use tempo_kernel::id::Dot;
@@ -77,9 +78,14 @@ impl Clock {
         std::mem::take(&mut self.attached_buffer)
     }
 
+    /// Whether there are detached promises waiting to be broadcast.
+    pub fn has_detached(&self) -> bool {
+        !self.detached_buffer.is_empty()
+    }
+
     /// Whether there are promises waiting to be broadcast.
     pub fn has_pending_promises(&self) -> bool {
-        !self.detached_buffer.is_empty() || !self.attached_buffer.is_empty()
+        self.has_detached() || !self.attached_buffer.is_empty()
     }
 }
 
@@ -153,7 +159,11 @@ mod tests {
         assert!(clock.has_pending_promises());
         clock.take_attached();
         assert!(!clock.has_pending_promises());
+        assert!(
+            !clock.has_detached(),
+            "attached promises are not detached ones"
+        );
         clock.bump(10);
-        assert!(clock.has_pending_promises());
+        assert!(clock.has_pending_promises() && clock.has_detached());
     }
 }

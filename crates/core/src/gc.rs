@@ -10,7 +10,7 @@
 //! Mirroring fantoch's `GCTrack`, each process summarises what it has executed as one
 //! watermark per *origin* (the process that generated the dot): the highest `n` such that
 //! every dot `⟨origin, 1⟩ ‥ ⟨origin, n⟩` has been executed locally. The watermark is
-//! piggybacked on the periodic `MPromises` broadcast (no extra messages); every process
+//! piggybacked on every `MPromises` broadcast (no extra messages); every process
 //! takes, per origin, the minimum over its own and all peers' watermarks, and collects
 //! the dots at or below it.
 //!

@@ -46,6 +46,8 @@ pub const TIMER_PROMISES: TimerId = TimerId(1);
 /// Timer driving the liveness scan: payload resend, `MCommitRequest` and recovery
 /// take-over for commands pending too long (Appendix B).
 pub const TIMER_LIVENESS: TimerId = TimerId(2);
+/// One-shot timer behind the burst-edge `MPromises` flush (see `Tempo::arm_flush`).
+const TIMER_FLUSH: TimerId = TimerId(3);
 
 /// Most missing sequences considered per origin per `MPromises` frontier report when
 /// scanning for commit holes (see `Tempo::note_commit_holes`).
@@ -53,9 +55,17 @@ const HOLE_SCAN_LIMIT: usize = 32;
 /// Most commit-hole suspects tracked at once.
 const HOLE_SUSPECT_CAP: usize = 256;
 
-/// Interval of the periodic `MPromises` broadcast (the paper flushes sockets every 5 ms),
-/// in microseconds.
+/// Interval of the periodic `MPromises` broadcast, in microseconds. Fresh detached
+/// promises do not wait for it (they leave with the flush below); the tick is the healing
+/// cadence — safe frontier, executed watermarks for GC, snapshots, and whatever promise a
+/// lost message left behind.
 const PROMISE_INTERVAL_US: u64 = 5_000;
+/// Delay of the one-shot flush, in microseconds: the shortest a driver allows, i.e. "once
+/// the scheduler next looks at timers" — between bursts in `tempo-runtime`, after the
+/// current step in `tempo-sim`. Detached promises are on the critical path of stability
+/// (a peer's prefix has a hole until they arrive), so they leave with the burst that made
+/// them instead of up to `PROMISE_INTERVAL_US` later.
+const FLUSH_DELAY_US: u64 = 1;
 /// Interval of the liveness scan over pending commands, in microseconds.
 const LIVENESS_INTERVAL_US: u64 = 5_000;
 /// Clock floors are persisted in chunks of this many timestamps: one `ClockFloor` record
@@ -140,6 +150,9 @@ pub struct Tempo {
     attached_ts: BTreeMap<Dot, u64>,
     /// The highest safe promise frontier already broadcast (to skip no-news sends).
     last_frontier_sent: u64,
+    /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
+    /// `Schedule`, so a burst of bumps must arm it once).
+    flush_armed: bool,
     /// Commands committed but skipped by the execution stage because local stability
     /// had already passed their timestamp (only possible at restarted incarnations;
     /// see `commit_with`).
@@ -249,6 +262,7 @@ impl Tempo {
             attached_pending: BTreeSet::new(),
             attached_ts: BTreeMap::new(),
             last_frontier_sent: 0,
+            flush_armed: false,
             exec_skipped: 0,
             last_exec_progress_us: 0,
             last_repair_request_us: 0,
@@ -2120,6 +2134,70 @@ impl Tempo {
         self.commit_with(dot, ts, now_us, out);
     }
 
+    // ------------------------------------------------------- promise broadcast
+
+    /// Broadcasts `MPromises` to the shard peers (Algorithm 2, line 45) unless there is
+    /// nothing new to say: the buffered promises, the executed watermarks and the safe
+    /// frontier. Local copies of the promises were already registered when they were
+    /// generated. The executed watermarks piggyback on it, so committed-command GC is
+    /// free whenever promise traffic flows; once it stops, a frontier-only broadcast
+    /// (accounted in `gc_messages`) ships the final window — GC liveness must not depend
+    /// on continuous traffic. Called by the periodic tick and by the burst-edge flush.
+    fn broadcast_promises(&mut self, out: &mut Vec<Action<Message>>) {
+        let promises_pending = self.clock.has_pending_promises();
+        let frontier = self.promise_frontier();
+        // Mid-rejoin nothing may be broadcast: the buffers hold floor bumps over the
+        // previous incarnation's range (see `handle_rejoin_ack`).
+        if !self.joined
+            || !(promises_pending
+                || self.gc.frontier_changed()
+                || frontier > self.last_frontier_sent)
+        {
+            return;
+        }
+        let detached = self.clock.take_detached();
+        let attached = self.clock.take_attached();
+        let targets: Vec<ProcessId> = self
+            .shard_peers
+            .iter()
+            .copied()
+            .filter(|p| *p != self.process)
+            .collect();
+        if targets.is_empty() {
+            return;
+        }
+        let executed = self.gc.executed_frontier();
+        self.gc.record_broadcast(&executed);
+        // Attachments land above the clock they were drawn from, so the claimed prefix
+        // only grows (per-process promise monotonicity).
+        debug_assert!(
+            frontier >= self.last_frontier_sent,
+            "promise frontier regressed"
+        );
+        self.last_frontier_sent = frontier;
+        if !promises_pending {
+            self.metrics.gc_messages += targets.len() as u64;
+        }
+        let msg = Message::MPromises {
+            detached,
+            attached,
+            executed,
+            frontier,
+        };
+        out.push(Action::send(targets, msg));
+    }
+
+    /// Arms the one-shot flush if this step left detached promises in the clock's buffer
+    /// (a commit, `MConsensus` or `MBump` bumped the clock, or a proposal jumped it) and
+    /// no flush is outstanding. Attached promises do not arm it: they already reach every
+    /// replica in the command's `MCommit` bundle.
+    fn arm_flush(&mut self, out: &mut Vec<Action<Message>>) {
+        if self.joined && !self.flush_armed && self.clock.has_detached() {
+            self.flush_armed = true;
+            out.push(Action::schedule(TIMER_FLUSH, FLUSH_DELAY_US));
+        }
+    }
+
     // ---------------------------------------------------------------- rejoin
 
     /// Broadcasts `MRejoin` to the shard peers (initially from [`Protocol::rejoin`],
@@ -2366,6 +2444,7 @@ impl Protocol for Tempo {
                 floor_ts, floor_dot, kv, watermarks, queued, now_us, &mut out,
             ),
         }
+        self.arm_flush(&mut out);
         out
     }
 
@@ -2404,51 +2483,7 @@ impl Protocol for Tempo {
         let mut out = Vec::new();
         match timer {
             TIMER_PROMISES => {
-                // Periodic MPromises broadcast (Algorithm 2, line 45). Local copies of
-                // these promises were already registered when they were generated. The
-                // executed watermarks piggyback on it, so committed-command GC is free
-                // whenever promise traffic flows; once it stops, a frontier-only
-                // broadcast (accounted in `gc_messages`) ships the final window — GC
-                // liveness must not depend on continuous traffic.
-                let promises_pending = self.clock.has_pending_promises();
-                let frontier = self.promise_frontier();
-                // Mid-rejoin nothing may be broadcast: the buffers hold floor bumps
-                // over the previous incarnation's range (see `handle_rejoin_ack`).
-                if self.joined
-                    && (promises_pending
-                        || self.gc.frontier_changed()
-                        || frontier > self.last_frontier_sent)
-                {
-                    let detached = self.clock.take_detached();
-                    let attached = self.clock.take_attached();
-                    let targets: Vec<ProcessId> = self
-                        .shard_peers
-                        .iter()
-                        .copied()
-                        .filter(|p| *p != self.process)
-                        .collect();
-                    if !targets.is_empty() {
-                        let executed = self.gc.executed_frontier();
-                        self.gc.record_broadcast(&executed);
-                        // Attachments land above the clock they were drawn from, so the
-                        // claimed prefix only grows (per-process promise monotonicity).
-                        debug_assert!(
-                            frontier >= self.last_frontier_sent,
-                            "promise frontier regressed"
-                        );
-                        self.last_frontier_sent = frontier;
-                        if !promises_pending {
-                            self.metrics.gc_messages += targets.len() as u64;
-                        }
-                        let msg = Message::MPromises {
-                            detached,
-                            attached,
-                            executed,
-                            frontier,
-                        };
-                        out.push(Action::send(targets, msg));
-                    }
-                }
+                self.broadcast_promises(&mut out);
                 // Execution might have become possible thanks to locally generated
                 // promises.
                 self.sync_stability(now_us, &mut out);
@@ -2456,6 +2491,10 @@ impl Protocol for Tempo {
                 // path, and naturally quiescent when the WAL is.
                 self.maybe_snapshot();
                 out.push(Action::schedule(TIMER_PROMISES, PROMISE_INTERVAL_US));
+            }
+            TIMER_FLUSH => {
+                self.flush_armed = false;
+                self.broadcast_promises(&mut out);
             }
             TIMER_LIVENESS => {
                 if self.joined {

@@ -7,10 +7,11 @@
 
 use tempo_core::{Message, Phase, PromiseBundle, PromiseRange, Quorums, Tempo, TempoOptions};
 use tempo_kernel::config::Config;
+use tempo_kernel::driver::{Driver, Outbound, Output};
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::kvstore::KVStore;
-use tempo_kernel::protocol::Protocol;
+use tempo_kernel::protocol::{Protocol, View};
 use tempo_kernel::rand::Rng;
 use tempo_kernel::{Command, KVOp};
 
@@ -628,4 +629,225 @@ fn one_executor_batch_may_announce_execute_and_collect_its_own_commands() {
         "both commands collected within the step"
     );
     assert!(tempo.gc_tracker().is_collected(Dot::new(0, 2)));
+}
+
+// ------------------------------------------------- burst-edge promise flush
+
+/// The periodic `MPromises` tick (`PROMISE_INTERVAL_US`, private to the protocol).
+const TICK_US: u64 = 5_000;
+
+/// A started bare driver for `process` of an n = 3, f = 1 deployment: what a step
+/// emits, and when its next timer is due, are visible to the test.
+fn bare_driver(process: ProcessId) -> Driver<Tempo> {
+    let config = Config::full(3, 1);
+    let mut driver = Driver::<Tempo>::new(process, 0, config);
+    driver.start(View::trivial(config, process), 0);
+    driver
+}
+
+/// The detached ranges of every `MPromises` in `output`, one entry per broadcast.
+fn promises(output: &Output<Message>) -> Vec<Vec<PromiseRange>> {
+    output
+        .sends
+        .iter()
+        .filter_map(|s| match &s.msg {
+            Message::MPromises { detached, .. } => Some(detached.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+fn bump(ts: u64) -> Message {
+    Message::MBump {
+        dot: Dot::new(0, 1),
+        ts,
+    }
+}
+
+/// An `MCommit` whose timestamp a replica outside the fast quorum has not reached bumps
+/// that replica's clock, and the detached promises the bump generates must leave with
+/// the step that made them, not with the tick.
+#[test]
+fn flush_carries_commit_bump_promises_before_the_tick() {
+    // Replica 1 learns of coordinator 2's command (fast quorum {2, 0}, timestamp 5)
+    // from its payload and commit.
+    let mut replica = bare_driver(1);
+    let dot = Dot::new(2, 1);
+    let payload = Message::MPayload {
+        dot,
+        cmd: key_cmd(1, 1, 7),
+        quorums: [(0, vec![2, 0])].into(),
+    };
+    assert!(replica.handle(2, payload, 0).is_empty());
+    let commit = Message::MCommit {
+        dot,
+        shard: 0,
+        ts: 5,
+        promises: PromiseBundle {
+            attached: vec![(2, 5), (0, 5)],
+            detached: vec![(2, PromiseRange::new(1, 4)), (0, PromiseRange::new(1, 4))],
+        },
+    };
+    let output = replica.handle(2, commit, 0);
+    assert!(promises(&output).is_empty(), "nothing fired yet");
+    assert_eq!(replica.protocol().committed_timestamp(dot), Some(5));
+    assert_eq!(replica.protocol().clock_value(), 5, "the commit bumped it");
+    let due = replica.next_timer_due().expect("timers pending");
+    assert!(
+        due < TICK_US,
+        "the bump must arm a flush, not wait for the tick at {TICK_US}: next due {due}"
+    );
+    let output = replica.fire_due(due);
+    match output.sends.as_slice() {
+        [Outbound {
+            to,
+            msg: Message::MPromises { detached, .. },
+        }] => {
+            assert_eq!(to, &[0, 2]);
+            assert_eq!(detached, &[PromiseRange::new(1, 5)]);
+        }
+        other => panic!("expected one MPromises, got {other:?}"),
+    }
+}
+
+/// One command per coordinator (ring fast quorums {2,0}, {0,1}, {1,2}), interleaved so
+/// that each needs a commit-bump promise of the one before: coordinator 0's timestamp 2
+/// needs replica 1's prefix to reach 2, and timestamp 1 at replica 1 is a detached
+/// promise generated by the first commit; coordinator 1's timestamp 3 needs replica
+/// 2's, bumped to 2 by the second. Every timestamp is stable at its coordinator — and
+/// every command executed everywhere — before any tick has fired anywhere.
+#[test]
+fn flush_makes_timestamps_stable_before_any_tick() {
+    let mut cluster = LocalCluster::<Tempo>::new(Config::full(3, 1));
+    let rounds = [(2, 1), (0, 2), (1, 3)];
+    for (coordinator, ts) in rounds {
+        cluster.submit(coordinator, key_cmd(coordinator, 1, 7 + coordinator));
+        let dot = Dot::new(coordinator, 1);
+        assert_eq!(
+            cluster.process(coordinator).committed_timestamp(dot),
+            Some(ts)
+        );
+        cluster.tick_all(10);
+    }
+    assert!(cluster.now_us() < TICK_US, "no tick has fired anywhere");
+    for (coordinator, ts) in rounds {
+        let stable = cluster.process(coordinator).stable_timestamp();
+        assert!(
+            stable >= ts,
+            "timestamp {ts} not stable at its coordinator {coordinator} before the tick: {stable}"
+        );
+    }
+    for p in cluster.process_ids() {
+        assert_eq!(cluster.process(p).metrics().executed, 3, "replica {p}");
+    }
+}
+
+/// The flush is one-shot and armed once: however many steps of a burst bump the clock
+/// before the scheduler next looks at its timers, one `MPromises` carries them all.
+#[test]
+fn flush_coalesces_the_bumps_of_a_burst() {
+    let mut replica = bare_driver(1);
+    for step in 1..=10u64 {
+        // Ten steps at successive microseconds, no timer looked at in between (a
+        // replica thread inside one burst).
+        let output = replica.handle(0, bump(10 * step), step);
+        assert!(output.is_empty(), "a bump sends nothing by itself");
+    }
+    assert_eq!(replica.protocol().clock_value(), 100);
+    let due = replica.next_timer_due().expect("timers pending");
+    assert!(due <= 11, "flushed at the burst's edge, not at {due}");
+    let output = replica.fire_due(TICK_US - 1);
+    let ranges: Vec<PromiseRange> = (0..10)
+        .map(|i| PromiseRange::new(10 * i + 1, 10 * i + 10))
+        .collect();
+    assert_eq!(promises(&output), vec![ranges], "one flush for ten bumps");
+    assert_eq!(
+        replica.next_timer_due(),
+        Some(TICK_US),
+        "no second flush is outstanding"
+    );
+}
+
+/// Mid-rejoin the clock's buffer holds floor bumps over the previous incarnation's
+/// range (`handle_rejoin_ack`), which must never be broadcast — by the flush no more
+/// than by the tick. Once the handshake completes, the next bump is flushed as usual
+/// and claims only what this incarnation generated.
+#[test]
+fn flush_is_silent_mid_rejoin_and_resumes_after_the_handshake() {
+    let mut replica = bare_driver(1);
+    let output = replica.rejoin(1, 0);
+    assert!(matches!(output.sends[0].msg, Message::MRejoin));
+    assert!(!replica.protocol().is_joined());
+    // A bump while unjoined is buffered, but nothing may leave: no flush is armed, and
+    // the tick (fired together with the liveness timer's handshake retry) stays silent.
+    assert!(replica.handle(0, bump(5), 0).is_empty());
+    assert_eq!(
+        replica.next_timer_due(),
+        Some(TICK_US),
+        "no flush mid-rejoin"
+    );
+    let output = replica.fire_due(TICK_US);
+    assert!(
+        output
+            .sends
+            .iter()
+            .all(|s| matches!(s.msg, Message::MRejoin)),
+        "mid-rejoin broadcast: {output:?}"
+    );
+    // The handshake completes (recovery quorum = this process + one ack); the ack's
+    // floor bump covers the previous incarnation's timestamps up to 40.
+    let ack = Message::MRejoinAck {
+        clock: 40,
+        your_highest: 30,
+        prefixes: vec![(0, 40), (1, 30), (2, 40)],
+    };
+    let output = replica.handle(0, ack, TICK_US);
+    assert!(replica.protocol().is_joined());
+    assert_eq!(replica.protocol().clock_value(), 40);
+    assert!(promises(&output).is_empty());
+    let output = replica.fire_due(TICK_US + 10);
+    assert!(
+        promises(&output).is_empty(),
+        "the floor bumps were broadcast: {output:?}"
+    );
+    // First bump of the new incarnation: flushed at once, claiming (40, 50] only.
+    assert!(replica.handle(0, bump(50), TICK_US + 10).is_empty());
+    let due = replica.next_timer_due().expect("timers pending");
+    assert!(due < 2 * TICK_US, "flush armed after the handshake: {due}");
+    let output = replica.fire_due(due);
+    assert_eq!(promises(&output), vec![vec![PromiseRange::new(41, 50)]]);
+}
+
+/// The tick keeps its no-news suppression: with the flush having carried every promise
+/// already, a tick that has nothing new to report (no promise, no executed-frontier
+/// movement, no safe-frontier advance) sends nothing — on an idle cluster, and again
+/// once the healing broadcasts that follow real traffic have gone out.
+#[test]
+fn flush_leaves_the_tick_with_nothing_to_say() {
+    let mut cluster = LocalCluster::<Tempo>::new(Config::full(3, 1));
+    for _ in 0..2 {
+        cluster.tick_all(TICK_US);
+    }
+    assert_eq!(cluster.delivered, 0, "idle ticks sent something");
+    cluster.submit(2, key_cmd(1, 1, 7));
+    cluster.submit(0, key_cmd(2, 1, 8));
+    // Executed watermarks and safe frontiers ride the next ticks; then silence.
+    for _ in 0..4 {
+        cluster.tick_all(TICK_US);
+    }
+    let delivered = cluster.delivered;
+    for _ in 0..4 {
+        cluster.tick_all(TICK_US);
+    }
+    assert_eq!(
+        cluster.delivered, delivered,
+        "ticks with nothing new sent something"
+    );
+    for p in cluster.process_ids() {
+        assert_eq!(
+            cluster.process(p).info_len(),
+            0,
+            "replica {p} collected everything"
+        );
+    }
 }

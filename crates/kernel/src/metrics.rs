@@ -29,7 +29,7 @@ impl fmt::Display for Percentile {
 }
 
 /// The shared percentile block reported by every latency-measuring harness
-/// (`BENCH_load.json`, `BENCH_runtime.json`, the fig6 simulator bench): one schema,
+/// (`BENCH_load.json`, `BENCH_trace.json`, the fig6 simulator bench): one schema,
 /// filled in by [`LogHistogram::summary`]. All latencies are milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {

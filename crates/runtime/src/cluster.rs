@@ -3,11 +3,11 @@
 //! # Anatomy of a run
 //!
 //! * **Replicas.** Each process of the [`Config`] runs one thread owning a
-//!   [`Driver`] and a transport endpoint. A turn of its loop fires due protocol
-//!   timers and detector events, flushes, and blocks on the transport until the next
-//!   deadline; once a frame arrives it handles a *burst* — that frame and every
-//!   frame already waiting behind it, up to a fixed budget — running one driver step
-//!   per frame, and flushes once at the end of the burst. Every step's sends are
+//!   [`Driver`] and a transport endpoint. A turn of its loop blocks on the transport
+//!   until the next deadline; once a frame arrives it handles a *burst* — that frame
+//!   and every frame already waiting behind it, up to a fixed budget — running one
+//!   driver step per frame; then it fires due protocol timers and detector events
+//!   and flushes, once, what the burst and the timers produced. Every step's sends are
 //!   encoded once per message into one reused buffer and queued per peer (the
 //!   transport's write coalescing), and its executions answer clients and feed the
 //!   history. The driver's persist hook runs inside the step, *before* its output is
@@ -401,7 +401,8 @@ where
     fn run(mut self, stop: &AtomicBool) -> ReplicaExit {
         let mut next_heartbeat_us = self.shared.now_us(); // First beacon right away.
         let mut next_sample_us = self.shared.now_us();
-        while !stop.load(Ordering::Relaxed) {
+        let mut closed = false;
+        loop {
             let now = self.shared.now_us();
             if let (Some(interval), Some(registry)) = (
                 self.shared.metrics_interval_us,
@@ -426,14 +427,22 @@ where
                     }
                 }
             }
-            // Fire overdue timers before waiting: a busy inbox must not starve the
-            // protocol's periodic events.
+            // Fire due timers between the burst and its flush: the periodic ones a busy
+            // inbox must not starve, and the one-shot promise flush the burst armed,
+            // whose `MPromises` then share the burst's blobs and syscalls.
             if self.driver.next_timer_due().is_some_and(|due| due <= now) {
                 let output = self.driver.fire_due(now);
                 self.route(output);
             }
-            // Beacons and timer output leave before this thread may block.
+            // The one flush of the turn: the burst's output, what the timers added to
+            // it and the beacons all leave before this thread may block.
             self.transport.flush();
+            if closed || stop.load(Ordering::Relaxed) {
+                break;
+            }
+            // The wait starts now, not at the top of the turn: whatever the steps above
+            // took must come off it, and a timer they armed is due from here.
+            let now = self.shared.now_us();
             let mut timeout = self
                 .driver
                 .next_timer_due()
@@ -451,9 +460,9 @@ where
                 timeout = timeout.min(Duration::from_micros(due.saturating_sub(now)));
             }
             // One burst: block for the first frame, then take what is already there
-            // without waiting, and flush everything the burst produced at once.
+            // without waiting; the next turn flushes everything it produced at once.
             let mut taken = 0;
-            let closed = loop {
+            closed = loop {
                 match self.transport.recv_timeout(timeout) {
                     Ok((from, bytes)) => self.on_frame(from, &bytes),
                     Err(RecvError::Timeout) => break false,
@@ -465,10 +474,6 @@ where
                 }
                 timeout = Duration::ZERO;
             };
-            self.transport.flush();
-            if closed {
-                break;
-            }
         }
         let detector_stats = self.detector.map(|det| det.stats()).unwrap_or_default();
         (
@@ -1229,6 +1234,87 @@ mod tests {
         assert_eq!(tally.completed, 3 * 2 * 5, "all complete: {tally:?}");
         let report = cluster.shutdown();
         assert!(report.total_metrics().fast_paths > 0, "fast paths taken");
+    }
+
+    /// An idle endpoint whose `flush` takes a fixed time, recording every wait the
+    /// replica asks for.
+    struct SlowFlush {
+        flush: Duration,
+        waits: Arc<Mutex<Vec<Duration>>>,
+    }
+
+    impl Transport for SlowFlush {
+        fn local_id(&self) -> ProcessId {
+            0
+        }
+
+        fn send(&mut self, _to: ProcessId, _payload: &[u8]) {}
+
+        fn flush(&mut self) {
+            std::thread::sleep(self.flush);
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProcessId, Vec<u8>), RecvError> {
+            self.waits.lock().expect("waits lock").push(timeout);
+            std::thread::sleep(timeout);
+            Err(RecvError::Timeout)
+        }
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+    }
+
+    /// The replica's blocking wait runs from when it starts waiting to its next timer,
+    /// not from the top of the turn: what the turn spent before blocking (here a 4 ms
+    /// flush) comes off the wait. Tempo's timers recur every 5 ms, each re-armed from
+    /// the instant it fired, so after a flush of 4 ms no wait may exceed 1 ms — whatever
+    /// the host's scheduling adds only shortens it. Measured from the top of the turn,
+    /// the first wait is the full 5 ms and every timer fires 4 ms late.
+    #[test]
+    fn the_blocking_wait_is_measured_from_after_the_flush() {
+        const TIMER_PERIOD: Duration = Duration::from_millis(5);
+        const FLUSH: Duration = Duration::from_millis(4);
+        let config = Config::full(3, 1);
+        let shared = Arc::new(Shared {
+            config,
+            membership: Membership::from_config(&config),
+            epoch: Instant::now(),
+            down: Mutex::new(BTreeSet::new()),
+            history: None,
+            client_timeout: Duration::from_secs(1),
+            planet: None,
+            detector: None,
+            tracers: BTreeMap::new(),
+            registry: None,
+            metrics_interval_us: None,
+        });
+        let waits = Arc::new(Mutex::new(Vec::new()));
+        let transport = SlowFlush {
+            flush: FLUSH,
+            waits: Arc::clone(&waits),
+        };
+        let seat = spawn_replica(
+            Tempo::new(0, 0, config),
+            Box::new(transport),
+            0,
+            0,
+            0,
+            Vec::new(),
+            shared,
+        );
+        std::thread::sleep(20 * TIMER_PERIOD);
+        seat.stop.store(true, Ordering::Relaxed);
+        seat.handle.join().expect("replica thread");
+        let waits = waits.lock().expect("waits lock");
+        assert!(waits.len() >= 5, "the replica kept turning: {waits:?}");
+        for wait in waits.iter() {
+            assert!(
+                *wait <= TIMER_PERIOD - FLUSH,
+                "waited {wait:?} for a timer at most {:?} away: {waits:?}",
+                TIMER_PERIOD - FLUSH
+            );
+        }
     }
 
     /// A replica takes frames in bursts and looks at its timers, its detector and

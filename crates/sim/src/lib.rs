@@ -1300,13 +1300,15 @@ mod tests {
         let report = run::<Tempo, _>(config, planet, small_opts(), mix);
         assert!(!report.stalled, "partial replication run stalled");
         assert_eq!(report.completed, 3 * 4 * 5);
-        // Literals captured at PR 12 with the generator `YcsbTMix` replaced.
-        assert_eq!(fingerprint(&report), (1_086_000, 60, 1650, 213_961.8));
+        // Literals captured at PR 16 (burst-edge promise flush; CHANGES.md has the
+        // account of what moved from PR 12's `(1_086_000, 60, 1650, 213_961.8)`).
+        assert_eq!(fingerprint(&report), (1_082_504, 60, 1652, 213_479.0));
     }
 
     #[test]
     fn conflict_run_with_cpu_model_matches_pinned_literals() {
-        // Literals captured at PR 12 with the generator `ConflictMix` replaced: same
+        // Literals captured at PR 16 (burst-edge promise flush; CHANGES.md has the
+        // account of what moved from PR 12's `(751_772, 240, 1484, 75_174.458…)`): same
         // seed, same hot/cold draws, same simulated run.
         let report = run::<Tempo, _>(
             Config::full(3, 1),
@@ -1320,10 +1322,46 @@ mod tests {
             ConflictMix::new(0.1, 100, 42),
         );
         assert!(!report.stalled);
-        assert_eq!(
-            fingerprint(&report),
-            (751_772, 240, 1484, 75_174.458_333_333_33)
+        assert_eq!(fingerprint(&report), (751_928, 240, 1554, 75_188.937_5));
+    }
+
+    /// Stability is not paced by the periodic `MPromises` tick. The planet is
+    /// LAN-scale — every site a 1 ms round trip from every other, no CPU model — because
+    /// that is where the tick shows: it is several hops long there, whereas at WAN
+    /// distances the closed-loop clients move in lockstep at multiples of a 25 ms hop
+    /// and a promise up to 5 ms late is never the last thing a command waits for. What
+    /// is left is the commit gate of Algorithm 2, line 47: the fast-quorum peer's prefix
+    /// is held back by the peer's own in-flight proposals, the latest made just before
+    /// ours reached it, which commit there one round trip later and are learnt here one
+    /// more one-way hop after that — one round trip after our commit. A detached promise
+    /// waiting for the tick puts a 0–5 ms sawtooth on top of that.
+    #[test]
+    fn stability_waits_for_the_commit_gate_not_for_the_tick() {
+        const ROUND_TRIP_US: u64 = 1_000;
+        let report = run::<Tempo, _>(
+            Config::full(3, 1),
+            Planet::equidistant(3, ROUND_TRIP_US as f64 / 1_000.0),
+            SimOpts {
+                clients_per_site: 4,
+                commands_per_client: 10,
+                trace: true,
+                ..SimOpts::default()
+            },
+            ConflictMix::new(0.1, 100, 42),
         );
+        assert!(!report.stalled);
+        assert_eq!(report.completed, 3 * 4 * 10);
+        let trace = report.trace.as_ref().expect("trace recorded");
+        assert_eq!(trace.dropped, 0);
+        let waits = tempo_trace::at_coordinator(trace);
+        assert_eq!(waits.len() as u64, report.completed);
+        for (coordinator, _, commit_stable) in waits {
+            // The slack covers the flush leaving a step later than the burst's commits.
+            assert!(
+                commit_stable <= ROUND_TRIP_US + 10,
+                "a command waited {commit_stable} us for stability at its coordinator {coordinator}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`PhaseBreakdown`] folds event pairs into per-phase [`LogHistogram`]s
 //!   (submit→commit, commit→stable, stable→execute, execute→reply), turning "p99 is
-//!   4.6 ms" into "3.9 ms of it is the stability wait";
+//!   4.6 ms" into "3.9 ms of it is the stability wait", and [`at_coordinator`] gives
+//!   the same two intervals as the command's own coordinator saw them;
 //! * [`ChromeTrace`] renders a merged [`TraceLog`] as Chrome trace-event JSON
 //!   (`chrome://tracing` / Perfetto-loadable): one track per process, a span per
 //!   command lifecycle, nemesis/detector events overlaid as instants;
@@ -119,6 +120,42 @@ impl PhaseBreakdown {
             pairs,
         }
     }
+}
+
+/// Per command, what its *coordinator* saw — the process that recorded `Submitted` — as
+/// `(coordinator, submit→commit, commit→stable)` in microseconds, for every command
+/// with all three events there. [`PhaseBreakdown`] answers "when did this happen
+/// anywhere first"; this answers "how long did the replica the client is watching
+/// wait", which is what separates one site's stability wait from another's
+/// (DESIGN.md §12).
+pub fn at_coordinator(log: &TraceLog) -> Vec<(ProcessId, u64, u64)> {
+    let mut seen = BTreeMap::new();
+    for event in &log.events {
+        if let TraceEvent::Phase {
+            at_us,
+            process,
+            rifl,
+            phase,
+        } = event
+        {
+            seen.entry((*rifl, *process, *phase)).or_insert(*at_us);
+        }
+    }
+    let mut out = Vec::new();
+    for ((rifl, coordinator, phase), submitted) in &seen {
+        if *phase != CmdPhase::Submitted {
+            continue;
+        }
+        let at = |phase| seen.get(&(*rifl, *coordinator, phase));
+        if let (Some(committed), Some(stable)) = (at(CmdPhase::Committed), at(CmdPhase::Stable)) {
+            out.push((
+                *coordinator,
+                committed.saturating_sub(*submitted),
+                stable.saturating_sub(*committed),
+            ));
+        }
+    }
+    out
 }
 
 /// One folded phase interval.
@@ -513,6 +550,26 @@ mod tests {
         // No stable/executed/replied events: the chain is incomplete.
         assert_eq!(lat.complete, 0);
         assert!(lat.pair("commit_stable").unwrap().histogram.is_empty());
+    }
+
+    #[test]
+    fn at_coordinator_ignores_earlier_observations_elsewhere() {
+        let rifl = Rifl::new(1, 1);
+        let log = TraceLog {
+            events: vec![
+                phase(0, 0, rifl, CmdPhase::Submitted),
+                phase(300, 0, rifl, CmdPhase::Committed),
+                // Stable at a peer first; the coordinator waits until 900.
+                phase(400, 1, rifl, CmdPhase::Committed),
+                phase(500, 1, rifl, CmdPhase::Stable),
+                phase(900, 0, rifl, CmdPhase::Stable),
+                // A command still waiting at its coordinator is left out.
+                phase(50, 2, Rifl::new(2, 1), CmdPhase::Submitted),
+                phase(350, 2, Rifl::new(2, 1), CmdPhase::Committed),
+            ],
+            ..TraceLog::default()
+        };
+        assert_eq!(at_coordinator(&log), vec![(0, 300, 600)]);
     }
 
     #[test]

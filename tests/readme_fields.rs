@@ -2,7 +2,7 @@
 //! and the files from drifting apart: every field README quotes for a file must occur
 //! both in README.md and in the checked-in file.
 
-const QUOTED: [(&str, &str); 4] = [
+const QUOTED: [(&str, &str); 3] = [
     (
         "BENCH_micro.json",
         "median_us naive_median_us speedup_vs_naive",
@@ -10,10 +10,6 @@ const QUOTED: [(&str, &str); 4] = [
     (
         "BENCH_fig7.json",
         "tempo_kops atlas_kops fpaxos_kops tempo_over_fpaxos tempo_over_atlas",
-    ),
-    (
-        "BENCH_runtime.json",
-        "runtime/c4 cmds_per_s msgs_per_s_per_replica bytes_per_s_per_replica flushes frames_sent",
     ),
     (
         "BENCH_load.json",
