@@ -1,7 +1,6 @@
-//! Micro-benchmarks for the protocol-critical data structures: the timestamping clock,
-//! promise tracking / stability detection (incremental vs. the seed's collect-and-sort
-//! baseline), the dependency-graph executor and a full Tempo commit round on a local
-//! cluster.
+//! Micro-benchmarks for the protocol-critical data structures: promise tracking /
+//! stability detection (incremental vs. the seed's collect-and-sort baseline), the
+//! dependency-graph executor and a full Tempo commit round on a local cluster.
 //!
 //! The workspace is dependency free, so this is a plain timing harness (median of
 //! several repetitions) rather than a criterion target. Run with
@@ -13,7 +12,6 @@ use std::hint::black_box;
 use std::time::Instant;
 use tempo_atlas::DependencyGraph;
 use tempo_bench::json::{self, Record};
-use tempo_core::clock::Clock;
 use tempo_core::{PromiseRange, PromiseTracker, Tempo};
 use tempo_fault::History;
 use tempo_kernel::harness::LocalCluster;
@@ -42,21 +40,6 @@ fn bench<R>(name: &str, iterations: usize, mut f: impl FnMut() -> R) -> f64 {
     let median_us = samples[samples.len() / 2] as f64 / 1000.0;
     println!("{name:<45} median {median_us:>10.1} µs");
     median_us
-}
-
-fn bench_clock(records: &mut Vec<Record>) {
-    let median = bench("clock/proposal_and_bump_1000", 50, || {
-        let mut clock = Clock::new();
-        for i in 0..1000u64 {
-            let t = clock.proposal(Dot::new(1, i), i / 2);
-            clock.bump(t + 1);
-        }
-        clock.value()
-    });
-    records.push(Record::new(
-        "clock/proposal_and_bump_1000",
-        &[("median_us", median)],
-    ));
 }
 
 /// The seed's stability detection, kept as the baseline the incremental `PromiseTracker`
@@ -306,7 +289,6 @@ fn bench_ser_check(records: &mut Vec<Record>) {
 fn main() {
     println!("micro-benchmarks (median wall-clock per repetition)");
     let mut records = Vec::new();
-    bench_clock(&mut records);
     bench_stability(&mut records);
     bench_sparse_ranges(&mut records);
     bench_depgraph(&mut records);

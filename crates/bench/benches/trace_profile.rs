@@ -3,22 +3,20 @@
 //! run (open it in Perfetto / `chrome://tracing`: one track per replica, command
 //! lifecycle spans with detector and nemesis events overlaid).
 //!
-//! Four measurements:
+//! Three measurements (tracing overhead is `tempo-perf`'s `trace.overhead_pct`, taken on
+//! the real stack — a best-of-N of a 40 ms simulator run measured the host instead):
 //!
 //! 1. **Sim phase breakdown** — a traced deterministic run folded into the
 //!    per-phase latency histograms (submit→commit, commit→stable, stable→execute,
 //!    execute→reply), recorded per pair. The same seed is run twice and the two
 //!    Chrome renders must be *byte-identical* — the trace is part of the
 //!    deterministic surface.
-//! 2. **Tracing overhead** — the identical run with tracing off vs on, wall-clock
-//!    cmds/s for each. The ring buffers are pre-allocated and a disabled tracer is
-//!    one branch, so the delta should stay in the noise.
-//! 3. **Gray-chaos export** — slow node + lossy links + a crash/restart under the
+//! 2. **Gray-chaos export** — slow node + lossy links + a crash/restart under the
 //!    real failure detector, traced, exported as the Perfetto file.
-//! 4. **Networked phase breakdown** — an open-loop load window against a traced
+//! 3. **Networked phase breakdown** — an open-loop load window against a traced
 //!    `NetCluster` over real sockets, the same per-pair fields next to the sim's.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tempo_bench::json::{self, Record};
 use tempo_bench::{header, short_mode};
 use tempo_core::Tempo;
@@ -125,60 +123,7 @@ fn main() {
         ],
     ));
 
-    // --------------------------------------------------- 2. tracing overhead
-    // Same deployment with tracing off vs on; the delta is the whole cost of the
-    // hot-path hooks (ring pushes into pre-allocated buffers, no allocation).
-    let (clients, commands) = if short_mode() { (6, 20) } else { (10, 40) };
-    let config = Config::full(5, 1);
-    let overhead_run = |traced: bool| -> (f64, u64) {
-        let wall = Instant::now();
-        let report = run::<Tempo, _>(
-            config,
-            Planet::equidistant(config.n(), 50.0),
-            SimOpts {
-                clients_per_site: clients,
-                commands_per_client: commands,
-                seed: 7,
-                trace: traced,
-                ..SimOpts::default()
-            },
-            ConflictMix::new(0.1, 16, 7),
-        );
-        let elapsed = wall.elapsed().as_secs_f64();
-        assert!(!report.stalled);
-        (report.completed as f64 / elapsed, report.completed)
-    };
-    // Warm once so neither arm pays first-touch costs, then best-of-N each arm
-    // (the runs are short; best-of squeezes out scheduler noise).
-    let _ = overhead_run(false);
-    let reps = if short_mode() { 3 } else { 5 };
-    let best = |traced: bool| {
-        (0..reps)
-            .map(|_| overhead_run(traced))
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least one rep")
-    };
-    let (base_rate, completed) = best(false);
-    let (traced_rate, traced_completed) = best(true);
-    assert_eq!(
-        completed, traced_completed,
-        "tracing must not change the run"
-    );
-    let delta_pct = (base_rate - traced_rate) / base_rate * 100.0;
-    println!(
-        "\ntracing overhead ({completed} cmds): off {base_rate:.0} cmds/s, on {traced_rate:.0} cmds/s ({delta_pct:+.1}%)"
-    );
-    records.push(Record::new(
-        "trace/overhead",
-        &[
-            ("commands", completed as f64),
-            ("untraced_cmds_per_s", base_rate),
-            ("traced_cmds_per_s", traced_rate),
-            ("delta_pct", delta_pct),
-        ],
-    ));
-
-    // --------------------------------------------------- 3. gray-chaos export
+    // --------------------------------------------------- 2. gray-chaos export
     // Partial faults under the real detector: replica 4 turns slow (not dead),
     // links go lossy, replica 0 crashes and restarts. The export shows suspicion,
     // crash, restart and recovery markers on the lifecycle tracks.
@@ -241,7 +186,7 @@ fn main() {
         ],
     ));
 
-    // ---------------------------------------- 4. networked phase breakdown
+    // ---------------------------------------- 3. networked phase breakdown
     println!("\nnetworked phase breakdown (open-loop load over real sockets):");
     let factory: RuntimeFactory<Tempo> =
         Box::new(|id, shard, config, _incarnation| Tempo::new(id, shard, config));

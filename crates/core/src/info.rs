@@ -92,11 +92,6 @@ pub struct CommandInfo {
     /// Per-shard committed timestamps received in `MCommit`.
     pub shard_commits: BTreeMap<ShardId, u64>,
 
-    // ---- promise gating ----
-    /// Attached promises for this command received before it committed locally
-    /// (Algorithm 2, line 47 adds them only once the command is committed).
-    pub buffered_attached: Vec<(ProcessId, u64)>,
-
     // ---- liveness ----
     /// Time (µs) at which this process first learned about the command.
     pub since_us: u64,
@@ -130,7 +125,6 @@ impl CommandInfo {
             rec_done: false,
             recovering: false,
             shard_commits: BTreeMap::new(),
-            buffered_attached: Vec::new(),
             since_us: now_us,
             last_probe_us: 0,
             last_recovery_us: 0,
@@ -164,6 +158,16 @@ impl CommandInfo {
     /// The final timestamp: the maximum of the per-shard committed timestamps.
     pub fn max_shard_commit(&self) -> u64 {
         self.shard_commits.values().copied().max().unwrap_or(0)
+    }
+
+    /// Moves to `Execute`, dropping the transient coordinator and recovery state. The
+    /// payload stays, so this process can keep answering `MCommitRequest`/`MRec`
+    /// (Appendix B liveness) until the executed-watermark GC proves none can arrive.
+    pub fn mark_executed(&mut self) {
+        self.phase = Phase::Execute;
+        self.proposal_detached.clear();
+        self.proposals.clear();
+        self.rec_acks.clear();
     }
 }
 

@@ -30,9 +30,10 @@
 //!
 //! The crate is organised around the paper's ordering/execution split (Algorithm 2):
 //!
-//! * [`clock`] — the timestamping clock (`proposal`/`bump`, Algorithm 1),
-//! * [`promises`] — attached/detached promises and stability detection (Algorithm 2,
-//!   Theorem 1),
+//! * [`stability`] — the clock (`propose`/`bump`, Algorithm 1), the promises made and
+//!   heard, and the line-47 commit gate, in one owner (Algorithm 2, Theorem 1),
+//! * [`promises`] — the promise sets and the incremental majority watermark
+//!   [`stability`] keeps,
 //! * [`messages`] — the wire protocol,
 //! * [`info`] — per-command state (Figure 1 phases, Table 3 variables),
 //! * [`gc`] — committed-command garbage collection via executed watermarks,
@@ -49,13 +50,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod executor;
 pub mod gc;
 pub mod info;
 pub mod messages;
 pub mod promises;
 pub mod protocol;
+pub mod stability;
 pub mod wire;
 pub mod wire_fixture;
 

@@ -20,12 +20,12 @@
 //! that emitted it has returned — so a handler's view of `self` is never changed under
 //! it by another handler.
 
-use crate::clock::Clock;
 use crate::executor::{ExecutionInfo, TempoExecutor};
 use crate::gc::GcTracker;
 use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, PromiseBundle, Quorums, RecPhase};
-use crate::promises::{PromiseRange, PromiseTracker};
+use crate::promises::PromiseRange;
+use crate::stability::{Report, Stability};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tempo_kernel::command::{Command, Key};
@@ -130,11 +130,13 @@ pub struct Tempo {
     /// Processes of this shard, in identifier order (defines ballot ranks). Shared so
     /// that shard-wide sends cost a reference bump, not a `Vec` clone per call.
     shard_peers: Arc<[ProcessId]>,
+    /// `shard_peers` other than this process: the targets of shard-wide reports.
+    other_peers: Vec<ProcessId>,
     /// This process's rank within the shard, in `1..=n`.
     rank: u64,
     dot_gen: DotGen,
-    clock: Clock,
-    promises: PromiseTracker,
+    /// The clock, the promises and the line-47 commit gate.
+    stability: Stability,
     info: BTreeMap<Dot, CommandInfo>,
     /// Dots not yet committed at this process (for the periodic liveness scan).
     pending: BTreeSet<Dot>,
@@ -142,14 +144,6 @@ pub struct Tempo {
     executor: TempoExecutor,
     /// Committed-command GC: executed watermarks of this process and its shard peers.
     gc: GcTracker,
-    /// Timestamps this process attached to commands that are not yet executed at every
-    /// shard peer, as `(timestamp, dot)` (with the inverse map for pruning). The safe
-    /// promise frontier broadcast in `MPromises` stays below the smallest of them.
-    attached_pending: BTreeSet<(u64, Dot)>,
-    /// Inverse of `attached_pending`, for O(log n) pruning when a dot is collected.
-    attached_ts: BTreeMap<Dot, u64>,
-    /// The highest safe promise frontier already broadcast (to skip no-news sends).
-    last_frontier_sent: u64,
     /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
     /// `Schedule`, so a burst of bumps must arm it once).
     flush_armed: bool,
@@ -173,8 +167,6 @@ pub struct Tempo {
     /// the process makes no timestamp proposals, because its clock restarted at zero and
     /// a proposal below a previous incarnation's promises would break Theorem 1.
     joined: bool,
-    /// 1-based restart count of this process (0 = never restarted).
-    incarnation: u64,
     /// Shard peers that answered the current `MRejoin` handshake.
     rejoin_acks: BTreeSet<ProcessId>,
     /// The durable backing store, when this replica persists its state (see
@@ -188,11 +180,6 @@ pub struct Tempo {
     persisted_dot_floor: u64,
     /// The store's append count as of the last snapshot (snapshot pacing).
     appends_at_snapshot: u64,
-    /// Whether this instance was restored from a non-empty store. Like a restarted
-    /// incarnation, a restored one never *claims* promise ranges: its own pre-crash
-    /// attached proposals are not individually logged, so any prefix claim could cover
-    /// a still-gated attachment at a peer (DESIGN.md §5).
-    recovered: bool,
     /// Set between the completion of the rejoin handshake and the installation of a
     /// peer's `MState`: execution (and thus read service) stays gated so the replica
     /// cannot answer reads from a store missing the commands it slept through.
@@ -240,7 +227,7 @@ impl Tempo {
             .position(|p| *p == process)
             .expect("process must belong to its shard") as u64
             + 1;
-        let promises = PromiseTracker::new(&shard_peers, config.stability_index());
+        let stability = Stability::new(process, &shard_peers, config.stability_index());
         let gc = GcTracker::new(process, &shard_peers);
         let view = View::trivial(config, process);
         Self {
@@ -250,18 +237,19 @@ impl Tempo {
             options,
             view,
             membership,
+            other_peers: shard_peers
+                .iter()
+                .copied()
+                .filter(|p| *p != process)
+                .collect(),
             shard_peers,
             rank,
             dot_gen: DotGen::new(process),
-            clock: Clock::new(),
-            promises,
+            stability,
             info: BTreeMap::new(),
             pending: BTreeSet::new(),
             executor: TempoExecutor::new(process, shard, config),
             gc,
-            attached_pending: BTreeSet::new(),
-            attached_ts: BTreeMap::new(),
-            last_frontier_sent: 0,
             flush_armed: false,
             exec_skipped: 0,
             last_exec_progress_us: 0,
@@ -270,13 +258,11 @@ impl Tempo {
             metrics: ProtocolMetrics::default(),
             suspected: BTreeSet::new(),
             joined: true,
-            incarnation: 0,
             rejoin_acks: BTreeSet::new(),
             store: None,
             persisted_clock: 0,
             persisted_dot_floor: 0,
             appends_at_snapshot: 0,
-            recovered: false,
             awaiting_state: false,
             exec_gaps: BTreeSet::new(),
             hole_suspects: BTreeMap::new(),
@@ -313,12 +299,12 @@ impl Tempo {
 
     /// Current clock value (exposed for tests and diagnostics).
     pub fn clock_value(&self) -> u64 {
-        self.clock.value()
+        self.stability.clock()
     }
 
     /// The highest stable timestamp at this process (Theorem 1).
     pub fn stable_timestamp(&self) -> u64 {
-        self.promises.stable_timestamp()
+        self.stability.stable_timestamp()
     }
 
     /// The phase of a command at this process, if known.
@@ -358,13 +344,9 @@ impl Tempo {
 
     /// The committed (final) timestamp of a command at this process, if committed.
     pub fn committed_timestamp(&self, dot: Dot) -> Option<u64> {
-        self.info.get(&dot).and_then(|i| {
-            if i.phase.is_committed_or_executed() {
-                Some(i.final_ts)
-            } else {
-                None
-            }
-        })
+        let info = self.info.get(&dot);
+        info.filter(|i| i.phase.is_committed_or_executed())
+            .map(|i| i.final_ts)
     }
 
     /// Marks a process as suspected of having failed; the lowest non-suspected process of
@@ -397,10 +379,7 @@ impl Tempo {
     // ---------------------------------------------------------------- helpers
 
     fn info_mut(&mut self, dot: Dot, now_us: u64) -> &mut CommandInfo {
-        self.info.entry(dot).or_insert_with(|| {
-            // A dot first seen now; it is not yet pending (pending requires the payload).
-            CommandInfo::new(now_us)
-        })
+        info_entry(&mut self.info, dot, now_us)
     }
 
     fn next_ballot(&self, current: u64) -> u64 {
@@ -412,71 +391,28 @@ impl Tempo {
         }
     }
 
-    /// Bumps the clock to `t`, registering the generated detached promises in the local
-    /// tracker immediately (broadcast happens later through `MPromises`).
+    /// Bumps the clock to `t` (see [`Stability::bump`]), keeping its durable floor ahead.
     fn clock_bump(&mut self, t: u64) {
-        let before = self.clock.value();
-        self.clock.bump(t);
-        let after = self.clock.value();
-        if after > before {
-            self.promises
-                .add(self.process, PromiseRange::new(before + 1, after));
+        if self.stability.bump(t) {
             self.wal_log_clock_floor();
         }
     }
 
-    /// Computes a timestamp proposal for `dot`, registering promises locally. Returns the
-    /// proposal and the detached range generated (if any), for piggybacking.
-    fn clock_proposal(&mut self, dot: Dot, min: u64, now_us: u64) -> (u64, Option<PromiseRange>) {
-        let before = self.clock.value();
-        let t = self.clock.proposal(dot, min);
-        let detached = if t > before + 1 {
-            Some(PromiseRange::new(before + 1, t - 1))
-        } else {
-            None
-        };
-        if let Some(range) = detached {
-            self.promises.add(self.process, range);
-        }
-        // The attached promise ⟨self, t⟩ only enters the tracker once the command commits
-        // locally (Algorithm 2, line 47). It also pins the safe promise frontier below
-        // `t` until the command is executed at every shard peer.
-        if self.attached_ts.insert(dot, t).is_none() {
-            // Proposals come off a strictly increasing clock, so no two dots ever share
-            // an attached timestamp (timestamp uniqueness, Property 1's premise).
-            debug_assert!(
-                self.attached_pending.last().is_none_or(|(ts, _)| *ts < t),
-                "timestamp {t} attached to a second dot"
-            );
-            self.attached_pending.insert((t, dot));
-        }
-        let process = self.process;
-        self.info_mut(dot, now_us)
-            .buffered_attached
-            .push((process, t));
-        self.wal_log_clock_floor();
-        (t, detached)
-    }
-
-    /// The safe promise frontier: every timestamp up to it is promised by this process,
-    /// and every attached one among them belongs to a command executed at every shard
-    /// peer. Broadcast in `MPromises` so that receivers can absorb the whole prefix —
-    /// promise dissemination stays correct even when individual deltas are lost.
-    ///
-    /// A restarted (or store-restored) incarnation claims nothing (frontier 0, ever):
-    /// it cannot enumerate the previous incarnation's still-in-flight attached
-    /// proposals — those are not individually logged — so any prefix claim could cover
-    /// a gated attachment and let a *healthy* replica's stability pass a command that
-    /// has not committed there (see DESIGN.md §5). Its prefix at the peers simply
-    /// stalls; stability proceeds through the other replicas.
-    fn promise_frontier(&self) -> u64 {
-        if self.incarnation > 0 || self.recovered {
-            return 0;
-        }
-        match self.attached_pending.first() {
-            Some((ts, _)) => self.clock.value().min(ts.saturating_sub(1)),
-            None => self.clock.value(),
-        }
+    /// Feeds a peer's promises through the commit gate ([`Stability::absorb`]). A
+    /// collected dot counts as committed (gating would resurrect its `CommandInfo` as a
+    /// zombie); any other uncommitted dot gets one, and `gated` hears of it.
+    fn absorb(&mut self, report: Report, now_us: u64, mut gated: impl FnMut(Dot)) {
+        let (info, gc) = (&mut self.info, &self.gc);
+        self.stability.absorb(report, |dot| {
+            let committed = gc.is_collected(dot)
+                || info_entry(info, dot, now_us)
+                    .phase
+                    .is_committed_or_executed();
+            if !committed {
+                gated(dot);
+            }
+            committed
+        });
     }
 
     fn all_replicas_of(&self, cmd: &Command) -> Vec<ProcessId> {
@@ -550,7 +486,7 @@ impl Tempo {
         if self.store.is_none() {
             return;
         }
-        let clock = self.clock.value();
+        let clock = self.stability.clock();
         if clock > self.persisted_clock {
             let floor = clock + CLOCK_FLOOR_CHUNK;
             self.wal_append(WalRecord::ClockFloor(floor));
@@ -589,7 +525,7 @@ impl Tempo {
         let empty = snapshot.is_none() && wal.is_empty();
         let replayed_wal = !wal.is_empty();
         if let Some(snap) = snapshot {
-            self.clock.bump(snap.clock);
+            self.stability.restore(snap.clock);
             self.dot_gen.skip_to(snap.next_dot_seq);
             self.executor.restore(
                 snap.stable,
@@ -616,7 +552,7 @@ impl Tempo {
         }
         for record in wal {
             match record {
-                WalRecord::ClockFloor(floor) => self.clock.bump(floor),
+                WalRecord::ClockFloor(floor) => self.stability.restore(floor),
                 WalRecord::DotFloor(floor) => self.dot_gen.skip_to(floor),
                 WalRecord::Ballot { dot, bal } => {
                     let info = self.info_mut(dot, 0);
@@ -645,16 +581,14 @@ impl Tempo {
                 }
             }
         }
-        // The floor bumps above buffered promises over the previous life's range; a
-        // recovered instance never claims them (see `promise_frontier`).
-        let _ = self.clock.take_detached();
-        let _ = self.clock.take_attached();
-        self.persisted_clock = self.clock.value();
+        self.persisted_clock = self.stability.clock();
         self.persisted_dot_floor = self.dot_gen.generated();
         if let Some(store) = &self.store {
             self.appends_at_snapshot = store.metrics().wal_appends;
         }
-        self.recovered = !empty;
+        if !empty {
+            self.stability.claim_nothing();
+        }
         if replayed_wal {
             // Fold the replayed suffix into a fresh snapshot immediately: append-count
             // pacing restarts at zero with each incarnation, so a crash-looping
@@ -677,7 +611,7 @@ impl Tempo {
         }
         self.pending.remove(&dot);
         self.metrics.committed += 1;
-        self.clock.bump(final_ts);
+        self.stability.restore(final_ts);
         if (final_ts, dot) <= self.executor.exec_floor() {
             // Defensive: already inside the restored image (cannot happen for records
             // the cut-point argument admits, but a replayed log must never double-apply).
@@ -708,9 +642,22 @@ impl Tempo {
                 .get_mut(&dot)
                 .expect("executed commands have info");
             info.phase = Phase::Execute;
-            info.buffered_attached.clear();
             self.gc.record_executed(dot);
         }
+    }
+
+    /// The executor's committed-but-unexecuted queue, as snapshots and `MState` carry it.
+    fn queued_commits(&self) -> Vec<QueuedCommit> {
+        self.executor
+            .queued_entries()
+            .into_iter()
+            .map(|(dot, ts, cmd, waits)| QueuedCommit {
+                dot,
+                ts,
+                cmd,
+                waits,
+            })
+            .collect()
     }
 
     /// Builds the durable snapshot of the current state (see [`Snapshot`] for what must
@@ -718,24 +665,14 @@ impl Tempo {
     fn build_snapshot(&self) -> Snapshot {
         let (floor_ts, floor_dot) = self.executor.exec_floor();
         Snapshot {
-            clock: self.clock.value(),
+            clock: self.stability.clock(),
             stable: self.last_stable_fed,
             floor_ts,
             floor_dot,
             next_dot_seq: self.dot_gen.generated(),
             executed_count: self.executor.executed(),
             kv: self.executor.kv_entries(),
-            queued: self
-                .executor
-                .queued_entries()
-                .into_iter()
-                .map(|(dot, ts, cmd, waits)| QueuedCommit {
-                    dot,
-                    ts,
-                    cmd,
-                    waits,
-                })
-                .collect(),
+            queued: self.queued_commits(),
             accepts: self
                 .info
                 .iter()
@@ -776,7 +713,7 @@ impl Tempo {
         self.appends_at_snapshot = store.metrics().wal_appends;
         // The snapshot carries the exact clock and dot position; the next floor
         // chunks start there.
-        self.persisted_clock = self.clock.value();
+        self.persisted_clock = self.stability.clock();
         self.persisted_dot_floor = self.dot_gen.generated();
     }
 
@@ -787,10 +724,10 @@ impl Tempo {
     /// transfer forever.
     fn send_state_request(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
         let live: Vec<ProcessId> = self
-            .shard_peers
+            .other_peers
             .iter()
             .copied()
-            .filter(|p| *p != self.process && !self.suspected.contains(p))
+            .filter(|p| !self.suspected.contains(p))
             .collect();
         if live.is_empty() {
             if self.exec_gaps.is_empty() {
@@ -821,17 +758,7 @@ impl Tempo {
             floor_dot,
             kv: self.executor.kv_entries(),
             watermarks: self.gc.executed_frontier(),
-            queued: self
-                .executor
-                .queued_entries()
-                .into_iter()
-                .map(|(dot, ts, cmd, waits)| QueuedCommit {
-                    dot,
-                    ts,
-                    cmd,
-                    waits,
-                })
-                .collect(),
+            queued: self.queued_commits(),
         };
         out.push(Action::send_one(from, msg));
     }
@@ -859,11 +786,7 @@ impl Tempo {
                 // Queued commits covered by the transferred image: their effects are
                 // present without the local executor applying them.
                 let info = self.info.get_mut(dot).expect("queued commands have info");
-                info.phase = Phase::Execute;
-                info.proposal_detached.clear();
-                info.proposals.clear();
-                info.rec_acks.clear();
-                info.buffered_attached.clear();
+                info.mark_executed();
                 self.exec_skipped += 1;
                 self.gc.record_executed(*dot);
             }
@@ -975,7 +898,7 @@ impl Tempo {
         // shard. The proposal is Clock + 1; the clock itself is bumped when this process
         // handles its own MPropose (it belongs to the fast quorum).
         debug_assert!(cmd.accesses(self.shard));
-        let t = self.clock.value() + 1;
+        let t = self.stability.clock() + 1;
         let fast_quorum = quorums
             .get(&self.shard)
             .cloned()
@@ -1060,7 +983,8 @@ impl Tempo {
         }
         self.info_mut(dot, now_us).phase = Phase::Propose;
         self.pending.insert(dot);
-        let (proposal, detached) = self.clock_proposal(dot, ts, now_us);
+        let (proposal, detached) = self.stability.propose(dot, ts);
+        self.wal_log_clock_floor();
         self.info_mut(dot, now_us).ts = proposal;
         let ack = Message::MProposeAck {
             dot,
@@ -1117,25 +1041,21 @@ impl Tempo {
             return;
         }
         // All fast-quorum processes replied: compute the timestamp and pick a path.
-        let (cmd, proposal_values, attached, proposal_detached, my_ballot) = {
+        let (cmd, attached, proposal_detached, my_ballot) = {
             let info = self.info.get(&dot).expect("info exists");
-            let values: Vec<u64> = fast_quorum
-                .iter()
-                .map(|q| *info.proposals.get(q).expect("proposal present"))
-                .collect();
             let attached: Vec<(ProcessId, u64)> = fast_quorum
                 .iter()
                 .map(|q| (*q, *info.proposals.get(q).expect("proposal present")))
                 .collect();
             (
                 info.cmd.clone().expect("coordinator knows the payload"),
-                values,
                 attached,
                 info.proposal_detached.clone(),
                 self.rank,
             )
         };
-        let (t, count) = max_and_count(proposal_values.iter().copied()).expect("quorum not empty");
+        let proposals = attached.iter().map(|(_, ts)| *ts);
+        let (t, count) = max_and_count(proposals).expect("quorum not empty");
         let fast_path_ok = if all_equal {
             count == fast_quorum.len()
         } else {
@@ -1183,7 +1103,7 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        self.absorb_bundle(dot, promises, now_us);
+        self.absorb(Report::Bundle(dot, promises), now_us, |_| {});
         let info = self.info_mut(dot, now_us);
         if info.phase == Phase::Execute {
             return;
@@ -1218,7 +1138,7 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let (buffered, cmd, recovered) = {
+        let (cmd, recovered) = {
             let info = self.info.get_mut(&dot).expect("info exists");
             if info.phase.is_committed_or_executed() {
                 return;
@@ -1226,7 +1146,6 @@ impl Tempo {
             info.final_ts = final_ts;
             info.phase = Phase::Commit;
             (
-                std::mem::take(&mut info.buffered_attached),
                 info.cmd.clone().expect("committed commands have a payload"),
                 info.recovering,
             )
@@ -1243,9 +1162,7 @@ impl Tempo {
                 .process_event(now_us, self.process, ProcEvent::RecoveryCompleted);
         }
         // Attached promises for this command may now enter the tracker (line 47).
-        for (process, ts) in buffered {
-            self.promises.add_single(process, ts);
-        }
+        self.stability.commit(dot);
         // Generate detached promises up to the committed timestamp (line 25/59); this is
         // what lets stability reach `final_ts` even when it exceeds this shard's clocks.
         self.clock_bump(final_ts);
@@ -1284,10 +1201,7 @@ impl Tempo {
                 }
             }
             let info = self.info.get_mut(&dot).expect("info exists");
-            info.phase = Phase::Execute;
-            info.proposal_detached.clear();
-            info.proposals.clear();
-            info.rec_acks.clear();
+            info.mark_executed();
             if !gapped {
                 self.gc.record_executed(dot);
                 self.gc_collect();
@@ -1441,28 +1355,6 @@ impl Tempo {
 
     // --------------------------------------------------------------- execution
 
-    fn absorb_bundle(&mut self, dot: Dot, bundle: PromiseBundle, now_us: u64) {
-        for (process, range) in bundle.detached {
-            self.promises.add(process, range);
-        }
-        if bundle.attached.is_empty() {
-            return;
-        }
-        let committed = self
-            .info
-            .get(&dot)
-            .map(|i| i.phase.is_committed_or_executed())
-            .unwrap_or(false);
-        if committed {
-            for (process, ts) in bundle.attached {
-                self.promises.add_single(process, ts);
-            }
-        } else {
-            let info = self.info_mut(dot, now_us);
-            info.buffered_attached.extend(bundle.attached);
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn handle_promises(
         &mut self,
@@ -1477,34 +1369,10 @@ impl Tempo {
         self.gc.update_peer(from, &executed);
         self.note_commit_holes(&executed, now_us);
         self.gc_collect();
-        // Absorb the sender's safe frontier wholesale: it heals any gap left by an
-        // earlier lost delta (every attached promise below it is committed — indeed
-        // executed — at this process, so the line-47 gate is already satisfied).
-        if frontier >= 1 {
-            self.promises.add(from, PromiseRange::new(1, frontier));
-        }
-        for range in detached {
-            self.promises.add(from, range);
-        }
-        for (dot, ts) in attached {
-            // A garbage-collected dot is committed (and executed) everywhere, so its
-            // attached promises go straight into the tracker (Algorithm 2, line 47) —
-            // buffering them would resurrect the dropped `CommandInfo` as a zombie, and
-            // discarding them would leave a permanent gap in `from`'s promise prefix.
-            let committed = self.gc.is_collected(dot)
-                || self
-                    .info
-                    .get(&dot)
-                    .map(|i| i.phase.is_committed_or_executed())
-                    .unwrap_or(false);
-            if committed {
-                self.promises.add_single(from, ts);
-            } else {
-                self.info_mut(dot, now_us)
-                    .buffered_attached
-                    .push((from, ts));
-            }
-        }
+        // The sender's safe frontier is absorbed wholesale: it heals any gap left by an
+        // earlier lost delta (every attached promise below it is executed everywhere).
+        let report = Report::Promises(from, frontier, detached, attached);
+        self.absorb(report, now_us, |_| {});
         self.sync_stability(now_us, out);
     }
 
@@ -1568,7 +1436,7 @@ impl Tempo {
                 <= self.last_stable_fed.max(self.executor.exec_floor().0),
             "the executor's stable watermark is ahead of what it was fed"
         );
-        let stable = self.promises.stable_timestamp();
+        let stable = self.stability.stable_timestamp();
         if stable <= self.last_stable_fed {
             return;
         }
@@ -1615,14 +1483,7 @@ impl Tempo {
                 .info
                 .get_mut(&dot)
                 .expect("executed commands have info");
-            info.phase = Phase::Execute;
-            // Shrink transient state; the payload is kept so that this process can keep
-            // answering MCommitRequest/MRec for the command (Appendix B liveness) —
-            // until the executed-watermark GC proves no such message can arrive anymore.
-            info.proposal_detached.clear();
-            info.proposals.clear();
-            info.rec_acks.clear();
-            info.buffered_attached.clear();
+            info.mark_executed();
             // In this implementation a command executes the instant it becomes stable
             // (same dispatch step), so `Stable` and the driver-emitted `Executed` carry
             // the same timestamp; the stable→execute interval measures queueing only in
@@ -1650,11 +1511,7 @@ impl Tempo {
                 if self.info.remove(&dot).is_some() {
                     self.metrics.gc_collected += 1;
                 }
-                // The dot executed at every shard peer: its attached timestamp no
-                // longer pins the safe promise frontier.
-                if let Some(ts) = self.attached_ts.remove(&dot) {
-                    self.attached_pending.remove(&(ts, dot));
-                }
+                self.stability.forget(dot);
                 self.executor.gc(dot);
             }
         }
@@ -1795,41 +1652,29 @@ impl Tempo {
             return;
         }
         self.last_repair_request_us = now_us;
-        let targets: Vec<ProcessId> = self
-            .shard_peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.process)
-            .collect();
-        if !targets.is_empty() {
+        if !self.other_peers.is_empty() {
+            let targets = self.other_peers.clone();
             out.push(Action::send(targets, Message::MPromiseRequest));
         }
     }
 
     fn handle_promise_request(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
-        if !self.joined || self.incarnation > 0 || self.recovered {
-            // A restarted (or store-restored) incarnation cannot enumerate its
-            // previous life's in-flight attached proposals, so it must not claim
-            // `[1, clock]` — see `promise_frontier` and DESIGN.md §5. The requester's
-            // repair comes from the other peers.
+        // A rejoining, restarted or restored incarnation sends no repair (see
+        // `Stability::claim_nothing`); the requester's comes from the other peers.
+        if !self.joined {
             return;
         }
-        let repair = Message::MPromiseRepair {
-            clock: self.clock.value(),
-            pending: self.attached_pending.iter().copied().collect(),
-        };
-        out.push(Action::send_one(from, repair));
+        if let Some((clock, pending)) = self.stability.repair_report() {
+            let repair = Message::MPromiseRepair { clock, pending };
+            out.push(Action::send_one(from, repair));
+        }
     }
 
-    /// Absorbs a peer's complete promise state: everything in `[1, clock]` except the
-    /// listed pending attachments, which stay behind the commit gate (Algorithm 2,
-    /// line 47) exactly like attached promises arriving in `MPromises`. For an
-    /// attachment whose command this process does not even know committed, the dot id
-    /// in the repair is itself the cure: ask the sender for the outcome
-    /// (`MCommitRequest`) — the command may have committed at a quorum that excludes
-    /// this process, with both its payload and its commit lost to the network, in which
-    /// case nobody would ever retransmit it (the coordinator only re-sends payloads of
-    /// commands still pending *there*).
+    /// Absorbs a peer's complete promise state (`Report::Repair`). For a gated attachment
+    /// the dot id is itself the cure: ask the sender for the outcome (`MCommitRequest`) —
+    /// the command may have committed at a quorum that excludes this process, with its
+    /// payload and commit both lost, and then nobody would ever retransmit it (the
+    /// coordinator only re-sends payloads of commands still pending *there*).
     fn handle_promise_repair(
         &mut self,
         from: ProcessId,
@@ -1838,34 +1683,9 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let mut next = 1u64;
-        for (ts, dot) in pending {
-            if ts > clock {
-                break; // Pending proposals above the clock cannot exist.
-            }
-            if ts > next {
-                self.promises.add(from, PromiseRange::new(next, ts - 1));
-            }
-            let committed = self.gc.is_collected(dot)
-                || self
-                    .info
-                    .get(&dot)
-                    .map(|i| i.phase.is_committed_or_executed())
-                    .unwrap_or(false);
-            if committed {
-                self.promises.add_single(from, ts);
-            } else {
-                let info = self.info_mut(dot, now_us);
-                if !info.buffered_attached.contains(&(from, ts)) {
-                    info.buffered_attached.push((from, ts));
-                }
-                out.push(Action::send_one(from, Message::MCommitRequest { dot }));
-            }
-            next = next.max(ts + 1);
-        }
-        if next <= clock {
-            self.promises.add(from, PromiseRange::new(next, clock));
-        }
+        self.absorb(Report::Repair(from, clock, pending), now_us, |dot| {
+            out.push(Action::send_one(from, Message::MCommitRequest { dot }));
+        });
         self.sync_stability(now_us, out);
     }
 
@@ -1915,15 +1735,7 @@ impl Tempo {
         }
         if committed {
             // Liveness: share the outcome with the would-be coordinator.
-            let info = self.info.get(&dot).expect("info exists");
-            if let Some(cmd) = info.cmd.clone() {
-                let msg = Message::MCommitInfo {
-                    dot,
-                    cmd,
-                    ts: info.final_ts,
-                };
-                out.push(Action::send_one(from, msg));
-            }
+            self.handle_commit_request(from, dot, out);
             return;
         }
         let nack = {
@@ -1940,12 +1752,7 @@ impl Tempo {
             return;
         }
         // Cannot participate without the payload (the phase would still be `start`).
-        let has_payload = self
-            .info
-            .get(&dot)
-            .map(|i| i.has_payload())
-            .unwrap_or(false);
-        if !has_payload {
+        if !self.info.get(&dot).is_some_and(CommandInfo::has_payload) {
             return;
         }
         let needs_proposal = {
@@ -1964,7 +1771,8 @@ impl Tempo {
             }
         };
         if needs_proposal {
-            let (t, _) = self.clock_proposal(dot, 0, now_us);
+            let (t, _) = self.stability.propose(dot, 0);
+            self.wal_log_clock_floor();
             let info = self.info.get_mut(&dot).expect("info exists");
             info.ts = t;
             info.phase = Phase::RecoverR;
@@ -2094,22 +1902,14 @@ impl Tempo {
     }
 
     fn handle_commit_request(&mut self, from: ProcessId, dot: Dot, out: &mut Vec<Action<Message>>) {
-        let reply = {
-            let info = match self.info.get(&dot) {
-                Some(info) => info,
-                None => return,
-            };
-            if !info.phase.is_committed_or_executed() {
-                return;
-            }
-            info.cmd.clone().map(|cmd| Message::MCommitInfo {
-                dot,
-                cmd,
-                ts: info.final_ts,
-            })
+        let Some(ts) = self.committed_timestamp(dot) else {
+            return;
         };
-        if let Some(msg) = reply {
-            out.push(Action::send_one(from, msg));
+        if let Some(cmd) = self.info[&dot].cmd.clone() {
+            out.push(Action::send_one(
+                from,
+                Message::MCommitInfo { dot, cmd, ts },
+            ));
         }
     }
 
@@ -2144,39 +1944,22 @@ impl Tempo {
     /// (accounted in `gc_messages`) ships the final window — GC liveness must not depend
     /// on continuous traffic. Called by the periodic tick and by the burst-edge flush.
     fn broadcast_promises(&mut self, out: &mut Vec<Action<Message>>) {
-        let promises_pending = self.clock.has_pending_promises();
-        let frontier = self.promise_frontier();
         // Mid-rejoin nothing may be broadcast: the buffers hold floor bumps over the
         // previous incarnation's range (see `handle_rejoin_ack`).
-        if !self.joined
-            || !(promises_pending
-                || self.gc.frontier_changed()
-                || frontier > self.last_frontier_sent)
-        {
+        if !self.joined {
             return;
         }
-        let detached = self.clock.take_detached();
-        let attached = self.clock.take_attached();
-        let targets: Vec<ProcessId> = self
-            .shard_peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.process)
-            .collect();
-        if targets.is_empty() {
+        let news = self.gc.frontier_changed();
+        let Some((detached, attached, frontier)) = self.stability.take_outgoing(news) else {
+            return;
+        };
+        if self.other_peers.is_empty() {
             return;
         }
         let executed = self.gc.executed_frontier();
         self.gc.record_broadcast(&executed);
-        // Attachments land above the clock they were drawn from, so the claimed prefix
-        // only grows (per-process promise monotonicity).
-        debug_assert!(
-            frontier >= self.last_frontier_sent,
-            "promise frontier regressed"
-        );
-        self.last_frontier_sent = frontier;
-        if !promises_pending {
-            self.metrics.gc_messages += targets.len() as u64;
+        if detached.is_empty() && attached.is_empty() {
+            self.metrics.gc_messages += self.other_peers.len() as u64;
         }
         let msg = Message::MPromises {
             detached,
@@ -2184,7 +1967,7 @@ impl Tempo {
             executed,
             frontier,
         };
-        out.push(Action::send(targets, msg));
+        out.push(Action::send(self.other_peers.clone(), msg));
     }
 
     /// Arms the one-shot flush if this step left detached promises in the clock's buffer
@@ -2192,7 +1975,7 @@ impl Tempo {
     /// no flush is outstanding. Attached promises do not arm it: they already reach every
     /// replica in the command's `MCommit` bundle.
     fn arm_flush(&mut self, out: &mut Vec<Action<Message>>) {
-        if self.joined && !self.flush_armed && self.clock.has_detached() {
+        if self.joined && !self.flush_armed && self.stability.has_unsent_detached() {
             self.flush_armed = true;
             out.push(Action::schedule(TIMER_FLUSH, FLUSH_DELAY_US));
         }
@@ -2204,14 +1987,8 @@ impl Tempo {
     /// re-sent from the liveness timer while the handshake is incomplete so that message
     /// loss cannot leave the process unjoined forever).
     fn send_rejoin(&mut self, out: &mut Vec<Action<Message>>) {
-        let targets: Vec<ProcessId> = self
-            .shard_peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.process)
-            .collect();
-        if !targets.is_empty() {
-            out.push(Action::send(targets, Message::MRejoin));
+        if !self.other_peers.is_empty() {
+            out.push(Action::send(self.other_peers.clone(), Message::MRejoin));
         }
     }
 
@@ -2220,10 +1997,11 @@ impl Tempo {
             // A process that is itself mid-rejoin has nothing trustworthy to report.
             return;
         }
+        let (clock, your_highest, prefixes) = self.stability.rejoin_report(from);
         let ack = Message::MRejoinAck {
-            clock: self.clock.value(),
-            your_highest: self.promises.highest_promise(from),
-            prefixes: self.promises.prefixes(),
+            clock,
+            your_highest,
+            prefixes,
         };
         out.push(Action::send_one(from, ack));
     }
@@ -2244,13 +2022,13 @@ impl Tempo {
         // of this process used (as recorded by the peer) or (b) the peer's own clock. Over
         // a recovery quorum of replies, (b) guarantees new proposals land above any
         // stability watermark derivable when the handshake completes — see DESIGN.md §5.
-        self.clock_bump(clock.max(your_highest));
-        // Seed the promise tracker with the peers' contiguous prefixes so stability
-        // detection works again at this process (a prefix report is a promise witness).
-        for (process, prefix) in prefixes {
-            if prefix >= 1 {
-                self.promises.add(process, PromiseRange::new(1, prefix));
-            }
+        // The peer's contiguous prefixes seed the promise tracker so stability detection
+        // works again at this process (a prefix report is a promise witness).
+        if self
+            .stability
+            .absorb_rejoin(clock.max(your_highest), prefixes)
+        {
+            self.wal_log_clock_floor();
         }
         // This process plus the repliers form a recovery quorum: safe to participate.
         if self.rejoin_acks.len() + 1 >= self.config.recovery_quorum_size() {
@@ -2260,8 +2038,7 @@ impl Tempo {
             // still gated at the peers (DESIGN.md §5). The ranges stay registered in
             // the *local* tracker — this incarnation's own stability view — where the
             // exec-floor skip in `commit_with` already accounts for them.
-            let _ = self.clock.take_detached();
-            let _ = self.clock.take_attached();
+            self.stability.discard_outgoing();
             self.joined = true;
             if self.awaiting_state {
                 // Back-fill the applied state from a peer before serving anything.
@@ -2301,6 +2078,11 @@ impl Tempo {
             | Message::MState { .. } => None,
         }
     }
+}
+
+/// The `CommandInfo` of `dot`, created if first seen (at `now_us`; not yet pending).
+fn info_entry(info: &mut BTreeMap<Dot, CommandInfo>, dot: Dot, now_us: u64) -> &mut CommandInfo {
+    info.entry(dot).or_insert_with(|| CommandInfo::new(now_us))
 }
 
 impl Protocol for Tempo {
@@ -2457,7 +2239,9 @@ impl Protocol for Tempo {
     }
 
     fn rejoin(&mut self, incarnation: u64, _now_us: u64) -> Vec<Action<Message>> {
-        self.incarnation = incarnation;
+        if incarnation > 0 {
+            self.stability.claim_nothing();
+        }
         // Reserve a disjoint band of the dot sequence space per incarnation: a restarted
         // process must never reuse a dot of a previous life (the old dot may be executed
         // — or garbage collected — everywhere already).

@@ -20,9 +20,8 @@
 //! client sessions and supervisor control traffic are harness plumbing, just like the
 //! simulator's client bookkeeping sits outside its modelled network.
 
+use crate::delay::DelayHeap;
 use crate::transport::{RecvError, Transport, TransportStats, CLIENT_ID_BASE};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tempo_fault::{FaultEvent, FaultSummary, Nemesis, NemesisSchedule};
@@ -117,26 +116,6 @@ impl ChaosNet {
     }
 }
 
-/// A frame held back by a delay spike.
-#[derive(Debug, PartialEq, Eq)]
-struct Delayed {
-    due: Instant,
-    seq: u64,
-    from: ProcessId,
-    payload: Vec<u8>,
-}
-
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
 /// A [`Transport`] wrapper that injects the shared [`ChaosNet`] faults into the
 /// receive path (and suppresses sends from a replica the schedule has crashed but
 /// the supervisor has not yet killed — the window is tiny, but a dead process must
@@ -144,8 +123,8 @@ impl Ord for Delayed {
 pub struct ChaosTransport<T: Transport> {
     inner: T,
     net: std::sync::Arc<ChaosNet>,
-    delayed: BinaryHeap<Reverse<Delayed>>,
-    seq: u64,
+    /// Frames held back by a delay, reorder or duplicate draw.
+    delayed: DelayHeap,
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -154,19 +133,8 @@ impl<T: Transport> ChaosTransport<T> {
         Self {
             inner,
             net,
-            delayed: BinaryHeap::new(),
-            seq: 0,
+            delayed: DelayHeap::default(),
         }
-    }
-
-    fn pop_due(&mut self) -> Option<(ProcessId, Vec<u8>)> {
-        if let Some(Reverse(head)) = self.delayed.peek() {
-            if head.due <= Instant::now() {
-                let Reverse(head) = self.delayed.pop().expect("peeked");
-                return Some((head.from, head.payload));
-            }
-        }
-        None
     }
 }
 
@@ -190,68 +158,34 @@ impl<T: Transport> Transport for ChaosTransport<T> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProcessId, Vec<u8>), RecvError> {
         let local = self.inner.local_id();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.pop_due() {
-                return Ok(frame);
+        let net = &self.net;
+        let admit = |delayed: &mut DelayHeap, from, payload: Vec<u8>| {
+            if from >= CLIENT_ID_BASE || local >= CLIENT_ID_BASE {
+                return Some((from, payload)); // Harness traffic: never injected.
             }
-            let now = Instant::now();
-            let mut wait = deadline.saturating_duration_since(now);
-            if let Some(Reverse(head)) = self.delayed.peek() {
-                wait = wait.min(head.due.saturating_duration_since(now));
+            if !net.allows(from, local) {
+                return None; // Partitioned or lost to a lossy link (counted).
             }
-            match self.inner.recv_timeout(wait) {
-                Ok((from, payload)) => {
-                    if from >= CLIENT_ID_BASE || local >= CLIENT_ID_BASE {
-                        return Ok((from, payload)); // Harness traffic: never injected.
-                    }
-                    if !self.net.allows(from, local) {
-                        continue; // Partitioned or lost to a lossy link (counted).
-                    }
-                    // Delay spikes and slow-node gray faults stretch the frame; a
-                    // reorder draw additionally holds it back so later frames
-                    // overtake it (the link stops being FIFO).
-                    let mut extra = self.net.extra_delay_us(from, local);
-                    if let Some(hold) = self.net.reorder_delay_us(from, local) {
-                        extra += hold;
-                    }
-                    if self.net.should_duplicate(from, local) {
-                        // At-least-once links: park a copy that trails the original
-                        // through the same delay, exercising handler idempotence.
-                        self.seq += 1;
-                        self.delayed.push(Reverse(Delayed {
-                            due: Instant::now() + Duration::from_micros(extra + 1),
-                            seq: self.seq,
-                            from,
-                            payload: payload.clone(),
-                        }));
-                    }
-                    if extra > 0 {
-                        self.seq += 1;
-                        self.delayed.push(Reverse(Delayed {
-                            due: Instant::now() + Duration::from_micros(extra),
-                            seq: self.seq,
-                            from,
-                            payload,
-                        }));
-                        continue;
-                    }
-                    return Ok((from, payload));
-                }
-                Err(RecvError::Timeout) => {
-                    // A delayed frame may have come due while we waited; it must be
-                    // delivered, never discarded — a delay spike slows frames down,
-                    // it does not lose them.
-                    if let Some(frame) = self.pop_due() {
-                        return Ok(frame);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(RecvError::Timeout);
-                    }
-                }
-                Err(RecvError::Closed) => return Err(RecvError::Closed),
+            // Delay spikes and slow-node gray faults stretch the frame; a reorder draw
+            // additionally holds it back so later frames overtake it (the link stops
+            // being FIFO).
+            let mut extra = net.extra_delay_us(from, local);
+            if let Some(hold) = net.reorder_delay_us(from, local) {
+                extra += hold;
             }
-        }
+            if net.should_duplicate(from, local) {
+                // At-least-once links: park a copy that trails the original through
+                // the same delay, exercising handler idempotence.
+                let due = Instant::now() + Duration::from_micros(extra + 1);
+                delayed.park(due, from, payload.clone());
+            }
+            if extra > 0 {
+                delayed.park(Instant::now() + Duration::from_micros(extra), from, payload);
+                return None;
+            }
+            Some((from, payload))
+        };
+        self.delayed.recv_timeout(&mut self.inner, timeout, admit)
     }
 
     fn stats(&self) -> TransportStats {

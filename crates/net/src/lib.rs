@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+mod delay;
 pub mod planet;
 pub mod tcp;
 pub mod transport;

@@ -6,8 +6,8 @@
 //! injects the *same* matrix under real threads so that fig6/fig7-style measurements
 //! run on the actual networked stack across emulated regions.
 //!
-//! Mechanics mirror [`ChaosTransport`](crate::chaos::ChaosTransport): the shim sits
-//! on the *receive path* and parks every arriving frame in a delay heap until its
+//! Mechanics are [`ChaosTransport`](crate::chaos::ChaosTransport)'s: the shim sits on
+//! the *receive path* and parks every arriving frame in the same delay heap until its
 //! one-way latency (sender site → receiver site) has elapsed since arrival. Loopback
 //! transit is microseconds against emulated latencies of tens of milliseconds, so
 //! "delay from arrival" and "delay from send" are indistinguishable at the scale
@@ -22,9 +22,9 @@
 //!
 //! [`CONTROL_ID`]: crate::transport::CONTROL_ID
 
+use crate::delay::DelayHeap;
 use crate::transport::{RecvError, Transport, TransportStats};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tempo_kernel::id::{ProcessId, SiteId};
@@ -85,33 +85,13 @@ impl PlanetNet {
     }
 }
 
-/// A frame in flight across the emulated WAN.
-#[derive(Debug, PartialEq, Eq)]
-struct InFlight {
-    due: Instant,
-    seq: u64,
-    from: ProcessId,
-    payload: Vec<u8>,
-}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
 /// A [`Transport`] wrapper that holds every arriving frame back by the one-way
 /// latency between the sender's and receiver's sites.
 pub struct PlanetTransport<T: Transport> {
     inner: T,
     net: std::sync::Arc<PlanetNet>,
-    in_flight: BinaryHeap<Reverse<InFlight>>,
-    seq: u64,
+    /// Frames in flight across the emulated WAN.
+    in_flight: DelayHeap,
 }
 
 impl<T: Transport> PlanetTransport<T> {
@@ -120,19 +100,8 @@ impl<T: Transport> PlanetTransport<T> {
         Self {
             inner,
             net,
-            in_flight: BinaryHeap::new(),
-            seq: 0,
+            in_flight: DelayHeap::default(),
         }
-    }
-
-    fn pop_due(&mut self) -> Option<(ProcessId, Vec<u8>)> {
-        if let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.due <= Instant::now() {
-                let Reverse(head) = self.in_flight.pop().expect("peeked");
-                return Some((head.from, head.payload));
-            }
-        }
-        None
     }
 }
 
@@ -151,43 +120,17 @@ impl<T: Transport> Transport for PlanetTransport<T> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProcessId, Vec<u8>), RecvError> {
         let local = self.inner.local_id();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.pop_due() {
-                return Ok(frame);
+        let net = &self.net;
+        let admit = |in_flight: &mut DelayHeap, from, payload| {
+            let delay = net.delay_us(from, local);
+            if delay == 0 {
+                return Some((from, payload));
             }
-            let now = Instant::now();
-            let mut wait = deadline.saturating_duration_since(now);
-            if let Some(Reverse(head)) = self.in_flight.peek() {
-                wait = wait.min(head.due.saturating_duration_since(now));
-            }
-            match self.inner.recv_timeout(wait) {
-                Ok((from, payload)) => {
-                    let delay = self.net.delay_us(from, local);
-                    if delay == 0 {
-                        return Ok((from, payload));
-                    }
-                    self.seq += 1;
-                    self.in_flight.push(Reverse(InFlight {
-                        due: Instant::now() + Duration::from_micros(delay),
-                        seq: self.seq,
-                        from,
-                        payload,
-                    }));
-                }
-                Err(RecvError::Timeout) => {
-                    // An in-flight frame may have come due while we waited; geography
-                    // slows frames down, it never loses them.
-                    if let Some(frame) = self.pop_due() {
-                        return Ok(frame);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(RecvError::Timeout);
-                    }
-                }
-                Err(RecvError::Closed) => return Err(RecvError::Closed),
-            }
-        }
+            let due = Instant::now() + Duration::from_micros(delay);
+            in_flight.park(due, from, payload);
+            None
+        };
+        self.in_flight.recv_timeout(&mut self.inner, timeout, admit)
     }
 
     fn stats(&self) -> TransportStats {
