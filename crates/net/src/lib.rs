@@ -16,13 +16,13 @@
 //!   every frame at every byte offset.
 //! * [`transport`] — the [`Transport`] trait: per-peer *ordered* byte channels with
 //!   batched sends (frames queue locally until [`Transport::flush`], so a burst of
-//!   handled frames costs one write per peer, not one per message), flush coalescing
-//!   in the writer threads, and bounded writer queues for backpressure. [`tcp`]
-//!   implements it over std loopback TCP sockets: one listener per endpoint, per-peer
-//!   writer threads, reader threads feeding a single inbox one batch of frames per
-//!   `read`, and lazy reconnection through a
-//!   shared address book so a restarted process (fresh listener, fresh port) is
-//!   reachable again without any coordination.
+//!   handled frames costs one write per peer, not one per message), and the peers'
+//!   socket buffers as the only send queue, so a full one blocks the flush
+//!   (backpressure). [`tcp`] implements it over std loopback TCP sockets: one
+//!   listener per endpoint, flushes that write from the calling thread, reader threads
+//!   feeding a single inbox one batch of frames per `read`, and lazy reconnection
+//!   through a shared address book so a restarted process (fresh listener, fresh
+//!   port) is reachable again without any coordination.
 //! * [`planet`] — [`PlanetTransport`], a wrapper over any transport that injects the
 //!   `tempo-planet` one-way region latencies (Table 2) on the receive path, so that
 //!   load and latency measurements run on real sockets across *emulated* wide-area
@@ -35,7 +35,7 @@
 //!   wall-clock instants — same schedules, real concurrency.
 //!
 //! What dies with what (the crash model): a process crash drops its endpoint, which
-//! closes every socket — unread peer data, queued writer blobs and inbox backlog are
+//! closes every socket — unread peer data, unflushed sends and inbox backlog are
 //! all lost, like TCP connections dying with their process. Peers reconnect lazily via
 //! the address book once (if ever) the process returns. DESIGN.md §7 documents the
 //! full networking model, including where it is *weaker* than the sim's incarnation

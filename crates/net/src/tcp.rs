@@ -6,7 +6,7 @@
 //! endpoint binds its own listener on `127.0.0.1:0`, registers the assigned address,
 //! and from then on:
 //!
-//! * an **accept thread** polls the listener and spawns one **reader thread** per
+//! * an **accept thread** blocks in `accept` and spawns one **reader thread** per
 //!   inbound connection; the reader validates a hello (`b"TNET"` + sender id +
 //!   sender incarnation — a connection from an incarnation the book has replaced is
 //!   closed before any frame surfaces), then reads through one reused 64 KiB buffer:
@@ -17,45 +17,48 @@
 //!   queue). A malformed or checksum-failing frame closes the connection (it can only
 //!   mean corruption; the peer will reconnect): the frames before it in the batch are
 //!   delivered, none after it;
-//! * one **writer thread per peer** is created lazily on first send. It owns the
-//!   outbound connection, dials the peer's *current* address from the book when
-//!   disconnected (rate-limited), and writes whole batches. The queue between
-//!   [`Transport::flush`] and the writer is bounded — a full queue blocks the flusher,
-//!   which is the backpressure path.
+//! * the sending side has **no thread**: the endpoint owns one outbound connection per
+//!   peer, dialled on the first flush toward it, and [`Transport::flush`] writes to it
+//!   from the calling thread.
 //!
-//! # Batching and flush coalescing
+//! # Batching and backpressure
 //!
 //! [`Transport::send`] appends the frame to a per-peer buffer without any I/O or
-//! locking; [`Transport::flush`] moves each buffer to its writer as one blob, and the
-//! writer additionally drains everything queued before issuing a single
-//! `write_all` — so bursts collapse into few syscalls end to end. Constructing the
-//! endpoint with `batch = false` flushes on every send instead — no cluster runs
+//! locking; [`Transport::flush`] writes each buffer to its peer's socket as one blob —
+//! one `write` per peer per flush, however many frames the burst queued. Constructing
+//! the endpoint with `batch = false` writes on every send instead — no cluster runs
 //! that way; it is the reference of `tempo-perf`'s loopback frames/s layer rows.
+//!
+//! The socket buffers are the only queue. A write that finds a peer's full counts a
+//! [`TransportStats::flush_stalls`] and blocks the flushing thread until the peer's
+//! reader has drained some of it. Readers move everything they read into an unbounded
+//! inbox and never wait for their endpoint's owner, so the wait ends without help from
+//! the blocked thread, and no cycle of waits can pass through two endpoints.
 //!
 //! # Crash/restart behaviour
 //!
-//! Dropping an endpoint closes its listener and shuts down every accepted socket:
-//! peers' readers see EOF, their writers start failing and drop frames — exactly
-//! "connections die with their process". A restarted process obtains a *fresh*
-//! endpoint (new port, incremented *incarnation*) whose book entry replaces the old
-//! one. The send and write paths look the book up once per blob — a whole burst — not
-//! per frame. A peer's writer remembers which incarnation its open connection was
-//! dialed to: when the book has moved on it drops that connection and dials the new
-//! address at once (no back-off — the peer is known to be listening), so the first
-//! batch after a restart is not written into the dead socket. No frame is ever
-//! delivered twice, and no frame ever crosses incarnations: outbound blobs are
-//! stamped with the destination incarnation they were addressed to and dropped by
-//! the writer if the book has moved on ([`TransportStats::frames_dropped_stale`]),
-//! while inbound connections carrying a stale *sender* incarnation are refused at
-//! the hello — the same hygiene the simulator enforces with its incarnation tags.
+//! Dropping an endpoint closes its listener and its outbound connections and shuts
+//! down every accepted socket: peers' readers see EOF, their writes start failing and
+//! drop frames — exactly "connections die with their process". A restarted process
+//! obtains a *fresh* endpoint (new port, incremented *incarnation*) whose book entry
+//! replaces the old one. The send and flush paths look the book up once per blob — a
+//! whole burst — not per frame. Each peer's connection remembers which incarnation it
+//! was dialled to: when the book has moved on, the flush drops that connection and
+//! dials the new address at once (no back-off — the peer is known to be listening), so
+//! the first batch after a restart is not written into the dead socket. No frame is
+//! ever delivered twice, and no frame ever crosses incarnations: outbound blobs are
+//! stamped with the destination incarnation they were addressed to and dropped by the
+//! flush if the book has moved on ([`TransportStats::frames_dropped_stale`]), while
+//! inbound connections carrying a stale *sender* incarnation are refused at the hello
+//! — the same hygiene the simulator enforces with its incarnation tags.
 
 use crate::transport::{RecvError, Transport, TransportStats};
 use crate::wire::{DecodeError, MAX_FRAME_LEN};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,16 +80,8 @@ const FRAME_HEADER: usize = 8;
 const READ_BUF: usize = 64 << 10;
 
 /// Minimum wait between failed dial attempts to one peer (a crashed peer must not
-/// turn its writers into hot connect loops).
+/// turn every flush toward it into a connect).
 const DIAL_BACKOFF: Duration = Duration::from_millis(25);
-
-/// Bounded writer queue depth, in flush blobs. A flush against a full queue blocks
-/// (backpressure); 256 burst-sized blobs of slack absorb bursts without unbounded
-/// memory.
-const WRITER_QUEUE_BLOBS: usize = 256;
-
-/// Accept-loop poll interval (the listener is non-blocking so shutdown is prompt).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 #[derive(Debug, Default)]
 struct AtomicStats {
@@ -98,7 +93,6 @@ struct AtomicStats {
     frames_dropped_stale: AtomicU64,
     frames_corrupt: AtomicU64,
     flushes: AtomicU64,
-    queue_depth_peak: AtomicU64,
     flush_stalls: AtomicU64,
 }
 
@@ -113,7 +107,7 @@ impl AtomicStats {
             frames_dropped_stale: self.frames_dropped_stale.load(Ordering::Relaxed),
             frames_corrupt: self.frames_corrupt.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
+            queue_depth_peak: 0,
             flush_stalls: self.flush_stalls.load(Ordering::Relaxed),
         }
     }
@@ -177,7 +171,6 @@ impl TcpMesh {
     pub fn endpoint(&self, id: ProcessId, batch: bool) -> std::io::Result<TcpTransport> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let incarnation = self.book.register(id, addr);
 
         let stats = Arc::new(AtomicStats::default());
@@ -199,6 +192,7 @@ impl TcpMesh {
         Ok(TcpTransport {
             local: id,
             incarnation,
+            addr,
             book: Arc::clone(&self.book),
             inbox: inbox_rx,
             ready: VecDeque::new(),
@@ -212,6 +206,9 @@ impl TcpMesh {
     }
 }
 
+/// Accepts connections until the endpoint is dropped: `Drop` raises `stop` and then
+/// connects once itself, which ends the blocking `accept`. Any accept error ends the
+/// loop too.
 fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
@@ -220,26 +217,20 @@ fn accept_loop(
     stats: Arc<AtomicStats>,
     book: Arc<Book>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    accepted.lock().expect("accepted lock").push(clone);
-                }
-                let inbox = inbox.clone();
-                let stats = Arc::clone(&stats);
-                let book = Arc::clone(&book);
-                let _ = std::thread::Builder::new()
-                    .name("tnet-reader".to_string())
-                    .spawn(move || reader_loop(stream, inbox, stats, book));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
+        let _ = stream.set_nodelay(true);
+        if let Ok(clone) = stream.try_clone() {
+            accepted.lock().expect("accepted lock").push(clone);
+        }
+        let inbox = inbox.clone();
+        let stats = Arc::clone(&stats);
+        let book = Arc::clone(&book);
+        let _ = std::thread::Builder::new()
+            .name("tnet-reader".to_string())
+            .spawn(move || reader_loop(stream, inbox, stats, book));
     }
 }
 
@@ -350,110 +341,116 @@ fn reader_loop(
     }
 }
 
-/// One blob handed from `flush` to a peer writer: coalesced frame bytes, the frame
-/// count (for drop accounting when the peer is unreachable), and the incarnation of
-/// the destination these frames were addressed to (0 = unknown peer, deliver to
-/// whoever answers).
+/// The sending side's state for one peer: its connection and the frames sent since the
+/// last flush.
 #[derive(Debug, Default)]
-struct Blob {
-    bytes: Vec<u8>,
+struct Peer {
+    stream: Option<TcpStream>,
+    /// The incarnation of the peer that the last dial, successful or not, aimed at.
+    dialed: u64,
+    /// When the last dial toward the peer failed.
+    last_fail: Option<Instant>,
+    /// Frames sent and not yet flushed, framed; cleared, not reallocated, by a flush.
+    pending: Vec<u8>,
+    /// How many frames `pending` holds (for drop accounting).
     frames: u64,
+    /// The incarnation of the destination the pending frames were addressed to (0 =
+    /// unknown peer, deliver to whoever answers).
     incarnation: u64,
 }
 
-/// The sending side's state for one peer.
-struct Peer {
-    tx: SyncSender<Blob>,
-    /// Blobs handed to this peer's writer and not yet taken off the channel (the
-    /// per-peer queue-depth gauge feeding [`TransportStats::queue_depth_peak`]).
-    depth: Arc<AtomicU64>,
-    /// Frames sent and not yet flushed.
-    pending: Blob,
-}
-
-fn writer_loop(
-    local: ProcessId,
-    local_incarnation: u64,
-    to: ProcessId,
-    book: Arc<Book>,
-    rx: Receiver<Blob>,
-    stats: Arc<AtomicStats>,
-    depth: Arc<AtomicU64>,
-) {
-    let mut stream: Option<TcpStream> = None;
-    let mut last_fail: Option<Instant> = None;
-    // The incarnation of `to` that the last dial, successful or not, aimed at.
-    let mut dialed = 0;
-    let mut coalesced: Vec<u8> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        // Flush coalescing: everything queued since the last write goes in one syscall.
-        let mut blobs = vec![first];
-        blobs.extend(rx.try_iter());
-        depth.fetch_sub(blobs.len() as u64, Ordering::Relaxed);
+impl Peer {
+    /// Writes the pending frames to `to` — dialling it first when needed — or counts
+    /// them dropped, and leaves the buffer empty for the next burst.
+    fn flush(
+        &mut self,
+        to: ProcessId,
+        local: ProcessId,
+        local_incarnation: u64,
+        book: &Book,
+        stats: &AtomicStats,
+    ) {
+        let frames = std::mem::take(&mut self.frames);
         let target = book.lookup(to);
         if let Some(target) = target {
-            // Restart-reconnect hygiene: frames queued toward an incarnation the book
+            // Restart-reconnect hygiene: frames addressed to an incarnation the book
             // has since replaced must not deliver to its successor — drop them here,
             // exactly where the sim's nemesis counts crash drops.
-            blobs.retain(|blob| {
-                let stale = blob.incarnation != 0 && blob.incarnation != target.incarnation;
-                if stale {
-                    stats.count_dropped(blob.frames);
-                    stats
-                        .frames_dropped_stale
-                        .fetch_add(blob.frames, Ordering::Relaxed);
-                }
-                !stale
-            });
-            if blobs.is_empty() {
-                continue;
+            if self.incarnation != 0 && self.incarnation != target.incarnation {
+                stats.count_dropped(frames);
+                stats
+                    .frames_dropped_stale
+                    .fetch_add(frames, Ordering::Relaxed);
+                self.pending.clear();
+                return;
             }
             // The peer has re-registered since the last dial: an open connection
             // leads to its previous life, where a write would vanish without an
             // error, and a back-off concerns an address it has left. The new
             // incarnation is listening, so dial it now.
-            if dialed != target.incarnation {
-                stream = None;
-                last_fail = None;
+            if self.dialed != target.incarnation {
+                self.stream = None;
+                self.last_fail = None;
             }
         }
-        if stream.is_none() && last_fail.is_none_or(|at| at.elapsed() >= DIAL_BACKOFF) {
+        if self.stream.is_none() && self.last_fail.is_none_or(|at| at.elapsed() >= DIAL_BACKOFF) {
             if let Some(target) = target {
-                dialed = target.incarnation;
-                stream = dial(local, local_incarnation, target.addr);
+                self.dialed = target.incarnation;
+                self.stream = dial(local, local_incarnation, target.addr);
             }
-            if stream.is_none() {
-                last_fail = Some(Instant::now());
+            if self.stream.is_none() {
+                self.last_fail = Some(Instant::now());
             }
         }
-        let frames: u64 = blobs.iter().map(|blob| blob.frames).sum();
-        let Some(s) = &mut stream else {
-            stats.count_dropped(frames);
-            continue;
-        };
-        coalesced.clear();
-        for blob in &blobs {
-            coalesced.extend_from_slice(&blob.bytes);
+        match &mut self.stream {
+            Some(stream) => {
+                if write_blob(stream, &self.pending, stats).is_err() {
+                    // The connection died with the peer: these frames are lost, the
+                    // next flush re-dials (the peer may have restarted elsewhere).
+                    self.stream = None;
+                    stats.count_dropped(frames);
+                }
+            }
+            None => stats.count_dropped(frames),
         }
-        if s.write_all(&coalesced).is_err() {
-            // The connection died with the peer: these frames are lost, the next
-            // batch re-dials (the peer may have restarted elsewhere).
-            stream = None;
-            last_fail = Some(Instant::now());
-            stats.count_dropped(frames);
-        }
+        self.pending.clear();
     }
 }
 
+/// Writes all of `bytes` to a non-blocking `stream`. When the peer's socket buffer is
+/// full, counts one stall and finishes the write blocking.
+fn write_blob(
+    stream: &mut TcpStream,
+    mut bytes: &[u8],
+    stats: &AtomicStats,
+) -> std::io::Result<()> {
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                stats.flush_stalls.fetch_add(1, Ordering::Relaxed);
+                stream.set_nonblocking(false)?;
+                stream.write_all(bytes)?;
+                return stream.set_nonblocking(true);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Connects to `addr` and says hello; the stream comes back non-blocking, as
+/// [`write_blob`] expects.
 fn dial(local: ProcessId, local_incarnation: u64, addr: SocketAddr) -> Option<TcpStream> {
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(250)).ok()?;
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(250)).ok()?;
     let _ = stream.set_nodelay(true);
     let mut hello = Vec::with_capacity(HELLO_LEN);
     hello.extend_from_slice(HELLO_MAGIC);
     hello.extend_from_slice(&local.to_le_bytes());
     hello.extend_from_slice(&local_incarnation.to_le_bytes());
-    let mut stream = stream;
     stream.write_all(&hello).ok()?;
+    stream.set_nonblocking(true).ok()?;
     Some(stream)
 }
 
@@ -463,6 +460,8 @@ pub struct TcpTransport {
     /// Which life of `local` this endpoint is (1 on first registration, +1 per
     /// restart); carried in the hello of every outbound connection.
     incarnation: u64,
+    /// Where this endpoint listens.
+    addr: SocketAddr,
     book: Arc<Book>,
     inbox: Receiver<Batch>,
     /// The rest of the batch last taken off the inbox.
@@ -492,28 +491,6 @@ impl TcpTransport {
     }
 }
 
-/// Starts the writer thread toward `to` and returns the sending side's handle on it.
-fn spawn_writer(
-    local: ProcessId,
-    local_incarnation: u64,
-    to: ProcessId,
-    book: &Arc<Book>,
-    stats: &Arc<AtomicStats>,
-) -> Peer {
-    let (book, stats) = (Arc::clone(book), Arc::clone(stats));
-    let (tx, rx) = sync_channel::<Blob>(WRITER_QUEUE_BLOBS);
-    let depth = Arc::new(AtomicU64::new(0));
-    let writer_depth = Arc::clone(&depth);
-    let _ = std::thread::Builder::new()
-        .name(format!("tnet-writer-{local}-{to}"))
-        .spawn(move || writer_loop(local, local_incarnation, to, book, rx, stats, writer_depth));
-    Peer {
-        tx,
-        depth,
-        pending: Blob::default(),
-    }
-}
-
 impl Transport for TcpTransport {
     fn local_id(&self) -> ProcessId {
         self.local
@@ -524,21 +501,18 @@ impl Transport for TcpTransport {
             payload.len() <= MAX_FRAME_LEN,
             "frame exceeds MAX_FRAME_LEN"
         );
-        // The writer thread toward a peer is created lazily, on the first send.
-        let peer = self.peers.entry(to).or_insert_with(|| {
-            spawn_writer(self.local, self.incarnation, to, &self.book, &self.stats)
-        });
-        if peer.pending.frames == 0 {
+        let peer = self.peers.entry(to).or_default();
+        if peer.frames == 0 {
             // Stamp the blob with the destination's incarnation *now*: if the peer
-            // restarts between this send and the writer's dial, the frames belong to
-            // the dead incarnation and must be dropped, not delivered to its heir.
-            peer.pending.incarnation = self.book.lookup(to).map_or(0, |e| e.incarnation);
+            // restarts between this send and the flush, the frames belong to the dead
+            // incarnation and must be dropped, not delivered to its heir.
+            peer.incarnation = self.book.lookup(to).map_or(0, |e| e.incarnation);
         }
-        let buf = &mut peer.pending.bytes;
+        let buf = &mut peer.pending;
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&crc32(payload).to_le_bytes());
         buf.extend_from_slice(payload);
-        peer.pending.frames += 1;
+        peer.frames += 1;
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_sent
@@ -550,32 +524,10 @@ impl Transport for TcpTransport {
 
     fn flush(&mut self) {
         let mut flushed = false;
-        for peer in self.peers.values_mut() {
-            if peer.pending.frames == 0 {
-                continue;
-            }
-            flushed = true;
-            let blob = std::mem::take(&mut peer.pending);
-            let frames = blob.frames;
-            // Pre-account the blob in the depth gauge *before* it can reach the
-            // channel, so the writer's decrement never observes an unaccounted blob
-            // (the gauge would underflow). Undone below if the blob never queues.
-            let depth = peer.depth.fetch_add(1, Ordering::Relaxed) + 1;
-            self.stats
-                .queue_depth_peak
-                .fetch_max(depth, Ordering::Relaxed);
-            let queued = match peer.tx.try_send(blob) {
-                Ok(()) => true,
-                Err(TrySendError::Full(blob)) => {
-                    // Backpressure: wait for the writer to drain.
-                    self.stats.flush_stalls.fetch_add(1, Ordering::Relaxed);
-                    peer.tx.send(blob).is_ok()
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            };
-            if !queued {
-                self.stats.count_dropped(frames);
-                peer.depth.fetch_sub(1, Ordering::Relaxed);
+        for (&to, peer) in &mut self.peers {
+            if peer.frames > 0 {
+                flushed = true;
+                peer.flush(to, self.local, self.incarnation, &self.book, &self.stats);
             }
         }
         if flushed {
@@ -603,15 +555,19 @@ impl Transport for TcpTransport {
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Shut down inbound sockets so reader threads unblock and exit; writer
-        // threads exit once their senders drop with `self.peers`.
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the accept thread: it takes this connection, sees `stop` and returns,
+        // closing the listener. Should even this connect fail, leave the thread
+        // rather than hang.
+        if TcpStream::connect(self.addr).is_ok() {
+            if let Some(handle) = self.accept_handle.take() {
+                let _ = handle.join();
+            }
+        }
+        // Shut down inbound sockets so reader threads unblock and exit; the outbound
+        // connections close with `self.peers`.
         for stream in self.accepted.lock().expect("accepted lock").drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
-        }
-        self.peers.clear();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
         }
     }
 }
@@ -994,5 +950,85 @@ mod tests {
         assert_closed(&mut raw);
         assert_eq!(b.stats().frames_corrupt, 1);
         assert_eq!(b.stats().frames_received, 5);
+    }
+
+    /// The socket buffers are the only queue: a flush toward a peer that accepted but
+    /// does not read blocks once they are full and counts the stall, then finishes —
+    /// every frame delivered, in order — once the peer reads.
+    #[test]
+    fn a_flush_toward_a_peer_that_does_not_read_blocks_until_it_does() {
+        let mesh = TcpMesh::new();
+        let mut a = mesh.endpoint(90, true).unwrap();
+        let stats = Arc::clone(&a.stats);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        mesh.book.register(91, listener.local_addr().unwrap());
+        // 16 MiB: several times what loopback buffers hold while nobody reads.
+        let payloads: Vec<Vec<u8>> = (0..256u32)
+            .map(|i| i.to_le_bytes().repeat(16 << 10))
+            .collect();
+        std::thread::scope(|scope| {
+            let flusher = scope.spawn(|| {
+                for payload in &payloads {
+                    a.send(91, payload);
+                }
+                a.flush();
+            });
+            let (mut raw, _) = listener.accept().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while stats.flush_stalls.load(Ordering::Relaxed) == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the write never found the buffers full"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(!flusher.is_finished(), "the flush must wait for the reader");
+            let mut hello = [0u8; HELLO_LEN];
+            raw.read_exact(&mut hello).unwrap();
+            assert_eq!(
+                (&hello[..4], &hello[4..12]),
+                (&HELLO_MAGIC[..], &90u64.to_le_bytes()[..])
+            );
+            let mut stream = vec![0u8; payloads.iter().map(|p| FRAME_HEADER + p.len()).sum()];
+            raw.read_exact(&mut stream).unwrap();
+            let mut at = 0;
+            for expected in &payloads {
+                let (got, end) = read_frame(&stream, at).unwrap();
+                assert!(
+                    got == expected.as_slice(),
+                    "frames arrive whole and in order"
+                );
+                at = end;
+            }
+            flusher.join().unwrap();
+        });
+        assert_eq!(a.stats().flush_stalls, 1);
+        assert_eq!(a.stats().frames_dropped, 0);
+    }
+
+    /// Dropping an endpoint wakes its blocked `accept`: fifty endpoints come and go
+    /// within a generous bound, and each one's port refuses connections once it is
+    /// dropped — a missed wake-up fails here instead of hanging.
+    #[test]
+    fn dropping_an_endpoint_stops_its_accept_thread_and_closes_its_port() {
+        let (done_tx, done_rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mesh = TcpMesh::new();
+            for _ in 0..50 {
+                let endpoint = mesh.endpoint(95, true).unwrap();
+                let addr = endpoint.addr;
+                drop(endpoint);
+                assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts");
+            }
+            done_tx.send(()).unwrap();
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("an endpoint drop never returned"),
+            _ => {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
     }
 }

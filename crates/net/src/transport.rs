@@ -21,9 +21,9 @@
 //!   unreachable peer may be dropped silently (counted in [`TransportStats`]). The
 //!   protocols already tolerate loss; retransmission is their job, not the
 //!   transport's.
-//! * **Backpressure** — writer queues are bounded; a flush against a full queue
-//!   blocks until the writer drains, so a fast sender cannot buffer unbounded bytes
-//!   against a slow peer.
+//! * **Backpressure** — a flush writes to the peers' sockets itself; one whose socket
+//!   buffer is full blocks it until that peer's reader drains, so a fast sender cannot
+//!   buffer unbounded bytes against a slow peer.
 //!
 //! Process identifiers double as transport addresses. Replica endpoints use their
 //! protocol `ProcessId`s; client sessions attach with [`CLIENT_ID_BASE`]`+ client_id`
@@ -75,15 +75,15 @@ pub struct TransportStats {
     /// redial. A climbing counter here is a liveness signal for the failure detector —
     /// a peer whose frames keep arriving corrupt is effectively unreachable.
     pub frames_corrupt: u64,
-    /// Flush calls that performed I/O handoff.
+    /// Flush calls that had frames to write.
     pub flushes: u64,
-    /// High-water mark of any single peer's bounded writer queue, in queued flush
-    /// blobs (a gauge, not a counter: aggregation takes the maximum). A peak near the
-    /// queue bound means flushes were about to block on that peer — the early-warning
-    /// signal for the backpressure stalls counted in `flush_stalls`.
+    /// Always 0 for [`TcpTransport`](crate::TcpTransport): its flush writes to the
+    /// sockets itself, so there is no queue to measure. A gauge, not a counter
+    /// (aggregation takes the maximum); it stays only because the frozen benchmark
+    /// (`tempo-perf`) reads it.
     pub queue_depth_peak: u64,
-    /// Flushes that found a peer's writer queue full and had to block until the
-    /// writer drained (backpressure events).
+    /// Flush writes that found a peer's socket buffer full and had to block until the
+    /// peer's reader drained it (backpressure events; one per peer and flush at most).
     pub flush_stalls: u64,
 }
 
@@ -136,7 +136,7 @@ pub trait Transport: Send {
     fn send(&mut self, to: ProcessId, payload: &[u8]);
 
     /// Hands all queued frames to the I/O layer — one coalesced write per peer. May
-    /// block briefly when a peer's bounded writer queue is full (backpressure).
+    /// block while a peer's socket buffer is full (backpressure).
     fn flush(&mut self);
 
     /// Waits up to `timeout` for the next frame, returning the sender and payload.

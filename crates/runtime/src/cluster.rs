@@ -391,7 +391,6 @@ where
         registry.sample(&format!("p{id}.messages_sent"), now, m.messages_sent);
         registry.sample(&format!("p{id}.frames_sent"), now, t.frames_sent);
         registry.sample(&format!("p{id}.frames_dropped"), now, t.frames_dropped);
-        registry.sample(&format!("p{id}.queue_depth_peak"), now, t.queue_depth_peak);
         if let Some(det) = self.detector.as_ref() {
             registry.sample(&format!("p{id}.suspicions"), now, det.stats().suspicions);
         }
@@ -860,6 +859,13 @@ impl NetCluster {
         self.shared.config
     }
 
+    /// Whether the nemesis schedule still has a fault to inject.
+    fn nemesis_pending(&self) -> bool {
+        self.chaos
+            .as_ref()
+            .is_some_and(|c| c.next_due_us().is_some())
+    }
+
     /// The phase-latency fold of everything traced so far, without draining the
     /// rings (the eventual [`shutdown`](NetCluster::shutdown) report still sees
     /// every event). `None` when [`NetOpts::trace`] is off. This is how the load
@@ -917,8 +923,11 @@ impl NetCluster {
             let _ = handle.join();
         }
         let seats = std::mem::take(&mut *self.seats.lock().expect("seats lock"));
-        for (_, seat) in seats {
+        // Stop them all before joining any, so that their waits overlap.
+        for seat in seats.values() {
             seat.stop.store(true, Ordering::Relaxed);
+        }
+        for (_, seat) in seats {
             if let Ok(exit) = seat.handle.join() {
                 exits.push(exit);
             }
@@ -1074,6 +1083,8 @@ impl ClientSession {
 /// Per-run client accounting of [`run_workload`].
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadTally {
+    /// Commands submitted across all clients: `completed + aborted`.
+    pub submitted: u64,
     /// Commands completed across all clients.
     pub completed: u64,
     /// Commands aborted (client timeout or no live replica).
@@ -1085,7 +1096,9 @@ pub struct WorkloadTally {
 
 /// Runs a closed-loop workload against the cluster: `clients_per_site` client threads
 /// per site, each issuing `commands_per_client` commands through its own
-/// [`ClientSession`] — the networked analogue of the simulator's client loop.
+/// [`ClientSession`] — the networked analogue of the simulator's client loop. While the
+/// nemesis schedule still has a fault to inject, clients keep submitting past that
+/// count, so a run always outlasts its schedule however fast the build.
 ///
 /// `mix_for(client)` builds each client's own mix, so no lock sits on the submit path
 /// and — seeded per client, e.g. `|c| ConflictMix::new(0.1, 16, seed + c)` — what client
@@ -1100,43 +1113,49 @@ where
     M: Mix + 'static,
     F: FnMut(ClientId) -> M,
 {
-    let mut threads = Vec::new();
     let sites = cluster.shared.membership.sites() as u64;
     let mut client_id: ClientId = 0;
-    for site in 0..sites {
-        for _ in 0..clients_per_site {
-            let mut session = cluster.client(site, client_id).expect("client endpoint");
-            let mut mix = mix_for(client_id);
-            client_id += 1;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("client-{}", session.id()))
-                    .spawn(move || {
-                        let mut tally = WorkloadTally::default();
-                        for seq in 1..=commands_per_client as u64 {
-                            let cmd = mix.next(Rifl::new(session.id(), seq));
-                            let submitted = Instant::now();
-                            if session.submit(cmd).is_some() {
-                                tally.completed += 1;
-                                tally.latency.record(submitted.elapsed().as_micros() as u64);
-                            } else {
-                                tally.aborted += 1;
+    std::thread::scope(|scope| {
+        let mut threads = Vec::new();
+        for site in 0..sites {
+            for _ in 0..clients_per_site {
+                let mut session = cluster.client(site, client_id).expect("client endpoint");
+                let mut mix = mix_for(client_id);
+                client_id += 1;
+                threads.push(
+                    std::thread::Builder::new()
+                        .name(format!("client-{}", session.id()))
+                        .spawn_scoped(scope, move || {
+                            let mut tally = WorkloadTally::default();
+                            while tally.submitted < commands_per_client as u64
+                                || cluster.nemesis_pending()
+                            {
+                                tally.submitted += 1;
+                                let cmd = mix.next(Rifl::new(session.id(), tally.submitted));
+                                let submitted = Instant::now();
+                                if session.submit(cmd).is_some() {
+                                    tally.completed += 1;
+                                    tally.latency.record(submitted.elapsed().as_micros() as u64);
+                                } else {
+                                    tally.aborted += 1;
+                                }
                             }
-                        }
-                        tally
-                    })
-                    .expect("spawn client thread"),
-            );
+                            tally
+                        })
+                        .expect("spawn client thread"),
+                );
+            }
         }
-    }
-    let mut total = WorkloadTally::default();
-    for thread in threads {
-        let tally = thread.join().expect("client thread");
-        total.completed += tally.completed;
-        total.aborted += tally.aborted;
-        total.latency.merge(&tally.latency);
-    }
-    total
+        let mut total = WorkloadTally::default();
+        for thread in threads {
+            let tally = thread.join().expect("client thread");
+            total.submitted += tally.submitted;
+            total.completed += tally.completed;
+            total.aborted += tally.aborted;
+            total.latency.merge(&tally.latency);
+        }
+        total
+    })
 }
 
 #[cfg(test)]

@@ -77,9 +77,10 @@ fn run_detector_chaos(
         ConflictMix::new(0.6, 16, 100 * seed + client).with_hot_reads(0.5)
     });
     let report = cluster.shutdown();
+    assert!(tally.submitted >= (config.n() * CLIENTS_PER_SITE * COMMANDS_PER_CLIENT) as u64);
     assert_eq!(
         tally.completed + tally.aborted,
-        (config.n() * CLIENTS_PER_SITE * COMMANDS_PER_CLIENT) as u64,
+        tally.submitted,
         "every command must be accounted for ({name}, seed {seed})"
     );
     assert!(
