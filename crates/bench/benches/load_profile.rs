@@ -2,11 +2,11 @@
 //! emulated wide-area regions. Emits `BENCH_load.json`.
 //!
 //! This is the load plane of DESIGN.md §8 end to end: seeded Poisson arrival
-//! schedules (`tempo-load`), over a thousand logical client sessions multiplexed
-//! over a few real sockets per site, `PlanetTransport` injecting the EC2 3-region
-//! one-way latencies on every endpoint, and per-op latency measured from *intended*
-//! arrival time into log-bucketed histograms — so saturation shows up as a growing
-//! tail instead of quietly throttling the generator (coordinated omission).
+//! schedules (`tempo-load`), hundreds to thousands of logical client sessions
+//! multiplexed over a few real sockets per site, `PlanetTransport` injecting the EC2
+//! 3-region one-way latencies on every endpoint, and per-op latency measured from
+//! *intended* arrival time into log-bucketed histograms — so saturation shows up as a
+//! growing tail instead of quietly throttling the generator (coordinated omission).
 //!
 //! Recorded per protocol and offered rate: achieved throughput plus the shared
 //! latency-percentile block, Tempo next to the Atlas baseline on the identical
@@ -23,13 +23,20 @@ use tempo_net::Wire;
 use tempo_planet::Planet;
 use tempo_runtime::{run_load, LoadOpts, NetCluster, NetOpts, RuntimeFactory};
 
-/// Logical client sessions across the cluster (the paper drives hundreds to
-/// thousands of clients per site; the sockets stay few either way).
-const SESSIONS: usize = 1_200;
+/// A WAN command's p50 here, in seconds (Tempo's is about 0.29 s, DESIGN.md §12).
+const WAN_P50_S: f64 = 0.3;
 const KEYS: u64 = 4_096;
 const THETA: f64 = 0.5;
 const READ_RATIO: f64 = 0.5;
 const PAYLOAD: usize = 100;
+
+/// Logical client sessions across the cluster: three times what is in flight at the
+/// offered rate and the WAN p50, so that the session cap never turns the open loop
+/// into a closed one and bends the curve (the paper drives hundreds to thousands of
+/// clients per site; the sockets stay few either way).
+fn sessions(rate: f64) -> usize {
+    (3.0 * rate * WAN_P50_S).ceil() as usize
+}
 
 fn load_opts(rate: f64) -> LoadOpts {
     let (warmup, measure) = if short_mode() {
@@ -38,7 +45,7 @@ fn load_opts(rate: f64) -> LoadOpts {
         (Duration::from_secs(1), Duration::from_secs(3))
     };
     LoadOpts {
-        sessions: SESSIONS,
+        sessions: sessions(rate),
         sockets_per_site: 2,
         rate_per_s: rate,
         warmup,
@@ -92,7 +99,7 @@ where
             ("achieved_rate", report.achieved_rate()),
             ("completed", report.completed as f64),
             ("aborted", report.aborted as f64),
-            ("sessions", SESSIONS as f64),
+            ("sessions", sessions(rate) as f64),
         ],
     )
     .with_latency(&s)
@@ -106,7 +113,7 @@ fn main() {
     let rates = [500.0, 1_500.0, 4_000.0];
     let mut records = Vec::new();
     println!(
-        "\n{SESSIONS} sessions, zipf θ={THETA} over {KEYS} keys, {:.0}% reads, {PAYLOAD} B payloads",
+        "\n3 x rate x {WAN_P50_S} s sessions, zipf θ={THETA} over {KEYS} keys, {:.0}% reads, {PAYLOAD} B payloads",
         READ_RATIO * 100.0
     );
     for rate in rates {

@@ -158,6 +158,26 @@ impl ProtocolMetrics {
             self.fast_paths as f64 / total as f64
         }
     }
+
+    /// Adds `other`'s counters to these: how the simulator and the runtime sum their
+    /// processes into one run total.
+    pub fn merge(&mut self, other: &ProtocolMetrics) {
+        // A struct literal without `..`: a new counter cannot be left out of the sum.
+        *self = ProtocolMetrics {
+            fast_paths: self.fast_paths + other.fast_paths,
+            slow_paths: self.slow_paths + other.slow_paths,
+            committed: self.committed + other.committed,
+            executed: self.executed + other.executed,
+            recoveries_started: self.recoveries_started + other.recoveries_started,
+            recoveries_completed: self.recoveries_completed + other.recoveries_completed,
+            gc_collected: self.gc_collected + other.gc_collected,
+            gc_messages: self.gc_messages + other.gc_messages,
+            messages_sent: self.messages_sent + other.messages_sent,
+            wal_appends: self.wal_appends + other.wal_appends,
+            wal_bytes: self.wal_bytes + other.wal_bytes,
+            snapshots_taken: self.snapshots_taken + other.snapshots_taken,
+        };
+    }
 }
 
 /// The static view of the deployment handed to a protocol at start-up.
@@ -438,6 +458,44 @@ mod tests {
         m.fast_paths = 3;
         m.slow_paths = 1;
         assert!((m.fast_path_ratio() - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn metrics_merge_sums_every_counter_into_its_own_field() {
+        let a = ProtocolMetrics {
+            fast_paths: 1,
+            slow_paths: 2,
+            committed: 3,
+            executed: 4,
+            recoveries_started: 5,
+            recoveries_completed: 6,
+            gc_collected: 7,
+            gc_messages: 8,
+            messages_sent: 9,
+            wal_appends: 10,
+            wal_bytes: 11,
+            snapshots_taken: 12,
+        };
+        let mut total = a.clone();
+        total.merge(&a);
+        total.merge(&ProtocolMetrics::default());
+        assert_eq!(
+            total,
+            ProtocolMetrics {
+                fast_paths: 2,
+                slow_paths: 4,
+                committed: 6,
+                executed: 8,
+                recoveries_started: 10,
+                recoveries_completed: 12,
+                gc_collected: 14,
+                gc_messages: 16,
+                messages_sent: 18,
+                wal_appends: 20,
+                wal_bytes: 22,
+                snapshots_taken: 24,
+            }
+        );
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   measured from the intended time, not the actual send, so queueing delay caused
 //!   by an overloaded system is charged to the system rather than silently dropped
 //!   (the coordinated-omission stance; see DESIGN.md §8).
+//! * [`Session`] — one client's in-flight command: which replica to submit to, which
+//!   replica per accessed shard to watch (the closest live one), and which execution
+//!   notice completes the command. The simulator's clients, `ClientSession` and the
+//!   `run_load` pumps all keep their commands in it.
 //!
 //! The pieces that *apply* this load live in `tempo-sim` (closed-loop simulated
 //! clients) and `tempo-runtime` (`run_workload`, `run_load`), the WAN emulation
@@ -27,6 +31,8 @@
 
 mod arrivals;
 mod mix;
+mod session;
 
 pub use arrivals::Arrivals;
 pub use mix::{ConflictMix, Mix, YcsbTMix, ZipfMix};
+pub use session::{Completed, Session, ShardOutput};

@@ -58,13 +58,14 @@ use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::LogHistogram;
 use tempo_kernel::protocol::{Protocol, ProtocolMetrics, View};
 use tempo_kernel::trace::{CmdPhase, ProcEvent, TraceLog, Tracer, DEFAULT_TRACE_CAPACITY};
-use tempo_load::Mix;
+use tempo_load::{Mix, Session};
 use tempo_net::wire::{DecodeError, Reader, Wire, Writer};
 use tempo_net::{
     ChaosNet, ChaosTransport, ClientReply, ClientRequest, PlanetNet, PlanetTransport, RecvError,
     TcpMesh, Transport, TransportStats, CLIENT_ID_BASE, CONTROL_ID,
 };
 use tempo_planet::Planet;
+use tempo_trace::merge_and_fold;
 
 /// Builds the protocol instance of one process: at boot with incarnation 0 and on
 /// every nemesis `Restart` with the 1-based restart count (same contract as the
@@ -131,7 +132,7 @@ impl Default for NetOpts {
 // the protocol's own Wire-encoded message.
 const ENV_PEER: u8 = 1;
 const ENV_REQUEST: u8 = 2;
-const ENV_REPLY: u8 = 3;
+pub(crate) const ENV_REPLY: u8 = 3;
 const ENV_SUSPECT: u8 = 4;
 const ENV_UNSUSPECT: u8 = 5;
 const ENV_HEARTBEAT: u8 = 6;
@@ -190,8 +191,8 @@ pub(crate) fn decode_reply(bytes: &[u8]) -> Option<ClientReply> {
 // --------------------------------------------------------------- shared state
 
 /// State shared by replicas, clients and the supervisor (deliberately not generic so
-/// [`ClientSession`] stays protocol-agnostic). `pub(crate)` so the open-loop
-/// [`LoadDriver`](crate::load) shares the watch/failover machinery.
+/// [`ClientSession`] stays protocol-agnostic). `pub(crate)` so the open-loop load
+/// driver's pumps open their commands the way [`ClientSession`] does.
 pub(crate) struct Shared {
     pub(crate) config: Config,
     pub(crate) membership: Membership,
@@ -205,6 +206,9 @@ pub(crate) struct Shared {
     pub(crate) client_timeout: Duration,
     /// The WAN geography, when [`NetOpts::planet`] was set (drives quorum views).
     pub(crate) planet: Option<Planet>,
+    /// Per site, the view its clients watch replicas through: the one its replicas
+    /// sort their quorums by.
+    pub(crate) site_views: Vec<View>,
     /// Detector configuration, when [`NetOpts::detector`] was set (oracle disabled).
     pub(crate) detector: Option<DetectorOpts>,
     /// One lifecycle-event ring per replica ([`NetOpts::trace`]); restarted
@@ -232,28 +236,41 @@ impl Shared {
             .map(|d| d.heartbeat_interval_us)
             .unwrap_or(u64::MAX)
     }
+
+    /// Opens `cmd` on a session of a client at `site`, skipping the replicas crashed
+    /// right now; the replica to submit to, or `None` when an accessed shard is down.
+    pub(crate) fn open(
+        &self,
+        session: &mut Session,
+        site: SiteId,
+        cmd: &Command,
+        start_us: u64,
+    ) -> Option<ProcessId> {
+        let down = self.down.lock().expect("down lock");
+        session.open(cmd, start_us, &self.site_views[site as usize], &|p| {
+            down.contains(&p)
+        })
+    }
 }
 
-/// The closest live replica of `shard` as seen from `site`: geographic distance when
-/// a planet is configured, ring distance otherwise, crashed replicas skipped — the
-/// replica whose execution notice completes that shard's part of a command (shared
-/// by [`ClientSession`] and the load driver's pumps).
-pub(crate) fn watch_replica(shared: &Shared, site: SiteId, shard: ShardId) -> Option<ProcessId> {
-    let down = shared.down.lock().expect("down lock");
-    let m = &shared.membership;
-    let sites = m.sites() as u64;
-    shared
-        .membership
-        .processes_of_shard(shard)
+/// The view of process `p`: geographic with a planet (fast quorums are the *closest*
+/// replicas, which is what makes WAN emulation meaningful and matches the simulator),
+/// ring order without.
+fn view_of(config: Config, planet: Option<&Planet>, p: ProcessId) -> View {
+    match planet {
+        Some(planet) => planet.view_for(config, p),
+        None => View::trivial(config, p),
+    }
+}
+
+/// [`Shared::site_views`]: each site's view is that of its replica of shard 0 (every
+/// replica of a site sorts every shard the same way).
+fn site_views(config: Config, planet: Option<&Planet>) -> Vec<View> {
+    let m = Membership::from_config(&config);
+    m.all_sites()
         .into_iter()
-        .filter(|p| !down.contains(p))
-        .min_by_key(|p| {
-            let s = m.site_of(*p);
-            match &shared.planet {
-                Some(planet) => (planet.one_way_us(site, s), *p),
-                None => ((s + sites - site) % sites, *p),
-            }
-        })
+        .map(|site| view_of(config, planet, m.process(0, site)))
+        .collect()
 }
 
 /// A replica thread's return value: its protocol metrics, its endpoint's traffic and
@@ -508,12 +525,7 @@ where
             for q in initial_suspects {
                 Protocol::suspect(driver.protocol_mut(), q);
             }
-            let view = match &shared.planet {
-                // Geographic views: fast quorums are the *closest* replicas, which is
-                // what makes WAN emulation meaningful (and matches the simulator).
-                Some(planet) => planet.view_for(shared.config, id),
-                None => View::trivial(shared.config, id),
-            };
+            let view = view_of(shared.config, shared.planet.as_ref(), id);
             let peers: Vec<ProcessId> = shared
                 .membership
                 .all_processes()
@@ -728,22 +740,12 @@ pub struct RuntimeReport {
 impl RuntimeReport {
     /// Field-wise sum of the per-incarnation metrics.
     pub fn total_metrics(&self) -> ProtocolMetrics {
-        let mut total = ProtocolMetrics::default();
-        for m in &self.metrics {
-            total.fast_paths += m.fast_paths;
-            total.slow_paths += m.slow_paths;
-            total.committed += m.committed;
-            total.executed += m.executed;
-            total.recoveries_started += m.recoveries_started;
-            total.recoveries_completed += m.recoveries_completed;
-            total.gc_collected += m.gc_collected;
-            total.gc_messages += m.gc_messages;
-            total.messages_sent += m.messages_sent;
-            total.wal_appends += m.wal_appends;
-            total.wal_bytes += m.wal_bytes;
-            total.snapshots_taken += m.snapshots_taken;
-        }
-        total
+        self.metrics
+            .iter()
+            .fold(ProtocolMetrics::default(), |mut total, m| {
+                total.merge(m);
+                total
+            })
     }
 }
 
@@ -802,6 +804,7 @@ impl NetCluster {
             history: opts.record_history.then(|| Mutex::new(History::new())),
             client_timeout: opts.client_timeout,
             planet: opts.planet.clone(),
+            site_views: site_views(config, opts.planet.as_ref()),
             detector: opts.detector,
             tracers,
             registry: opts
@@ -871,14 +874,9 @@ impl NetCluster {
     /// every event). `None` when [`NetOpts::trace`] is off. This is how the load
     /// driver surfaces a phase breakdown alongside its latency report.
     pub fn phases_so_far(&self) -> Option<tempo_trace::PhaseLatencies> {
-        if self.shared.tracers.is_empty() {
-            return None;
-        }
-        let mut fold = tempo_trace::PhaseBreakdown::new();
-        for tracer in self.shared.tracers.values() {
-            fold.record_log(&tracer.snapshot());
-        }
-        Some(fold.finish())
+        let tracers = &self.shared.tracers;
+        (!tracers.is_empty())
+            .then(|| merge_and_fold(tracers.values().map(Tracer::snapshot).collect()).1)
     }
 
     /// Builds a client-side transport endpoint colocated with `site`: planet-wrapped
@@ -910,6 +908,7 @@ impl NetCluster {
             site,
             transport,
             shared: Arc::clone(&self.shared),
+            session: Session::default(),
         })
     }
 
@@ -944,22 +943,13 @@ impl NetCluster {
         // had been replaced are crash casualties: count them where the simulator
         // counts frames lost to a crashed process.
         faults.dropped_crash += transport.frames_dropped_stale;
-        // Drain the per-replica rings in ProcessId order and time-sort the merge;
-        // wall-clock timestamps mean runtime traces are *not* run-to-run identical
-        // (the sim's are) but the fold and export are deterministic given the log.
-        let trace = (!self.shared.tracers.is_empty()).then(|| {
-            let mut log = TraceLog::default();
-            for tracer in self.shared.tracers.values() {
-                log.merge(tracer.take());
-            }
-            log.sort_by_time();
-            log
-        });
-        let phases = trace.as_ref().map(|log| {
-            let mut fold = tempo_trace::PhaseBreakdown::new();
-            fold.record_log(log);
-            fold.finish()
-        });
+        // Drain the per-replica rings in ProcessId order; wall-clock timestamps mean
+        // runtime traces are *not* run-to-run identical (the sim's are) but the fold
+        // and export are deterministic given the log.
+        let tracers = &self.shared.tracers;
+        let (trace, phases) = (!tracers.is_empty())
+            .then(|| merge_and_fold(tracers.values().map(Tracer::take).collect()))
+            .unzip();
         RuntimeReport {
             metrics: exits.into_iter().map(|(m, _, _)| m).collect(),
             transport,
@@ -991,6 +981,7 @@ pub struct ClientSession {
     site: SiteId,
     transport: Box<dyn Transport>,
     shared: Arc<Shared>,
+    session: Session,
 }
 
 impl ClientSession {
@@ -1013,22 +1004,14 @@ impl ClientSession {
                 self.shared.now_us(),
             );
         }
-        // Pick, per accessed shard, the replica to watch (closest live); the
-        // submission goes to the watched replica of the target shard.
-        let watchers: Option<BTreeMap<ShardId, ProcessId>> = cmd
-            .shards()
-            .map(|shard| watch_replica(&self.shared, self.site, shard).map(|p| (shard, p)))
-            .collect();
-        let Some(mut pending) = watchers else {
+        let Some(target) = self.shared.open(&mut self.session, self.site, &cmd, 0) else {
             // Some accessed shard has every replica down.
             return self.abort(rifl);
         };
-        let target = pending[&cmd.target_shard()];
         self.transport.send(target, &encode_request(&cmd));
         self.transport.flush();
 
         let deadline = Instant::now() + self.shared.client_timeout;
-        let mut outputs: Vec<(ShardId, Key, Option<u64>)> = Vec::new();
         loop {
             let now = Instant::now();
             if now >= deadline {
@@ -1040,31 +1023,29 @@ impl ClientSession {
                     let Some(reply) = decode_reply(&bytes) else {
                         continue;
                     };
-                    // Only the watched replica's notice counts (stale replies from
-                    // earlier commands, or from unwatched replicas, are ignored).
-                    if reply.rifl != rifl || pending.get(&reply.shard) != Some(&from) {
+                    let Some(done) =
+                        self.session
+                            .reply(from, reply.rifl, reply.shard, &reply.outputs)
+                    else {
                         continue;
-                    }
-                    pending.remove(&reply.shard);
-                    outputs.extend(reply.outputs.iter().map(|(k, v)| (reply.shard, *k, *v)));
-                    if pending.is_empty() {
-                        // The reply observed at the client, attributed to the replica
-                        // whose notice completed the command.
-                        self.shared.tracer(from).phase(
-                            self.shared.now_us(),
-                            from,
+                    };
+                    let outputs = done.outputs.to_vec();
+                    // The reply observed at the client, attributed to the replica
+                    // whose notice completed the command.
+                    self.shared.tracer(from).phase(
+                        self.shared.now_us(),
+                        from,
+                        rifl,
+                        CmdPhase::Replied,
+                    );
+                    if let Some(history) = &self.shared.history {
+                        history.lock().expect("history lock").record_complete(
                             rifl,
-                            CmdPhase::Replied,
+                            self.shared.now_us(),
+                            outputs.clone(),
                         );
-                        if let Some(history) = &self.shared.history {
-                            history.lock().expect("history lock").record_complete(
-                                rifl,
-                                self.shared.now_us(),
-                                outputs.clone(),
-                            );
-                        }
-                        return Some(outputs);
                     }
+                    return Some(outputs);
                 }
                 Err(RecvError::Timeout) => {}
                 Err(RecvError::Closed) => return self.abort(rifl),
@@ -1073,6 +1054,7 @@ impl ClientSession {
     }
 
     fn abort(&mut self, rifl: Rifl) -> Option<Vec<(ShardId, Key, Option<u64>)>> {
+        self.session.abort(rifl);
         if let Some(history) = &self.shared.history {
             history.lock().expect("history lock").record_abort(rifl);
         }
@@ -1167,6 +1149,27 @@ mod tests {
 
     fn tempo_factory() -> RuntimeFactory<Tempo> {
         Box::new(|id, shard, config, _incarnation| Tempo::new(id, shard, config))
+    }
+
+    impl Shared {
+        /// The state of a cluster of `config` without a planet, a history, a
+        /// detector or tracing — for driving one replica or one pump by hand.
+        pub(crate) fn bare(config: Config) -> Self {
+            Shared {
+                config,
+                membership: Membership::from_config(&config),
+                site_views: site_views(config, None),
+                epoch: Instant::now(),
+                down: Mutex::new(BTreeSet::new()),
+                history: None,
+                client_timeout: Duration::from_secs(1),
+                planet: None,
+                detector: None,
+                tracers: BTreeMap::new(),
+                registry: None,
+                metrics_interval_us: None,
+            }
+        }
     }
 
     #[test]
@@ -1295,19 +1298,7 @@ mod tests {
         const TIMER_PERIOD: Duration = Duration::from_millis(5);
         const FLUSH: Duration = Duration::from_millis(4);
         let config = Config::full(3, 1);
-        let shared = Arc::new(Shared {
-            config,
-            membership: Membership::from_config(&config),
-            epoch: Instant::now(),
-            down: Mutex::new(BTreeSet::new()),
-            history: None,
-            client_timeout: Duration::from_secs(1),
-            planet: None,
-            detector: None,
-            tracers: BTreeMap::new(),
-            registry: None,
-            metrics_interval_us: None,
-        });
+        let shared = Arc::new(Shared::bare(config));
         let waits = Arc::new(Mutex::new(Vec::new()));
         let transport = SlowFlush {
             flush: FLUSH,

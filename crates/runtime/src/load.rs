@@ -19,11 +19,12 @@
 //!   of the offered rate and of the session budget. A pump is an event loop over
 //!   three queues: the arrival schedule, a backlog of due-but-unsubmitted intended
 //!   arrival times, and a fixed slab of session slots.
-//! * **Sessions.** A slot is a logical client session: one in-flight command, its
-//!   watched replica per accessed shard (closest live — the [`ClientSession`]
-//!   semantics), and its intended arrival time. Slots are fixed-size entries in a
-//!   pre-allocated slab; the steady-state submit/complete path allocates nothing
-//!   beyond the command encode itself. Completion matching is O(1): the rifl
+//! * **Sessions.** A slot is a logical client session: a `tempo-load` [`Session`] —
+//!   the in-flight-command core [`ClientSession`] and the simulator's clients keep
+//!   too — opened at the op's intended arrival time, plus whether that time falls in
+//!   the measured window. Slots live in a pre-allocated slab and keep their buffers
+//!   from op to op, so the steady-state submit/complete path allocates nothing
+//!   beyond the command encode itself. Finding a notice's slot is O(1): the rifl
 //!   sequence number carries the slot index in its top bits.
 //! * **Phases.** `warmup` (ops run but are not measured) → `measure` (ops whose
 //!   intended arrival falls in the window count toward throughput and the latency
@@ -43,15 +44,14 @@
 //!
 //! [`ClientSession`]: crate::ClientSession
 
-use crate::cluster::{decode_reply, encode_request, watch_replica, NetCluster, Shared};
+use crate::cluster::{decode_reply, encode_request, NetCluster, Shared};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tempo_kernel::command::Key;
-use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
+use tempo_kernel::id::{ClientId, Rifl, SiteId};
 use tempo_kernel::metrics::{LatencySummary, LogHistogram};
 use tempo_kernel::trace::CmdPhase;
-use tempo_load::{Arrivals, Mix};
+use tempo_load::{Arrivals, Mix, Session};
 use tempo_net::{RecvError, Transport};
 
 /// Options of one open-loop load run.
@@ -149,45 +149,17 @@ impl LoadReport {
 }
 
 /// Slot index lives in the top bits of the rifl sequence number, a monotone
-/// uniqueness counter in the low [`SLOT_SHIFT`] bits — completion matching becomes
-/// one shift and one equality check.
+/// uniqueness counter in the low [`SLOT_SHIFT`] bits — finding a notice's slot is one
+/// shift.
 const SLOT_SHIFT: u32 = 40;
 const COUNTER_MASK: u64 = (1 << SLOT_SHIFT) - 1;
-
-/// Most shards one command may touch (`ZipfMix` issues single-shard commands,
-/// `YcsbTMix` two-shard ones; the fixed bound keeps slots allocation-free).
-const MAX_OP_SHARDS: usize = 4;
 
 /// How often a pump sweeps its slots for timed-out ops.
 const SWEEP_EVERY_US: u64 = 100_000;
 
-/// One logical client session: at most one in-flight command.
-#[derive(Clone, Copy)]
-struct Slot {
-    busy: bool,
-    /// Whether the op's intended arrival falls inside the measured window.
-    measured: bool,
-    intended_us: u64,
-    /// Full rifl sequence number (slot index in the top bits) — a late reply for a
-    /// previous occupant of this slot fails the equality check and is ignored.
-    seq: u64,
-    /// Watched replica per accessed shard, still owing an execution notice.
-    pending: [(ShardId, ProcessId); MAX_OP_SHARDS],
-    pending_len: u8,
-}
-
-impl Default for Slot {
-    fn default() -> Self {
-        Self {
-            busy: false,
-            measured: false,
-            intended_us: 0,
-            seq: 0,
-            pending: [(0, 0); MAX_OP_SHARDS],
-            pending_len: 0,
-        }
-    }
-}
+/// Most frames a pump takes in one receive drain before it looks at its arrival
+/// schedule again.
+const DRAIN_FRAMES: usize = 256;
 
 /// Drives the cluster open-loop and reports achieved throughput plus the latency
 /// histogram. `mix_for(pump)` builds each pump's command mix — seed it per pump for
@@ -279,30 +251,37 @@ struct PumpCfg<M: Mix> {
     op_timeout_us: u64,
 }
 
-/// Records a client abort in the shared history (when recording is on).
-fn record_abort(shared: &Shared, client: ClientId, seq: u64) {
-    if let Some(history) = &shared.history {
-        history
-            .lock()
-            .expect("history lock")
-            .record_abort(Rifl::new(client, seq));
+/// Gives up on every in-flight op whose intended start `expired` rejects: records the
+/// abort, frees the slot, and returns how many of those ops were measured.
+fn expire(
+    shared: &Shared,
+    slots: &mut [Session],
+    measured: &[bool],
+    free: &mut Vec<usize>,
+    expired: &dyn Fn(u64) -> bool,
+) -> u64 {
+    let mut aborted = 0;
+    for (slot, session) in slots.iter_mut().enumerate() {
+        let Some(rifl) = session.rifl().filter(|_| expired(session.start_us())) else {
+            continue;
+        };
+        session.abort(rifl);
+        if let Some(history) = &shared.history {
+            history.lock().expect("history lock").record_abort(rifl);
+        }
+        aborted += u64::from(measured[slot]);
+        free.push(slot);
     }
+    aborted
 }
 
 /// One pump's event loop. Returns `(completed, aborted, latency)` over the
 /// measured window.
 fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
     let start = Instant::now();
-    let mut slots: Vec<Slot> = vec![Slot::default(); cfg.sessions];
-    // Per-slot observed outputs, accumulated across the per-shard execution notices
-    // of the in-flight command — only when the cluster records a history (slots stay
-    // allocation-free otherwise).
-    let record = cfg.shared.history.is_some();
-    let mut outputs: Vec<Vec<(ShardId, Key, Option<u64>)>> = if record {
-        vec![Vec::new(); cfg.sessions]
-    } else {
-        Vec::new()
-    };
+    let mut slots = vec![Session::default(); cfg.sessions];
+    // Whether each slot's op was intended inside the measured window.
+    let mut measured = vec![false; cfg.sessions];
     let mut free: Vec<usize> = (0..cfg.sessions).rev().collect();
     let mut backlog: VecDeque<u64> = VecDeque::new();
     let mut counter: u64 = 0;
@@ -336,9 +315,9 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
         let mut submitted_any = false;
         while !backlog.is_empty() && !free.is_empty() {
             let intended = backlog.pop_front().expect("non-empty backlog");
-            let slot_idx = free.pop().expect("non-empty free list");
+            let slot = free.pop().expect("non-empty free list");
             counter += 1;
-            let seq = ((slot_idx as u64) << SLOT_SHIFT) | (counter & COUNTER_MASK);
+            let seq = ((slot as u64) << SLOT_SHIFT) | (counter & COUNTER_MASK);
             let cmd = cfg.mix.next(Rifl::new(cfg.client, seq));
             if let Some(history) = &cfg.shared.history {
                 history.lock().expect("history lock").record_invoke(
@@ -347,180 +326,106 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
                     cfg.shared.now_us(),
                 );
             }
-            let measured = intended >= cfg.warmup_us;
-            let mut pending = [(0, 0); MAX_OP_SHARDS];
-            let mut pending_len = 0usize;
-            let mut all_watched = true;
-            for shard in cmd.shards() {
-                assert!(
-                    pending_len < MAX_OP_SHARDS,
-                    "load driver supports at most {MAX_OP_SHARDS} accessed shards"
-                );
-                match watch_replica(&cfg.shared, cfg.site, shard) {
-                    Some(p) => {
-                        pending[pending_len] = (shard, p);
-                        pending_len += 1;
+            measured[slot] = intended >= cfg.warmup_us;
+            match cfg.shared.open(&mut slots[slot], cfg.site, &cmd, intended) {
+                Some(target) => {
+                    cfg.transport.send(target, &encode_request(&cmd));
+                    submitted_any = true;
+                }
+                None => {
+                    // Some accessed shard has every replica down right now.
+                    if let Some(history) = &cfg.shared.history {
+                        history.lock().expect("history lock").record_abort(cmd.rifl);
                     }
-                    None => {
-                        all_watched = false;
-                        break;
-                    }
+                    aborted += u64::from(measured[slot]);
+                    free.push(slot);
                 }
             }
-            if !all_watched {
-                // Some accessed shard has every replica down right now.
-                record_abort(&cfg.shared, cfg.client, seq);
-                if measured {
-                    aborted += 1;
-                }
-                free.push(slot_idx);
-                continue;
-            }
-            let target = pending[..pending_len]
-                .iter()
-                .find(|(s, _)| *s == cmd.target_shard())
-                .map(|(_, p)| *p)
-                .expect("target shard is among the accessed shards");
-            slots[slot_idx] = Slot {
-                busy: true,
-                measured,
-                intended_us: intended,
-                seq,
-                pending,
-                pending_len: pending_len as u8,
-            };
-            cfg.transport.send(target, &encode_request(&cmd));
-            submitted_any = true;
         }
         if submitted_any {
             cfg.transport.flush();
         }
-        // 3. Done? All generated, backlog drained, every session idle.
+        // 3. Done? All generated, backlog drained, every session idle — or, past the
+        //    grace period, a hard stop that strands what is left.
         let idle = free.len() == cfg.sessions;
         if !generating && backlog.is_empty() && idle {
             break;
         }
         let now = start.elapsed().as_micros() as u64;
         if now >= grace_end_us {
-            // Hard stop: strand in-flight ops and the unsubmitted backlog.
-            for slot in slots.iter_mut().filter(|s| s.busy) {
-                record_abort(&cfg.shared, cfg.client, slot.seq);
-                if slot.measured {
-                    aborted += 1;
-                }
-                slot.busy = false;
-            }
-            aborted += backlog.iter().filter(|&&t| t >= cfg.warmup_us).count() as u64;
             break;
         }
         // 4. Periodic timeout sweep.
         if now >= next_sweep {
             next_sweep = now + SWEEP_EVERY_US;
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                if slot.busy && now.saturating_sub(slot.intended_us) > cfg.op_timeout_us {
-                    record_abort(&cfg.shared, cfg.client, slot.seq);
-                    if record {
-                        outputs[idx].clear();
-                    }
-                    if slot.measured {
-                        aborted += 1;
-                    }
-                    slot.busy = false;
-                    free.push(idx);
-                }
-            }
+            aborted += expire(&cfg.shared, &mut slots, &measured, &mut free, &|intended| {
+                now.saturating_sub(intended) > cfg.op_timeout_us
+            });
         }
         // 5. Receive: block until the next arrival is due (capped at 1 ms so the
         //    sweep and exit checks stay responsive), then drain whatever else is
-        //    already queued without blocking.
+        //    already queued without blocking. Every frame ends the wait and counts
+        //    against the drain, including the notices of replicas nobody watches.
         let mut wait = Duration::from_millis(1);
         if generating {
             wait = wait.min(Duration::from_micros(next_arrival.saturating_sub(now)));
         }
-        let mut drain_budget = 256;
-        loop {
-            match cfg.transport.recv_timeout(wait) {
-                Ok((from, bytes)) => {
-                    let Some(reply) = decode_reply(&bytes) else {
-                        continue;
-                    };
-                    if reply.rifl.client != cfg.client {
-                        continue;
-                    }
-                    let slot_idx = (reply.rifl.seq >> SLOT_SHIFT) as usize;
-                    if slot_idx >= slots.len() {
-                        continue;
-                    }
-                    let slot = &mut slots[slot_idx];
-                    // Only the watched replica's notice for the *current* occupant
-                    // counts; anything else is a stale or duplicate notice.
-                    if !slot.busy || slot.seq != reply.rifl.seq {
-                        continue;
-                    }
-                    let Some(i) = slot.pending[..slot.pending_len as usize]
-                        .iter()
-                        .position(|&(s, p)| s == reply.shard && p == from)
-                    else {
-                        continue;
-                    };
-                    slot.pending_len -= 1;
-                    slot.pending[i] = slot.pending[slot.pending_len as usize];
-                    if record {
-                        outputs[slot_idx]
-                            .extend(reply.outputs.iter().map(|(k, v)| (reply.shard, *k, *v)));
-                    }
-                    if slot.pending_len == 0 {
-                        if let Some(history) = &cfg.shared.history {
-                            history.lock().expect("history lock").record_complete(
-                                Rifl::new(cfg.client, slot.seq),
-                                cfg.shared.now_us(),
-                                std::mem::take(&mut outputs[slot_idx]),
-                            );
-                        }
-                        if slot.measured {
-                            completed += 1;
-                            let done = start.elapsed().as_micros() as u64;
-                            latency.record(done.saturating_sub(slot.intended_us));
-                        }
-                        let tracer = cfg.shared.tracer(from);
-                        if tracer.is_enabled() {
-                            tracer.phase(cfg.shared.now_us(), from, reply.rifl, CmdPhase::Replied);
-                        }
-                        slot.busy = false;
-                        free.push(slot_idx);
-                    }
-                    drain_budget -= 1;
-                    if drain_budget == 0 {
-                        break;
-                    }
-                    wait = Duration::ZERO;
-                }
+        for _ in 0..DRAIN_FRAMES {
+            let (from, bytes) = match cfg.transport.recv_timeout(wait) {
+                Ok(frame) => frame,
                 Err(RecvError::Timeout) => break,
-                Err(RecvError::Closed) => {
-                    // Cluster torn down under us: strand everything outstanding.
-                    for slot in slots.iter_mut().filter(|s| s.busy) {
-                        record_abort(&cfg.shared, cfg.client, slot.seq);
-                        if slot.measured {
-                            aborted += 1;
-                        }
-                        slot.busy = false;
-                    }
-                    aborted += backlog.iter().filter(|&&t| t >= cfg.warmup_us).count() as u64;
-                    break 'run;
-                }
+                // Cluster torn down under us: strand everything outstanding.
+                Err(RecvError::Closed) => break 'run,
+            };
+            wait = Duration::ZERO;
+            let Some(reply) = decode_reply(&bytes) else {
+                continue;
+            };
+            let slot = (reply.rifl.seq >> SLOT_SHIFT) as usize;
+            if reply.rifl.client != cfg.client || slot >= slots.len() {
+                continue;
             }
+            let Some(done) = slots[slot].reply(from, reply.rifl, reply.shard, &reply.outputs)
+            else {
+                continue;
+            };
+            if let Some(history) = &cfg.shared.history {
+                history.lock().expect("history lock").record_complete(
+                    reply.rifl,
+                    cfg.shared.now_us(),
+                    done.outputs.to_vec(),
+                );
+            }
+            if measured[slot] {
+                completed += 1;
+                let done_us = start.elapsed().as_micros() as u64;
+                latency.record(done_us.saturating_sub(done.start_us));
+            }
+            let tracer = cfg.shared.tracer(from);
+            if tracer.is_enabled() {
+                tracer.phase(cfg.shared.now_us(), from, reply.rifl, CmdPhase::Replied);
+            }
+            free.push(slot);
         }
     }
+    // Whatever is still outstanding is stranded: in-flight ops and the unsubmitted
+    // backlog count as aborted.
+    aborted += expire(&cfg.shared, &mut slots, &measured, &mut free, &|_| true);
+    aborted += backlog.iter().filter(|&&t| t >= cfg.warmup_us).count() as u64;
     (completed, aborted, latency)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{NetOpts, RuntimeFactory};
+    use crate::cluster::{NetOpts, RuntimeFactory, ENV_REPLY};
+    use std::sync::Mutex;
     use tempo_core::Tempo;
+    use tempo_kernel::id::ProcessId;
     use tempo_kernel::protocol::Protocol;
     use tempo_load::ZipfMix;
+    use tempo_net::wire::{Wire, Writer};
+    use tempo_net::{ClientReply, TransportStats, CLIENT_ID_BASE};
 
     fn tempo_factory() -> RuntimeFactory<Tempo> {
         Box::new(|id, shard, config, _incarnation| Tempo::new(id, shard, config))
@@ -645,5 +550,81 @@ mod tests {
             s.max_ms >= s.p50_ms,
             "queueing must show up in the tail: {s:?}"
         );
+    }
+
+    /// An endpoint that hands out `frames` execution notices completing nothing — a
+    /// replica's notice for a command no slot holds — then reports the cluster gone,
+    /// keeping every wait it was asked for.
+    struct IdleNotices {
+        frames: usize,
+        client: ClientId,
+        waits: Arc<Mutex<Vec<Duration>>>,
+    }
+
+    impl Transport for IdleNotices {
+        fn local_id(&self) -> ProcessId {
+            CLIENT_ID_BASE + self.client
+        }
+
+        fn send(&mut self, _to: ProcessId, _payload: &[u8]) {}
+
+        fn flush(&mut self) {}
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProcessId, Vec<u8>), RecvError> {
+            self.waits.lock().expect("waits lock").push(timeout);
+            if self.frames == 0 {
+                return Err(RecvError::Closed);
+            }
+            self.frames -= 1;
+            let mut w = Writer::new();
+            w.put_u8(ENV_REPLY);
+            let reply = ClientReply {
+                rifl: Rifl::new(self.client, 1),
+                shard: 0,
+                outputs: Vec::new(),
+            };
+            reply.encode_into(&mut w);
+            Ok((2, w.into_bytes()))
+        }
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+    }
+
+    /// Two of every single-shard command's three execution notices come from replicas
+    /// the pump does not watch. Each frame, whatever it carries, must end the blocking
+    /// wait and count against the drain: after the first frame of a drain the pump
+    /// asks only for zero waits, and it blocks again only after `DRAIN_FRAMES` frames,
+    /// when it goes back to its arrival schedule.
+    #[test]
+    fn any_frame_ends_the_blocking_wait_and_counts_against_the_drain() {
+        use tempo_kernel::config::Config;
+        const FRAMES: usize = DRAIN_FRAMES + 44;
+        let waits = Arc::new(Mutex::new(Vec::new()));
+        let client = 1;
+        let (completed, aborted, _) = pump_loop(PumpCfg {
+            transport: Box::new(IdleNotices {
+                frames: FRAMES,
+                client,
+                waits: Arc::clone(&waits),
+            }),
+            shared: Arc::new(Shared::bare(Config::full(3, 1))),
+            site: 0,
+            client,
+            // The first arrival is a second away, so every blocking wait is the 1 ms
+            // cap and nothing is submitted.
+            arrivals: Arrivals::fixed(1.0),
+            mix: ZipfMix::ycsb_c(16, 0.5, 1),
+            sessions: 1,
+            warmup_us: 0,
+            gen_end_us: 2_000_000,
+            op_timeout_us: 1_000_000,
+        });
+        assert_eq!((completed, aborted), (0, 0));
+        let waits = waits.lock().expect("waits lock");
+        assert_eq!(waits.len(), FRAMES + 1, "every frame taken, then Closed");
+        let blocking: Vec<usize> = (0..waits.len()).filter(|i| !waits[*i].is_zero()).collect();
+        assert_eq!(blocking, [0, DRAIN_FRAMES], "the calls that blocked");
     }
 }

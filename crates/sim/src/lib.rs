@@ -63,11 +63,11 @@ use tempo_kernel::driver::{Driver, Output};
 use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
 use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::LogHistogram;
-use tempo_kernel::protocol::{Protocol, ProtocolMetrics, WireSize};
-use tempo_kernel::trace::{CmdPhase, ProcEvent, TraceLog, Tracer, DEFAULT_TRACE_CAPACITY};
-use tempo_load::Mix;
+use tempo_kernel::protocol::{Protocol, ProtocolMetrics, View, WireSize};
+use tempo_kernel::trace::{CmdPhase, ProcEvent, Tracer, DEFAULT_TRACE_CAPACITY};
+use tempo_load::{Mix, Session};
 use tempo_planet::Planet;
-use tempo_trace::{MetricsRegistry, PhaseBreakdown};
+use tempo_trace::{merge_and_fold, MetricsRegistry};
 
 /// Analytical CPU/network cost model (the substitute for the paper's real-cluster
 /// hardware bottlenecks, see DESIGN.md §2).
@@ -140,9 +140,9 @@ pub struct SimOpts {
     /// Record per-command lifecycle events (submit, payload, propose, commit, stable,
     /// execute, reply) and process-level events (crash, restart, suspicion, recovery)
     /// into one fixed-capacity ring per process. The merged, time-sorted
-    /// [`TraceLog`] lands in [`RunReport::trace`] with its per-phase latency fold in
-    /// [`RunReport::phases`]. Virtual-clock timestamps make the trace byte-identical
-    /// across same-seed runs.
+    /// [`TraceLog`](tempo_kernel::trace::TraceLog) lands in [`RunReport::trace`] with
+    /// its per-phase latency fold in [`RunReport::phases`]. Virtual-clock timestamps
+    /// make the trace byte-identical across same-seed runs.
     pub trace: bool,
     /// When set, snapshot aggregated protocol counters (committed, executed, messages
     /// sent, completed commands, suspicions) every this many simulated microseconds
@@ -248,15 +248,8 @@ struct ClientState {
     issued: usize,
     completed: usize,
     aborted: usize,
-    submit_time: u64,
-    /// Per accessed shard, the replica whose execution completes that shard's part of
-    /// the current command: the closest *live* replica at submission time (the
-    /// colocated one in failure-free runs; a remote one after a local crash).
-    pending: BTreeMap<ShardId, ProcessId>,
-    current: Option<Rifl>,
-    /// Shard-tagged outputs collected from the watched executions of the current
-    /// command (for the history's response record).
-    partial: Vec<(ShardId, tempo_kernel::command::Key, Option<u64>)>,
+    /// The current command, started at its submission instant.
+    session: Session,
 }
 
 /// The discrete-event simulation of one protocol deployment.
@@ -269,6 +262,9 @@ pub struct Simulation<P: Protocol, M: Mix> {
     drivers: BTreeMap<ProcessId, Driver<P>>,
     mix: M,
     clients: BTreeMap<ClientId, ClientState>,
+    /// Per site, the view its clients watch replicas through: the one its replicas
+    /// sort their quorums by.
+    site_views: Vec<View>,
     queue: BinaryHeap<Event<P::Message>>,
     next_seq: u64,
     busy_until: BTreeMap<ProcessId, u64>,
@@ -358,15 +354,17 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                         issued: 0,
                         completed: 0,
                         aborted: 0,
-                        submit_time: 0,
-                        pending: BTreeMap::new(),
-                        current: None,
-                        partial: Vec::new(),
+                        session: Session::default(),
                     },
                 );
                 client_id += 1;
             }
         }
+        let site_views = membership
+            .all_sites()
+            .into_iter()
+            .map(|site| planet.view_for(config, membership.process(0, site)))
+            .collect();
         let per_site = membership
             .all_sites()
             .into_iter()
@@ -401,6 +399,7 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             drivers,
             mix,
             clients,
+            site_views,
             queue: BinaryHeap::new(),
             next_seq: 0,
             busy_until: BTreeMap::new(),
@@ -563,89 +562,60 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             let Some(client) = self.clients.get_mut(&client_id) else {
                 continue;
             };
-            if client.current != Some(exec.rifl) || client.pending.get(&shard) != Some(&process) {
+            let Some(done) = client
+                .session
+                .reply(process, exec.rifl, shard, &exec.result.outputs)
+            else {
                 continue;
+            };
+            // The command completed: record the latency and issue the next command.
+            let latency = at.saturating_sub(done.start_us);
+            if let Some(history) = &mut self.history {
+                history.record_complete(exec.rifl, at, done.outputs.to_vec());
             }
-            let site = client.site;
-            client.pending.remove(&shard);
-            client
-                .partial
-                .extend(exec.result.outputs.iter().map(|(k, v)| (shard, *k, *v)));
-            if client.pending.is_empty() {
-                // The command completed: record the latency and issue the next command.
-                client.current = None;
-                client.completed += 1;
-                let latency = at.saturating_sub(client.submit_time);
-                let outputs = std::mem::take(&mut client.partial);
-                self.per_site
-                    .get_mut(&site)
-                    .expect("site histogram exists")
-                    .record(latency);
-                self.overall.record(latency);
-                // The reply "hop" is the watched replica handing the result back; the
-                // sim models it as instantaneous, so Replied lands at the execution
-                // instant (execute→reply measures queueing only under a real runtime).
-                if let Some(tracer) = self.tracers.get(&process) {
-                    tracer.phase(at, process, exec.rifl, CmdPhase::Replied);
-                }
-                self.completed_total += 1;
-                self.last_completion = self.last_completion.max(at);
-                if let Some(history) = &mut self.history {
-                    history.record_complete(exec.rifl, at, outputs);
-                }
-                let issued = self.clients[&client_id].issued;
-                if issued < self.opts.commands_per_client {
-                    self.push(at, EventKind::ClientSubmit { client: client_id });
-                }
+            client.completed += 1;
+            self.per_site
+                .get_mut(&client.site)
+                .expect("site histogram exists")
+                .record(latency);
+            self.overall.record(latency);
+            // The reply "hop" is the watched replica handing the result back; the
+            // sim models it as instantaneous, so Replied lands at the execution
+            // instant (execute→reply measures queueing only under a real runtime).
+            if let Some(tracer) = self.tracers.get(&process) {
+                tracer.phase(at, process, exec.rifl, CmdPhase::Replied);
             }
+            self.completed_total += 1;
+            self.last_completion = self.last_completion.max(at);
+            self.next_command(client_id, at);
         }
     }
 
-    /// The replica of `shard` the client at `site` submits to: the closest one that is
-    /// not crashed (the colocated replica in failure-free runs). `None` when the whole
-    /// shard is down.
-    fn submit_target(&self, shard: ShardId, site: SiteId) -> Option<ProcessId> {
-        self.membership
-            .processes_of_shard(shard)
-            .into_iter()
-            .filter(|p| !self.is_down(*p))
-            .min_by_key(|p| {
-                (
-                    self.planet.one_way_us(site, self.membership.site_of(*p)),
-                    *p,
-                )
-            })
+    /// Issues the client's next command now, unless it has issued them all.
+    fn next_command(&mut self, client: ClientId, at: u64) {
+        if self.clients[&client].issued < self.opts.commands_per_client {
+            self.push(at, EventKind::ClientSubmit { client });
+        }
     }
 
     fn submit_for_client(&mut self, client_id: ClientId, at: u64) {
-        let client = &self.clients[&client_id];
-        let site = client.site;
-        let rifl = Rifl::new(client_id, client.issued as u64 + 1);
+        let client = self.clients.get_mut(&client_id).expect("client exists");
+        client.issued += 1;
+        let rifl = Rifl::new(client_id, client.issued as u64);
         let cmd: Command = self.mix.next(rifl);
         self.first_submit = self.first_submit.min(at);
-        // Watch, per accessed shard, the closest live replica for the response; the
-        // submission target is the watched replica of the target shard.
-        let pending: Option<BTreeMap<ShardId, ProcessId>> = cmd
-            .shards()
-            .map(|shard| self.submit_target(shard, site).map(|p| (shard, p)))
-            .collect();
-        let target = pending
-            .as_ref()
-            .and_then(|p| p.get(&cmd.target_shard()).copied());
-        {
-            let client = self.clients.get_mut(&client_id).expect("client exists");
-            client.issued += 1;
-            client.submit_time = at;
-            client.current = Some(rifl);
-            client.pending = pending.clone().unwrap_or_default();
-            client.partial.clear();
-        }
+        let nemesis = &self.nemesis;
+        let target = client
+            .session
+            .open(&cmd, at, &self.site_views[client.site as usize], &|p| {
+                nemesis.as_ref().is_some_and(|n| n.is_down(p))
+            });
         if let Some(history) = &mut self.history {
             history.record_invoke(rifl, cmd.clone(), at);
         }
-        let (Some(target), Some(_)) = (target, pending) else {
+        let Some(target) = target else {
             // Some accessed shard has every replica down: the command cannot complete.
-            self.abort_command(client_id, rifl, at);
+            self.give_up(client_id, rifl, at);
             return;
         };
         if let Some(timeout) = self.opts.client_timeout_us {
@@ -666,24 +636,25 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         self.absorb(target, start, output);
     }
 
-    /// Gives up on `rifl` for `client` (unless it completed since): tallies the abort
-    /// and issues the client's next command.
+    /// The client timed out on `rifl`: gives up on it unless it completed since.
     fn abort_command(&mut self, client_id: ClientId, rifl: Rifl, at: u64) {
         let client = self.clients.get_mut(&client_id).expect("client exists");
-        if client.current != Some(rifl) {
-            return; // Completed in the meantime.
+        if client.session.abort(rifl) {
+            self.give_up(client_id, rifl, at);
         }
-        client.current = None;
-        client.aborted += 1;
-        client.partial.clear();
+    }
+
+    /// Tallies the abort of `rifl` and issues the client's next command.
+    fn give_up(&mut self, client_id: ClientId, rifl: Rifl, at: u64) {
+        self.clients
+            .get_mut(&client_id)
+            .expect("client exists")
+            .aborted += 1;
         self.aborted_total += 1;
         if let Some(history) = &mut self.history {
             history.record_abort(rifl);
         }
-        let issued = self.clients[&client_id].issued;
-        if issued < self.opts.commands_per_client {
-            self.push(at, EventKind::ClientSubmit { client: client_id });
-        }
+        self.next_command(client_id, at);
     }
 
     /// Applies the fault events due now: crash/restart drive the process lifecycle
@@ -781,6 +752,34 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         (self.clients.len() * self.opts.commands_per_client) as u64
     }
 
+    /// Whether a frame from `from` to `to`, sent between the given incarnations,
+    /// survives the fault plane. Connections die with their endpoint: a crashed (or
+    /// since restarted) sender loses its in-flight frames, a crashed destination
+    /// receives nothing, and a frame addressed to a since-replaced incarnation dies
+    /// with the old connection — counted as a crash drop when `tally_crash_drop` — and
+    /// partitions and lossy links drop the rest.
+    fn link_delivers(
+        &mut self,
+        from: ProcessId,
+        from_incarnation: u64,
+        to: ProcessId,
+        to_incarnation: u64,
+        tally_crash_drop: bool,
+    ) -> bool {
+        let stale = self.incarnation_of(from) != from_incarnation
+            || self.incarnation_of(to) != to_incarnation;
+        let Some(nemesis) = &mut self.nemesis else {
+            return true;
+        };
+        if stale || nemesis.is_down(from) || nemesis.is_down(to) {
+            if tally_crash_drop {
+                nemesis.note_crash_drop();
+            }
+            return false;
+        }
+        nemesis.allows_delivery(from, to)
+    }
+
     /// Detector mode: an arrival from `from` proves it is alive to `to`'s detector;
     /// a retracted suspicion is forwarded to the protocol immediately.
     fn feed_liveness(&mut self, from: ProcessId, to: ProcessId, at: u64) {
@@ -803,14 +802,9 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         let Some(registry) = self.registry.as_mut() else {
             return;
         };
-        let mut committed = 0u64;
-        let mut executed = 0u64;
-        let mut messages_sent = 0u64;
+        let mut m = ProtocolMetrics::default();
         for driver in self.drivers.values() {
-            let m = driver.metrics();
-            committed += m.committed;
-            executed += m.executed;
-            messages_sent += m.messages_sent;
+            m.merge(&driver.metrics());
         }
         let mut suspicions = self.detector_stats.suspicions;
         for det in self.detectors.values() {
@@ -819,9 +813,9 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         registry.sample_all(
             at,
             [
-                ("committed", committed),
-                ("executed", executed),
-                ("messages_sent", messages_sent),
+                ("committed", m.committed),
+                ("executed", m.executed),
+                ("messages_sent", m.messages_sent),
                 ("completed_cmds", self.completed_total),
                 ("aborted_cmds", self.aborted_total),
                 ("suspicions", suspicions),
@@ -886,28 +880,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                     to,
                     msg,
                 } => {
-                    if let Some(nemesis) = &mut self.nemesis {
-                        // Connections die with their endpoint: a crashed (or since
-                        // restarted) sender loses its in-flight messages, a crashed
-                        // destination receives nothing, and a message addressed to a
-                        // since-replaced incarnation dies with the old connection.
-                        if nemesis.is_down(from)
-                            || nemesis.is_down(to)
-                            || self.incarnations.get(&from).copied().unwrap_or(0)
-                                != from_incarnation
-                            || self.incarnations.get(&to).copied().unwrap_or(0) != to_incarnation
-                        {
-                            self.nemesis.as_mut().expect("nemesis").note_crash_drop();
-                            continue;
-                        }
-                        if !self
-                            .nemesis
-                            .as_mut()
-                            .expect("nemesis")
-                            .allows_delivery(from, to)
-                        {
-                            continue;
-                        }
+                    if !self.link_delivers(from, from_incarnation, to, to_incarnation, true) {
+                        continue;
                     }
                     // Any frame that makes it through proves the sender is alive.
                     self.feed_liveness(from, to, event.time);
@@ -1016,21 +990,10 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                     to_incarnation,
                     to,
                 } => {
-                    if let Some(nemesis) = &mut self.nemesis {
-                        // Same gating as protocol messages (minus the crash-drop
-                        // tally: losing a heartbeat with its endpoint is the detector
-                        // working as intended, not a protocol-visible message loss).
-                        if nemesis.is_down(from)
-                            || nemesis.is_down(to)
-                            || self.incarnations.get(&from).copied().unwrap_or(0)
-                                != from_incarnation
-                            || self.incarnations.get(&to).copied().unwrap_or(0) != to_incarnation
-                        {
-                            continue;
-                        }
-                        if !nemesis.allows_delivery(from, to) {
-                            continue;
-                        }
+                    // No crash-drop tally: losing a heartbeat with its endpoint is the
+                    // detector working as intended, not a protocol-visible message loss.
+                    if !self.link_delivers(from, from_incarnation, to, to_incarnation, false) {
+                        continue;
                     }
                     self.feed_liveness(from, to, event.time);
                 }
@@ -1041,20 +1004,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         }
 
         let mut metrics = ProtocolMetrics::default();
-        for p in self.drivers.values() {
-            let m = p.metrics();
-            metrics.fast_paths += m.fast_paths;
-            metrics.slow_paths += m.slow_paths;
-            metrics.committed += m.committed;
-            metrics.executed += m.executed;
-            metrics.recoveries_started += m.recoveries_started;
-            metrics.recoveries_completed += m.recoveries_completed;
-            metrics.gc_collected += m.gc_collected;
-            metrics.gc_messages += m.gc_messages;
-            metrics.messages_sent += m.messages_sent;
-            metrics.wal_appends += m.wal_appends;
-            metrics.wal_bytes += m.wal_bytes;
-            metrics.snapshots_taken += m.snapshots_taken;
+        for driver in self.drivers.values() {
+            metrics.merge(&driver.metrics());
         }
         let duration = self
             .last_completion
@@ -1080,22 +1031,13 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                 )
             })
             .collect();
-        // Drain the per-process rings in ProcessId order, then time-sort: stable sort
-        // plus virtual-clock timestamps makes the merged log (and anything rendered
-        // from it) byte-identical across same-seed runs.
-        let trace = self.opts.trace.then(|| {
-            let mut log = TraceLog::default();
-            for tracer in self.tracers.values() {
-                log.merge(tracer.take());
-            }
-            log.sort_by_time();
-            log
-        });
-        let phases = trace.as_ref().map(|log| {
-            let mut fold = PhaseBreakdown::new();
-            fold.record_log(log);
-            fold.finish()
-        });
+        // Drain the per-process rings in ProcessId order: with virtual-clock
+        // timestamps the merged log is byte-identical across same-seed runs.
+        let (trace, phases) = self
+            .opts
+            .trace
+            .then(|| merge_and_fold(self.tracers.values().map(Tracer::take).collect()))
+            .unzip();
         RunReport {
             protocol: P::NAME.to_string(),
             config: self.config,

@@ -6,8 +6,10 @@
 //!
 //! * [`PhaseBreakdown`] folds event pairs into per-phase [`LogHistogram`]s
 //!   (submit→commit, commit→stable, stable→execute, execute→reply), turning "p99 is
-//!   4.6 ms" into "3.9 ms of it is the stability wait", and [`at_coordinator`] gives
-//!   the same two intervals as the command's own coordinator saw them;
+//!   4.6 ms" into "3.9 ms of it is the stability wait", [`merge_and_fold`] turns a
+//!   scheduler's per-process rings into one sorted log and its fold, and
+//!   [`at_coordinator`] gives the same two intervals as the command's own coordinator
+//!   saw them;
 //! * [`ChromeTrace`] renders a merged [`TraceLog`] as Chrome trace-event JSON
 //!   (`chrome://tracing` / Perfetto-loadable): one track per process, a span per
 //!   command lifecycle, nemesis/detector events overlaid as instants;
@@ -120,6 +122,22 @@ impl PhaseBreakdown {
             pairs,
         }
     }
+}
+
+/// Merges per-process logs, in the order given, into one time-sorted log and folds
+/// its phases — how a scheduler turns its rings into a run's trace and breakdown. The
+/// sort is stable, so same-instant events keep merge order and a simulated run's log
+/// is byte-identical across same-seed runs.
+pub fn merge_and_fold(logs: Vec<TraceLog>) -> (TraceLog, PhaseLatencies) {
+    let mut log = TraceLog::default();
+    for other in logs {
+        log.merge(other);
+    }
+    log.sort_by_time();
+    let mut fold = PhaseBreakdown::new();
+    fold.record_log(&log);
+    let phases = fold.finish();
+    (log, phases)
 }
 
 /// Per command, what its *coordinator* saw — the process that recorded `Submitted` — as
