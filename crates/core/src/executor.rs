@@ -27,6 +27,7 @@ use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 use tempo_kernel::kvstore::KVStore;
 use tempo_kernel::protocol::{Executed, Executor};
+use tempo_store::QueuedCommit;
 
 /// Ordering events handed from the Tempo ordering stage to the executor.
 #[derive(Debug, Clone)]
@@ -181,25 +182,19 @@ impl TempoExecutor {
         out
     }
 
-    /// The applied key-value state as `(key, value)` pairs (snapshots and state
-    /// transfers; the image corresponds exactly to the [`Self::exec_floor`] prefix).
-    pub fn kv_entries(&self) -> Vec<(Key, u64)> {
-        self.kv.entries()
-    }
-
     /// The committed-but-unexecuted queue, in `⟨ts, id⟩` order, with each entry's
-    /// remaining sibling-shard waits (for durable snapshots).
-    pub fn queued_entries(&self) -> Vec<(Dot, u64, Command, Vec<ShardId>)> {
+    /// remaining sibling-shard waits (what snapshots and state transfers carry).
+    pub fn queued_entries(&self) -> Vec<QueuedCommit> {
         self.queue
             .iter()
             .map(|&(ts, dot)| {
                 let pending = self.pending.get(&dot).expect("queued commands are pending");
-                (
+                QueuedCommit {
                     dot,
                     ts,
-                    pending.cmd.clone(),
-                    pending.waits.iter().copied().collect(),
-                )
+                    cmd: pending.cmd.clone(),
+                    waits: pending.waits.iter().copied().collect(),
+                }
             })
             .collect()
     }

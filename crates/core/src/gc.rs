@@ -70,17 +70,14 @@ impl GcTracker {
             .insert(dot.sequence);
     }
 
-    /// Seeds the executed set of `origin` with the contiguous prefix `[1, watermark]`.
-    /// Used when restoring from a durable snapshot and when installing a rejoin state
-    /// transfer (the transferred image contains the effect of that prefix, so this
-    /// process will never need the corresponding metadata again). Watermarks are
-    /// monotone; a stale seed is a no-op.
-    pub fn restore_executed(&mut self, origin: ProcessId, watermark: u64) {
-        if watermark >= 1 {
-            self.executed
-                .entry(origin)
-                .or_default()
-                .insert_range(1, watermark);
+    /// Seeds the executed set of every origin of an applied image's `frontier` with the
+    /// contiguous prefix `[1, watermark]`: a restored snapshot or an installed transfer
+    /// contains the effect of that prefix, so this process will never need its metadata
+    /// again. Watermarks are monotone; a stale seed is a no-op.
+    pub fn restore_executed(&mut self, frontier: &[(ProcessId, u64)]) {
+        for &(origin, watermark) in frontier.iter().filter(|(_, w)| *w >= 1) {
+            let executed = self.executed.entry(origin).or_default();
+            executed.insert_range(1, watermark);
         }
     }
 
@@ -96,7 +93,7 @@ impl GcTracker {
     /// from the local executed set, lowest first, at most `limit`. When a shard peer
     /// reports `watermark` as its frontier, each of these is a dot the peer has executed
     /// but this process has not — a candidate commit hole if no metadata exists for it
-    /// either (see `Tempo::note_commit_holes`).
+    /// either (see `Transfer::note_holes`).
     pub fn missing_below(&self, origin: ProcessId, watermark: u64, limit: usize) -> Vec<u64> {
         match self.executed.get(&origin) {
             Some(set) => set.missing_in(set.contiguous(), watermark, limit),

@@ -41,6 +41,10 @@
 //!   recovery protocols, plus the protocol-owned timers (promise broadcast, liveness
 //!   scan); messages a process addresses to itself are plain sends that the kernel's
 //!   `Driver` delivers back, so no handler runs inside another,
+//! * `durable` — the WAL, its chunked floors and snapshots in one owner (`Durable`), and
+//!   recovery from them ([`Tempo::with_store`]; DESIGN.md §6),
+//! * `transfer` — the rejoin state transfer's execution gate in one owner (`Transfer`),
+//!   and the install of an `MState`,
 //! * [`executor`] — the [`TempoExecutor`] *execution* stage: stability-ordered
 //!   execution, fed with commit/stability events and independently testable,
 //! * [`wire`] — the `tempo-net` [`Wire`](tempo_net::Wire) codec for the full message
@@ -50,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod durable;
 pub mod executor;
 pub mod gc;
 pub mod info;
@@ -57,6 +62,7 @@ pub mod messages;
 pub mod promises;
 pub mod protocol;
 pub mod stability;
+mod transfer;
 pub mod wire;
 pub mod wire_fixture;
 

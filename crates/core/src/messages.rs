@@ -254,11 +254,8 @@ pub enum Message {
         /// The sender's per-origin executed watermarks (seeds the receiver's GC).
         watermarks: Vec<(ProcessId, u64)>,
         /// The sender's committed-but-unexecuted queue (above the boundary), with each
-        /// entry's remaining sibling-shard waits. A receiver that was down when these
-        /// commands committed has no other way to learn them before its own stability
-        /// passes their timestamps: `MCommit` broadcasts are not repeated, and the
-        /// commit-hole probe cannot fire until a peer *executes* the dot — structurally
-        /// after the receiver resumed executing around the hole.
+        /// entry's remaining sibling-shard waits: commands a receiver that was down can
+        /// learn nowhere else in time (DESIGN.md §6, "The revised restart story").
         queued: Vec<QueuedCommit>,
     },
 }

@@ -13,6 +13,9 @@
 //! * the **recovery protocol** (§5 / Algorithm 4) and the liveness mechanisms of
 //!   Appendix B (`MRecNAck`, `MCommitRequest`, periodic payload resend).
 //!
+//! `Tempo` keeps the commit path, the executor calls and GC, and composes [`Stability`],
+//! `Durable` (WAL, floors, snapshots) and `Transfer` (state transfer, execution gate).
+//!
 //! Handlers never call one another. Algorithm 1 sends to the sending process freely
 //! (`MSubmit`, `MPropose`, `MProposeAck`, `MCommit` all reach the coordinator itself);
 //! here that is an ordinary [`Action::Send`] whose targets include this process, and the
@@ -20,15 +23,17 @@
 //! that emitted it has returned — so a handler's view of `self` is never changed under
 //! it by another handler.
 
+use crate::durable::{Durable, Floor};
 use crate::executor::{ExecutionInfo, TempoExecutor};
 use crate::gc::GcTracker;
 use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, PromiseBundle, Quorums, RecPhase};
 use crate::promises::PromiseRange;
 use crate::stability::{Report, Stability};
+use crate::transfer::{AppliedImage, Transfer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use tempo_kernel::command::{Command, Key};
+use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, DotGen, ProcessId, ShardId};
 use tempo_kernel::membership::Membership;
@@ -37,8 +42,7 @@ use tempo_kernel::protocol::{
 };
 use tempo_kernel::trace::{CmdPhase, ProcEvent, Tracer};
 use tempo_kernel::util::max_and_count;
-use tempo_store::snapshot::{AcceptState, QueuedCommit};
-use tempo_store::{Snapshot, Store, WalRecord};
+use tempo_store::WalRecord;
 
 /// Timer driving the periodic `MPromises` broadcast (Algorithm 2, line 45), registered
 /// by the protocol itself via [`Action::Schedule`].
@@ -48,12 +52,6 @@ pub const TIMER_PROMISES: TimerId = TimerId(1);
 pub const TIMER_LIVENESS: TimerId = TimerId(2);
 /// One-shot timer behind the burst-edge `MPromises` flush (see `Tempo::arm_flush`).
 const TIMER_FLUSH: TimerId = TimerId(3);
-
-/// Most missing sequences considered per origin per `MPromises` frontier report when
-/// scanning for commit holes (see `Tempo::note_commit_holes`).
-const HOLE_SCAN_LIMIT: usize = 32;
-/// Most commit-hole suspects tracked at once.
-const HOLE_SUSPECT_CAP: usize = 256;
 
 /// Interval of the periodic `MPromises` broadcast, in microseconds. Fresh detached
 /// promises do not wait for it (they leave with the flush below); the tick is the healing
@@ -68,52 +66,38 @@ const PROMISE_INTERVAL_US: u64 = 5_000;
 const FLUSH_DELAY_US: u64 = 1;
 /// Interval of the liveness scan over pending commands, in microseconds.
 const LIVENESS_INTERVAL_US: u64 = 5_000;
-/// Clock floors are persisted in chunks of this many timestamps: one `ClockFloor` record
-/// covers the next `CLOCK_FLOOR_CHUNK` proposals, and a restart skips at most that many
-/// unused timestamps (it can never reuse a promised one).
-const CLOCK_FLOOR_CHUNK: u64 = 64;
 
 /// Tunable options of the Tempo implementation. The defaults are the configuration
-/// evaluated in the paper; every field has a caller that sets it (tests of the timeouts,
-/// snapshot pacing and dot floors, the amnesia demonstrations, `table1_fastpath`'s
-/// ablation). `MBump` (§4, "Faster stability") and promise piggybacking on
+/// evaluated in the paper. `MBump` (§4, "Faster stability") and promise piggybacking on
 /// `MProposeAck`/`MCommit` (§3.2) are always on.
 #[derive(Debug, Clone, Copy)]
 pub struct TempoOptions {
-    /// Ablation: take the fast path only when *all* fast-quorum proposals are equal
-    /// (an EPaxos-like condition) instead of Tempo's `count(max) >= f`.
-    pub all_equal_fast_path: bool,
     /// How long a command may stay pending before this process (if it is the shard
-    /// leader) starts recovery for it, in microseconds.
+    /// leader) starts recovery for it, in microseconds; `driver_conformance` and the
+    /// chaos batteries of `crates/runtime/tests` shorten it.
     pub recovery_timeout_us: u64,
     /// How long a command may stay pending before a non-leader process asks for the
-    /// commit outcome (`MCommitRequest`) and re-sends the payload, in microseconds.
+    /// commit outcome (`MCommitRequest`) and re-sends the payload, in microseconds; also
+    /// the pace of state-transfer retries and commit-hole probes. Same callers.
     pub commit_request_timeout_us: u64,
     /// After the `MRejoin` handshake, request a snapshot of the applied state from a
-    /// shard peer (`MStateRequest`/`MState`) and gate execution until it installs:
-    /// even with a durable store the replica misses every command committed while it
-    /// was down, and serving reads around that gap would be stale (DESIGN.md §6).
-    /// Disabled only by tests that demonstrate the amnesia gap.
+    /// shard peer (`MStateRequest`/`MState`) and gate execution until it installs: even
+    /// with a durable store the replica misses what committed while it was down
+    /// (DESIGN.md §6). Off only in `crates/fault/tests/durability.rs`, to show the
+    /// stale reads a transfer-less restart serves.
     pub state_transfer: bool,
-    /// Install a durable snapshot (truncating the WAL) once this many records have
-    /// been appended since the previous snapshot. Only relevant with a store.
+    /// Install a durable snapshot (truncating the WAL) once this many records were
+    /// appended since the previous one; the durability and chaos batteries lower it.
     pub snapshot_every_appends: u64,
-    /// Persist dot floors in chunks of this many sequences (like the clock floor's):
-    /// one `DotFloor` record covers the next `dot_floor_chunk` submissions, so dot
-    /// uniqueness across store-backed restarts holds by replay alone — without relying
-    /// on the incarnation bands (`incarnation << 48`) that diskless rejoins need.
-    pub dot_floor_chunk: u64,
 }
 
 impl Default for TempoOptions {
     fn default() -> Self {
         Self {
-            all_equal_fast_path: false,
             recovery_timeout_us: 2_000_000,
             commit_request_timeout_us: 1_000_000,
             state_transfer: true,
             snapshot_every_appends: 256,
-            dot_floor_chunk: 64,
         }
     }
 }
@@ -121,8 +105,9 @@ impl Default for TempoOptions {
 /// The Tempo protocol instance at one process.
 #[derive(Debug)]
 pub struct Tempo {
+    // The fields `durable.rs` and `transfer.rs` touch are `pub(crate)`.
     process: ProcessId,
-    shard: ShardId,
+    pub(crate) shard: ShardId,
     config: Config,
     options: TempoOptions,
     view: View,
@@ -131,82 +116,48 @@ pub struct Tempo {
     /// that shard-wide sends cost a reference bump, not a `Vec` clone per call.
     shard_peers: Arc<[ProcessId]>,
     /// `shard_peers` other than this process: the targets of shard-wide reports.
-    other_peers: Vec<ProcessId>,
+    pub(crate) other_peers: Vec<ProcessId>,
     /// This process's rank within the shard, in `1..=n`.
     rank: u64,
-    dot_gen: DotGen,
+    pub(crate) dot_gen: DotGen,
     /// The clock, the promises and the line-47 commit gate.
-    stability: Stability,
-    info: BTreeMap<Dot, CommandInfo>,
+    pub(crate) stability: Stability,
+    pub(crate) info: BTreeMap<Dot, CommandInfo>,
     /// Dots not yet committed at this process (for the periodic liveness scan).
-    pending: BTreeSet<Dot>,
+    pub(crate) pending: BTreeSet<Dot>,
     /// The execution stage: stability-ordered execution (Algorithm 2/3).
-    executor: TempoExecutor,
+    pub(crate) executor: TempoExecutor,
     /// Committed-command GC: executed watermarks of this process and its shard peers.
-    gc: GcTracker,
+    pub(crate) gc: GcTracker,
+    /// The WAL, its floors and snapshots; inert without a store.
+    pub(crate) durable: Durable,
+    /// The state transfer and its execution gate.
+    pub(crate) transfer: Transfer,
     /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
     /// `Schedule`, so a burst of bumps must arm it once).
     flush_armed: bool,
     /// Commands committed but skipped by the execution stage because local stability
     /// had already passed their timestamp (only possible at restarted incarnations;
     /// see `commit_with`).
-    exec_skipped: u64,
+    pub(crate) exec_skipped: u64,
     /// Last time the execution stage made progress (for stall detection).
-    last_exec_progress_us: u64,
+    pub(crate) last_exec_progress_us: u64,
     /// Last time this process asked peers to re-state their promises (rate limit).
     last_repair_request_us: u64,
     /// The last stability watermark fed to the executor; feeds are skipped (and the
     /// executor left untouched) while the watermark has not advanced.
-    last_stable_fed: u64,
-    metrics: ProtocolMetrics,
+    pub(crate) last_stable_fed: u64,
+    pub(crate) metrics: ProtocolMetrics,
     /// Processes suspected to have failed (used to pick the recovery leader and to avoid
     /// dead processes when choosing fast quorums for new commands).
-    suspected: BTreeSet<ProcessId>,
+    pub(crate) suspected: BTreeSet<ProcessId>,
     /// Whether this instance is a full participant. `false` only between a restart (see
     /// [`Protocol::rejoin`]) and the completion of the `MRejoin` handshake: until then
     /// the process makes no timestamp proposals, because its clock restarted at zero and
     /// a proposal below a previous incarnation's promises would break Theorem 1.
-    joined: bool,
+    pub(crate) joined: bool,
     /// Shard peers that answered the current `MRejoin` handshake.
     rejoin_acks: BTreeSet<ProcessId>,
-    /// The durable backing store, when this replica persists its state (see
-    /// [`Tempo::with_store`] and DESIGN.md §6). `None` = diskless (the baseline).
-    store: Option<Box<dyn Store>>,
-    /// The highest `ClockFloor` persisted to the WAL. Floors are persisted in chunks
-    /// ahead of the live clock, so most proposals append nothing.
-    persisted_clock: u64,
-    /// The highest `DotFloor` persisted to the WAL (chunked like the clock floor, so
-    /// most submissions append nothing).
-    persisted_dot_floor: u64,
-    /// The store's append count as of the last snapshot (snapshot pacing).
-    appends_at_snapshot: u64,
-    /// Set between the completion of the rejoin handshake and the installation of a
-    /// peer's `MState`: execution (and thus read service) stays gated so the replica
-    /// cannot answer reads from a store missing the commands it slept through.
-    awaiting_state: bool,
-    /// Commits whose timestamp fell at or below `last_stable_fed` but that were *not*
-    /// covered by a state transfer (`(final_ts, dot) > exec_floor`). Feeding such a
-    /// command to the executor would execute it out of timestamp order, and skipping
-    /// it silently would leave a hole in the store while later commands keep reading
-    /// from it — so the executor is gated until a state transfer whose floor covers
-    /// every recorded gap is installed.
-    exec_gaps: BTreeSet<(u64, Dot)>,
-    /// Suspected commit holes: dots covered by a shard peer's executed frontier
-    /// (piggybacked on `MPromises`) that this process has no record of — no
-    /// `CommandInfo`, not executed, not collected. Such a dot is a commit this replica
-    /// may have missed entirely (e.g. the `MCommit` was dropped while the link was
-    /// lossy, or broadcast while the replica was down); stability can then pass the
-    /// command via the peers' promises without this replica ever holding it, leaving
-    /// a silent hole in the store. Values are `(first_seen_us, last_probe_us)`:
-    /// suspects older than the probe timeout are asked around (`MCommitRequest`) from
-    /// the liveness timer — in-flight commits resolve themselves within the grace
-    /// period — and the answered commit lands below the stable watermark, where the
-    /// `exec_gaps` gate turns it into a state transfer.
-    hole_suspects: BTreeMap<Dot, (u64, u64)>,
-    /// Last time an `MStateRequest` was sent (retry pacing under message loss).
-    last_state_request_us: u64,
-    /// `MStateRequest` attempts so far (rotates the target across live peers).
-    state_request_attempts: u64,
     /// Lifecycle tracing handle (disabled by default; see [`Protocol::attach_tracer`]).
     tracer: Tracer,
 }
@@ -250,6 +201,8 @@ impl Tempo {
             pending: BTreeSet::new(),
             executor: TempoExecutor::new(process, shard, config),
             gc,
+            durable: Durable::new(options.snapshot_every_appends),
+            transfer: Transfer::new(options.state_transfer, options.commit_request_timeout_us),
             flush_armed: false,
             exec_skipped: 0,
             last_exec_progress_us: 0,
@@ -259,42 +212,8 @@ impl Tempo {
             suspected: BTreeSet::new(),
             joined: true,
             rejoin_acks: BTreeSet::new(),
-            store: None,
-            persisted_clock: 0,
-            persisted_dot_floor: 0,
-            appends_at_snapshot: 0,
-            awaiting_state: false,
-            exec_gaps: BTreeSet::new(),
-            hole_suspects: BTreeMap::new(),
-            last_state_request_us: 0,
-            state_request_attempts: 0,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Creates a Tempo instance backed by a durable [`Store`]: every per-dot
-    /// ballot/accept/commit and the clock floor are written ahead to it, periodic
-    /// snapshots truncate its WAL, and — crucially — the instance *recovers from it
-    /// right here*: the snapshot is installed and the WAL suffix replayed before the
-    /// first message is handled, so a replica rebuilt after a crash starts from its
-    /// pre-crash accepts and commits instead of blank (DESIGN.md §6).
-    pub fn with_store(
-        process: ProcessId,
-        shard: ShardId,
-        config: Config,
-        options: TempoOptions,
-        mut store: Box<dyn Store>,
-    ) -> Self {
-        let mut tempo = Self::with_options(process, shard, config, options);
-        let (snapshot, wal) = store.load();
-        tempo.store = Some(store);
-        tempo.recover_from_store(snapshot, wal);
-        tempo
-    }
-
-    /// The options in use.
-    pub fn options(&self) -> &TempoOptions {
-        &self.options
     }
 
     /// Current clock value (exposed for tests and diagnostics).
@@ -333,7 +252,7 @@ impl Tempo {
     /// Whether this instance is still waiting for a rejoin state transfer to install
     /// (execution is gated while true; see DESIGN.md §6).
     pub fn is_awaiting_state(&self) -> bool {
-        self.awaiting_state
+        self.transfer.is_awaiting()
     }
 
     /// Commands committed at this process but never applied by the local executor:
@@ -378,7 +297,7 @@ impl Tempo {
 
     // ---------------------------------------------------------------- helpers
 
-    fn info_mut(&mut self, dot: Dot, now_us: u64) -> &mut CommandInfo {
+    pub(crate) fn info_mut(&mut self, dot: Dot, now_us: u64) -> &mut CommandInfo {
         info_entry(&mut self.info, dot, now_us)
     }
 
@@ -394,7 +313,7 @@ impl Tempo {
     /// Bumps the clock to `t` (see [`Stability::bump`]), keeping its durable floor ahead.
     fn clock_bump(&mut self, t: u64) {
         if self.stability.bump(t) {
-            self.wal_log_clock_floor();
+            self.durable.cover(Floor::Clock, self.stability.clock());
         }
     }
 
@@ -465,423 +384,6 @@ impl Tempo {
                     .unwrap_or_else(|| self.view.closest_process(shard))
             })
             .collect()
-    }
-
-    // ------------------------------------------------------------- durability
-
-    /// Appends one record to the durable store, if any. Appends are buffered; the
-    /// kernel driver's persist hook syncs them before this step's messages leave.
-    fn wal_append(&mut self, record: WalRecord) {
-        if let Some(store) = &mut self.store {
-            store.append(&record);
-        }
-    }
-
-    /// Keeps the durable clock floor ahead of the live clock, in chunks: whenever the
-    /// clock passes the persisted floor, one `ClockFloor` record reserves the next
-    /// [`CLOCK_FLOOR_CHUNK`] timestamps. Recovery resumes from the persisted floor — an
-    /// over-approximation, so a restart may *skip* unused timestamps (harmless: nobody
-    /// was promised them) but can never reuse a promised one.
-    fn wal_log_clock_floor(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        let clock = self.stability.clock();
-        if clock > self.persisted_clock {
-            let floor = clock + CLOCK_FLOOR_CHUNK;
-            self.wal_append(WalRecord::ClockFloor(floor));
-            self.persisted_clock = floor;
-        }
-    }
-
-    /// Keeps the durable dot floor ahead of the live generator, in chunks: whenever a
-    /// freshly generated dot passes the persisted floor, one `DotFloor` record
-    /// reserves the next `dot_floor_chunk` sequences. The driver's persist hook syncs
-    /// the append before the submission's messages leave, so no dot is ever visible
-    /// to a peer without a durable floor covering it — a clean restart replays the
-    /// floor and can never re-issue a dot, independent of incarnation bands.
-    fn wal_log_dot_floor(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        let generated = self.dot_gen.generated();
-        if generated > self.persisted_dot_floor {
-            let floor = generated + self.options.dot_floor_chunk;
-            self.wal_append(WalRecord::DotFloor(floor));
-            self.persisted_dot_floor = floor;
-        }
-    }
-
-    /// Restores this instance from its store's snapshot and WAL suffix (called from
-    /// [`Tempo::with_store`], before the instance handles anything).
-    ///
-    /// Replay is executor-order-agnostic: the snapshot's queued commits and the WAL's
-    /// `Commit` records are re-fed as ordinary `Committed` events with the stability
-    /// watermark restored to its snapshot-time value, and the executor re-derives
-    /// `⟨ts, id⟩` execution order itself — the line-47 commit gate guarantees every
-    /// WAL-suffix commit lies strictly above the snapshot's watermark, so nothing can
-    /// execute out of order during replay (DESIGN.md §6, cut-point argument).
-    fn recover_from_store(&mut self, snapshot: Option<Snapshot>, wal: Vec<WalRecord>) {
-        let empty = snapshot.is_none() && wal.is_empty();
-        let replayed_wal = !wal.is_empty();
-        if let Some(snap) = snapshot {
-            self.stability.restore(snap.clock);
-            self.dot_gen.skip_to(snap.next_dot_seq);
-            self.executor.restore(
-                snap.stable,
-                (snap.floor_ts, snap.floor_dot),
-                snap.executed_count,
-                snap.kv,
-            );
-            self.last_stable_fed = snap.stable;
-            // Every snapshot-covered execution was a commit; keep the two counters
-            // consistent so the stall detector (`repair_scan`) stays meaningful.
-            self.metrics.committed = snap.executed_count;
-            for (origin, watermark) in &snap.watermarks {
-                self.gc.restore_executed(*origin, *watermark);
-            }
-            for a in &snap.accepts {
-                let info = self.info_mut(a.dot, 0);
-                info.ts = a.ts;
-                info.bal = a.bal;
-                info.abal = a.abal;
-            }
-            for q in snap.queued {
-                self.replay_commit(q.dot, q.ts, q.cmd, q.waits);
-            }
-        }
-        for record in wal {
-            match record {
-                WalRecord::ClockFloor(floor) => self.stability.restore(floor),
-                WalRecord::DotFloor(floor) => self.dot_gen.skip_to(floor),
-                WalRecord::Ballot { dot, bal } => {
-                    let info = self.info_mut(dot, 0);
-                    info.bal = info.bal.max(bal);
-                }
-                WalRecord::Accept { dot, ts, bal } => {
-                    let info = self.info_mut(dot, 0);
-                    info.ts = ts;
-                    info.bal = info.bal.max(bal);
-                    info.abal = info.abal.max(bal);
-                }
-                WalRecord::Commit {
-                    dot,
-                    ts,
-                    cmd,
-                    waits,
-                } => self.replay_commit(dot, ts, cmd, waits),
-                WalRecord::SiblingStable { dot, shard } => {
-                    self.replay_feed(ExecutionInfo::ShardStable { dot, shard });
-                }
-                WalRecord::Stable(ts) => {
-                    if ts > self.last_stable_fed {
-                        self.last_stable_fed = ts;
-                        self.replay_feed(ExecutionInfo::Stable { ts });
-                    }
-                }
-            }
-        }
-        self.persisted_clock = self.stability.clock();
-        self.persisted_dot_floor = self.dot_gen.generated();
-        if let Some(store) = &self.store {
-            self.appends_at_snapshot = store.metrics().wal_appends;
-        }
-        if !empty {
-            self.stability.claim_nothing();
-        }
-        if replayed_wal {
-            // Fold the replayed suffix into a fresh snapshot immediately: append-count
-            // pacing restarts at zero with each incarnation, so a crash-looping
-            // replica would otherwise never truncate its WAL and replay cost would
-            // grow without bound across crashes.
-            self.force_snapshot();
-        }
-    }
-
-    /// Replays one durable commit (from the snapshot's queue or a WAL `Commit`).
-    fn replay_commit(&mut self, dot: Dot, final_ts: u64, cmd: Command, waits: Vec<ShardId>) {
-        {
-            let info = self.info_mut(dot, 0);
-            if info.phase.is_committed_or_executed() {
-                return;
-            }
-            info.learn_payload(&cmd, &Quorums::new());
-            info.final_ts = final_ts;
-            info.phase = Phase::Commit;
-        }
-        self.pending.remove(&dot);
-        self.metrics.committed += 1;
-        self.stability.restore(final_ts);
-        if (final_ts, dot) <= self.executor.exec_floor() {
-            // Defensive: already inside the restored image (cannot happen for records
-            // the cut-point argument admits, but a replayed log must never double-apply).
-            let info = self.info.get_mut(&dot).expect("info exists");
-            info.phase = Phase::Execute;
-            self.gc.record_executed(dot);
-            return;
-        }
-        self.replay_feed(ExecutionInfo::Committed {
-            dot,
-            ts: final_ts,
-            cmd,
-            waits,
-        });
-    }
-
-    /// Feeds the executor during recovery. No actions can be emitted (the instance is
-    /// still being constructed): executions are absorbed into phase/GC bookkeeping,
-    /// results are dropped (their clients were answered in a previous life or will
-    /// retry), and `MStable` announcements are not re-broadcast (the previous life
-    /// sent them; live replicas answer sibling shards that still wait).
-    fn replay_feed(&mut self, info: ExecutionInfo) {
-        let _ = self.executor.handle(info);
-        let _ = self.executor.take_newly_stable();
-        for dot in self.executor.take_executed_dots() {
-            let info = self
-                .info
-                .get_mut(&dot)
-                .expect("executed commands have info");
-            info.phase = Phase::Execute;
-            self.gc.record_executed(dot);
-        }
-    }
-
-    /// The executor's committed-but-unexecuted queue, as snapshots and `MState` carry it.
-    fn queued_commits(&self) -> Vec<QueuedCommit> {
-        self.executor
-            .queued_entries()
-            .into_iter()
-            .map(|(dot, ts, cmd, waits)| QueuedCommit {
-                dot,
-                ts,
-                cmd,
-                waits,
-            })
-            .collect()
-    }
-
-    /// Builds the durable snapshot of the current state (see [`Snapshot`] for what must
-    /// be carried and why).
-    fn build_snapshot(&self) -> Snapshot {
-        let (floor_ts, floor_dot) = self.executor.exec_floor();
-        Snapshot {
-            clock: self.stability.clock(),
-            stable: self.last_stable_fed,
-            floor_ts,
-            floor_dot,
-            next_dot_seq: self.dot_gen.generated(),
-            executed_count: self.executor.executed(),
-            kv: self.executor.kv_entries(),
-            queued: self.queued_commits(),
-            accepts: self
-                .info
-                .iter()
-                .filter(|(_, i)| !i.phase.is_committed_or_executed() && (i.bal != 0 || i.abal != 0))
-                .map(|(dot, i)| AcceptState {
-                    dot: *dot,
-                    ts: i.ts,
-                    bal: i.bal,
-                    abal: i.abal,
-                })
-                .collect(),
-            watermarks: self.gc.executed_frontier(),
-        }
-    }
-
-    /// Installs a snapshot once enough WAL records accumulated since the last one.
-    /// Paced from the promise timer, so snapshot cost is off the message hot path.
-    fn maybe_snapshot(&mut self) {
-        let Some(store) = &self.store else {
-            return;
-        };
-        if store.metrics().wal_appends - self.appends_at_snapshot
-            < self.options.snapshot_every_appends
-        {
-            return;
-        }
-        self.force_snapshot();
-    }
-
-    /// Unconditionally installs a snapshot (truncating the WAL).
-    fn force_snapshot(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        let snapshot = self.build_snapshot();
-        let store = self.store.as_mut().expect("checked above");
-        store.install_snapshot(&snapshot);
-        self.appends_at_snapshot = store.metrics().wal_appends;
-        // The snapshot carries the exact clock and dot position; the next floor
-        // chunks start there.
-        self.persisted_clock = self.stability.clock();
-        self.persisted_dot_floor = self.dot_gen.generated();
-    }
-
-    // ---------------------------------------------------------- state transfer
-
-    /// Asks a live shard peer for its applied state (post-rejoin back-fill). Targets
-    /// rotate across live peers on retry so one unresponsive peer cannot stall the
-    /// transfer forever.
-    fn send_state_request(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
-        let live: Vec<ProcessId> = self
-            .other_peers
-            .iter()
-            .copied()
-            .filter(|p| !self.suspected.contains(p))
-            .collect();
-        if live.is_empty() {
-            if self.exec_gaps.is_empty() {
-                // Nobody to transfer from (every peer suspected): ungate rather than
-                // stall — ordering safety does not depend on the transfer.
-                self.awaiting_state = false;
-                self.sync_stability(now_us, out);
-            }
-            // With open execution gaps the store is *known* incomplete, so stay
-            // gated: serving reads would return values missing committed writes.
-            // `TIMER_LIVENESS` keeps retrying as peers come back.
-            return;
-        }
-        let target = live[(self.state_request_attempts as usize) % live.len()];
-        self.state_request_attempts += 1;
-        self.last_state_request_us = now_us;
-        out.push(Action::send_one(target, Message::MStateRequest));
-    }
-
-    fn handle_state_request(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
-        if !self.joined || self.awaiting_state {
-            // Mid-rejoin (or mid-transfer) state is not a trustworthy image.
-            return;
-        }
-        let (floor_ts, floor_dot) = self.executor.exec_floor();
-        let msg = Message::MState {
-            floor_ts,
-            floor_dot,
-            kv: self.executor.kv_entries(),
-            watermarks: self.gc.executed_frontier(),
-            queued: self.queued_commits(),
-        };
-        out.push(Action::send_one(from, msg));
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_state(
-        &mut self,
-        floor_ts: u64,
-        floor_dot: Dot,
-        kv: Vec<(Key, u64)>,
-        watermarks: Vec<(ProcessId, u64)>,
-        queued: Vec<QueuedCommit>,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        if !self.awaiting_state {
-            return; // Late duplicate (or a transfer this instance never asked for).
-        }
-        self.awaiting_state = false;
-        let floor = (floor_ts, floor_dot);
-        let installed = floor > self.executor.exec_floor();
-        if installed {
-            let dropped = self.executor.install_transfer(kv, floor);
-            for dot in &dropped {
-                // Queued commits covered by the transferred image: their effects are
-                // present without the local executor applying them.
-                let info = self.info.get_mut(dot).expect("queued commands have info");
-                info.mark_executed();
-                self.exec_skipped += 1;
-                self.gc.record_executed(*dot);
-            }
-            for (origin, watermark) in &watermarks {
-                self.gc.restore_executed(*origin, *watermark);
-            }
-            self.gc_collect();
-        }
-        // Absorb the donor's committed-but-unexecuted queue *before* raising the local
-        // stability watermark: every entry is above the donor's floor, so with the
-        // watermark still at its pre-transfer value the entries commit onto the
-        // (possibly just-installed) image in normal ⟨ts, id⟩ order instead of tripping
-        // the below-stability skip path in `commit_with`.
-        self.absorb_transferred_commits(queued, now_us, out);
-        if installed {
-            self.last_stable_fed = self.last_stable_fed.max(floor_ts);
-            self.last_exec_progress_us = now_us;
-            // Write-through: the back-filled image lives only in the executor until a
-            // snapshot captures it — force one so a second crash keeps the back-fill.
-            self.force_snapshot();
-        }
-        // Execution gaps now covered by the (possibly just-raised) floor are closed:
-        // their effects are part of the installed image. If any gap remains above the
-        // floor, the store is still incomplete — stay gated and keep requesting
-        // (`TIMER_LIVENESS` re-sends while `awaiting_state`); the donor keeps
-        // executing, so its floor eventually passes every gap.
-        let exec_floor = self.executor.exec_floor();
-        let mut closed_any = false;
-        for (ts, dot) in std::mem::take(&mut self.exec_gaps) {
-            if (ts, dot) <= exec_floor {
-                // Deferred from `commit_with`'s skip branch: only now that the
-                // installed image contains the command's effect may its dot enter
-                // the executed frontier.
-                self.gc.record_executed(dot);
-                closed_any = true;
-            } else {
-                self.exec_gaps.insert((ts, dot));
-            }
-        }
-        if closed_any {
-            self.gc_collect();
-        }
-        if !self.exec_gaps.is_empty() {
-            self.awaiting_state = true;
-            return;
-        }
-        if self.executor.is_gated() {
-            let executed = self.executor.ungate();
-            self.exec_absorb(executed, now_us, out);
-        }
-        self.sync_stability(now_us, out);
-    }
-
-    /// Commits the donor's queued entries locally (see `Message::MState::queued`).
-    /// A rejoined replica takes the whole-shard safe frontier from its peers, so its
-    /// stability can pass a command it never heard commit — the command would then be
-    /// skipped *unapplied* and every later read of its keys served from a store
-    /// missing the write. The donor's queue is exactly the set at risk: committed
-    /// everywhere, executed nowhere, above the transferred image's boundary.
-    fn absorb_transferred_commits(
-        &mut self,
-        queued: Vec<QueuedCommit>,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        for q in queued {
-            if self.gc.is_executed(q.dot) || self.gc.is_collected(q.dot) {
-                continue; // Executed (or blanket-covered) here: effect already present.
-            }
-            {
-                let info = self.info_mut(q.dot, now_us);
-                if info.phase.is_committed_or_executed() {
-                    continue; // Already known; the executor dedups queued entries.
-                }
-                info.learn_payload(&q.cmd, &Quorums::new());
-            }
-            self.commit_with(q.dot, q.ts, now_us, out);
-            // The donor consumed `MStable` attestations this replica missed while down,
-            // and attestations are sent once per replica — replay the consumed ones
-            // (every accessed sibling shard the donor is no longer waiting on) so the
-            // entry does not wait forever. Residual waits are cleared by live
-            // attestations, exactly as at the donor.
-            if self.executor.is_queued(q.dot) {
-                for shard in q.cmd.shards() {
-                    if shard != self.shard && !q.waits.contains(&shard) {
-                        self.wal_append(WalRecord::SiblingStable { dot: q.dot, shard });
-                        self.exec_feed(
-                            ExecutionInfo::ShardStable { dot: q.dot, shard },
-                            now_us,
-                            out,
-                        );
-                    }
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------ commit path
@@ -984,7 +486,7 @@ impl Tempo {
         self.info_mut(dot, now_us).phase = Phase::Propose;
         self.pending.insert(dot);
         let (proposal, detached) = self.stability.propose(dot, ts);
-        self.wal_log_clock_floor();
+        self.durable.cover(Floor::Clock, self.stability.clock());
         self.info_mut(dot, now_us).ts = proposal;
         let ack = Message::MProposeAck {
             dot,
@@ -1019,7 +521,6 @@ impl Tempo {
     ) {
         // Algorithm 1, lines 17-21 (pre: id ∈ propose and a reply from the full quorum).
         let f = self.config.f();
-        let all_equal = self.options.all_equal_fast_path;
         let shard = self.shard;
         let (ready, fast_quorum) = {
             let info = match self.info.get_mut(&dot) {
@@ -1056,12 +557,7 @@ impl Tempo {
         };
         let proposals = attached.iter().map(|(_, ts)| *ts);
         let (t, count) = max_and_count(proposals).expect("quorum not empty");
-        let fast_path_ok = if all_equal {
-            count == fast_quorum.len()
-        } else {
-            count >= f
-        };
-        if fast_path_ok {
+        if count >= f {
             self.metrics.fast_paths += 1;
             {
                 let info = self.info.get_mut(&dot).expect("info exists");
@@ -1131,7 +627,7 @@ impl Tempo {
         self.commit_with(dot, final_ts, now_us, out);
     }
 
-    fn commit_with(
+    pub(crate) fn commit_with(
         &mut self,
         dot: Dot,
         final_ts: u64,
@@ -1170,34 +666,24 @@ impl Tempo {
         // replica already *holds*: a rejoin state transfer installed a peer's image
         // complete up to the boundary, so the command's effect is present even though
         // the local executor never applied it.
-        let transferred = (final_ts, dot) <= self.executor.exec_floor();
+        let floor = self.executor.exec_floor();
+        let transferred = (final_ts, dot) <= floor;
         if transferred || final_ts <= self.last_stable_fed {
             // Not placeable in ⟨ts, id⟩ order anymore. In the normal regime this cannot
             // happen — the line-47 commit gate keeps the local stable watermark
             // strictly below a command's timestamp until it commits locally — but a
             // *restarted* incarnation's tracker is deliberately seeded past old
             // commands (rejoin prefixes, safe frontiers, promise repairs), so late
-            // back-fills of pre-crash commands land below stability. Two cases:
-            // `transferred` means the effect is already in the installed image (a true
-            // duplicate); otherwise the command is skipped *unapplied* — the store is
-            // now missing a write below the stable watermark, so execution is GATED
-            // (the gap is recorded and a state transfer covering it is requested)
-            // until a peer's image closes the hole. Without the gate, later commands
-            // would keep executing on the incomplete store and return values computed
-            // without the skipped write. Either way, recording the dot as executed
-            // keeps GC draining and the `MStable` attestation keeps sibling shards
-            // live. Deliberately NOT written to the WAL: replaying an unapplied (or
-            // already-present) command into a partial image would corrupt it.
+            // back-fills of pre-crash commands land below stability. `transferred`: a
+            // true duplicate; otherwise an execution gap (see `Transfer`). Either way the
+            // `MStable` attestation keeps sibling shards live. NOT written to the WAL:
+            // replaying it into a partial image would corrupt the image.
             self.exec_skipped += 1;
-            let gapped = !transferred && self.options.state_transfer;
+            let gapped = !transferred && self.transfer.record_gap((final_ts, dot), floor, &self.gc);
             if gapped {
-                // (With `state_transfer` opted out there is no mechanism to close the
-                // gap, so gating would stall forever — the opt-out accepts the hole.)
-                self.exec_gaps.insert((final_ts, dot));
                 self.executor.gate();
-                if self.joined && !self.awaiting_state {
-                    self.awaiting_state = true;
-                    self.send_state_request(now_us, out);
+                if self.joined && self.transfer.start() {
+                    self.request_state(now_us, out);
                 }
             }
             let info = self.info.get_mut(&dot).expect("info exists");
@@ -1206,12 +692,8 @@ impl Tempo {
                 self.gc.record_executed(dot);
                 self.gc_collect();
             }
-            // A *gapped* dot must stay out of the executed frontier until a state
-            // transfer covers it (`handle_state` records it then): the frontier is
-            // shipped onward — snapshots, `MState` watermarks, `MPromises` — and a
-            // peer blanket-restoring a frontier that includes a dot above the
-            // transfer boundary would mark dots it still has *queued* as executed,
-            // garbage-collecting their metadata out from under its executor.
+            // A gapped dot enters the executed frontier only once an image covers it:
+            // the frontier is shipped onward and blanket-restored (DESIGN.md §11, bug 2).
             if cmd.is_multi_shard() {
                 let targets = self.all_replicas_of(&cmd);
                 out.push(Action::send(targets, Message::MStable { dot }));
@@ -1232,14 +714,7 @@ impl Tempo {
         };
         // Write-ahead: the commit (payload included) must survive a crash so the
         // rebuilt replica replays it instead of forgetting it (DESIGN.md §6).
-        if self.store.is_some() {
-            self.wal_append(WalRecord::Commit {
-                dot,
-                ts: final_ts,
-                cmd: cmd.clone(),
-                waits: waits.clone(),
-            });
-        }
+        self.durable.append_commit(dot, final_ts, &cmd, &waits);
         self.exec_feed(
             ExecutionInfo::Committed {
                 dot,
@@ -1287,7 +762,7 @@ impl Tempo {
         // Write-ahead: the accept must survive a crash (a forgotten accept is how an
         // amnesiac acceptor lets two values commit). The driver's persist hook syncs
         // it before the ack below can leave this process.
-        self.wal_append(WalRecord::Accept {
+        self.durable.append(WalRecord::Accept {
             dot,
             ts,
             bal: ballot,
@@ -1367,39 +842,14 @@ impl Tempo {
         out: &mut Vec<Action<Message>>,
     ) {
         self.gc.update_peer(from, &executed);
-        self.note_commit_holes(&executed, now_us);
+        self.transfer
+            .note_holes(&executed, &self.gc, &self.info, now_us);
         self.gc_collect();
         // The sender's safe frontier is absorbed wholesale: it heals any gap left by an
         // earlier lost delta (every attached promise below it is executed everywhere).
         let report = Report::Promises(from, frontier, detached, attached);
         self.absorb(report, now_us, |_| {});
         self.sync_stability(now_us, out);
-    }
-
-    /// Records suspected commit holes revealed by a peer's executed frontier (see the
-    /// [`Self::hole_suspects`] field). The scan is bounded: at most
-    /// [`HOLE_SCAN_LIMIT`] missing sequences per origin per report, and the suspect
-    /// map is capped at [`HOLE_SUSPECT_CAP`] — a lagging replica catches up one
-    /// window at a time, which is fine because each window ends in a state transfer
-    /// that blankets the rest.
-    fn note_commit_holes(&mut self, frontier: &[(ProcessId, u64)], now_us: u64) {
-        if !self.options.state_transfer {
-            // With transfers opted out a probed commit would just be skipped
-            // unapplied (the accepted hole), teaching us nothing.
-            return;
-        }
-        for &(origin, watermark) in frontier {
-            for seq in self.gc.missing_below(origin, watermark, HOLE_SCAN_LIMIT) {
-                if self.hole_suspects.len() >= HOLE_SUSPECT_CAP {
-                    return;
-                }
-                let dot = Dot::new(origin, seq);
-                if self.info.contains_key(&dot) {
-                    continue; // Known (queued, pending or executing): not a hole.
-                }
-                self.hole_suspects.entry(dot).or_insert((now_us, 0));
-            }
-        }
     }
 
     fn handle_stable(
@@ -1414,7 +864,7 @@ impl Tempo {
         // Write-ahead: attestations are sent once per replica, so one consumed by a
         // commit that then crashes would otherwise be gone — the replayed commit
         // would re-wait forever.
-        self.wal_append(WalRecord::SiblingStable { dot, shard });
+        self.durable.append(WalRecord::SiblingStable { dot, shard });
         self.exec_feed(ExecutionInfo::ShardStable { dot, shard }, now_us, out);
     }
 
@@ -1422,12 +872,9 @@ impl Tempo {
     /// but only when it advanced since the last push. The watermark is a cached O(1)
     /// read, so the steady-state cost of an `MPromises` (or promise-timer fire) that
     /// taught us nothing new is a single comparison instead of a full executor pass.
-    fn sync_stability(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
-        if self.awaiting_state {
-            // Execution is gated until the rejoin state transfer installs: advancing
-            // stability now would execute (and serve reads over) a store that misses
-            // every command committed while this replica was down.
-            return;
+    pub(crate) fn sync_stability(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
+        if self.transfer.is_awaiting() {
+            return; // Gated on a state transfer: the store is known incomplete.
         }
         // The executor's watermark comes from here or from an installed transfer's
         // boundary, and neither regresses — so it is never ahead of both.
@@ -1443,7 +890,7 @@ impl Tempo {
         self.last_stable_fed = stable;
         // Write-ahead: interleaving watermark advances with `Commit` records makes
         // replay reproduce the exact pre-crash execution prefix (DESIGN.md §6).
-        self.wal_append(WalRecord::Stable(stable));
+        self.durable.append(WalRecord::Stable(stable));
         self.exec_feed(ExecutionInfo::Stable { ts: stable }, now_us, out);
     }
 
@@ -1451,7 +898,12 @@ impl Tempo {
     /// `MStable` for multi-shard commands that became locally stable, update per-command
     /// phases for executed commands, and push executions to the runtime as
     /// [`Action::Deliver`].
-    fn exec_feed(&mut self, info: ExecutionInfo, now_us: u64, out: &mut Vec<Action<Message>>) {
+    pub(crate) fn exec_feed(
+        &mut self,
+        info: ExecutionInfo,
+        now_us: u64,
+        out: &mut Vec<Action<Message>>,
+    ) {
         let executed = self.executor.handle(info);
         self.exec_absorb(executed, now_us, out);
     }
@@ -1459,7 +911,7 @@ impl Tempo {
     /// Post-processes a batch of executor output (from [`Self::exec_feed`] or from
     /// ungating after a closed execution gap): `MStable` broadcasts, per-command phase
     /// updates, GC accounting, and the `Deliver` actions toward the runtime.
-    fn exec_absorb(
+    pub(crate) fn exec_absorb(
         &mut self,
         executed: Vec<Executed>,
         now_us: u64,
@@ -1504,7 +956,7 @@ impl Tempo {
     /// Drops the metadata of every dot that all shard peers (and this process) have
     /// executed: its `CommandInfo` — payload included — and any leftover executor
     /// bookkeeping. See [`crate::gc`] for the safety argument.
-    fn gc_collect(&mut self) {
+    pub(crate) fn gc_collect(&mut self) {
         for (origin, seqs) in self.gc.collect() {
             for seq in seqs {
                 let dot = Dot::new(origin, seq);
@@ -1596,43 +1048,12 @@ impl Tempo {
                 }
             }
         }
-        self.hole_scan(now_us, out);
+        // Suspected commit holes are asked around the same way.
+        for dot in self.transfer.probe_holes(&self.gc, &self.info, now_us) {
+            let request = Message::MCommitRequest { dot };
+            out.push(Action::send(self.shard_peers.to_vec(), request));
+        }
         self.repair_scan(now_us, out);
-    }
-
-    /// Probes suspected commit holes (see [`Self::note_commit_holes`]): suspects that
-    /// resolved in the meantime — metadata arrived, a state transfer blanketed them,
-    /// or GC collected them — are dropped; persistent ones are asked around for their
-    /// commit outcome at the ordinary stale-command probe pace. An answered probe
-    /// commits below the stable watermark and triggers the execution-gap gate, which
-    /// turns the hole into a state transfer.
-    fn hole_scan(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
-        if self.hole_suspects.is_empty() {
-            return;
-        }
-        let timeout = self.options.commit_request_timeout_us;
-        let mut suspects = std::mem::take(&mut self.hole_suspects);
-        let mut probes: Vec<Dot> = Vec::new();
-        suspects.retain(|&dot, (first_seen, last_probe)| {
-            if self.info.contains_key(&dot) || self.gc.is_executed(dot) || self.gc.is_collected(dot)
-            {
-                return false;
-            }
-            if now_us.saturating_sub(*first_seen) >= timeout
-                && now_us.saturating_sub(*last_probe) >= timeout
-            {
-                *last_probe = now_us;
-                probes.push(dot);
-            }
-            true
-        });
-        self.hole_suspects = suspects;
-        for dot in probes {
-            out.push(Action::send(
-                self.shard_peers.to_vec(),
-                Message::MCommitRequest { dot },
-            ));
-        }
     }
 
     /// Detects a stalled execution stage — committed commands exist but no execution
@@ -1772,7 +1193,7 @@ impl Tempo {
         };
         if needs_proposal {
             let (t, _) = self.stability.propose(dot, 0);
-            self.wal_log_clock_floor();
+            self.durable.cover(Floor::Clock, self.stability.clock());
             let info = self.info.get_mut(&dot).expect("info exists");
             info.ts = t;
             info.phase = Phase::RecoverR;
@@ -1785,7 +1206,7 @@ impl Tempo {
         };
         // Write-ahead: the joined ballot must survive a crash, or a recovered replica
         // could accept a value at a ballot it already promised away.
-        self.wal_append(WalRecord::Ballot { dot, bal: ballot });
+        self.durable.append(WalRecord::Ballot { dot, bal: ballot });
         let ack = Message::MRecAck {
             dot,
             ts,
@@ -1894,7 +1315,7 @@ impl Tempo {
             }
         };
         if should_retry {
-            self.wal_append(WalRecord::Ballot { dot, bal: ballot });
+            self.durable.append(WalRecord::Ballot { dot, bal: ballot });
         }
         if should_retry && self.is_leader() {
             self.start_recovery(dot, now_us, out);
@@ -2028,7 +1449,7 @@ impl Tempo {
             .stability
             .absorb_rejoin(clock.max(your_highest), prefixes)
         {
-            self.wal_log_clock_floor();
+            self.durable.cover(Floor::Clock, self.stability.clock());
         }
         // This process plus the repliers form a recovery quorum: safe to participate.
         if self.rejoin_acks.len() + 1 >= self.config.recovery_quorum_size() {
@@ -2040,9 +1461,9 @@ impl Tempo {
             // exec-floor skip in `commit_with` already accounts for them.
             self.stability.discard_outgoing();
             self.joined = true;
-            if self.awaiting_state {
+            if self.transfer.is_awaiting() {
                 // Back-fill the applied state from a peer before serving anything.
-                self.send_state_request(now_us, out);
+                self.request_state(now_us, out);
             } else {
                 self.sync_stability(now_us, out);
             }
@@ -2126,7 +1547,7 @@ impl Protocol for Tempo {
         let dot = self.dot_gen.next_id();
         // Write-ahead: a durable floor must cover this dot before the submission's
         // messages leave (the driver syncs the append in its persist hook).
-        self.wal_log_dot_floor();
+        self.durable.cover(Floor::Dot, self.dot_gen.generated());
         let mut quorums = Quorums::new();
         for shard in cmd.shards() {
             quorums.insert(
@@ -2222,9 +1643,15 @@ impl Protocol for Tempo {
                 kv,
                 watermarks,
                 queued,
-            } => self.handle_state(
-                floor_ts, floor_dot, kv, watermarks, queued, now_us, &mut out,
-            ),
+            } => {
+                let image = AppliedImage {
+                    floor: (floor_ts, floor_dot),
+                    kv,
+                    watermarks,
+                    queued,
+                };
+                self.handle_state(image, now_us, &mut out)
+            }
         }
         self.arm_flush(&mut out);
         out
@@ -2248,16 +1675,7 @@ impl Protocol for Tempo {
         self.dot_gen.skip_to(incarnation << 48);
         self.joined = false;
         self.rejoin_acks.clear();
-        // Gate execution until a peer's state snapshot back-fills the commands this
-        // replica missed while down (even a durable store cannot hold those); the
-        // request goes out once the rejoin handshake completes.
-        self.awaiting_state = self.options.state_transfer;
-        self.state_request_attempts = 0;
-        // A fresh incarnation has no execution gaps: its store *is* its floor, and the
-        // forthcoming transfer (re-)establishes completeness from a peer's image.
-        // Hole suspicion likewise restarts from the post-transfer frontier.
-        self.exec_gaps.clear();
-        self.hole_suspects.clear();
+        self.transfer.rejoin();
         let mut out = Vec::new();
         self.send_rejoin(&mut out);
         out
@@ -2271,9 +1689,7 @@ impl Protocol for Tempo {
                 // Execution might have become possible thanks to locally generated
                 // promises.
                 self.sync_stability(now_us, &mut out);
-                // Durable snapshots are paced off the same timer: off the message hot
-                // path, and naturally quiescent when the WAL is.
-                self.maybe_snapshot();
+                self.snapshot(false);
                 out.push(Action::schedule(TIMER_PROMISES, PROMISE_INTERVAL_US));
             }
             TIMER_FLUSH => {
@@ -2282,13 +1698,8 @@ impl Protocol for Tempo {
             }
             TIMER_LIVENESS => {
                 if self.joined {
-                    if self.awaiting_state
-                        && now_us.saturating_sub(self.last_state_request_us)
-                            >= self.options.commit_request_timeout_us
-                    {
-                        // The state transfer is outstanding (request or reply lost, or
-                        // the target itself mid-rejoin): retry against the next peer.
-                        self.send_state_request(now_us, &mut out);
+                    if self.transfer.retry_due(now_us) {
+                        self.request_state(now_us, &mut out);
                     }
                     self.liveness_scan(now_us, &mut out);
                 } else {
@@ -2307,9 +1718,7 @@ impl Protocol for Tempo {
         // Flush the WAL appends of this dispatch step in one batch; the driver calls
         // this before the step's messages are handed to the transport, which is what
         // makes every append above a *write-ahead* (DESIGN.md §6).
-        if let Some(store) = &mut self.store {
-            store.sync();
-        }
+        self.durable.sync();
     }
 
     fn attach_tracer(&mut self, tracer: Tracer) {
@@ -2324,12 +1733,7 @@ impl Protocol for Tempo {
         let mut metrics = self.metrics.clone();
         // The execution stage is the single source of truth for the executed count.
         metrics.executed = self.executor.executed();
-        if let Some(store) = &self.store {
-            let m = store.metrics();
-            metrics.wal_appends = m.wal_appends;
-            metrics.wal_bytes = m.wal_bytes;
-            metrics.snapshots_taken = m.snapshots_taken;
-        }
+        self.durable.report(&mut metrics);
         metrics
     }
 }

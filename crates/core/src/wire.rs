@@ -17,9 +17,9 @@ use crate::promises::PromiseRange;
 use tempo_kernel::id::Dot;
 use tempo_net::wire::{get_process_map, put_process_map, DecodeError, Wire};
 use tempo_store::wal::{
-    get_command, get_dot, get_pairs, put_command, put_dot, put_pairs, Reader, Writer,
+    get_command, get_dot, get_pairs, get_queue, put_command, put_dot, put_pairs, put_queue, Reader,
+    Writer,
 };
-use tempo_store::QueuedCommit;
 
 const TAG_SUBMIT: u8 = 1;
 const TAG_PROPOSE: u8 = 2;
@@ -287,17 +287,7 @@ impl Wire for Message {
                 put_dot(w, *floor_dot);
                 put_pairs(w, kv);
                 put_pairs(w, watermarks);
-                // Same per-entry layout as the snapshot's queued section.
-                w.put_u32(queued.len() as u32);
-                for q in queued {
-                    put_dot(w, q.dot);
-                    w.put_u64(q.ts);
-                    w.put_u32(q.waits.len() as u32);
-                    for shard in &q.waits {
-                        w.put_u64(*shard);
-                    }
-                    put_command(w, &q.cmd);
-                }
+                put_queue(w, queued);
             }
         }
     }
@@ -391,39 +381,13 @@ impl Wire for Message {
                 prefixes: get_pairs(r)?,
             },
             TAG_STATE_REQUEST => Message::MStateRequest,
-            TAG_STATE => {
-                let floor_ts = r.u64()?;
-                let floor_dot = get_dot(r)?;
-                let kv = get_pairs(r)?;
-                let watermarks = get_pairs(r)?;
-                let n = r.u32()?;
-                let n = r.checked_len(n, 28)?;
-                let mut queued = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let dot = get_dot(r)?;
-                    let ts = r.u64()?;
-                    let w = r.u32()?;
-                    let w = r.checked_len(w, 8)?;
-                    let mut waits = Vec::with_capacity(w);
-                    for _ in 0..w {
-                        waits.push(r.u64()?);
-                    }
-                    let cmd = get_command(r)?;
-                    queued.push(QueuedCommit {
-                        dot,
-                        ts,
-                        cmd,
-                        waits,
-                    });
-                }
-                Message::MState {
-                    floor_ts,
-                    floor_dot,
-                    kv,
-                    watermarks,
-                    queued,
-                }
-            }
+            TAG_STATE => Message::MState {
+                floor_ts: r.u64()?,
+                floor_dot: get_dot(r)?,
+                kv: get_pairs(r)?,
+                watermarks: get_pairs(r)?,
+                queued: get_queue(r)?,
+            },
             t => return Err(DecodeError::BadTag(t)),
         };
         Ok(msg)

@@ -10,7 +10,7 @@ use tempo_kernel::config::Config;
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::protocol::{Executor, Protocol, View};
-use tempo_store::{MemStore, Store};
+use tempo_store::{MemStore, Store, WalRecord};
 
 fn stores(config: Config) -> BTreeMap<ProcessId, MemStore> {
     (0..config.n() as u64)
@@ -192,26 +192,35 @@ fn snapshots_truncate_the_wal_and_recovery_uses_them() {
 fn dot_floor_makes_clean_restart_dots_unique_without_incarnation_bands() {
     let config = Config::full(3, 1);
     let stores = stores(config);
-    // A tiny chunk so the test exercises several floor records, and snapshots off so
-    // uniqueness rests on the WAL records alone (not the snapshot's next_dot_seq).
+    // Enough submissions to cross several floor chunks (64 sequences each), and
+    // snapshots off so uniqueness rests on the WAL records alone (not the snapshot's
+    // next_dot_seq).
+    let used = 200u64;
+    let chunk = 64;
     let options = TempoOptions {
-        dot_floor_chunk: 2,
         snapshot_every_appends: u64::MAX,
         ..TempoOptions::default()
     };
     let mut cluster = durable_cluster(config, &stores, options);
-    for seq in 1..=7u64 {
+    for seq in 1..=used {
         cluster.submit(
             0,
             Command::single(Rifl::new(1, seq), 0, seq, KVOp::Put(seq), 0),
         );
     }
     cluster.tick_all(5_000);
+    let (_, wal) = stores[&0].clone().load();
+    let floors = wal
+        .iter()
+        .filter(|r| matches!(r, WalRecord::DotFloor(_)))
+        .count();
+    assert!(floors >= 3, "only {floors} dot floors logged");
 
     // Clean restart: rebuild from the store, no rejoin, then submit again. Every new
     // dot must land strictly above every pre-restart dot.
     let mut recovered = Tempo::with_store(0, 0, config, options, Box::new(stores[&0].clone()));
-    let actions = recovered.submit(Command::single(Rifl::new(1, 8), 0, 8, KVOp::Put(8), 0), 0);
+    let cmd = Command::single(Rifl::new(1, used + 1), 0, 8, KVOp::Put(8), 0);
+    let actions = recovered.submit(cmd, 0);
     let new_dot = actions
         .iter()
         .find_map(|a| match a {
@@ -224,13 +233,13 @@ fn dot_floor_makes_clean_restart_dots_unique_without_incarnation_bands() {
         .expect("submission names its dot");
     assert_eq!(new_dot.source, 0);
     assert!(
-        new_dot.sequence > 7,
-        "restarted generator re-issued sequence {} (7 dots were used pre-crash)",
+        new_dot.sequence > used,
+        "restarted generator re-issued sequence {} ({used} dots were used pre-crash)",
         new_dot.sequence
     );
     // The floor is chunked: at most one chunk of sequences is skipped.
     assert!(
-        new_dot.sequence <= 7 + 2 + 1,
+        new_dot.sequence <= used + chunk + 1,
         "floor must over-approximate by at most one chunk, got {}",
         new_dot.sequence
     );

@@ -5,7 +5,7 @@
 //! timestamp agreement (Property 1), ordering, the fast-path condition of Table 1, the
 //! stability examples of Figures 2-4 and the recovery protocol of §5.
 
-use tempo_core::{Message, Phase, PromiseBundle, PromiseRange, Quorums, Tempo, TempoOptions};
+use tempo_core::{Message, Phase, PromiseBundle, PromiseRange, Quorums, Tempo};
 use tempo_kernel::config::Config;
 use tempo_kernel::driver::{Driver, Outbound, Output};
 use tempo_kernel::harness::LocalCluster;
@@ -155,38 +155,6 @@ fn table1_scenario_d_fast_path_with_matching_proposals() {
     assert_eq!(
         cluster.process(3).committed_timestamp(Dot::new(0, 1)),
         Some(6)
-    );
-}
-
-#[test]
-fn all_equal_fast_path_ablation_forces_slow_path() {
-    // With the EPaxos-like "all proposals equal" condition, Table 1 a) goes to the slow
-    // path even though Tempo's condition would allow the fast path.
-    let config = Config::full(5, 2);
-    let mut cluster = LocalCluster::<Tempo>::with_views(config, |p| {
-        tempo_kernel::protocol::View::trivial(config, p)
-    });
-    for p in cluster.process_ids() {
-        let options = TempoOptions {
-            all_equal_fast_path: true,
-            ..TempoOptions::default()
-        };
-        *cluster.process_mut(p) = Tempo::with_options(p, 0, config, options);
-        let view = tempo_kernel::protocol::View::trivial(config, p);
-        cluster.process_mut(p).discover(view);
-    }
-    set_clock(&mut cluster, 0, 5);
-    set_clock(&mut cluster, 1, 6);
-    set_clock(&mut cluster, 2, 10);
-    set_clock(&mut cluster, 3, 10);
-    cluster.submit(0, key_cmd(1, 1, 0));
-    let metrics = cluster.process(0).metrics();
-    assert_eq!(metrics.fast_paths, 0);
-    assert_eq!(metrics.slow_paths, 1);
-    // Property 1 still holds.
-    assert_eq!(
-        cluster.process(4).committed_timestamp(Dot::new(0, 1)),
-        Some(11)
     );
 }
 

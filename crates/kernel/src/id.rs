@@ -50,8 +50,9 @@ impl fmt::Display for Rifl {
 ///
 /// Dots are globally unique as long as every process uses its own `source`. They provide
 /// the deterministic tie-break used when two commands are assigned the same timestamp
-/// (Algorithm 2, line 52 orders by `⟨ts, id⟩`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// (Algorithm 2, line 52 orders by `⟨ts, id⟩`). The default, `(0, 0)`, names no
+/// command: sequences start at 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dot {
     /// Process that created the identifier (the command's initial coordinator).
     pub source: ProcessId,

@@ -20,8 +20,8 @@
 //! previous snapshot intact.
 
 use crate::wal::{
-    frame, get_command, get_dot, get_pairs, put_command, put_dot, put_pairs, read_frame,
-    DecodeError, Reader, Writer,
+    frame, get_dot, get_pairs, get_queue, put_dot, put_pairs, put_queue, read_frame, DecodeError,
+    Reader, Writer,
 };
 use tempo_kernel::command::Command;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
@@ -56,7 +56,7 @@ pub struct AcceptState {
 }
 
 /// A point-in-time image of one replica's durable state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// The timestamping clock floor: recovery must never propose at or below it.
     pub clock: u64,
@@ -81,23 +81,6 @@ pub struct Snapshot {
     pub watermarks: Vec<(ProcessId, u64)>,
 }
 
-impl Default for Snapshot {
-    fn default() -> Self {
-        Self {
-            clock: 0,
-            stable: 0,
-            floor_ts: 0,
-            floor_dot: Dot::new(0, 0),
-            next_dot_seq: 0,
-            executed_count: 0,
-            kv: Vec::new(),
-            queued: Vec::new(),
-            accepts: Vec::new(),
-            watermarks: Vec::new(),
-        }
-    }
-}
-
 impl Snapshot {
     /// Encodes the snapshot as `magic + [len][crc][payload]`.
     pub fn encode(&self) -> Vec<u8> {
@@ -109,16 +92,7 @@ impl Snapshot {
         w.put_u64(self.next_dot_seq);
         w.put_u64(self.executed_count);
         put_pairs(&mut w, &self.kv);
-        w.put_u32(self.queued.len() as u32);
-        for q in &self.queued {
-            put_dot(&mut w, q.dot);
-            w.put_u64(q.ts);
-            w.put_u32(q.waits.len() as u32);
-            for shard in &q.waits {
-                w.put_u64(*shard);
-            }
-            put_command(&mut w, &q.cmd);
-        }
+        put_queue(&mut w, &self.queued);
         w.put_u32(self.accepts.len() as u32);
         for a in &self.accepts {
             put_dot(&mut w, a.dot);
@@ -139,54 +113,28 @@ impl Snapshot {
             return Err(DecodeError::BadMagic);
         }
         let (payload, _end) = read_frame(bytes, SNAPSHOT_MAGIC.len())?;
-        let mut r = Reader::new(payload);
-        let clock = r.u64()?;
-        let stable = r.u64()?;
-        let floor_ts = r.u64()?;
-        let floor_dot = get_dot(&mut r)?;
-        let next_dot_seq = r.u64()?;
-        let executed_count = r.u64()?;
-        let kv = get_pairs(&mut r)?;
-        let n = r.u32()?;
-        let mut queued = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let dot = get_dot(&mut r)?;
-            let ts = r.u64()?;
-            let w = r.u32()?;
-            let mut waits = Vec::with_capacity(w as usize);
-            for _ in 0..w {
-                waits.push(r.u64()?);
-            }
-            let cmd = get_command(&mut r)?;
-            queued.push(QueuedCommit {
-                dot,
-                ts,
-                cmd,
-                waits,
-            });
-        }
-        let n = r.u32()?;
-        let mut accepts = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            accepts.push(AcceptState {
-                dot: get_dot(&mut r)?,
-                ts: r.u64()?,
-                bal: r.u64()?,
-                abal: r.u64()?,
-            });
-        }
-        let watermarks = get_pairs(&mut r)?;
+        let r = &mut Reader::new(payload);
+        // Fields in declaration order, which is the encoding order.
         Ok(Self {
-            clock,
-            stable,
-            floor_ts,
-            floor_dot,
-            next_dot_seq,
-            executed_count,
-            kv,
-            queued,
-            accepts,
-            watermarks,
+            clock: r.u64()?,
+            stable: r.u64()?,
+            floor_ts: r.u64()?,
+            floor_dot: get_dot(r)?,
+            next_dot_seq: r.u64()?,
+            executed_count: r.u64()?,
+            kv: get_pairs(r)?,
+            queued: get_queue(r)?,
+            accepts: {
+                let n = r.u32()?;
+                let n = r.checked_len(n, 40)?;
+                let mut accepts = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let (dot, ts, bal, abal) = (get_dot(r)?, r.u64()?, r.u64()?, r.u64()?);
+                    accepts.push(AcceptState { dot, ts, bal, abal });
+                }
+                accepts
+            },
+            watermarks: get_pairs(r)?,
         })
     }
 }
@@ -251,5 +199,26 @@ mod tests {
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x01;
         assert!(Snapshot::decode(&corrupt).is_err());
+    }
+
+    #[test]
+    fn absurd_counts_are_truncated_before_allocating() {
+        // A checksummed snapshot whose queue, or accepts, count claims u32::MAX entries
+        // must fail cleanly instead of reserving memory for them.
+        for accepts in [false, true] {
+            let mut w = Writer::new();
+            for field in [200, 150, 149, 2, 31, 40, 120] {
+                w.put_u64(field); // clock .. executed_count
+            }
+            put_pairs(&mut w, &[]);
+            if accepts {
+                put_queue(&mut w, &[]);
+            }
+            w.put_u32(u32::MAX);
+            w.put_u64(1);
+            let mut bytes = SNAPSHOT_MAGIC.to_vec();
+            bytes.extend_from_slice(&frame(w.as_bytes()));
+            assert_eq!(Snapshot::decode(&bytes), Err(DecodeError::Truncated));
+        }
     }
 }

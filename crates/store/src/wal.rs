@@ -21,6 +21,7 @@
 //! open). A record is therefore durable *iff* its frame was fully written and synced —
 //! exactly the contract [`crate::Store::sync`] provides to the protocol layer.
 
+use crate::snapshot::QueuedCommit;
 use std::fmt;
 use tempo_kernel::command::{Command, KVOp, Key};
 use tempo_kernel::id::{Dot, Rifl, ShardId};
@@ -283,6 +284,57 @@ pub fn get_pairs(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, DecodeError> {
     Ok(out)
 }
 
+/// Encodes one queued commit as `dot, ts, waits, cmd`: the one layout of a WAL
+/// [`WalRecord::Commit`] and of each entry of a snapshot's or a state transfer's queue.
+pub fn put_queued(w: &mut Writer, dot: Dot, ts: u64, waits: &[ShardId], cmd: &Command) {
+    put_dot(w, dot);
+    w.put_u64(ts);
+    w.put_u32(waits.len() as u32);
+    for shard in waits {
+        w.put_u64(*shard);
+    }
+    put_command(w, cmd);
+}
+
+/// Decodes a queued commit written by [`put_queued`].
+pub fn get_queued(r: &mut Reader<'_>) -> Result<QueuedCommit, DecodeError> {
+    let dot = get_dot(r)?;
+    let ts = r.u64()?;
+    let n = r.u32()?;
+    let n = r.checked_len(n, 8)?;
+    let mut waits = Vec::with_capacity(n);
+    for _ in 0..n {
+        waits.push(r.u64()?);
+    }
+    let cmd = get_command(r)?;
+    Ok(QueuedCommit {
+        dot,
+        ts,
+        cmd,
+        waits,
+    })
+}
+
+/// Encodes a length-prefixed list of [`put_queued`] entries.
+pub fn put_queue(w: &mut Writer, queue: &[QueuedCommit]) {
+    w.put_u32(queue.len() as u32);
+    for q in queue {
+        put_queued(w, q.dot, q.ts, &q.waits, &q.cmd);
+    }
+}
+
+/// Decodes a list written by [`put_queue`].
+pub fn get_queue(r: &mut Reader<'_>) -> Result<Vec<QueuedCommit>, DecodeError> {
+    let n = r.u32()?;
+    // An entry holds at least its dot, timestamp and waits count.
+    let n = r.checked_len(n, 28)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(get_queued(r)?);
+    }
+    Ok(out)
+}
+
 // ------------------------------------------------------------------- records
 
 /// One durable event of the ordering stage. The record set mirrors exactly the state a
@@ -386,13 +438,7 @@ impl WalRecord {
                 waits,
             } => {
                 w.put_u8(TAG_COMMIT);
-                put_dot(&mut w, *dot);
-                w.put_u64(*ts);
-                w.put_u32(waits.len() as u32);
-                for shard in waits {
-                    w.put_u64(*shard);
-                }
-                put_command(&mut w, cmd);
+                put_queued(&mut w, *dot, *ts, waits, cmd);
             }
             WalRecord::SiblingStable { dot, shard } => {
                 w.put_u8(TAG_SIBLING_STABLE);
@@ -426,19 +472,12 @@ impl WalRecord {
                 bal: r.u64()?,
             },
             TAG_COMMIT => {
-                let dot = get_dot(&mut r)?;
-                let ts = r.u64()?;
-                let n = r.u32()?;
-                let mut waits = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    waits.push(r.u64()?);
-                }
-                let cmd = get_command(&mut r)?;
+                let q = get_queued(&mut r)?;
                 WalRecord::Commit {
-                    dot,
-                    ts,
-                    cmd,
-                    waits,
+                    dot: q.dot,
+                    ts: q.ts,
+                    cmd: q.cmd,
+                    waits: q.waits,
                 }
             }
             TAG_SIBLING_STABLE => WalRecord::SiblingStable {
@@ -665,5 +704,21 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(get_command(&mut r), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn commit_with_an_absurd_waits_count_is_truncated() {
+        // A `Commit` payload whose waits count claims u32::MAX entries (32 GiB of
+        // shard ids) must fail before allocating for them.
+        let mut w = Writer::new();
+        w.put_u8(TAG_COMMIT);
+        put_dot(&mut w, Dot::new(1, 1));
+        w.put_u64(5); // ts
+        w.put_u32(u32::MAX); // waits count: absurd
+        w.put_u64(1);
+        assert_eq!(
+            WalRecord::decode(&w.into_bytes()),
+            Err(DecodeError::Truncated)
+        );
     }
 }
