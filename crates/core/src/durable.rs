@@ -236,7 +236,6 @@ impl Tempo {
             info.final_ts = final_ts;
             info.phase = Phase::Commit;
         }
-        self.pending.remove(&dot);
         self.metrics.committed += 1;
         self.stability.restore(final_ts);
         if (final_ts, dot) <= self.executor.exec_floor() {

@@ -1,5 +1,6 @@
 //! Per-command bookkeeping (`cmd`, `ts`, `phase`, `quorums`, `bal`, `abal` of Table 3),
-//! plus the transient coordinator/recovery/executor state attached to each command.
+//! plus the transient coordinator state attached to each command. The recovery state of
+//! a command that stalls lives in `Recovery` (`recovery.rs`).
 
 use crate::messages::{Quorums, RecPhase};
 use crate::promises::PromiseRange;
@@ -79,31 +80,13 @@ pub struct CommandInfo {
     /// Whether this process, as coordinator, already sent `MCommit` for its shard.
     pub commit_sent: bool,
 
-    // ---- recovery-side state ----
-    /// `MRecAck` replies received for the current ballot: sender -> (ts, phase, abal).
-    pub rec_acks: BTreeMap<ProcessId, (u64, RecPhase, u64)>,
-    /// Whether this process already acted on a full recovery quorum for the current ballot.
-    pub rec_done: bool,
-    /// Whether this process started a recovery for the command (used to count
-    /// `recoveries_completed` when it eventually commits).
-    pub recovering: bool,
-
     // ---- commit collection (multi-shard) ----
     /// Per-shard committed timestamps received in `MCommit`.
     pub shard_commits: BTreeMap<ShardId, u64>,
 
-    // ---- liveness ----
-    /// Time (µs) at which this process first learned about the command.
+    /// Time (µs) at which this process first learned about the command: the age the
+    /// liveness scan measures.
     pub since_us: u64,
-    /// Time (µs) of the last liveness probe (`MCommitRequest` + payload resend) for this
-    /// command; 0 = never probed. Probes are rate limited to once per
-    /// `commit_request_timeout_us` instead of once per liveness tick.
-    pub last_probe_us: u64,
-    /// Time (µs) this process last started a recovery for the command; 0 = never.
-    /// Recovery retries are paced to once per `recovery_timeout_us` — each retry bumps
-    /// the ballot and clears `rec_acks`, so retrying faster than an `MRec` round trip
-    /// would discard every in-flight reply.
-    pub last_recovery_us: u64,
 }
 
 impl CommandInfo {
@@ -121,13 +104,8 @@ impl CommandInfo {
             proposal_detached: Vec::new(),
             consensus_acks: BTreeSet::new(),
             commit_sent: false,
-            rec_acks: BTreeMap::new(),
-            rec_done: false,
-            recovering: false,
             shard_commits: BTreeMap::new(),
             since_us: now_us,
-            last_probe_us: 0,
-            last_recovery_us: 0,
         }
     }
 
@@ -160,14 +138,13 @@ impl CommandInfo {
         self.shard_commits.values().copied().max().unwrap_or(0)
     }
 
-    /// Moves to `Execute`, dropping the transient coordinator and recovery state. The
-    /// payload stays, so this process can keep answering `MCommitRequest`/`MRec`
-    /// (Appendix B liveness) until the executed-watermark GC proves none can arrive.
+    /// Moves to `Execute`, dropping the transient coordinator state. The payload stays,
+    /// so this process can keep answering `MCommitRequest`/`MRec` (Appendix B liveness)
+    /// until the executed-watermark GC proves none can arrive.
     pub fn mark_executed(&mut self) {
         self.phase = Phase::Execute;
         self.proposal_detached.clear();
         self.proposals.clear();
-        self.rec_acks.clear();
     }
 }
 

@@ -37,10 +37,13 @@
 //! * [`messages`] — the wire protocol,
 //! * [`info`] — per-command state (Figure 1 phases, Table 3 variables),
 //! * [`gc`] — committed-command garbage collection via executed watermarks,
-//! * [`protocol`] — the [`Tempo`] *ordering* state machine: commit, multi-partition and
-//!   recovery protocols, plus the protocol-owned timers (promise broadcast, liveness
-//!   scan); messages a process addresses to itself are plain sends that the kernel's
-//!   `Driver` delivers back, so no handler runs inside another,
+//! * [`protocol`] — the [`Tempo`] *ordering* state machine: commit and multi-partition
+//!   protocols, the execution feed, GC and the protocol-owned timers (promise broadcast,
+//!   liveness scan); messages a process addresses to itself are plain sends that the
+//!   kernel's `Driver` delivers back, so no handler runs inside another,
+//! * `recovery` — liveness and recovery in one owner (`Recovery`: suspicion and
+//!   leadership, pending dots, probe and takeover pacing, recovery ballots and acks,
+//!   repair pacing, the rejoin quorum), and the handlers of Algorithm 4 and Appendix B,
 //! * `durable` — the WAL, its chunked floors and snapshots in one owner (`Durable`), and
 //!   recovery from them ([`Tempo::with_store`]; DESIGN.md §6),
 //! * `transfer` — the rejoin state transfer's execution gate in one owner (`Transfer`),
@@ -61,6 +64,7 @@ pub mod info;
 pub mod messages;
 pub mod promises;
 pub mod protocol;
+mod recovery;
 pub mod stability;
 mod transfer;
 pub mod wire;

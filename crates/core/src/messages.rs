@@ -260,6 +260,36 @@ pub enum Message {
     },
 }
 
+impl Message {
+    /// The dot the message is about, if any (`MPromises`, the promise repair, the rejoin
+    /// handshake and the state transfer are dot-free).
+    pub fn dot(&self) -> Option<Dot> {
+        match self {
+            Message::MSubmit { dot, .. }
+            | Message::MPropose { dot, .. }
+            | Message::MPayload { dot, .. }
+            | Message::MProposeAck { dot, .. }
+            | Message::MCommit { dot, .. }
+            | Message::MConsensus { dot, .. }
+            | Message::MConsensusAck { dot, .. }
+            | Message::MBump { dot, .. }
+            | Message::MStable { dot }
+            | Message::MRec { dot, .. }
+            | Message::MRecAck { dot, .. }
+            | Message::MRecNAck { dot, .. }
+            | Message::MCommitRequest { dot }
+            | Message::MCommitInfo { dot, .. } => Some(*dot),
+            Message::MPromises { .. }
+            | Message::MPromiseRequest
+            | Message::MPromiseRepair { .. }
+            | Message::MRejoin
+            | Message::MRejoinAck { .. }
+            | Message::MStateRequest
+            | Message::MState { .. } => None,
+        }
+    }
+}
+
 impl WireSize for Message {
     fn wire_size(&self) -> usize {
         // Rough serialized sizes; command-carrying messages dominate.

@@ -11,10 +11,12 @@
 //! * the **multi-partition protocol** (§4): per-shard coordinators, final timestamp as the
 //!   maximum over shards, `MBump` for faster stability and the `MStable` exchange;
 //! * the **recovery protocol** (§5 / Algorithm 4) and the liveness mechanisms of
-//!   Appendix B (`MRecNAck`, `MCommitRequest`, periodic payload resend).
+//!   Appendix B (`MRecNAck`, `MCommitRequest`, periodic payload resend), in `recovery.rs`.
 //!
-//! `Tempo` keeps the commit path, the executor calls and GC, and composes [`Stability`],
-//! `Durable` (WAL, floors, snapshots) and `Transfer` (state transfer, execution gate).
+//! This file keeps the ordering path, the execution feed, GC, the promise broadcast and
+//! the [`Protocol`] impl. `Tempo` composes [`Stability`], `Durable` (WAL, floors,
+//! snapshots), `Transfer` (state transfer, execution gate) and `Recovery` (suspicion,
+//! pending dots, takeovers, repair pacing, the rejoin quorum).
 //!
 //! Handlers never call one another. Algorithm 1 sends to the sending process freely
 //! (`MSubmit`, `MPropose`, `MProposeAck`, `MCommit` all reach the coordinator itself);
@@ -27,11 +29,12 @@ use crate::durable::{Durable, Floor};
 use crate::executor::{ExecutionInfo, TempoExecutor};
 use crate::gc::GcTracker;
 use crate::info::{CommandInfo, Phase};
-use crate::messages::{Message, PromiseBundle, Quorums, RecPhase};
+use crate::messages::{Message, PromiseBundle, Quorums};
 use crate::promises::PromiseRange;
+use crate::recovery::Recovery;
 use crate::stability::{Report, Stability};
 use crate::transfer::{AppliedImage, Transfer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
@@ -72,13 +75,15 @@ const LIVENESS_INTERVAL_US: u64 = 5_000;
 /// `MProposeAck`/`MCommit` (§3.2) are always on.
 #[derive(Debug, Clone, Copy)]
 pub struct TempoOptions {
-    /// How long a command may stay pending before this process (if it is the shard
-    /// leader) starts recovery for it, in microseconds; `driver_conformance` and the
-    /// chaos batteries of `crates/runtime/tests` shorten it.
-    pub recovery_timeout_us: u64,
-    /// How long a command may stay pending before a non-leader process asks for the
-    /// commit outcome (`MCommitRequest`) and re-sends the payload, in microseconds; also
-    /// the pace of state-transfer retries and commit-hole probes. Same callers.
+    /// How long a command may stay pending before this process probes for it — asks the
+    /// shard for the commit outcome (`MCommitRequest`) and re-sends the payload — and the
+    /// pace of those probes, of promise repairs, state-transfer retries and commit-hole
+    /// probes, in microseconds. The shard leader takes a command over (`MRec`) once it is
+    /// pending for twice this, and retries at that pace until it commits: the probe is
+    /// tried before the takeover, and a retry (which bumps the ballot and discards the
+    /// acks of the previous round) must be slower than an `MRec` round trip or it would
+    /// discard every reply. `driver_conformance` and the chaos batteries of
+    /// `crates/runtime/tests` shorten it.
     pub commit_request_timeout_us: u64,
     /// After the `MRejoin` handshake, request a snapshot of the applied state from a
     /// shard peer (`MStateRequest`/`MState`) and gate execution until it installs: even
@@ -94,7 +99,6 @@ pub struct TempoOptions {
 impl Default for TempoOptions {
     fn default() -> Self {
         Self {
-            recovery_timeout_us: 2_000_000,
             commit_request_timeout_us: 1_000_000,
             state_transfer: true,
             snapshot_every_appends: 256,
@@ -105,26 +109,21 @@ impl Default for TempoOptions {
 /// The Tempo protocol instance at one process.
 #[derive(Debug)]
 pub struct Tempo {
-    // The fields `durable.rs` and `transfer.rs` touch are `pub(crate)`.
-    process: ProcessId,
+    // The fields `durable.rs`, `transfer.rs` and `recovery.rs` touch are `pub(crate)`.
+    pub(crate) process: ProcessId,
     pub(crate) shard: ShardId,
     config: Config,
-    options: TempoOptions,
-    view: View,
+    pub(crate) view: View,
     membership: Membership,
     /// Processes of this shard, in identifier order (defines ballot ranks). Shared so
     /// that shard-wide sends cost a reference bump, not a `Vec` clone per call.
-    shard_peers: Arc<[ProcessId]>,
+    pub(crate) shard_peers: Arc<[ProcessId]>,
     /// `shard_peers` other than this process: the targets of shard-wide reports.
     pub(crate) other_peers: Vec<ProcessId>,
-    /// This process's rank within the shard, in `1..=n`.
-    rank: u64,
     pub(crate) dot_gen: DotGen,
     /// The clock, the promises and the line-47 commit gate.
     pub(crate) stability: Stability,
     pub(crate) info: BTreeMap<Dot, CommandInfo>,
-    /// Dots not yet committed at this process (for the periodic liveness scan).
-    pub(crate) pending: BTreeSet<Dot>,
     /// The execution stage: stability-ordered execution (Algorithm 2/3).
     pub(crate) executor: TempoExecutor,
     /// Committed-command GC: executed watermarks of this process and its shard peers.
@@ -133,6 +132,8 @@ pub struct Tempo {
     pub(crate) durable: Durable,
     /// The state transfer and its execution gate.
     pub(crate) transfer: Transfer,
+    /// Suspicion, the pending dots, takeovers, repair pacing and the rejoin quorum.
+    pub(crate) recovery: Recovery,
     /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
     /// `Schedule`, so a burst of bumps must arm it once).
     flush_armed: bool,
@@ -140,26 +141,17 @@ pub struct Tempo {
     /// had already passed their timestamp (only possible at restarted incarnations;
     /// see `commit_with`).
     pub(crate) exec_skipped: u64,
-    /// Last time the execution stage made progress (for stall detection).
-    pub(crate) last_exec_progress_us: u64,
-    /// Last time this process asked peers to re-state their promises (rate limit).
-    last_repair_request_us: u64,
     /// The last stability watermark fed to the executor; feeds are skipped (and the
     /// executor left untouched) while the watermark has not advanced.
     pub(crate) last_stable_fed: u64,
     pub(crate) metrics: ProtocolMetrics,
-    /// Processes suspected to have failed (used to pick the recovery leader and to avoid
-    /// dead processes when choosing fast quorums for new commands).
-    pub(crate) suspected: BTreeSet<ProcessId>,
     /// Whether this instance is a full participant. `false` only between a restart (see
     /// [`Protocol::rejoin`]) and the completion of the `MRejoin` handshake: until then
     /// the process makes no timestamp proposals, because its clock restarted at zero and
     /// a proposal below a previous incarnation's promises would break Theorem 1.
     pub(crate) joined: bool,
-    /// Shard peers that answered the current `MRejoin` handshake.
-    rejoin_acks: BTreeSet<ProcessId>,
     /// Lifecycle tracing handle (disabled by default; see [`Protocol::attach_tracer`]).
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
 }
 
 impl Tempo {
@@ -173,19 +165,14 @@ impl Tempo {
         let membership = Membership::from_config(&config);
         debug_assert_eq!(membership.shard_of(process), shard);
         let shard_peers: Arc<[ProcessId]> = membership.processes_of_shard(shard).into();
-        let rank = shard_peers
-            .iter()
-            .position(|p| *p == process)
-            .expect("process must belong to its shard") as u64
-            + 1;
         let stability = Stability::new(process, &shard_peers, config.stability_index());
         let gc = GcTracker::new(process, &shard_peers);
         let view = View::trivial(config, process);
+        let timeout_us = options.commit_request_timeout_us;
         Self {
             process,
             shard,
             config,
-            options,
             view,
             membership,
             other_peers: shard_peers
@@ -193,25 +180,20 @@ impl Tempo {
                 .copied()
                 .filter(|p| *p != process)
                 .collect(),
+            recovery: Recovery::new(process, shard_peers.clone(), config, timeout_us),
             shard_peers,
-            rank,
             dot_gen: DotGen::new(process),
             stability,
             info: BTreeMap::new(),
-            pending: BTreeSet::new(),
             executor: TempoExecutor::new(process, shard, config),
             gc,
             durable: Durable::new(options.snapshot_every_appends),
-            transfer: Transfer::new(options.state_transfer, options.commit_request_timeout_us),
+            transfer: Transfer::new(options.state_transfer, timeout_us),
             flush_armed: false,
             exec_skipped: 0,
-            last_exec_progress_us: 0,
-            last_repair_request_us: 0,
             last_stable_fed: 0,
             metrics: ProtocolMetrics::default(),
-            suspected: BTreeSet::new(),
             joined: true,
-            rejoin_acks: BTreeSet::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -268,46 +250,16 @@ impl Tempo {
             .map(|i| i.final_ts)
     }
 
-    /// Marks a process as suspected of having failed; the lowest non-suspected process of
-    /// the shard acts as the recovery leader (a stand-in for the Ω failure detector of
-    /// Appendix B), and new commands pick fast quorums avoiding suspected processes.
-    pub fn suspect(&mut self, process: ProcessId) {
-        self.suspected.insert(process);
-    }
-
-    /// Withdraws a suspicion (the process restarted and is participating again).
-    pub fn unsuspect(&mut self, process: ProcessId) {
-        self.suspected.remove(&process);
-    }
-
     /// Whether this instance is a full participant (always true unless it restarted and
     /// its `MRejoin` handshake has not completed yet).
     pub fn is_joined(&self) -> bool {
         self.joined
     }
 
-    /// Whether this process is the current recovery leader of its shard.
-    pub fn is_leader(&self) -> bool {
-        self.shard_peers
-            .iter()
-            .find(|p| !self.suspected.contains(p))
-            .map(|p| *p == self.process)
-            .unwrap_or(false)
-    }
-
     // ---------------------------------------------------------------- helpers
 
     pub(crate) fn info_mut(&mut self, dot: Dot, now_us: u64) -> &mut CommandInfo {
         info_entry(&mut self.info, dot, now_us)
-    }
-
-    fn next_ballot(&self, current: u64) -> u64 {
-        let r = self.config.n() as u64;
-        if current == 0 {
-            self.rank
-        } else {
-            self.rank + r * ((current - 1) / r + 1)
-        }
     }
 
     /// Bumps the clock to `t` (see [`Stability::bump`]), keeping its durable floor ahead.
@@ -320,7 +272,7 @@ impl Tempo {
     /// Feeds a peer's promises through the commit gate ([`Stability::absorb`]). A
     /// collected dot counts as committed (gating would resurrect its `CommandInfo` as a
     /// zombie); any other uncommitted dot gets one, and `gated` hears of it.
-    fn absorb(&mut self, report: Report, now_us: u64, mut gated: impl FnMut(Dot)) {
+    pub(crate) fn absorb(&mut self, report: Report, now_us: u64, mut gated: impl FnMut(Dot)) {
         let (info, gc) = (&mut self.info, &self.gc);
         self.stability.absorb(report, |dot| {
             let committed = gc.is_collected(dot)
@@ -334,14 +286,6 @@ impl Tempo {
         });
     }
 
-    fn all_replicas_of(&self, cmd: &Command) -> Vec<ProcessId> {
-        self.view.all_replicas(cmd)
-    }
-
-    fn local_coordinators_of(&self, cmd: &Command) -> Vec<ProcessId> {
-        self.view.local_coordinators(cmd)
-    }
-
     /// A fast quorum of `size` processes of `shard` made of the closest replicas that are
     /// not suspected of having failed; suspected replicas fill remaining slots (in
     /// distance order) only when too few are left — a quorum must always be formed, and
@@ -351,7 +295,7 @@ impl Tempo {
         let mut quorum: Vec<ProcessId> = closest
             .iter()
             .copied()
-            .filter(|p| !self.suspected.contains(p))
+            .filter(|p| !self.recovery.suspected().contains(p))
             .take(size)
             .collect();
         if quorum.len() < size {
@@ -380,7 +324,7 @@ impl Tempo {
                     .closest(shard)
                     .iter()
                     .copied()
-                    .find(|p| !self.suspected.contains(p))
+                    .find(|p| !self.recovery.suspected().contains(p))
                     .unwrap_or_else(|| self.view.closest_process(shard))
             })
             .collect()
@@ -440,7 +384,7 @@ impl Tempo {
         info.learn_payload(&cmd, &quorums);
         if info.phase == Phase::Start {
             info.phase = Phase::Payload;
-            self.pending.insert(dot);
+            self.recovery.pend(dot);
         }
         // A commit may have been waiting for the payload (multi-shard races).
         self.try_complete_commit(dot, now_us, out);
@@ -477,14 +421,13 @@ impl Tempo {
             // violate Theorem 1. Keep the payload so recovery can involve this process
             // later; the coordinator's quorum stays incomplete and the command commits
             // through the liveness/recovery path instead.
-            let info = self.info_mut(dot, now_us);
-            info.phase = Phase::Payload;
-            self.pending.insert(dot);
+            self.info_mut(dot, now_us).phase = Phase::Payload;
+            self.recovery.pend(dot);
             self.try_complete_commit(dot, now_us, out);
             return;
         }
         self.info_mut(dot, now_us).phase = Phase::Propose;
-        self.pending.insert(dot);
+        self.recovery.pend(dot);
         let (proposal, detached) = self.stability.propose(dot, ts);
         self.durable.cover(Floor::Clock, self.stability.clock());
         self.info_mut(dot, now_us).ts = proposal;
@@ -498,7 +441,8 @@ impl Tempo {
         // clocks to this proposal.
         if cmd.is_multi_shard() {
             let siblings: Vec<ProcessId> = self
-                .local_coordinators_of(&cmd)
+                .view
+                .local_coordinators(&cmd)
                 .into_iter()
                 .filter(|p| self.membership.shard_of(*p) != self.shard)
                 .collect();
@@ -552,7 +496,7 @@ impl Tempo {
                 info.cmd.clone().expect("coordinator knows the payload"),
                 attached,
                 info.proposal_detached.clone(),
-                self.rank,
+                self.recovery.next_ballot(0),
             )
         };
         let proposals = attached.iter().map(|(_, ts)| *ts);
@@ -572,8 +516,7 @@ impl Tempo {
                     detached: proposal_detached,
                 },
             };
-            let targets = self.all_replicas_of(&cmd);
-            out.push(Action::send(targets, commit));
+            out.push(Action::send(self.view.all_replicas(&cmd), commit));
         } else {
             self.metrics.slow_paths += 1;
             {
@@ -627,6 +570,25 @@ impl Tempo {
         self.commit_with(dot, final_ts, now_us, out);
     }
 
+    /// Commits `dot` at `ts` with the payload `cmd`, an outcome learned from a peer
+    /// (`MCommitInfo`, or a transferred queue entry); `false` if it was committed here.
+    pub(crate) fn commit_learned(
+        &mut self,
+        dot: Dot,
+        cmd: &Command,
+        ts: u64,
+        now_us: u64,
+        out: &mut Vec<Action<Message>>,
+    ) -> bool {
+        let info = self.info_mut(dot, now_us);
+        if info.phase.is_committed_or_executed() {
+            return false;
+        }
+        info.learn_payload(cmd, &Quorums::new());
+        self.commit_with(dot, ts, now_us, out);
+        true
+    }
+
     pub(crate) fn commit_with(
         &mut self,
         dot: Dot,
@@ -634,23 +596,19 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let (cmd, recovered) = {
+        let cmd = {
             let info = self.info.get_mut(&dot).expect("info exists");
             if info.phase.is_committed_or_executed() {
                 return;
             }
             info.final_ts = final_ts;
             info.phase = Phase::Commit;
-            (
-                info.cmd.clone().expect("committed commands have a payload"),
-                info.recovering,
-            )
+            info.cmd.clone().expect("committed commands have a payload")
         };
-        self.pending.remove(&dot);
         self.metrics.committed += 1;
         self.tracer
             .phase(now_us, self.process, cmd.rifl, CmdPhase::Committed);
-        if recovered {
+        if self.recovery.committed(dot) {
             // This process took over as the command's coordinator at some point and the
             // command now has a timestamp: the recovery path ran to completion.
             self.metrics.recoveries_completed += 1;
@@ -686,8 +644,7 @@ impl Tempo {
                     self.request_state(now_us, out);
                 }
             }
-            let info = self.info.get_mut(&dot).expect("info exists");
-            info.mark_executed();
+            self.mark_executed(dot);
             if !gapped {
                 self.gc.record_executed(dot);
                 self.gc_collect();
@@ -695,7 +652,7 @@ impl Tempo {
             // A gapped dot enters the executed frontier only once an image covers it:
             // the frontier is shipped onward and blanket-restored (DESIGN.md §11, bug 2).
             if cmd.is_multi_shard() {
-                let targets = self.all_replicas_of(&cmd);
+                let targets = self.view.all_replicas(&cmd);
                 out.push(Action::send(targets, Message::MStable { dot }));
             }
             self.sync_stability(now_us, out);
@@ -797,26 +754,18 @@ impl Tempo {
         if !ready {
             return;
         }
-        let cmd = match cmd {
-            Some(cmd) => cmd,
-            // Without the payload the commit targets are unknown; fall back to the shard.
-            None => {
-                self.info.get_mut(&dot).expect("info exists").commit_sent = true;
-                let commit = Message::MCommit {
-                    dot,
-                    shard,
-                    ts,
-                    promises: PromiseBundle::default(),
-                };
-                out.push(Action::send(self.shard_peers.to_vec(), commit));
-                return;
-            }
-        };
         let info = self.info.get_mut(&dot).expect("info exists");
         info.commit_sent = true;
-        let promises = PromiseBundle {
-            attached: info.proposals.iter().map(|(p, t)| (*p, *t)).collect(),
-            detached: info.proposal_detached.clone(),
+        // Without the payload the commit targets are unknown; fall back to the shard.
+        let (targets, promises) = match cmd {
+            Some(cmd) => (
+                self.view.all_replicas(&cmd),
+                PromiseBundle {
+                    attached: info.proposals.iter().map(|(p, t)| (*p, *t)).collect(),
+                    detached: info.proposal_detached.clone(),
+                },
+            ),
+            None => (self.shard_peers.to_vec(), PromiseBundle::default()),
         };
         let commit = Message::MCommit {
             dot,
@@ -824,7 +773,6 @@ impl Tempo {
             ts,
             promises,
         };
-        let targets = self.all_replicas_of(&cmd);
         out.push(Action::send(targets, commit));
     }
 
@@ -922,20 +870,16 @@ impl Tempo {
                 .cmd
                 .as_ref()
                 .expect("announced commands have a payload");
-            let targets = self.all_replicas_of(cmd);
+            let targets = self.view.all_replicas(cmd);
             out.push(Action::send(targets, Message::MStable { dot }));
         }
         let executed_dots = self.executor.take_executed_dots();
         let any_executed = !executed_dots.is_empty();
         if any_executed {
-            self.last_exec_progress_us = now_us;
+            self.recovery.progress(now_us);
         }
         for dot in executed_dots {
-            let info = self
-                .info
-                .get_mut(&dot)
-                .expect("executed commands have info");
-            info.mark_executed();
+            let info = self.mark_executed(dot);
             // In this implementation a command executes the instant it becomes stable
             // (same dispatch step), so `Stable` and the driver-emitted `Executed` carry
             // the same timestamp; the stable→execute interval measures queueing only in
@@ -953,9 +897,21 @@ impl Tempo {
         out.extend(executed.into_iter().map(Action::Deliver));
     }
 
+    /// Marks `dot` executed: its `CommandInfo` and its recovery attempt drop their
+    /// transient coordinator and recovery state.
+    pub(crate) fn mark_executed(&mut self, dot: Dot) -> &mut CommandInfo {
+        self.recovery.executed(dot);
+        let info = self
+            .info
+            .get_mut(&dot)
+            .expect("executed commands have info");
+        info.mark_executed();
+        info
+    }
+
     /// Drops the metadata of every dot that all shard peers (and this process) have
-    /// executed: its `CommandInfo` — payload included — and any leftover executor
-    /// bookkeeping. See [`crate::gc`] for the safety argument.
+    /// executed: its `CommandInfo` — payload included — its recovery attempt and any
+    /// leftover executor bookkeeping. See [`crate::gc`] for the safety argument.
     pub(crate) fn gc_collect(&mut self) {
         for (origin, seqs) in self.gc.collect() {
             for seq in seqs {
@@ -965,394 +921,9 @@ impl Tempo {
                 }
                 self.stability.forget(dot);
                 self.executor.gc(dot);
+                self.recovery.forget(dot);
             }
         }
-    }
-
-    // --------------------------------------------------------------- liveness
-
-    /// Re-sends payloads, requests commits and starts recovery for commands that have
-    /// been pending for too long (Algorithm 6, lines 75-78 and 95-96). Driven by
-    /// [`TIMER_LIVENESS`]. Probes are rate limited per dot: a stale command is re-probed
-    /// at most once per `commit_request_timeout_us`, not on every liveness tick — a dot
-    /// past its timeout used to re-broadcast its full payload plus `MCommitRequest`
-    /// every 5 ms.
-    ///
-    /// Recovery escalation shares the probe rate limit and *retries*: under message loss
-    /// an `MRec` round can vanish entirely, so a leader whose takeover made no progress
-    /// re-runs `start_recovery` (with a fresh, higher ballot) on the next probe. The
-    /// previous gate — "skip if the pending ballot is already ours" — deadlocked exactly
-    /// in that case, which the lossy conformance scenario flushed out.
-    fn liveness_scan(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
-        let timeout = self.options.commit_request_timeout_us;
-        let stale: Vec<(Dot, bool)> = self
-            .pending
-            .iter()
-            .copied()
-            .filter_map(|dot| {
-                let info = self.info.get(&dot)?;
-                if now_us.saturating_sub(info.since_us) < timeout {
-                    return None;
-                }
-                let probe = now_us.saturating_sub(info.last_probe_us) >= timeout;
-                Some((dot, probe))
-            })
-            .collect();
-        for (dot, probe) in stale {
-            let (age, has_payload) = {
-                let info = &self.info[&dot];
-                (now_us.saturating_sub(info.since_us), info.has_payload())
-            };
-            if probe {
-                self.info
-                    .get_mut(&dot)
-                    .expect("stale dots have info")
-                    .last_probe_us = now_us;
-                // Ask around for a commit outcome we might have missed.
-                let request = Message::MCommitRequest { dot };
-                out.push(Action::send(self.shard_peers.to_vec(), request));
-                // Re-send the payload so that every replica can take part in recovery
-                // (Algorithm 6, line 77).
-                if has_payload {
-                    let (cmd, quorums) = {
-                        let info = &self.info[&dot];
-                        (
-                            info.cmd.clone().expect("payload present"),
-                            info.quorums.clone(),
-                        )
-                    };
-                    let payload = Message::MPayload {
-                        dot,
-                        cmd: cmd.clone(),
-                        quorums,
-                    };
-                    let targets = self.all_replicas_of(&cmd);
-                    out.push(Action::send(targets, payload));
-                }
-            }
-            // If we are the shard leader and the command has been pending for long
-            // enough, take over as its coordinator — and keep retrying until the
-            // command commits: under message loss an entire MRec round can vanish, and
-            // the old "skip if the pending ballot is already ours" gate deadlocked
-            // exactly then. Retries pace on the *recovery* timeout per dot (not the
-            // probe cadence): each retry clears `rec_acks` and bumps the ballot, so
-            // retrying faster than an MRec round trip would discard in-flight acks
-            // forever (a livelock instead of a deadlock).
-            if self.is_leader() && has_payload && age >= self.options.recovery_timeout_us {
-                let due = {
-                    let info = &self.info[&dot];
-                    now_us.saturating_sub(info.last_recovery_us) >= self.options.recovery_timeout_us
-                };
-                if due {
-                    self.start_recovery(dot, now_us, out);
-                }
-            }
-        }
-        // Suspected commit holes are asked around the same way.
-        for dot in self.transfer.probe_holes(&self.gc, &self.info, now_us) {
-            let request = Message::MCommitRequest { dot };
-            out.push(Action::send(self.shard_peers.to_vec(), request));
-        }
-        self.repair_scan(now_us, out);
-    }
-
-    /// Detects a stalled execution stage — committed commands exist but no execution
-    /// happened for a full commit-request timeout — and asks the shard peers to
-    /// re-state their promises (`MPromiseRequest`, rate limited). Commit-side liveness
-    /// is covered by the probes above; this covers the *stability* side: an `MPromises`
-    /// delta lost to the network leaves a permanent gap in this process's view of a
-    /// peer's promise prefix, freezing the stable watermark below every later
-    /// timestamp. The lossy-link nemesis schedule found replicas frozen this way.
-    fn repair_scan(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
-        let timeout = self.options.commit_request_timeout_us;
-        let unexecuted = self.metrics.committed > self.executor.executed() + self.exec_skipped;
-        if !unexecuted
-            || now_us.saturating_sub(self.last_exec_progress_us) < timeout
-            || now_us.saturating_sub(self.last_repair_request_us) < timeout
-        {
-            return;
-        }
-        self.last_repair_request_us = now_us;
-        if !self.other_peers.is_empty() {
-            let targets = self.other_peers.clone();
-            out.push(Action::send(targets, Message::MPromiseRequest));
-        }
-    }
-
-    fn handle_promise_request(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
-        // A rejoining, restarted or restored incarnation sends no repair (see
-        // `Stability::claim_nothing`); the requester's comes from the other peers.
-        if !self.joined {
-            return;
-        }
-        if let Some((clock, pending)) = self.stability.repair_report() {
-            let repair = Message::MPromiseRepair { clock, pending };
-            out.push(Action::send_one(from, repair));
-        }
-    }
-
-    /// Absorbs a peer's complete promise state (`Report::Repair`). For a gated attachment
-    /// the dot id is itself the cure: ask the sender for the outcome (`MCommitRequest`) —
-    /// the command may have committed at a quorum that excludes this process, with its
-    /// payload and commit both lost, and then nobody would ever retransmit it (the
-    /// coordinator only re-sends payloads of commands still pending *there*).
-    fn handle_promise_repair(
-        &mut self,
-        from: ProcessId,
-        clock: u64,
-        pending: Vec<(u64, Dot)>,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        self.absorb(Report::Repair(from, clock, pending), now_us, |dot| {
-            out.push(Action::send_one(from, Message::MCommitRequest { dot }));
-        });
-        self.sync_stability(now_us, out);
-    }
-
-    // --------------------------------------------------------------- recovery
-
-    fn start_recovery(&mut self, dot: Dot, now_us: u64, out: &mut Vec<Action<Message>>) {
-        let ballot = {
-            let info = match self.info.get_mut(&dot) {
-                Some(info) => info,
-                None => return,
-            };
-            if !info.phase.is_pending() {
-                return;
-            }
-            let current = info.bal;
-            info.rec_acks.clear();
-            info.rec_done = false;
-            info.recovering = true;
-            info.last_recovery_us = now_us;
-            current
-        };
-        let ballot = self.next_ballot(ballot);
-        self.metrics.recoveries_started += 1;
-        self.tracer
-            .process_event(now_us, self.process, ProcEvent::RecoveryStarted);
-        let rec = Message::MRec { dot, ballot };
-        out.push(Action::send(self.shard_peers.to_vec(), rec));
-    }
-
-    fn handle_rec(
-        &mut self,
-        from: ProcessId,
-        dot: Dot,
-        ballot: u64,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        // Algorithm 4, lines 76-85.
-        let committed = {
-            let info = self.info_mut(dot, now_us);
-            info.phase.is_committed_or_executed()
-        };
-        if !self.joined && !committed {
-            // A rejoining process may still share a commit it knows about, but must not
-            // make recovery proposals (its clock floor is not yet re-established).
-            return;
-        }
-        if committed {
-            // Liveness: share the outcome with the would-be coordinator.
-            self.handle_commit_request(from, dot, out);
-            return;
-        }
-        let nack = {
-            let info = self.info_mut(dot, now_us);
-            if info.bal >= ballot {
-                Some(info.bal)
-            } else {
-                None
-            }
-        };
-        if let Some(bal) = nack {
-            let msg = Message::MRecNAck { dot, ballot: bal };
-            out.push(Action::send_one(from, msg));
-            return;
-        }
-        // Cannot participate without the payload (the phase would still be `start`).
-        if !self.info.get(&dot).is_some_and(CommandInfo::has_payload) {
-            return;
-        }
-        let needs_proposal = {
-            let info = self.info.get_mut(&dot).expect("info exists");
-            if info.bal == 0 {
-                match info.phase {
-                    Phase::Payload => true,
-                    Phase::Propose => {
-                        info.phase = Phase::RecoverP;
-                        false
-                    }
-                    _ => false,
-                }
-            } else {
-                false
-            }
-        };
-        if needs_proposal {
-            let (t, _) = self.stability.propose(dot, 0);
-            self.durable.cover(Floor::Clock, self.stability.clock());
-            let info = self.info.get_mut(&dot).expect("info exists");
-            info.ts = t;
-            info.phase = Phase::RecoverR;
-        }
-        let (ts, phase, abal) = {
-            let info = self.info.get_mut(&dot).expect("info exists");
-            info.bal = ballot;
-            let rec_phase = info.phase.rec_phase().unwrap_or(RecPhase::RecoverR);
-            (info.ts, rec_phase, info.abal)
-        };
-        // Write-ahead: the joined ballot must survive a crash, or a recovered replica
-        // could accept a value at a ballot it already promised away.
-        self.durable.append(WalRecord::Ballot { dot, bal: ballot });
-        let ack = Message::MRecAck {
-            dot,
-            ts,
-            phase,
-            abal,
-            ballot,
-        };
-        out.push(Action::send_one(from, ack));
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_rec_ack(
-        &mut self,
-        from: ProcessId,
-        dot: Dot,
-        ts: u64,
-        phase: RecPhase,
-        abal: u64,
-        ballot: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        // Algorithm 4, lines 86-96 (pre: bal[id] = b, |Q| = r - f).
-        let recovery_quorum = self.config.recovery_quorum_size();
-        let shard = self.shard;
-        let ready = {
-            let info = match self.info.get_mut(&dot) {
-                Some(info) => info,
-                None => return,
-            };
-            if info.bal != ballot || info.rec_done {
-                return;
-            }
-            info.rec_acks.insert(from, (ts, phase, abal));
-            info.rec_acks.len() >= recovery_quorum
-        };
-        if !ready {
-            return;
-        }
-        let proposal = {
-            let info = self.info.get_mut(&dot).expect("info exists");
-            info.rec_done = true;
-            info.consensus_acks.clear();
-            // If any process accepted a consensus value, the highest-ballot one wins.
-            if let Some((_, (accepted_ts, _, _))) = info
-                .rec_acks
-                .iter()
-                .filter(|(_, (_, _, ab))| *ab != 0)
-                .max_by_key(|(_, (_, _, ab))| *ab)
-            {
-                *accepted_ts
-            } else {
-                // No accepted value: reconstruct the timestamp from proposals.
-                let fast_quorum = info.quorums.get(&shard).cloned().unwrap_or_default();
-                let replied: Vec<ProcessId> = info.rec_acks.keys().copied().collect();
-                let intersection: Vec<ProcessId> = replied
-                    .iter()
-                    .copied()
-                    .filter(|p| fast_quorum.contains(p))
-                    .collect();
-                let initial = dot.initial_coordinator();
-                let coordinator_replied = intersection.contains(&initial);
-                let any_recover_r = intersection
-                    .iter()
-                    .any(|p| matches!(info.rec_acks[p].1, RecPhase::RecoverR));
-                // `s` of Algorithm 4 line 93: the initial coordinator cannot have taken the
-                // fast path, so any majority-derived maximum is a valid timestamp.
-                let safe_to_use_all = coordinator_replied || any_recover_r;
-                let quorum: Vec<ProcessId> = if safe_to_use_all {
-                    replied
-                } else {
-                    intersection
-                };
-                quorum
-                    .iter()
-                    .map(|p| info.rec_acks[p].0)
-                    .max()
-                    .unwrap_or(0)
-                    .max(1)
-            }
-        };
-        let consensus = Message::MConsensus {
-            dot,
-            ts: proposal,
-            ballot,
-        };
-        out.push(Action::send(self.shard_peers.to_vec(), consensus));
-    }
-
-    fn handle_rec_nack(
-        &mut self,
-        dot: Dot,
-        ballot: u64,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        let should_retry = {
-            let info = match self.info.get_mut(&dot) {
-                Some(info) => info,
-                None => return,
-            };
-            if info.bal < ballot {
-                info.bal = ballot;
-                true
-            } else {
-                false
-            }
-        };
-        if should_retry {
-            self.durable.append(WalRecord::Ballot { dot, bal: ballot });
-        }
-        if should_retry && self.is_leader() {
-            self.start_recovery(dot, now_us, out);
-        }
-    }
-
-    fn handle_commit_request(&mut self, from: ProcessId, dot: Dot, out: &mut Vec<Action<Message>>) {
-        let Some(ts) = self.committed_timestamp(dot) else {
-            return;
-        };
-        if let Some(cmd) = self.info[&dot].cmd.clone() {
-            out.push(Action::send_one(
-                from,
-                Message::MCommitInfo { dot, cmd, ts },
-            ));
-        }
-    }
-
-    fn handle_commit_info(
-        &mut self,
-        dot: Dot,
-        cmd: Command,
-        ts: u64,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        {
-            let info = self.info_mut(dot, now_us);
-            if info.phase.is_committed_or_executed() {
-                return;
-            }
-            info.learn_payload(&cmd, &Quorums::new());
-            if info.phase == Phase::Start {
-                info.phase = Phase::Payload;
-            }
-        }
-        self.commit_with(dot, ts, now_us, out);
     }
 
     // ------------------------------------------------------- promise broadcast
@@ -1399,104 +970,6 @@ impl Tempo {
         if self.joined && !self.flush_armed && self.stability.has_unsent_detached() {
             self.flush_armed = true;
             out.push(Action::schedule(TIMER_FLUSH, FLUSH_DELAY_US));
-        }
-    }
-
-    // ---------------------------------------------------------------- rejoin
-
-    /// Broadcasts `MRejoin` to the shard peers (initially from [`Protocol::rejoin`],
-    /// re-sent from the liveness timer while the handshake is incomplete so that message
-    /// loss cannot leave the process unjoined forever).
-    fn send_rejoin(&mut self, out: &mut Vec<Action<Message>>) {
-        if !self.other_peers.is_empty() {
-            out.push(Action::send(self.other_peers.clone(), Message::MRejoin));
-        }
-    }
-
-    fn handle_rejoin(&mut self, from: ProcessId, out: &mut Vec<Action<Message>>) {
-        if !self.joined {
-            // A process that is itself mid-rejoin has nothing trustworthy to report.
-            return;
-        }
-        let (clock, your_highest, prefixes) = self.stability.rejoin_report(from);
-        let ack = Message::MRejoinAck {
-            clock,
-            your_highest,
-            prefixes,
-        };
-        out.push(Action::send_one(from, ack));
-    }
-
-    fn handle_rejoin_ack(
-        &mut self,
-        from: ProcessId,
-        clock: u64,
-        your_highest: u64,
-        prefixes: Vec<(ProcessId, u64)>,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        if self.joined || !self.rejoin_acks.insert(from) {
-            return;
-        }
-        // Clock floor: never propose at or below (a) any timestamp a previous incarnation
-        // of this process used (as recorded by the peer) or (b) the peer's own clock. Over
-        // a recovery quorum of replies, (b) guarantees new proposals land above any
-        // stability watermark derivable when the handshake completes — see DESIGN.md §5.
-        // The peer's contiguous prefixes seed the promise tracker so stability detection
-        // works again at this process (a prefix report is a promise witness).
-        if self
-            .stability
-            .absorb_rejoin(clock.max(your_highest), prefixes)
-        {
-            self.durable.cover(Floor::Clock, self.stability.clock());
-        }
-        // This process plus the repliers form a recovery quorum: safe to participate.
-        if self.rejoin_acks.len() + 1 >= self.config.recovery_quorum_size() {
-            // Discard every promise buffered during the handshake (the floor bumps
-            // above, plus any pre-join clock movement): broadcasting them would claim
-            // the previous incarnation's range, which may contain attached proposals
-            // still gated at the peers (DESIGN.md §5). The ranges stay registered in
-            // the *local* tracker — this incarnation's own stability view — where the
-            // exec-floor skip in `commit_with` already accounts for them.
-            self.stability.discard_outgoing();
-            self.joined = true;
-            if self.transfer.is_awaiting() {
-                // Back-fill the applied state from a peer before serving anything.
-                self.request_state(now_us, out);
-            } else {
-                self.sync_stability(now_us, out);
-            }
-        }
-    }
-
-    // --------------------------------------------------------------- dispatch
-
-    /// The dot a message is about, if any (`MPromises` and the rejoin handshake are the
-    /// dot-free messages).
-    fn message_dot(msg: &Message) -> Option<Dot> {
-        match msg {
-            Message::MSubmit { dot, .. }
-            | Message::MPropose { dot, .. }
-            | Message::MPayload { dot, .. }
-            | Message::MProposeAck { dot, .. }
-            | Message::MCommit { dot, .. }
-            | Message::MConsensus { dot, .. }
-            | Message::MConsensusAck { dot, .. }
-            | Message::MBump { dot, .. }
-            | Message::MStable { dot }
-            | Message::MRec { dot, .. }
-            | Message::MRecAck { dot, .. }
-            | Message::MRecNAck { dot, .. }
-            | Message::MCommitRequest { dot }
-            | Message::MCommitInfo { dot, .. } => Some(*dot),
-            Message::MPromises { .. }
-            | Message::MPromiseRequest
-            | Message::MPromiseRepair { .. }
-            | Message::MRejoin
-            | Message::MRejoinAck { .. }
-            | Message::MStateRequest
-            | Message::MState { .. } => None,
         }
     }
 }
@@ -1565,7 +1038,7 @@ impl Protocol for Tempo {
         // A message about a garbage-collected dot is stale by construction (every shard
         // peer has executed the command); dropping it also keeps the dot's metadata from
         // being resurrected as a zombie `info` entry.
-        if let Some(dot) = Self::message_dot(&msg) {
+        if let Some(dot) = msg.dot() {
             if self.gc.is_collected(dot) {
                 return out;
             }
@@ -1618,13 +1091,13 @@ impl Protocol for Tempo {
                 phase,
                 abal,
                 ballot,
-            } => self.handle_rec_ack(from, dot, ts, phase, abal, ballot, &mut out),
+            } => self.handle_rec_ack(from, dot, (ts, phase, abal), ballot, &mut out),
             Message::MRecNAck { dot, ballot } => {
                 self.handle_rec_nack(dot, ballot, now_us, &mut out)
             }
             Message::MCommitRequest { dot } => self.handle_commit_request(from, dot, &mut out),
             Message::MCommitInfo { dot, cmd, ts } => {
-                self.handle_commit_info(dot, cmd, ts, now_us, &mut out)
+                self.commit_learned(dot, &cmd, ts, now_us, &mut out);
             }
             Message::MPromiseRequest => self.handle_promise_request(from, &mut out),
             Message::MPromiseRepair { clock, pending } => {
@@ -1674,7 +1147,7 @@ impl Protocol for Tempo {
         // — or garbage collected — everywhere already).
         self.dot_gen.skip_to(incarnation << 48);
         self.joined = false;
-        self.rejoin_acks.clear();
+        self.recovery.rejoin();
         self.transfer.rejoin();
         let mut out = Vec::new();
         self.send_rejoin(&mut out);

@@ -6,7 +6,7 @@
 use crate::executor::ExecutionInfo;
 use crate::gc::GcTracker;
 use crate::info::CommandInfo;
-use crate::messages::{Message, Quorums};
+use crate::messages::Message;
 use crate::protocol::Tempo;
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::Key;
@@ -228,7 +228,7 @@ impl Tempo {
     pub(crate) fn request_state(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
         match self
             .transfer
-            .next_donor(&self.other_peers, &self.suspected, now_us)
+            .next_donor(&self.other_peers, self.recovery.suspected(), now_us)
         {
             Some(donor) => out.push(Action::send_one(donor, Message::MStateRequest)),
             None => self.sync_stability(now_us, out),
@@ -265,8 +265,7 @@ impl Tempo {
             for dot in self.executor.install_transfer(image.kv, floor) {
                 // Queued commits covered by the transferred image: their effects are
                 // present without the local executor applying them.
-                let info = self.info.get_mut(&dot).expect("queued commands have info");
-                info.mark_executed();
+                self.mark_executed(dot);
                 self.exec_skipped += 1;
                 self.gc.record_executed(dot);
             }
@@ -280,7 +279,7 @@ impl Tempo {
         self.absorb_transferred_commits(image.queued, now_us, out);
         if installed {
             self.last_stable_fed = self.last_stable_fed.max(floor.0);
-            self.last_exec_progress_us = now_us;
+            self.recovery.progress(now_us);
             // Write-through: the back-filled image lives only in the executor until a
             // snapshot captures it — force one so a second crash keeps the back-fill.
             self.snapshot(true);
@@ -313,14 +312,9 @@ impl Tempo {
             if self.gc.is_executed(q.dot) || self.gc.is_collected(q.dot) {
                 continue; // Executed (or blanket-covered) here: effect already present.
             }
-            {
-                let info = self.info_mut(q.dot, now_us);
-                if info.phase.is_committed_or_executed() {
-                    continue; // Already known; the executor dedups queued entries.
-                }
-                info.learn_payload(&q.cmd, &Quorums::new());
+            if !self.commit_learned(q.dot, &q.cmd, q.ts, now_us, out) {
+                continue; // Already known; the executor dedups queued entries.
             }
-            self.commit_with(q.dot, q.ts, now_us, out);
             // Re-feed the `MStable` attestations the donor consumed (they are sent once
             // per replica, DESIGN.md §6); live ones clear the rest, as at the donor.
             if self.executor.is_queued(q.dot) {

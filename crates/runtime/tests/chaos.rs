@@ -29,7 +29,6 @@ const COMMANDS_PER_CLIENT: usize = 120;
 /// finish quickly and each seed stays CI-sized.
 fn chaos_options() -> TempoOptions {
     TempoOptions {
-        recovery_timeout_us: 400_000,
         commit_request_timeout_us: 200_000,
         snapshot_every_appends: 64,
         ..TempoOptions::default()

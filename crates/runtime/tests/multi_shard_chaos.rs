@@ -36,7 +36,6 @@ const KEYS_PER_SHARD: u64 = 64;
 /// hundreds of milliseconds so each seed stays CI-sized.
 fn chaos_options() -> TempoOptions {
     TempoOptions {
-        recovery_timeout_us: 400_000,
         commit_request_timeout_us: 200_000,
         snapshot_every_appends: 64,
         ..TempoOptions::default()

@@ -440,8 +440,7 @@ fn tempo_commits_under_message_loss() {
                     shard,
                     config,
                     TempoOptions {
-                        commit_request_timeout_us: 50_000,
-                        recovery_timeout_us: 150_000,
+                        commit_request_timeout_us: 75_000,
                         ..TempoOptions::default()
                     },
                 )
