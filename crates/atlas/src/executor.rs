@@ -1,11 +1,9 @@
-//! The dependency-graph execution stage shared by Atlas, EPaxos and Janus*.
+//! The dependency-graph execution stage of Atlas and EPaxos.
 //!
 //! The ordering stage commits each command with an explicit dependency set; this
 //! executor feeds them to the [`DependencyGraph`] (Tarjan SCC executor) and applies
 //! commands to the replicated store as soon as their strongly connected component has
-//! every dependency committed. Commands that do not access the local shard (Janus*'s
-//! ordering-only vertices) participate in the graph but are not applied and produce no
-//! [`Executed`] notification.
+//! every dependency committed.
 
 use crate::graph::DependencyGraph;
 use std::collections::BTreeMap;
@@ -80,16 +78,14 @@ impl Executor for GraphExecutor {
                 .cmds
                 .remove(&dot)
                 .expect("committed commands have payloads");
-            // Ordering-only vertices (Janus* commands that never touch this shard) are
-            // not applied locally.
-            if cmd.accesses(self.shard) {
-                let result = self.kv.execute(self.shard, &cmd);
-                out.push(Executed {
-                    rifl: cmd.rifl,
-                    result,
-                });
-                self.executed_count += 1;
-            }
+            // Commits reach only the replicas of the shards a command accesses.
+            debug_assert!(cmd.accesses(self.shard), "{dot:?} is foreign here");
+            let result = self.kv.execute(self.shard, &cmd);
+            out.push(Executed {
+                rifl: cmd.rifl,
+                result,
+            });
+            self.executed_count += 1;
         }
         out
     }
@@ -144,22 +140,6 @@ mod tests {
         let executed = ex.handle(info(2, 1, &[Dot::new(1, 1)]));
         assert_eq!(executed.len(), 2, "the SCC executes atomically");
         assert_eq!(ex.scc_sizes().iter().copied().max(), Some(2));
-    }
-
-    #[test]
-    fn foreign_shard_commands_are_ordering_only() {
-        let mut ex = executor();
-        // A command on shard 1 only: vertex in the graph, but never applied here.
-        let foreign = GraphInfo {
-            dot: Dot::new(1, 1),
-            cmd: Command::single(Rifl::new(1, 1), 1, 0, KVOp::Put(1), 0),
-            deps: BTreeSet::new(),
-        };
-        assert!(ex.handle(foreign).is_empty());
-        assert_eq!(ex.executed(), 0);
-        // A local command depending on it still executes.
-        let executed = ex.handle(info(2, 1, &[Dot::new(1, 1)]));
-        assert_eq!(executed.len(), 1);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! `tempo-atlas` — the Atlas and EPaxos baselines used in the paper's evaluation (§6).
+//! `tempo-atlas` — the Atlas, EPaxos and Janus\* baselines used in the paper's
+//! evaluation (§6).
 //!
-//! Both are leaderless SMR protocols that order commands through *explicit dependencies*
-//! rather than timestamps (§3.3). Commands are committed together with a dependency set
-//! and executed by collapsing the resulting graph into strongly connected components.
-//! The [`graph`] module hosts the dependency-graph executor, which is also reused by the
-//! Janus* baseline (`tempo-janus`). The [`wire`] module gives the message set a
-//! `tempo-net` codec, so both baselines also run on the networked `NetCluster`
-//! runtime (and in the load-plane benchmarks) — not just under the simulator.
+//! Atlas and EPaxos are leaderless SMR protocols that order commands through *explicit
+//! dependencies* rather than timestamps (§3.3). Commands are committed together with a
+//! dependency set and executed by collapsing the resulting graph into strongly connected
+//! components ([`graph`]). Janus\*, the partial-replication baseline of §6.4, is
+//! [`Atlas`] on a sharded [`Config`](tempo_kernel::Config): each accessed shard runs
+//! Atlas's round and sends its dependencies to every replica of the command (see
+//! [`protocol`]). The [`wire`] module gives the message set a `tempo-net` codec, so the
+//! baselines also run on the networked `NetCluster` runtime (and in the load-plane
+//! benchmarks) — not just under the simulator.
 //!
 //! # Quick start
 //!

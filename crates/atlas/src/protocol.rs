@@ -1,4 +1,4 @@
-//! The Atlas / EPaxos commit protocol (single shard).
+//! The Atlas / EPaxos commit protocol, for full and partial replication.
 //!
 //! Both protocols are leaderless: a coordinator collects *dependencies* (identifiers of
 //! conflicting commands) from a fast quorum and commits the command together with the
@@ -14,6 +14,17 @@
 //! Flexible Paxos (slow path). Execution uses the dependency-graph executor of
 //! [`crate::graph`], which is the source of the long dependency chains and high tail
 //! latency that Tempo avoids (§3.3).
+//!
+//! **Partial replication (Janus\*, §6.4).** A submission goes to the coordinator of
+//! every accessed shard — the submitter's colocated replica of that shard, so for a
+//! single-shard command the submitter itself. Each coordinator runs the round above
+//! over its own shard and sends its shard's dependencies to every replica of every
+//! accessed shard; a replica commits once each accessed shard has reported. This
+//! exchange is what makes Janus\* *non-genuine*, and it is its cost relative to Tempo
+//! (Figure 9). Cross-shard dependencies are enforced only for commands known at the
+//! executing replica: transitive cycles through commands that never touch its shard
+//! are not ordered. Neither protocol recovers from failures: the evaluation never
+//! exercises it (DESIGN.md §4).
 
 use crate::executor::{GraphExecutor, GraphInfo};
 use crate::graph::ConflictIndex;
@@ -21,7 +32,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, DotGen, ProcessId, ShardId};
-use tempo_kernel::membership::Membership;
 use tempo_kernel::protocol::{
     Action, Executor, Protocol, ProtocolMetrics, TimerId, View, WireSize,
 };
@@ -38,6 +48,13 @@ pub enum Variant {
 /// Protocol messages shared by Atlas and EPaxos.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
+    /// A submission, sent to the coordinator of each accessed shard.
+    MSubmit {
+        /// Command identifier.
+        dot: Dot,
+        /// The command payload.
+        cmd: Command,
+    },
     /// Coordinator's dependency-collection request, sent to the fast quorum.
     MCollect {
         /// Command identifier.
@@ -56,13 +73,14 @@ pub enum Message {
         /// Dependencies known at the sender (a superset of the coordinator's).
         deps: BTreeSet<Dot>,
     },
-    /// Commit notification carrying the payload and the final dependency set.
+    /// Commit notification carrying the payload and the dependencies the sender's
+    /// shard decided, sent to every replica of every accessed shard.
     MCommit {
         /// Command identifier.
         dot: Dot,
         /// The command payload.
         cmd: Command,
-        /// The committed dependencies.
+        /// The sender's shard's committed dependencies.
         deps: BTreeSet<Dot>,
     },
     /// Slow-path consensus proposal on a dependency set.
@@ -88,6 +106,7 @@ pub enum Message {
 impl WireSize for Message {
     fn wire_size(&self) -> usize {
         match self {
+            Message::MSubmit { cmd, .. } => 32 + cmd.wire_size(),
             Message::MCollect { cmd, deps, .. } | Message::MConsensus { cmd, deps, .. } => {
                 48 + cmd.wire_size() + deps.len() * 16
             }
@@ -98,38 +117,27 @@ impl WireSize for Message {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Phase {
+    #[default]
     Start,
     Collect,
     Commit,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Info {
     phase: Phase,
     cmd: Option<Command>,
     quorum: Vec<ProcessId>,
+    /// The slow-path dependency proposal accepted here.
     deps: BTreeSet<Dot>,
     acks: BTreeMap<ProcessId, BTreeSet<Dot>>,
     consensus_acks: BTreeSet<ProcessId>,
     bal: u64,
     commit_sent: bool,
-}
-
-impl Info {
-    fn new() -> Self {
-        Self {
-            phase: Phase::Start,
-            cmd: None,
-            quorum: Vec::new(),
-            deps: BTreeSet::new(),
-            acks: BTreeMap::new(),
-            consensus_acks: BTreeSet::new(),
-            bal: 0,
-            commit_sent: false,
-        }
-    }
+    /// The dependencies each accessed shard committed with, by reporting shard.
+    shard_deps: BTreeMap<ShardId, BTreeSet<Dot>>,
 }
 
 /// The Atlas (or EPaxos) protocol instance at one process of one shard.
@@ -140,12 +148,11 @@ pub struct Atlas {
     config: Config,
     variant: Variant,
     view: View,
-    shard_peers: Vec<ProcessId>,
     rank: u64,
     dot_gen: DotGen,
     conflicts: ConflictIndex,
     info: BTreeMap<Dot, Info>,
-    /// The execution stage: the dependency-graph executor (shared with Janus*).
+    /// The execution stage: the dependency-graph executor.
     executor: GraphExecutor,
     metrics: ProtocolMetrics,
 }
@@ -158,21 +165,16 @@ impl Atlas {
         config: Config,
         variant: Variant,
     ) -> Self {
-        let membership = Membership::from_config(&config);
-        let shard_peers = membership.processes_of_shard(shard);
-        let rank = shard_peers
-            .iter()
-            .position(|p| *p == process)
-            .expect("process must belong to its shard") as u64
-            + 1;
+        let view = View::trivial(config, process);
+        assert_eq!(view.membership.shard_of(process), shard);
         Self {
             process,
             shard,
             config,
             variant,
-            view: View::trivial(config, process),
-            shard_peers,
-            rank,
+            // The ballot is the process's position among its shard's replicas, 1-based.
+            rank: view.site + 1,
+            view,
             dot_gen: DotGen::new(process),
             conflicts: ConflictIndex::new(),
             info: BTreeMap::new(),
@@ -199,19 +201,15 @@ impl Atlas {
         self.executor.scc_sizes()
     }
 
-    /// The committed dependency set of a command, if committed at this process.
-    pub fn committed_deps(&self, dot: Dot) -> Option<&BTreeSet<Dot>> {
-        self.info.get(&dot).and_then(|i| {
-            if i.phase == Phase::Commit {
-                Some(&i.deps)
-            } else {
-                None
-            }
-        })
+    /// The committed dependency set of a command — the union over its shards — if
+    /// committed at this process.
+    pub fn committed_deps(&self, dot: Dot) -> Option<BTreeSet<Dot>> {
+        let info = self.info.get(&dot).filter(|i| i.phase == Phase::Commit)?;
+        Some(info.shard_deps.values().flatten().copied().collect())
     }
 
     fn info_mut(&mut self, dot: Dot) -> &mut Info {
-        self.info.entry(dot).or_insert_with(Info::new)
+        self.info.entry(dot).or_default()
     }
 
     fn command_keys(cmd: &Command, shard: ShardId) -> Vec<u64> {
@@ -240,7 +238,6 @@ impl Atlas {
         let keys = Self::command_keys(&cmd, self.shard);
         let mut deps = self.conflicts.dependencies(dot, &keys, cmd.is_read_only());
         deps.extend(coordinator_deps);
-        self.info_mut(dot).deps = deps.clone();
         let ack = Message::MCollectAck { dot, deps };
         out.push(Action::send_one(from, ack));
     }
@@ -254,18 +251,18 @@ impl Atlas {
     ) {
         let f = self.config.f();
         let variant = self.variant;
-        let (ready, quorum) = {
+        // The coordinator of a command at this shard is the submitter's colocated replica.
+        let coordinator = self.view.membership.site_of(dot.source) == self.view.site;
+        let ready = {
             let info = match self.info.get_mut(&dot) {
                 Some(info) => info,
                 None => return,
             };
-            if info.phase != Phase::Collect || info.commit_sent || dot.source != self.process {
+            if info.phase != Phase::Collect || info.commit_sent || !coordinator {
                 return;
             }
             info.acks.insert(from, deps);
-            let quorum = info.quorum.clone();
-            let ready = quorum.iter().all(|q| info.acks.contains_key(q));
-            (ready, quorum)
+            info.quorum.iter().all(|q| info.acks.contains_key(q))
         };
         if !ready {
             return;
@@ -297,12 +294,13 @@ impl Atlas {
         if fast_path_ok {
             self.metrics.fast_paths += 1;
             self.info_mut(dot).commit_sent = true;
+            let targets = self.view.all_replicas(&cmd);
             let commit = Message::MCommit {
                 dot,
                 cmd,
                 deps: union,
             };
-            out.push(Action::send(self.shard_peers.clone(), commit));
+            out.push(Action::send(targets, commit));
         } else {
             self.metrics.slow_paths += 1;
             {
@@ -316,26 +314,40 @@ impl Atlas {
                 deps: union,
                 ballot: self.rank,
             };
-            out.push(Action::send(self.shard_peers.clone(), consensus));
+            out.push(Action::send(
+                self.view.shard_processes(self.shard),
+                consensus,
+            ));
         }
-        let _ = quorum;
     }
 
     fn handle_commit(
         &mut self,
+        from: ProcessId,
         dot: Dot,
         cmd: Command,
         deps: BTreeSet<Dot>,
         out: &mut Vec<Action<Message>>,
     ) {
-        {
-            let info = self.info_mut(dot);
-            if info.phase == Phase::Commit {
-                return;
+        let shard = self.view.membership.shard_of(from);
+        let info = self.info_mut(dot);
+        if info.phase == Phase::Commit {
+            return;
+        }
+        info.shard_deps.insert(shard, deps);
+        if !cmd.shards().all(|s| info.shard_deps.contains_key(&s)) {
+            return;
+        }
+        info.phase = Phase::Commit;
+        // Execution here waits for this shard's dependencies, plus the other shards'
+        // ones already known locally: a foreign command unknown here never executes
+        // here, so waiting on it would block forever.
+        let shard_deps = &self.info[&dot].shard_deps;
+        let mut deps = shard_deps[&self.shard].clone();
+        for (shard, foreign) in shard_deps {
+            if *shard != self.shard {
+                deps.extend(foreign.iter().filter(|dep| self.info.contains_key(dep)));
             }
-            info.phase = Phase::Commit;
-            info.cmd = Some(cmd.clone());
-            info.deps = deps.clone();
         }
         self.metrics.committed += 1;
         // Make sure later commands pick this one up as a dependency even if this process
@@ -399,8 +411,9 @@ impl Atlas {
             info.commit_sent = true;
             (info.cmd.clone().expect("payload known"), info.deps.clone())
         };
+        let targets = self.view.all_replicas(&cmd);
         let commit = Message::MCommit { dot, cmd, deps };
-        out.push(Action::send(self.shard_peers.clone(), commit));
+        out.push(Action::send(targets, commit));
     }
 }
 
@@ -436,21 +449,27 @@ impl Protocol for Atlas {
             "commands must be submitted at a process replicating one of their shards"
         );
         let dot = self.dot_gen.next_id();
-        let mut quorum = self.view.fast_quorum(self.shard, self.fast_quorum_size());
-        let msg = Message::MCollect {
-            dot,
-            cmd,
-            quorum: quorum.clone(),
-            deps: BTreeSet::new(),
-        };
-        // Destinations go out in identifier order, whatever the view's distance order.
-        quorum.sort_unstable();
-        vec![Action::send(quorum, msg)]
+        let coordinators = self.view.local_coordinators(&cmd);
+        vec![Action::send(coordinators, Message::MSubmit { dot, cmd })]
     }
 
     fn handle(&mut self, from: ProcessId, msg: Message, _now_us: u64) -> Vec<Action<Message>> {
         let mut out = Vec::new();
         match msg {
+            Message::MSubmit { dot, cmd } => {
+                // Every site hosts every shard, so this coordinator's view picks the fast
+                // quorum the submitter's would.
+                let mut quorum = self.view.fast_quorum(self.shard, self.fast_quorum_size());
+                let msg = Message::MCollect {
+                    dot,
+                    cmd,
+                    quorum: quorum.clone(),
+                    deps: BTreeSet::new(),
+                };
+                // Destinations go out in identifier order, whatever the view's distance order.
+                quorum.sort_unstable();
+                out.push(Action::send(quorum, msg));
+            }
             Message::MCollect {
                 dot,
                 cmd,
@@ -460,7 +479,9 @@ impl Protocol for Atlas {
             Message::MCollectAck { dot, deps } => {
                 self.handle_collect_ack(from, dot, deps, &mut out)
             }
-            Message::MCommit { dot, cmd, deps } => self.handle_commit(dot, cmd, deps, &mut out),
+            Message::MCommit { dot, cmd, deps } => {
+                self.handle_commit(from, dot, cmd, deps, &mut out)
+            }
             Message::MConsensus {
                 dot,
                 cmd,

@@ -1,4 +1,4 @@
-//! [`Wire`] codec for the Atlas / EPaxos message set.
+//! [`Wire`] codec for the Atlas / EPaxos message set (Janus\* included).
 //!
 //! Same discipline as Tempo's codec (`tempo-core::wire`): every [`Message`] variant
 //! encodes as a tag byte followed by its fields in declaration order, on the shared
@@ -22,6 +22,7 @@ const TAG_COLLECT_ACK: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_CONSENSUS: u8 = 4;
 const TAG_CONSENSUS_ACK: u8 = 5;
+const TAG_SUBMIT: u8 = 6;
 
 fn put_deps(w: &mut Writer, deps: &BTreeSet<Dot>) {
     w.put_u32(deps.len() as u32);
@@ -60,6 +61,11 @@ fn get_quorum(r: &mut Reader<'_>) -> Result<Vec<ProcessId>, DecodeError> {
 impl Wire for Message {
     fn encode_into(&self, w: &mut Writer) {
         match self {
+            Message::MSubmit { dot, cmd } => {
+                w.put_u8(TAG_SUBMIT);
+                put_dot(w, *dot);
+                put_command(w, cmd);
+            }
             Message::MCollect {
                 dot,
                 cmd,
@@ -130,6 +136,10 @@ impl Wire for Message {
                 dot: get_dot(r)?,
                 ballot: r.u64()?,
             },
+            TAG_SUBMIT => Message::MSubmit {
+                dot: get_dot(r)?,
+                cmd: get_command(r)?,
+            },
             t => return Err(DecodeError::BadTag(t)),
         };
         Ok(msg)
@@ -146,6 +156,10 @@ mod tests {
         let cmd = Command::single(Rifl::new(7, 42), 0, 13, KVOp::Put(99), 128);
         let deps: BTreeSet<Dot> = [Dot::new(1, 3), Dot::new(2, 9)].into_iter().collect();
         vec![
+            Message::MSubmit {
+                dot: Dot::new(0, 1),
+                cmd: cmd.clone(),
+            },
             Message::MCollect {
                 dot: Dot::new(0, 1),
                 cmd: cmd.clone(),

@@ -1,4 +1,5 @@
-//! End-to-end tests of the Atlas / EPaxos baselines on a synchronous local cluster.
+//! End-to-end tests of the Atlas / EPaxos baselines on a synchronous local cluster, under
+//! full and partial replication (Janus\*).
 
 use tempo_atlas::{Atlas, EPaxos, Variant};
 use tempo_kernel::config::Config;
@@ -145,11 +146,11 @@ fn dependencies_agree_across_replicas() {
     cluster.run_to_quiescence();
     for source in cluster.process_ids() {
         let dot = Dot::new(source, 1);
-        let reference = cluster.process(0).committed_deps(dot).cloned();
+        let reference = cluster.process(0).committed_deps(dot);
         assert!(reference.is_some(), "command {dot} not committed at 0");
         for p in cluster.process_ids() {
             assert_eq!(
-                cluster.process(p).committed_deps(dot).cloned(),
+                cluster.process(p).committed_deps(dot),
                 reference,
                 "dependency disagreement for {dot} at {p}"
             );
@@ -165,11 +166,11 @@ fn non_conflicting_commands_have_no_dependencies() {
     cluster.submit(1, cmd(2, 1, 20));
     assert_eq!(
         cluster.process(0).committed_deps(Dot::new(1, 1)),
-        Some(&Default::default())
+        Some(Default::default())
     );
     assert_eq!(
         cluster.process(2).committed_deps(Dot::new(1, 1)),
-        Some(&Default::default())
+        Some(Default::default())
     );
 }
 
@@ -183,7 +184,7 @@ fn read_only_commands_skip_read_dependencies() {
     // The second read does not depend on the first.
     assert_eq!(
         cluster.process(0).committed_deps(Dot::new(1, 1)),
-        Some(&Default::default())
+        Some(Default::default())
     );
     // A write picks up both reads.
     cluster.submit(2, cmd(3, 1, 0));
@@ -242,4 +243,116 @@ fn replicas_converge_to_the_same_store_digest() {
         .map(|p| cluster.executed(p).len())
         .collect();
     assert_eq!(executed_counts, vec![40, 40, 40]);
+}
+
+/// A command writing key `k0` of shard 0 and key `k1` of shard 1.
+fn two_shard_cmd(client: u64, seq: u64, k0: u64, k1: u64) -> Command {
+    Command::new(
+        Rifl::new(client, seq),
+        vec![(0, k0, KVOp::Add(1)), (1, k1, KVOp::Add(1))],
+        0,
+    )
+}
+
+#[test]
+fn single_shard_command_stays_in_its_shard() {
+    let config = Config::new(3, 1, 2);
+    let mut cluster = LocalCluster::<Atlas>::new(config);
+    cluster.submit(0, Command::single(Rifl::new(1, 1), 0, 5, KVOp::Put(1), 0));
+    cluster.tick_all(5_000);
+    assert_eq!(cluster.executed(0).len(), 1);
+    assert_eq!(cluster.executed(1).len(), 1);
+    // Shard-1 processes never see the command (it only accesses shard 0).
+    assert_eq!(cluster.process(3).metrics().committed, 0);
+}
+
+#[test]
+fn two_shard_command_executes_at_both_shards() {
+    let config = Config::new(3, 1, 2);
+    let mut cluster = LocalCluster::<Atlas>::new(config);
+    cluster.submit(0, two_shard_cmd(1, 1, 10, 20));
+    cluster.tick_all(5_000);
+    // Executed at the shard-0 and shard-1 replicas of site 0.
+    assert_eq!(cluster.executed(0).len(), 1);
+    assert_eq!(cluster.executed(3).len(), 1);
+}
+
+#[test]
+fn dependencies_union_across_shards() {
+    let config = Config::new(3, 1, 2);
+    let mut cluster = LocalCluster::<Atlas>::new(config);
+    // First command touches keys (0:7) and (1:9).
+    cluster.submit(0, two_shard_cmd(1, 1, 7, 9));
+    cluster.tick_all(5_000);
+    // Second command conflicts with the first on shard 1 only.
+    cluster.submit(1, two_shard_cmd(2, 1, 8, 9));
+    cluster.tick_all(5_000);
+    let deps = cluster
+        .process(0)
+        .committed_deps(Dot::new(1, 1))
+        .expect("committed");
+    assert!(
+        deps.contains(&Dot::new(0, 1)),
+        "cross-shard conflict must appear in the union: {deps:?}"
+    );
+    assert_eq!(cluster.executed(0).len(), 2);
+}
+
+#[test]
+fn conflicting_two_shard_commands_execute_in_the_same_order() {
+    let config = Config::new(3, 1, 2);
+    let mut cluster = LocalCluster::<Atlas>::new(config);
+    for site in 0..3u64 {
+        cluster.submit_no_deliver(site, two_shard_cmd(site, 1, 0, 0));
+    }
+    cluster.run_to_quiescence();
+    for _ in 0..5 {
+        cluster.tick_all(5_000);
+    }
+    // Shard-0 replicas all execute the three conflicting commands in the same order.
+    let mut order =
+        |p: ProcessId| -> Vec<Rifl> { cluster.executed(p).iter().map(|e| e.rifl).collect() };
+    let reference = order(0);
+    assert_eq!(reference.len(), 3);
+    for p in [1, 2] {
+        assert_eq!(
+            order(p),
+            reference,
+            "divergent order at shard-0 replica {p}"
+        );
+    }
+    // And so do shard-1 replicas, in the same relative order.
+    assert_eq!(
+        order(3),
+        reference,
+        "shards disagree on conflicting command order"
+    );
+}
+
+#[test]
+fn two_shard_writes_produce_more_dependencies_than_reads() {
+    // Two coordinators, so dependency compression can tell the workloads apart: a read
+    // chains only to the *same* coordinator's previous read, while a write depends on
+    // the latest read/write from *every* coordinator.
+    let config = Config::new(3, 1, 2);
+    let run = |write: bool| {
+        let mut cluster = LocalCluster::<Atlas>::new(config);
+        for seq in 1..=10u64 {
+            let op = if write { KVOp::Add(1) } else { KVOp::Get };
+            let cmd = Command::new(Rifl::new(0, seq), vec![(0, 0, op), (1, 0, op)], 0);
+            cluster.submit((seq - 1) % 2, cmd);
+        }
+        cluster.tick_all(5_000);
+        cluster
+            .process(0)
+            .committed_deps(Dot::new(1, 5))
+            .unwrap()
+            .len()
+    };
+    let reads = run(false);
+    let writes = run(true);
+    assert!(
+        writes > reads,
+        "writes ({writes} deps) should accumulate more dependencies than reads ({reads})"
+    );
 }

@@ -11,9 +11,9 @@
 //! The §6.4 tail-latency observation (Janus* p99.99 ≈ 1.3 s vs Tempo 421 ms with 6 shards,
 //! zipf 0.7, 5% writes) is reported as the p99.9 of the corresponding scaled-down runs.
 
+use tempo_atlas::Atlas;
 use tempo_bench::{header, partial_replication, speedup};
 use tempo_core::Tempo;
-use tempo_janus::Janus;
 use tempo_kernel::metrics::Percentile;
 use tempo_sim::CpuModel;
 
@@ -45,7 +45,7 @@ fn main() {
             );
             let mut janus_best = 0.0f64;
             for write in [0.0f64, 0.05, 0.5] {
-                let janus = partial_replication::<Janus>(shards, zipf, write, CLIENTS, cpu);
+                let janus = partial_replication::<Atlas>(shards, zipf, write, CLIENTS, cpu);
                 let tput = janus.throughput_kops();
                 if write == 0.0 {
                     janus_best = tput;

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example partial_replication`
 
+use tempo_atlas::Atlas;
 use tempo_core::Tempo;
-use tempo_janus::Janus;
 use tempo_kernel::Config;
 use tempo_load::YcsbTMix;
 use tempo_planet::Planet;
@@ -32,7 +32,7 @@ fn main() {
             opts.clone(),
             YcsbTMix::new(shards as u64, 100_000, 0.7, 0.5, 7),
         );
-        let janus = run::<Janus, _>(
+        let janus = run::<Atlas, _>(
             config,
             planet.clone(),
             opts.clone(),

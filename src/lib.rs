@@ -9,7 +9,8 @@
 //!   [`kernel::Driver`] dispatch core shared by every runtime,
 //! * [`planet`] — EC2 regions and the Table 2 latency matrix,
 //! * [`tempo`] — the Tempo protocol (the paper's contribution),
-//! * [`atlas`], [`fpaxos`], [`caesar`], [`janus`] — the baselines of §6,
+//! * [`atlas`], [`fpaxos`], [`caesar`] — the baselines of §6 (`atlas` also runs
+//!   Janus\*, the partial-replication baseline, on a sharded config),
 //! * [`sim`] — the discrete-event simulator (with the fault plane),
 //! * [`store`] — durable replica state: WAL + snapshots behind the `Store` trait,
 //! * [`net`] — wire codec + pluggable transports (TCP, chaos injection),
@@ -57,7 +58,6 @@ pub use tempo_atlas as atlas;
 pub use tempo_caesar as caesar;
 pub use tempo_core as tempo;
 pub use tempo_fpaxos as fpaxos;
-pub use tempo_janus as janus;
 pub use tempo_kernel as kernel;
 pub use tempo_load as load;
 pub use tempo_net as net;

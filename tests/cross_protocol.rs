@@ -5,7 +5,6 @@ use tempo_atlas::{Atlas, EPaxos};
 use tempo_caesar::Caesar;
 use tempo_core::Tempo;
 use tempo_fpaxos::FPaxos;
-use tempo_janus::Janus;
 use tempo_kernel::Config;
 use tempo_load::{ConflictMix, YcsbTMix};
 use tempo_planet::Planet;
@@ -66,7 +65,7 @@ fn partial_replication_protocols_complete_ycsbt() {
         ),
         (
             "Janus*",
-            run::<Janus, _>(
+            run::<Atlas, _>(
                 config,
                 planet.clone(),
                 opts(),

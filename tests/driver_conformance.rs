@@ -20,7 +20,6 @@ use tempo_atlas::{Atlas, EPaxos};
 use tempo_caesar::Caesar;
 use tempo_core::{Tempo, TempoOptions};
 use tempo_fpaxos::FPaxos;
-use tempo_janus::Janus;
 use tempo_kernel::driver::Driver;
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{ProcessId, Rifl, ShardId};
@@ -415,11 +414,6 @@ fn fpaxos_conforms() {
 }
 
 #[test]
-fn janus_conforms() {
-    conformance::<Janus>(Config::full(5, 1), Timers::None);
-}
-
-#[test]
 fn caesar_conforms() {
     conformance::<Caesar>(Config::full(5, 2), Timers::None);
 }
@@ -473,13 +467,6 @@ fn epaxos_commits_under_message_loss() {
 fn fpaxos_commits_under_message_loss() {
     let config = Config::full(3, 1);
     lossy_commit_round::<FPaxos>(config, |p, s| FPaxos::new(p, s, config), 1);
-}
-
-#[test]
-#[ignore = "Janus* does not implement recovery nor retransmission (documented in the tempo-janus crate docs)"]
-fn janus_commits_under_message_loss() {
-    let config = Config::full(3, 1);
-    lossy_commit_round::<Janus>(config, |p, s| Janus::new(p, s, config), 1);
 }
 
 #[test]
@@ -573,18 +560,11 @@ fn tempo_multi_shard_round() {
 }
 
 #[test]
-fn janus_multi_shard_round() {
-    multi_shard_round::<Janus>();
-}
-
-#[test]
-#[ignore = "Atlas is a single-shard commit protocol: per-shard instances collect dependencies within their own shard only, with no cross-shard stability attestation (no MStable analogue), so a two-shard command cannot be ordered across shards (DESIGN.md §4)"]
 fn atlas_multi_shard_round() {
     multi_shard_round::<Atlas>();
 }
 
 #[test]
-#[ignore = "EPaxos shares Atlas's single-shard dependency machinery: no cross-shard execution coordination, so partial replication is out of scope (DESIGN.md §4)"]
 fn epaxos_multi_shard_round() {
     multi_shard_round::<EPaxos>();
 }
