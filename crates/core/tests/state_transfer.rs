@@ -235,3 +235,47 @@ fn with_every_peer_suspected_and_no_gap_the_replica_ungates() {
         "the queue runs on the local image"
     );
 }
+
+#[test]
+fn a_commit_the_donor_missed_under_the_rejoin_prefixes_is_a_gap_not_a_duplicate() {
+    // The rejoin prefixes put the stable timestamp at 40: they may come from peers that
+    // know more than the donor does.
+    let (mut replica, output) = rejoined(40, |_| {});
+    assert_eq!(asked(&output), vec![0]);
+
+    // Peer 0's image is complete up to ⟨3, F⟩; its queue holds entries at 5 and 10 that
+    // are not stable at the donor.
+    let entry = |seq, ts| QueuedCommit {
+        dot: Dot::new(1, seq),
+        ts,
+        cmd: put(ts, seq),
+        waits: vec![],
+    };
+    let image = state(
+        (3, Dot::new(1, 1)),
+        1,
+        vec![],
+        vec![entry(2, 5), entry(3, 10)],
+    );
+    replica.handle(0, image, 10);
+
+    // A command the donor never saw commits at 7. Had the replica executed the donor's
+    // whole queue under its seeded stable timestamp, 7 would lie below its execution
+    // floor and be dropped as a duplicate: a lost write. It must be a gap instead, which
+    // keeps execution gated until an image covers it.
+    let late = Dot::new(0, 1);
+    commit(&mut replica, late, put(7, 4), 7, 20);
+    let tempo = replica.protocol();
+    assert!(tempo.is_awaiting_state());
+    assert!(tempo.executor().is_gated());
+    assert!(!tempo.gc_tracker().is_executed(late));
+
+    // An image that covers the gap closes it and ungates.
+    let image = state((12, Dot::new(1, 4)), 4, vec![(4, 7)], vec![]);
+    let output = replica.handle(1, image, 30);
+    let tempo = replica.protocol();
+    assert!(output.executed.is_empty());
+    assert!(!tempo.is_awaiting_state());
+    assert!(tempo.gc_tracker().is_executed(late));
+    assert_eq!(tempo.executor().store().get(4), Some(7));
+}
