@@ -2,10 +2,10 @@
 //!
 //! A command accesses one or more keys, each belonging to a shard. Two commands
 //! *conflict* when they access a common key (the paper's microbenchmark, §6.2, defines
-//! conflicts through a shared key). Dependency-based protocols (EPaxos, Atlas, Caesar,
-//! Janus) order conflicting commands explicitly; Tempo orders all commands through
-//! timestamps and therefore never needs conflict information, but the same [`Command`]
-//! type is shared so that all protocols run identical workloads.
+//! conflicts through a shared key). Dependency-based protocols (EPaxos, Atlas, Caesar, and
+//! Janus\*, which is Atlas over shards) order conflicting commands explicitly; Tempo orders
+//! all commands through timestamps and therefore never needs conflict information, but the
+//! same [`Command`] type is shared so that all protocols run identical workloads.
 
 use crate::id::{Rifl, ShardId};
 use std::collections::{BTreeMap, BTreeSet};

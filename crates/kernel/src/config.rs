@@ -4,7 +4,7 @@
 //! decoupled from the replication factor `n`: any `1 ≤ f ≤ ⌊(n-1)/2⌋` is allowed. The
 //! quorum sizes of the paper are:
 //!
-//! * fast quorum: `⌊n/2⌋ + f` (Tempo, Atlas, Janus*),
+//! * fast quorum: `⌊n/2⌋ + f` (Tempo, Atlas — and Janus*, which is Atlas over shards),
 //! * slow / write quorum: `f + 1`,
 //! * recovery quorum: `n - f`,
 //! * majority (stability detection, Theorem 1): `⌊n/2⌋ + 1`,
@@ -65,7 +65,7 @@ impl Config {
         self.n * self.shards
     }
 
-    /// Size of the fast quorum used by Tempo, Atlas and Janus*: `⌊n/2⌋ + f`.
+    /// Size of the fast quorum used by Tempo and Atlas (Janus* included): `⌊n/2⌋ + f`.
     pub fn fast_quorum_size(&self) -> usize {
         self.n / 2 + self.f
     }

@@ -13,7 +13,8 @@
 //! cooperating stages:
 //!
 //! * the **ordering stage** implements [`Protocol`] — it decides *when* a command may
-//!   execute (timestamp stability for Tempo, dependency graphs for Atlas/EPaxos/Janus*,
+//!   execute (timestamp stability for Tempo, dependency graphs for Atlas/EPaxos — Janus*
+//!   is Atlas over shards —
 //!   log order for FPaxos, timestamp order for Caesar);
 //! * the **execution stage** implements [`Executor`] — it owns the replicated key-value
 //!   store and applies committed commands in the order the protocol decided.
