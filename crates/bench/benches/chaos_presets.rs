@@ -14,7 +14,7 @@ use std::time::Duration;
 use tempo_bench::json::{self, Record};
 use tempo_bench::{header, short_mode};
 use tempo_core::Tempo;
-use tempo_fault::{DetectorOpts, FaultEvent, NemesisSchedule, RandomNemesisOpts};
+use tempo_fault::{FaultEvent, NemesisSchedule, RandomNemesisOpts};
 use tempo_kernel::{Config, Protocol};
 use tempo_load::{ConflictMix, ZipfMix};
 use tempo_planet::Planet;
@@ -28,17 +28,6 @@ fn chaos_run(
     seed: u64,
     mix: ConflictMix,
 ) -> RunReport {
-    chaos_run_with(label, config, schedule, seed, mix, None)
-}
-
-fn chaos_run_with(
-    label: &str,
-    config: Config,
-    schedule: NemesisSchedule,
-    seed: u64,
-    mix: ConflictMix,
-    detector: Option<DetectorOpts>,
-) -> RunReport {
     let clients = if short_mode() { 2 } else { 4 };
     let commands = if short_mode() { 5 } else { 10 };
     let report = run::<Tempo, _>(
@@ -51,7 +40,6 @@ fn chaos_run_with(
             nemesis: Some(schedule),
             client_timeout_us: Some(15_000_000),
             record_history: true,
-            detector,
             ..SimOpts::default()
         },
         mix,
@@ -80,8 +68,8 @@ fn chaos_run_with(
 /// both short and full modes.
 const FAULT_AT_US: u64 = 500_000;
 
-/// One open-loop load window against a detector-mode networked cluster, with an
-/// optional nemesis schedule (times relative to cluster start, like the tests).
+/// One open-loop load window against the networked cluster, with an optional
+/// nemesis schedule (times relative to cluster start, like the tests).
 fn load_under_nemesis(label: &str, nemesis: Option<NemesisSchedule>) -> tempo_runtime::LoadReport {
     let factory: RuntimeFactory<Tempo> =
         Box::new(|id, shard, config, _incarnation| Tempo::new(id, shard, config));
@@ -90,7 +78,6 @@ fn load_under_nemesis(label: &str, nemesis: Option<NemesisSchedule>) -> tempo_ru
         NetOpts {
             nemesis,
             seed: 42,
-            detector: Some(DetectorOpts::default()),
             ..NetOpts::default()
         },
         factory,
@@ -241,8 +228,8 @@ fn main() {
 
     // ----------------------------------------------------------- gray failures (§9)
     // Fault model v2: failures that are partial. A slow node is not a dead node,
-    // duplicated/reordered frames test handler idempotence, and with the detector on
-    // (oracle off) suspicion itself becomes fallible.
+    // duplicated/reordered frames test handler idempotence, and suspicion itself is
+    // fallible: it comes from heartbeats over the same afflicted network.
 
     let slow = chaos_run(
         "slow-node+lossy",
@@ -271,19 +258,18 @@ fn main() {
     );
     record(&mut records, "dup_reorder_soak", &soak);
 
-    // Same run with the oracle off: replicas suspect each other through the simulated
-    // failure detector instead of being told.
-    let detector = chaos_run_with(
+    // Rolling crashes with the detector's counters recorded: replicas suspect each
+    // other through the simulated failure detector, nobody tells them.
+    let detector = chaos_run(
         "detector-rolling",
         config,
         NemesisSchedule::rolling_crashes(config, 300_000, 500_000),
         29,
         ConflictMix::new(0.3, 16, 29).with_hot_reads(0.5),
-        Some(DetectorOpts::default()),
     );
     assert!(
         detector.detector.suspicions > 0,
-        "detector mode must produce real suspicions"
+        "the crashes must produce real suspicions"
     );
     records.push(Record::new(
         "chaos/detector_rolling".to_string(),
@@ -301,11 +287,11 @@ fn main() {
     ));
 
     // --------------------------------------------- load under nemesis (availability)
-    // The load plane against the detector-mode networked cluster: one clean window,
-    // one window with a crash + detector-driven recovery landing inside it. The
-    // difference between the two latency blocks is the availability cost of the
-    // fault window (tail latency during crash/suspicion, not just mean).
-    println!("\nload under nemesis (open-loop, detector mode):");
+    // The load plane against the networked cluster: one clean window, one window
+    // with a crash + detector-driven recovery landing inside it. The difference
+    // between the two latency blocks is the availability cost of the fault window
+    // (tail latency during crash/suspicion, not just mean).
+    println!("\nload under nemesis (open-loop):");
     let baseline = load_under_nemesis("baseline", None);
     let crashed = load_under_nemesis(
         "crash-window",

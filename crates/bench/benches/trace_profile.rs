@@ -20,7 +20,7 @@ use std::time::Duration;
 use tempo_bench::json::{self, Record};
 use tempo_bench::{header, short_mode};
 use tempo_core::Tempo;
-use tempo_fault::{DetectorOpts, FaultEvent, NemesisSchedule};
+use tempo_fault::{FaultEvent, NemesisSchedule};
 use tempo_kernel::{Config, Protocol};
 use tempo_load::{ConflictMix, ZipfMix};
 use tempo_planet::Planet;
@@ -149,7 +149,6 @@ fn main() {
             trace: true,
             metrics_interval_us: Some(100_000),
             nemesis: Some(schedule),
-            detector: Some(DetectorOpts::default()),
             client_timeout_us: Some(15_000_000),
             ..SimOpts::default()
         },

@@ -1,13 +1,12 @@
 //! A timeout-based (accrual-style) failure detector.
 //!
-//! The paper assumes the Ω leader oracle of classic indulgent consensus (Appendix B);
-//! PRs 3–6 approximated it with a *perfect* oracle — the simulator and the `NetCluster`
-//! supervisor told every live replica exactly when a peer crashed or rejoined. That
-//! hides an entire failure class: real detectors are driven by heartbeats over the same
-//! lossy, delayed network the protocol runs on, so they suspect slow-but-alive peers
-//! (gray failures) and un-suspect them later. Wrong suspicions trigger concurrent
-//! recovery attempts and hammer the `MRecNAck` ballot races of Algorithm 4 — which is
-//! exactly what this module exists to provoke.
+//! The paper assumes the Ω leader oracle of classic indulgent consensus (Appendix B).
+//! This detector is the only source of suspicion in the simulator and in the
+//! networked runtime, and it is driven by heartbeats over the same lossy, delayed
+//! network the protocol runs on. So it suspects slow-but-alive peers (gray failures)
+//! and un-suspects them later, and a crash is noticed only after a timeout. Wrong
+//! suspicions trigger concurrent recovery attempts and hammer the `MRecNAck` ballot
+//! races of Algorithm 4 — which is exactly what this module exists to provoke.
 //!
 //! [`FailureDetector`] is deterministic and clock-free: the embedder feeds it absolute
 //! microsecond timestamps (simulated time in `tempo-sim`, a monotonic epoch in the
@@ -15,11 +14,14 @@
 //! [`DetectorEvent`]s. Per peer it keeps an exponentially weighted moving average of
 //! heartbeat inter-arrival times, in the spirit of the φ accrual detector (Hayashibara
 //! et al.): a peer is suspected once its silence exceeds
-//! `clamp(multiplier · mean_interarrival, min_timeout_us, max_timeout_us)` and
-//! un-suspected the moment any frame from it arrives. The clamp matters at both ends —
-//! the floor keeps one delayed heartbeat from triggering a suspicion storm at startup,
-//! and the ceiling keeps a persistently slow node (the `SlowNode` nemesis action, 100×
-//! latency) from stretching the average until it passes as healthy.
+//! `clamp(6 · mean_interarrival, 100 ms, 2 s)` and un-suspected the moment any frame
+//! from it arrives. Heartbeats go out every [`HEARTBEAT_INTERVAL_US`] (25 ms), so on a
+//! healthy link a crash is suspected 100–150 ms after the peer's last frame (any frame
+//! counts, so a busy link sits at the floor). The clamp matters
+//! at both ends — the floor keeps one delayed heartbeat from triggering a suspicion
+//! storm at startup, and the ceiling keeps a persistently slow node (the `SlowNode`
+//! nemesis action, 100× latency) from stretching the average until it passes as
+//! healthy. The values are constants: no embedder tunes them.
 //!
 //! Suspicion here is advisory, as everywhere in this codebase: it accelerates recovery
 //! and leader choice but is never load-bearing for safety (DESIGN.md §9).
@@ -27,45 +29,30 @@
 use std::collections::BTreeMap;
 use tempo_kernel::id::ProcessId;
 
-/// Tuning knobs of the [`FailureDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorOpts {
-    /// How often each process broadcasts a heartbeat (and how often the embedder
-    /// should call [`FailureDetector::tick`]), in microseconds. Also seeds the
-    /// inter-arrival estimate before the first real heartbeat lands.
-    pub heartbeat_interval_us: u64,
-    /// A peer is suspected once its silence exceeds `multiplier` times its estimated
-    /// heartbeat inter-arrival (subject to the clamps below). Higher values trade
-    /// detection latency for fewer wrong suspicions.
-    pub multiplier: f64,
-    /// Floor on the suspicion timeout: protects against suspicion storms while the
-    /// inter-arrival estimate is still warming up.
-    pub min_timeout_us: u64,
-    /// Ceiling on the suspicion timeout: keeps a persistently slow peer from
-    /// stretching its own estimate until it passes as healthy.
-    pub max_timeout_us: u64,
-    /// EWMA weight of the newest inter-arrival sample (0 < α ≤ 1).
-    pub alpha: f64,
-}
+/// How often each process broadcasts a heartbeat (and how often the embedder should
+/// call [`FailureDetector::tick`]), in microseconds. Also seeds the inter-arrival
+/// estimate before the first real heartbeat lands.
+pub const HEARTBEAT_INTERVAL_US: u64 = 25_000;
 
-impl Default for DetectorOpts {
-    fn default() -> Self {
-        Self {
-            heartbeat_interval_us: 25_000,
-            multiplier: 6.0,
-            min_timeout_us: 100_000,
-            max_timeout_us: 2_000_000,
-            alpha: 0.2,
-        }
-    }
-}
+/// A peer is suspected once its silence exceeds this many times its estimated
+/// heartbeat inter-arrival (subject to the clamps below). Higher values trade
+/// detection latency for fewer wrong suspicions.
+const MULTIPLIER: f64 = 6.0;
 
-impl DetectorOpts {
-    /// The suspicion timeout implied by an inter-arrival estimate.
-    fn timeout_us(&self, mean_us: f64) -> u64 {
-        let raw = (self.multiplier * mean_us) as u64;
-        raw.clamp(self.min_timeout_us, self.max_timeout_us)
-    }
+/// Floor on the suspicion timeout: protects against suspicion storms while the
+/// inter-arrival estimate is still warming up.
+const MIN_TIMEOUT_US: u64 = 100_000;
+
+/// Ceiling on the suspicion timeout: keeps a persistently slow peer from stretching
+/// its own estimate until it passes as healthy.
+const MAX_TIMEOUT_US: u64 = 2_000_000;
+
+/// EWMA weight of the newest inter-arrival sample.
+const ALPHA: f64 = 0.2;
+
+/// The suspicion timeout implied by an inter-arrival estimate.
+fn timeout_us(mean_us: f64) -> u64 {
+    ((MULTIPLIER * mean_us) as u64).clamp(MIN_TIMEOUT_US, MAX_TIMEOUT_US)
 }
 
 /// A suspicion change emitted by [`FailureDetector::tick`] or
@@ -114,7 +101,6 @@ struct PeerState {
 /// Per-replica, heartbeat-fed failure detector (see the module docs).
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
-    opts: DetectorOpts,
     peers: BTreeMap<ProcessId, PeerState>,
     stats: DetectorStats,
 }
@@ -124,12 +110,7 @@ impl FailureDetector {
     /// `now_us` counts as a synthetic first arrival from every peer, so detection
     /// latency is bounded from the start — a peer that never says anything is
     /// suspected after one timeout, not never.
-    pub fn new(
-        opts: DetectorOpts,
-        peers: impl IntoIterator<Item = ProcessId>,
-        now_us: u64,
-    ) -> Self {
-        let seed_mean = opts.heartbeat_interval_us as f64;
+    pub fn new(peers: impl IntoIterator<Item = ProcessId>, now_us: u64) -> Self {
         let peers = peers
             .into_iter()
             .map(|p| {
@@ -137,22 +118,16 @@ impl FailureDetector {
                     p,
                     PeerState {
                         last_us: now_us,
-                        mean_us: seed_mean,
+                        mean_us: HEARTBEAT_INTERVAL_US as f64,
                         suspected: false,
                     },
                 )
             })
             .collect();
         Self {
-            opts,
             peers,
             stats: DetectorStats::default(),
         }
-    }
-
-    /// The options the detector was built with.
-    pub fn opts(&self) -> &DetectorOpts {
-        &self.opts
     }
 
     /// Records a liveness proof from `from` at `now_us` — a heartbeat, or *any* frame
@@ -163,7 +138,7 @@ impl FailureDetector {
         self.stats.heartbeats += 1;
         let interval = now_us.saturating_sub(peer.last_us) as f64;
         peer.last_us = now_us;
-        peer.mean_us = peer.mean_us * (1.0 - self.opts.alpha) + interval * self.opts.alpha;
+        peer.mean_us = peer.mean_us * (1.0 - ALPHA) + interval * ALPHA;
         if peer.suspected {
             peer.suspected = false;
             self.stats.wrong_suspicions += 1;
@@ -182,7 +157,7 @@ impl FailureDetector {
                 continue;
             }
             let silence = now_us.saturating_sub(peer.last_us);
-            if silence > self.opts.timeout_us(peer.mean_us) {
+            if silence > timeout_us(peer.mean_us) {
                 peer.suspected = true;
                 self.stats.suspicions += 1;
                 events.push(DetectorEvent::Suspect(p));
@@ -198,7 +173,7 @@ impl FailureDetector {
         self.peers
             .values()
             .filter(|peer| !peer.suspected)
-            .map(|peer| peer.last_us + self.opts.timeout_us(peer.mean_us) + 1)
+            .map(|peer| peer.last_us + timeout_us(peer.mean_us) + 1)
             .min()
     }
 
@@ -216,22 +191,6 @@ impl FailureDetector {
             .collect()
     }
 
-    /// Resets `p`'s arrival state (e.g. when the embedder restarts a peer and wants to
-    /// grant it a fresh grace period without waiting for its first heartbeat).
-    pub fn reset_peer(&mut self, p: ProcessId, now_us: u64) -> Option<DetectorEvent> {
-        let seed_mean = self.opts.heartbeat_interval_us as f64;
-        let peer = self.peers.get_mut(&p)?;
-        peer.last_us = now_us;
-        peer.mean_us = seed_mean;
-        if peer.suspected {
-            peer.suspected = false;
-            self.stats.wrong_suspicions += 1;
-            Some(DetectorEvent::Unsuspect(p))
-        } else {
-            None
-        }
-    }
-
     /// Activity counters so far.
     pub fn stats(&self) -> DetectorStats {
         self.stats
@@ -243,26 +202,16 @@ mod tests {
     use super::*;
     use tempo_kernel::rand::Rng;
 
-    fn opts() -> DetectorOpts {
-        DetectorOpts {
-            heartbeat_interval_us: 10_000,
-            multiplier: 5.0,
-            min_timeout_us: 30_000,
-            max_timeout_us: 500_000,
-            alpha: 0.2,
-        }
-    }
-
     /// Detection latency is bounded: a peer that goes silent at T is suspected no
-    /// earlier than T + min_timeout and no later than T + max_timeout (+ one tick).
+    /// earlier than T + MIN_TIMEOUT_US and no later than T + MAX_TIMEOUT_US (+ one
+    /// scan).
     #[test]
     fn detection_latency_bounds() {
-        let o = opts();
-        let mut d = FailureDetector::new(o, [1, 2], 0);
-        // Healthy heartbeats from both peers every interval until 100ms.
+        let mut d = FailureDetector::new([1, 2], 0);
+        // Healthy heartbeats from both peers every interval until 250ms.
         let mut t = 0;
-        while t < 100_000 {
-            t += o.heartbeat_interval_us;
+        while t < 250_000 {
+            t += HEARTBEAT_INTERVAL_US;
             assert_eq!(d.heartbeat(1, t), None);
             assert_eq!(d.heartbeat(2, t), None);
             assert!(d.tick(t).is_empty(), "healthy peers never suspected");
@@ -270,9 +219,9 @@ mod tests {
         let crash_at = t;
         // Peer 1 goes silent; peer 2 keeps beating. Scan every millisecond.
         let mut suspected_at = None;
-        while t < crash_at + o.max_timeout_us + 1_000 {
+        while t < crash_at + MAX_TIMEOUT_US + 1_000 {
             t += 1_000;
-            if t % o.heartbeat_interval_us == 0 {
+            if t % HEARTBEAT_INTERVAL_US == 0 {
                 d.heartbeat(2, t);
             }
             for e in d.tick(t) {
@@ -285,14 +234,14 @@ mod tests {
         }
         let at = suspected_at.expect("silent peer must be suspected");
         let latency = at - crash_at;
-        assert!(latency > o.min_timeout_us, "latency {latency} below floor");
+        assert!(latency > MIN_TIMEOUT_US, "latency {latency} below floor");
         assert!(
-            latency <= o.max_timeout_us + 1_000,
+            latency <= MAX_TIMEOUT_US + 1_000,
             "latency {latency} above ceiling"
         );
-        // With a warmed-up 10ms estimate the timeout should sit near 5×10ms.
+        // With a warmed-up 25ms estimate the timeout should sit near 6×25ms.
         assert!(
-            (40_000..=80_000).contains(&latency),
+            (125_000..=175_000).contains(&latency),
             "latency {latency} far from multiplier × interval"
         );
         assert!(d.is_suspected(1));
@@ -303,23 +252,23 @@ mod tests {
     /// A wrong suspicion (long delay, not a crash) is retracted by the next arrival.
     #[test]
     fn wrong_suspicion_then_unsuspect() {
-        let o = opts();
-        let mut d = FailureDetector::new(o, [1], 0);
-        for t in (0..=50_000).step_by(10_000) {
+        let mut d = FailureDetector::new([1], 0);
+        for t in (0..=125_000).step_by(25_000) {
             d.heartbeat(1, t);
         }
-        // A 100ms stall: suspected...
-        let events = d.tick(150_000);
+        // A 250ms stall: suspected...
+        let events = d.tick(375_000);
         assert_eq!(events, vec![DetectorEvent::Suspect(1)]);
-        assert!(d.tick(160_000).is_empty(), "no duplicate suspicion");
+        assert!(d.tick(400_000).is_empty(), "no duplicate suspicion");
         // ...then the delayed heartbeat lands and retracts it.
-        assert_eq!(d.heartbeat(1, 170_000), Some(DetectorEvent::Unsuspect(1)));
+        assert_eq!(d.heartbeat(1, 425_000), Some(DetectorEvent::Unsuspect(1)));
         assert!(!d.is_suspected(1));
         let stats = d.stats();
         assert_eq!(stats.suspicions, 1);
         assert_eq!(stats.wrong_suspicions, 1);
-        // And the estimate absorbed the spike, so the next scan stays quiet.
-        assert!(d.tick(200_000).is_empty());
+        // And the estimate absorbed the spike, so a silence that the warmed-up
+        // timeout (~140ms) would have suspected now passes.
+        assert!(d.tick(600_000).is_empty());
     }
 
     /// A slow node (heartbeats at 100× latency ⇒ huge silent gaps) is eventually
@@ -328,14 +277,13 @@ mod tests {
     /// dropped with p = 0.2) never trips the detector.
     #[test]
     fn slow_node_suspected_lossy_link_is_not() {
-        let o = opts();
-        let mut d = FailureDetector::new(o, [1, 2], 0);
+        let mut d = FailureDetector::new([1, 2], 0);
         let mut rng = Rng::new(9);
-        let slow_interval = o.heartbeat_interval_us * 100; // 1s between arrivals
+        let slow_interval = HEARTBEAT_INTERVAL_US * 100; // 2.5s between arrivals
         let mut slow_suspected = 0u32;
         let mut t = 0;
-        while t < 10_000_000 {
-            t += o.heartbeat_interval_us;
+        while t < 25_000_000 {
+            t += HEARTBEAT_INTERVAL_US;
             // Peer 1 is slow: its heartbeat arrives only every 100 intervals.
             if t % slow_interval == 0 {
                 d.heartbeat(1, t);
@@ -353,7 +301,7 @@ mod tests {
             }
         }
         assert!(slow_suspected > 0, "slow node never suspected");
-        // The ceiling (500ms) is below the slow node's 1s arrival gap, so it is
+        // The ceiling (2s) is below the slow node's 2.5s arrival gap, so it is
         // re-suspected after every arrival: roughly once per gap over the run.
         assert!(
             slow_suspected >= 5,
@@ -366,21 +314,21 @@ mod tests {
     /// time seeds its arrival state), and `next_deadline` brackets the scan time.
     #[test]
     fn silent_from_birth_and_deadline() {
-        let o = opts();
-        let mut d = FailureDetector::new(o, [7], 0);
+        let mut d = FailureDetector::new([7], 0);
         let deadline = d.next_deadline().expect("one unsuspected peer");
+        assert!(deadline > MIN_TIMEOUT_US, "not before the floor");
         assert!(d.tick(deadline - 1).is_empty(), "not before the deadline");
         assert_eq!(d.tick(deadline), vec![DetectorEvent::Suspect(7)]);
         assert_eq!(d.next_deadline(), None, "every peer suspected");
-        // A restart grant resets the grace period.
-        assert_eq!(d.reset_peer(7, deadline), Some(DetectorEvent::Unsuspect(7)));
+        // Its first arrival retracts the suspicion and re-arms the deadline.
+        assert_eq!(d.heartbeat(7, deadline), Some(DetectorEvent::Unsuspect(7)));
         assert!(d.next_deadline().is_some());
     }
 
-    /// Unknown peers are ignored — clients and control frames must not distort state.
+    /// Unknown peers are ignored — client frames must not distort state.
     #[test]
     fn unknown_peer_is_ignored() {
-        let mut d = FailureDetector::new(opts(), [1], 0);
+        let mut d = FailureDetector::new([1], 0);
         assert_eq!(d.heartbeat(99, 1_000), None);
         assert_eq!(d.stats().heartbeats, 0);
     }

@@ -17,9 +17,9 @@
 //!   commit-order constraint graph (read-from, initial-read, overwrite, per-key
 //!   real-time, program order) whose cycles are anomalies, reported as a minimal
 //!   cycle with the operations involved;
-//! * [`detector`] — a timeout-based, heartbeat-fed failure detector that replaces the
-//!   perfect suspicion oracle of earlier PRs: wrong suspicions become possible, which
-//!   is precisely the adversity the recovery ballot races must absorb.
+//! * [`detector`] — a timeout-based, heartbeat-fed failure detector, the only source
+//!   of suspicion in the simulator and the networked runtime: wrong suspicions are
+//!   possible, which is precisely the adversity the recovery ballot races must absorb.
 //!
 //! Everything is deterministic given a seed, so a failing schedule replays exactly.
 //!
@@ -55,7 +55,7 @@ pub mod history;
 pub mod nemesis;
 pub mod serializability;
 
-pub use detector::{DetectorEvent, DetectorOpts, DetectorStats, FailureDetector};
+pub use detector::{DetectorEvent, DetectorStats, FailureDetector, HEARTBEAT_INTERVAL_US};
 pub use history::{CheckSummary, History, Violation};
 pub use nemesis::{FaultEvent, FaultSummary, Nemesis, NemesisSchedule, RandomNemesisOpts};
 pub use serializability::{CycleEdge, EdgeKind, SerSummary};

@@ -88,8 +88,13 @@ pub enum FaultEvent {
     },
 }
 
-/// Counters of injected faults and of their message-level effects, reported alongside
+/// Counters of injected faults and of their frame-level effects, reported alongside
 /// the latency percentiles in the simulator's run report.
+///
+/// The frame counters count every frame between replicas, failure-detector heartbeats
+/// as well as protocol messages: heartbeats cross the same afflicted network. In the
+/// simulator heartbeats are never duplicated or reordered, and one lost with a crashed
+/// endpoint is not counted in `dropped_crash`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// `Crash` events applied.
@@ -110,20 +115,20 @@ pub struct FaultSummary {
     pub dup_links: u64,
     /// `ReorderFrame` events applied.
     pub reorder_links: u64,
-    /// Messages dropped because an endpoint was crashed (or the sender had restarted
+    /// Frames dropped because an endpoint was crashed (or the sender had restarted
     /// since sending: its connections died with the old incarnation).
     pub dropped_crash: u64,
-    /// Messages dropped by an active partition.
+    /// Frames dropped by an active partition, heartbeats included.
     pub dropped_partition: u64,
-    /// Messages dropped by a lossy link's Bernoulli draw.
+    /// Frames dropped by a lossy link's Bernoulli draw, heartbeats included.
     pub dropped_link: u64,
-    /// Messages that crossed a delay-spiked link.
+    /// Frames that crossed a delay-spiked link, heartbeats included.
     pub delayed: u64,
-    /// Messages delayed because their sender was a `SlowNode`.
+    /// Frames delayed because their sender was a `SlowNode`, heartbeats included.
     pub slowed: u64,
-    /// Messages delivered twice by a `DuplicateFrame` draw.
+    /// Frames delivered twice by a `DuplicateFrame` draw.
     pub duplicated: u64,
-    /// Messages held back (delivered out of order) by a `ReorderFrame` draw.
+    /// Frames held back (delivered out of order) by a `ReorderFrame` draw.
     pub reordered: u64,
 }
 
@@ -141,7 +146,7 @@ impl FaultSummary {
             + self.reorder_links
     }
 
-    /// Total messages dropped, for any reason.
+    /// Total frames dropped, for any reason.
     pub fn dropped(&self) -> u64 {
         self.dropped_crash + self.dropped_partition + self.dropped_link
     }

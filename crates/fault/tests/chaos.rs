@@ -279,9 +279,10 @@ fn slow_node_with_lossy_links_stays_safe() {
     }
 }
 
-/// Detector-mode rolling crashes: no oracle — survivors must *notice* each crash from
-/// heartbeat silence before recovery can start, and the restarted replica is welcomed
-/// back by arriving frames, not by decree. Five seeds, checker on every history.
+/// Rolling crashes with the failure detector's counters checked: survivors must
+/// *notice* each crash from heartbeat silence before recovery can start, and the
+/// restarted replica is welcomed back by arriving frames, not by decree. Five seeds,
+/// checker on every history.
 #[test]
 fn detector_mode_rolling_crashes_pass_the_checker_on_five_seeds() {
     let config = Config::full(5, 1);
@@ -290,16 +291,13 @@ fn detector_mode_rolling_crashes_pass_the_checker_on_five_seeds() {
         let report = tempo_sim::run::<Tempo, _>(
             config,
             Planet::equidistant(config.n(), 50.0),
-            SimOpts {
-                detector: Some(tempo_fault::DetectorOpts::default()),
-                ..chaos_opts(schedule, seed)
-            },
+            chaos_opts(schedule, seed),
             rw(0.2, 0.4, seed),
         );
         assert!(!report.stalled, "seed {seed}: {}", report.summary());
         let history = report.history.as_ref().expect("history recorded");
         if let Err(violation) = history.check() {
-            panic!("seed {seed}: detector-mode history failed: {violation}");
+            panic!("seed {seed}: history failed: {violation}");
         }
         assert!(
             report.detector.suspicions > 0,

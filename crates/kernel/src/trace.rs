@@ -78,7 +78,7 @@ pub enum ProcEvent {
     RecoveryStarted,
     /// A recovery this process coordinated completed (the command committed).
     RecoveryCompleted,
-    /// The failure detector (or oracle) suspected the carried process.
+    /// The failure detector suspected the carried process.
     Suspect(ProcessId),
     /// A previous suspicion of the carried process was withdrawn.
     Unsuspect(ProcessId),

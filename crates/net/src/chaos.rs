@@ -17,8 +17,8 @@
 //! simulator splits responsibilities with its own event loop.
 //!
 //! Only frames between *replica* ids (below [`CLIENT_ID_BASE`]) are fault-injected:
-//! client sessions and supervisor control traffic are harness plumbing, just like the
-//! simulator's client bookkeeping sits outside its modelled network.
+//! client sessions are harness plumbing, just like the simulator's client bookkeeping
+//! sits outside its modelled network.
 
 use crate::delay::DelayHeap;
 use crate::transport::{RecvError, Transport, TransportStats, CLIENT_ID_BASE};

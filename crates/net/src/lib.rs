@@ -54,5 +54,5 @@ pub mod wire;
 pub use chaos::{ChaosNet, ChaosTransport};
 pub use planet::{PlanetNet, PlanetTransport};
 pub use tcp::{TcpMesh, TcpTransport};
-pub use transport::{RecvError, Transport, TransportStats, CLIENT_ID_BASE, CONTROL_ID};
+pub use transport::{RecvError, Transport, TransportStats, CLIENT_ID_BASE};
 pub use wire::{ClientReply, ClientRequest, Wire, MAX_FRAME_LEN};

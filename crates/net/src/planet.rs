@@ -17,10 +17,7 @@
 //! Unlike chaos injection, geography applies to *everyone* — replicas and client
 //! sessions alike; clients live in regions too (each drives the latency its site
 //! actually sees, which is exactly what Figure 6 plots). Only endpoints never
-//! registered with the [`PlanetNet`] (e.g. the supervisor's [`CONTROL_ID`]) are
-//! exempt.
-//!
-//! [`CONTROL_ID`]: crate::transport::CONTROL_ID
+//! registered with the [`PlanetNet`] are exempt.
 
 use crate::delay::DelayHeap;
 use crate::transport::{RecvError, Transport, TransportStats};

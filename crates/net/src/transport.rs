@@ -26,10 +26,9 @@
 //!   buffer unbounded bytes against a slow peer.
 //!
 //! Process identifiers double as transport addresses. Replica endpoints use their
-//! protocol `ProcessId`s; client sessions attach with [`CLIENT_ID_BASE`]`+ client_id`
-//! and the runtime's supervisor with [`CONTROL_ID`] — the id space tells the chaos
-//! layer which frames model the replicated system (and are fault-injected) versus
-//! harness plumbing (which is not).
+//! protocol `ProcessId`s and client sessions attach with [`CLIENT_ID_BASE`]`+ client_id`
+//! — the id space tells the chaos layer which frames model the replicated system (and
+//! are fault-injected) versus harness plumbing (which is not).
 
 use std::time::Duration;
 use tempo_kernel::id::ProcessId;
@@ -38,10 +37,6 @@ use tempo_kernel::id::ProcessId;
 /// `CLIENT_ID_BASE + c`. Everything below is a replica id, everything at or above is
 /// harness-side and exempt from chaos injection.
 pub const CLIENT_ID_BASE: u64 = 1 << 32;
-
-/// Transport id of the runtime supervisor (failure-detector notices, lifecycle
-/// control). Exempt from chaos injection like the client range.
-pub const CONTROL_ID: u64 = u64::MAX;
 
 /// Why a receive returned without a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

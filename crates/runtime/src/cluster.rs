@@ -22,20 +22,19 @@
 //!   including failover after a crash and timeout-then-abort for stranded commands.
 //! * **Supervisor.** With a nemesis schedule, a supervisor thread sleeps until each
 //!   fault is due and acts on it: `Crash` stops the replica thread (its endpoint dies
-//!   with it — sockets close, queued frames drop) and — in oracle mode — tells the
-//!   survivors to `suspect` it; `Restart` builds a fresh incarnation through the
-//!   [`RuntimeFactory`] (a factory that reopens the replica's `FileStore` directory
-//!   models the disk surviving the crash), whose rejoin handshake and state transfer
-//!   then run over the real transport. Link-level faults are enforced inside
-//!   [`ChaosTransport`] on the delivery path.
-//! * **Failure detection.** With [`NetOpts::detector`], the oracle broadcasts are
-//!   disabled and each replica runs a `tempo-fault` [`FailureDetector`] instead:
-//!   heartbeat beacons cross the same chaos-afflicted transport as protocol traffic,
-//!   every peer frame counts as proof of life, and silence past the adaptive timeout
-//!   turns into a local `suspect` — so suspicion is *fallible* (a partitioned or
-//!   slowed peer gets wrongly suspected, then unsuspected when frames resume), which
-//!   is exactly the regime the `MRecNAck` ballot races need. The control frames stay
-//!   wired as a test override.
+//!   with it — sockets close, queued frames drop); `Restart` builds a fresh
+//!   incarnation through the [`RuntimeFactory`] (a factory that reopens the replica's
+//!   `FileStore` directory models the disk surviving the crash), whose rejoin
+//!   handshake and state transfer then run over the real transport. Link-level faults
+//!   are enforced inside [`ChaosTransport`] on the delivery path.
+//! * **Failure detection.** Nobody tells the survivors about a crash or a restart:
+//!   each replica runs a `tempo-fault` [`FailureDetector`], the only source of its
+//!   `suspect`/`unsuspect` calls. Heartbeat beacons cross the same chaos-afflicted
+//!   transport as protocol traffic, every peer frame counts as proof of life, and
+//!   silence past the adaptive timeout turns into a local `suspect` — so suspicion is
+//!   *fallible* (a partitioned or slowed peer gets wrongly suspected, then
+//!   unsuspected when frames resume), which is exactly the regime the `MRecNAck`
+//!   ballot races need.
 //!
 //! Everything a test needs afterwards comes out of [`NetCluster::shutdown`]: per
 //! incarnation protocol metrics, aggregated transport stats, the fault summary and
@@ -47,8 +46,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tempo_fault::{
-    DetectorEvent, DetectorOpts, DetectorStats, FailureDetector, FaultEvent, FaultSummary, History,
-    NemesisSchedule,
+    DetectorEvent, DetectorStats, FailureDetector, FaultEvent, FaultSummary, History,
+    NemesisSchedule, HEARTBEAT_INTERVAL_US,
 };
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;
@@ -62,7 +61,7 @@ use tempo_load::{Mix, Session};
 use tempo_net::wire::{DecodeError, Reader, Wire, Writer};
 use tempo_net::{
     ChaosNet, ChaosTransport, ClientReply, ClientRequest, PlanetNet, PlanetTransport, RecvError,
-    TcpMesh, Transport, TransportStats, CLIENT_ID_BASE, CONTROL_ID,
+    TcpMesh, Transport, TransportStats, CLIENT_ID_BASE,
 };
 use tempo_planet::Planet;
 use tempo_trace::merge_and_fold;
@@ -92,13 +91,6 @@ pub struct NetOpts {
     /// geographic distance (`Planet::view_for`) instead of ring order — so fig6/fig7
     /// measurements run on real sockets across emulated regions.
     pub planet: Option<Planet>,
-    /// Real failure detection: with [`DetectorOpts`], every replica runs a
-    /// [`FailureDetector`] fed by heartbeats over the (chaos-afflicted) transport and
-    /// the supervisor's oracle `Suspect`/`Unsuspect` broadcasts are disabled —
-    /// suspicion becomes fallible, with detection latency bounded by the options.
-    /// The control-frame path stays wired as a test override. `None` (the default)
-    /// keeps the perfect oracle.
-    pub detector: Option<DetectorOpts>,
     /// Record per-command lifecycle events (one fixed-capacity ring per replica,
     /// shared across its incarnations) plus crash/restart/suspicion markers; the
     /// merged, time-sorted [`TraceLog`] and its phase-latency fold land in
@@ -119,7 +111,6 @@ impl Default for NetOpts {
             record_history: false,
             client_timeout: Duration::from_secs(10),
             planet: None,
-            detector: None,
             trace: false,
             metrics_interval: None,
         }
@@ -133,8 +124,6 @@ impl Default for NetOpts {
 const ENV_PEER: u8 = 1;
 const ENV_REQUEST: u8 = 2;
 pub(crate) const ENV_REPLY: u8 = 3;
-const ENV_SUSPECT: u8 = 4;
-const ENV_UNSUSPECT: u8 = 5;
 const ENV_HEARTBEAT: u8 = 6;
 
 pub(crate) fn encode_request(cmd: &Command) -> Vec<u8> {
@@ -144,19 +133,10 @@ pub(crate) fn encode_request(cmd: &Command) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn encode_control(tag: u8, process: ProcessId) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(tag);
-    w.put_u64(process);
-    w.into_bytes()
-}
-
 /// What a replica does with one inbound frame.
 enum Inbound<M> {
     Peer(M),
     Request(Command),
-    Suspect(ProcessId),
-    Unsuspect(ProcessId),
     /// A liveness beacon — carries no payload; the sender id on the transport is the
     /// signal (any frame from a peer counts as proof of life, heartbeats just
     /// guarantee a minimum rate when the protocol is quiet).
@@ -168,8 +148,6 @@ fn decode_inbound<M: Wire>(bytes: &[u8]) -> Result<Inbound<M>, DecodeError> {
     let inbound = match r.u8()? {
         ENV_PEER => Inbound::Peer(M::decode_from(&mut r)?),
         ENV_REQUEST => Inbound::Request(ClientRequest::decode_from(&mut r)?.cmd),
-        ENV_SUSPECT => Inbound::Suspect(r.u64()?),
-        ENV_UNSUSPECT => Inbound::Unsuspect(r.u64()?),
         ENV_HEARTBEAT => Inbound::Heartbeat,
         t => return Err(DecodeError::BadTag(t)),
     };
@@ -209,8 +187,6 @@ pub(crate) struct Shared {
     /// Per site, the view its clients watch replicas through: the one its replicas
     /// sort their quorums by.
     pub(crate) site_views: Vec<View>,
-    /// Detector configuration, when [`NetOpts::detector`] was set (oracle disabled).
-    pub(crate) detector: Option<DetectorOpts>,
     /// One lifecycle-event ring per replica ([`NetOpts::trace`]); restarted
     /// incarnations re-attach to their process's ring. Empty when tracing is off.
     pub(crate) tracers: BTreeMap<ProcessId, Tracer>,
@@ -228,13 +204,6 @@ impl Shared {
     /// The lifecycle tracer of `p` (disabled stand-in when tracing is off).
     pub(crate) fn tracer(&self, p: ProcessId) -> Tracer {
         self.tracers.get(&p).cloned().unwrap_or_default()
-    }
-
-    /// Heartbeat period in detector mode (`u64::MAX` — i.e. never — in oracle mode).
-    pub(crate) fn detector_interval_us(&self) -> u64 {
-        self.detector
-            .map(|d| d.heartbeat_interval_us)
-            .unwrap_or(u64::MAX)
     }
 
     /// Opens `cmd` on a session of a client at `site`, skipping the replicas crashed
@@ -274,7 +243,7 @@ fn site_views(config: Config, planet: Option<&Planet>) -> Vec<View> {
 }
 
 /// A replica thread's return value: its protocol metrics, its endpoint's traffic and
-/// its failure-detector activity (zero in oracle mode).
+/// its failure-detector activity.
 type ReplicaExit = (ProtocolMetrics, TransportStats, DetectorStats);
 
 struct Seat {
@@ -305,7 +274,7 @@ struct Replica<P: Protocol> {
     transport: Box<dyn Transport>,
     /// Every other replica: whom heartbeats go to and whom the detector watches.
     peers: Vec<ProcessId>,
-    detector: Option<FailureDetector>,
+    detector: FailureDetector,
     tracer: Tracer,
     shared: Arc<Shared>,
     id: ProcessId,
@@ -368,7 +337,7 @@ where
         // Any frame from a replica peer is proof of life.
         if from < CLIENT_ID_BASE {
             let now = self.shared.now_us();
-            if let Some(event) = self.detector.as_mut().and_then(|d| d.heartbeat(from, now)) {
+            if let Some(event) = self.detector.heartbeat(from, now) {
                 let DetectorEvent::Unsuspect(q) = event else {
                     unreachable!("heartbeats only unsuspect")
                 };
@@ -384,10 +353,6 @@ where
                 let output = self.driver.submit(cmd, self.shared.now_us());
                 self.route(output);
             }
-            // Control-frame suspicion stays wired in detector mode as the test
-            // override (the supervisor only *sends* it in oracle mode).
-            Ok(Inbound::Suspect(p)) if from == CONTROL_ID => self.suspect(p),
-            Ok(Inbound::Unsuspect(p)) if from == CONTROL_ID => self.unsuspect(p),
             Ok(Inbound::Heartbeat) => {} // Liveness already fed above.
             // Anything else — decode failures included — is dropped: the CRC layer
             // already screened corruption, so this can only be mis-addressed harness
@@ -408,14 +373,16 @@ where
         registry.sample(&format!("p{id}.messages_sent"), now, m.messages_sent);
         registry.sample(&format!("p{id}.frames_sent"), now, t.frames_sent);
         registry.sample(&format!("p{id}.frames_dropped"), now, t.frames_dropped);
-        if let Some(det) = self.detector.as_ref() {
-            registry.sample(&format!("p{id}.suspicions"), now, det.stats().suspicions);
-        }
+        let suspicions = self.detector.stats().suspicions;
+        registry.sample(&format!("p{id}.suspicions"), now, suspicions);
     }
 
     /// The replica's event loop, until `stop` is raised or the endpoint closes.
     fn run(mut self, stop: &AtomicBool) -> ReplicaExit {
-        let mut next_heartbeat_us = self.shared.now_us(); // First beacon right away.
+        // The first beacon waits one interval: sent at once, every replica of a fresh
+        // cluster dials every peer while the first command is still in flight. The
+        // detector is seeded at spawn, so no peer is suspected before it arrives.
+        let mut next_heartbeat_us = self.shared.now_us() + HEARTBEAT_INTERVAL_US;
         let mut next_sample_us = self.shared.now_us();
         let mut closed = false;
         loop {
@@ -429,18 +396,16 @@ where
                     self.sample_metrics(registry, now);
                 }
             }
-            if let Some(det) = self.detector.as_mut() {
-                if now >= next_heartbeat_us {
-                    next_heartbeat_us = now + self.shared.detector_interval_us();
-                    for q in &self.peers {
-                        self.transport.send(*q, &[ENV_HEARTBEAT]);
-                    }
+            if now >= next_heartbeat_us {
+                next_heartbeat_us = now + HEARTBEAT_INTERVAL_US;
+                for q in &self.peers {
+                    self.transport.send(*q, &[ENV_HEARTBEAT]);
                 }
-                for event in det.tick(now) {
-                    match event {
-                        DetectorEvent::Suspect(q) => self.suspect(q),
-                        DetectorEvent::Unsuspect(q) => self.unsuspect(q),
-                    }
+            }
+            for event in self.detector.tick(now) {
+                match event {
+                    DetectorEvent::Suspect(q) => self.suspect(q),
+                    DetectorEvent::Unsuspect(q) => self.unsuspect(q),
                 }
             }
             // Fire due timers between the burst and its flush: the periodic ones a busy
@@ -457,24 +422,15 @@ where
                 break;
             }
             // The wait starts now, not at the top of the turn: whatever the steps above
-            // took must come off it, and a timer they armed is due from here.
+            // took must come off it, and a timer they armed is due from here. It also
+            // ends at the next heartbeat or suspicion deadline, so detection latency is
+            // bounded by the detector, not by the poll granularity.
             let now = self.shared.now_us();
-            let mut timeout = self
-                .driver
-                .next_timer_due()
-                .map(|due| Duration::from_micros(due.saturating_sub(now)))
-                .unwrap_or(STOP_POLL)
-                .min(STOP_POLL);
-            if let Some(det) = self.detector.as_ref() {
-                // Fold the next heartbeat and the earliest suspicion deadline into
-                // the wait so detection latency is bounded by the options, not by
-                // the poll granularity.
-                let mut due = next_heartbeat_us;
-                if let Some(deadline) = det.next_deadline() {
-                    due = due.min(deadline);
-                }
-                timeout = timeout.min(Duration::from_micros(due.saturating_sub(now)));
-            }
+            let due = [self.driver.next_timer_due(), self.detector.next_deadline()]
+                .into_iter()
+                .flatten()
+                .fold(next_heartbeat_us, u64::min);
+            let mut timeout = Duration::from_micros(due.saturating_sub(now)).min(STOP_POLL);
             // One burst: block for the first frame, then take what is already there
             // without waiting; the next turn flushes everything it produced at once.
             let mut taken = 0;
@@ -491,23 +447,20 @@ where
                 timeout = Duration::ZERO;
             };
         }
-        let detector_stats = self.detector.map(|det| det.stats()).unwrap_or_default();
         (
             self.driver.metrics(),
             self.transport.stats(),
-            detector_stats,
+            self.detector.stats(),
         )
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_replica<P>(
     protocol: P,
     transport: Box<dyn Transport>,
     id: ProcessId,
     shard: ShardId,
     incarnation: u64,
-    initial_suspects: Vec<ProcessId>,
     shared: Arc<Shared>,
 ) -> Seat
 where
@@ -522,9 +475,6 @@ where
             let tracer = shared.tracer(id);
             let mut driver = Driver::from_protocol(protocol);
             driver.set_tracer(tracer.clone());
-            for q in initial_suspects {
-                Protocol::suspect(driver.protocol_mut(), q);
-            }
             let view = view_of(shared.config, shared.planet.as_ref(), id);
             let peers: Vec<ProcessId> = shared
                 .membership
@@ -532,13 +482,12 @@ where
                 .into_iter()
                 .filter(|q| *q != id)
                 .collect();
-            // Detector mode: a fresh detector per incarnation (fresh grace period for
-            // everyone), fed by heartbeats the loop broadcasts and by every frame a
-            // peer sends — both travel the same chaos-afflicted transport, which is
-            // exactly what makes suspicion fallible.
-            let detector = shared
-                .detector
-                .map(|opts| FailureDetector::new(opts, peers.iter().copied(), shared.now_us()));
+            // A fresh detector per incarnation (fresh grace period for everyone, so
+            // a restarted replica suspects the peers still down on its own), fed by
+            // heartbeats the loop broadcasts and by every frame a peer sends — both
+            // travel the same chaos-afflicted transport, which is exactly what makes
+            // suspicion fallible.
+            let detector = FailureDetector::new(peers.iter().copied(), shared.now_us());
             let mut replica = Replica {
                 driver,
                 transport,
@@ -579,9 +528,6 @@ fn supervisor_loop<P>(
     P: Protocol + Send + 'static,
     P::Message: Wire + Send + 'static,
 {
-    let mut control = mesh
-        .endpoint(CONTROL_ID, true)
-        .expect("bind supervisor endpoint");
     let mut incarnations: BTreeMap<ProcessId, u64> = BTreeMap::new();
     while !done.load(Ordering::Relaxed) {
         let Some(due) = chaos.next_due_us() else {
@@ -609,13 +555,6 @@ fn supervisor_loop<P>(
                     shared
                         .tracer(p)
                         .process_event(shared.now_us(), p, ProcEvent::Crash(p));
-                    // In oracle mode, survivors are told to suspect the crashed
-                    // process (the runtime's stand-in for Ω, exactly like the
-                    // simulator's perfect failure detector). In detector mode they
-                    // must notice the silence themselves.
-                    if shared.detector.is_none() {
-                        broadcast_control(&mut control, &seats, ENV_SUSPECT, p);
-                    }
                 }
                 FaultEvent::Restart(p) => {
                     let incarnation = incarnations.entry(p).and_modify(|i| *i += 1).or_insert(1);
@@ -627,31 +566,16 @@ fn supervisor_loop<P>(
                     let protocol = factory(p, shard, shared.config, incarnation);
                     let transport = make_transport(&mesh, Some(&chaos), planet.as_ref(), p)
                         .expect("bind restarted replica endpoint");
-                    // The restarted incarnation is seeded with the oracle's knowledge
-                    // of who else is down — only in oracle mode; a detector-mode
-                    // incarnation starts neutral and re-suspects on its own.
-                    let initial_suspects: Vec<ProcessId> = {
-                        let mut down = shared.down.lock().expect("down lock");
-                        down.remove(&p);
-                        if shared.detector.is_none() {
-                            down.iter().copied().collect()
-                        } else {
-                            Vec::new()
-                        }
-                    };
+                    shared.down.lock().expect("down lock").remove(&p);
                     let seat = spawn_replica(
                         protocol,
                         transport,
                         p,
                         shard,
                         incarnation,
-                        initial_suspects,
                         Arc::clone(&shared),
                     );
                     seats.lock().expect("seats lock").insert(p, seat);
-                    if shared.detector.is_none() {
-                        broadcast_control(&mut control, &seats, ENV_UNSUSPECT, p);
-                    }
                 }
                 // Partitions, lossy links and delay spikes were absorbed into the
                 // nemesis state by `advance` and are enforced by the ChaosTransports.
@@ -659,26 +583,6 @@ fn supervisor_loop<P>(
             }
         }
     }
-}
-
-fn broadcast_control(
-    control: &mut tempo_net::TcpTransport,
-    seats: &Arc<Mutex<BTreeMap<ProcessId, Seat>>>,
-    tag: u8,
-    about: ProcessId,
-) {
-    let bytes = encode_control(tag, about);
-    let targets: Vec<ProcessId> = seats
-        .lock()
-        .expect("seats lock")
-        .keys()
-        .copied()
-        .filter(|q| *q != about)
-        .collect();
-    for q in targets {
-        control.send(q, &bytes);
-    }
-    control.flush();
 }
 
 fn make_transport(
@@ -722,8 +626,7 @@ pub struct RuntimeReport {
     pub transport: TransportStats,
     /// Faults injected and their frame-level effects (empty without a nemesis).
     pub faults: FaultSummary,
-    /// Failure-detector activity summed over all replica incarnations (all zero in
-    /// oracle mode, i.e. without [`NetOpts::detector`]).
+    /// Failure-detector activity summed over all replica incarnations.
     pub detector: DetectorStats,
     /// The recorded history, when [`NetOpts::record_history`] was set.
     pub history: Option<History>,
@@ -805,7 +708,6 @@ impl NetCluster {
             client_timeout: opts.client_timeout,
             planet: opts.planet.clone(),
             site_views: site_views(config, opts.planet.as_ref()),
-            detector: opts.detector,
             tracers,
             registry: opts
                 .metrics_interval
@@ -817,15 +719,7 @@ impl NetCluster {
             let shard = membership.shard_of(id);
             let protocol = factory(id, shard, config, 0);
             let transport = make_transport(&mesh, chaos.as_ref(), planet_net.as_ref(), id)?;
-            let seat = spawn_replica(
-                protocol,
-                transport,
-                id,
-                shard,
-                0,
-                Vec::new(),
-                Arc::clone(&shared),
-            );
+            let seat = spawn_replica(protocol, transport, id, shard, 0, Arc::clone(&shared));
             seats.lock().expect("seats lock").insert(id, seat);
         }
         let dead = Arc::new(Mutex::new(Vec::new()));
@@ -1152,8 +1046,8 @@ mod tests {
     }
 
     impl Shared {
-        /// The state of a cluster of `config` without a planet, a history, a
-        /// detector or tracing — for driving one replica or one pump by hand.
+        /// The state of a cluster of `config` without a planet, a history or
+        /// tracing — for driving one replica or one pump by hand.
         pub(crate) fn bare(config: Config) -> Self {
             Shared {
                 config,
@@ -1164,7 +1058,6 @@ mod tests {
                 history: None,
                 client_timeout: Duration::from_secs(1),
                 planet: None,
-                detector: None,
                 tracers: BTreeMap::new(),
                 registry: None,
                 metrics_interval_us: None,
@@ -1310,7 +1203,6 @@ mod tests {
             0,
             0,
             0,
-            Vec::new(),
             shared,
         );
         std::thread::sleep(20 * TIMER_PERIOD);
@@ -1336,15 +1228,8 @@ mod tests {
     fn bursts_do_not_starve_timers_or_the_detector() {
         use crate::load::{run_load, LoadOpts};
         use tempo_load::ZipfMix;
-        let cluster = NetCluster::start(
-            Config::full(3, 1),
-            NetOpts {
-                detector: Some(DetectorOpts::default()),
-                ..NetOpts::default()
-            },
-            tempo_factory(),
-        )
-        .expect("cluster starts");
+        let cluster = NetCluster::start(Config::full(3, 1), NetOpts::default(), tempo_factory())
+            .expect("cluster starts");
         // A round's work is all due within 100 ms, so the 256 sessions turn it into
         // a closed loop of that depth that keeps every inbox non-empty; rounds repeat
         // until the replicas have spent a second that way, whatever the build

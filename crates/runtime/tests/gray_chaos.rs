@@ -1,9 +1,8 @@
-//! Gray-failure chaos against the networked cluster (ISSUE 7 acceptance): the
-//! suspicion *oracle is off* — [`NetOpts::detector`] puts a timeout-based failure
-//! detector inside every replica thread, fed by heartbeats over the same
-//! chaos-afflicted sockets as protocol traffic — and the nemesis injects failures
-//! that are *partial*: a slow node is not a dead node, a lying disk is not a clean
-//! crash.
+//! Gray-failure chaos against the networked cluster: suspicion comes only from the
+//! timeout-based failure detector inside every replica thread, fed by heartbeats over
+//! the same chaos-afflicted sockets as protocol traffic — and the nemesis injects
+//! failures that are *partial*: a slow node is not a dead node, a lying disk is not a
+//! clean crash.
 //!
 //! The bar is the same as `tests/chaos.rs` (every command accounted for, every
 //! history through the `tempo-fault` checker), plus detector-specific assertions:
@@ -13,7 +12,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 use tempo_core::{Tempo, TempoOptions};
-use tempo_fault::{DetectorOpts, FaultEvent, NemesisSchedule};
+use tempo_fault::{FaultEvent, NemesisSchedule};
 use tempo_kernel::config::Config;
 use tempo_load::ConflictMix;
 use tempo_runtime::{run_workload, NetCluster, NetOpts, RuntimeFactory, RuntimeReport};
@@ -32,16 +31,6 @@ fn chaos_options() -> TempoOptions {
     }
 }
 
-/// Detector tuned for loopback wall-clock runs: suspicion lands ~100–200 ms after a
-/// replica goes silent, well inside the nemesis windows below.
-fn detector_opts() -> DetectorOpts {
-    DetectorOpts {
-        heartbeat_interval_us: 25_000,
-        min_timeout_us: 100_000,
-        ..DetectorOpts::default()
-    }
-}
-
 fn filestore_factory(root: PathBuf) -> RuntimeFactory<Tempo> {
     Box::new(move |id, shard, config, _incarnation| {
         let store = tempo_store::FileStore::open(root.join(format!("p{id}")))
@@ -50,8 +39,9 @@ fn filestore_factory(root: PathBuf) -> RuntimeFactory<Tempo> {
     })
 }
 
-/// Runs a detector-mode (oracle-disabled) cluster under `schedule` and puts the
-/// history through the checker.
+/// Runs a cluster under `schedule` and puts the history through the checker.
+/// Suspicion lands 100–150 ms after a replica goes silent, well inside the nemesis
+/// windows below.
 fn run_detector_chaos(
     config: Config,
     seed: u64,
@@ -66,7 +56,6 @@ fn run_detector_chaos(
             seed,
             record_history: true,
             client_timeout: Duration::from_secs(2),
-            detector: Some(detector_opts()),
             ..NetOpts::default()
         },
         factory,
@@ -88,7 +77,7 @@ fn run_detector_chaos(
     );
     assert!(
         report.detector.heartbeats > 0,
-        "{name} seed {seed}: detector mode must actually exchange heartbeats"
+        "{name} seed {seed}: the detectors must actually exchange heartbeats"
     );
     let history = report.history.as_ref().expect("history recorded");
     if let Err(violation) = history.check() {
@@ -97,11 +86,11 @@ fn run_detector_chaos(
     report
 }
 
-/// Rolling crash with the oracle off, on 5 replicas and 5 seeds: nobody tells the
-/// survivors that a replica died — its heartbeats stop, the detectors suspect it,
-/// and recovery (`MRec` on the orphaned commands) must be driven entirely by that
-/// suspicion. The restarted incarnation starts neutral, re-announces itself with its
-/// first heartbeat and is unsuspected on arrival.
+/// Rolling crash on 5 replicas and 5 seeds: nobody tells the survivors that a
+/// replica died — its heartbeats stop, the detectors suspect it, and recovery (`MRec`
+/// on the orphaned commands) must be driven entirely by that suspicion. The restarted
+/// incarnation starts neutral, re-announces itself with its first frames and is
+/// unsuspected on arrival.
 #[test]
 fn detector_driven_rolling_crash_passes_the_checker_on_five_seeds() {
     for seed in 71..=75u64 {
@@ -131,9 +120,8 @@ fn detector_driven_rolling_crash_passes_the_checker_on_five_seeds() {
     }
 }
 
-/// A slow node under detector mode: replica 4 delivers everything 300 ms late for
-/// most of the run. The detectors will (wrongly) suspect it when the first delayed
-/// gap exceeds the timeout and unsuspect it when its late heartbeats land — Tempo
+/// A slow node: replica 4 delivers everything 300 ms late for most of the run. The
+/// detectors will (wrongly) suspect it when the first delayed gap exceeds the timeout and unsuspect it when its late heartbeats land — Tempo
 /// must absorb the resulting spurious recoveries (`MRecNAck` ballot races) without
 /// losing safety or completions.
 #[test]

@@ -16,8 +16,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use tempo_core::{Tempo, TempoOptions};
 use tempo_fault::{
-    CheckSummary, CycleEdge, DetectorOpts, EdgeKind, History, NemesisSchedule, RandomNemesisOpts,
-    Violation,
+    CheckSummary, CycleEdge, EdgeKind, History, NemesisSchedule, RandomNemesisOpts, Violation,
 };
 use tempo_kernel::command::Key;
 use tempo_kernel::config::Config;
@@ -42,15 +41,6 @@ fn chaos_options() -> TempoOptions {
     }
 }
 
-/// Detector tuned for loopback wall-clock runs (the gray presets run oracle-off).
-fn detector_opts() -> DetectorOpts {
-    DetectorOpts {
-        heartbeat_interval_us: 25_000,
-        min_timeout_us: 100_000,
-        ..DetectorOpts::default()
-    }
-}
-
 fn filestore_factory(root: PathBuf) -> RuntimeFactory<Tempo> {
     Box::new(move |id, shard, config, _incarnation| {
         let store = tempo_store::FileStore::open(root.join(format!("p{id}")))
@@ -66,7 +56,6 @@ fn checked_multi_shard_run(
     seed: u64,
     name: &str,
     schedule: NemesisSchedule,
-    detector: Option<DetectorOpts>,
 ) -> (RuntimeReport, CheckSummary) {
     let root = std::env::temp_dir().join(format!(
         "tempo-multishard-{name}-{}-{seed}",
@@ -81,7 +70,6 @@ fn checked_multi_shard_run(
             seed,
             record_history: true,
             client_timeout: Duration::from_secs(2),
-            detector,
             ..NetOpts::default()
         },
         filestore_factory(root.clone()),
@@ -195,7 +183,7 @@ fn random_nemesis_multi_shard_passes_the_serializability_checker_on_five_seeds()
             !schedule.is_empty(),
             "seed {seed}: schedule must not be empty"
         );
-        let (report, _) = checked_multi_shard_run(seed, "random", schedule, None);
+        let (report, _) = checked_multi_shard_run(seed, "random", schedule);
         assert!(
             report.faults.events() > 0,
             "seed {seed}: the scheduled incidents must actually have been injected: {:?}",
@@ -205,15 +193,13 @@ fn random_nemesis_multi_shard_passes_the_serializability_checker_on_five_seeds()
 }
 
 /// Gray preset 1: a slow node (not a dead node) on shard 0 while cross-shard
-/// commands are in flight, with the detector on — wrong suspicions may trigger
-/// spurious recoveries, which must never reorder the two shards' views of a
-/// multi-key command.
+/// commands are in flight — wrong suspicions may trigger spurious recoveries, which
+/// must never reorder the two shards' views of a multi-key command.
 #[test]
 fn slow_node_gray_preset_keeps_cross_shard_histories_serializable() {
     for seed in 51..=52u64 {
         let schedule = NemesisSchedule::slow_node(0, 300_000, 50_000, 1_500_000);
-        let (report, _) =
-            checked_multi_shard_run(seed, "gray-slow-node", schedule, Some(detector_opts()));
+        let (report, _) = checked_multi_shard_run(seed, "gray-slow-node", schedule);
         assert!(
             report.faults.slow_nodes >= 1,
             "seed {seed}: the slow-node window must fire: {:?}",
@@ -221,7 +207,7 @@ fn slow_node_gray_preset_keeps_cross_shard_histories_serializable() {
         );
         assert!(
             report.detector.heartbeats > 0,
-            "seed {seed}: detector mode must exchange heartbeats"
+            "seed {seed}: the detectors must exchange heartbeats"
         );
     }
 }
@@ -238,7 +224,7 @@ fn duplicate_reorder_gray_preset_keeps_cross_shard_histories_serializable() {
             50_000,
             1_200_000,
         );
-        let (report, _) = checked_multi_shard_run(seed, "gray-dup-reorder", schedule, None);
+        let (report, _) = checked_multi_shard_run(seed, "gray-dup-reorder", schedule);
         assert!(
             report.faults.duplicated + report.faults.reordered > 0,
             "seed {seed}: the soak must actually duplicate or reorder frames: {:?}",

@@ -25,9 +25,13 @@
 //! or to a crashed process — or from a *previous incarnation* of a restarted one — are
 //! lost, modelling TCP connections dying with their endpoint), crashed processes stop
 //! firing timers and are skipped by client failover, and a `Restart` rebuilds the
-//! process from `Protocol::new` (volatile state lost) and runs its rejoin hook. Every
-//! injected fault and every message it cost is tallied in the run report's
-//! fault summary ([`RunReport::faults`]). With [`SimOpts::record_history`] the run also produces a
+//! process from `Protocol::new` (volatile state lost) and runs its rejoin hook. Nobody
+//! tells the survivors about a crash or a restart: every process runs a `tempo-fault`
+//! [`FailureDetector`] fed by heartbeats that cross the same afflicted network as
+//! protocol messages (and by every message that arrives), and its suspicions are the
+//! only ones the protocols see ([`RunReport::detector`]). Every injected fault and
+//! every frame it cost is tallied in the run report's fault summary
+//! ([`RunReport::faults`]). With [`SimOpts::record_history`] the run also produces a
 //! [`History`] of client invocations/responses and per-replica execution sequences for
 //! the `tempo-fault` safety checker; [`SimOpts::client_timeout_us`] lets closed-loop
 //! clients give up on commands stranded by a fault (counted per client as aborted).
@@ -54,8 +58,8 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use tempo_fault::{
-    DetectorEvent, DetectorOpts, DetectorStats, FailureDetector, FaultEvent, History, Nemesis,
-    NemesisSchedule,
+    DetectorEvent, DetectorStats, FailureDetector, FaultEvent, History, Nemesis, NemesisSchedule,
+    HEARTBEAT_INTERVAL_US,
 };
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
@@ -129,14 +133,6 @@ pub struct SimOpts {
     pub client_timeout_us: Option<u64>,
     /// Record the client/replica [`History`] for the `tempo-fault` checker.
     pub record_history: bool,
-    /// Replace the perfect suspicion oracle with a real, timeout-based
-    /// [`FailureDetector`] per process: heartbeats are simulated frames that cross the
-    /// same nemesis-afflicted network as protocol messages, so wrong suspicions (from
-    /// partitions, slow nodes, delay spikes) become possible and crashes are detected
-    /// with the configured latency instead of instantly. `None` keeps the oracle of
-    /// earlier PRs: the simulator tells every live process exactly when a peer
-    /// crashes or rejoins.
-    pub detector: Option<DetectorOpts>,
     /// Record per-command lifecycle events (submit, payload, propose, commit, stable,
     /// execute, reply) and process-level events (crash, restart, suspicion, recovery)
     /// into one fixed-capacity ring per process. The merged, time-sorted
@@ -161,7 +157,6 @@ impl Default for SimOpts {
             nemesis: None,
             client_timeout_us: None,
             record_history: false,
-            detector: None,
             trace: false,
             metrics_interval_us: None,
         }
@@ -199,12 +194,12 @@ enum EventKind<M> {
     /// Snapshot aggregated protocol counters into the metrics registry
     /// (`SimOpts::metrics_interval_us`).
     MetricsSample,
-    /// Detector mode: the process scans for overdue peers and broadcasts a heartbeat.
+    /// The process scans for overdue peers and broadcasts a heartbeat.
     DetectorTick {
         process: ProcessId,
     },
-    /// Detector mode: a heartbeat frame arriving at `to`. Routed through the same
-    /// nemesis gating as protocol messages — that is what makes suspicion fallible.
+    /// A heartbeat frame arriving at `to`. Routed through the same nemesis gating as
+    /// protocol messages — that is what makes suspicion fallible.
     HeartbeatDeliver {
         from: ProcessId,
         from_incarnation: u64,
@@ -272,7 +267,8 @@ pub struct Simulation<P: Protocol, M: Mix> {
     timer_wakes: BTreeMap<ProcessId, u64>,
     now: u64,
     nemesis: Option<Nemesis>,
-    /// Per-process failure detectors (detector mode only; rebuilt on restart).
+    /// Per-process failure detectors, the only source of suspicion (rebuilt on
+    /// restart).
     detectors: BTreeMap<ProcessId, FailureDetector>,
     /// Detector counters of dead incarnations, folded in at restart time.
     detector_stats: DetectorStats,
@@ -375,17 +371,14 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             .clone()
             .map(|schedule| Nemesis::new(schedule, opts.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         let history = opts.record_history.then(History::new);
-        let detectors = match opts.detector {
-            Some(d) => membership
-                .all_processes()
-                .into_iter()
-                .map(|p| {
-                    let peers = membership.all_processes().into_iter().filter(|&q| q != p);
-                    (p, FailureDetector::new(d, peers, 0))
-                })
-                .collect(),
-            None => BTreeMap::new(),
-        };
+        let detectors = membership
+            .all_processes()
+            .into_iter()
+            .map(|p| {
+                let peers = membership.all_processes().into_iter().filter(|&q| q != p);
+                (p, FailureDetector::new(peers, 0))
+            })
+            .collect();
         let registry = opts
             .metrics_interval_us
             .is_some()
@@ -668,24 +661,12 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         for event in fired {
             match event {
                 FaultEvent::Crash(p) => {
-                    // Volatile state dies with the process. In oracle mode peers
-                    // suspect it instantly (a perfect failure detector standing in for
-                    // Ω, as in Appendix B); in detector mode they only find out when
+                    // Volatile state dies with the process. Peers find out only when
                     // its heartbeats stop arriving.
                     self.busy_until.remove(&p);
                     self.timer_wakes.remove(&p);
                     if let Some(t) = self.tracers.get(&p) {
                         t.process_event(at, p, ProcEvent::Crash(p));
-                    }
-                    if self.opts.detector.is_none() {
-                        for (id, driver) in self.drivers.iter_mut() {
-                            if *id != p && !self.nemesis.as_ref().is_some_and(|n| n.is_down(*id)) {
-                                driver.protocol_mut().suspect(p);
-                                if let Some(t) = self.tracers.get(id) {
-                                    t.process_event(at, *id, ProcEvent::Suspect(p));
-                                }
-                            }
-                        }
                     }
                 }
                 FaultEvent::Restart(p) => {
@@ -707,40 +688,20 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                     let view = self.planet.view_for(self.config, p);
                     let start = driver.start(view, at);
                     let rejoin = driver.rejoin(incarnation, at);
-                    if self.opts.detector.is_none() {
-                        for q in self.membership.all_processes() {
-                            if q != p && self.is_down(q) {
-                                driver.protocol_mut().suspect(q);
-                            }
-                        }
-                    }
                     self.drivers.insert(p, driver);
                     self.absorb(p, at, start);
                     self.absorb(p, at, rejoin);
-                    if let Some(d) = self.opts.detector {
-                        // A fresh incarnation gets a fresh detector (and a fresh grace
-                        // period); the dead one's counters fold into the run total.
-                        // Peers retract their suspicion when its heartbeats resume —
-                        // no oracle announcement.
-                        let peers = self
-                            .membership
-                            .all_processes()
-                            .into_iter()
-                            .filter(|&q| q != p);
-                        if let Some(old) =
-                            self.detectors.insert(p, FailureDetector::new(d, peers, at))
-                        {
-                            self.detector_stats.merge(&old.stats());
-                        }
-                    } else {
-                        for (id, driver) in self.drivers.iter_mut() {
-                            if *id != p {
-                                driver.protocol_mut().unsuspect(p);
-                                if let Some(t) = self.tracers.get(id) {
-                                    t.process_event(at, *id, ProcEvent::Unsuspect(p));
-                                }
-                            }
-                        }
+                    // A fresh incarnation gets a fresh detector (and a fresh grace
+                    // period), so it suspects the peers still down on its own; the dead
+                    // one's counters fold into the run total. Peers retract their
+                    // suspicion of it when its heartbeats resume.
+                    let peers = self
+                        .membership
+                        .all_processes()
+                        .into_iter()
+                        .filter(|&q| q != p);
+                    if let Some(old) = self.detectors.insert(p, FailureDetector::new(peers, at)) {
+                        self.detector_stats.merge(&old.stats());
                     }
                 }
                 _ => {}
@@ -780,16 +741,16 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         nemesis.allows_delivery(from, to)
     }
 
-    /// Detector mode: an arrival from `from` proves it is alive to `to`'s detector;
-    /// a retracted suspicion is forwarded to the protocol immediately.
+    /// An arrival from `from` proves it is alive to `to`'s detector; a retracted
+    /// suspicion is forwarded to the protocol immediately.
     fn feed_liveness(&mut self, from: ProcessId, to: ProcessId, at: u64) {
-        let Some(detector) = self.detectors.get_mut(&to) else {
-            return;
-        };
+        let detector = self.detectors.get_mut(&to).expect("process exists");
         if let Some(DetectorEvent::Unsuspect(q)) = detector.heartbeat(from, at) {
-            if let Some(driver) = self.drivers.get_mut(&to) {
-                driver.protocol_mut().unsuspect(q);
-            }
+            self.drivers
+                .get_mut(&to)
+                .expect("process exists")
+                .protocol_mut()
+                .unsuspect(q);
             if let Some(t) = self.tracers.get(&to) {
                 t.process_event(at, to, ProcEvent::Unsuspect(q));
             }
@@ -842,14 +803,12 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                 .start(view, 0);
             self.absorb(p, 0, output);
         }
-        // Detector mode: start every process's tick chain, staggered so heartbeats do
-        // not arrive in lockstep across the cluster.
-        if let Some(d) = self.opts.detector {
-            let processes: Vec<ProcessId> = self.drivers.keys().copied().collect();
-            for (i, process) in processes.into_iter().enumerate() {
-                let offset = (i as u64 * 131) % d.heartbeat_interval_us.max(1);
-                self.push(offset, EventKind::DetectorTick { process });
-            }
+        // Start every process's detector tick chain, staggered so heartbeats do not
+        // arrive in lockstep across the cluster.
+        let processes: Vec<ProcessId> = self.drivers.keys().copied().collect();
+        for (i, process) in processes.into_iter().enumerate() {
+            let offset = (i as u64 * 131) % HEARTBEAT_INTERVAL_US;
+            self.push(offset, EventKind::DetectorTick { process });
         }
         // Kick off every client, slightly staggered for determinism without full symmetry.
         let client_ids: Vec<ClientId> = self.clients.keys().copied().collect();
@@ -928,13 +887,10 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                     }
                 }
                 EventKind::DetectorTick { process } => {
-                    let Some(d) = self.opts.detector else {
-                        continue;
-                    };
                     // Keep the tick chain alive through crashes so a restarted
                     // incarnation resumes scanning and beating without bookkeeping.
                     self.push(
-                        event.time + d.heartbeat_interval_us,
+                        event.time + HEARTBEAT_INTERVAL_US,
                         EventKind::DetectorTick { process },
                     );
                     if self.is_down(process) {
@@ -944,8 +900,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                     let events = self
                         .detectors
                         .get_mut(&process)
-                        .map(|det| det.tick(event.time))
-                        .unwrap_or_default();
+                        .expect("process exists")
+                        .tick(event.time);
                     for e in events {
                         if let DetectorEvent::Suspect(q) = e {
                             self.drivers
@@ -1352,9 +1308,11 @@ mod tests {
 
     #[test]
     fn detector_mode_survives_a_crash_without_the_oracle() {
-        // Same adversity as `crashed_minority_does_not_block_the_run`, but nobody
-        // tells the survivors about the crash: the timeout-based detector must notice
-        // on its own (counted suspicions) before recovery can finish the orphans.
+        // One site of five crashes mid-run and never returns. Nobody tells the
+        // survivors: the timeout-based detector must notice on its own (counted
+        // suspicions) before recovery can finish the orphans, and the survivors keep
+        // committing (failover picks a live coordinator; suspected processes are
+        // avoided in fast quorums).
         let config = Config::full(5, 1);
         let go = || {
             run::<Tempo, _>(
@@ -1366,7 +1324,6 @@ mod tests {
                     nemesis: Some(NemesisSchedule::coordinator_crash(0, 150_000)),
                     client_timeout_us: Some(30_000_000),
                     record_history: true,
-                    detector: Some(tempo_fault::DetectorOpts::default()),
                     ..SimOpts::default()
                 },
                 ConflictMix::new(0.05, 10, 9),
@@ -1388,8 +1345,8 @@ mod tests {
             .as_ref()
             .expect("history recorded")
             .check()
-            .expect("detector-mode chaos history must stay safe");
-        // Detector runs are as deterministic as oracle runs.
+            .expect("chaos history must stay safe");
+        // Detector runs are deterministic.
         let again = go();
         assert_eq!(report.completed, again.completed);
         assert_eq!(report.detector, again.detector);
@@ -1411,7 +1368,6 @@ mod tests {
                 nemesis: Some(NemesisSchedule::slow_node(0, 5_000_000, 200_000, 4_000_000)),
                 client_timeout_us: Some(30_000_000),
                 record_history: true,
-                detector: Some(tempo_fault::DetectorOpts::default()),
                 ..SimOpts::default()
             },
             ConflictMix::new(0.05, 10, 17),
@@ -1533,35 +1489,72 @@ mod tests {
         assert_eq!(render(&report), render(&again));
     }
 
+    /// What a restarted process learns about a peer that is still down. Nobody tells
+    /// it: its fresh detector must suspect that peer one timeout after the restart,
+    /// and the survivors must retract their suspicion of the restarted process once
+    /// its heartbeats resume.
     #[test]
-    fn crashed_minority_does_not_block_the_run() {
-        // One site of five crashes mid-run and never returns: the survivors keep
-        // committing (failover picks a live coordinator; suspected processes are
-        // avoided in fast quorums), and the fault shows up in the report.
-        let config = Config::full(5, 1);
-        let schedule = NemesisSchedule::coordinator_crash(0, 150_000);
+    fn restarted_process_suspects_a_peer_still_down() {
+        use tempo_kernel::trace::TraceEvent;
+        const CRASH_US: u64 = 150_000;
+        const RESTART_US: u64 = 500_000;
+        let config = Config::full(5, 2);
+        let schedule = NemesisSchedule::new(vec![
+            (CRASH_US, FaultEvent::Crash(1)),
+            (CRASH_US, FaultEvent::Crash(2)),
+            (RESTART_US, FaultEvent::Restart(1)),
+        ]);
         let report = run::<Tempo, _>(
             config,
             Planet::equidistant(5, 50.0),
             SimOpts {
                 clients_per_site: 2,
-                commands_per_client: 5,
+                commands_per_client: 10,
                 nemesis: Some(schedule),
                 client_timeout_us: Some(30_000_000),
                 record_history: true,
+                trace: true,
                 ..SimOpts::default()
             },
             ConflictMix::new(0.05, 10, 9),
         );
-        assert!(!report.stalled, "run must terminate despite the crash");
-        assert_eq!(report.faults.crashes, 1);
-        assert_eq!(
-            report.completed + report.aborted,
-            5 * 2 * 5,
-            "every command must be accounted for"
+        assert!(!report.stalled, "run must terminate despite the crashes");
+        assert_eq!(report.faults.crashes, 2);
+        assert_eq!(report.faults.restarts, 1);
+        let trace = report.trace.as_ref().expect("trace recorded");
+        // When `at` first traced `event` after the restart.
+        let first = |at: ProcessId, event: ProcEvent| {
+            trace
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Process {
+                        at_us,
+                        process,
+                        event: seen,
+                    } if process == at && seen == event && at_us >= RESTART_US => Some(at_us),
+                    _ => None,
+                })
+                .min()
+        };
+        assert_eq!(first(1, ProcEvent::Restart(1)), Some(RESTART_US));
+        let suspected = first(1, ProcEvent::Suspect(2)).expect("the new incarnation suspects 2");
+        let latency = suspected - RESTART_US;
+        assert!(
+            (100_000..=2_000_000 + HEARTBEAT_INTERVAL_US).contains(&latency),
+            "suspected 2 {latency} us after the restart"
         );
-        assert!(report.completed > 0);
-        let history = report.history.as_ref().expect("history recorded");
-        history.check().expect("chaos history must stay safe");
+        for survivor in [0, 3, 4] {
+            assert!(
+                first(survivor, ProcEvent::Unsuspect(1)).is_some(),
+                "survivor {survivor} never retracted its suspicion of 1"
+            );
+        }
+        report
+            .history
+            .as_ref()
+            .expect("history recorded")
+            .check()
+            .expect("restart history must stay safe");
     }
 }

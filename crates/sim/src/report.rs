@@ -53,10 +53,9 @@ pub struct RunReport {
     pub duration_us: u64,
     /// Aggregated protocol counters over all processes.
     pub metrics: ProtocolMetrics,
-    /// Injected faults and the messages they cost (all zero without a nemesis).
+    /// Injected faults and the frames they cost (all zero without a nemesis).
     pub faults: FaultSummary,
-    /// Failure-detector activity across all processes and incarnations (all zero in
-    /// oracle mode, i.e. without `SimOpts::detector`).
+    /// Failure-detector activity across all processes and incarnations.
     pub detector: DetectorStats,
     /// The recorded client/replica history, when `SimOpts::record_history` was set.
     pub history: Option<History>,
