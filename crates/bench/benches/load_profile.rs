@@ -3,7 +3,7 @@
 //!
 //! This is the load plane of DESIGN.md §8 end to end: seeded Poisson arrival
 //! schedules (`tempo-load`), hundreds to thousands of logical client sessions
-//! multiplexed over a few real sockets per site, `PlanetTransport` injecting the EC2
+//! multiplexed over a few real sockets per site, `LinkTransport` injecting the EC2
 //! 3-region one-way latencies on every endpoint, and per-op latency measured from
 //! *intended* arrival time into log-bucketed histograms — so saturation shows up as a
 //! growing tail instead of quietly throttling the generator (coordinated omission).

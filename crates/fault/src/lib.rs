@@ -6,10 +6,12 @@
 //! simulation:
 //!
 //! * [`nemesis`] — a seeded schedule of fault events (crashes, restarts, partitions,
-//!   lossy links, delay spikes) plus the network-state bookkeeping the simulator
-//!   consults before delivering each message, and preset schedules for the canonical
-//!   adversities (coordinator crash mid-commit, rolling crashes up to `f`, split brain
-//!   and heal, lossy-link soak);
+//!   lossy links, delay spikes, gray faults) plus the one interpreter both the
+//!   simulator and the networked runtime apply: it hands back the process actions
+//!   (crash, restart with its incarnation) and draws each frame's fate once, when the
+//!   frame is sent; and preset schedules for the canonical adversities (coordinator
+//!   crash mid-commit, rolling crashes up to `f`, split brain and heal, lossy-link
+//!   soak);
 //! * [`history`] — a concurrent history of client invocations/responses and per-replica
 //!   execution sequences, with a checker for per-key linearizability, cross-replica
 //!   agreement on the order of conflicting commands, and at-most-once execution;
@@ -27,8 +29,9 @@
 //!
 //! The crate is runtime-agnostic: `tempo-sim` consumes a [`NemesisSchedule`] through
 //! `SimOpts::nemesis` and records a [`History`] with `SimOpts::record_history`; any
-//! other embedder can do the same by consulting [`Nemesis`] before each delivery and
-//! feeding the history the invoke/complete/abort/execution events it observes. Crash
+//! other embedder (`tempo-runtime` is one) can do the same by carrying out what
+//! [`Nemesis::advance`] hands back, asking [`Nemesis::fate`] once per frame it sends,
+//! and feeding the history the invoke/complete/abort/execution events it observes. Crash
 //! *recovery* composes with durable state: the simulator's protocol factory decides
 //! what a restarted process keeps (a `tempo-store` backend) versus loses (everything
 //! volatile) — see `tests/durability.rs` for the two extremes, and `tests/chaos.rs`
@@ -57,5 +60,7 @@ pub mod serializability;
 
 pub use detector::{DetectorEvent, DetectorStats, FailureDetector, HEARTBEAT_INTERVAL_US};
 pub use history::{CheckSummary, History, Violation};
-pub use nemesis::{FaultEvent, FaultSummary, Nemesis, NemesisSchedule, RandomNemesisOpts};
+pub use nemesis::{
+    Fate, FaultEvent, FaultSummary, Nemesis, NemesisSchedule, ProcessAction, RandomNemesisOpts,
+};
 pub use serializability::{CycleEdge, EdgeKind, SerSummary};

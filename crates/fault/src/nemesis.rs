@@ -1,11 +1,14 @@
 //! Deterministic, seeded fault schedules and the network state they induce.
 //!
-//! A [`NemesisSchedule`] is a time-ordered list of [`FaultEvent`]s. The simulator hands
-//! the schedule to a [`Nemesis`], advances it as simulated time passes, and consults it
-//! before every message delivery: crashed endpoints, partitioned links and Bernoulli
-//! link drops all silently discard the message (counted in the [`FaultSummary`]), while
-//! delay spikes stretch a link's latency. Crash/restart events are returned to the
-//! embedder, which owns the process lifecycle (killing and rebuilding drivers).
+//! A [`NemesisSchedule`] is a time-ordered list of [`FaultEvent`]s. An embedder (the
+//! simulator, or the networked runtime) hands the schedule to a [`Nemesis`] and
+//! advances it as its clock passes. [`Nemesis::advance`] folds link faults into the
+//! network state and hands back only the [`ProcessAction`]s, crash and
+//! restart-with-incarnation, which the embedder carries out (killing and rebuilding
+//! drivers). The network state answers one query per frame, [`Nemesis::fate`], asked
+//! when the frame leaves its sender: dropped, or delivered after some extra latency and
+//! perhaps twice. Every fault and every frame it cost is counted in the
+//! [`FaultSummary`].
 //!
 //! The translation of Byzantine-grade adversity into systematically injected *crash*
 //! faults follows the methodology of Imbs/Raynal/Stainer ("From Byzantine Failures to
@@ -92,9 +95,7 @@ pub enum FaultEvent {
 /// the latency percentiles in the simulator's run report.
 ///
 /// The frame counters count every frame between replicas, failure-detector heartbeats
-/// as well as protocol messages: heartbeats cross the same afflicted network. In the
-/// simulator heartbeats are never duplicated or reordered, and one lost with a crashed
-/// endpoint is not counted in `dropped_crash`.
+/// as well as protocol messages: heartbeats cross the same afflicted network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// `Crash` events applied.
@@ -437,12 +438,39 @@ pub struct RandomNemesisOpts {
     pub seed: u64,
 }
 
-/// The live fault-injection state the simulator consults.
+/// A process-lifecycle action due under the schedule, for the embedder to carry out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProcessAction {
+    /// Stop the process: its volatile state and every frame it had in flight die.
+    Crash(ProcessId),
+    /// Rebuild the process from scratch as its `incarnation`-th life (1 for the first
+    /// restart), and have it rejoin.
+    Restart {
+        /// The restarted process.
+        process: ProcessId,
+        /// The 1-based restart count.
+        incarnation: u64,
+    },
+}
+
+/// What the network does to one frame that survives ([`Nemesis::fate`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fate {
+    /// Latency on top of the link's own: delay spike, slow sender and reorder hold,
+    /// summed.
+    pub extra_us: u64,
+    /// Deliver a second copy right behind the first.
+    pub duplicate: bool,
+}
+
+/// The live fault-injection state: who is down in which life, and what the links do.
 #[derive(Debug, Clone)]
 pub struct Nemesis {
     pending: VecDeque<(u64, FaultEvent)>,
     rng: Rng,
     down: BTreeSet<ProcessId>,
+    /// Restart count per process (absent = the original incarnation, 0).
+    incarnations: BTreeMap<ProcessId, u64>,
     /// Partition groups, when active: process -> group index (unlisted processes share
     /// the implicit group `usize::MAX`).
     groups: Option<BTreeMap<ProcessId, usize>>,
@@ -455,12 +483,13 @@ pub struct Nemesis {
 }
 
 impl Nemesis {
-    /// Creates the nemesis from a schedule; `seed` drives the per-message drop draws.
+    /// Creates the nemesis from a schedule; `seed` drives the per-frame draws.
     pub fn new(schedule: NemesisSchedule, seed: u64) -> Self {
         Self {
             pending: schedule.events.into(),
             rng: Rng::new(seed),
             down: BTreeSet::new(),
+            incarnations: BTreeMap::new(),
             groups: None,
             link_drop: BTreeMap::new(),
             link_delay: BTreeMap::new(),
@@ -476,21 +505,27 @@ impl Nemesis {
         self.pending.front().map(|(t, _)| *t)
     }
 
-    /// Applies every fault due at or before `now_us` to the network state and returns
-    /// them; the embedder acts on `Crash`/`Restart` (process lifecycle) and may log the
-    /// rest.
-    pub fn advance(&mut self, now_us: u64) -> Vec<FaultEvent> {
-        let mut fired = Vec::new();
+    /// Applies every fault due at or before `now_us`: link faults change the network
+    /// state, and the process actions come back for the embedder to carry out.
+    pub fn advance(&mut self, now_us: u64) -> Vec<ProcessAction> {
+        let mut actions = Vec::new();
         while self.pending.front().is_some_and(|(t, _)| *t <= now_us) {
             let (_, event) = self.pending.pop_front().expect("checked non-empty");
-            match &event {
+            match event {
                 FaultEvent::Crash(p) => {
-                    self.down.insert(*p);
+                    self.down.insert(p);
                     self.summary.crashes += 1;
+                    actions.push(ProcessAction::Crash(p));
                 }
-                FaultEvent::Restart(p) => {
-                    self.down.remove(p);
+                FaultEvent::Restart(process) => {
+                    self.down.remove(&process);
                     self.summary.restarts += 1;
+                    let incarnation = self.incarnations.entry(process).or_insert(0);
+                    *incarnation += 1;
+                    actions.push(ProcessAction::Restart {
+                        process,
+                        incarnation: *incarnation,
+                    });
                 }
                 FaultEvent::Partition(groups) => {
                     let mut map = BTreeMap::new();
@@ -512,29 +547,28 @@ impl Nemesis {
                     self.summary.heals += 1;
                 }
                 FaultEvent::DropLink { from, to, p } => {
-                    self.link_drop.insert((*from, *to), *p);
+                    self.link_drop.insert((from, to), p);
                     self.summary.link_faults += 1;
                 }
                 FaultEvent::DelaySpike { from, to, extra_us } => {
-                    self.link_delay.insert((*from, *to), *extra_us);
+                    self.link_delay.insert((from, to), extra_us);
                     self.summary.delay_spikes += 1;
                 }
                 FaultEvent::SlowNode { process, extra_us } => {
-                    self.slow.insert(*process, *extra_us);
+                    self.slow.insert(process, extra_us);
                     self.summary.slow_nodes += 1;
                 }
                 FaultEvent::DuplicateFrame { from, to, p } => {
-                    self.link_dup.insert((*from, *to), *p);
+                    self.link_dup.insert((from, to), p);
                     self.summary.dup_links += 1;
                 }
                 FaultEvent::ReorderFrame { from, to, p } => {
-                    self.link_reorder.insert((*from, *to), *p);
+                    self.link_reorder.insert((from, to), p);
                     self.summary.reorder_links += 1;
                 }
             }
-            fired.push(event);
         }
-        fired
+        actions
     }
 
     /// Whether `process` is currently crashed.
@@ -542,75 +576,66 @@ impl Nemesis {
         self.down.contains(&process)
     }
 
-    /// Extra one-way latency of `from → to` under the active delay spikes and slow
-    /// nodes (applied at send time, like the serialization delay it models). A
-    /// `SlowNode` slows everything its victim *sends* — its answers — which is what a
-    /// heartbeat-fed detector at the receiving end actually observes.
-    pub fn send_delay(&mut self, from: ProcessId, to: ProcessId) -> u64 {
-        let mut total = 0;
-        if let Some(extra) = self.link_delay.get(&(from, to)) {
-            self.summary.delayed += 1;
-            total += *extra;
-        }
-        if let Some(extra) = self.slow.get(&from) {
-            self.summary.slowed += 1;
-            total += *extra;
-        }
-        total
+    /// Which life `process` is in: 0 until its first restart, then the restart count.
+    pub fn incarnation(&self, process: ProcessId) -> u64 {
+        self.incarnations.get(&process).copied().unwrap_or(0)
     }
 
-    /// Consulted at delivery time: whether this frame should additionally be delivered
-    /// a second time (an active `DuplicateFrame` link whose Bernoulli draw fired).
-    pub fn should_duplicate(&mut self, from: ProcessId, to: ProcessId) -> bool {
-        if let Some(p) = self.link_dup.get(&(from, to)).copied() {
-            if self.rng.gen_bool(p) {
-                self.summary.duplicated += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Consulted at delivery time: if an active `ReorderFrame` link's draw fires,
-    /// returns the extra holdback delay (in microseconds) the frame must wait before
-    /// delivery — later frames overtake it, breaking FIFO on the link.
-    pub fn reorder_delay(&mut self, from: ProcessId, to: ProcessId) -> Option<u64> {
-        if let Some(p) = self.link_reorder.get(&(from, to)).copied() {
-            if self.rng.gen_bool(p) {
-                self.summary.reordered += 1;
-                return Some(500 + self.rng.gen_range(5_000));
-            }
-        }
-        None
-    }
-
-    /// Whether `process` is currently a `SlowNode` victim, and by how much.
-    pub fn slow_node_extra(&self, process: ProcessId) -> Option<u64> {
-        self.slow.get(&process).copied()
-    }
-
-    /// Consulted at delivery time: whether the message may be delivered given the
-    /// partition and lossy-link state. Records any drop in the summary.
-    pub fn allows_delivery(&mut self, from: ProcessId, to: ProcessId) -> bool {
+    /// The fate of one frame `from → to`, drawn once, when the frame leaves: `None` if
+    /// it is dropped, otherwise the extra latency it takes and whether it arrives
+    /// twice. The rule, in its fixed order, each step counted in the summary:
+    ///
+    /// 1. a partition between the endpoints drops it (no draw);
+    /// 2. a lossy link drops it on a Bernoulli draw;
+    /// 3. a delay spike on the link adds its latency (no draw);
+    /// 4. a slow sender adds its latency (no draw): a `SlowNode` slows what its victim
+    ///    *sends*, which is what a heartbeat-fed detector at the other end observes;
+    /// 5. a reordering link holds it back on a Bernoulli draw, for a second draw of
+    ///    0.5–5.5 ms, so that later frames overtake it;
+    /// 6. a duplicating link delivers it twice on a Bernoulli draw.
+    ///
+    /// A dropped frame takes no further draw and no further count. Whether an endpoint
+    /// is down is the embedder's check, made on delivery: a frame dies with the
+    /// connection it travels on ([`Nemesis::note_crash_drop`]).
+    pub fn fate(&mut self, from: ProcessId, to: ProcessId) -> Option<Fate> {
         if let Some(groups) = &self.groups {
-            let ga = groups.get(&from).copied().unwrap_or(usize::MAX);
-            let gb = groups.get(&to).copied().unwrap_or(usize::MAX);
-            if ga != gb {
+            let group = |p| groups.get(&p).copied().unwrap_or(usize::MAX);
+            if group(from) != group(to) {
                 self.summary.dropped_partition += 1;
-                return false;
+                return None;
             }
         }
-        if let Some(p) = self.link_drop.get(&(from, to)).copied() {
+        let link = (from, to);
+        if let Some(&p) = self.link_drop.get(&link) {
             if self.rng.gen_bool(p) {
                 self.summary.dropped_link += 1;
-                return false;
+                return None;
             }
         }
-        true
+        let mut fate = Fate::default();
+        if let Some(&extra) = self.link_delay.get(&link) {
+            self.summary.delayed += 1;
+            fate.extra_us += extra;
+        }
+        if let Some(&extra) = self.slow.get(&from) {
+            self.summary.slowed += 1;
+            fate.extra_us += extra;
+        }
+        if let Some(&p) = self.link_reorder.get(&link) {
+            if self.rng.gen_bool(p) {
+                self.summary.reordered += 1;
+                fate.extra_us += 500 + self.rng.gen_range(5_000);
+            }
+        }
+        if let Some(&p) = self.link_dup.get(&link) {
+            fate.duplicate = self.rng.gen_bool(p);
+            self.summary.duplicated += u64::from(fate.duplicate);
+        }
+        Some(fate)
     }
 
-    /// Records a message dropped because an endpoint was crashed or the sender
-    /// restarted since sending (the embedder detects both — it owns incarnations).
+    /// Records a frame lost with a crashed endpoint, or with an incarnation that has
+    /// since been replaced (the embedder detects both: it owns the connections).
     pub fn note_crash_drop(&mut self) {
         self.summary.dropped_crash += 1;
     }
@@ -645,11 +670,18 @@ mod tests {
         ]);
         let mut n = Nemesis::new(s, 1);
         assert_eq!(n.next_due(), Some(10));
-        let fired = n.advance(10);
-        assert_eq!(fired.len(), 1);
+        assert_eq!(n.advance(10), vec![ProcessAction::Crash(0)]);
         assert!(n.is_down(0));
-        n.advance(25);
+        assert_eq!(n.incarnation(0), 0);
+        assert_eq!(
+            n.advance(25),
+            vec![ProcessAction::Restart {
+                process: 0,
+                incarnation: 1
+            }]
+        );
         assert!(!n.is_down(0));
+        assert_eq!(n.incarnation(0), 1);
         let summary = n.summary();
         assert_eq!(summary.crashes, 1);
         assert_eq!(summary.restarts, 1);
@@ -663,10 +695,10 @@ mod tests {
         ]);
         let mut n = Nemesis::new(s, 1);
         n.advance(0);
-        assert!(!n.allows_delivery(0, 1));
-        assert!(n.allows_delivery(1, 2));
+        assert_eq!(n.fate(0, 1), None);
+        assert_eq!(n.fate(1, 2), Some(Fate::default()));
         n.advance(100);
-        assert!(n.allows_delivery(0, 1));
+        assert_eq!(n.fate(0, 1), Some(Fate::default()));
         assert_eq!(n.summary().dropped_partition, 1);
     }
 
@@ -675,8 +707,8 @@ mod tests {
         let s = NemesisSchedule::new(vec![(0, FaultEvent::Partition(vec![vec![0]]))]);
         let mut n = Nemesis::new(s, 1);
         n.advance(0);
-        assert!(!n.allows_delivery(0, 1));
-        assert!(n.allows_delivery(1, 2), "unlisted processes stay connected");
+        assert_eq!(n.fate(0, 1), None);
+        assert!(n.fate(1, 2).is_some(), "unlisted processes stay connected");
     }
 
     #[test]
@@ -693,11 +725,11 @@ mod tests {
         n.advance(0);
         let mut dropped = 0;
         for _ in 0..10_000 {
-            if !n.allows_delivery(0, 1) {
+            if n.fate(0, 1).is_none() {
                 dropped += 1;
             }
             // The reverse direction is unaffected.
-            assert!(n.allows_delivery(1, 0));
+            assert!(n.fate(1, 0).is_some());
         }
         let rate = dropped as f64 / 10_000.0;
         assert!((0.25..0.35).contains(&rate), "drop rate off: {rate}");
@@ -705,7 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn delay_spike_applies_at_send_time() {
+    fn delay_spike_stretches_only_its_link() {
         let s = NemesisSchedule::new(vec![(
             0,
             FaultEvent::DelaySpike {
@@ -716,8 +748,9 @@ mod tests {
         )]);
         let mut n = Nemesis::new(s, 1);
         n.advance(0);
-        assert_eq!(n.send_delay(2, 0), 5_000);
-        assert_eq!(n.send_delay(0, 2), 0);
+        let extra = |n: &mut Nemesis, from, to| n.fate(from, to).expect("delivered").extra_us;
+        assert_eq!(extra(&mut n, 2, 0), 5_000);
+        assert_eq!(extra(&mut n, 0, 2), 0);
         assert_eq!(n.summary().delayed, 1);
     }
 
@@ -741,12 +774,12 @@ mod tests {
     fn slow_node_delays_only_its_sends_until_heal() {
         let s = NemesisSchedule::slow_node(1, 300_000, 10, 100);
         let mut n = Nemesis::new(s, 1);
+        let extra = |n: &mut Nemesis, from, to| n.fate(from, to).expect("delivered").extra_us;
         n.advance(10);
-        assert_eq!(n.send_delay(1, 0), 300_000, "the slow node answers late");
-        assert_eq!(n.send_delay(0, 1), 0, "traffic *to* it is unaffected");
-        assert_eq!(n.slow_node_extra(1), Some(300_000));
+        assert_eq!(extra(&mut n, 1, 0), 300_000, "the slow node answers late");
+        assert_eq!(extra(&mut n, 0, 1), 0, "traffic *to* it is unaffected");
         n.advance(100);
-        assert_eq!(n.send_delay(1, 0), 0, "heal clears the gray fault");
+        assert_eq!(extra(&mut n, 1, 0), 0, "heal clears the gray fault");
         assert_eq!(n.summary().slow_nodes, 1);
         assert_eq!(n.summary().slowed, 1);
     }
@@ -776,15 +809,17 @@ mod tests {
         let mut dups = 0;
         let mut reorders = 0;
         for _ in 0..10_000 {
-            if n.should_duplicate(0, 1) {
+            let forth = n.fate(0, 1).expect("no drops configured");
+            if forth.duplicate {
                 dups += 1;
             }
-            assert!(!n.should_duplicate(1, 0), "only the configured link");
-            if let Some(extra) = n.reorder_delay(1, 0) {
-                assert!(extra >= 500, "holdback must be non-zero");
+            assert_eq!(forth.extra_us, 0, "only the configured link holds back");
+            let back = n.fate(1, 0).expect("no drops configured");
+            assert!(!back.duplicate, "only the configured link duplicates");
+            if back.extra_us > 0 {
+                assert!(back.extra_us >= 500, "holdback must be at least 0.5 ms");
                 reorders += 1;
             }
-            assert!(n.reorder_delay(0, 1).is_none());
         }
         for (name, count) in [("dup", dups), ("reorder", reorders)] {
             let rate = count as f64 / 10_000.0;
@@ -792,10 +827,138 @@ mod tests {
         }
         assert_eq!(n.summary().duplicated, dups);
         assert_eq!(n.summary().reordered, reorders);
-        // Heal clears both.
-        let mut healed = Nemesis::new(NemesisSchedule::new(vec![(5, FaultEvent::Heal)]), 1);
-        healed.advance(5);
-        assert!(!healed.should_duplicate(0, 1));
+    }
+
+    /// The fixed draw order: a frame the lossy draw drops takes no duplicate draw and
+    /// counts no duplicate.
+    #[test]
+    fn a_dropped_frame_takes_no_further_draw() {
+        const SEED: u64 = 5;
+        let s = NemesisSchedule::new(vec![
+            (
+                0,
+                FaultEvent::DropLink {
+                    from: 0,
+                    to: 1,
+                    p: 1.0,
+                },
+            ),
+            (
+                0,
+                FaultEvent::DuplicateFrame {
+                    from: 0,
+                    to: 1,
+                    p: 1.0,
+                },
+            ),
+        ]);
+        let mut n = Nemesis::new(s, SEED);
+        n.advance(0);
+        assert_eq!(n.fate(0, 1), None);
+        let summary = n.summary();
+        assert_eq!((summary.dropped_link, summary.duplicated), (1, 0));
+        // One draw (the drop) was taken from the sequence, and nothing after it.
+        let mut reference = Rng::new(SEED);
+        reference.next_u64();
+        assert_eq!(n.rng.next_u64(), reference.next_u64());
+    }
+
+    /// Every latency effect on a link sums into one `extra_us`.
+    #[test]
+    fn delay_spike_slow_node_and_reorder_hold_sum() {
+        let s = NemesisSchedule::new(vec![
+            (
+                0,
+                FaultEvent::DelaySpike {
+                    from: 0,
+                    to: 1,
+                    extra_us: 10_000,
+                },
+            ),
+            (
+                0,
+                FaultEvent::SlowNode {
+                    process: 0,
+                    extra_us: 200_000,
+                },
+            ),
+            (
+                0,
+                FaultEvent::ReorderFrame {
+                    from: 0,
+                    to: 1,
+                    p: 1.0,
+                },
+            ),
+        ]);
+        let mut n = Nemesis::new(s, 3);
+        n.advance(0);
+        let fate = n.fate(0, 1).expect("delivered");
+        let hold = fate.extra_us - 210_000;
+        assert!((500..5_500).contains(&hold), "reorder hold {hold} us");
+        assert!(!fate.duplicate);
+        let summary = n.summary();
+        assert_eq!(
+            (summary.delayed, summary.slowed, summary.reordered),
+            (1, 1, 1)
+        );
+    }
+
+    /// `Heal` clears every link effect at once (crashed processes stay crashed).
+    #[test]
+    fn heal_clears_every_link_effect() {
+        let s = NemesisSchedule::new(vec![
+            (0, FaultEvent::Crash(2)),
+            (0, FaultEvent::Partition(vec![vec![0], vec![1]])),
+            (
+                0,
+                FaultEvent::DropLink {
+                    from: 1,
+                    to: 0,
+                    p: 1.0,
+                },
+            ),
+            (
+                0,
+                FaultEvent::DelaySpike {
+                    from: 0,
+                    to: 1,
+                    extra_us: 10_000,
+                },
+            ),
+            (
+                0,
+                FaultEvent::SlowNode {
+                    process: 1,
+                    extra_us: 10_000,
+                },
+            ),
+            (
+                0,
+                FaultEvent::DuplicateFrame {
+                    from: 0,
+                    to: 1,
+                    p: 1.0,
+                },
+            ),
+            (
+                0,
+                FaultEvent::ReorderFrame {
+                    from: 1,
+                    to: 0,
+                    p: 1.0,
+                },
+            ),
+            (10, FaultEvent::Heal),
+        ]);
+        let mut n = Nemesis::new(s, 1);
+        n.advance(0);
+        assert_eq!(n.fate(0, 1), None);
+        n.advance(10);
+        for (from, to) in [(0, 1), (1, 0)] {
+            assert_eq!(n.fate(from, to), Some(Fate::default()), "{from} -> {to}");
+        }
+        assert!(n.is_down(2));
     }
 
     /// The random generator never aims a link-level incident (lossy link, delay spike,

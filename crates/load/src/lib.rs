@@ -23,7 +23,7 @@
 //!
 //! The pieces that *apply* this load live in `tempo-sim` (closed-loop simulated
 //! clients) and `tempo-runtime` (`run_workload`, `run_load`), the WAN emulation
-//! lives in `tempo-net` (`PlanetTransport`), and the streaming histograms they record
+//! lives in `tempo-net` (`LinkTransport`), and the streaming histograms they record
 //! into are `tempo_kernel::metrics::LogHistogram`.
 
 #![forbid(unsafe_code)]

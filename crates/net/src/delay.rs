@@ -1,9 +1,7 @@
-//! The delay heap of the receive-path shims: [`PlanetTransport`] parks every frame in it
-//! for its one-way latency, [`ChaosTransport`] the frames a delay spike, slow node,
-//! reorder or duplicate draw holds back.
+//! The delay heap of [`LinkTransport`]: every frame the emulated network holds back
+//! (latency, delay spike, slow node, reorder hold, duplicate) parks in it once.
 //!
-//! [`PlanetTransport`]: crate::planet::PlanetTransport
-//! [`ChaosTransport`]: crate::chaos::ChaosTransport
+//! [`LinkTransport`]: crate::link::LinkTransport
 
 use crate::transport::{RecvError, Transport};
 use std::cmp::Reverse;

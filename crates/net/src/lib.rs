@@ -23,16 +23,15 @@
 //!   feeding a single inbox one batch of frames per `read`, and lazy reconnection
 //!   through a shared address book so a restarted process (fresh listener, fresh
 //!   port) is reachable again without any coordination.
-//! * [`planet`] — [`PlanetTransport`], a wrapper over any transport that injects the
-//!   `tempo-planet` one-way region latencies (Table 2) on the receive path, so that
-//!   load and latency measurements run on real sockets across *emulated* wide-area
-//!   regions. Replicas and client endpoints both live in regions; see DESIGN.md §8.
-//! * [`chaos`] — [`ChaosTransport`], a wrapper over any transport that consumes the
-//!   *same* `tempo-fault::Nemesis` schedules the simulator runs: partitions and lossy
-//!   links drop frames at delivery, delay spikes hold them back, and the shared
-//!   [`ChaosNet`] clock tells the embedding runtime when to kill and restart whole
-//!   replica threads. What the sim injects at simulated instants, this injects at
-//!   wall-clock instants — same schedules, real concurrency.
+//! * [`link`] — [`LinkTransport`], the one wrapper over any transport that emulates the
+//!   network on the receive path: the `tempo-planet` one-way region latencies (Table
+//!   2), so that load and latency measurements run on real sockets across *emulated*
+//!   wide-area regions, and the fate the *same* `tempo-fault::Nemesis` the simulator
+//!   runs draws for each replica frame, once (dropped, or delayed and perhaps
+//!   duplicated). Each frame parks once, for both. The embedding runtime advances the
+//!   nemesis shared in the [`LinkNet`] and kills and restarts whole replica threads.
+//!   What the sim injects at simulated instants, this injects at wall-clock instants:
+//!   same schedules, real concurrency. See DESIGN.md §7 and §8.
 //!
 //! What dies with what (the crash model): a process crash drops its endpoint, which
 //! closes every socket — unread peer data, unflushed sends and inbox backlog are
@@ -44,15 +43,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 mod delay;
-pub mod planet;
+pub mod link;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use chaos::{ChaosNet, ChaosTransport};
-pub use planet::{PlanetNet, PlanetTransport};
+pub use link::{LinkNet, LinkTransport};
 pub use tcp::{TcpMesh, TcpTransport};
 pub use transport::{RecvError, Transport, TransportStats, CLIENT_ID_BASE};
 pub use wire::{ClientReply, ClientRequest, Wire, MAX_FRAME_LEN};

@@ -25,8 +25,9 @@
 //!   with it — sockets close, queued frames drop); `Restart` builds a fresh
 //!   incarnation through the [`RuntimeFactory`] (a factory that reopens the replica's
 //!   `FileStore` directory models the disk surviving the crash), whose rejoin
-//!   handshake and state transfer then run over the real transport. Link-level faults
-//!   are enforced inside [`ChaosTransport`] on the delivery path.
+//!   handshake and state transfer then run over the real transport. The link faults
+//!   are [`LinkTransport`]'s: it draws each replica frame's fate on the delivery path,
+//!   and parks the frame once for that fate and for the planet's latency.
 //! * **Failure detection.** Nobody tells the survivors about a crash or a restart:
 //!   each replica runs a `tempo-fault` [`FailureDetector`], the only source of its
 //!   `suspect`/`unsuspect` calls. Heartbeat beacons cross the same chaos-afflicted
@@ -46,8 +47,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tempo_fault::{
-    DetectorEvent, DetectorStats, FailureDetector, FaultEvent, FaultSummary, History,
-    NemesisSchedule, HEARTBEAT_INTERVAL_US,
+    DetectorEvent, DetectorStats, FailureDetector, FaultSummary, History, Nemesis, NemesisSchedule,
+    ProcessAction, HEARTBEAT_INTERVAL_US,
 };
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;
@@ -60,8 +61,8 @@ use tempo_kernel::trace::{CmdPhase, ProcEvent, TraceLog, Tracer, DEFAULT_TRACE_C
 use tempo_load::{Mix, Session};
 use tempo_net::wire::{DecodeError, Reader, Wire, Writer};
 use tempo_net::{
-    ChaosNet, ChaosTransport, ClientReply, ClientRequest, PlanetNet, PlanetTransport, RecvError,
-    TcpMesh, Transport, TransportStats, CLIENT_ID_BASE,
+    ClientReply, ClientRequest, LinkNet, LinkTransport, RecvError, TcpMesh, Transport,
+    TransportStats, CLIENT_ID_BASE,
 };
 use tempo_planet::Planet;
 use tempo_trace::merge_and_fold;
@@ -78,7 +79,7 @@ pub type RuntimeFactory<P> = Box<dyn FnMut(ProcessId, ShardId, Config, u64) -> P
 pub struct NetOpts {
     /// Optional fault schedule, with times in microseconds since cluster start.
     pub nemesis: Option<NemesisSchedule>,
-    /// Seed for the nemesis's per-frame drop draws.
+    /// Seed for the nemesis's per-frame draws.
     pub seed: u64,
     /// Record the client/replica [`History`] for the `tempo-fault` checker.
     pub record_history: bool,
@@ -87,7 +88,7 @@ pub struct NetOpts {
     pub client_timeout: Duration,
     /// WAN emulation: with a [`Planet`], every endpoint (replica *and* client) is
     /// placed in its site's region, frames are held back by the matrix's one-way
-    /// latencies ([`PlanetTransport`]), and replicas sort their quorum views by
+    /// latencies ([`LinkTransport`]), and replicas sort their quorum views by
     /// geographic distance (`Planet::view_for`) instead of ring order — so fig6/fig7
     /// measurements run on real sockets across emulated regions.
     pub planet: Option<Planet>,
@@ -514,11 +515,9 @@ where
 
 // ----------------------------------------------------------------- supervisor
 
-#[allow(clippy::too_many_arguments)]
 fn supervisor_loop<P>(
-    chaos: Arc<ChaosNet>,
+    links: Arc<LinkNet>,
     mesh: TcpMesh,
-    planet: Option<Arc<PlanetNet>>,
     shared: Arc<Shared>,
     seats: Arc<Mutex<BTreeMap<ProcessId, Seat>>>,
     dead: Arc<Mutex<Vec<ReplicaExit>>>,
@@ -528,20 +527,22 @@ fn supervisor_loop<P>(
     P: Protocol + Send + 'static,
     P::Message: Wire + Send + 'static,
 {
-    let mut incarnations: BTreeMap<ProcessId, u64> = BTreeMap::new();
     while !done.load(Ordering::Relaxed) {
-        let Some(due) = chaos.next_due_us() else {
+        let now = shared.now_us();
+        let Some(due) = links.nemesis().and_then(|n| n.next_due()) else {
             break; // Schedule exhausted: nothing left to inject.
         };
-        let now = chaos.now_us();
         if due > now {
             // Sleep in slices so shutdown stays prompt.
             std::thread::sleep(Duration::from_micros((due - now).min(20_000)));
             continue;
         }
-        for event in chaos.advance() {
-            match event {
-                FaultEvent::Crash(p) => {
+        // The lock is released before acting: a replica being stopped may be waiting
+        // for it in its transport.
+        let actions = links.nemesis().map(|mut n| n.advance(now));
+        for action in actions.unwrap_or_default() {
+            match action {
+                ProcessAction::Crash(p) => {
                     // Kill the thread; its endpoint (sockets, queued frames, inbox)
                     // dies with it.
                     let seat = seats.lock().expect("seats lock").remove(&p);
@@ -556,15 +557,16 @@ fn supervisor_loop<P>(
                         .tracer(p)
                         .process_event(shared.now_us(), p, ProcEvent::Crash(p));
                 }
-                FaultEvent::Restart(p) => {
-                    let incarnation = incarnations.entry(p).and_modify(|i| *i += 1).or_insert(1);
-                    let incarnation = *incarnation;
+                ProcessAction::Restart {
+                    process: p,
+                    incarnation,
+                } => {
                     shared
                         .tracer(p)
                         .process_event(shared.now_us(), p, ProcEvent::Restart(p));
                     let shard = shared.membership.shard_of(p);
                     let protocol = factory(p, shard, shared.config, incarnation);
-                    let transport = make_transport(&mesh, Some(&chaos), planet.as_ref(), p)
+                    let transport = make_transport(&mesh, Some(&links), p)
                         .expect("bind restarted replica endpoint");
                     shared.down.lock().expect("down lock").remove(&p);
                     let seat = spawn_replica(
@@ -577,28 +579,23 @@ fn supervisor_loop<P>(
                     );
                     seats.lock().expect("seats lock").insert(p, seat);
                 }
-                // Partitions, lossy links and delay spikes were absorbed into the
-                // nemesis state by `advance` and are enforced by the ChaosTransports.
-                _ => {}
             }
         }
     }
 }
 
+/// An endpoint of `id`: behind the one [`LinkTransport`] when the cluster emulates a
+/// network (a planet, a nemesis or both), a bare TCP endpoint otherwise.
 fn make_transport(
     mesh: &TcpMesh,
-    chaos: Option<&Arc<ChaosNet>>,
-    planet: Option<&Arc<PlanetNet>>,
+    links: Option<&Arc<LinkNet>>,
     id: ProcessId,
 ) -> std::io::Result<Box<dyn Transport>> {
-    let mut transport: Box<dyn Transport> = Box::new(mesh.endpoint(id, true)?);
-    if let Some(net) = planet {
-        transport = Box::new(PlanetTransport::new(transport, Arc::clone(net)));
-    }
-    if let Some(net) = chaos {
-        transport = Box::new(ChaosTransport::new(transport, Arc::clone(net)));
-    }
-    Ok(transport)
+    let endpoint = mesh.endpoint(id, true)?;
+    Ok(match links {
+        Some(net) => Box::new(LinkTransport::new(endpoint, Arc::clone(net))),
+        None => Box::new(endpoint),
+    })
 }
 
 // -------------------------------------------------------------------- cluster
@@ -609,8 +606,8 @@ fn make_transport(
 pub struct NetCluster {
     pub(crate) shared: Arc<Shared>,
     mesh: TcpMesh,
-    planet_net: Option<Arc<PlanetNet>>,
-    chaos: Option<Arc<ChaosNet>>,
+    /// The emulated network, when [`NetOpts`] asks for a planet or a nemesis.
+    links: Option<Arc<LinkNet>>,
     seats: Arc<Mutex<BTreeMap<ProcessId, Seat>>>,
     dead: Arc<Mutex<Vec<ReplicaExit>>>,
     supervisor: Option<JoinHandle<()>>,
@@ -667,14 +664,8 @@ impl NetCluster {
     {
         let membership = Membership::from_config(&config);
         let mesh = TcpMesh::new();
-        let chaos = opts
-            .nemesis
-            .clone()
-            .map(|schedule| Arc::new(ChaosNet::new(schedule, opts.seed)));
-        let epoch = chaos
-            .as_ref()
-            .map(|c| c.epoch())
-            .unwrap_or_else(Instant::now);
+        // Protocol time and the nemesis schedule both count from here.
+        let epoch = Instant::now();
         if let Some(planet) = &opts.planet {
             assert!(
                 planet.len() >= membership.sites(),
@@ -683,8 +674,12 @@ impl NetCluster {
                 membership.sites()
             );
         }
-        let planet_net = opts.planet.as_ref().map(|planet| {
-            let net = Arc::new(PlanetNet::new(planet.clone()));
+        let nemesis = opts
+            .nemesis
+            .clone()
+            .map(|schedule| Nemesis::new(schedule, opts.seed));
+        let links = (opts.planet.is_some() || nemesis.is_some()).then(|| {
+            let net = Arc::new(LinkNet::new(opts.planet.clone(), nemesis));
             for id in membership.all_processes() {
                 net.register(id, membership.site_of(id));
             }
@@ -718,32 +713,30 @@ impl NetCluster {
         for id in membership.all_processes() {
             let shard = membership.shard_of(id);
             let protocol = factory(id, shard, config, 0);
-            let transport = make_transport(&mesh, chaos.as_ref(), planet_net.as_ref(), id)?;
+            let transport = make_transport(&mesh, links.as_ref(), id)?;
             let seat = spawn_replica(protocol, transport, id, shard, 0, Arc::clone(&shared));
             seats.lock().expect("seats lock").insert(id, seat);
         }
         let dead = Arc::new(Mutex::new(Vec::new()));
         let done = Arc::new(AtomicBool::new(false));
-        let supervisor = chaos.as_ref().map(|net| {
-            let net = Arc::clone(net);
-            let mesh = mesh.clone();
-            let planet = planet_net.clone();
-            let shared = Arc::clone(&shared);
-            let seats = Arc::clone(&seats);
-            let dead = Arc::clone(&dead);
-            let done = Arc::clone(&done);
-            std::thread::Builder::new()
-                .name("supervisor".to_string())
-                .spawn(move || {
-                    supervisor_loop(net, mesh, planet, shared, seats, dead, done, factory)
-                })
-                .expect("spawn supervisor thread")
-        });
+        let supervisor = links
+            .clone()
+            .filter(|l| l.nemesis().is_some())
+            .map(|links| {
+                let mesh = mesh.clone();
+                let shared = Arc::clone(&shared);
+                let seats = Arc::clone(&seats);
+                let dead = Arc::clone(&dead);
+                let done = Arc::clone(&done);
+                std::thread::Builder::new()
+                    .name("supervisor".to_string())
+                    .spawn(move || supervisor_loop(links, mesh, shared, seats, dead, done, factory))
+                    .expect("spawn supervisor thread")
+            });
         Ok(NetCluster {
             shared,
             mesh,
-            planet_net,
-            chaos,
+            links,
             seats,
             dead,
             supervisor,
@@ -758,9 +751,10 @@ impl NetCluster {
 
     /// Whether the nemesis schedule still has a fault to inject.
     fn nemesis_pending(&self) -> bool {
-        self.chaos
+        self.links
             .as_ref()
-            .is_some_and(|c| c.next_due_us().is_some())
+            .and_then(|l| l.nemesis())
+            .is_some_and(|n| n.next_due().is_some())
     }
 
     /// The phase-latency fold of everything traced so far, without draining the
@@ -773,9 +767,10 @@ impl NetCluster {
             .then(|| merge_and_fold(tracers.values().map(Tracer::snapshot).collect()).1)
     }
 
-    /// Builds a client-side transport endpoint colocated with `site`: planet-wrapped
-    /// (clients live in regions too) but chaos-exempt, like the simulator's client
-    /// bookkeeping. Shared by [`ClientSession`] and the load driver's pumps.
+    /// Builds a client-side transport endpoint colocated with `site`: delayed by the
+    /// planet (clients live in regions too) but exempt from faults, like the
+    /// simulator's client bookkeeping. Shared by [`ClientSession`] and the load
+    /// driver's pumps.
     pub(crate) fn client_transport(
         &self,
         site: SiteId,
@@ -786,10 +781,12 @@ impl NetCluster {
             "site out of range"
         );
         let id = CLIENT_ID_BASE + client;
-        if let Some(net) = &self.planet_net {
+        if let Some(net) = &self.links {
             net.register(id, site);
         }
-        make_transport(&self.mesh, None, self.planet_net.as_ref(), id)
+        // Faults spare client frames, so only geography needs the shim here.
+        let links = self.links.as_ref().filter(|l| l.planet().is_some());
+        make_transport(&self.mesh, links, id)
     }
 
     /// Opens a client session colocated with `site`. Commands submitted through it
@@ -832,7 +829,12 @@ impl NetCluster {
             transport.merge(stats);
             detector.merge(det);
         }
-        let mut faults = self.chaos.as_ref().map(|c| c.summary()).unwrap_or_default();
+        let mut faults = self
+            .links
+            .as_ref()
+            .and_then(|l| l.nemesis())
+            .map(|n| n.summary())
+            .unwrap_or_default();
         // Frames the transport layer discarded because their destination incarnation
         // had been replaced are crash casualties: count them where the simulator
         // counts frames lost to a crashed process.

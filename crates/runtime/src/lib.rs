@@ -15,8 +15,8 @@
 //!   process and restarts become kill-thread / reopen-store / rejoin + state
 //!   transfer); a [`NemesisSchedule`](tempo_fault::NemesisSchedule) turns the run
 //!   into a chaos experiment — the supervisor kills and revives replica threads while
-//!   [`ChaosTransport`](tempo_net::ChaosTransport) drops, delays and partitions
-//!   frames *under real thread interleaving*; [`ClientSession`]s submit over the
+//!   [`LinkTransport`](tempo_net::LinkTransport) drops, delays, duplicates and
+//!   partitions frames *under real thread interleaving*; [`ClientSession`]s submit over the
 //!   transport with timeout/failover matching the simulator's semantics, and the
 //!   recorded [`History`](tempo_fault::History) feeds the same `tempo-fault` checker
 //!   the sim runs. See DESIGN.md §7 for the networking model. With a

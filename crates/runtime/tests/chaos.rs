@@ -5,7 +5,7 @@
 //! These are the networked twins of `crates/fault/tests/chaos.rs` (which runs the
 //! same presets in simulation): coordinator-crash-mid-commit with a later restart
 //! (kill thread → reopen store → rejoin + state transfer over real sockets), and
-//! split-brain-and-heal enforced by `ChaosTransport` on the delivery path. Schedule
+//! split-brain-and-heal enforced by `LinkTransport` on the delivery path. Schedule
 //! times are wall-clock here, so the protocol timeouts are tightened to keep each
 //! seed's run to a few seconds; the checker's verdict — linearizable per key,
 //! replicas agreeing on conflict order, at-most-once per incarnation — is the same

@@ -20,12 +20,14 @@
 //!
 //! # The fault plane
 //!
-//! [`SimOpts::nemesis`] plugs a [`Nemesis`] schedule into the event loop: before every
-//! delivery the simulator consults the crash/partition/lossy-link state (messages from
-//! or to a crashed process — or from a *previous incarnation* of a restarted one — are
-//! lost, modelling TCP connections dying with their endpoint), crashed processes stop
-//! firing timers and are skipped by client failover, and a `Restart` rebuilds the
-//! process from `Protocol::new` (volatile state lost) and runs its rejoin hook. Nobody
+//! [`SimOpts::nemesis`] plugs a [`Nemesis`] schedule into the event loop. Every frame
+//! between processes, heartbeats included, has its fate drawn once, when it is sent
+//! ([`Nemesis::fate`]: dropped, or delayed and perhaps duplicated); on delivery only
+//! the connection is checked (frames from or to a crashed process — or from or to a
+//! *previous incarnation* of a restarted one — are lost, modelling TCP connections
+//! dying with their endpoint). Crashed processes stop firing timers and are skipped by
+//! client failover, and a `Restart` rebuilds the process from `Protocol::new`
+//! (volatile state lost) and runs its rejoin hook. Nobody
 //! tells the survivors about a crash or a restart: every process runs a `tempo-fault`
 //! [`FailureDetector`] fed by heartbeats that cross the same afflicted network as
 //! protocol messages (and by every message that arrives), and its suspicions are the
@@ -58,8 +60,8 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use tempo_fault::{
-    DetectorEvent, DetectorStats, FailureDetector, FaultEvent, History, Nemesis, NemesisSchedule,
-    HEARTBEAT_INTERVAL_US,
+    DetectorEvent, DetectorStats, FailureDetector, History, Nemesis, NemesisSchedule,
+    ProcessAction, HEARTBEAT_INTERVAL_US,
 };
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
@@ -121,7 +123,7 @@ pub struct SimOpts {
     pub commands_per_client: usize,
     /// Optional CPU cost model; `None` reproduces the paper's idealized simulator mode.
     pub cpu: Option<CpuModel>,
-    /// Seed of the nemesis's message-drop draws (the command mix carries its own seed).
+    /// Seed of the nemesis's per-frame draws (the command mix carries its own seed).
     pub seed: u64,
     /// Safety cap on simulated time; a run that exceeds it is reported as stalled.
     pub max_sim_time_us: u64,
@@ -164,18 +166,20 @@ impl Default for SimOpts {
 }
 
 enum EventKind<M> {
+    /// A frame arriving at `to`: a protocol message, or a heartbeat.
     Deliver {
         from: ProcessId,
-        /// The sender's incarnation when the message left: a restart in between kills
-        /// the connection, so the message is lost with it.
+        /// The sender's incarnation when the frame left: a restart in between kills
+        /// the connection, so the frame is lost with it.
         from_incarnation: u64,
-        /// The destination's incarnation at send time: a message addressed to an
+        /// The destination's incarnation at send time: a frame addressed to an
         /// incarnation that has since crashed (or been replaced) dies with it too.
         to_incarnation: u64,
         to: ProcessId,
-        /// Shared across the destinations of one broadcast: an n-way fan-out enqueues n
-        /// reference bumps, not n deep copies of the message (command payload included).
-        msg: Arc<M>,
+        /// `None` for a heartbeat, which carries nothing but its sender. Shared across
+        /// the destinations of one broadcast: an n-way fan-out enqueues n reference
+        /// bumps, not n deep copies of the message (command payload included).
+        msg: Option<Arc<M>>,
     },
     /// Wake a process because one of its protocol-scheduled timers may be due.
     TimerWake {
@@ -197,14 +201,6 @@ enum EventKind<M> {
     /// The process scans for overdue peers and broadcasts a heartbeat.
     DetectorTick {
         process: ProcessId,
-    },
-    /// A heartbeat frame arriving at `to`. Routed through the same nemesis gating as
-    /// protocol messages — that is what makes suspicion fallible.
-    HeartbeatDeliver {
-        from: ProcessId,
-        from_incarnation: u64,
-        to_incarnation: u64,
-        to: ProcessId,
     },
 }
 
@@ -272,8 +268,6 @@ pub struct Simulation<P: Protocol, M: Mix> {
     detectors: BTreeMap<ProcessId, FailureDetector>,
     /// Detector counters of dead incarnations, folded in at restart time.
     detector_stats: DetectorStats,
-    /// Restart count per process (0 = the original incarnation).
-    incarnations: BTreeMap<ProcessId, u64>,
     history: Option<History>,
     completed_total: u64,
     aborted_total: u64,
@@ -401,7 +395,6 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             nemesis,
             detectors,
             detector_stats: DetectorStats::default(),
-            incarnations: BTreeMap::new(),
             history,
             completed_total: 0,
             aborted_total: 0,
@@ -428,7 +421,7 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
     }
 
     fn incarnation_of(&self, process: ProcessId) -> u64 {
-        self.incarnations.get(&process).copied().unwrap_or(0)
+        self.nemesis.as_ref().map_or(0, |n| n.incarnation(process))
     }
 
     fn charge_cpu(&mut self, process: ProcessId, arrival: u64, wire_size: usize) -> u64 {
@@ -455,8 +448,6 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
     /// model's send cost), completes client requests from executed commands, and
     /// registers a timer wake-up if the step scheduled one.
     fn absorb(&mut self, from: ProcessId, at: u64, output: Output<P::Message>) {
-        let from_site = self.membership.site_of(from);
-        let from_incarnation = self.incarnation_of(from);
         let mut send_cost = 0u64;
         for send in output.sends {
             let wire_size = send.msg.wire_size();
@@ -467,46 +458,7 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                 if let Some(cpu) = self.opts.cpu {
                     send_cost += cpu.message_cost_us(wire_size);
                 }
-                let mut latency = self
-                    .planet
-                    .one_way_us(from_site, self.membership.site_of(target));
-                let mut duplicate = false;
-                if let Some(nemesis) = &mut self.nemesis {
-                    // Delay spikes (and slow-node gray faults) stretch the link at send
-                    // time (like the serialization delay they model); drops apply at
-                    // delivery time. Reorder holdback also applies here: the held frame
-                    // is overtaken by everything sent after it.
-                    latency += nemesis.send_delay(from, target);
-                    if let Some(extra) = nemesis.reorder_delay(from, target) {
-                        latency += extra;
-                    }
-                    duplicate = nemesis.should_duplicate(from, target);
-                }
-                let to_incarnation = self.incarnation_of(target);
-                self.push(
-                    at + send_cost + latency,
-                    EventKind::Deliver {
-                        from,
-                        from_incarnation,
-                        to_incarnation,
-                        to: target,
-                        msg: Arc::clone(&msg),
-                    },
-                );
-                if duplicate {
-                    // The duplicate trails the original by a hair (same path, so it is
-                    // subject to the same delivery-time gating).
-                    self.push(
-                        at + send_cost + latency + 1,
-                        EventKind::Deliver {
-                            from,
-                            from_incarnation,
-                            to_incarnation,
-                            to: target,
-                            msg: Arc::clone(&msg),
-                        },
-                    );
-                }
+                self.transmit(from, target, at + send_cost, Some(Arc::clone(&msg)));
             }
         }
         if send_cost > 0 {
@@ -515,6 +467,39 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         }
         self.complete_clients(from, at, output.executed);
         self.register_timer_wake(from, at);
+    }
+
+    /// Puts one frame `from → to` on the wire at `at`: it arrives after the planet's
+    /// one-way latency plus whatever the nemesis's fate for it adds, drawn once, now. A
+    /// dropped frame is never queued; a duplicate trails the original by a hair.
+    fn transmit(&mut self, from: ProcessId, to: ProcessId, at: u64, msg: Option<Arc<P::Message>>) {
+        let mut arrival = at
+            + self
+                .planet
+                .one_way_us(self.membership.site_of(from), self.membership.site_of(to));
+        let mut duplicate = false;
+        if let Some(nemesis) = &mut self.nemesis {
+            let Some(fate) = nemesis.fate(from, to) else {
+                return;
+            };
+            arrival += fate.extra_us;
+            duplicate = fate.duplicate;
+        }
+        let (from_incarnation, to_incarnation) =
+            (self.incarnation_of(from), self.incarnation_of(to));
+        let deliver = |msg| EventKind::Deliver {
+            from,
+            from_incarnation,
+            to_incarnation,
+            to,
+            msg,
+        };
+        if duplicate {
+            self.push(arrival, deliver(msg.clone()));
+            self.push(arrival + 1, deliver(msg));
+        } else {
+            self.push(arrival, deliver(msg));
+        }
     }
 
     /// Pushes a `TimerWake` event for the process's earliest pending timer, unless an
@@ -543,8 +528,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             return;
         }
         let shard = self.membership.shard_of(process);
+        let incarnation = self.incarnation_of(process);
         if let Some(history) = &mut self.history {
-            let incarnation = self.incarnations.get(&process).copied().unwrap_or(0);
             for exec in &executed {
                 history.record_execution(shard, process, incarnation, exec.rifl);
             }
@@ -650,17 +635,15 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         self.next_command(client_id, at);
     }
 
-    /// Applies the fault events due now: crash/restart drive the process lifecycle
-    /// here, the network-level events were already absorbed into the nemesis state.
+    /// Applies the fault events due now: the nemesis absorbs the link faults and hands
+    /// back the crashes and restarts, which drive the process lifecycle here.
     fn apply_faults(&mut self, at: u64) {
-        let Some(mut nemesis) = self.nemesis.take() else {
+        let Some(nemesis) = &mut self.nemesis else {
             return;
         };
-        let fired = nemesis.advance(at);
-        self.nemesis = Some(nemesis);
-        for event in fired {
-            match event {
-                FaultEvent::Crash(p) => {
+        for action in nemesis.advance(at) {
+            match action {
+                ProcessAction::Crash(p) => {
                     // Volatile state dies with the process. Peers find out only when
                     // its heartbeats stop arriving.
                     self.busy_until.remove(&p);
@@ -669,13 +652,13 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                         t.process_event(at, p, ProcEvent::Crash(p));
                     }
                 }
-                FaultEvent::Restart(p) => {
+                ProcessAction::Restart {
+                    process: p,
+                    incarnation,
+                } => {
                     // Rebuild through the factory: a fresh incarnation that must
                     // rejoin. Volatile state died with the old driver; whatever the
                     // factory preserved (a durable store handle) is the "disk".
-                    let incarnation = self.incarnations.entry(p).or_insert(0);
-                    *incarnation += 1;
-                    let incarnation = *incarnation;
                     let shard = self.membership.shard_of(p);
                     let mut driver =
                         Driver::from_protocol((self.factory)(p, shard, self.config, incarnation));
@@ -704,7 +687,6 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                         self.detector_stats.merge(&old.stats());
                     }
                 }
-                _ => {}
             }
         }
     }
@@ -713,32 +695,28 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         (self.clients.len() * self.opts.commands_per_client) as u64
     }
 
-    /// Whether a frame from `from` to `to`, sent between the given incarnations,
-    /// survives the fault plane. Connections die with their endpoint: a crashed (or
-    /// since restarted) sender loses its in-flight frames, a crashed destination
-    /// receives nothing, and a frame addressed to a since-replaced incarnation dies
-    /// with the old connection — counted as a crash drop when `tally_crash_drop` — and
-    /// partitions and lossy links drop the rest.
+    /// Whether a frame from `from` to `to`, sent between the given incarnations, still
+    /// has a connection to arrive on (its fate was drawn when it left). Connections die
+    /// with their endpoint: a crashed (or since restarted) sender loses its in-flight
+    /// frames, a crashed destination receives nothing, and a frame addressed to a
+    /// since-replaced incarnation dies with the old connection. Each loss is counted as
+    /// a crash drop.
     fn link_delivers(
         &mut self,
         from: ProcessId,
         from_incarnation: u64,
         to: ProcessId,
         to_incarnation: u64,
-        tally_crash_drop: bool,
     ) -> bool {
-        let stale = self.incarnation_of(from) != from_incarnation
-            || self.incarnation_of(to) != to_incarnation;
         let Some(nemesis) = &mut self.nemesis else {
             return true;
         };
-        if stale || nemesis.is_down(from) || nemesis.is_down(to) {
-            if tally_crash_drop {
-                nemesis.note_crash_drop();
-            }
-            return false;
+        let alive = |p, incarnation| !nemesis.is_down(p) && nemesis.incarnation(p) == incarnation;
+        if alive(from, from_incarnation) && alive(to, to_incarnation) {
+            return true;
         }
-        nemesis.allows_delivery(from, to)
+        nemesis.note_crash_drop();
+        false
     }
 
     /// An arrival from `from` proves it is alive to `to`'s detector; a retracted
@@ -839,11 +817,14 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                     to,
                     msg,
                 } => {
-                    if !self.link_delivers(from, from_incarnation, to, to_incarnation, true) {
+                    if !self.link_delivers(from, from_incarnation, to, to_incarnation) {
                         continue;
                     }
                     // Any frame that makes it through proves the sender is alive.
                     self.feed_liveness(from, to, event.time);
+                    let Some(msg) = msg else {
+                        continue; // A heartbeat: liveness is all it carries.
+                    };
                     let start = self.charge_cpu(to, event.time, msg.wire_size());
                     // The last destination of a broadcast unwraps the message without a
                     // copy; earlier destinations (still sharing the allocation) clone.
@@ -914,44 +895,14 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                             }
                         }
                     }
-                    // Broadcast a heartbeat over the nemesis-afflicted network: slow
-                    // nodes beat late, partitions silence them entirely.
-                    let from_site = self.membership.site_of(process);
-                    let from_incarnation = self.incarnation_of(process);
+                    // Broadcast a heartbeat over the nemesis-afflicted network, with
+                    // the same fate rule as any frame: slow nodes beat late, partitions
+                    // silence them entirely.
                     for target in self.membership.all_processes() {
-                        if target == process {
-                            continue;
+                        if target != process {
+                            self.transmit(process, target, event.time, None);
                         }
-                        let mut latency = self
-                            .planet
-                            .one_way_us(from_site, self.membership.site_of(target));
-                        if let Some(nemesis) = &mut self.nemesis {
-                            latency += nemesis.send_delay(process, target);
-                        }
-                        let to_incarnation = self.incarnation_of(target);
-                        self.push(
-                            event.time + latency,
-                            EventKind::HeartbeatDeliver {
-                                from: process,
-                                from_incarnation,
-                                to_incarnation,
-                                to: target,
-                            },
-                        );
                     }
-                }
-                EventKind::HeartbeatDeliver {
-                    from,
-                    from_incarnation,
-                    to_incarnation,
-                    to,
-                } => {
-                    // No crash-drop tally: losing a heartbeat with its endpoint is the
-                    // detector working as intended, not a protocol-visible message loss.
-                    if !self.link_delivers(from, from_incarnation, to, to_incarnation, false) {
-                        continue;
-                    }
-                    self.feed_liveness(from, to, event.time);
                 }
             }
         }
@@ -1495,6 +1446,7 @@ mod tests {
     /// its heartbeats resume.
     #[test]
     fn restarted_process_suspects_a_peer_still_down() {
+        use tempo_fault::FaultEvent;
         use tempo_kernel::trace::TraceEvent;
         const CRASH_US: u64 = 150_000;
         const RESTART_US: u64 = 500_000;
