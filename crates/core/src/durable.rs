@@ -213,7 +213,10 @@ impl Tempo {
         let (clock, dots) = (tempo.stability.clock(), tempo.dot_gen.generated());
         tempo.durable.resume_at(clock, dots);
         if !empty {
+            // A restored instance is a restarted incarnation: like one that rejoined
+            // (`Protocol::rejoin`), it answers with its executions only.
             tempo.stability.claim_nothing();
+            tempo.executor.rejoin();
         }
         if replayed_wal {
             // Fold the replayed suffix into a fresh snapshot immediately: append-count
@@ -260,7 +263,7 @@ impl Tempo {
     fn replay_feed(&mut self, info: ExecutionInfo) {
         let _ = self.executor.handle(info);
         let _ = self.executor.take_newly_stable();
-        for dot in self.executor.take_executed_dots() {
+        for (dot, _) in self.executor.take_executed_dots() {
             let info = self
                 .info
                 .get_mut(&dot)

@@ -31,7 +31,10 @@
 //! The crate is organised around the paper's ordering/execution split (Algorithm 2):
 //!
 //! * [`stability`] — the clock (`propose`/`bump`, Algorithm 1), the promises made and
-//!   heard, and the line-47 commit gate, in one owner (Algorithm 2, Theorem 1),
+//!   heard, and the line-47 commit gate, in one owner (Algorithm 2, Theorem 1): the
+//!   strict watermark execution follows, and key-scoped stability (`stable_for`), under
+//!   which an uncommitted attachment holds back only the commands sharing a key with its
+//!   command,
 //! * [`promises`] — the promise sets and the incremental majority watermark
 //!   [`stability`] keeps,
 //! * [`messages`] — the wire protocol,
@@ -49,7 +52,8 @@
 //! * `transfer` — the rejoin state transfer's execution gate in one owner (`Transfer`),
 //!   and the install of an `MState`,
 //! * [`executor`] — the [`TempoExecutor`] *execution* stage: stability-ordered
-//!   execution, fed with commit/stability events and independently testable,
+//!   execution, fed with commit/stability events and independently testable, and the
+//!   early replies of the commands stable on their keys, in `⟨ts, id⟩` order per key,
 //! * [`wire`] — the `tempo-net` [`Wire`](tempo_net::Wire) codec for the full message
 //!   set (what the TCP-backed cluster runtime ships over sockets), with the canonical
 //!   per-variant fixture in [`wire_fixture`] pinned by `tests/wire_golden.rs`.

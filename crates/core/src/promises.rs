@@ -251,9 +251,10 @@ impl PromiseTracker {
     }
 
     /// Index of `process` in `by_process`: direct offset for the contiguous-identifier
-    /// layout of a shard, binary search otherwise.
+    /// layout of a shard, binary search otherwise. [`Self::processes`] lists the
+    /// processes in this order.
     #[inline]
-    fn index_of(&self, process: ProcessId) -> Option<usize> {
+    pub(crate) fn index_of(&self, process: ProcessId) -> Option<usize> {
         let first = self.by_process.first()?.0;
         let idx = process.checked_sub(first)? as usize;
         if idx < self.by_process.len() && self.by_process[idx].0 == process {
@@ -333,6 +334,28 @@ impl PromiseTracker {
     /// The processes tracked (the shard membership).
     pub fn processes(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.by_process.iter().map(|(p, _)| *p)
+    }
+
+    /// The contiguous promise prefix of the process at `index` (see [`Self::index_of`]).
+    pub(crate) fn prefix_at(&self, index: usize) -> u64 {
+        self.by_process[index].1.highest_contiguous()
+    }
+
+    /// The last timestamp of the run of promises from the process at `index` that holds
+    /// `ts`, if it is above the contiguous prefix (`None` if `ts` is not promised).
+    pub(crate) fn run_end(&self, index: usize, ts: u64) -> Option<u64> {
+        let set = &self.by_process[index].1.set;
+        if set.sparse.is_empty() {
+            return None;
+        }
+        let (_, end) = set.sparse.range(..=ts).next_back()?;
+        (ts <= *end).then_some(*end)
+    }
+
+    /// The `⌊n/2⌋` this tracker was built with: a timestamp is stable once `n` minus
+    /// this many processes have promised everything up to it.
+    pub fn stability_index(&self) -> usize {
+        self.stability_index
     }
 
     /// The highest promise ever received from `process`, detached ranges included (0 if

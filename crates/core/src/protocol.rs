@@ -32,7 +32,7 @@ use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, PromiseBundle, Quorums};
 use crate::promises::PromiseRange;
 use crate::recovery::Recovery;
-use crate::stability::{Report, Stability};
+use crate::stability::{Gating, Keys, Report, Stability, Wakes};
 use crate::transfer::{AppliedImage, Transfer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,6 +55,8 @@ pub const TIMER_PROMISES: TimerId = TimerId(1);
 pub const TIMER_LIVENESS: TimerId = TimerId(2);
 /// One-shot timer behind the burst-edge `MPromises` flush (see `Tempo::arm_flush`).
 const TIMER_FLUSH: TimerId = TimerId(3);
+/// One-shot timer behind the burst-edge answer pass (see `Tempo::arm_answer`).
+const TIMER_ANSWER: TimerId = TimerId(4);
 
 /// Interval of the periodic `MPromises` broadcast, in microseconds. Fresh detached
 /// promises do not wait for it (they leave with the flush below); the tick is the healing
@@ -134,6 +136,11 @@ pub struct Tempo {
     pub(crate) transfer: Transfer,
     /// Suspicion, the pending dots, takeovers, repair pacing and the rejoin quorum.
     pub(crate) recovery: Recovery,
+    /// What moved in the key-scoped gate during this step (see [`Self::answer`]); empty
+    /// between steps, a field only so that its allocations are reused.
+    wakes: Wakes,
+    /// Whether a `TIMER_ANSWER` firing is outstanding.
+    answer_armed: bool,
     /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
     /// `Schedule`, so a burst of bumps must arm it once).
     flush_armed: bool,
@@ -189,6 +196,8 @@ impl Tempo {
             gc,
             durable: Durable::new(options.snapshot_every_appends),
             transfer: Transfer::new(options.state_transfer, timeout_us),
+            wakes: Wakes::default(),
+            answer_armed: false,
             flush_armed: false,
             exec_skipped: 0,
             last_stable_fed: 0,
@@ -271,18 +280,26 @@ impl Tempo {
 
     /// Feeds a peer's promises through the commit gate ([`Stability::absorb`]). A
     /// collected dot counts as committed (gating would resurrect its `CommandInfo` as a
-    /// zombie); any other uncommitted dot gets one, and `gated` hears of it.
-    pub(crate) fn absorb(&mut self, report: Report, now_us: u64, mut gated: impl FnMut(Dot)) {
-        let (info, gc) = (&mut self.info, &self.gc);
+    /// zombie), and so does `committing`, which commits in this very handler; any other
+    /// uncommitted dot gets a `CommandInfo`, and `gated` hears of it.
+    pub(crate) fn absorb(
+        &mut self,
+        report: Report,
+        now_us: u64,
+        committing: Option<Dot>,
+        mut gated: impl FnMut(Dot),
+    ) {
+        let (info, gc, shard) = (&mut self.info, &self.gc, self.shard);
         self.stability.absorb(report, |dot| {
-            let committed = gc.is_collected(dot)
-                || info_entry(info, dot, now_us)
-                    .phase
-                    .is_committed_or_executed();
-            if !committed {
-                gated(dot);
+            if gc.is_collected(dot) || committing == Some(dot) {
+                return Gating::Counts;
             }
-            committed
+            let info = info_entry(info, dot, now_us);
+            if info.phase.is_committed_or_executed() {
+                return Gating::Counts;
+            }
+            gated(dot);
+            Gating::Waits(info.cmd.as_ref().map(|cmd| Keys::of(cmd.ops_of(shard))))
         });
     }
 
@@ -386,6 +403,8 @@ impl Tempo {
             info.phase = Phase::Payload;
             self.recovery.pend(dot);
         }
+        let shard = self.shard;
+        self.stability.learn(dot, || Keys::of(cmd.ops_of(shard)));
         // A commit may have been waiting for the payload (multi-shard races).
         self.try_complete_commit(dot, now_us, out);
     }
@@ -404,6 +423,8 @@ impl Tempo {
         // Algorithm 1, lines 12-16 (pre: id ∈ start).
         self.tracer
             .phase(now_us, self.process, cmd.rifl, CmdPhase::PayloadDelivered);
+        let shard = self.shard;
+        self.stability.learn(dot, || Keys::of(cmd.ops_of(shard)));
         {
             let info = self.info_mut(dot, now_us);
             if info.phase != Phase::Start {
@@ -429,6 +450,7 @@ impl Tempo {
         self.info_mut(dot, now_us).phase = Phase::Propose;
         self.recovery.pend(dot);
         let (proposal, detached) = self.stability.propose(dot, ts);
+        self.stability.learn(dot, || Keys::of(cmd.ops_of(shard)));
         self.durable.cover(Floor::Clock, self.stability.clock());
         self.info_mut(dot, now_us).ts = proposal;
         let ack = Message::MProposeAck {
@@ -542,13 +564,21 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        self.absorb(Report::Bundle(dot, promises), now_us, |_| {});
         let info = self.info_mut(dot, now_us);
-        if info.phase == Phase::Execute {
-            return;
+        let executed = info.phase == Phase::Execute;
+        if !executed {
+            info.shard_commits.insert(shard, ts);
         }
-        info.shard_commits.insert(shard, ts);
-        self.try_complete_commit(dot, now_us, out);
+        // A commit that completes in this handler would release the bundle's attachments
+        // (line 47) before anything reads the tracker: they count at once instead.
+        let completes = !info.phase.is_committed_or_executed()
+            && info.has_payload()
+            && info.all_shards_committed();
+        let report = Report::Bundle(dot, promises);
+        self.absorb(report, now_us, completes.then_some(dot), |_| {});
+        if !executed {
+            self.try_complete_commit(dot, now_us, out);
+        }
     }
 
     /// Commits `dot` locally once the payload is known and a per-shard timestamp has been
@@ -796,7 +826,7 @@ impl Tempo {
         // The sender's safe frontier is absorbed wholesale: it heals any gap left by an
         // earlier lost delta (every attached promise below it is executed everywhere).
         let report = Report::Promises(from, frontier, detached, attached);
-        self.absorb(report, now_us, |_| {});
+        self.absorb(report, now_us, None, |_| {});
         self.sync_stability(now_us, out);
     }
 
@@ -878,15 +908,14 @@ impl Tempo {
         if any_executed {
             self.recovery.progress(now_us);
         }
-        for dot in executed_dots {
+        for (dot, replied) in executed_dots {
             let info = self.mark_executed(dot);
-            // In this implementation a command executes the instant it becomes stable
+            // A command that did not reply early executes the instant it becomes stable
             // (same dispatch step), so `Stable` and the driver-emitted `Executed` carry
-            // the same timestamp; the stable→execute interval measures queueing only in
-            // runtimes with a detached execution stage.
+            // the same timestamp; one that did was stamped when it replied (`answer`).
             let rifl = info.cmd.as_ref().map(|c| c.rifl);
             self.gc.record_executed(dot);
-            if let Some(rifl) = rifl {
+            if let (Some(rifl), false) = (rifl, replied) {
                 self.tracer
                     .phase(now_us, self.process, rifl, CmdPhase::Stable);
             }
@@ -895,6 +924,40 @@ impl Tempo {
             self.gc_collect();
         }
         out.extend(executed.into_iter().map(Action::Deliver));
+    }
+
+    /// Arms the one-shot answer pass if the executor may have something to answer and
+    /// none is outstanding. Like the promise flush it runs once the scheduler next looks
+    /// at timers — between bursts in `tempo-runtime`, where the replies would wait for
+    /// the burst's flush anyway, and a step later in `tempo-sim` — so its cost is paid
+    /// once per burst, not once per message.
+    fn arm_answer(&mut self, out: &mut Vec<Action<Message>>) {
+        if !self.answer_armed && self.executor.may_answer() {
+            self.answer_armed = true;
+            out.push(Action::schedule(TIMER_ANSWER, FLUSH_DELAY_US));
+        }
+    }
+
+    /// Replies to every single-shard command issued here that became stable on its keys
+    /// ([`Stability::stable_for`], [`TempoExecutor::answer`]), as [`Action::Reply`]; it
+    /// executes later with the prefix. Nothing replies early while a state transfer is
+    /// awaited, and an incarnation that rejoined never does (`Protocol::rejoin`): its
+    /// tracker rests on seeded prefixes.
+    fn answer(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
+        self.stability.settle(&mut self.wakes);
+        let stability = &self.stability;
+        let open = !self.transfer.is_awaiting();
+        let reached = if open { stability.reached() } else { 0 };
+        let bounds = (reached, stability.unknown_from());
+        let replies = self.executor.answer(&self.wakes, bounds, |ts, keys| {
+            stability.stable_for(ts, keys)
+        });
+        self.wakes.clear();
+        for reply in replies {
+            self.tracer
+                .phase(now_us, self.process, reply.rifl, CmdPhase::Stable);
+            out.push(Action::Reply(reply));
+        }
     }
 
     /// Marks `dot` executed: its `CommandInfo` and its recovery attempt drop their
@@ -1126,6 +1189,7 @@ impl Protocol for Tempo {
                 self.handle_state(image, now_us, &mut out)
             }
         }
+        self.arm_answer(&mut out);
         self.arm_flush(&mut out);
         out
     }
@@ -1142,6 +1206,7 @@ impl Protocol for Tempo {
         if incarnation > 0 {
             self.stability.claim_nothing();
         }
+        self.executor.rejoin();
         // Reserve a disjoint band of the dot sequence space per incarnation: a restarted
         // process must never reuse a dot of a previous life (the old dot may be executed
         // — or garbage collected — everywhere already).
@@ -1182,8 +1247,14 @@ impl Protocol for Tempo {
                 }
                 out.push(Action::schedule(TIMER_LIVENESS, LIVENESS_INTERVAL_US));
             }
+            TIMER_ANSWER => {
+                self.answer_armed = false;
+                self.answer(now_us, &mut out);
+                return out;
+            }
             _ => {}
         }
+        self.arm_answer(&mut out);
         out
     }
 

@@ -8,7 +8,7 @@ use crate::durable::Floor;
 use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, RecPhase};
 use crate::protocol::Tempo;
-use crate::stability::Report;
+use crate::stability::{Keys, Report};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tempo_kernel::config::Config;
@@ -392,7 +392,7 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        self.absorb(Report::Repair(from, clock, pending), now_us, |dot| {
+        self.absorb(Report::Repair(from, clock, pending), now_us, None, |dot| {
             out.push(Action::send_one(from, Message::MCommitRequest { dot }));
         });
         self.sync_stability(now_us, out);
@@ -434,7 +434,10 @@ impl Tempo {
             info.phase = Phase::RecoverP;
         }
         if info.bal == 0 && info.phase == Phase::Payload {
+            let cmd = info.cmd.as_ref().expect("checked above");
+            let keys = Keys::of(cmd.ops_of(self.shard));
             let (t, _) = self.stability.propose(dot, 0);
+            self.stability.learn(dot, || keys);
             self.durable.cover(Floor::Clock, self.stability.clock());
             let info = self.info.get_mut(&dot).expect("info exists");
             info.ts = t;

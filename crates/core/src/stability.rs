@@ -16,10 +16,22 @@
 //! the safe frontier claimed in `MPromises` below them until their command is executed at
 //! every shard peer. `Tempo` says which dots committed, persists clock floors and ships
 //! what this produces.
+//!
+//! The gate answers two questions. [`Stability::stable_timestamp`] is the *strict*
+//! watermark, the one execution, the WAL, snapshots and transfers follow: a gated
+//! attachment is a hole in its process's prefix, whatever keys its command touches.
+//! [`Stability::stable_for`] is *key-scoped*, the one a client reply may follow: an
+//! attachment counts toward its process's prefix as soon as it is heard, and a gated one
+//! blocks only the commands that share a key with its command on this shard — every
+//! command while that payload is unknown here. Theorem 1's argument, restricted to the
+//! commands that conflict, is unchanged: a conflicting attachment still counts only once
+//! its command has committed here.
 
 use crate::messages::PromiseBundle;
-use crate::promises::{PromiseRange, PromiseTracker};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::promises::{PromiseRange, PromiseTracker, SeqSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
+use tempo_kernel::command::{KVOp, Key};
 use tempo_kernel::id::{Dot, ProcessId};
 
 /// Promises reported by a peer, in the shape of the message that carried them.
@@ -40,6 +52,196 @@ pub enum Report {
 /// The `MPromises` payload: unsent detached and attached promises, and the safe frontier.
 pub type Outgoing = (Vec<PromiseRange>, Vec<(Dot, u64)>, u64);
 
+/// What moved in the key-scoped gate since the last [`Stability::settle`]: a command
+/// that was not stable on its keys may be now if its timestamp lies in `reached`, if it
+/// touches one of `keys`, or if its timestamp is below `unknown`.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Wakes {
+    /// `(old, new)`: the timestamp a majority's key-scoped prefixes reach rose from `old`
+    /// to `new`.
+    pub reached: Option<(u64, u64)>,
+    /// The keys of commands whose blocking attachments stopped blocking.
+    pub keys: Vec<Key>,
+    /// The lowest attachment that blocks every key (to a command whose payload is
+    /// unknown here) rose to this timestamp (`u64::MAX`: none is left): everything below
+    /// it is clear of such blockers.
+    pub unknown: Option<u64>,
+}
+
+impl Wakes {
+    /// Whether nothing moved.
+    pub fn is_empty(&self) -> bool {
+        self.reached.is_none() && self.keys.is_empty() && self.unknown.is_none()
+    }
+
+    /// Forgets what moved, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.reached = None;
+        self.keys.clear();
+        self.unknown = None;
+    }
+}
+
+/// A command's keys on one shard, sorted and distinct; the common single key is held
+/// inline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Keys {
+    /// The one key.
+    One(Key),
+    /// Two keys or more.
+    Many(Box<[Key]>),
+}
+
+impl Keys {
+    /// The keys `ops` touch.
+    pub fn of(ops: &[(Key, KVOp)]) -> Self {
+        match ops {
+            [(key, _)] => Keys::One(*key),
+            _ => ops.iter().map(|(key, _)| *key).collect::<Vec<_>>().into(),
+        }
+    }
+}
+
+impl From<Vec<Key>> for Keys {
+    fn from(mut keys: Vec<Key>) -> Self {
+        keys.sort_unstable();
+        keys.dedup();
+        match keys[..] {
+            [key] => Keys::One(key),
+            _ => Keys::Many(keys.into()),
+        }
+    }
+}
+
+impl std::ops::Deref for Keys {
+    type Target = [Key];
+
+    fn deref(&self) -> &[Key] {
+        match self {
+            Keys::One(key) => std::slice::from_ref(key),
+            Keys::Many(keys) => keys,
+        }
+    }
+}
+
+/// What the caller of [`Stability::absorb`] knows of the command an attachment is
+/// attached to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Gating {
+    /// It committed here (or was collected): the attachment counts at once.
+    Counts,
+    /// It has not: the attachment waits for its commit, and blocks the commands sharing
+    /// one of these keys of this shard meanwhile — every command while its payload is
+    /// unknown here (`None`).
+    Waits(Option<Keys>),
+}
+
+/// The attachments to one command that has not committed here (line 47).
+#[derive(Debug, Default)]
+struct Gate {
+    attached: Vec<(ProcessId, u64)>,
+    /// The command's keys on this shard, sorted; `None` while its payload is unknown here.
+    keys: Option<Keys>,
+    /// How many of `attached`, from the first, the gate is filed for; the rest are
+    /// filed at the next settle.
+    indexed: usize,
+    /// The lowest timestamp among the filed attachments of shard members, under which
+    /// the gate is filed by key; 0 while none is.
+    low: u64,
+}
+
+/// `(ts, dot)` entries by key, each key's in ascending order: a hash map of short sorted
+/// lists, since most keys hold one entry or none — a point operation is a hash lookup,
+/// where one ordered set over every entry would be a search of the whole.
+#[derive(Debug)]
+pub(crate) struct ByKey<K> {
+    lists: HashMap<K, Vec<(u64, Dot)>>,
+}
+
+impl<K> Default for ByKey<K> {
+    fn default() -> Self {
+        Self {
+            lists: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq> ByKey<K> {
+    pub(crate) fn insert(&mut self, key: K, entry: (u64, Dot)) {
+        let list = self.lists.entry(key).or_default();
+        if let Err(at) = list.binary_search(&entry) {
+            list.insert(at, entry);
+        }
+    }
+
+    pub(crate) fn remove(&mut self, key: K, entry: (u64, Dot)) {
+        if let Some(list) = self.lists.get_mut(&key) {
+            if let Ok(at) = list.binary_search(&entry) {
+                list.remove(at);
+                if list.is_empty() {
+                    self.lists.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// The lowest entry under `key`.
+    pub(crate) fn first(&self, key: &K) -> Option<(u64, Dot)> {
+        self.lists.get(key)?.first().copied()
+    }
+
+    /// The lowest entry under `key` above `after`.
+    pub(crate) fn first_after(&self, key: &K, after: (u64, Dot)) -> Option<(u64, Dot)> {
+        let list = self.lists.get(key)?;
+        list.get(list.partition_point(|entry| *entry <= after))
+            .copied()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lists.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.lists.clear();
+    }
+}
+
+/// The settled gates by key: each one under each key of its command — under `None`
+/// while its payload is unknown — at its lowest attachment.
+#[derive(Debug, Default)]
+struct Blockers(ByKey<Option<Key>>);
+
+impl Blockers {
+    /// Files `dot`'s lowest attachment `ts` under `keys` (`None`: under every key).
+    fn file(&mut self, keys: Option<&[Key]>, ts: u64, dot: Dot) {
+        match keys {
+            None => self.0.insert(None, (ts, dot)),
+            Some(keys) => keys
+                .iter()
+                .for_each(|key| self.0.insert(Some(*key), (ts, dot))),
+        }
+    }
+
+    fn unfile(&mut self, keys: Option<&[Key]>, ts: u64, dot: Dot) {
+        match keys {
+            None => self.0.remove(None, (ts, dot)),
+            Some(keys) => keys
+                .iter()
+                .for_each(|key| self.0.remove(Some(*key), (ts, dot))),
+        }
+    }
+
+    /// The lowest attachment of a gate filed under every key (`u64::MAX`: none).
+    fn first_unknown(&self) -> u64 {
+        self.0.first(&None).map_or(u64::MAX, |(ts, _)| ts)
+    }
+
+    /// Whether some gate filed under `scope` has an attachment at or below `ts`.
+    fn blocks(&self, scope: Option<Key>, ts: u64) -> bool {
+        self.0.first(&scope).is_some_and(|(low, _)| low <= ts)
+    }
+}
+
 /// The clock, the promise tracker and the commit gate of one Tempo process.
 #[derive(Debug)]
 pub struct Stability {
@@ -50,10 +252,28 @@ pub struct Stability {
     unsent_detached: Vec<PromiseRange>,
     /// Attached promises made and not yet broadcast.
     unsent_attached: Vec<(Dot, u64)>,
-    /// The `Promises` variable of Algorithm 2, this process included.
+    /// The `Promises` variable of Algorithm 2, this process included: the promises that
+    /// count for every command (gated attachments do not).
     promises: PromiseTracker,
     /// Attached promises to commands not committed here yet, by command (line 47).
-    gated: BTreeMap<Dot, Vec<(ProcessId, u64)>>,
+    gated: BTreeMap<Dot, Gate>,
+    /// Gates with attachments not yet filed, in the order they grew (a released one is
+    /// skipped at the next settle).
+    unsettled: Vec<Dot>,
+    /// The settled gates by key.
+    blockers: Blockers,
+    /// Per process in tracker order, every timestamp it attached (gated or not) or, as of
+    /// the last settle, promised: its contiguous part is the key-scoped prefix.
+    heard: Vec<SeqSet>,
+    /// The highest timestamp a majority of key-scoped prefixes reach, as of the last
+    /// settle.
+    reached: u64,
+    /// The lowest attachment that blocks every key, as of the last settle.
+    unknown_from: u64,
+    /// Whether a key-scoped prefix may have moved since the last settle.
+    touched: bool,
+    /// What moved since the last settle.
+    wakes: Wakes,
     /// This process's attachments to commands not yet executed at every shard peer, as
     /// `(timestamp, dot)`. The safe frontier stays below the smallest of them.
     attached_pending: BTreeSet<(u64, Dot)>,
@@ -69,13 +289,22 @@ impl Stability {
     /// A clock at zero for `process` of `shard_peers`; a timestamp is stable once the
     /// `stability_index`-th smallest promise prefix reaches it.
     pub fn new(process: ProcessId, shard_peers: &[ProcessId], stability_index: usize) -> Self {
+        let promises = PromiseTracker::new(shard_peers, stability_index);
+        let n = promises.processes().count();
         Self {
             process,
             clock: 0,
             unsent_detached: Vec::new(),
             unsent_attached: Vec::new(),
-            promises: PromiseTracker::new(shard_peers, stability_index),
+            heard: vec![SeqSet::default(); n],
+            reached: 0,
+            unknown_from: u64::MAX,
+            touched: false,
+            promises,
             gated: BTreeMap::new(),
+            unsettled: Vec::new(),
+            blockers: Blockers::default(),
+            wakes: Wakes::default(),
             attached_pending: BTreeSet::new(),
             attached_ts: BTreeMap::new(),
             last_frontier_sent: 0,
@@ -88,9 +317,129 @@ impl Stability {
         self.clock
     }
 
-    /// The highest stable timestamp (Theorem 1).
+    /// The highest stable timestamp (Theorem 1): the strict watermark, under which every
+    /// attachment to an uncommitted command is a hole.
     pub fn stable_timestamp(&self) -> u64 {
         self.promises.stable_timestamp()
+    }
+
+    /// Whether `ts` is stable for a command on `keys` (this shard's, sorted or not) as of
+    /// the last [`Self::settle`]: a majority of processes have a key-scoped prefix at
+    /// `ts` or above, and no shard member has an attachment at or below `ts` to a command
+    /// that has not committed here and shares one of `keys` — or whose payload is
+    /// unknown here. A tie at `ts` blocks. The caller's command must have committed here:
+    /// its own attachments are then counted, never gated.
+    pub fn stable_for(&self, ts: u64, keys: &[Key]) -> bool {
+        ts <= self.reached
+            && !self.blockers.blocks(None, ts)
+            && !keys.iter().any(|key| self.blockers.blocks(Some(*key), ts))
+    }
+
+    /// The highest timestamp a majority's key-scoped prefixes reach, as of the last
+    /// [`Self::settle`]: no command above it is stable on any keys.
+    pub fn reached(&self) -> u64 {
+        self.reached
+    }
+
+    /// The lowest attachment to a command whose payload is unknown here, as of the last
+    /// [`Self::settle`] (`u64::MAX`: none): no command at or above it is stable on any
+    /// keys until that payload arrives or the command commits.
+    pub fn unknown_from(&self) -> u64 {
+        self.unknown_from
+    }
+
+    /// Brings the key-scoped state up to date and swaps what moved since the last call
+    /// into `wakes`, which the caller cleared (both buffers keep their allocations): the
+    /// gates opened or grown since then are filed by key, and every process's key-scoped
+    /// prefix takes in what the tracker gained.
+    pub fn settle(&mut self, wakes: &mut Wakes) {
+        debug_assert!(wakes.is_empty(), "the caller clears the buffer");
+        if !self.unsettled.is_empty() {
+            self.file();
+        }
+        if std::mem::take(&mut self.touched) {
+            self.hear();
+            let reached = self.majority_heard();
+            if reached > self.reached {
+                self.wakes.reached = Some((self.reached, reached));
+                self.reached = reached;
+            }
+        }
+        let unknown_from = self.blockers.first_unknown();
+        if unknown_from > self.unknown_from {
+            self.wakes.unknown = Some(unknown_from);
+        }
+        self.unknown_from = unknown_from;
+        std::mem::swap(&mut self.wakes, wakes);
+    }
+
+    /// The highest timestamp a majority's key-scoped prefixes reach: the highest prefix
+    /// that at least `n - ⌊n/2⌋` prefixes reach (a shard is a handful of processes).
+    fn majority_heard(&self) -> u64 {
+        let needed = self.heard.len() - self.promises.stability_index();
+        let prefixes = self.heard.iter().map(SeqSet::contiguous);
+        let reaching = |at: u64| prefixes.clone().filter(|heard| *heard >= at).count();
+        let majority = prefixes.clone().filter(|at| reaching(*at) >= needed);
+        majority.max().unwrap_or(0)
+    }
+
+    /// Takes the tracker's promises into `heard`: each process's contiguous prefix, and
+    /// whatever runs above it continue the key-scoped prefix (most of the time none).
+    fn hear(&mut self) {
+        for (index, heard) in self.heard.iter_mut().enumerate() {
+            let prefix = self.promises.prefix_at(index);
+            if prefix > heard.contiguous() {
+                heard.insert_range(1, prefix);
+            }
+            while let Some(end) = self.promises.run_end(index, heard.contiguous() + 1) {
+                heard.insert_range(heard.contiguous() + 1, end);
+            }
+        }
+    }
+
+    /// Files the gates opened or grown since the last settle by key.
+    fn file(&mut self) {
+        let mut unsettled = std::mem::take(&mut self.unsettled);
+        for dot in unsettled.drain(..) {
+            let Some(gate) = self.gated.get_mut(&dot) else {
+                continue; // Released since it was opened.
+            };
+            if gate.indexed == gate.attached.len() {
+                continue;
+            }
+            let mut low = u64::MAX;
+            for &(process, ts) in &gate.attached[gate.indexed..] {
+                if self.promises.index_of(process).is_some() {
+                    low = low.min(ts);
+                }
+            }
+            gate.indexed = gate.attached.len();
+            if low != u64::MAX && (gate.low == 0 || low < gate.low) {
+                if gate.low > 0 {
+                    self.blockers.unfile(gate.keys.as_deref(), gate.low, dot);
+                }
+                self.blockers.file(gate.keys.as_deref(), low, dot);
+                gate.low = low;
+            }
+        }
+        self.unsettled = unsettled;
+    }
+
+    /// The payload of `dot` is known here now, with `keys` its keys on this shard: an
+    /// attachment to it that blocked every key blocks only those from now on.
+    pub fn learn(&mut self, dot: Dot, keys: impl FnOnce() -> Keys) {
+        let Some(gate) = self.gated.get_mut(&dot) else {
+            return;
+        };
+        if gate.keys.is_some() {
+            return;
+        }
+        let keys = keys();
+        if gate.low > 0 {
+            self.blockers.unfile(None, gate.low, dot);
+            self.blockers.file(Some(&keys), gate.low, dot);
+        }
+        gate.keys = Some(keys);
     }
 
     /// Proposes a timestamp for `dot` given the coordinator's proposal `min` (Algorithm
@@ -102,12 +451,12 @@ impl Stability {
         let t = min.max(self.clock + 1);
         let detached = (t > self.clock + 1).then(|| PromiseRange::new(self.clock + 1, t - 1));
         if let Some(range) = detached {
-            self.promises.add(self.process, range);
+            self.promise(self.process, range);
             self.unsent_detached.push(range);
         }
         self.clock = t;
         self.unsent_attached.push((dot, t));
-        self.admit(dot, self.process, t, false);
+        self.admit(dot, self.process, t, &Gating::Waits(None));
         if self.attached_ts.insert(dot, t).is_none() {
             // Proposals come off a strictly increasing clock, so no two dots ever share
             // an attached timestamp (timestamp uniqueness, Property 1's premise).
@@ -127,7 +476,7 @@ impl Stability {
             return false;
         }
         let range = PromiseRange::new(self.clock + 1, t);
-        self.promises.add(self.process, range);
+        self.promise(self.process, range);
         self.unsent_detached.push(range);
         self.clock = t;
         true
@@ -148,75 +497,112 @@ impl Stability {
         self.claims_nothing = true;
     }
 
-    /// Absorbs a peer's promises. `is_committed(dot)` says whether `dot` is committed (or
-    /// collected) here: its attachments then count at once, otherwise they wait for
-    /// [`Self::commit`].
-    pub fn absorb(&mut self, report: Report, mut is_committed: impl FnMut(Dot) -> bool) {
+    /// Absorbs a peer's promises. `gating(dot)` says whether `dot` is committed (or
+    /// collected) here — its attachments then count at once — or which keys they block
+    /// while they wait for [`Self::commit`].
+    pub fn absorb(&mut self, report: Report, mut gating: impl FnMut(Dot) -> Gating) {
         match report {
             Report::Bundle(dot, bundle) => {
                 for (process, range) in bundle.detached {
-                    self.promises.add(process, range);
+                    self.promise(process, range);
                 }
-                let committed = is_committed(dot);
+                let gating = gating(dot);
                 for (process, ts) in bundle.attached {
-                    self.admit(dot, process, ts, committed);
+                    self.admit(dot, process, ts, &gating);
                 }
             }
             Report::Promises(from, frontier, detached, attached) => {
                 if frontier >= 1 {
-                    self.promises.add(from, PromiseRange::new(1, frontier));
+                    self.promise(from, PromiseRange::new(1, frontier));
                 }
                 for range in detached {
-                    self.promises.add(from, range);
+                    self.promise(from, range);
                 }
                 for (dot, ts) in attached {
-                    let committed = is_committed(dot);
-                    self.admit(dot, from, ts, committed);
+                    self.admit(dot, from, ts, &gating(dot));
                 }
             }
             Report::Repair(from, clock, pending) => {
                 let mut next = 1;
                 for (ts, dot) in pending.into_iter().take_while(|(ts, _)| *ts <= clock) {
                     if ts > next {
-                        self.promises.add(from, PromiseRange::new(next, ts - 1));
+                        self.promise(from, PromiseRange::new(next, ts - 1));
                     }
-                    let committed = is_committed(dot);
-                    self.admit(dot, from, ts, committed);
+                    self.admit(dot, from, ts, &gating(dot));
                     next = next.max(ts + 1);
                 }
                 if next <= clock {
-                    self.promises.add(from, PromiseRange::new(next, clock));
+                    self.promise(from, PromiseRange::new(next, clock));
                 }
             }
         }
     }
 
+    /// Adds `process`'s promise to the tracker; `heard` takes it in at the next settle.
+    fn promise(&mut self, process: ProcessId, range: PromiseRange) {
+        self.promises.add(process, range);
+        self.touched = true;
+    }
+
     /// The commit gate: an attachment to a committed command counts, any other waits.
-    fn admit(&mut self, dot: Dot, process: ProcessId, ts: u64, committed: bool) {
-        if committed {
-            self.promises.add_single(process, ts);
+    fn admit(&mut self, dot: Dot, process: ProcessId, ts: u64, gating: &Gating) {
+        let keys = match gating {
+            Gating::Counts => return self.promise(process, PromiseRange::single(ts)),
+            Gating::Waits(keys) => keys,
+        };
+        if let Some(index) = self.promises.index_of(process) {
+            self.heard[index].insert(ts);
+            self.touched = true;
+        }
+        let gate = self.gated.entry(dot).or_insert_with(|| Gate {
+            keys: keys.clone(),
+            ..Gate::default()
+        });
+        if gate.attached.contains(&(process, ts)) {
             return;
         }
-        let gated = self.gated.entry(dot).or_default();
-        if !gated.contains(&(process, ts)) {
-            gated.push((process, ts));
+        let grew = gate.indexed == gate.attached.len();
+        gate.attached.push((process, ts));
+        if grew {
+            self.unsettled.push(dot);
+            // Released gates leave their entries behind until the next settle; while
+            // none runs, compacting at twice the open gates keeps this bounded.
+            if self.unsettled.len() > 2 * self.gated.len() + 16 {
+                let gated = &self.gated;
+                self.unsettled.retain(|dot| gated.contains_key(dot));
+            }
         }
     }
 
     /// `dot` committed here: its gated attachments count from now on (line 47).
     pub fn commit(&mut self, dot: Dot) {
-        for (process, ts) in self.gated.remove(&dot).unwrap_or_default() {
-            self.promises.add_single(process, ts);
+        if let Some(gate) = self.gated.remove(&dot) {
+            for &(process, ts) in self.unblock(dot, &gate) {
+                self.promise(process, PromiseRange::single(ts));
+            }
         }
     }
 
     /// `dot` was collected (executed at every shard peer): it gates nothing and no longer
     /// pins the frontier. A dot executed only here needs nothing; its commit ungated it.
     pub fn forget(&mut self, dot: Dot) {
-        self.gated.remove(&dot);
+        if let Some(gate) = self.gated.remove(&dot) {
+            self.unblock(dot, &gate);
+        }
         if let Some(ts) = self.attached_ts.remove(&dot) {
             self.attached_pending.remove(&(ts, dot));
         }
+    }
+
+    /// Takes a removed gate's attachments out of the indexes, noting what they blocked.
+    fn unblock<'g>(&mut self, dot: Dot, gate: &'g Gate) -> &'g [(ProcessId, u64)] {
+        if gate.low > 0 {
+            self.blockers.unfile(gate.keys.as_deref(), gate.low, dot);
+            if let Some(keys) = &gate.keys {
+                self.wakes.keys.extend_from_slice(keys);
+            }
+        }
+        &gate.attached
     }
 
     /// Whether detached promises are waiting to be broadcast.
@@ -285,7 +671,7 @@ impl Stability {
         let moved = self.bump(floor);
         for (process, prefix) in prefixes {
             if prefix >= 1 {
-                self.promises.add(process, PromiseRange::new(1, prefix));
+                self.promise(process, PromiseRange::new(1, prefix));
             }
         }
         moved
@@ -375,15 +761,136 @@ mod tests {
         assert!(s.has_unsent_detached());
     }
 
+    fn settle(s: &mut Stability) -> Wakes {
+        let mut wakes = Wakes::default();
+        s.settle(&mut wakes);
+        wakes
+    }
+
+    /// Gating for a command that has not committed, on `keys` if its payload is known.
+    fn waits(keys: Option<Vec<Key>>) -> Gating {
+        Gating::Waits(keys.map(Keys::from))
+    }
+
+    /// Process 0 of `{0, 1, 2}` with its own prefix at 10, and peer 1 reporting
+    /// everything up to 10 but an attachment at 5 to `x` (from process 2), which has not
+    /// committed here and touches key 7 when `known`. Peer 2 reported nothing, so
+    /// key-scoped stability needs peer 1.
+    fn one_gate(known: bool) -> (Stability, Dot) {
+        let x = Dot::new(2, 1);
+        let mut s = Stability::new(0, &[0, 1, 2], 1);
+        s.bump(10);
+        let detached = vec![PromiseRange::new(6, 10)];
+        let report = Report::Promises(1, 4, detached, vec![(x, 5)]);
+        s.absorb(report, |_| waits(known.then(|| vec![7])));
+        let wakes = settle(&mut s);
+        assert_eq!(
+            wakes.reached,
+            Some((0, 10)),
+            "two of three prefixes reach 10"
+        );
+        (s, x)
+    }
+
+    #[test]
+    fn an_uncommitted_conflicting_attachment_at_or_below_ts_blocks() {
+        let (mut s, x) = one_gate(true);
+        assert!(!s.stable_for(8, &[7]));
+        assert!(!s.stable_for(8, &[3, 7]), "one shared key is enough");
+        assert!(
+            s.stable_for(4, &[7]),
+            "below the attachment, nothing blocks"
+        );
+        // The strict watermark stops below the gated attachment whatever the keys.
+        assert_eq!(s.stable_timestamp(), 4);
+        s.commit(x);
+        let wakes = settle(&mut s);
+        assert_eq!(wakes.keys, [7], "the commit opens key 7");
+        assert!(s.stable_for(8, &[7]));
+        assert_eq!(s.stable_timestamp(), 10);
+    }
+
+    #[test]
+    fn a_non_conflicting_attachment_counts_at_once() {
+        let (s, _) = one_gate(true);
+        assert!(s.stable_for(10, &[3]));
+        assert!(s.stable_for(10, &[0, 8]));
+        assert!(!s.stable_for(11, &[3]), "past every prefix");
+    }
+
+    #[test]
+    fn an_unknown_payload_blocks_every_key_until_it_arrives() {
+        let (mut s, x) = one_gate(false);
+        assert!(!s.stable_for(8, &[3]));
+        assert!(!s.stable_for(8, &[7]));
+        assert!(s.stable_for(4, &[3]));
+        s.learn(x, || vec![7].into());
+        let wakes = settle(&mut s);
+        assert_eq!(
+            wakes.unknown,
+            Some(u64::MAX),
+            "no attachment blocks every key now"
+        );
+        assert!(s.stable_for(8, &[3]));
+        assert!(!s.stable_for(8, &[7]), "still uncommitted on its own key");
+    }
+
+    #[test]
+    fn a_tie_at_the_timestamp_blocks() {
+        let (s, _) = one_gate(true);
+        assert!(!s.stable_for(5, &[7]));
+        assert!(s.stable_for(5, &[8]));
+    }
+
+    #[test]
+    fn a_commands_own_attachments_never_block_it() {
+        // Process 0 proposes 11 for `y` (key 7) and peer 1 attaches 11 to it too; `y`
+        // commits at 11, the timestamp both attachments sit on.
+        let (mut s, _) = one_gate(true);
+        let y = Dot::new(0, 1);
+        assert_eq!(s.propose(y, 11), (11, None));
+        s.learn(y, || Keys::One(3));
+        s.absorb(Report::Promises(1, 0, vec![], vec![(y, 11)]), |_| {
+            waits(Some(vec![3]))
+        });
+        settle(&mut s);
+        assert!(
+            !s.stable_for(11, &[3]),
+            "uncommitted, it would block a conflict"
+        );
+        s.commit(y);
+        settle(&mut s);
+        assert!(s.stable_for(11, &[3]));
+    }
+
+    /// The keys a dot's command touches in the property test: one or two of four.
+    fn keys_of(dot: Dot) -> Vec<Key> {
+        let mut keys = vec![(dot.source * 7 + dot.sequence) % 4];
+        if dot.sequence.is_multiple_of(3) {
+            keys.push((dot.source + 1) % 4);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// The key sets the property test asks `stable_for` about.
+    const PROBES: [&[Key]; 6] = [&[0], &[1], &[2], &[3], &[0, 1], &[2, 3]];
+
     /// The reference the property test holds `Stability` to: one set of promised
     /// timestamps per process, attachments that count only once their command committed,
     /// and stability as the highest timestamp a majority's contiguous prefixes reach.
+    /// Key-scoped, every attachment counts, and one to an uncommitted command blocks the
+    /// keys it shares (all of them while its payload is unknown) at and above its
+    /// timestamp.
     struct Model {
         clock: u64,
         promised: Vec<BTreeSet<u64>>,
         gated: Vec<(Dot, ProcessId, u64)>,
         /// Committed (or collected) dots.
         committed: BTreeSet<Dot>,
+        /// Dots whose payload is known.
+        known: BTreeSet<Dot>,
         /// This process's attachments not yet forgotten.
         pinned: BTreeMap<Dot, u64>,
         /// Attachments that waited behind the gate and then counted.
@@ -423,12 +930,51 @@ mod tests {
             prefixes.sort_unstable_by(|a, b| b.cmp(a));
             prefixes[prefixes.len() / 2]
         }
+
+        /// Per process, the contiguous prefix of what it promised or attached.
+        fn heard(&self) -> Vec<u64> {
+            (0..self.promised.len())
+                .map(|p| {
+                    let attached = |ts: &u64| {
+                        self.gated
+                            .iter()
+                            .any(|g| g.1 == p as ProcessId && g.2 == *ts)
+                    };
+                    let heard = |ts: &u64| self.promised[p].contains(ts) || attached(ts);
+                    (1..).take_while(heard).count() as u64
+                })
+                .collect()
+        }
+
+        fn stable_for(&self, heard: &[u64], ts: u64, keys: &[Key]) -> bool {
+            let blocks = |&(dot, _, at): &(Dot, ProcessId, u64)| {
+                at <= ts
+                    && (!self.known.contains(&dot) || keys_of(dot).iter().any(|k| keys.contains(k)))
+            };
+            let reached = heard.iter().filter(|h| **h >= ts).count();
+            reached >= heard.len() - heard.len() / 2 && !self.gated.iter().any(blocks)
+        }
+
+        /// `stable_for` over every probe: timestamps up to a little past the clock, by
+        /// [`PROBES`].
+        fn probes(&self) -> Vec<(u64, usize, bool)> {
+            let heard = self.heard();
+            let mut out = Vec::new();
+            for ts in 1..self.clock + 6 {
+                for (i, keys) in PROBES.iter().enumerate() {
+                    out.push((ts, i, self.stable_for(&heard, ts, keys)));
+                }
+            }
+            out
+        }
     }
 
     /// One seeded interleaving of every operation at process 0 of an `n`-process shard,
-    /// checked against [`Model`] after each step. Returns the final stable timestamp and
-    /// how many attachments the gate held and then released.
-    fn interleaving(n: u64, seed: u64, restored: bool) -> (u64, u64) {
+    /// checked against [`Model`] after each step. Returns the final stable timestamp, how
+    /// many attachments the gate held and then released, and whether the key scope
+    /// mattered: some probe was stable above the strict watermark, and at some step and
+    /// timestamp one key set was stable while another was not.
+    fn interleaving(n: u64, seed: u64, restored: bool) -> (u64, u64, bool) {
         let mut rng = Rng::new(seed);
         let peers: Vec<ProcessId> = (0..n).collect();
         let mut s = Stability::new(0, &peers, (n / 2) as usize);
@@ -440,9 +986,12 @@ mod tests {
             promised: vec![BTreeSet::new(); n as usize],
             gated: Vec::new(),
             committed: BTreeSet::new(),
+            known: BTreeSet::new(),
             pinned: BTreeMap::new(),
             released: 0,
         };
+        let mut before = m.probes();
+        let (mut ahead, mut split) = (false, false);
         let mut dots: Vec<Dot> = Vec::new();
         let mut sent_frontier = 0;
         for step in 0..80 {
@@ -454,15 +1003,20 @@ mod tests {
                 *rng.choose(dots)
             };
             let peer = 1 + rng.gen_range(n - 1);
-            let committed = m.committed.clone();
-            let committed = |dot: Dot| committed.contains(&dot);
-            match rng.gen_range(9) {
+            let (committed, known) = (m.committed.clone(), m.known.clone());
+            let gating = |dot: Dot| match committed.contains(&dot) {
+                true => Gating::Counts,
+                false => waits(known.contains(&dot).then(|| keys_of(dot))),
+            };
+            match rng.gen_range(10) {
                 0 => {
                     let dot = Dot::new(0, step + 1);
+                    m.known.insert(dot);
                     let min = m.clock.saturating_sub(2) + rng.gen_range(6);
                     let t = min.max(m.clock + 1);
                     let detached = (t > m.clock + 1).then(|| PromiseRange::new(m.clock + 1, t - 1));
                     assert_eq!(s.propose(dot, min), (t, detached));
+                    s.learn(dot, || keys_of(dot).into());
                     m.promise(0, m.clock + 1, t - 1);
                     m.attach(dot, 0, t);
                     m.pinned.insert(dot, t);
@@ -489,10 +1043,7 @@ mod tests {
                     for &(dot, ts) in &attached {
                         m.attach(dot, peer, ts);
                     }
-                    s.absorb(
-                        Report::Promises(peer, frontier, detached, attached),
-                        committed,
-                    );
+                    s.absorb(Report::Promises(peer, frontier, detached, attached), gating);
                 }
                 3 => {
                     let dot = pick(&mut rng, &mut dots);
@@ -513,7 +1064,7 @@ mod tests {
                     for &(process, ts) in &bundle.attached {
                         m.attach(dot, process, ts);
                     }
-                    s.absorb(Report::Bundle(dot, bundle), committed);
+                    s.absorb(Report::Bundle(dot, bundle), gating);
                 }
                 4 => {
                     let clock = rng.gen_range(m.clock + 6);
@@ -532,7 +1083,7 @@ mod tests {
                             None => m.promise(peer, ts, ts),
                         }
                     }
-                    s.absorb(Report::Repair(peer, clock, pending), committed);
+                    s.absorb(Report::Repair(peer, clock, pending), gating);
                 }
                 5 | 6 => {
                     let open: Vec<Dot> = dots
@@ -552,6 +1103,12 @@ mod tests {
                         s.forget(dot);
                         m.pinned.remove(&dot);
                     }
+                }
+                8 => {
+                    // A payload arrives (an `MPropose` or `MPayload`).
+                    let dot = pick(&mut rng, &mut dots);
+                    m.known.insert(dot);
+                    s.learn(dot, || keys_of(dot).into());
                 }
                 _ => {
                     if let Some((_, _, frontier)) = s.take_outgoing(rng.gen_bool(0.3)) {
@@ -583,6 +1140,38 @@ mod tests {
                 m.stable(),
                 "seed {seed}, step {step}: stable timestamp diverged from the model"
             );
+            let wakes = settle(&mut s);
+            let heard: Vec<u64> = s.heard.iter().map(SeqSet::contiguous).collect();
+            assert_eq!(
+                heard,
+                m.heard(),
+                "seed {seed}, step {step}: key-scoped prefixes"
+            );
+            let after = m.probes();
+            for (&(ts, probe, was), &(_, _, is)) in before.iter().zip(&after) {
+                let keys = PROBES[probe];
+                assert_eq!(
+                    s.stable_for(ts, keys),
+                    is,
+                    "seed {seed}, step {step}: stable_for({ts}, {keys:?}) diverged from the model"
+                );
+                // Whatever turns a probe stable is in the wakes, so a command waiting on
+                // it is re-checked.
+                let woken = wakes
+                    .reached
+                    .is_some_and(|(old, new)| old < ts && ts <= new)
+                    || wakes.keys.iter().any(|k| keys.contains(k))
+                    || wakes.unknown.is_some_and(|clear| ts < clear);
+                assert!(
+                    was || !is || woken,
+                    "seed {seed}, step {step}: stable_for({ts}, {keys:?}) turned true unseen: {wakes:?}"
+                );
+            }
+            ahead |= after.iter().any(|(ts, _, is)| *is && *ts > m.stable());
+            split |= after
+                .chunks(PROBES.len())
+                .any(|at| at.iter().any(|p| p.2) && at.iter().any(|p| !p.2));
+            before = after;
             let (clock, highest, prefixes) = s.rejoin_report(peer);
             let highest_heard = m.promised[peer as usize].last().copied().unwrap_or(0);
             assert_eq!((clock, highest), (m.clock, highest_heard));
@@ -595,28 +1184,50 @@ mod tests {
                         assert_eq!(s.promises.contains(p, ts), promised.contains(&ts));
                     }
                 }
-                let gated = |(dot, list): (&Dot, &Vec<(ProcessId, u64)>)| {
-                    list.iter()
+                let gated = |(dot, gate): (&Dot, &Gate)| {
+                    gate.attached
+                        .iter()
                         .map(|(p, ts)| (*dot, *p, *ts))
                         .collect::<Vec<_>>()
                 };
                 let gated: BTreeSet<_> = s.gated.iter().flat_map(gated).collect();
                 assert_eq!(gated, m.gated.iter().copied().collect());
+                // Settled, each gate is filed under its keys (every key while unknown)
+                // at its lowest attachment.
+                let mut filed = BTreeSet::new();
+                for (dot, gate) in &s.gated {
+                    let keys = m.known.contains(dot).then(|| keys_of(*dot));
+                    assert_eq!(gate.keys.as_deref(), keys.as_deref(), "{dot:?}");
+                    let low = gate.attached.iter().map(|a| a.1).min().expect("gated");
+                    match keys {
+                        Some(keys) => filed.extend(keys.iter().map(|k| (Some(*k), low, *dot))),
+                        None => {
+                            filed.insert((None, low, *dot));
+                        }
+                    }
+                }
+                let lists = s.blockers.0.lists.iter();
+                let filed_now: BTreeSet<_> = lists
+                    .flat_map(|(k, list)| list.iter().map(|(ts, d)| (*k, *ts, *d)))
+                    .collect();
+                assert_eq!(filed_now, filed);
             }
         }
-        (m.stable(), m.released)
+        (m.stable(), m.released, ahead && split)
     }
 
     /// Runs 300 interleavings (every tenth restored) and checks that they exercised
     /// both stability and the gate.
     fn interleavings(n: u64, first_seed: u64) {
-        let (mut stable, mut released) = (0, 0);
+        let (mut stable, mut released, mut keyed) = (0, 0, 0);
         for seed in first_seed..first_seed + 300 {
-            let (s, r) = interleaving(n, seed, seed % 10 == 9);
+            let (s, r, k) = interleaving(n, seed, seed % 10 == 9);
             stable += u64::from(s > 0);
             released += r;
+            keyed += u64::from(k);
         }
         assert!(stable > 200 && released > 300, "{stable} {released}");
+        assert!(keyed > 200, "{keyed} interleavings ended key-scoped stable");
     }
 
     #[test]

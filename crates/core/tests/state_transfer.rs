@@ -279,3 +279,99 @@ fn a_commit_the_donor_missed_under_the_rejoin_prefixes_is_a_gap_not_a_duplicate(
     assert!(tempo.gc_tracker().is_executed(late));
     assert_eq!(tempo.executor().store().get(4), Some(7));
 }
+
+fn replied(output: &Output<Message>) -> Vec<u64> {
+    output.replies.iter().map(|e| e.rifl.seq).collect()
+}
+
+/// Commits `x` (seq 50, key 9, issued at the replica, so the replica answers its client)
+/// at timestamp 50 while both peers report promises up to
+/// 60 with one attachment at 45 to `y` (key 8), which has not committed here: `x` is
+/// stable on its keys, but the strict watermark stays at 44, under `y`'s attachment.
+fn stable_on_its_keys_only(replica: &mut Driver<Tempo>, now_us: u64) -> Output<Message> {
+    let y = Dot::new(1, 7);
+    let quorums: Quorums = [(0, vec![0, 1])].into();
+    replica.handle(
+        0,
+        Message::MPayload {
+            dot: y,
+            cmd: put(45, 8),
+            quorums,
+        },
+        now_us,
+    );
+    for peer in [0, 1] {
+        let promises = Message::MPromises {
+            detached: vec![tempo_core::PromiseRange::new(46, 60)],
+            attached: vec![(y, 45)],
+            executed: vec![],
+            frontier: 44,
+        };
+        replica.handle(peer, promises, now_us);
+    }
+    commit(replica, Dot::new(REPLICA, 9), put(50, 9), 50, now_us)
+}
+
+#[test]
+fn a_rejoined_incarnation_replies_only_when_it_executes() {
+    // A replica that never restarted answers `x` as soon as it is stable on its keys, in
+    // the answer pass at the step's edge.
+    let mut fresh = Driver::<Tempo>::new(REPLICA, 0, config());
+    fresh.start(View::trivial(config(), REPLICA), 0);
+    let output = stable_on_its_keys_only(&mut fresh, 10);
+    assert!(output.replies.is_empty() && output.executed.is_empty());
+    let output = fresh.fire_due(11);
+    assert_eq!(replied(&output), vec![50]);
+    assert!(
+        output.executed.is_empty(),
+        "executes later, with the prefix"
+    );
+    let output = fresh.handle(0, frontier(60), 20);
+    assert_eq!(executed(&output), vec![50]);
+    assert!(output.replies.is_empty(), "answered once");
+
+    // DESIGN.md §6's case: the rejoin prefixes put the stable timestamp at 40 and the
+    // donor's queue holds entries at 5 and 10. Whatever runs, each reply leaves with its
+    // command's execution.
+    let (mut replica, output) = rejoined(40, |_| {});
+    assert_eq!(replied(&output), executed(&output));
+    let entry = |seq, ts| QueuedCommit {
+        dot: Dot::new(1, seq),
+        ts,
+        cmd: put(ts, seq),
+        waits: vec![],
+    };
+    let image = state(
+        (3, Dot::new(1, 1)),
+        1,
+        vec![],
+        vec![entry(2, 5), entry(3, 10)],
+    );
+    let output = replica.handle(0, image, 10);
+    assert_eq!(replied(&output), executed(&output));
+    let image = state((10, Dot::new(1, 3)), 3, vec![(2, 5), (3, 10)], vec![]);
+    let output = replica.handle(1, image, 15);
+    assert_eq!(replied(&output), executed(&output));
+    assert!(!replica.protocol().is_awaiting_state());
+    assert!(!replica.protocol().executor().is_gated());
+
+    // The same `x` that a fresh replica answers at once: the rejoined one rests on
+    // seeded prefixes, so it answers nothing before its prefix execution.
+    let output = stable_on_its_keys_only(&mut replica, 20);
+    assert!(output.replies.is_empty() && output.executed.is_empty());
+    let output = replica.fire_due(21);
+    assert!(output.replies.is_empty() && output.executed.is_empty());
+    let output = replica.handle(0, frontier(60), 30);
+    assert_eq!(executed(&output), vec![50]);
+    assert_eq!(replied(&output), executed(&output));
+}
+
+/// An `MPromises` that only claims the safe frontier `at`.
+fn frontier(at: u64) -> Message {
+    Message::MPromises {
+        detached: vec![],
+        attached: vec![],
+        executed: vec![],
+        frontier: at,
+    }
+}

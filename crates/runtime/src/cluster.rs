@@ -290,8 +290,8 @@ where
     P: Protocol,
     P::Message: Wire,
 {
-    /// Acts on one driver step: peer sends are encoded once and fanned out,
-    /// executions answer the issuing client's endpoint and feed the history. Nothing
+    /// Acts on one driver step: peer sends are encoded once and fanned out, executions
+    /// feed the history and replies answer the issuing client's endpoint. Nothing
     /// is flushed here — the loop flushes once per burst. The driver already ran the
     /// protocol's persist hook, so everything queued here is backed by durable state
     /// before any flush can carry it (write-ahead across the wire).
@@ -304,15 +304,13 @@ where
                 self.transport.send(to, self.encoded.as_bytes());
             }
         }
-        for exec in output.executed {
-            if let Some(history) = &self.shared.history {
-                history.lock().expect("history lock").record_execution(
-                    self.shard,
-                    self.id,
-                    self.incarnation,
-                    exec.rifl,
-                );
+        if let (Some(history), false) = (&self.shared.history, output.executed.is_empty()) {
+            let mut history = history.lock().expect("history lock");
+            for exec in &output.executed {
+                history.record_execution(self.shard, self.id, self.incarnation, exec.rifl);
             }
+        }
+        for exec in output.replies {
             self.encoded.clear();
             self.encoded.put_u8(ENV_REPLY);
             ClientReply::from_result(self.shard, &exec.result).encode_into(&mut self.encoded);

@@ -69,7 +69,7 @@ use tempo_kernel::driver::{Driver, Output};
 use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
 use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::LogHistogram;
-use tempo_kernel::protocol::{Protocol, ProtocolMetrics, View, WireSize};
+use tempo_kernel::protocol::{Executed, Protocol, ProtocolMetrics, View, WireSize};
 use tempo_kernel::trace::{CmdPhase, ProcEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 use tempo_load::{Mix, Session};
 use tempo_planet::Planet;
@@ -465,7 +465,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             let busy = self.busy_until.entry(from).or_insert(0);
             *busy = (*busy).max(at) + send_cost;
         }
-        self.complete_clients(from, at, output.executed);
+        self.record_executions(from, &output.executed);
+        self.complete_clients(from, at, output.replies);
         self.register_timer_wake(from, at);
     }
 
@@ -518,24 +519,30 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         }
     }
 
-    fn complete_clients(
-        &mut self,
-        process: ProcessId,
-        at: u64,
-        executed: Vec<tempo_kernel::protocol::Executed>,
-    ) {
+    /// Records a step's executions: the history's per-replica execution order and the
+    /// CPU model's per-execution cost.
+    fn record_executions(&mut self, process: ProcessId, executed: &[Executed]) {
         if executed.is_empty() {
             return;
         }
         let shard = self.membership.shard_of(process);
         let incarnation = self.incarnation_of(process);
         if let Some(history) = &mut self.history {
-            for exec in &executed {
+            for exec in executed {
                 history.record_execution(shard, process, incarnation, exec.rifl);
             }
         }
         self.charge_executions(process, executed.len());
-        for exec in executed {
+    }
+
+    /// Hands a step's replies to the clients watching `process`: a command completes
+    /// once every shard it accesses has answered.
+    fn complete_clients(&mut self, process: ProcessId, at: u64, replies: Vec<Executed>) {
+        if replies.is_empty() {
+            return;
+        }
+        let shard = self.membership.shard_of(process);
+        for exec in replies {
             let client_id = exec.rifl.client;
             let Some(client) = self.clients.get_mut(&client_id) else {
                 continue;
@@ -558,8 +565,9 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                 .record(latency);
             self.overall.record(latency);
             // The reply "hop" is the watched replica handing the result back; the
-            // sim models it as instantaneous, so Replied lands at the execution
-            // instant (execute→reply measures queueing only under a real runtime).
+            // sim models it as instantaneous, so Replied lands at the instant the
+            // result was out (execute→reply measures queueing only under a real
+            // runtime).
             if let Some(tracer) = self.tracers.get(&process) {
                 tracer.phase(at, process, exec.rifl, CmdPhase::Replied);
             }
@@ -1149,16 +1157,21 @@ mod tests {
         let report = run::<Tempo, _>(config, planet, small_opts(), mix);
         assert!(!report.stalled, "partial replication run stalled");
         assert_eq!(report.completed, 3 * 4 * 5);
-        // Literals captured at PR 16 (burst-edge promise flush; CHANGES.md has the
-        // account of what moved from PR 12's `(1_086_000, 60, 1650, 213_961.8)`).
-        assert_eq!(fingerprint(&report), (1_082_504, 60, 1652, 213_479.0));
+        // Literals captured with key-scoped replies: single-shard commands answer once
+        // stable on their keys, so the closed-loop clients submit sooner (CHANGES.md
+        // has the account of what moved from `(1_082_504, 60, 1652, 213_479.0)`; with
+        // clients answered at execution the old literals come back exactly).
+        assert_eq!(
+            fingerprint(&report),
+            (1_444_002, 60, 1822, 205_063.183_333_333_32)
+        );
     }
 
     #[test]
     fn conflict_run_with_cpu_model_matches_pinned_literals() {
-        // Literals captured at PR 16 (burst-edge promise flush; CHANGES.md has the
-        // account of what moved from PR 12's `(751_772, 240, 1484, 75_174.458…)`): same
-        // seed, same hot/cold draws, same simulated run.
+        // Literals captured with key-scoped replies (CHANGES.md has the account of what
+        // moved from `(751_928, 240, 1554, 75_188.937_5)`, which clients answered at
+        // execution still reproduce): same seed, same hot/cold draws.
         let report = run::<Tempo, _>(
             Config::full(3, 1),
             Planet::equidistant(3, 50.0),
@@ -1171,7 +1184,10 @@ mod tests {
             ConflictMix::new(0.1, 100, 42),
         );
         assert!(!report.stalled);
-        assert_eq!(fingerprint(&report), (751_928, 240, 1554, 75_188.937_5));
+        assert_eq!(
+            fingerprint(&report),
+            (585_266, 240, 1812, 53_913.133_333_333_33)
+        );
     }
 
     /// Stability is not paced by the periodic `MPromises` tick. The planet is
@@ -1179,11 +1195,13 @@ mod tests {
     /// that is where the tick shows: it is several hops long there, whereas at WAN
     /// distances the closed-loop clients move in lockstep at multiples of a 25 ms hop
     /// and a promise up to 5 ms late is never the last thing a command waits for. What
-    /// is left is the commit gate of Algorithm 2, line 47: the fast-quorum peer's prefix
-    /// is held back by the peer's own in-flight proposals, the latest made just before
-    /// ours reached it, which commit there one round trip later and are learnt here one
-    /// more one-way hop after that — one round trip after our commit. A detached promise
-    /// waiting for the tick puts a 0–5 ms sawtooth on top of that.
+    /// is left is the commit gate of Algorithm 2, line 47: under the strict watermark the
+    /// fast-quorum peer's prefix is held back by the peer's own in-flight proposals, the
+    /// latest made just before ours reached it, which commit there one round trip later
+    /// and are learnt here one more one-way hop after that — one round trip after our
+    /// commit. `Stable` is stamped at the early reply for a command that is stable on its
+    /// keys before that (DESIGN.md §10), so the bound holds with room to spare. A
+    /// detached promise waiting for the tick would put a 0–5 ms sawtooth on top.
     #[test]
     fn stability_waits_for_the_commit_gate_not_for_the_tick() {
         const ROUND_TRIP_US: u64 = 1_000;

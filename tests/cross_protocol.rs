@@ -102,6 +102,33 @@ fn tempo_latency_is_insensitive_to_the_conflict_rate() {
     );
 }
 
+/// The Tempo-vs-Atlas yardstick (DESIGN.md §12): at f = 1 and 2% conflicts a command
+/// replies once the commands on its keys are known. On the three-region planet — the
+/// geometry of `tempo-perf`'s `wan_rw` — the quorum peer always proposes the committed
+/// timestamp, so the majority's prefixes are there at commit and Tempo is level with
+/// Atlas (1.38× before key-scoped replies, 1.00× with them). On the five-region planet
+/// the majority needs a third prefix, the lower of the two peer proposals, which lags
+/// the commit by part of a round trip whatever the gate: 1.72× before, 1.18–1.19× now
+/// (the gate fully opened reads the same), so the bound there is 1.25×.
+#[test]
+fn tempo_keeps_pace_with_atlas_at_f1_with_few_conflicts() {
+    for (planet, n, bound) in [
+        (Planet::ec2_three_regions(), 3, 1.15),
+        (Planet::ec2(), 5, 1.25),
+    ] {
+        let config = Config::full(n, 1);
+        let mix = || ConflictMix::new(0.02, 100, 3);
+        let tempo = run::<Tempo, _>(config, planet.clone(), opts(), mix());
+        let atlas = run::<Atlas, _>(config, planet, opts(), mix());
+        assert!(!tempo.stalled && !atlas.stalled);
+        let ratio = tempo.mean_latency_ms() / atlas.mean_latency_ms();
+        assert!(
+            ratio <= bound,
+            "n = {n}: Tempo's mean latency is {ratio:.2}x Atlas's (bound {bound}x)"
+        );
+    }
+}
+
 #[test]
 fn fpaxos_leader_is_a_throughput_bottleneck_under_cpu_model() {
     // Figure 7's qualitative shape: with the CPU cost model and enough load to saturate,

@@ -14,7 +14,9 @@
 //! * driver-maintained metrics: `messages_sent` counts per-destination deliveries and
 //!   agrees with the number of messages the transport actually carried;
 //! * self-delivery belongs to the driver: a protocol that addresses a message to itself
-//!   gets it back through `Protocol::handle` (never inline, never through the transport).
+//!   gets it back through `Protocol::handle` (never inline, never through the transport);
+//! * client replies: one per command per replica, equal to the execution's result and
+//!   in per-key execution order, whether `Action::Reply` leads the `Deliver` or not.
 
 use tempo_atlas::{Atlas, EPaxos};
 use tempo_caesar::Caesar;
@@ -364,8 +366,68 @@ fn self_delivery_round<P: Protocol>(config: Config) {
     );
 }
 
+/// Client replies: every replica answers each command exactly once and records it
+/// executed exactly once, the reply carries the executed result, and the replies on a
+/// key leave in that key's execution order — whether they lead execution (Tempo, once a
+/// command is stable on its keys) or come with it (every other protocol).
+fn reply_contract<P: Protocol>(config: Config) {
+    let mut cluster = LocalCluster::<P>::new(config);
+    let ids = cluster.process_ids();
+    let mut rifls = Vec::new();
+    for (i, p) in ids.iter().enumerate() {
+        let i = i as u64;
+        // Keys 0 and 1 are shared across replicas, key 10 + i is this replica's own.
+        for (seq, key) in [(1, i % 2), (2, 10 + i), (3, (i + 1) % 2)] {
+            let cmd = match seq {
+                3 => get(p + 1, seq, key),
+                _ => put(p + 1, seq, key, 100 * i + seq),
+            };
+            rifls.push(cmd.rifl);
+            cluster.submit_no_deliver(*p, cmd);
+        }
+    }
+    cluster.run_to_quiescence();
+    for _ in 0..6 {
+        cluster.tick_all(5_000);
+    }
+    rifls.sort_unstable();
+    for p in ids {
+        let executed = cluster.executed(p);
+        let replies = cluster.replies(p);
+        for (what, list) in [("execution", &executed), ("reply", &replies)] {
+            let mut seen: Vec<Rifl> = list.iter().map(|e| e.rifl).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, rifls, "{}: one {what} per command at {p}", P::NAME);
+        }
+        for reply in &replies {
+            let exec = executed.iter().find(|e| e.rifl == reply.rifl);
+            assert_eq!(
+                Some(&reply.result),
+                exec.map(|e| &e.result),
+                "{}: a reply differs from its execution at {p}",
+                P::NAME
+            );
+        }
+        for key in [0, 1] {
+            let on_key = |list: &[tempo_kernel::protocol::Executed]| -> Vec<Rifl> {
+                list.iter()
+                    .filter(|e| e.result.outputs.iter().any(|(k, _)| *k == key))
+                    .map(|e| e.rifl)
+                    .collect()
+            };
+            assert_eq!(
+                on_key(&replies),
+                on_key(&executed),
+                "{}: replies on key {key} out of execution order at {p}",
+                P::NAME
+            );
+        }
+    }
+}
+
 fn conformance<P: Protocol>(config: Config, timers: Timers) {
     put_get_round::<P>(config);
+    reply_contract::<P>(config);
     contended_round::<P>(config);
     timer_contract::<P>(config, timers);
     message_accounting::<P>(config);

@@ -2,7 +2,7 @@
 //! and the files from drifting apart: every field README quotes for a file must occur
 //! both in README.md and in the checked-in file.
 
-const QUOTED: [(&str, &str); 3] = [
+const QUOTED: [(&str, &str); 5] = [
     (
         "BENCH_micro.json",
         "median_us naive_median_us speedup_vs_naive",
@@ -15,6 +15,11 @@ const QUOTED: [(&str, &str); 3] = [
         "BENCH_load.json",
         "offered_rate achieved_rate lat_p50_ms lat_p999_ms lat_max_ms",
     ),
+    (
+        "BENCH_fig6.json",
+        "commit cores date lat_mean_ms lat_max_ms",
+    ),
+    ("BENCH_trace.json", "commit cores date"),
 ];
 
 #[test]
