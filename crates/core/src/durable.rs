@@ -6,6 +6,7 @@ use crate::executor::ExecutionInfo;
 use crate::info::Phase;
 use crate::messages::Quorums;
 use crate::protocol::{Tempo, TempoOptions};
+use crate::stability::{Bucket, Buckets};
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
@@ -38,6 +39,8 @@ pub(crate) struct Durable {
     appends_at_snapshot: u64,
     /// `TempoOptions::snapshot_every_appends`.
     snapshot_every_appends: u64,
+    /// The `Stable` record [`Self::append_stable`] fills, kept for its allocation.
+    stable: Option<WalRecord>,
 }
 
 impl Durable {
@@ -72,6 +75,19 @@ impl Durable {
                 cmd: cmd.clone(),
                 waits: waits.to_vec(),
             });
+        }
+    }
+
+    /// Appends a `Stable` record of the buckets whose stable timestamp rose, building it
+    /// only when there is a store.
+    pub(crate) fn append_stable(&mut self, risen: &[(Bucket, u64)]) {
+        if let Some(store) = &mut self.store {
+            let record = self.stable.get_or_insert(WalRecord::Stable(Vec::new()));
+            if let WalRecord::Stable(stables) = record {
+                stables.clear();
+                stables.extend_from_slice(risen);
+            }
+            store.append(record);
         }
     }
 
@@ -159,12 +175,11 @@ impl Tempo {
             tempo.stability.restore(snap.clock);
             tempo.dot_gen.skip_to(snap.next_dot_seq);
             tempo.executor.restore(
-                snap.stable,
-                (snap.floor_ts, snap.floor_dot),
+                &snap.stable,
+                &snap.floors,
                 snap.executed_count,
                 snap.kv,
             );
-            tempo.last_stable_fed = snap.stable;
             // Every snapshot-covered execution was a commit; keep the two counters
             // consistent so the stall detector (`repair_scan`) stays meaningful.
             tempo.metrics.committed = snap.executed_count;
@@ -202,21 +217,15 @@ impl Tempo {
                 WalRecord::SiblingStable { dot, shard } => {
                     tempo.replay_feed(ExecutionInfo::ShardStable { dot, shard });
                 }
-                WalRecord::Stable(ts) => {
-                    if ts > tempo.last_stable_fed {
-                        tempo.last_stable_fed = ts;
-                        tempo.replay_feed(ExecutionInfo::Stable { ts });
-                    }
+                WalRecord::Stable(risen) => {
+                    tempo.replay_feed(ExecutionInfo::StableIn(risen));
                 }
             }
         }
         let (clock, dots) = (tempo.stability.clock(), tempo.dot_gen.generated());
         tempo.durable.resume_at(clock, dots);
         if !empty {
-            // A restored instance is a restarted incarnation: like one that rejoined
-            // (`Protocol::rejoin`), it answers with its executions only.
             tempo.stability.claim_nothing();
-            tempo.executor.rejoin();
         }
         if replayed_wal {
             // Fold the replayed suffix into a fresh snapshot immediately: append-count
@@ -241,7 +250,10 @@ impl Tempo {
         }
         self.metrics.committed += 1;
         self.stability.restore(final_ts);
-        if (final_ts, dot) <= self.executor.exec_floor() {
+        if self
+            .executor
+            .covers(final_ts, dot, &Buckets::of(&cmd, self.shard))
+        {
             // Defensive: already inside the restored image (cannot happen for records
             // the cut-point argument admits, but a replayed log must never double-apply).
             let info = self.info.get_mut(&dot).expect("info exists");
@@ -263,7 +275,7 @@ impl Tempo {
     fn replay_feed(&mut self, info: ExecutionInfo) {
         let _ = self.executor.handle(info);
         let _ = self.executor.take_newly_stable();
-        for (dot, _) in self.executor.take_executed_dots() {
+        for dot in self.executor.take_executed_dots() {
             let info = self
                 .info
                 .get_mut(&dot)
@@ -284,9 +296,8 @@ impl Tempo {
         let (clock, next_dot_seq) = (self.stability.clock(), self.dot_gen.generated());
         let snapshot = Snapshot {
             clock,
-            stable: self.last_stable_fed,
-            floor_ts: image.floor.0,
-            floor_dot: image.floor.1,
+            stable: self.executor.stables(),
+            floors: image.floors,
             next_dot_seq,
             executed_count: self.executor.executed(),
             kv: image.kv,

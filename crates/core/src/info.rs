@@ -4,6 +4,7 @@
 
 use crate::messages::{Quorums, RecPhase};
 use crate::promises::PromiseRange;
+use crate::stability::Bucket;
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::Command;
 use tempo_kernel::id::{ProcessId, ShardId};
@@ -74,7 +75,7 @@ pub struct CommandInfo {
     /// Timestamp proposals received in `MProposeAck`, by fast-quorum process.
     pub proposals: BTreeMap<ProcessId, u64>,
     /// Detached promises piggybacked on `MProposeAck`, to be forwarded in `MCommit`.
-    pub proposal_detached: Vec<(ProcessId, PromiseRange)>,
+    pub proposal_detached: Vec<(ProcessId, Bucket, PromiseRange)>,
     /// `MConsensusAck` senders for the current ballot.
     pub consensus_acks: BTreeSet<ProcessId>,
     /// Whether this process, as coordinator, already sent `MCommit` for its shard.

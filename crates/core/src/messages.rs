@@ -8,6 +8,7 @@
 //! directly is equivalent because committed timestamps are unique, Property 1).
 
 use crate::promises::PromiseRange;
+use crate::stability::Bucket;
 use std::collections::BTreeMap;
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
@@ -26,8 +27,8 @@ pub type Quorums = BTreeMap<ShardId, Vec<ProcessId>>;
 pub struct PromiseBundle {
     /// Attached promises for the command being committed: `(process, timestamp)`.
     pub attached: Vec<(ProcessId, u64)>,
-    /// Detached promise ranges issued by processes while proposing.
-    pub detached: Vec<(ProcessId, PromiseRange)>,
+    /// Detached promise ranges issued by processes while proposing, by bucket.
+    pub detached: Vec<(ProcessId, Bucket, PromiseRange)>,
 }
 
 impl PromiseBundle {
@@ -38,7 +39,7 @@ impl PromiseBundle {
 
     /// Approximate serialized size in bytes.
     pub fn wire_size(&self) -> usize {
-        self.attached.len() * 16 + self.detached.len() * 24
+        self.attached.len() * 16 + self.detached.len() * 32
     }
 }
 
@@ -93,8 +94,8 @@ pub enum Message {
         dot: Dot,
         /// This process's timestamp proposal.
         ts: u64,
-        /// Detached promises generated by `proposal`.
-        detached: Vec<PromiseRange>,
+        /// Detached promises generated by `proposal`, by bucket.
+        detached: Vec<(Bucket, PromiseRange)>,
     },
     /// Commit notification for one shard, sent to every process replicating a shard
     /// accessed by the command (lines 20, 24 and 33).
@@ -131,28 +132,32 @@ pub enum Message {
         dot: Dot,
         /// The timestamp proposal to bump to.
         ts: u64,
+        /// The buckets of the command's keys on the receiver's shard, the ones to bump
+        /// (the receiver may not have the payload yet).
+        buckets: Vec<Bucket>,
     },
     /// Periodic broadcast of locally generated promises (Algorithm 2, line 45), which
     /// also piggybacks the sender's executed watermarks for committed-command GC
     /// (see [`crate::gc`]): per origin, the highest contiguous dot sequence the sender
     /// has executed.
     MPromises {
-        /// Detached promise ranges issued by the sender.
-        detached: Vec<PromiseRange>,
+        /// Detached promise ranges issued by the sender, by bucket.
+        detached: Vec<(Bucket, PromiseRange)>,
         /// Attached promises issued by the sender: `(command, timestamp)`.
         attached: Vec<(Dot, u64)>,
         /// Executed watermarks of the sender: `(origin, highest contiguous sequence)`.
         executed: Vec<(ProcessId, u64)>,
-        /// The sender's *safe promise frontier*: every timestamp `≤ frontier` is
-        /// promised by the sender, and every **attached** promise among them belongs to
-        /// a command already executed at every shard peer (GC-eligible). The receiver
-        /// may therefore absorb `[1, frontier]` wholesale without violating the
-        /// commit-gating of attached promises (Algorithm 2, line 47) — which makes
-        /// promise dissemination *cumulative*: an `MPromises` delta lost to the network
-        /// would otherwise leave a permanent gap in the receiver's view of the sender's
-        /// prefix and freeze stability there forever (the lossy-link nemesis found
-        /// exactly that).
-        frontier: u64,
+        /// The sender's *safe promise frontiers* that advanced since it last sent them,
+        /// as `(bucket, frontier)`: every timestamp `≤ frontier` is promised by the
+        /// sender in that bucket, and every **attached** promise among them belongs to a
+        /// command already executed at every shard peer (GC-eligible). The receiver may
+        /// therefore absorb `[1, frontier]` wholesale without violating the commit-gating
+        /// of attached promises (Algorithm 2, line 47) — which makes promise
+        /// dissemination *cumulative*: an `MPromises` delta lost to the network would
+        /// otherwise leave a permanent gap in the receiver's view of the sender's prefix
+        /// and freeze stability there until a promise repair (the lossy-link nemesis
+        /// found exactly that).
+        frontiers: Vec<(Bucket, u64)>,
     },
     /// Signals that the command is stable (and thus about to execute) at the sender's
     /// shard (Algorithm 3, line 64).
@@ -207,15 +212,17 @@ pub enum Message {
     /// advancing — the signature of promise deltas lost to the network).
     MPromiseRequest,
     /// Reply to `MPromiseRequest`: the sender's complete promise state, compressed.
-    /// Everything in `[1, clock]` is promised by the sender **except** that each entry
-    /// of `pending` is attached to a command not yet executed at every shard peer — the
-    /// receiver must keep those behind the commit gate of Algorithm 2, line 47.
+    /// In each bucket of `clocks`, everything in `[1, clock]` is promised by the sender
+    /// **except** that each entry of `pending` is attached to a command not yet executed
+    /// at every shard peer — the receiver must keep those behind the commit gate of
+    /// Algorithm 2, line 47.
     MPromiseRepair {
-        /// The sender's clock: it will never propose at or below it.
-        clock: u64,
+        /// The sender's clock per bucket that has one: it will never propose at or
+        /// below it there.
+        clocks: Vec<(Bucket, u64)>,
         /// Attached promises whose command is not known to be executed everywhere, as
-        /// `(timestamp, command)`.
-        pending: Vec<(u64, Dot)>,
+        /// `(bucket, timestamp, command)`, sorted.
+        pending: Vec<(Bucket, u64, Dot)>,
     },
     /// Sent by a process restarted with volatile state lost, asking its shard peers for
     /// the timestamping state it must not contradict. Not part of the paper (which
@@ -225,13 +232,14 @@ pub enum Message {
     /// recovery quorum of replies as its new clock floor, and seeds its promise tracker
     /// from `prefixes`.
     MRejoinAck {
-        /// The replier's current clock value.
+        /// The replier's highest clock over its buckets.
         clock: u64,
         /// The highest promise the replier has recorded from the rejoining process
-        /// (detached ranges included).
+        /// (detached ranges included), over every bucket.
         your_highest: u64,
-        /// The replier's contiguous promise prefix per shard process.
-        prefixes: Vec<(ProcessId, u64)>,
+        /// The replier's contiguous promise prefix per bucket and shard process, as
+        /// `(bucket, process, prefix)`, where it is not 0.
+        prefixes: Vec<(Bucket, ProcessId, u64)>,
     },
     /// Sent by a replica that completed the `MRejoin` handshake, asking a shard peer
     /// for a snapshot of the applied state: even a replica with a durable store misses
@@ -239,16 +247,15 @@ pub enum Message {
     /// that gap. See `DESIGN.md` §6 ("State transfer").
     MStateRequest,
     /// Reply to `MStateRequest`: the sender's applied state. The image contains the
-    /// effect of exactly the commands at or below the execution boundary
-    /// `⟨floor_ts, floor_dot⟩` (execution is in `⟨ts, id⟩` order, so the executed set
-    /// is that prefix), which is what makes installation safe: the receiver replaces
-    /// its image, drops queued commits at or below the boundary, and executes
-    /// everything above it on top, reproducing the shard's execution order.
+    /// effect of exactly the commands at or below each bucket's execution floor
+    /// (execution is in `⟨ts, id⟩` order per bucket, so each bucket's executed set is
+    /// that prefix), which is what makes installation safe: in every bucket where the
+    /// image is ahead, the receiver takes its keys, drops queued commits at or below the
+    /// floor, and executes everything above it on top, reproducing the shard's order.
     MState {
-        /// Timestamp of the sender's last executed command.
-        floor_ts: u64,
-        /// Dot of the sender's last executed command.
-        floor_dot: Dot,
+        /// Per bucket where anything executed, the `(bucket, ts, dot)` of its last
+        /// executed command.
+        floors: Vec<(Bucket, u64, Dot)>,
         /// The applied key-value image as `(key, value)` pairs.
         kv: Vec<(Key, u64)>,
         /// The sender's per-origin executed watermarks (seeds the receiver's GC).
@@ -299,24 +306,32 @@ impl WireSize for Message {
             | Message::MPayload { cmd, quorums, .. } => {
                 32 + cmd.wire_size() + quorums.values().map(|q| 8 * q.len() + 8).sum::<usize>()
             }
-            Message::MProposeAck { detached, .. } => 32 + detached.len() * 16,
+            Message::MProposeAck { detached, .. } => 32 + detached.len() * 24,
             Message::MCommit { promises, .. } => 40 + promises.wire_size(),
             Message::MPromises {
                 detached,
                 attached,
                 executed,
-                ..
-            } => 24 + detached.len() * 16 + attached.len() * 24 + executed.len() * 16,
+                frontiers,
+            } => {
+                16 + detached.len() * 24
+                    + attached.len() * 24
+                    + executed.len() * 16
+                    + frontiers.len() * 16
+            }
             Message::MCommitInfo { cmd, .. } => 32 + cmd.wire_size(),
-            Message::MPromiseRepair { pending, .. } => 24 + pending.len() * 24,
-            Message::MRejoinAck { prefixes, .. } => 32 + prefixes.len() * 16,
+            Message::MPromiseRepair { clocks, pending } => {
+                16 + clocks.len() * 16 + pending.len() * 32
+            }
+            Message::MRejoinAck { prefixes, .. } => 32 + prefixes.len() * 24,
             Message::MState {
+                floors,
                 kv,
                 watermarks,
                 queued,
-                ..
             } => {
-                48 + kv.len() * 16
+                16 + floors.len() * 32
+                    + kv.len() * 16
                     + watermarks.len() * 16
                     + queued
                         .iter()
@@ -360,8 +375,8 @@ mod tests {
         assert!(bundle.is_empty());
         assert_eq!(bundle.wire_size(), 0);
         bundle.attached.push((1, 5));
-        bundle.detached.push((2, PromiseRange::new(1, 4)));
+        bundle.detached.push((2, 9, PromiseRange::new(1, 4)));
         assert!(!bundle.is_empty());
-        assert_eq!(bundle.wire_size(), 40);
+        assert_eq!(bundle.wire_size(), 48);
     }
 }

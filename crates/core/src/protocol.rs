@@ -32,11 +32,11 @@ use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, PromiseBundle, Quorums};
 use crate::promises::PromiseRange;
 use crate::recovery::Recovery;
-use crate::stability::{Gating, Keys, Report, Stability, Wakes};
+use crate::stability::{bucket_of, Bucket, Buckets, Gating, Report, Stability};
 use crate::transfer::{AppliedImage, Transfer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tempo_kernel::command::Command;
+use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, DotGen, ProcessId, ShardId};
 use tempo_kernel::membership::Membership;
@@ -55,8 +55,6 @@ pub const TIMER_PROMISES: TimerId = TimerId(1);
 pub const TIMER_LIVENESS: TimerId = TimerId(2);
 /// One-shot timer behind the burst-edge `MPromises` flush (see `Tempo::arm_flush`).
 const TIMER_FLUSH: TimerId = TimerId(3);
-/// One-shot timer behind the burst-edge answer pass (see `Tempo::arm_answer`).
-const TIMER_ANSWER: TimerId = TimerId(4);
 
 /// Interval of the periodic `MPromises` broadcast, in microseconds. Fresh detached
 /// promises do not wait for it (they leave with the flush below); the tick is the healing
@@ -123,7 +121,7 @@ pub struct Tempo {
     /// `shard_peers` other than this process: the targets of shard-wide reports.
     pub(crate) other_peers: Vec<ProcessId>,
     pub(crate) dot_gen: DotGen,
-    /// The clock, the promises and the line-47 commit gate.
+    /// The clocks, the promises and the line-47 commit gate, per bucket.
     pub(crate) stability: Stability,
     pub(crate) info: BTreeMap<Dot, CommandInfo>,
     /// The execution stage: stability-ordered execution (Algorithm 2/3).
@@ -136,11 +134,13 @@ pub struct Tempo {
     pub(crate) transfer: Transfer,
     /// Suspicion, the pending dots, takeovers, repair pacing and the rejoin quorum.
     pub(crate) recovery: Recovery,
-    /// What moved in the key-scoped gate during this step (see [`Self::answer`]); empty
-    /// between steps, a field only so that its allocations are reused.
-    wakes: Wakes,
-    /// Whether a `TIMER_ANSWER` firing is outstanding.
-    answer_armed: bool,
+    /// The buckets whose stable timestamp rose, on their way to the executor (see
+    /// [`Self::sync_stability`]), and the executor's output on its way out (see
+    /// [`Self::exec_absorb`]): empty between steps, fields only so that their
+    /// allocations are reused.
+    risen: Vec<(Bucket, u64)>,
+    pub(crate) executed: Vec<Executed>,
+    drained: (Vec<Dot>, Vec<Dot>),
     /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
     /// `Schedule`, so a burst of bumps must arm it once).
     flush_armed: bool,
@@ -148,9 +148,6 @@ pub struct Tempo {
     /// had already passed their timestamp (only possible at restarted incarnations;
     /// see `commit_with`).
     pub(crate) exec_skipped: u64,
-    /// The last stability watermark fed to the executor; feeds are skipped (and the
-    /// executor left untouched) while the watermark has not advanced.
-    pub(crate) last_stable_fed: u64,
     pub(crate) metrics: ProtocolMetrics,
     /// Whether this instance is a full participant. `false` only between a restart (see
     /// [`Protocol::rejoin`]) and the completion of the `MRejoin` handshake: until then
@@ -196,25 +193,25 @@ impl Tempo {
             gc,
             durable: Durable::new(options.snapshot_every_appends),
             transfer: Transfer::new(options.state_transfer, timeout_us),
-            wakes: Wakes::default(),
-            answer_armed: false,
+            risen: Vec::new(),
+            executed: Vec::new(),
+            drained: (Vec::new(), Vec::new()),
             flush_armed: false,
             exec_skipped: 0,
-            last_stable_fed: 0,
             metrics: ProtocolMetrics::default(),
             joined: true,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Current clock value (exposed for tests and diagnostics).
+    /// The highest clock over the buckets (exposed for tests and diagnostics).
     pub fn clock_value(&self) -> u64 {
         self.stability.clock()
     }
 
-    /// The highest stable timestamp at this process (Theorem 1).
-    pub fn stable_timestamp(&self) -> u64 {
-        self.stability.stable_timestamp()
+    /// The highest stable timestamp of `key`'s bucket at this process (Theorem 1).
+    pub fn stable_timestamp(&self, key: Key) -> u64 {
+        self.stability.stable_timestamp(bucket_of(key))
     }
 
     /// The phase of a command at this process, if known.
@@ -271,17 +268,23 @@ impl Tempo {
         info_entry(&mut self.info, dot, now_us)
     }
 
-    /// Bumps the clock to `t` (see [`Stability::bump`]), keeping its durable floor ahead.
-    fn clock_bump(&mut self, t: u64) {
-        if self.stability.bump(t) {
+    /// Bumps the clocks of `buckets` to `t` (see [`Stability::bump`]; `lazily`:
+    /// [`Stability::bump_lazily`]), keeping the durable clock floor ahead.
+    pub(crate) fn clock_bump(&mut self, buckets: &[Bucket], t: u64, lazily: bool) {
+        let moved = match lazily {
+            false => self.stability.bump(buckets, t),
+            true => self.stability.bump_lazily(buckets, t),
+        };
+        if moved {
             self.durable.cover(Floor::Clock, self.stability.clock());
         }
     }
 
     /// Feeds a peer's promises through the commit gate ([`Stability::absorb`]). A
-    /// collected dot counts as committed (gating would resurrect its `CommandInfo` as a
-    /// zombie), and so does `committing`, which commits in this very handler; any other
-    /// uncommitted dot gets a `CommandInfo`, and `gated` hears of it.
+    /// committed dot's attachments count in its buckets, and so do those of `committing`,
+    /// which commits in this very handler; a collected dot's are dropped (gating would
+    /// resurrect its `CommandInfo` as a zombie); any other uncommitted dot gets a
+    /// `CommandInfo`, and `gated` hears of it.
     pub(crate) fn absorb(
         &mut self,
         report: Report,
@@ -291,15 +294,16 @@ impl Tempo {
     ) {
         let (info, gc, shard) = (&mut self.info, &self.gc, self.shard);
         self.stability.absorb(report, |dot| {
-            if gc.is_collected(dot) || committing == Some(dot) {
-                return Gating::Counts;
+            if gc.is_collected(dot) {
+                return Gating::Collected;
             }
             let info = info_entry(info, dot, now_us);
-            if info.phase.is_committed_or_executed() {
-                return Gating::Counts;
+            if info.phase.is_committed_or_executed() || committing == Some(dot) {
+                let cmd = info.cmd.as_ref().expect("committed commands have a payload");
+                return Gating::Counts(Buckets::of(cmd, shard));
             }
             gated(dot);
-            Gating::Waits(info.cmd.as_ref().map(|cmd| Keys::of(cmd.ops_of(shard))))
+            Gating::Waits
         });
     }
 
@@ -361,7 +365,7 @@ impl Tempo {
         // shard. The proposal is Clock + 1; the clock itself is bumped when this process
         // handles its own MPropose (it belongs to the fast quorum).
         debug_assert!(cmd.accesses(self.shard));
-        let t = self.stability.clock() + 1;
+        let t = self.stability.clock_over(&Buckets::of(&cmd, self.shard)) + 1;
         let fast_quorum = quorums
             .get(&self.shard)
             .cloned()
@@ -403,8 +407,6 @@ impl Tempo {
             info.phase = Phase::Payload;
             self.recovery.pend(dot);
         }
-        let shard = self.shard;
-        self.stability.learn(dot, || Keys::of(cmd.ops_of(shard)));
         // A commit may have been waiting for the payload (multi-shard races).
         self.try_complete_commit(dot, now_us, out);
     }
@@ -423,18 +425,16 @@ impl Tempo {
         // Algorithm 1, lines 12-16 (pre: id ∈ start).
         self.tracer
             .phase(now_us, self.process, cmd.rifl, CmdPhase::PayloadDelivered);
-        let shard = self.shard;
-        self.stability.learn(dot, || Keys::of(cmd.ops_of(shard)));
         {
             let info = self.info_mut(dot, now_us);
-            if info.phase != Phase::Start {
+            let late = info.phase != Phase::Start;
+            info.learn_payload(&cmd, &quorums);
+            if late {
                 // Either recovery already reached this process or a commit arrived first;
                 // in both cases we must not produce a proposal anymore.
-                info.learn_payload(&cmd, &quorums);
                 self.try_complete_commit(dot, now_us, out);
                 return;
             }
-            info.learn_payload(&cmd, &quorums);
         }
         if !self.joined {
             // A restarted process must not propose until the rejoin handshake recovered
@@ -449,28 +449,30 @@ impl Tempo {
         }
         self.info_mut(dot, now_us).phase = Phase::Propose;
         self.recovery.pend(dot);
-        let (proposal, detached) = self.stability.propose(dot, ts);
-        self.stability.learn(dot, || Keys::of(cmd.ops_of(shard)));
+        let buckets = Buckets::of(&cmd, self.shard);
+        let (proposal, detached) = self.stability.propose(dot, ts, &buckets);
         self.durable.cover(Floor::Clock, self.stability.clock());
         self.info_mut(dot, now_us).ts = proposal;
         let ack = Message::MProposeAck {
             dot,
             ts: proposal,
-            detached: detached.into_iter().collect(),
+            detached,
         };
         out.push(Action::send_one(from, ack));
-        // §4, "Faster stability": tell colocated sibling-shard processes to bump their
-        // clocks to this proposal.
+        // §4, "Faster stability": tell colocated sibling-shard processes to bump the
+        // clocks of the command's buckets on their shard to this proposal.
         if cmd.is_multi_shard() {
-            let siblings: Vec<ProcessId> = self
-                .view
-                .local_coordinators(&cmd)
-                .into_iter()
-                .filter(|p| self.membership.shard_of(*p) != self.shard)
-                .collect();
-            if !siblings.is_empty() {
-                let bump = Message::MBump { dot, ts: proposal };
-                out.push(Action::send(siblings, bump));
+            for sibling in self.view.local_coordinators(&cmd) {
+                let shard = self.membership.shard_of(sibling);
+                if shard != self.shard {
+                    let buckets = Buckets::of(&cmd, shard).to_vec();
+                    let bump = Message::MBump {
+                        dot,
+                        ts: proposal,
+                        buckets,
+                    };
+                    out.push(Action::send_one(sibling, bump));
+                }
             }
         }
         // A commit may have been waiting for the payload (multi-shard or slow-path races).
@@ -482,7 +484,7 @@ impl Tempo {
         from: ProcessId,
         dot: Dot,
         ts: u64,
-        detached: Vec<PromiseRange>,
+        detached: Vec<(Bucket, PromiseRange)>,
         out: &mut Vec<Action<Message>>,
     ) {
         // Algorithm 1, lines 17-21 (pre: id ∈ propose and a reply from the full quorum).
@@ -497,8 +499,8 @@ impl Tempo {
                 return;
             }
             info.proposals.insert(from, ts);
-            for range in detached {
-                info.proposal_detached.push((from, range));
+            for (bucket, range) in detached {
+                info.proposal_detached.push((from, bucket, range));
             }
             let quorum = info.quorums.get(&shard).cloned().unwrap_or_default();
             let ready = !quorum.is_empty() && quorum.iter().all(|q| info.proposals.contains_key(q));
@@ -626,14 +628,15 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let cmd = {
+        let (cmd, proposed) = {
             let info = self.info.get_mut(&dot).expect("info exists");
             if info.phase.is_committed_or_executed() {
                 return;
             }
             info.final_ts = final_ts;
             info.phase = Phase::Commit;
-            info.cmd.clone().expect("committed commands have a payload")
+            let cmd = info.cmd.clone().expect("committed commands have a payload");
+            (cmd, info.ts > 0)
         };
         self.metrics.committed += 1;
         self.tracer
@@ -645,29 +648,36 @@ impl Tempo {
             self.tracer
                 .process_event(now_us, self.process, ProcEvent::RecoveryCompleted);
         }
-        // Attached promises for this command may now enter the tracker (line 47).
-        self.stability.commit(dot);
+        let buckets = Buckets::of(&cmd, self.shard);
+        // Attached promises for this command may now enter its buckets' tracks (line 47).
+        self.stability.commit(dot, &buckets);
         // Generate detached promises up to the committed timestamp (line 25/59); this is
         // what lets stability reach `final_ts` even when it exceeds this shard's clocks.
-        self.clock_bump(final_ts);
-        // A commit at or below the execution boundary is a duplicate of state this
-        // replica already *holds*: a rejoin state transfer installed a peer's image
-        // complete up to the boundary, so the command's effect is present even though
-        // the local executor never applied it.
-        let floor = self.executor.exec_floor();
-        let transferred = (final_ts, dot) <= floor;
-        if transferred || final_ts <= self.last_stable_fed {
+        // Only a process that proposed (or accepted) a timestamp for the command is in a
+        // quorum its stability waits for.
+        self.clock_bump(&buckets, final_ts, !proposed);
+        // A commit at or below an execution floor of its buckets is a duplicate of state
+        // this replica already *holds*: a rejoin state transfer installed a peer's image
+        // complete up to the floor, so the command's effect is present even though the
+        // local executor never applied it. So is one of a command executed here — by a
+        // previous incarnation whose image this one restored — or at the donor of an
+        // installed image (the executed frontier it restored).
+        let transferred =
+            self.executor.covers(final_ts, dot, &buckets) || self.gc.is_executed(dot);
+        let passed = buckets.iter().any(|b| final_ts <= self.executor.stable_in(*b));
+        if transferred || passed {
             // Not placeable in ⟨ts, id⟩ order anymore. In the normal regime this cannot
-            // happen — the line-47 commit gate keeps the local stable watermark
+            // happen — the line-47 commit gate keeps each bucket's stable timestamp
             // strictly below a command's timestamp until it commits locally — but a
-            // *restarted* incarnation's tracker is deliberately seeded past old
-            // commands (rejoin prefixes, safe frontiers, promise repairs), so late
-            // back-fills of pre-crash commands land below stability. `transferred`: a
-            // true duplicate; otherwise an execution gap (see `Transfer`). Either way the
-            // `MStable` attestation keeps sibling shards live. NOT written to the WAL:
-            // replaying it into a partial image would corrupt the image.
+            // *restarted* incarnation's tracks are deliberately seeded past old commands
+            // (rejoin prefixes, safe frontiers, promise repairs), so late back-fills of
+            // pre-crash commands land below stability. `transferred`: a true duplicate;
+            // otherwise an execution gap (see `Transfer`). Either way the `MStable`
+            // attestation keeps sibling shards live. NOT written to the WAL: replaying it
+            // into a partial image would corrupt the image.
             self.exec_skipped += 1;
-            let gapped = !transferred && self.transfer.record_gap((final_ts, dot), floor, &self.gc);
+            let gap = (final_ts, dot);
+            let gapped = !transferred && self.transfer.record_gap(gap, buckets, &self.gc);
             if gapped {
                 self.executor.gate();
                 if self.joined && self.transfer.start() {
@@ -746,6 +756,7 @@ impl Tempo {
             info.bal = ballot;
             info.abal = ballot;
         }
+        let buckets = self.info[&dot].cmd.as_ref().map(|cmd| Buckets::of(cmd, self.shard));
         // Write-ahead: the accept must survive a crash (a forgotten accept is how an
         // amnesiac acceptor lets two values commit). The driver's persist hook syncs
         // it before the ack below can leave this process.
@@ -754,7 +765,10 @@ impl Tempo {
             ts,
             bal: ballot,
         });
-        self.clock_bump(ts);
+        // Without the payload its buckets are unknown here; the commit bumps them.
+        if let Some(buckets) = buckets {
+            self.clock_bump(&buckets, ts, false);
+        }
         let ack = Message::MConsensusAck { dot, ballot };
         out.push(Action::send_one(from, ack));
     }
@@ -812,10 +826,10 @@ impl Tempo {
     fn handle_promises(
         &mut self,
         from: ProcessId,
-        detached: Vec<PromiseRange>,
+        detached: Vec<(Bucket, PromiseRange)>,
         attached: Vec<(Dot, u64)>,
         executed: Vec<(ProcessId, u64)>,
-        frontier: u64,
+        frontiers: Vec<(Bucket, u64)>,
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
@@ -823,9 +837,10 @@ impl Tempo {
         self.transfer
             .note_holes(&executed, &self.gc, &self.info, now_us);
         self.gc_collect();
-        // The sender's safe frontier is absorbed wholesale: it heals any gap left by an
-        // earlier lost delta (every attached promise below it is executed everywhere).
-        let report = Report::Promises(from, frontier, detached, attached);
+        // The sender's safe frontiers are absorbed wholesale: each heals any gap in its
+        // bucket left by an earlier lost delta (every attached promise below it is
+        // executed everywhere).
+        let report = Report::Promises(from, frontiers, detached, attached);
         self.absorb(report, now_us, None, |_| {});
         self.sync_stability(now_us, out);
     }
@@ -846,30 +861,24 @@ impl Tempo {
         self.exec_feed(ExecutionInfo::ShardStable { dot, shard }, now_us, out);
     }
 
-    /// Pushes the current stability watermark (Theorem 1) into the execution stage —
-    /// but only when it advanced since the last push. The watermark is a cached O(1)
-    /// read, so the steady-state cost of an `MPromises` (or promise-timer fire) that
-    /// taught us nothing new is a single comparison instead of a full executor pass.
+    /// Pushes the stable timestamps of the buckets where they rose (Theorem 1) into the
+    /// execution stage. The tracks note which rose, so the steady-state cost of an
+    /// `MPromises` (or promise-timer fire) that taught us nothing new is one emptiness
+    /// check instead of an executor pass.
     pub(crate) fn sync_stability(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
         if self.transfer.is_awaiting() {
             return; // Gated on a state transfer: the store is known incomplete.
         }
-        // The executor's watermark comes from here or from an installed transfer's
-        // boundary, and neither regresses — so it is never ahead of both.
-        debug_assert!(
-            self.executor.stable_timestamp()
-                <= self.last_stable_fed.max(self.executor.exec_floor().0),
-            "the executor's stable watermark is ahead of what it was fed"
-        );
-        let stable = self.stability.stable_timestamp();
-        if stable <= self.last_stable_fed {
+        self.stability.take_risen(&mut self.risen);
+        if self.risen.is_empty() {
             return;
         }
-        self.last_stable_fed = stable;
-        // Write-ahead: interleaving watermark advances with `Commit` records makes
-        // replay reproduce the exact pre-crash execution prefix (DESIGN.md §6).
-        self.durable.append(WalRecord::Stable(stable));
-        self.exec_feed(ExecutionInfo::Stable { ts: stable }, now_us, out);
+        // Write-ahead: interleaving stable timestamps with `Commit` records makes replay
+        // reproduce the exact pre-crash execution (DESIGN.md §6).
+        self.durable.append_stable(&self.risen);
+        self.executor.raise(&self.risen, &mut self.executed);
+        self.risen.clear();
+        self.exec_absorb(now_us, out);
     }
 
     /// Feeds one event to the execution stage and acts on its output: broadcast
@@ -882,20 +891,18 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let executed = self.executor.handle(info);
-        self.exec_absorb(executed, now_us, out);
+        self.executor.feed(info, &mut self.executed);
+        self.exec_absorb(now_us, out);
     }
 
-    /// Post-processes a batch of executor output (from [`Self::exec_feed`] or from
-    /// ungating after a closed execution gap): `MStable` broadcasts, per-command phase
-    /// updates, GC accounting, and the `Deliver` actions toward the runtime.
-    pub(crate) fn exec_absorb(
-        &mut self,
-        executed: Vec<Executed>,
-        now_us: u64,
-        out: &mut Vec<Action<Message>>,
-    ) {
-        for dot in self.executor.take_newly_stable() {
+    /// Post-processes the executor's output (in `self.executed`, from
+    /// [`Self::exec_feed`], [`Self::sync_stability`] or ungating after a closed execution
+    /// gap): `MStable` broadcasts, per-command phase updates, GC accounting, and the
+    /// `Deliver` actions toward the runtime.
+    pub(crate) fn exec_absorb(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
+        let (mut announced, mut executed_dots) = std::mem::take(&mut self.drained);
+        self.executor.drain_dots(&mut announced, &mut executed_dots);
+        for &dot in &announced {
             let cmd = self.info[&dot]
                 .cmd
                 .as_ref()
@@ -903,19 +910,17 @@ impl Tempo {
             let targets = self.view.all_replicas(cmd);
             out.push(Action::send(targets, Message::MStable { dot }));
         }
-        let executed_dots = self.executor.take_executed_dots();
         let any_executed = !executed_dots.is_empty();
         if any_executed {
             self.recovery.progress(now_us);
         }
-        for (dot, replied) in executed_dots {
+        for &dot in &executed_dots {
             let info = self.mark_executed(dot);
-            // A command that did not reply early executes the instant it becomes stable
-            // (same dispatch step), so `Stable` and the driver-emitted `Executed` carry
-            // the same timestamp; one that did was stamped when it replied (`answer`).
+            // A command executes the instant it becomes stable (same dispatch step), so
+            // `Stable` and the driver-emitted `Executed` carry the same timestamp.
             let rifl = info.cmd.as_ref().map(|c| c.rifl);
             self.gc.record_executed(dot);
-            if let (Some(rifl), false) = (rifl, replied) {
+            if let Some(rifl) = rifl {
                 self.tracer
                     .phase(now_us, self.process, rifl, CmdPhase::Stable);
             }
@@ -923,41 +928,10 @@ impl Tempo {
         if any_executed {
             self.gc_collect();
         }
-        out.extend(executed.into_iter().map(Action::Deliver));
-    }
-
-    /// Arms the one-shot answer pass if the executor may have something to answer and
-    /// none is outstanding. Like the promise flush it runs once the scheduler next looks
-    /// at timers — between bursts in `tempo-runtime`, where the replies would wait for
-    /// the burst's flush anyway, and a step later in `tempo-sim` — so its cost is paid
-    /// once per burst, not once per message.
-    fn arm_answer(&mut self, out: &mut Vec<Action<Message>>) {
-        if !self.answer_armed && self.executor.may_answer() {
-            self.answer_armed = true;
-            out.push(Action::schedule(TIMER_ANSWER, FLUSH_DELAY_US));
-        }
-    }
-
-    /// Replies to every single-shard command issued here that became stable on its keys
-    /// ([`Stability::stable_for`], [`TempoExecutor::answer`]), as [`Action::Reply`]; it
-    /// executes later with the prefix. Nothing replies early while a state transfer is
-    /// awaited, and an incarnation that rejoined never does (`Protocol::rejoin`): its
-    /// tracker rests on seeded prefixes.
-    fn answer(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
-        self.stability.settle(&mut self.wakes);
-        let stability = &self.stability;
-        let open = !self.transfer.is_awaiting();
-        let reached = if open { stability.reached() } else { 0 };
-        let bounds = (reached, stability.unknown_from());
-        let replies = self.executor.answer(&self.wakes, bounds, |ts, keys| {
-            stability.stable_for(ts, keys)
-        });
-        self.wakes.clear();
-        for reply in replies {
-            self.tracer
-                .phase(now_us, self.process, reply.rifl, CmdPhase::Stable);
-            out.push(Action::Reply(reply));
-        }
+        out.extend(self.executed.drain(..).map(Action::Deliver));
+        announced.clear();
+        executed_dots.clear();
+        self.drained = (announced, executed_dots);
     }
 
     /// Marks `dot` executed: its `CommandInfo` and its recovery attempt drop their
@@ -993,7 +967,7 @@ impl Tempo {
 
     /// Broadcasts `MPromises` to the shard peers (Algorithm 2, line 45) unless there is
     /// nothing new to say: the buffered promises, the executed watermarks and the safe
-    /// frontier. Local copies of the promises were already registered when they were
+    /// frontiers. Local copies of the promises were already registered when they were
     /// generated. The executed watermarks piggyback on it, so committed-command GC is
     /// free whenever promise traffic flows; once it stops, a frontier-only broadcast
     /// (accounted in `gc_messages`) ships the final window — GC liveness must not depend
@@ -1005,7 +979,7 @@ impl Tempo {
             return;
         }
         let news = self.gc.frontier_changed();
-        let Some((detached, attached, frontier)) = self.stability.take_outgoing(news) else {
+        let Some((detached, attached, frontiers)) = self.stability.take_outgoing(news) else {
             return;
         };
         if self.other_peers.is_empty() {
@@ -1020,17 +994,18 @@ impl Tempo {
             detached,
             attached,
             executed,
-            frontier,
+            frontiers,
         };
         out.push(Action::send(self.other_peers.clone(), msg));
     }
 
-    /// Arms the one-shot flush if this step left detached promises in the clock's buffer
-    /// (a commit, `MConsensus` or `MBump` bumped the clock, or a proposal jumped it) and
-    /// no flush is outstanding. Attached promises do not arm it: they already reach every
+    /// Arms the one-shot flush if this step left urgent detached promises in the buffer
+    /// (a commit of a command this process proposed for, an `MConsensus` or an `MBump`
+    /// bumped a clock; see [`Stability::bump`]) and no flush is outstanding. Attached
+    /// promises and a proposal's detached ones do not arm it: they already reach every
     /// replica in the command's `MCommit` bundle.
     fn arm_flush(&mut self, out: &mut Vec<Action<Message>>) {
-        if self.joined && !self.flush_armed && self.stability.has_unsent_detached() {
+        if self.joined && !self.flush_armed && self.stability.flush_due() {
             self.flush_armed = true;
             out.push(Action::schedule(TIMER_FLUSH, FLUSH_DELAY_US));
         }
@@ -1134,17 +1109,17 @@ impl Protocol for Tempo {
             Message::MConsensusAck { dot, ballot } => {
                 self.handle_consensus_ack(from, dot, ballot, &mut out)
             }
-            Message::MBump { dot: _, ts } => {
-                // Bumping the clock is always safe; it only makes future proposals larger.
-                self.clock_bump(ts);
+            Message::MBump { buckets, ts, .. } => {
+                // Bumping clocks is always safe; it only makes future proposals larger.
+                self.clock_bump(&buckets, ts, false);
             }
             Message::MPromises {
                 detached,
                 attached,
                 executed,
-                frontier,
+                frontiers,
             } => self.handle_promises(
-                from, detached, attached, executed, frontier, now_us, &mut out,
+                from, detached, attached, executed, frontiers, now_us, &mut out,
             ),
             Message::MStable { dot } => self.handle_stable(from, dot, now_us, &mut out),
             Message::MRec { dot, ballot } => self.handle_rec(from, dot, ballot, now_us, &mut out),
@@ -1163,8 +1138,8 @@ impl Protocol for Tempo {
                 self.commit_learned(dot, &cmd, ts, now_us, &mut out);
             }
             Message::MPromiseRequest => self.handle_promise_request(from, &mut out),
-            Message::MPromiseRepair { clock, pending } => {
-                self.handle_promise_repair(from, clock, pending, now_us, &mut out)
+            Message::MPromiseRepair { clocks, pending } => {
+                self.handle_promise_repair(from, clocks, pending, now_us, &mut out)
             }
             Message::MRejoin => self.handle_rejoin(from, &mut out),
             Message::MRejoinAck {
@@ -1174,14 +1149,13 @@ impl Protocol for Tempo {
             } => self.handle_rejoin_ack(from, clock, your_highest, prefixes, now_us, &mut out),
             Message::MStateRequest => self.handle_state_request(from, &mut out),
             Message::MState {
-                floor_ts,
-                floor_dot,
+                floors,
                 kv,
                 watermarks,
                 queued,
             } => {
                 let image = AppliedImage {
-                    floor: (floor_ts, floor_dot),
+                    floors,
                     kv,
                     watermarks,
                     queued,
@@ -1189,7 +1163,6 @@ impl Protocol for Tempo {
                 self.handle_state(image, now_us, &mut out)
             }
         }
-        self.arm_answer(&mut out);
         self.arm_flush(&mut out);
         out
     }
@@ -1206,7 +1179,6 @@ impl Protocol for Tempo {
         if incarnation > 0 {
             self.stability.claim_nothing();
         }
-        self.executor.rejoin();
         // Reserve a disjoint band of the dot sequence space per incarnation: a restarted
         // process must never reuse a dot of a previous life (the old dot may be executed
         // — or garbage collected — everywhere already).
@@ -1247,14 +1219,8 @@ impl Protocol for Tempo {
                 }
                 out.push(Action::schedule(TIMER_LIVENESS, LIVENESS_INTERVAL_US));
             }
-            TIMER_ANSWER => {
-                self.answer_armed = false;
-                self.answer(now_us, &mut out);
-                return out;
-            }
             _ => {}
         }
-        self.arm_answer(&mut out);
         out
     }
 

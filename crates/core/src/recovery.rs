@@ -8,7 +8,7 @@ use crate::durable::Floor;
 use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, RecPhase};
 use crate::protocol::Tempo;
-use crate::stability::{Keys, Report};
+use crate::stability::{Bucket, Buckets, Report};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tempo_kernel::config::Config;
@@ -373,8 +373,8 @@ impl Tempo {
         if !self.joined {
             return;
         }
-        if let Some((clock, pending)) = self.stability.repair_report() {
-            let repair = Message::MPromiseRepair { clock, pending };
+        if let Some((clocks, pending)) = self.stability.repair_report() {
+            let repair = Message::MPromiseRepair { clocks, pending };
             out.push(Action::send_one(from, repair));
         }
     }
@@ -387,12 +387,12 @@ impl Tempo {
     pub(crate) fn handle_promise_repair(
         &mut self,
         from: ProcessId,
-        clock: u64,
-        pending: Vec<(u64, Dot)>,
+        clocks: Vec<(Bucket, u64)>,
+        pending: Vec<(Bucket, u64, Dot)>,
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        self.absorb(Report::Repair(from, clock, pending), now_us, None, |dot| {
+        self.absorb(Report::Repair(from, clocks, pending), now_us, None, |dot| {
             out.push(Action::send_one(from, Message::MCommitRequest { dot }));
         });
         self.sync_stability(now_us, out);
@@ -434,10 +434,17 @@ impl Tempo {
             info.phase = Phase::RecoverP;
         }
         if info.bal == 0 && info.phase == Phase::Payload {
+            if self.stability.claims_nothing() {
+                // A proposal made here, in `MRec`, tells the recovery that the initial
+                // coordinator cannot have taken the fast path (line 93) — but a
+                // restarted incarnation may have proposed for this command, or even
+                // committed it as its coordinator, in the life it forgot. It stays out:
+                // the other processes of a recovery quorum decide.
+                return;
+            }
             let cmd = info.cmd.as_ref().expect("checked above");
-            let keys = Keys::of(cmd.ops_of(self.shard));
-            let (t, _) = self.stability.propose(dot, 0);
-            self.stability.learn(dot, || keys);
+            let buckets = Buckets::of(cmd, self.shard);
+            let (t, _) = self.stability.propose(dot, 0, &buckets);
             self.durable.cover(Floor::Clock, self.stability.clock());
             let info = self.info.get_mut(&dot).expect("info exists");
             info.ts = t;
@@ -549,7 +556,7 @@ impl Tempo {
         from: ProcessId,
         clock: u64,
         your_highest: u64,
-        prefixes: Vec<(ProcessId, u64)>,
+        prefixes: Vec<(Bucket, ProcessId, u64)>,
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
@@ -559,8 +566,9 @@ impl Tempo {
         let Some(quorum) = self.recovery.rejoin_ack(from) else {
             return;
         };
-        // Clock floor: never propose at or below (a) any timestamp a previous incarnation
-        // of this process used (as recorded by the peer) or (b) the peer's own clock. Over
+        // Clock floor, for every bucket: never propose at or below (a) any timestamp a
+        // previous incarnation of this process used (as recorded by the peer) or (b) the
+        // peer's own highest clock. Over
         // a recovery quorum of replies, (b) guarantees new proposals land above any
         // stability watermark derivable when the handshake completes — see DESIGN.md §5.
         // The peer's contiguous prefixes seed the promise tracker so stability detection

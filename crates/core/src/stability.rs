@@ -1,38 +1,99 @@
-//! Timestamp stability — this process's clock, the promises it made and heard, and the
+//! Timestamp stability — this process's clocks, the promises it made and heard, and the
 //! line-47 commit gate, owned by one component (Algorithms 1-2, Theorem 1).
 //!
-//! Every Tempo process keeps a scalar clock from which timestamp proposals are
-//! generated. Advancing the clock *uses up* timestamps and therefore produces *promises*:
+//! The keys of a shard fall into [`BUCKETS`] buckets (a hash of the key), and each bucket
+//! keeps its own *track*: a clock from which timestamp proposals are generated, the
+//! promises every shard member made in it, and its stable timestamp. Advancing a clock
+//! *uses up* timestamps in that bucket and therefore produces *promises*:
 //!
 //! * an **attached** promise `⟨i, t⟩` says that process `i` proposed timestamp `t` for a
-//!   specific command and will never use `t` again,
-//! * a **detached** promise `⟨i, u⟩` says that process `i` skipped timestamp `u` and will
-//!   never propose it for any command.
+//!   specific command and will never use `t` again in that command's buckets,
+//! * a **detached** promise `⟨i, b, u⟩` says that process `i` skipped timestamp `u` in
+//!   bucket `b` and will never propose it there for any command.
+//!
+//! A proposal is one more than the highest clock over the command's buckets (and at least
+//! the coordinator's), and a commit, `MConsensus` or `MBump` raises only those buckets.
+//! Commands that share a key share a bucket, so Theorem 1 holds per bucket: once a
+//! majority promised every timestamp up to `s` in a bucket, every command of that bucket
+//! at or below `s` is known here. A command that touches no key of a busy bucket never
+//! waits for the promises made there, which is what the paper's implementation gets from
+//! keeping a clock per key (DESIGN.md §3). One bucket is the scalar clock of Algorithm 1.
 //!
 //! [`Stability`] registers its own promises as it makes them and buffers them for the next
 //! `MPromises` (footnote 2: a promise is sent once in the absence of failures). Peers'
 //! promises all go through [`Stability::absorb`], where an attached one waits behind the
-//! gate until its command commits here (Algorithm 2, line 47). Own attachments also *pin*
-//! the safe frontier claimed in `MPromises` below them until their command is executed at
-//! every shard peer. `Tempo` says which dots committed, persists clock floors and ships
-//! what this produces.
-//!
-//! The gate answers two questions. [`Stability::stable_timestamp`] is the *strict*
-//! watermark, the one execution, the WAL, snapshots and transfers follow: a gated
-//! attachment is a hole in its process's prefix, whatever keys its command touches.
-//! [`Stability::stable_for`] is *key-scoped*, the one a client reply may follow: an
-//! attachment counts toward its process's prefix as soon as it is heard, and a gated one
-//! blocks only the commands that share a key with its command on this shard — every
-//! command while that payload is unknown here. Theorem 1's argument, restricted to the
-//! commands that conflict, is unchanged: a conflicting attachment still counts only once
-//! its command has committed here.
+//! gate until its command commits here (Algorithm 2, line 47), and then counts in each of
+//! the command's buckets. Own attachments also *pin* their buckets' safe frontiers claimed
+//! in `MPromises` below them until their command is executed at every shard peer. `Tempo`
+//! says which dots committed, persists the clock floor and ships what this produces.
 
 use crate::messages::PromiseBundle;
-use crate::promises::{PromiseRange, PromiseTracker, SeqSet};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::Hash;
-use tempo_kernel::command::{KVOp, Key};
-use tempo_kernel::id::{Dot, ProcessId};
+use crate::promises::{PromiseRange, SeqSet};
+use std::collections::{BTreeMap, BTreeSet};
+use tempo_kernel::command::{Command, Key};
+use tempo_kernel::id::{Dot, ProcessId, ShardId};
+
+/// `log2` of [`BUCKETS`].
+const BUCKET_BITS: u32 = 12;
+
+/// How many buckets a shard's keys fall into: one clock, one promise track and one
+/// execution line each. A constant, not an option: every replica of a shard must map a
+/// key to the same bucket, and the formats carry bucket numbers.
+pub const BUCKETS: u64 = 1 << BUCKET_BITS;
+
+/// A bucket number, in `0..BUCKETS`.
+pub type Bucket = u64;
+
+/// The bucket of `key`: the top bits of a multiplicative (Fibonacci) hash. `key % BUCKETS`
+/// would fold structured keys onto a few buckets — the microbenchmark's cold keys are
+/// `client · 10⁹ + n`, and `10⁹ mod 4096 = 2560` puts every client's n-th key in one of
+/// eight buckets.
+pub fn bucket_of(key: Key) -> Bucket {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKET_BITS)
+}
+
+/// A command's buckets on one shard, sorted and distinct; the common single bucket is
+/// held inline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Buckets {
+    /// The one bucket.
+    One(Bucket),
+    /// Two buckets or more.
+    Many(Box<[Bucket]>),
+}
+
+impl Buckets {
+    /// The buckets of `cmd`'s keys on `shard`.
+    pub fn of(cmd: &Command, shard: ShardId) -> Self {
+        match cmd.ops_of(shard) {
+            [(key, _)] => Buckets::One(bucket_of(*key)),
+            ops => ops.iter().map(|(key, _)| bucket_of(*key)).collect(),
+        }
+    }
+}
+
+impl FromIterator<Bucket> for Buckets {
+    fn from_iter<I: IntoIterator<Item = Bucket>>(buckets: I) -> Self {
+        let mut buckets: Vec<Bucket> = buckets.into_iter().collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        match buckets[..] {
+            [bucket] => Buckets::One(bucket),
+            _ => Buckets::Many(buckets.into()),
+        }
+    }
+}
+
+impl std::ops::Deref for Buckets {
+    type Target = [Bucket];
+
+    fn deref(&self) -> &[Bucket] {
+        match self {
+            Buckets::One(bucket) => std::slice::from_ref(bucket),
+            Buckets::Many(buckets) => buckets,
+        }
+    }
+}
 
 /// Promises reported by a peer, in the shape of the message that carried them.
 #[derive(Debug)]
@@ -40,607 +101,446 @@ pub enum Report {
     /// `Bundle(dot, bundle)`, from an `MCommit`: the detached ranges and the attachments
     /// to `dot` that its fast quorum made while proposing.
     Bundle(Dot, PromiseBundle),
-    /// `Promises(from, frontier, detached, attached)`, from an `MPromises`: `from`
-    /// promised all of `[1, frontier]` (its safe frontier: every attachment below it is
-    /// executed at every shard peer), the `detached` ranges and the `attached` ones.
-    Promises(ProcessId, u64, Vec<PromiseRange>, Vec<(Dot, u64)>),
-    /// `Repair(from, clock, pending)`, from an `MPromiseRepair`: `from` promised all of
-    /// `[1, clock]`, the timestamps in `pending` as attachments (in timestamp order).
-    Repair(ProcessId, u64, Vec<(u64, Dot)>),
+    /// `Promises(from, frontiers, detached, attached)`, from an `MPromises`: `from`
+    /// promised all of `[1, frontier]` in each bucket of `frontiers` (its safe frontier
+    /// there: every attachment below it is executed at every shard peer), the `detached`
+    /// ranges and the `attached` ones.
+    Promises(
+        ProcessId,
+        Vec<(Bucket, u64)>,
+        Vec<(Bucket, PromiseRange)>,
+        Vec<(Dot, u64)>,
+    ),
+    /// `Repair(from, clocks, pending)`, from an `MPromiseRepair`: in each bucket of
+    /// `clocks`, `from` promised all of `[1, clock]`, the `(bucket, timestamp, dot)`
+    /// entries of `pending` as attachments (sorted).
+    Repair(ProcessId, Vec<(Bucket, u64)>, Vec<(Bucket, u64, Dot)>),
 }
 
-/// The `MPromises` payload: unsent detached and attached promises, and the safe frontier.
-pub type Outgoing = (Vec<PromiseRange>, Vec<(Dot, u64)>, u64);
-
-/// What moved in the key-scoped gate since the last [`Stability::settle`]: a command
-/// that was not stable on its keys may be now if its timestamp lies in `reached`, if it
-/// touches one of `keys`, or if its timestamp is below `unknown`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Wakes {
-    /// `(old, new)`: the timestamp a majority's key-scoped prefixes reach rose from `old`
-    /// to `new`.
-    pub reached: Option<(u64, u64)>,
-    /// The keys of commands whose blocking attachments stopped blocking.
-    pub keys: Vec<Key>,
-    /// The lowest attachment that blocks every key (to a command whose payload is
-    /// unknown here) rose to this timestamp (`u64::MAX`: none is left): everything below
-    /// it is clear of such blockers.
-    pub unknown: Option<u64>,
-}
-
-impl Wakes {
-    /// Whether nothing moved.
-    pub fn is_empty(&self) -> bool {
-        self.reached.is_none() && self.keys.is_empty() && self.unknown.is_none()
-    }
-
-    /// Forgets what moved, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.reached = None;
-        self.keys.clear();
-        self.unknown = None;
-    }
-}
-
-/// A command's keys on one shard, sorted and distinct; the common single key is held
-/// inline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Keys {
-    /// The one key.
-    One(Key),
-    /// Two keys or more.
-    Many(Box<[Key]>),
-}
-
-impl Keys {
-    /// The keys `ops` touch.
-    pub fn of(ops: &[(Key, KVOp)]) -> Self {
-        match ops {
-            [(key, _)] => Keys::One(*key),
-            _ => ops.iter().map(|(key, _)| *key).collect::<Vec<_>>().into(),
-        }
-    }
-}
-
-impl From<Vec<Key>> for Keys {
-    fn from(mut keys: Vec<Key>) -> Self {
-        keys.sort_unstable();
-        keys.dedup();
-        match keys[..] {
-            [key] => Keys::One(key),
-            _ => Keys::Many(keys.into()),
-        }
-    }
-}
-
-impl std::ops::Deref for Keys {
-    type Target = [Key];
-
-    fn deref(&self) -> &[Key] {
-        match self {
-            Keys::One(key) => std::slice::from_ref(key),
-            Keys::Many(keys) => keys,
-        }
-    }
-}
+/// The `MPromises` payload: unsent detached and attached promises, and the safe
+/// frontiers that moved.
+pub type Outgoing = (
+    Vec<(Bucket, PromiseRange)>,
+    Vec<(Dot, u64)>,
+    Vec<(Bucket, u64)>,
+);
 
 /// What the caller of [`Stability::absorb`] knows of the command an attachment is
 /// attached to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Gating {
-    /// It committed here (or was collected): the attachment counts at once.
-    Counts,
-    /// It has not: the attachment waits for its commit, and blocks the commands sharing
-    /// one of these keys of this shard meanwhile — every command while its payload is
-    /// unknown here (`None`).
-    Waits(Option<Keys>),
+    /// It committed here, on these buckets: the attachment counts at once.
+    Counts(Buckets),
+    /// It has not: the attachment waits for its commit.
+    Waits,
+    /// It was collected (executed at every shard peer) and its payload is gone: the
+    /// attachment is dropped, and the sender's safe frontier covers it later.
+    Collected,
 }
 
-/// The attachments to one command that has not committed here (line 47).
-#[derive(Debug, Default)]
-struct Gate {
-    attached: Vec<(ProcessId, u64)>,
-    /// The command's keys on this shard, sorted; `None` while its payload is unknown here.
-    keys: Option<Keys>,
-    /// How many of `attached`, from the first, the gate is filed for; the rest are
-    /// filed at the next settle.
-    indexed: usize,
-    /// The lowest timestamp among the filed attachments of shard members, under which
-    /// the gate is filed by key; 0 while none is.
-    low: u64,
+/// One bucket's clock and stable timestamp.
+#[derive(Debug, Default, Clone)]
+struct Track {
+    /// The bucket's clock; the next proposal in it is at least `clock + 1`.
+    clock: u64,
+    /// The highest timestamp a majority of the bucket's promise prefixes reach.
+    stable: u64,
+    /// The highest safe frontier already broadcast (to skip no-news sends).
+    sent_frontier: u64,
+    /// Whether the bucket is listed in `Stability::moved`.
+    moved: bool,
+    /// Whether the bucket is listed in `Stability::risen`.
+    risen: bool,
 }
 
-/// `(ts, dot)` entries by key, each key's in ascending order: a hash map of short sorted
-/// lists, since most keys hold one entry or none — a point operation is a hash lookup,
-/// where one ordered set over every entry would be a search of the whole.
-#[derive(Debug)]
-pub(crate) struct ByKey<K> {
-    lists: HashMap<K, Vec<(u64, Dot)>>,
-}
-
-impl<K> Default for ByKey<K> {
-    fn default() -> Self {
-        Self {
-            lists: HashMap::new(),
-        }
-    }
-}
-
-impl<K: Hash + Eq> ByKey<K> {
-    pub(crate) fn insert(&mut self, key: K, entry: (u64, Dot)) {
-        let list = self.lists.entry(key).or_default();
-        if let Err(at) = list.binary_search(&entry) {
-            list.insert(at, entry);
-        }
-    }
-
-    pub(crate) fn remove(&mut self, key: K, entry: (u64, Dot)) {
-        if let Some(list) = self.lists.get_mut(&key) {
-            if let Ok(at) = list.binary_search(&entry) {
-                list.remove(at);
-                if list.is_empty() {
-                    self.lists.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// The lowest entry under `key`.
-    pub(crate) fn first(&self, key: &K) -> Option<(u64, Dot)> {
-        self.lists.get(key)?.first().copied()
-    }
-
-    /// The lowest entry under `key` above `after`.
-    pub(crate) fn first_after(&self, key: &K, after: (u64, Dot)) -> Option<(u64, Dot)> {
-        let list = self.lists.get(key)?;
-        list.get(list.partition_point(|entry| *entry <= after))
-            .copied()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.lists.is_empty()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.lists.clear();
-    }
-}
-
-/// The settled gates by key: each one under each key of its command — under `None`
-/// while its payload is unknown — at its lowest attachment.
-#[derive(Debug, Default)]
-struct Blockers(ByKey<Option<Key>>);
-
-impl Blockers {
-    /// Files `dot`'s lowest attachment `ts` under `keys` (`None`: under every key).
-    fn file(&mut self, keys: Option<&[Key]>, ts: u64, dot: Dot) {
-        match keys {
-            None => self.0.insert(None, (ts, dot)),
-            Some(keys) => keys
-                .iter()
-                .for_each(|key| self.0.insert(Some(*key), (ts, dot))),
-        }
-    }
-
-    fn unfile(&mut self, keys: Option<&[Key]>, ts: u64, dot: Dot) {
-        match keys {
-            None => self.0.remove(None, (ts, dot)),
-            Some(keys) => keys
-                .iter()
-                .for_each(|key| self.0.remove(Some(*key), (ts, dot))),
-        }
-    }
-
-    /// The lowest attachment of a gate filed under every key (`u64::MAX`: none).
-    fn first_unknown(&self) -> u64 {
-        self.0.first(&None).map_or(u64::MAX, |(ts, _)| ts)
-    }
-
-    /// Whether some gate filed under `scope` has an attachment at or below `ts`.
-    fn blocks(&self, scope: Option<Key>, ts: u64) -> bool {
-        self.0.first(&scope).is_some_and(|(low, _)| low <= ts)
-    }
-}
-
-/// The clock, the promise tracker and the commit gate of one Tempo process.
+/// The clocks, the promise tracks and the commit gate of one Tempo process.
 #[derive(Debug)]
 pub struct Stability {
     process: ProcessId,
-    /// Current clock value; the next proposal is at least `clock + 1`.
+    /// The shard members, in identifier order (every track's membership).
+    peers: Vec<ProcessId>,
+    stability_index: usize,
+    /// One track per bucket.
+    tracks: Vec<Track>,
+    /// The `Promises` variable of Algorithm 2: per bucket, the promises of each shard
+    /// member (in `peers` order), at `bucket · n + member`.
+    promised: Vec<SeqSet>,
+    /// A buffer for the prefixes a stable timestamp is picked from.
+    prefixes: Vec<u64>,
+    /// The highest clock over the buckets: the floor a restart must stay above.
     clock: u64,
-    /// Detached promises made and not yet broadcast.
-    unsent_detached: Vec<PromiseRange>,
+    /// A clock floor restored from durable state: every bucket's clock is at least this,
+    /// with nothing promised under it.
+    restored: u64,
+    /// Detached promises made by bumps and not yet broadcast.
+    unsent_detached: Vec<(Bucket, PromiseRange)>,
+    /// Whether one of them must leave with the next flush (see [`Self::bump`]).
+    urgent: bool,
     /// Attached promises made and not yet broadcast.
     unsent_attached: Vec<(Dot, u64)>,
-    /// The `Promises` variable of Algorithm 2, this process included: the promises that
-    /// count for every command (gated attachments do not).
-    promises: PromiseTracker,
     /// Attached promises to commands not committed here yet, by command (line 47).
-    gated: BTreeMap<Dot, Gate>,
-    /// Gates with attachments not yet filed, in the order they grew (a released one is
-    /// skipped at the next settle).
-    unsettled: Vec<Dot>,
-    /// The settled gates by key.
-    blockers: Blockers,
-    /// Per process in tracker order, every timestamp it attached (gated or not) or, as of
-    /// the last settle, promised: its contiguous part is the key-scoped prefix.
-    heard: Vec<SeqSet>,
-    /// The highest timestamp a majority of key-scoped prefixes reach, as of the last
-    /// settle.
-    reached: u64,
-    /// The lowest attachment that blocks every key, as of the last settle.
-    unknown_from: u64,
-    /// Whether a key-scoped prefix may have moved since the last settle.
-    touched: bool,
-    /// What moved since the last settle.
-    wakes: Wakes,
-    /// This process's attachments to commands not yet executed at every shard peer, as
-    /// `(timestamp, dot)`. The safe frontier stays below the smallest of them.
-    attached_pending: BTreeSet<(u64, Dot)>,
-    /// Inverse of `attached_pending`, for O(log n) unpinning when a dot is collected.
-    attached_ts: BTreeMap<Dot, u64>,
-    /// The highest safe frontier already broadcast (to skip no-news sends).
-    last_frontier_sent: u64,
+    gated: BTreeMap<Dot, Vec<(ProcessId, u64)>>,
+    /// This process's attachments not yet forgotten: timestamp and buckets, by dot.
+    pins: BTreeMap<Dot, (u64, Buckets)>,
+    /// The same attachments in each of their buckets, as `(bucket, timestamp, dot)`: a
+    /// bucket's safe frontier stays below its smallest.
+    pinned: BTreeSet<(Bucket, u64, Dot)>,
+    /// Buckets whose safe frontier may have moved since the last `take_outgoing`.
+    moved: Vec<Bucket>,
+    /// Buckets whose stable timestamp rose since the last `take_risen`.
+    risen: Vec<Bucket>,
     /// Whether this incarnation claims no frontier (see [`Stability::claim_nothing`]).
     claims_nothing: bool,
 }
 
 impl Stability {
-    /// A clock at zero for `process` of `shard_peers`; a timestamp is stable once the
-    /// `stability_index`-th smallest promise prefix reaches it.
+    /// Clocks at zero for `process` of `shard_peers`; a timestamp is stable in a bucket
+    /// once the `stability_index`-th smallest promise prefix there reaches it.
     pub fn new(process: ProcessId, shard_peers: &[ProcessId], stability_index: usize) -> Self {
-        let promises = PromiseTracker::new(shard_peers, stability_index);
-        let n = promises.processes().count();
+        let mut peers = shard_peers.to_vec();
+        peers.sort_unstable();
+        peers.dedup();
+        assert!(stability_index < peers.len(), "stability index out of range");
         Self {
             process,
+            stability_index,
+            tracks: vec![Track::default(); BUCKETS as usize],
+            promised: vec![SeqSet::default(); (BUCKETS as usize) * peers.len()],
+            prefixes: Vec::with_capacity(peers.len()),
             clock: 0,
+            restored: 0,
             unsent_detached: Vec::new(),
+            urgent: false,
             unsent_attached: Vec::new(),
-            heard: vec![SeqSet::default(); n],
-            reached: 0,
-            unknown_from: u64::MAX,
-            touched: false,
-            promises,
             gated: BTreeMap::new(),
-            unsettled: Vec::new(),
-            blockers: Blockers::default(),
-            wakes: Wakes::default(),
-            attached_pending: BTreeSet::new(),
-            attached_ts: BTreeMap::new(),
-            last_frontier_sent: 0,
+            pins: BTreeMap::new(),
+            pinned: BTreeSet::new(),
+            moved: Vec::new(),
+            risen: Vec::new(),
             claims_nothing: false,
+            peers,
         }
     }
 
-    /// Current clock value.
+    /// The highest clock over every bucket.
     pub fn clock(&self) -> u64 {
         self.clock
     }
 
-    /// The highest stable timestamp (Theorem 1): the strict watermark, under which every
-    /// attachment to an uncommitted command is a hole.
-    pub fn stable_timestamp(&self) -> u64 {
-        self.promises.stable_timestamp()
+    /// The clock of `bucket`.
+    pub fn clock_of(&self, bucket: Bucket) -> u64 {
+        self.tracks[bucket as usize].clock.max(self.restored)
     }
 
-    /// Whether `ts` is stable for a command on `keys` (this shard's, sorted or not) as of
-    /// the last [`Self::settle`]: a majority of processes have a key-scoped prefix at
-    /// `ts` or above, and no shard member has an attachment at or below `ts` to a command
-    /// that has not committed here and shares one of `keys` — or whose payload is
-    /// unknown here. A tie at `ts` blocks. The caller's command must have committed here:
-    /// its own attachments are then counted, never gated.
-    pub fn stable_for(&self, ts: u64, keys: &[Key]) -> bool {
-        ts <= self.reached
-            && !self.blockers.blocks(None, ts)
-            && !keys.iter().any(|key| self.blockers.blocks(Some(*key), ts))
+    /// The highest clock over `buckets`.
+    pub fn clock_over(&self, buckets: &[Bucket]) -> u64 {
+        let clocks = buckets.iter().map(|b| self.clock_of(*b));
+        clocks.max().unwrap_or(self.restored)
     }
 
-    /// The highest timestamp a majority's key-scoped prefixes reach, as of the last
-    /// [`Self::settle`]: no command above it is stable on any keys.
-    pub fn reached(&self) -> u64 {
-        self.reached
+    /// The highest stable timestamp of `bucket` (Theorem 1).
+    pub fn stable_timestamp(&self, bucket: Bucket) -> u64 {
+        self.tracks[bucket as usize].stable
     }
 
-    /// The lowest attachment to a command whose payload is unknown here, as of the last
-    /// [`Self::settle`] (`u64::MAX`: none): no command at or above it is stable on any
-    /// keys until that payload arrives or the command commits.
-    pub fn unknown_from(&self) -> u64 {
-        self.unknown_from
+    /// The promises of the shard member at `index` (of `peers`) in `bucket`.
+    fn promised(&self, bucket: Bucket, index: usize) -> &SeqSet {
+        &self.promised[bucket as usize * self.peers.len() + index]
     }
 
-    /// Brings the key-scoped state up to date and swaps what moved since the last call
-    /// into `wakes`, which the caller cleared (both buffers keep their allocations): the
-    /// gates opened or grown since then are filed by key, and every process's key-scoped
-    /// prefix takes in what the tracker gained.
-    pub fn settle(&mut self, wakes: &mut Wakes) {
-        debug_assert!(wakes.is_empty(), "the caller clears the buffer");
-        if !self.unsettled.is_empty() {
-            self.file();
+    /// Moves the buckets whose stable timestamp rose since the last call into `risen`,
+    /// each with its stable timestamp now.
+    pub fn take_risen(&mut self, risen: &mut Vec<(Bucket, u64)>) {
+        for &bucket in &self.risen {
+            self.tracks[bucket as usize].risen = false;
+            risen.push((bucket, self.stable_timestamp(bucket)));
         }
-        if std::mem::take(&mut self.touched) {
-            self.hear();
-            let reached = self.majority_heard();
-            if reached > self.reached {
-                self.wakes.reached = Some((self.reached, reached));
-                self.reached = reached;
-            }
-        }
-        let unknown_from = self.blockers.first_unknown();
-        if unknown_from > self.unknown_from {
-            self.wakes.unknown = Some(unknown_from);
-        }
-        self.unknown_from = unknown_from;
-        std::mem::swap(&mut self.wakes, wakes);
+        self.risen.clear();
     }
 
-    /// The highest timestamp a majority's key-scoped prefixes reach: the highest prefix
-    /// that at least `n - ⌊n/2⌋` prefixes reach (a shard is a handful of processes).
-    fn majority_heard(&self) -> u64 {
-        let needed = self.heard.len() - self.promises.stability_index();
-        let prefixes = self.heard.iter().map(SeqSet::contiguous);
-        let reaching = |at: u64| prefixes.clone().filter(|heard| *heard >= at).count();
-        let majority = prefixes.clone().filter(|at| reaching(*at) >= needed);
-        majority.max().unwrap_or(0)
-    }
-
-    /// Takes the tracker's promises into `heard`: each process's contiguous prefix, and
-    /// whatever runs above it continue the key-scoped prefix (most of the time none).
-    fn hear(&mut self) {
-        for (index, heard) in self.heard.iter_mut().enumerate() {
-            let prefix = self.promises.prefix_at(index);
-            if prefix > heard.contiguous() {
-                heard.insert_range(1, prefix);
-            }
-            while let Some(end) = self.promises.run_end(index, heard.contiguous() + 1) {
-                heard.insert_range(heard.contiguous() + 1, end);
-            }
-        }
-    }
-
-    /// Files the gates opened or grown since the last settle by key.
-    fn file(&mut self) {
-        let mut unsettled = std::mem::take(&mut self.unsettled);
-        for dot in unsettled.drain(..) {
-            let Some(gate) = self.gated.get_mut(&dot) else {
-                continue; // Released since it was opened.
-            };
-            if gate.indexed == gate.attached.len() {
-                continue;
-            }
-            let mut low = u64::MAX;
-            for &(process, ts) in &gate.attached[gate.indexed..] {
-                if self.promises.index_of(process).is_some() {
-                    low = low.min(ts);
+    /// Proposes a timestamp for `dot`, which touches `buckets`, given the coordinator's
+    /// proposal `min` (Algorithm 1, lines 34-39): `max(min, clock + 1)` over the highest
+    /// clock of those buckets, to which each of them moves. Each bucket's skipped range
+    /// `[clock + 1, t - 1]` is a detached promise; returned for the `MProposeAck`, it
+    /// reaches every replica in the `MCommit` bundle, and so do the unsent detached
+    /// promises of those buckets, which leave with it. `⟨self, t⟩` is an attached promise,
+    /// gated until `dot` commits here and pinning the buckets' frontiers below `t` until
+    /// `dot` is forgotten.
+    pub fn propose(
+        &mut self,
+        dot: Dot,
+        min: u64,
+        buckets: &Buckets,
+    ) -> (u64, Vec<(Bucket, PromiseRange)>) {
+        let t = min.max(self.clock_over(buckets) + 1);
+        let mut detached = Vec::new();
+        if !self.unsent_detached.is_empty() {
+            self.unsent_detached.retain(|&(bucket, range)| {
+                let ours = buckets.contains(&bucket);
+                if ours {
+                    detached.push((bucket, range));
                 }
+                !ours
+            });
+        }
+        for &bucket in buckets.iter() {
+            let clock = self.clock_of(bucket);
+            if t > clock + 1 {
+                let range = PromiseRange::new(clock + 1, t - 1);
+                self.promise(bucket, self.process, range);
+                detached.push((bucket, range));
             }
-            gate.indexed = gate.attached.len();
-            if low != u64::MAX && (gate.low == 0 || low < gate.low) {
-                if gate.low > 0 {
-                    self.blockers.unfile(gate.keys.as_deref(), gate.low, dot);
-                }
-                self.blockers.file(gate.keys.as_deref(), low, dot);
-                gate.low = low;
-            }
+            self.set_clock(bucket, t);
         }
-        self.unsettled = unsettled;
-    }
-
-    /// The payload of `dot` is known here now, with `keys` its keys on this shard: an
-    /// attachment to it that blocked every key blocks only those from now on.
-    pub fn learn(&mut self, dot: Dot, keys: impl FnOnce() -> Keys) {
-        let Some(gate) = self.gated.get_mut(&dot) else {
-            return;
-        };
-        if gate.keys.is_some() {
-            return;
-        }
-        let keys = keys();
-        if gate.low > 0 {
-            self.blockers.unfile(None, gate.low, dot);
-            self.blockers.file(Some(&keys), gate.low, dot);
-        }
-        gate.keys = Some(keys);
-    }
-
-    /// Proposes a timestamp for `dot` given the coordinator's proposal `min` (Algorithm
-    /// 1, lines 34-39): `max(min, clock + 1)`, to which the clock moves. The skipped range
-    /// `[clock + 1, t - 1]` is a detached promise, also returned for the `MProposeAck`;
-    /// `⟨self, t⟩` is an attached promise, gated until `dot` commits here and pinning the
-    /// frontier below `t` until `dot` is forgotten.
-    pub fn propose(&mut self, dot: Dot, min: u64) -> (u64, Option<PromiseRange>) {
-        let t = min.max(self.clock + 1);
-        let detached = (t > self.clock + 1).then(|| PromiseRange::new(self.clock + 1, t - 1));
-        if let Some(range) = detached {
-            self.promise(self.process, range);
-            self.unsent_detached.push(range);
-        }
-        self.clock = t;
         self.unsent_attached.push((dot, t));
-        self.admit(dot, self.process, t, &Gating::Waits(None));
-        if self.attached_ts.insert(dot, t).is_none() {
-            // Proposals come off a strictly increasing clock, so no two dots ever share
-            // an attached timestamp (timestamp uniqueness, Property 1's premise).
-            debug_assert!(
-                self.attached_pending.last().is_none_or(|(ts, _)| *ts < t),
-                "timestamp {t} attached to a second dot"
-            );
-            self.attached_pending.insert((t, dot));
+        self.admit(dot, self.process, t, &Gating::Waits);
+        if !self.pins.contains_key(&dot) {
+            for &bucket in buckets.iter() {
+                // Proposals come off a strictly increasing clock, so no two dots ever
+                // share an attached timestamp in a bucket (timestamp uniqueness,
+                // Property 1's premise).
+                debug_assert!(
+                    self.pinned_in(bucket).next_back().is_none_or(|(_, ts, _)| *ts < t),
+                    "timestamp {t} attached to a second dot in bucket {bucket}"
+                );
+                self.pinned.insert((bucket, t, dot));
+            }
+            self.pins.insert(dot, (t, buckets.clone()));
         }
         (t, detached)
     }
 
-    /// Bumps the clock to at least `t` (Algorithm 1, lines 40-43), promising the skipped
-    /// range `[clock + 1, t]`. Returns whether the clock moved.
-    pub fn bump(&mut self, t: u64) -> bool {
-        if t <= self.clock {
-            return false;
-        }
-        let range = PromiseRange::new(self.clock + 1, t);
-        self.promise(self.process, range);
-        self.unsent_detached.push(range);
-        self.clock = t;
-        true
+    /// Bumps the clocks of `buckets` to at least `t` (Algorithm 1, lines 40-43),
+    /// promising each skipped range `[clock + 1, t]`, which the next flush broadcasts: the
+    /// peers' stability may be waiting for it. Returns whether a clock moved.
+    pub fn bump(&mut self, buckets: &[Bucket], t: u64) -> bool {
+        let moved = self.bump_lazily(buckets, t);
+        self.urgent |= moved;
+        moved
     }
 
-    /// Raises the clock to at least `t` *without* promising anything: the replay of a
+    /// [`Self::bump`], for a commit this process proposed nothing for: the command's
+    /// stability rests on its fast quorum, a majority, so the promises wait for the
+    /// periodic broadcast — or for this process's next proposal in the bucket, whose
+    /// `MProposeAck` carries them.
+    pub fn bump_lazily(&mut self, buckets: &[Bucket], t: u64) -> bool {
+        let mut moved = false;
+        for &bucket in buckets {
+            let clock = self.clock_of(bucket);
+            if t > clock {
+                let range = PromiseRange::new(clock + 1, t);
+                self.promise(bucket, self.process, range);
+                self.unsent_detached.push((bucket, range));
+                self.set_clock(bucket, t);
+                moved = true;
+            }
+        }
+        moved
+    }
+
+    /// Raises every clock to at least `t` *without* promising anything: the replay of a
     /// durable clock floor or commit, whose range belongs to a previous life.
     pub fn restore(&mut self, t: u64) {
+        self.restored = self.restored.max(t);
         self.clock = self.clock.max(t);
     }
 
-    /// From now on this incarnation claims nothing (frontier 0, no `MPromiseRepair`): a
+    fn set_clock(&mut self, bucket: Bucket, t: u64) {
+        let track = &mut self.tracks[bucket as usize];
+        track.clock = t;
+        self.clock = self.clock.max(t);
+        if !std::mem::replace(&mut track.moved, true) {
+            self.moved.push(bucket);
+        }
+    }
+
+    /// From now on this incarnation claims nothing (no frontier, no `MPromiseRepair`): a
     /// restarted or restored one cannot enumerate its previous life's in-flight attached
     /// proposals, so any prefix claim could cover an attachment still gated at a peer and
     /// let a *healthy* replica's stability pass an uncommitted command (DESIGN.md §5).
-    /// Its prefix at the peers stalls; stability proceeds through the other replicas.
+    /// Its prefixes at the peers stall; stability proceeds through the other replicas.
     pub fn claim_nothing(&mut self) {
         self.claims_nothing = true;
     }
 
-    /// Absorbs a peer's promises. `gating(dot)` says whether `dot` is committed (or
-    /// collected) here — its attachments then count at once — or which keys they block
-    /// while they wait for [`Self::commit`].
+    /// Whether this incarnation claims nothing: it restarted, or was restored.
+    pub fn claims_nothing(&self) -> bool {
+        self.claims_nothing
+    }
+
+    /// Absorbs a peer's promises. `gating(dot)` says whether `dot` is committed here — its
+    /// attachments then count at once in its buckets — or whether they wait for
+    /// [`Self::commit`], or are dropped because `dot` was collected.
     pub fn absorb(&mut self, report: Report, mut gating: impl FnMut(Dot) -> Gating) {
         match report {
             Report::Bundle(dot, bundle) => {
-                for (process, range) in bundle.detached {
-                    self.promise(process, range);
+                for (process, bucket, range) in bundle.detached {
+                    self.promise(bucket, process, range);
                 }
                 let gating = gating(dot);
                 for (process, ts) in bundle.attached {
                     self.admit(dot, process, ts, &gating);
                 }
             }
-            Report::Promises(from, frontier, detached, attached) => {
-                if frontier >= 1 {
-                    self.promise(from, PromiseRange::new(1, frontier));
+            Report::Promises(from, frontiers, detached, attached) => {
+                for (bucket, frontier) in frontiers {
+                    if frontier >= 1 {
+                        self.promise(bucket, from, PromiseRange::new(1, frontier));
+                    }
                 }
-                for range in detached {
-                    self.promise(from, range);
+                for (bucket, range) in detached {
+                    self.promise(bucket, from, range);
                 }
                 for (dot, ts) in attached {
                     self.admit(dot, from, ts, &gating(dot));
                 }
             }
-            Report::Repair(from, clock, pending) => {
-                let mut next = 1;
-                for (ts, dot) in pending.into_iter().take_while(|(ts, _)| *ts <= clock) {
-                    if ts > next {
-                        self.promise(from, PromiseRange::new(next, ts - 1));
+            Report::Repair(from, clocks, pending) => {
+                let mut pending = pending.into_iter().peekable();
+                for (bucket, clock) in clocks {
+                    let mut next = 1;
+                    while let Some((at, ts, dot)) = pending.next_if(|(b, _, _)| *b <= bucket) {
+                        if at < bucket || ts > clock {
+                            continue; // Past the clock, or of a bucket without one.
+                        }
+                        if ts > next {
+                            self.promise(bucket, from, PromiseRange::new(next, ts - 1));
+                        }
+                        self.admit(dot, from, ts, &gating(dot));
+                        next = next.max(ts + 1);
                     }
-                    self.admit(dot, from, ts, &gating(dot));
-                    next = next.max(ts + 1);
-                }
-                if next <= clock {
-                    self.promise(from, PromiseRange::new(next, clock));
+                    if next <= clock {
+                        self.promise(bucket, from, PromiseRange::new(next, clock));
+                    }
                 }
             }
         }
     }
 
-    /// Adds `process`'s promise to the tracker; `heard` takes it in at the next settle.
-    fn promise(&mut self, process: ProcessId, range: PromiseRange) {
-        self.promises.add(process, range);
-        self.touched = true;
+    /// Adds `process`'s promise in `bucket`; when its prefix there grows, the bucket's
+    /// stable timestamp is the `stability_index`-th smallest prefix (Theorem 1).
+    fn promise(&mut self, bucket: Bucket, process: ProcessId, range: PromiseRange) {
+        let Ok(index) = self.peers.binary_search(&process) else {
+            return; // Another shard's: stability is a per-shard notion.
+        };
+        let n = self.peers.len();
+        let first = bucket as usize * n;
+        let set = &mut self.promised[first + index];
+        let before = set.contiguous();
+        set.insert_range(range.start, range.end);
+        if set.contiguous() == before {
+            return;
+        }
+        let prefixes = self.promised[first..first + n].iter().map(SeqSet::contiguous);
+        self.prefixes.clear();
+        self.prefixes.extend(prefixes);
+        self.prefixes.sort_unstable();
+        let stable = self.prefixes[self.stability_index];
+        let track = &mut self.tracks[bucket as usize];
+        if stable > track.stable {
+            track.stable = stable;
+            if !std::mem::replace(&mut track.risen, true) {
+                self.risen.push(bucket);
+            }
+        }
     }
 
     /// The commit gate: an attachment to a committed command counts, any other waits.
     fn admit(&mut self, dot: Dot, process: ProcessId, ts: u64, gating: &Gating) {
-        let keys = match gating {
-            Gating::Counts => return self.promise(process, PromiseRange::single(ts)),
-            Gating::Waits(keys) => keys,
-        };
-        if let Some(index) = self.promises.index_of(process) {
-            self.heard[index].insert(ts);
-            self.touched = true;
-        }
-        let gate = self.gated.entry(dot).or_insert_with(|| Gate {
-            keys: keys.clone(),
-            ..Gate::default()
-        });
-        if gate.attached.contains(&(process, ts)) {
-            return;
-        }
-        let grew = gate.indexed == gate.attached.len();
-        gate.attached.push((process, ts));
-        if grew {
-            self.unsettled.push(dot);
-            // Released gates leave their entries behind until the next settle; while
-            // none runs, compacting at twice the open gates keeps this bounded.
-            if self.unsettled.len() > 2 * self.gated.len() + 16 {
-                let gated = &self.gated;
-                self.unsettled.retain(|dot| gated.contains_key(dot));
+        match gating {
+            Gating::Counts(buckets) => {
+                for &bucket in buckets.iter() {
+                    self.promise(bucket, process, PromiseRange::single(ts));
+                }
             }
+            Gating::Waits => {
+                let attached = self.gated.entry(dot).or_default();
+                if !attached.contains(&(process, ts)) {
+                    attached.push((process, ts));
+                }
+            }
+            Gating::Collected => {}
         }
     }
 
-    /// `dot` committed here: its gated attachments count from now on (line 47).
-    pub fn commit(&mut self, dot: Dot) {
-        if let Some(gate) = self.gated.remove(&dot) {
-            for &(process, ts) in self.unblock(dot, &gate) {
-                self.promise(process, PromiseRange::single(ts));
+    /// `dot` committed here, on `buckets`: its gated attachments count from now on, in
+    /// each of them (line 47).
+    pub fn commit(&mut self, dot: Dot, buckets: &[Bucket]) {
+        if let Some(attached) = self.gated.remove(&dot) {
+            for (process, ts) in attached {
+                for &bucket in buckets {
+                    self.promise(bucket, process, PromiseRange::single(ts));
+                }
             }
         }
     }
 
     /// `dot` was collected (executed at every shard peer): it gates nothing and no longer
-    /// pins the frontier. A dot executed only here needs nothing; its commit ungated it.
+    /// pins any frontier. A dot executed only here needs nothing; its commit ungated it.
     pub fn forget(&mut self, dot: Dot) {
-        if let Some(gate) = self.gated.remove(&dot) {
-            self.unblock(dot, &gate);
-        }
-        if let Some(ts) = self.attached_ts.remove(&dot) {
-            self.attached_pending.remove(&(ts, dot));
-        }
-    }
-
-    /// Takes a removed gate's attachments out of the indexes, noting what they blocked.
-    fn unblock<'g>(&mut self, dot: Dot, gate: &'g Gate) -> &'g [(ProcessId, u64)] {
-        if gate.low > 0 {
-            self.blockers.unfile(gate.keys.as_deref(), gate.low, dot);
-            if let Some(keys) = &gate.keys {
-                self.wakes.keys.extend_from_slice(keys);
+        self.gated.remove(&dot);
+        if let Some((ts, buckets)) = self.pins.remove(&dot) {
+            for &bucket in buckets.iter() {
+                self.pinned.remove(&(bucket, ts, dot));
+                let track = &mut self.tracks[bucket as usize];
+                if !std::mem::replace(&mut track.moved, true) {
+                    self.moved.push(bucket);
+                }
             }
         }
-        &gate.attached
     }
 
-    /// Whether detached promises are waiting to be broadcast.
-    pub fn has_unsent_detached(&self) -> bool {
-        !self.unsent_detached.is_empty()
+    /// Whether detached promises are waiting for the next flush (see [`Self::bump`]).
+    pub fn flush_due(&self) -> bool {
+        self.urgent
     }
 
-    /// The safe frontier: every timestamp up to it is promised by this process, and every
-    /// attached one among them belongs to a command executed at every shard peer.
-    fn frontier(&self) -> u64 {
+    /// The safe frontier of `bucket`: every timestamp up to it is promised there by this
+    /// process, and every attached one among them belongs to a command executed at every
+    /// shard peer.
+    fn frontier(&self, bucket: Bucket) -> u64 {
         if self.claims_nothing {
             return 0;
         }
-        match self.attached_pending.first() {
-            Some((ts, _)) => self.clock.min(ts.saturating_sub(1)),
-            None => self.clock,
+        let clock = self.clock_of(bucket);
+        match self.pinned_in(bucket).next() {
+            Some((_, ts, _)) => clock.min(ts - 1),
+            None => clock,
         }
     }
 
+    /// This process's pinned attachments in `bucket`, lowest first.
+    fn pinned_in(&self, bucket: Bucket) -> impl DoubleEndedIterator<Item = &(Bucket, u64, Dot)> {
+        self.pinned
+            .range((bucket, 0, Dot::new(0, 0))..(bucket + 1, 0, Dot::new(0, 0)))
+    }
+
     /// Takes the `MPromises` payload (Algorithm 2, line 45) — the unsent detached and
-    /// attached promises and the safe frontier — or `None` when there is nothing new to
-    /// say: nothing unsent, the frontier where it was last sent, and no caller `news`.
+    /// attached promises and the safe frontiers that advanced since they were last sent —
+    /// or `None` when there is nothing new to say and no caller `news`.
     pub fn take_outgoing(&mut self, news: bool) -> Option<Outgoing> {
-        let frontier = self.frontier();
+        let mut frontiers = Vec::new();
+        let mut moved = std::mem::take(&mut self.moved);
+        for bucket in moved.drain(..) {
+            let frontier = self.frontier(bucket);
+            let track = &mut self.tracks[bucket as usize];
+            track.moved = false;
+            // Attachments land above the clock they were drawn from, so the claimed
+            // prefix only grows (per-process promise monotonicity).
+            if frontier > track.sent_frontier {
+                track.sent_frontier = frontier;
+                frontiers.push((bucket, frontier));
+            }
+        }
+        self.moved = moved;
         let unsent = !self.unsent_detached.is_empty() || !self.unsent_attached.is_empty();
-        if !(news || unsent || frontier > self.last_frontier_sent) {
+        if !(news || unsent || !frontiers.is_empty()) {
             return None;
         }
-        // Attachments land above the clock they were drawn from, so the claimed prefix
-        // only grows (per-process promise monotonicity).
-        debug_assert!(
-            frontier >= self.last_frontier_sent,
-            "promise frontier regressed"
-        );
-        self.last_frontier_sent = frontier;
+        self.urgent = false;
         let detached = std::mem::take(&mut self.unsent_detached);
         let attached = std::mem::take(&mut self.unsent_attached);
-        Some((detached, attached, frontier))
+        Some((detached, attached, frontiers))
     }
 
     /// Drops the promises not yet broadcast (a rejoining incarnation's floor bumps: they
@@ -648,30 +548,54 @@ impl Stability {
     pub fn discard_outgoing(&mut self) {
         self.unsent_detached.clear();
         self.unsent_attached.clear();
+        self.urgent = false;
     }
 
-    /// The `MPromiseRepair` payload — the clock and the pinned attachments, i.e. "all of
-    /// `[1, clock]` but these" — or `None` if this incarnation claims nothing.
-    pub fn repair_report(&self) -> Option<(u64, Vec<(u64, Dot)>)> {
-        (!self.claims_nothing)
-            .then(|| (self.clock, self.attached_pending.iter().copied().collect()))
+    /// The `MPromiseRepair` payload — per bucket with a clock, the clock, and the pinned
+    /// attachments, i.e. "all of `[1, clock]` there but these" — or `None` if this
+    /// incarnation claims nothing.
+    pub fn repair_report(&self) -> Option<(Vec<(Bucket, u64)>, Vec<(Bucket, u64, Dot)>)> {
+        if self.claims_nothing {
+            return None;
+        }
+        let mut clocks = Vec::new();
+        for (bucket, track) in (0..).zip(&self.tracks) {
+            if track.clock > 0 {
+                clocks.push((bucket, track.clock));
+            }
+        }
+        Some((clocks, self.pinned.iter().copied().collect()))
     }
 
-    /// The `MRejoinAck` payload for a rejoining `peer`: this clock, the highest promise
-    /// ever heard from `peer` and the contiguous prefix of every shard member.
-    pub fn rejoin_report(&self, peer: ProcessId) -> (u64, u64, Vec<(ProcessId, u64)>) {
-        let highest = self.promises.highest_promise(peer);
-        (self.clock, highest, self.promises.prefixes())
+    /// The `MRejoinAck` payload for a rejoining `peer`: the highest clock, the highest
+    /// promise ever heard from `peer` and every shard member's contiguous prefix in each
+    /// bucket where it has one.
+    pub fn rejoin_report(&self, peer: ProcessId) -> (u64, u64, Vec<(Bucket, ProcessId, u64)>) {
+        let (mut highest, mut prefixes) = (0, Vec::new());
+        let peer = self.peers.binary_search(&peer).ok();
+        for bucket in 0..BUCKETS {
+            if let Some(peer) = peer {
+                highest = highest.max(self.promised(bucket, peer).max_value());
+            }
+            for (index, &process) in self.peers.iter().enumerate() {
+                let prefix = self.promised(bucket, index).contiguous();
+                if prefix > 0 {
+                    prefixes.push((bucket, process, prefix));
+                }
+            }
+        }
+        (self.clock, highest, prefixes)
     }
 
-    /// Absorbs one `MRejoinAck`: the clock bumps to `floor` (past the replier's clock and
-    /// all this process was heard promising) and the replier's prefixes seed the tracker.
-    /// Returns whether the clock moved.
-    pub fn absorb_rejoin(&mut self, floor: u64, prefixes: Vec<(ProcessId, u64)>) -> bool {
-        let moved = self.bump(floor);
-        for (process, prefix) in prefixes {
+    /// Absorbs one `MRejoinAck`: every clock bumps to `floor` (past the replier's clocks
+    /// and all this process was heard promising) and the replier's prefixes seed the
+    /// tracks. Returns whether a clock moved.
+    pub fn absorb_rejoin(&mut self, floor: u64, prefixes: Vec<(Bucket, ProcessId, u64)>) -> bool {
+        let every: Vec<Bucket> = (0..BUCKETS).collect();
+        let moved = self.bump(&every, floor);
+        for (bucket, process, prefix) in prefixes {
             if prefix >= 1 {
-                self.promise(process, PromiseRange::new(1, prefix));
+                self.promise(bucket, process, PromiseRange::new(1, prefix));
             }
         }
         moved
@@ -691,17 +615,30 @@ mod tests {
         Stability::new(0, &[0, 1, 2], 1)
     }
 
+    const A: Buckets = Buckets::One(3);
+
     #[test]
     fn proposal_takes_max_of_min_and_clock() {
         let mut s = alone();
         // Coordinator proposal: clock 0 -> proposes 1.
-        assert_eq!(s.propose(dot(1), 0), (1, None));
-        assert_eq!(s.clock(), 1);
+        assert_eq!(s.propose(dot(1), 0, &A), (1, vec![]));
+        assert_eq!(s.clock_of(3), 1);
         // A proposal with a higher coordinator value jumps the clock.
-        assert_eq!(s.propose(dot(2), 10), (10, Some(PromiseRange::new(2, 9))));
-        assert_eq!(s.clock(), 10);
+        assert_eq!(
+            s.propose(dot(2), 10, &A),
+            (10, vec![(3, PromiseRange::new(2, 9))])
+        );
+        assert_eq!(s.clock_of(3), 10);
         // A proposal with a lower coordinator value still advances by one.
-        assert_eq!(s.propose(dot(3), 2).0, 11);
+        assert_eq!(s.propose(dot(3), 2, &A).0, 11);
+        // Other buckets' clocks did not move; a two-bucket command takes the higher.
+        assert_eq!(s.clock_of(4), 0);
+        let both: Buckets = [3, 4].into_iter().collect();
+        assert_eq!(
+            s.propose(dot(4), 0, &both),
+            (12, vec![(4, PromiseRange::new(1, 11))])
+        );
+        assert_eq!((s.clock_of(3), s.clock_of(4), s.clock()), (12, 12, 12));
     }
 
     #[test]
@@ -709,10 +646,10 @@ mod tests {
         // Table 1: process B has Clock = 6 and receives the coordinator proposal 6;
         // it bumps from 6 to 7 and proposes 7.
         let mut s = alone();
-        s.bump(6);
+        s.bump(&A, 6);
         s.discard_outgoing();
         // No detached promises: the clock moved by exactly one.
-        assert_eq!(s.propose(dot(1), 6), (7, None));
+        assert_eq!(s.propose(dot(1), 6, &A), (7, vec![]));
         let (detached, attached, _) = s.take_outgoing(false).expect("an attachment is news");
         assert!(detached.is_empty());
         assert_eq!(attached, vec![(dot(1), 7)]);
@@ -723,188 +660,168 @@ mod tests {
         // Table 1 d): process C has Clock = 1 and receives proposal 6: it proposes 6 and
         // generates detached promises 2, 3, 4, 5 (§3.2 "Promise collection").
         let mut s = alone();
-        s.bump(1);
+        s.bump(&A, 1);
         s.discard_outgoing();
-        assert_eq!(s.propose(dot(9), 6), (6, Some(PromiseRange::new(2, 5))));
+        let range = (3, PromiseRange::new(2, 5));
+        assert_eq!(s.propose(dot(9), 6, &A), (6, vec![range]));
+        // The detached range leaves with the `MProposeAck`, the attachment with the next
+        // `MPromises`.
         let (detached, attached, _) = s.take_outgoing(false).expect("promises are news");
-        assert_eq!(detached, vec![PromiseRange::new(2, 5)]);
+        assert!(detached.is_empty());
         assert_eq!(attached, vec![(dot(9), 6)]);
     }
 
     #[test]
     fn bump_generates_detached_up_to_target() {
         let mut s = alone();
-        s.propose(dot(1), 0);
+        s.propose(dot(1), 0, &A);
         s.discard_outgoing();
         // Committing a command with timestamp 5 bumps the clock and promises 2..=5.
-        assert!(s.bump(5));
+        assert!(s.bump(&A, 5));
         let (detached, _, _) = s.take_outgoing(false).expect("a bump is news");
-        assert_eq!(detached, vec![PromiseRange::new(2, 5)]);
+        assert_eq!(detached, vec![(3, PromiseRange::new(2, 5))]);
         // Bumping to a lower or equal value is a no-op.
-        assert!(!s.bump(3));
-        assert!(!s.has_unsent_detached());
-        assert_eq!(s.clock(), 5);
+        assert!(!s.bump(&A, 3));
+        assert!(!s.flush_due());
+        assert_eq!(s.clock_of(3), 5);
     }
 
     #[test]
     fn has_unsent_detached_tracks_the_buffer() {
         let mut s = alone();
-        assert!(!s.has_unsent_detached());
-        s.propose(dot(1), 0);
-        assert!(
-            !s.has_unsent_detached(),
-            "attached promises are not detached ones"
-        );
+        assert!(!s.flush_due());
+        s.propose(dot(1), 0, &A);
+        assert!(!s.flush_due(), "attached promises are not detached ones");
         assert!(s.take_outgoing(false).is_some());
         assert!(s.take_outgoing(false).is_none(), "nothing new to say");
-        s.bump(10);
-        assert!(s.has_unsent_detached());
+        s.bump_lazily(&A, 5);
+        assert!(!s.flush_due(), "a lazy bump waits for the tick");
+        s.bump(&A, 10);
+        assert!(s.flush_due());
+        // A proposal in the bucket takes its unsent promises along.
+        let (t, detached) = s.propose(dot(2), 0, &A);
+        assert_eq!(t, 11);
+        let ranges = [PromiseRange::new(2, 5), PromiseRange::new(6, 10)];
+        assert_eq!(detached, ranges.map(|range| (3, range)));
+        let (detached, _, _) = s.take_outgoing(false).expect("news");
+        assert!(detached.is_empty());
     }
 
-    fn settle(s: &mut Stability) -> Wakes {
-        let mut wakes = Wakes::default();
-        s.settle(&mut wakes);
-        wakes
-    }
-
-    /// Gating for a command that has not committed, on `keys` if its payload is known.
-    fn waits(keys: Option<Vec<Key>>) -> Gating {
-        Gating::Waits(keys.map(Keys::from))
-    }
-
-    /// Process 0 of `{0, 1, 2}` with its own prefix at 10, and peer 1 reporting
-    /// everything up to 10 but an attachment at 5 to `x` (from process 2), which has not
-    /// committed here and touches key 7 when `known`. Peer 2 reported nothing, so
-    /// key-scoped stability needs peer 1.
-    fn one_gate(known: bool) -> (Stability, Dot) {
+    /// Process 0 of `{0, 1, 2}` with its own prefix at 10 in buckets 3 and 4, and peer 1
+    /// reporting everything up to 10 in both, but in bucket 3 an attachment at 5 to `x`,
+    /// which has not committed here. Peer 2 reported nothing, so stability needs peer 1.
+    fn one_gate() -> (Stability, Dot) {
         let x = Dot::new(2, 1);
         let mut s = Stability::new(0, &[0, 1, 2], 1);
-        s.bump(10);
-        let detached = vec![PromiseRange::new(6, 10)];
-        let report = Report::Promises(1, 4, detached, vec![(x, 5)]);
-        s.absorb(report, |_| waits(known.then(|| vec![7])));
-        let wakes = settle(&mut s);
-        assert_eq!(
-            wakes.reached,
-            Some((0, 10)),
-            "two of three prefixes reach 10"
-        );
+        s.bump(&[3, 4], 10);
+        let detached = vec![(3, PromiseRange::new(6, 10))];
+        let report = Report::Promises(1, vec![(3, 4), (4, 10)], detached, vec![(x, 5)]);
+        s.absorb(report, |_| Gating::Waits);
         (s, x)
     }
 
     #[test]
     fn an_uncommitted_conflicting_attachment_at_or_below_ts_blocks() {
-        let (mut s, x) = one_gate(true);
-        assert!(!s.stable_for(8, &[7]));
-        assert!(!s.stable_for(8, &[3, 7]), "one shared key is enough");
-        assert!(
-            s.stable_for(4, &[7]),
-            "below the attachment, nothing blocks"
-        );
-        // The strict watermark stops below the gated attachment whatever the keys.
-        assert_eq!(s.stable_timestamp(), 4);
-        s.commit(x);
-        let wakes = settle(&mut s);
-        assert_eq!(wakes.keys, [7], "the commit opens key 7");
-        assert!(s.stable_for(8, &[7]));
-        assert_eq!(s.stable_timestamp(), 10);
+        let (mut s, x) = one_gate();
+        assert_eq!(s.stable_timestamp(3), 4, "held below the attachment");
+        s.commit(x, &[3]);
+        assert_eq!(s.stable_timestamp(3), 10);
     }
 
     #[test]
     fn a_non_conflicting_attachment_counts_at_once() {
-        let (s, _) = one_gate(true);
-        assert!(s.stable_for(10, &[3]));
-        assert!(s.stable_for(10, &[0, 8]));
-        assert!(!s.stable_for(11, &[3]), "past every prefix");
-    }
-
-    #[test]
-    fn an_unknown_payload_blocks_every_key_until_it_arrives() {
-        let (mut s, x) = one_gate(false);
-        assert!(!s.stable_for(8, &[3]));
-        assert!(!s.stable_for(8, &[7]));
-        assert!(s.stable_for(4, &[3]));
-        s.learn(x, || vec![7].into());
-        let wakes = settle(&mut s);
-        assert_eq!(
-            wakes.unknown,
-            Some(u64::MAX),
-            "no attachment blocks every key now"
-        );
-        assert!(s.stable_for(8, &[3]));
-        assert!(!s.stable_for(8, &[7]), "still uncommitted on its own key");
+        // `x`'s attachment waits in bucket 3; bucket 4 is stable past it at once.
+        let (s, _) = one_gate();
+        assert_eq!(s.stable_timestamp(4), 10);
+        let mut risen = Vec::new();
+        let mut s = s;
+        s.take_risen(&mut risen);
+        risen.sort_unstable();
+        assert_eq!(risen, [(3, 4), (4, 10)]);
     }
 
     #[test]
     fn a_tie_at_the_timestamp_blocks() {
-        let (s, _) = one_gate(true);
-        assert!(!s.stable_for(5, &[7]));
-        assert!(s.stable_for(5, &[8]));
+        // The attachment sits at 5: timestamp 5 itself is not stable in its bucket.
+        let (s, _) = one_gate();
+        assert!(s.stable_timestamp(3) < 5);
     }
 
     #[test]
     fn a_commands_own_attachments_never_block_it() {
-        // Process 0 proposes 11 for `y` (key 7) and peer 1 attaches 11 to it too; `y`
-        // commits at 11, the timestamp both attachments sit on.
-        let (mut s, _) = one_gate(true);
+        // Process 0 proposes 11 for `y` (bucket 4) and peer 1 attaches 11 to it too; `y`
+        // commits at 11, the timestamp both attachments sit on, and is stable there.
+        let (mut s, _) = one_gate();
         let y = Dot::new(0, 1);
-        assert_eq!(s.propose(y, 11), (11, None));
-        s.learn(y, || Keys::One(3));
-        s.absorb(Report::Promises(1, 0, vec![], vec![(y, 11)]), |_| {
-            waits(Some(vec![3]))
+        let bumped = vec![(4, PromiseRange::new(1, 10))];
+        assert_eq!(s.propose(y, 11, &Buckets::One(4)), (11, bumped));
+        let attached = vec![(y, 11)];
+        s.absorb(Report::Promises(1, vec![], vec![], attached), |_| {
+            Gating::Waits
         });
-        settle(&mut s);
-        assert!(
-            !s.stable_for(11, &[3]),
-            "uncommitted, it would block a conflict"
-        );
-        s.commit(y);
-        settle(&mut s);
-        assert!(s.stable_for(11, &[3]));
+        assert_eq!(s.stable_timestamp(4), 10, "uncommitted, 11 is a hole");
+        s.commit(y, &[4]);
+        assert_eq!(s.stable_timestamp(4), 11);
     }
 
-    /// The keys a dot's command touches in the property test: one or two of four.
-    fn keys_of(dot: Dot) -> Vec<Key> {
-        let mut keys = vec![(dot.source * 7 + dot.sequence) % 4];
+    #[test]
+    fn frontiers_and_repairs_are_per_bucket() {
+        let mut s = alone();
+        s.bump(&[3], 4);
+        let (t, _) = s.propose(dot(1), 0, &Buckets::One(7));
+        assert_eq!(t, 1);
+        let (_, _, frontiers) = s.take_outgoing(false).expect("news");
+        assert_eq!(frontiers, [(3, 4)], "bucket 7 is pinned below its attachment");
+        assert_eq!(s.repair_report(), Some((vec![(3, 4), (7, 1)], vec![(7, 1, dot(1))])));
+        s.forget(dot(1));
+        let (_, _, frontiers) = s.take_outgoing(false).expect("the pin went");
+        assert_eq!(frontiers, [(7, 1)]);
+        assert!(s.take_outgoing(false).is_none());
+    }
+
+    /// The buckets a dot's command touches in the property test: one or two of four.
+    fn buckets_of(dot: Dot) -> Buckets {
+        let mut buckets = vec![(dot.source * 7 + dot.sequence) % 4];
         if dot.sequence.is_multiple_of(3) {
-            keys.push((dot.source + 1) % 4);
+            buckets.push((dot.source + 1) % 4);
         }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        buckets.into_iter().collect()
     }
 
-    /// The key sets the property test asks `stable_for` about.
-    const PROBES: [&[Key]; 6] = [&[0], &[1], &[2], &[3], &[0, 1], &[2, 3]];
-
-    /// The reference the property test holds `Stability` to: one set of promised
-    /// timestamps per process, attachments that count only once their command committed,
-    /// and stability as the highest timestamp a majority's contiguous prefixes reach.
-    /// Key-scoped, every attachment counts, and one to an uncommitted command blocks the
-    /// keys it shares (all of them while its payload is unknown) at and above its
-    /// timestamp.
+    /// The reference the property test holds `Stability` to: per bucket, one set of
+    /// promised timestamps per process; attachments that count in each of their
+    /// command's buckets only once it committed; and per bucket, stability as the
+    /// highest timestamp a majority's contiguous prefixes reach.
     struct Model {
-        clock: u64,
-        promised: Vec<BTreeSet<u64>>,
+        clocks: [u64; 4],
+        /// `promised[bucket][process]`.
+        promised: Vec<Vec<BTreeSet<u64>>>,
         gated: Vec<(Dot, ProcessId, u64)>,
         /// Committed (or collected) dots.
         committed: BTreeSet<Dot>,
-        /// Dots whose payload is known.
-        known: BTreeSet<Dot>,
+        /// Collected dots.
+        collected: BTreeSet<Dot>,
         /// This process's attachments not yet forgotten.
         pinned: BTreeMap<Dot, u64>,
         /// Attachments that waited behind the gate and then counted.
         released: u64,
+        /// Detached promises of bumps not yet broadcast.
+        unsent: Vec<(Bucket, PromiseRange)>,
     }
 
     impl Model {
-        fn promise(&mut self, process: ProcessId, from: u64, to: u64) {
-            self.promised[process as usize].extend(from..=to);
+        fn promise(&mut self, bucket: Bucket, process: ProcessId, from: u64, to: u64) {
+            self.promised[bucket as usize][process as usize].extend(from..=to);
         }
 
         fn attach(&mut self, dot: Dot, process: ProcessId, ts: u64) {
+            if self.collected.contains(&dot) {
+                return;
+            }
             if self.committed.contains(&dot) {
-                self.promised[process as usize].insert(ts);
+                for &b in buckets_of(dot).iter() {
+                    self.promised[b as usize][process as usize].insert(ts);
+                }
             } else {
                 self.gated.push((dot, process, ts));
             }
@@ -915,66 +832,34 @@ mod tests {
             let (now, still): (Vec<_>, Vec<_>) = self.gated.drain(..).partition(|g| g.0 == dot);
             self.gated = still;
             for (_, process, ts) in now {
-                self.promised[process as usize].insert(ts);
+                for &b in buckets_of(dot).iter() {
+                    self.promised[b as usize][process as usize].insert(ts);
+                }
                 self.released += 1;
             }
         }
 
-        fn prefixes(&self) -> Vec<u64> {
+        fn prefixes(&self, bucket: usize) -> Vec<u64> {
             let prefix = |set: &BTreeSet<u64>| (1..).take_while(|ts| set.contains(ts)).count();
-            self.promised.iter().map(|set| prefix(set) as u64).collect()
-        }
-
-        fn stable(&self) -> u64 {
-            let mut prefixes = self.prefixes();
-            prefixes.sort_unstable_by(|a, b| b.cmp(a));
-            prefixes[prefixes.len() / 2]
-        }
-
-        /// Per process, the contiguous prefix of what it promised or attached.
-        fn heard(&self) -> Vec<u64> {
-            (0..self.promised.len())
-                .map(|p| {
-                    let attached = |ts: &u64| {
-                        self.gated
-                            .iter()
-                            .any(|g| g.1 == p as ProcessId && g.2 == *ts)
-                    };
-                    let heard = |ts: &u64| self.promised[p].contains(ts) || attached(ts);
-                    (1..).take_while(heard).count() as u64
-                })
+            self.promised[bucket]
+                .iter()
+                .map(|set| prefix(set) as u64)
                 .collect()
         }
 
-        fn stable_for(&self, heard: &[u64], ts: u64, keys: &[Key]) -> bool {
-            let blocks = |&(dot, _, at): &(Dot, ProcessId, u64)| {
-                at <= ts
-                    && (!self.known.contains(&dot) || keys_of(dot).iter().any(|k| keys.contains(k)))
-            };
-            let reached = heard.iter().filter(|h| **h >= ts).count();
-            reached >= heard.len() - heard.len() / 2 && !self.gated.iter().any(blocks)
-        }
-
-        /// `stable_for` over every probe: timestamps up to a little past the clock, by
-        /// [`PROBES`].
-        fn probes(&self) -> Vec<(u64, usize, bool)> {
-            let heard = self.heard();
-            let mut out = Vec::new();
-            for ts in 1..self.clock + 6 {
-                for (i, keys) in PROBES.iter().enumerate() {
-                    out.push((ts, i, self.stable_for(&heard, ts, keys)));
-                }
-            }
-            out
+        fn stable(&self, bucket: usize) -> u64 {
+            let mut prefixes = self.prefixes(bucket);
+            prefixes.sort_unstable_by(|a, b| b.cmp(a));
+            prefixes[prefixes.len() / 2]
         }
     }
 
     /// One seeded interleaving of every operation at process 0 of an `n`-process shard,
-    /// checked against [`Model`] after each step. Returns the final stable timestamp, how
-    /// many attachments the gate held and then released, and whether the key scope
-    /// mattered: some probe was stable above the strict watermark, and at some step and
-    /// timestamp one key set was stable while another was not.
-    fn interleaving(n: u64, seed: u64, restored: bool) -> (u64, u64, bool) {
+    /// over commands on one or two of four buckets, checked against [`Model`] after each
+    /// step. Returns the final stable timestamps, how many attachments the gate held and
+    /// then released, and whether the buckets told apart: at some step one bucket was
+    /// stable past another's stable timestamp.
+    fn interleaving(n: u64, seed: u64, restored: bool) -> ([u64; 4], u64, bool) {
         let mut rng = Rng::new(seed);
         let peers: Vec<ProcessId> = (0..n).collect();
         let mut s = Stability::new(0, &peers, (n / 2) as usize);
@@ -982,18 +867,18 @@ mod tests {
             s.claim_nothing();
         }
         let mut m = Model {
-            clock: 0,
-            promised: vec![BTreeSet::new(); n as usize],
+            clocks: [0; 4],
+            promised: vec![vec![BTreeSet::new(); n as usize]; 4],
             gated: Vec::new(),
             committed: BTreeSet::new(),
-            known: BTreeSet::new(),
+            collected: BTreeSet::new(),
             pinned: BTreeMap::new(),
             released: 0,
+            unsent: Vec::new(),
         };
-        let mut before = m.probes();
-        let (mut ahead, mut split) = (false, false);
+        let mut apart = false;
         let mut dots: Vec<Dot> = Vec::new();
-        let mut sent_frontier = 0;
+        let mut sent_frontiers = [0u64; 4];
         for step in 0..80 {
             // A known dot most of the time, a fresh one otherwise.
             let pick = |rng: &mut Rng, dots: &mut Vec<Dot>| {
@@ -1003,63 +888,86 @@ mod tests {
                 *rng.choose(dots)
             };
             let peer = 1 + rng.gen_range(n - 1);
-            let (committed, known) = (m.committed.clone(), m.known.clone());
-            let gating = |dot: Dot| match committed.contains(&dot) {
-                true => Gating::Counts,
-                false => waits(known.contains(&dot).then(|| keys_of(dot))),
+            let top = *m.clocks.iter().max().expect("four buckets");
+            let (committed, collected) = (m.committed.clone(), m.collected.clone());
+            let gating = |dot: Dot| match (collected.contains(&dot), committed.contains(&dot)) {
+                (true, _) => Gating::Collected,
+                (false, true) => Gating::Counts(buckets_of(dot)),
+                (false, false) => Gating::Waits,
             };
-            match rng.gen_range(10) {
+            match rng.gen_range(9) {
                 0 => {
                     let dot = Dot::new(0, step + 1);
-                    m.known.insert(dot);
-                    let min = m.clock.saturating_sub(2) + rng.gen_range(6);
-                    let t = min.max(m.clock + 1);
-                    let detached = (t > m.clock + 1).then(|| PromiseRange::new(m.clock + 1, t - 1));
-                    assert_eq!(s.propose(dot, min), (t, detached));
-                    s.learn(dot, || keys_of(dot).into());
-                    m.promise(0, m.clock + 1, t - 1);
+                    let buckets = buckets_of(dot);
+                    let clock = buckets.iter().map(|b| m.clocks[*b as usize]).max();
+                    let clock = clock.expect("a bucket");
+                    let min = clock.saturating_sub(2) + rng.gen_range(6);
+                    let t = min.max(clock + 1);
+                    let (mut detached, unsent) = m
+                        .unsent
+                        .iter()
+                        .partition(|(b, _)| buckets.contains(b));
+                    m.unsent = unsent;
+                    for &b in buckets.iter() {
+                        let c = m.clocks[b as usize];
+                        if t > c + 1 {
+                            m.promise(b, 0, c + 1, t - 1);
+                            detached.push((b, PromiseRange::new(c + 1, t - 1)));
+                        }
+                        m.clocks[b as usize] = t;
+                    }
+                    assert_eq!(s.propose(dot, min, &buckets), (t, detached));
                     m.attach(dot, 0, t);
                     m.pinned.insert(dot, t);
-                    m.clock = t;
                     dots.push(dot);
                 }
                 1 => {
-                    let t = m.clock.saturating_sub(2) + rng.gen_range(6);
-                    assert_eq!(s.bump(t), t > m.clock);
-                    if t > m.clock {
-                        m.promise(0, m.clock + 1, t);
-                        m.clock = t;
+                    let b = rng.gen_range(4);
+                    let c = m.clocks[b as usize];
+                    let t = c.saturating_sub(2) + rng.gen_range(6);
+                    assert_eq!(s.bump(&[b], t), t > c);
+                    if t > c {
+                        m.promise(b, 0, c + 1, t);
+                        m.unsent.push((b, PromiseRange::new(c + 1, t)));
+                        m.clocks[b as usize] = t;
                     }
                 }
                 2 => {
-                    let frontier = rng.gen_range(m.clock + 3);
-                    let start = 1 + rng.gen_range(m.clock + 5);
-                    let detached = vec![PromiseRange::new(start, start + rng.gen_range(4))];
-                    let attached: Vec<(Dot, u64)> = (0..rng.gen_range(3))
-                        .map(|_| (pick(&mut rng, &mut dots), 1 + rng.gen_range(m.clock + 5)))
+                    let frontiers: Vec<(Bucket, u64)> = (0..rng.gen_range(3))
+                        .map(|_| (rng.gen_range(4), rng.gen_range(top + 3)))
                         .collect();
-                    m.promise(peer, 1, frontier);
-                    m.promise(peer, detached[0].start, detached[0].end);
+                    let start = 1 + rng.gen_range(top + 5);
+                    let range = PromiseRange::new(start, start + rng.gen_range(4));
+                    let bucket = rng.gen_range(4);
+                    let attached: Vec<(Dot, u64)> = (0..rng.gen_range(3))
+                        .map(|_| (pick(&mut rng, &mut dots), 1 + rng.gen_range(top + 5)))
+                        .collect();
+                    for &(b, frontier) in &frontiers {
+                        m.promise(b, peer, 1, frontier);
+                    }
+                    m.promise(bucket, peer, range.start, range.end);
                     for &(dot, ts) in &attached {
                         m.attach(dot, peer, ts);
                     }
-                    s.absorb(Report::Promises(peer, frontier, detached, attached), gating);
+                    let report = Report::Promises(peer, frontiers, vec![(bucket, range)], attached);
+                    s.absorb(report, gating);
                 }
                 3 => {
                     let dot = pick(&mut rng, &mut dots);
                     let bundle = PromiseBundle {
                         attached: (0..rng.gen_range(n))
-                            .map(|_| (rng.gen_range(n), 1 + rng.gen_range(m.clock + 5)))
+                            .map(|_| (rng.gen_range(n), 1 + rng.gen_range(top + 5)))
                             .collect(),
                         detached: (0..rng.gen_range(2))
                             .map(|_| {
-                                let start = 1 + rng.gen_range(m.clock + 5);
-                                (rng.gen_range(n), PromiseRange::new(start, start + 2))
+                                let start = 1 + rng.gen_range(top + 5);
+                                let range = PromiseRange::new(start, start + 2);
+                                (rng.gen_range(n), rng.gen_range(4), range)
                             })
                             .collect(),
                     };
-                    for &(process, range) in &bundle.detached {
-                        m.promise(process, range.start, range.end);
+                    for &(process, b, range) in &bundle.detached {
+                        m.promise(b, process, range.start, range.end);
                     }
                     for &(process, ts) in &bundle.attached {
                         m.attach(dot, process, ts);
@@ -1067,23 +975,33 @@ mod tests {
                     s.absorb(Report::Bundle(dot, bundle), gating);
                 }
                 4 => {
-                    let clock = rng.gen_range(m.clock + 6);
-                    let mut stamps: Vec<u64> = (0..rng.gen_range(4))
-                        .map(|_| 1 + rng.gen_range(clock + 3))
-                        .collect();
-                    stamps.sort_unstable();
-                    stamps.dedup();
-                    let pending: Vec<(u64, Dot)> = stamps
-                        .into_iter()
-                        .map(|ts| (ts, pick(&mut rng, &mut dots)))
-                        .collect();
-                    for ts in 1..=clock {
-                        match pending.iter().find(|(p, _)| *p == ts) {
-                            Some(&(_, dot)) => m.attach(dot, peer, ts),
-                            None => m.promise(peer, ts, ts),
+                    let mut clocks = Vec::new();
+                    let mut pending = Vec::new();
+                    for b in 0..4 {
+                        if rng.gen_bool(0.5) {
+                            continue;
                         }
+                        let clock = rng.gen_range(top + 6);
+                        clocks.push((b, clock));
+                        let mut stamps: Vec<u64> = (0..rng.gen_range(3))
+                            .map(|_| 1 + rng.gen_range(clock + 3))
+                            .collect();
+                        stamps.sort_unstable();
+                        stamps.dedup();
+                        for ts in 1..=clock {
+                            match stamps.contains(&ts) {
+                                true => {
+                                    let dot = pick(&mut rng, &mut dots);
+                                    m.attach(dot, peer, ts);
+                                    pending.push((b, ts, dot));
+                                }
+                                false => m.promise(b, peer, ts, ts),
+                            }
+                        }
+                        // Entries past the clock are ignored.
+                        pending.extend(stamps.iter().filter(|ts| **ts > clock).map(|ts| (b, *ts, dot(99))));
                     }
-                    s.absorb(Report::Repair(peer, clock, pending), gating);
+                    s.absorb(Report::Repair(peer, clocks, pending), gating);
                 }
                 5 | 6 => {
                     let open: Vec<Dot> = dots
@@ -1092,7 +1010,7 @@ mod tests {
                         .filter(|d| !m.committed.contains(d))
                         .collect();
                     if let Some(&dot) = open.get(rng.gen_range(open.len() as u64 + 1) as usize) {
-                        s.commit(dot);
+                        s.commit(dot, &buckets_of(dot));
                         m.commit(dot);
                     }
                 }
@@ -1102,32 +1020,41 @@ mod tests {
                     if let Some(&dot) = done.get(rng.gen_range(done.len() as u64 + 1) as usize) {
                         s.forget(dot);
                         m.pinned.remove(&dot);
+                        m.collected.insert(dot);
                     }
-                }
-                8 => {
-                    // A payload arrives (an `MPropose` or `MPayload`).
-                    let dot = pick(&mut rng, &mut dots);
-                    m.known.insert(dot);
-                    s.learn(dot, || keys_of(dot).into());
                 }
                 _ => {
-                    if let Some((_, _, frontier)) = s.take_outgoing(rng.gen_bool(0.3)) {
-                        assert!(frontier >= sent_frontier, "frontier regressed");
-                        assert!(frontier <= m.clock);
-                        assert!(
-                            m.pinned.values().all(|ts| frontier < *ts),
-                            "frontier {frontier} covers a pinned attachment {:?}",
-                            m.pinned
-                        );
-                        assert!(!restored || frontier == 0, "a restored instance claimed");
-                        sent_frontier = frontier;
+                    if let Some((detached, _, frontiers)) = s.take_outgoing(rng.gen_bool(0.3)) {
+                        assert_eq!(detached, std::mem::take(&mut m.unsent));
+                        for (b, frontier) in frontiers {
+                            let b = b as usize;
+                            assert!(frontier > sent_frontiers[b], "frontier regressed");
+                            assert!(frontier <= m.clocks[b]);
+                            assert!(
+                                m.pinned
+                                    .iter()
+                                    .filter(|(dot, _)| buckets_of(**dot).contains(&(b as u64)))
+                                    .all(|(_, ts)| frontier < *ts),
+                                "frontier {frontier} covers a pinned attachment {:?}",
+                                m.pinned
+                            );
+                            assert!(!restored, "a restored instance claimed");
+                            sent_frontiers[b] = frontier;
+                        }
                     }
                     match s.repair_report() {
-                        Some((clock, pending)) => {
+                        Some((clocks, pending)) => {
                             assert!(!restored);
-                            assert_eq!(clock, m.clock);
-                            let mut pinned: Vec<(u64, Dot)> =
-                                m.pinned.iter().map(|(d, t)| (*t, *d)).collect();
+                            let expected: Vec<(Bucket, u64)> = (0..4)
+                                .filter(|b| m.clocks[*b as usize] > 0)
+                                .map(|b| (b, m.clocks[b as usize]))
+                                .collect();
+                            assert_eq!(clocks, expected);
+                            let mut pinned: Vec<(Bucket, u64, Dot)> = m
+                                .pinned
+                                .iter()
+                                .flat_map(|(d, t)| buckets_of(*d).iter().map(|b| (*b, *t, *d)).collect::<Vec<_>>())
+                                .collect();
                             pinned.sort_unstable();
                             assert_eq!(pending, pinned);
                         }
@@ -1135,99 +1062,63 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(
-                s.stable_timestamp(),
-                m.stable(),
-                "seed {seed}, step {step}: stable timestamp diverged from the model"
-            );
-            let wakes = settle(&mut s);
-            let heard: Vec<u64> = s.heard.iter().map(SeqSet::contiguous).collect();
-            assert_eq!(
-                heard,
-                m.heard(),
-                "seed {seed}, step {step}: key-scoped prefixes"
-            );
-            let after = m.probes();
-            for (&(ts, probe, was), &(_, _, is)) in before.iter().zip(&after) {
-                let keys = PROBES[probe];
+            let stable: Vec<u64> = (0..4).map(|b| m.stable(b)).collect();
+            for b in 0..4 {
                 assert_eq!(
-                    s.stable_for(ts, keys),
-                    is,
-                    "seed {seed}, step {step}: stable_for({ts}, {keys:?}) diverged from the model"
-                );
-                // Whatever turns a probe stable is in the wakes, so a command waiting on
-                // it is re-checked.
-                let woken = wakes
-                    .reached
-                    .is_some_and(|(old, new)| old < ts && ts <= new)
-                    || wakes.keys.iter().any(|k| keys.contains(k))
-                    || wakes.unknown.is_some_and(|clear| ts < clear);
-                assert!(
-                    was || !is || woken,
-                    "seed {seed}, step {step}: stable_for({ts}, {keys:?}) turned true unseen: {wakes:?}"
+                    s.stable_timestamp(b as u64),
+                    stable[b],
+                    "seed {seed}, step {step}: bucket {b}'s stable timestamp diverged from the model"
                 );
             }
-            ahead |= after.iter().any(|(ts, _, is)| *is && *ts > m.stable());
-            split |= after
-                .chunks(PROBES.len())
-                .any(|at| at.iter().any(|p| p.2) && at.iter().any(|p| !p.2));
-            before = after;
+            let mut risen = Vec::new();
+            s.take_risen(&mut risen);
+            for (b, ts) in risen {
+                assert_eq!(ts, stable[b as usize], "seed {seed}, step {step}: risen");
+            }
+            apart |= stable.iter().any(|a| stable.iter().any(|b| a > b));
             let (clock, highest, prefixes) = s.rejoin_report(peer);
-            let highest_heard = m.promised[peer as usize].last().copied().unwrap_or(0);
-            assert_eq!((clock, highest), (m.clock, highest_heard));
-            let prefixes: Vec<u64> = prefixes.into_iter().map(|(_, prefix)| prefix).collect();
-            assert_eq!(prefixes, m.prefixes(), "seed {seed}, step {step}");
+            let highest_heard = (0..4)
+                .filter_map(|b| m.promised[b][peer as usize].last().copied())
+                .max()
+                .unwrap_or(0);
+            assert_eq!((clock, highest), (*m.clocks.iter().max().unwrap(), highest_heard));
+            for (b, process, prefix) in prefixes {
+                assert_eq!(prefix, m.prefixes(b as usize)[process as usize], "seed {seed}, step {step}");
+            }
             if step % 8 == 7 {
                 // The whole state, not only what it is summarised into.
-                for (p, promised) in (0..n).zip(&m.promised) {
-                    for ts in 1..m.clock + 12 {
-                        assert_eq!(s.promises.contains(p, ts), promised.contains(&ts));
-                    }
-                }
-                let gated = |(dot, gate): (&Dot, &Gate)| {
-                    gate.attached
-                        .iter()
-                        .map(|(p, ts)| (*dot, *p, *ts))
-                        .collect::<Vec<_>>()
-                };
-                let gated: BTreeSet<_> = s.gated.iter().flat_map(gated).collect();
-                assert_eq!(gated, m.gated.iter().copied().collect());
-                // Settled, each gate is filed under its keys (every key while unknown)
-                // at its lowest attachment.
-                let mut filed = BTreeSet::new();
-                for (dot, gate) in &s.gated {
-                    let keys = m.known.contains(dot).then(|| keys_of(*dot));
-                    assert_eq!(gate.keys.as_deref(), keys.as_deref(), "{dot:?}");
-                    let low = gate.attached.iter().map(|a| a.1).min().expect("gated");
-                    match keys {
-                        Some(keys) => filed.extend(keys.iter().map(|k| (Some(*k), low, *dot))),
-                        None => {
-                            filed.insert((None, low, *dot));
+                for b in 0..4usize {
+                    for (p, promised) in (0..n).zip(&m.promised[b]) {
+                        for ts in 1..top + 12 {
+                            let heard = s.promised(b as u64, p as usize).contains(ts);
+                            assert_eq!(heard, promised.contains(&ts));
                         }
                     }
                 }
-                let lists = s.blockers.0.lists.iter();
-                let filed_now: BTreeSet<_> = lists
-                    .flat_map(|(k, list)| list.iter().map(|(ts, d)| (*k, *ts, *d)))
+                let gated: BTreeSet<(Dot, ProcessId, u64)> = s
+                    .gated
+                    .iter()
+                    .flat_map(|(dot, attached)| attached.iter().map(|(p, ts)| (*dot, *p, *ts)))
                     .collect();
-                assert_eq!(filed_now, filed);
+                assert_eq!(gated, m.gated.iter().copied().collect());
             }
         }
-        (m.stable(), m.released, ahead && split)
+        let stable = [m.stable(0), m.stable(1), m.stable(2), m.stable(3)];
+        (stable, m.released, apart)
     }
 
     /// Runs 300 interleavings (every tenth restored) and checks that they exercised
-    /// both stability and the gate.
+    /// stability, the gate and the buckets' independence.
     fn interleavings(n: u64, first_seed: u64) {
-        let (mut stable, mut released, mut keyed) = (0, 0, 0);
+        let (mut stable, mut released, mut apart) = (0, 0, 0);
         for seed in first_seed..first_seed + 300 {
-            let (s, r, k) = interleaving(n, seed, seed % 10 == 9);
-            stable += u64::from(s > 0);
+            let (s, r, a) = interleaving(n, seed, seed % 10 == 9);
+            stable += u64::from(s.iter().all(|ts| *ts > 0));
             released += r;
-            keyed += u64::from(k);
+            apart += u64::from(a);
         }
-        assert!(stable > 200 && released > 300, "{stable} {released}");
-        assert!(keyed > 200, "{keyed} interleavings ended key-scoped stable");
+        assert!(stable > 100 && released > 300, "{stable} {released}");
+        assert!(apart > 200, "{apart} interleavings told the buckets apart");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::gc::GcTracker;
 use crate::info::CommandInfo;
 use crate::messages::Message;
 use crate::protocol::Tempo;
+use crate::stability::{Bucket, Buckets};
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::Key;
 use tempo_kernel::id::{Dot, ProcessId};
@@ -29,11 +30,12 @@ pub(crate) struct Transfer {
     /// Execution is gated until a peer's `MState` installs: the store is missing what
     /// this replica slept through, or a gap.
     awaiting: bool,
-    /// Execution gaps, `(final_ts, dot)`: commits skipped unapplied because stability had
-    /// passed them, above the installed image's floor. Executing them now would break
-    /// `⟨ts, id⟩` order and skipping them leaves the store missing a write, so execution
-    /// stays gated until an image covers them all (DESIGN.md §11, bug 1).
-    gaps: BTreeSet<(u64, Dot)>,
+    /// Execution gaps, `(final_ts, dot)` with their buckets: commits skipped unapplied
+    /// because stability had passed them, above the installed image's floors. Executing
+    /// them now would break `⟨ts, id⟩` order and skipping them leaves the store missing a
+    /// write, so execution stays gated until an image covers them all (DESIGN.md §11,
+    /// bug 1).
+    gaps: BTreeMap<(u64, Dot), Buckets>,
     /// Suspected commit holes, `dot -> (first_seen_us, last_probe_us)`: dots a shard
     /// peer's executed frontier covers that this replica has no record of — a commit it
     /// may never have received, which stability can pass all the same (DESIGN.md §11,
@@ -68,20 +70,13 @@ impl Transfer {
         self.hole_suspects.clear();
     }
 
-    /// Records a commit skipped unapplied, above the execution `floor`, as a gap; `false`
-    /// when transfers are off (the hole is accepted: gating would stall forever).
-    pub(crate) fn record_gap(
-        &mut self,
-        gap: (u64, Dot),
-        floor: (u64, Dot),
-        gc: &GcTracker,
-    ) -> bool {
+    /// Records a commit on `buckets` skipped unapplied, above their execution floors, as
+    /// a gap; `false` when transfers are off (the hole is accepted: gating would stall
+    /// forever).
+    pub(crate) fn record_gap(&mut self, gap: (u64, Dot), buckets: Buckets, gc: &GcTracker) -> bool {
         if self.enabled {
-            debug_assert!(
-                gap > floor && !gc.is_executed(gap.1),
-                "gap {gap:?} under {floor:?}"
-            );
-            self.gaps.insert(gap);
+            debug_assert!(!gc.is_executed(gap.1), "gap {gap:?} executed");
+            self.gaps.insert(gap, buckets);
         }
         self.enabled
     }
@@ -119,22 +114,26 @@ impl Transfer {
         Some(donor)
     }
 
-    /// An image cut at `floor` arrived: `None` if none was awaited (a late duplicate);
-    /// otherwise the gate opens and the answer is whether it is newer than `exec_floor`.
-    pub(crate) fn receive(&mut self, floor: (u64, Dot), exec_floor: (u64, Dot)) -> Option<bool> {
+    /// An image arrived, `newer` than the applied one in some bucket: `None` if none was
+    /// awaited (a late duplicate); otherwise the gate opens and the answer is `newer`.
+    pub(crate) fn receive(&mut self, newer: bool) -> Option<bool> {
         if !self.awaiting {
             return None;
         }
         self.awaiting = false;
-        Some(floor > exec_floor)
+        Some(newer)
     }
 
-    /// Closes the gaps at or below `exec_floor` (their dots join the executed frontier) and
-    /// returns whether any closed. A gap left above keeps execution gated.
-    pub(crate) fn close_gaps(&mut self, exec_floor: (u64, Dot), gc: &mut GcTracker) -> bool {
+    /// Closes the gaps the applied image `covers` (their dots join the executed frontier)
+    /// and returns whether any closed. A gap left above keeps execution gated.
+    pub(crate) fn close_gaps(
+        &mut self,
+        covers: impl Fn(u64, Dot, &[Bucket]) -> bool,
+        gc: &mut GcTracker,
+    ) -> bool {
         let open = self.gaps.len();
-        self.gaps.retain(|&(ts, dot)| {
-            if (ts, dot) <= exec_floor {
+        self.gaps.retain(|&(ts, dot), buckets| {
+            if covers(ts, dot, buckets) {
                 gc.record_executed(dot);
                 return false;
             }
@@ -206,10 +205,11 @@ impl Transfer {
     }
 }
 
-/// The applied state a snapshot and an `MState` carry: the execution floor `⟨ts, dot⟩`,
-/// the key-value image of exactly that prefix, the executed watermarks and the queue.
+/// The applied state a snapshot and an `MState` carry: the execution floors `⟨ts, dot⟩`
+/// per bucket, the key-value image of exactly those prefixes, the executed watermarks
+/// and the queue.
 pub(crate) struct AppliedImage {
-    pub(crate) floor: (u64, Dot),
+    pub(crate) floors: Vec<(Bucket, u64, Dot)>,
     pub(crate) kv: Vec<(Key, u64)>,
     pub(crate) watermarks: Vec<(ProcessId, u64)>,
     pub(crate) queued: Vec<QueuedCommit>,
@@ -219,7 +219,7 @@ impl Tempo {
     /// The one builder of this replica's applied image.
     pub(crate) fn applied_image(&self) -> AppliedImage {
         AppliedImage {
-            floor: self.executor.exec_floor(),
+            floors: self.executor.floors(),
             kv: self.executor.store().entries(),
             watermarks: self.gc.executed_frontier(),
             queued: self.executor.queued_entries(),
@@ -245,8 +245,7 @@ impl Tempo {
         }
         let image = self.applied_image();
         let msg = Message::MState {
-            floor_ts: image.floor.0,
-            floor_dot: image.floor.1,
+            floors: image.floors,
             kv: image.kv,
             watermarks: image.watermarks,
             queued: image.queued,
@@ -260,12 +259,12 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let floor = image.floor;
-        let Some(installed) = self.transfer.receive(floor, self.executor.exec_floor()) else {
+        let floors = image.floors;
+        let Some(installed) = self.transfer.receive(self.executor.is_behind(&floors)) else {
             return;
         };
         if installed {
-            for dot in self.executor.install_transfer(image.kv, floor) {
+            for dot in self.executor.install_transfer(image.kv, &floors) {
                 // Queued commits covered by the transferred image: their effects are
                 // present without the local executor applying them.
                 self.mark_executed(dot);
@@ -275,30 +274,30 @@ impl Tempo {
             self.gc.restore_executed(&image.watermarks);
             self.gc_collect();
         }
-        // The donor's queue commits before the fed watermark is raised to the floor, so
-        // an entry at the floor's own timestamp is placed in ⟨ts, id⟩ order rather than
-        // skipped as a gap. (Each commit's own `sync_stability` may still raise the
-        // watermark past later entries: DESIGN.md §6, "Limitations".)
+        // The donor's queue commits before the buckets' stable timestamps are raised to
+        // the floors, so an entry at a floor's own timestamp is placed in ⟨ts, id⟩ order
+        // rather than skipped as a gap. (Each commit's own `sync_stability` may still
+        // raise them past later entries: DESIGN.md §6, "Limitations".)
         self.absorb_transferred_commits(image.queued, now_us, out);
         if installed {
-            self.last_stable_fed = self.last_stable_fed.max(floor.0);
+            let stables = floors.iter().map(|&(bucket, ts, _)| (bucket, ts)).collect();
+            self.exec_feed(ExecutionInfo::StableIn(stables), now_us, out);
             self.recovery.progress(now_us);
             // Write-through: the back-filled image lives only in the executor until a
             // snapshot captures it — force one so a second crash keeps the back-fill.
             self.snapshot(true);
         }
-        if self
-            .transfer
-            .close_gaps(self.executor.exec_floor(), &mut self.gc)
-        {
+        let executor = &self.executor;
+        let covers = |ts, dot, buckets: &[Bucket]| executor.covers(ts, dot, buckets);
+        if self.transfer.close_gaps(covers, &mut self.gc) {
             self.gc_collect();
         }
         if self.transfer.is_awaiting() {
             return;
         }
         if self.executor.is_gated() {
-            let executed = self.executor.ungate();
-            self.exec_absorb(executed, now_us, out);
+            self.executor.ungate(&mut self.executed);
+            self.exec_absorb(now_us, out);
         }
         self.sync_stability(now_us, out);
     }
@@ -343,8 +342,9 @@ mod tests {
         Dot::new(1, seq)
     }
 
-    fn floor(ts: u64, seq: u64) -> (u64, Dot) {
-        (ts, dot(seq))
+    /// The gaps an image with one floor `⟨ts, seq⟩` in bucket 1 covers.
+    fn floor(ts: u64, seq: u64) -> impl Fn(u64, Dot, &[Bucket]) -> bool {
+        move |at, d, buckets| buckets == [1] && (at, d) <= (ts, dot(seq))
     }
 
     fn gapped(gaps: &[(u64, u64)]) -> Transfer {
@@ -352,7 +352,7 @@ mod tests {
         t.rejoin();
         let gc = GcTracker::new(0, &[0, 1, 2]);
         for &(ts, seq) in gaps {
-            assert!(t.record_gap((ts, dot(seq)), floor(0, 0), &gc));
+            assert!(t.record_gap((ts, dot(seq)), Buckets::One(1), &gc));
         }
         t
     }
@@ -361,7 +361,7 @@ mod tests {
     fn a_floor_closes_exactly_the_gaps_at_or_below_it() {
         let mut gc = GcTracker::new(0, &[0, 1, 2]);
         let mut t = gapped(&[(5, 3), (7, 1), (7, 4), (9, 2)]);
-        assert_eq!(t.receive(floor(7, 2), floor(0, 0)), Some(true));
+        assert_eq!(t.receive(true), Some(true));
         assert!(!t.is_awaiting());
         // ⟨7, 1⟩ is below the floor ⟨7, 2⟩, ⟨7, 4⟩ above it.
         assert!(t.close_gaps(floor(7, 2), &mut gc));
@@ -373,15 +373,15 @@ mod tests {
             !t.close_gaps(floor(7, 3), &mut gc),
             "nothing between the floors"
         );
-        assert_eq!(t.receive(floor(9, 2), floor(7, 2)), Some(true));
+        assert_eq!(t.receive(true), Some(true));
         assert!(t.close_gaps(floor(9, 2), &mut gc));
         assert_eq!(executed(&gc), vec![1, 2, 3, 4]);
         assert!(!t.is_awaiting());
         // Nothing outstanding: a late image is ignored; a stale one is not installed.
-        assert_eq!(t.receive(floor(12, 1), floor(9, 2)), None);
+        assert_eq!(t.receive(true), None);
         assert!(t.start());
         assert!(!t.start(), "already gated");
-        assert_eq!(t.receive(floor(3, 1), floor(9, 2)), Some(false));
+        assert_eq!(t.receive(false), Some(false));
     }
 
     #[test]
@@ -442,7 +442,7 @@ mod tests {
         t.rejoin();
         assert!(!t.is_awaiting());
         let gc = GcTracker::new(0, &[0, 1, 2]);
-        assert!(!t.record_gap((5, dot(1)), floor(0, 0), &gc));
+        assert!(!t.record_gap((5, dot(1)), Buckets::One(1), &gc));
         t.note_holes(&[(1, 10)], &gc, &BTreeMap::new(), 0);
         assert!(t.hole_suspects.is_empty());
     }

@@ -14,6 +14,7 @@
 
 use crate::messages::{Message, PromiseBundle, RecPhase};
 use crate::promises::PromiseRange;
+use crate::stability::{Bucket, BUCKETS};
 use tempo_kernel::id::Dot;
 use tempo_net::wire::{get_process_map, put_process_map, DecodeError, Wire};
 use tempo_store::wal::{
@@ -57,21 +58,71 @@ fn get_range(r: &mut Reader<'_>) -> Result<PromiseRange, DecodeError> {
     Ok(PromiseRange::new(start, end))
 }
 
-fn put_ranges(w: &mut Writer, ranges: &[PromiseRange]) {
-    w.put_u32(ranges.len() as u32);
-    for range in ranges {
-        put_range(w, range);
+fn get_bucket(r: &mut Reader<'_>) -> Result<Bucket, DecodeError> {
+    let bucket = r.u64()?;
+    if bucket >= BUCKETS {
+        return Err(DecodeError::Invalid("bucket"));
+    }
+    Ok(bucket)
+}
+
+/// A sequence of `n`-byte elements, each written by `put`.
+fn put_seq<T>(w: &mut Writer, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
+    w.put_u32(items.len() as u32);
+    for item in items {
+        put(w, item);
     }
 }
 
-fn get_ranges(r: &mut Reader<'_>) -> Result<Vec<PromiseRange>, DecodeError> {
+/// A sequence written by [`put_seq`], each element at least `size` bytes.
+fn get_seq<T>(
+    r: &mut Reader<'_>,
+    size: usize,
+    mut get: impl FnMut(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
     let n = r.u32()?;
-    let n = r.checked_len(n, 16)?;
+    let n = r.checked_len(n, size)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(get_range(r)?);
+        out.push(get(r)?);
     }
     Ok(out)
+}
+
+fn put_ranges(w: &mut Writer, ranges: &[(Bucket, PromiseRange)]) {
+    put_seq(w, ranges, |w, (bucket, range)| {
+        w.put_u64(*bucket);
+        put_range(w, range);
+    });
+}
+
+fn get_ranges(r: &mut Reader<'_>) -> Result<Vec<(Bucket, PromiseRange)>, DecodeError> {
+    get_seq(r, 24, |r| Ok((get_bucket(r)?, get_range(r)?)))
+}
+
+/// `(bucket, timestamp)` pairs: safe frontiers, repair clocks.
+fn put_stamps(w: &mut Writer, stamps: &[(Bucket, u64)]) {
+    put_seq(w, stamps, |w, (bucket, ts)| {
+        w.put_u64(*bucket);
+        w.put_u64(*ts);
+    });
+}
+
+fn get_stamps(r: &mut Reader<'_>) -> Result<Vec<(Bucket, u64)>, DecodeError> {
+    get_seq(r, 16, |r| Ok((get_bucket(r)?, r.u64()?)))
+}
+
+/// `(bucket, timestamp, dot)` triples: repair attachments, execution floors.
+fn put_stamped_dots(w: &mut Writer, entries: &[(Bucket, u64, Dot)]) {
+    put_seq(w, entries, |w, (bucket, ts, dot)| {
+        w.put_u64(*bucket);
+        w.put_u64(*ts);
+        put_dot(w, *dot);
+    });
+}
+
+fn get_stamped_dots(r: &mut Reader<'_>) -> Result<Vec<(Bucket, u64, Dot)>, DecodeError> {
+    get_seq(r, 32, |r| Ok((get_bucket(r)?, r.u64()?, get_dot(r)?)))
 }
 
 fn put_bundle(w: &mut Writer, bundle: &PromiseBundle) {
@@ -83,22 +134,16 @@ fn put_bundle(w: &mut Writer, bundle: &PromiseBundle) {
             .map(|(p, ts)| (*p, *ts))
             .collect::<Vec<_>>(),
     );
-    w.put_u32(bundle.detached.len() as u32);
-    for (process, range) in &bundle.detached {
+    put_seq(w, &bundle.detached, |w, (process, bucket, range)| {
         w.put_u64(*process);
+        w.put_u64(*bucket);
         put_range(w, range);
-    }
+    });
 }
 
 fn get_bundle(r: &mut Reader<'_>) -> Result<PromiseBundle, DecodeError> {
     let attached = get_pairs(r)?;
-    let n = r.u32()?;
-    let n = r.checked_len(n, 24)?;
-    let mut detached = Vec::with_capacity(n);
-    for _ in 0..n {
-        let process = r.u64()?;
-        detached.push((process, get_range(r)?));
-    }
+    let detached = get_seq(r, 32, |r| Ok((r.u64()?, get_bucket(r)?, get_range(r)?)))?;
     Ok(PromiseBundle { attached, detached })
 }
 
@@ -192,22 +237,23 @@ impl Wire for Message {
                 put_dot(w, *dot);
                 w.put_u64(*ballot);
             }
-            Message::MBump { dot, ts } => {
+            Message::MBump { dot, ts, buckets } => {
                 w.put_u8(TAG_BUMP);
                 put_dot(w, *dot);
                 w.put_u64(*ts);
+                put_seq(w, buckets, |w, bucket| w.put_u64(*bucket));
             }
             Message::MPromises {
                 detached,
                 attached,
                 executed,
-                frontier,
+                frontiers,
             } => {
                 w.put_u8(TAG_PROMISES);
                 put_ranges(w, detached);
                 put_dot_ts(w, attached);
                 put_pairs(w, executed);
-                w.put_u64(*frontier);
+                put_stamps(w, frontiers);
             }
             Message::MStable { dot } => {
                 w.put_u8(TAG_STABLE);
@@ -250,14 +296,10 @@ impl Wire for Message {
             Message::MPromiseRequest => {
                 w.put_u8(TAG_PROMISE_REQUEST);
             }
-            Message::MPromiseRepair { clock, pending } => {
+            Message::MPromiseRepair { clocks, pending } => {
                 w.put_u8(TAG_PROMISE_REPAIR);
-                w.put_u64(*clock);
-                w.put_u32(pending.len() as u32);
-                for (ts, dot) in pending {
-                    w.put_u64(*ts);
-                    put_dot(w, *dot);
-                }
+                put_stamps(w, clocks);
+                put_stamped_dots(w, pending);
             }
             Message::MRejoin => {
                 w.put_u8(TAG_REJOIN);
@@ -270,21 +312,23 @@ impl Wire for Message {
                 w.put_u8(TAG_REJOIN_ACK);
                 w.put_u64(*clock);
                 w.put_u64(*your_highest);
-                put_pairs(w, prefixes);
+                put_seq(w, prefixes, |w, (bucket, process, prefix)| {
+                    w.put_u64(*bucket);
+                    w.put_u64(*process);
+                    w.put_u64(*prefix);
+                });
             }
             Message::MStateRequest => {
                 w.put_u8(TAG_STATE_REQUEST);
             }
             Message::MState {
-                floor_ts,
-                floor_dot,
+                floors,
                 kv,
                 watermarks,
                 queued,
             } => {
                 w.put_u8(TAG_STATE);
-                w.put_u64(*floor_ts);
-                put_dot(w, *floor_dot);
+                put_stamped_dots(w, floors);
                 put_pairs(w, kv);
                 put_pairs(w, watermarks);
                 put_queue(w, queued);
@@ -333,12 +377,13 @@ impl Wire for Message {
             TAG_BUMP => Message::MBump {
                 dot: get_dot(r)?,
                 ts: r.u64()?,
+                buckets: get_seq(r, 8, get_bucket)?,
             },
             TAG_PROMISES => Message::MPromises {
                 detached: get_ranges(r)?,
                 attached: get_dot_ts(r)?,
                 executed: get_pairs(r)?,
-                frontier: r.u64()?,
+                frontiers: get_stamps(r)?,
             },
             TAG_STABLE => Message::MStable { dot: get_dot(r)? },
             TAG_REC => Message::MRec {
@@ -363,27 +408,19 @@ impl Wire for Message {
                 ts: r.u64()?,
             },
             TAG_PROMISE_REQUEST => Message::MPromiseRequest,
-            TAG_PROMISE_REPAIR => {
-                let clock = r.u64()?;
-                let n = r.u32()?;
-                let n = r.checked_len(n, 24)?;
-                let mut pending = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let ts = r.u64()?;
-                    pending.push((ts, get_dot(r)?));
-                }
-                Message::MPromiseRepair { clock, pending }
-            }
+            TAG_PROMISE_REPAIR => Message::MPromiseRepair {
+                clocks: get_stamps(r)?,
+                pending: get_stamped_dots(r)?,
+            },
             TAG_REJOIN => Message::MRejoin,
             TAG_REJOIN_ACK => Message::MRejoinAck {
                 clock: r.u64()?,
                 your_highest: r.u64()?,
-                prefixes: get_pairs(r)?,
+                prefixes: get_seq(r, 24, |r| Ok((get_bucket(r)?, r.u64()?, r.u64()?)))?,
             },
             TAG_STATE_REQUEST => Message::MStateRequest,
             TAG_STATE => Message::MState {
-                floor_ts: r.u64()?,
-                floor_dot: get_dot(r)?,
+                floors: get_stamped_dots(r)?,
                 kv: get_pairs(r)?,
                 watermarks: get_pairs(r)?,
                 queued: get_queue(r)?,
@@ -422,6 +459,7 @@ mod tests {
             put_dot(&mut w, Dot::new(1, 1));
             w.put_u64(9);
             w.put_u32(1);
+            w.put_u64(3);
             w.put_u64(start);
             w.put_u64(end);
             assert_eq!(
@@ -429,6 +467,22 @@ mod tests {
                 Err(DecodeError::Invalid("promise range"))
             );
         }
+    }
+
+    #[test]
+    fn a_bucket_out_of_range_is_rejected_not_panicking() {
+        let msg = Message::MPromises {
+            detached: vec![],
+            attached: vec![],
+            executed: vec![],
+            frontiers: vec![(BUCKETS - 1, 4)],
+        };
+        let mut bytes = msg.encode();
+        assert_eq!(Message::decode(&bytes), Ok(msg));
+        // The frontier's bucket sits just before its timestamp, at the end.
+        let at = bytes.len() - 16;
+        bytes[at..at + 8].copy_from_slice(&BUCKETS.to_le_bytes());
+        assert_eq!(Message::decode(&bytes), Err(DecodeError::Invalid("bucket")));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn all_messages() -> Vec<Message> {
         Message::MProposeAck {
             dot,
             ts: 12,
-            detached: vec![PromiseRange::new(5, 11)],
+            detached: vec![(42, PromiseRange::new(5, 11))],
         },
         Message::MCommit {
             dot,
@@ -52,7 +52,7 @@ pub fn all_messages() -> Vec<Message> {
             ts: 13,
             promises: PromiseBundle {
                 attached: vec![(0, 13), (1, 12)],
-                detached: vec![(2, PromiseRange::new(1, 4))],
+                detached: vec![(2, 42, PromiseRange::new(1, 4))],
             },
         },
         Message::MConsensus {
@@ -61,12 +61,16 @@ pub fn all_messages() -> Vec<Message> {
             ballot: 7,
         },
         Message::MConsensusAck { dot, ballot: 7 },
-        Message::MBump { dot, ts: 13 },
+        Message::MBump {
+            dot,
+            ts: 13,
+            buckets: vec![9, 10],
+        },
         Message::MPromises {
-            detached: vec![PromiseRange::new(2, 3), PromiseRange::new(6, 6)],
+            detached: vec![(9, PromiseRange::new(2, 3)), (10, PromiseRange::new(6, 6))],
             attached: vec![(Dot::new(1, 1), 5)],
             executed: vec![(0, 30), (1, 28)],
-            frontier: 4,
+            frontiers: vec![(9, 4), (4095, 1)],
         },
         Message::MStable { dot },
         Message::MRec { dot, ballot: 8 },
@@ -82,19 +86,18 @@ pub fn all_messages() -> Vec<Message> {
         Message::MCommitInfo { dot, cmd, ts: 13 },
         Message::MPromiseRequest,
         Message::MPromiseRepair {
-            clock: 20,
-            pending: vec![(14, Dot::new(0, 3))],
+            clocks: vec![(9, 20), (42, 13)],
+            pending: vec![(9, 14, Dot::new(0, 3))],
         },
         Message::MRejoin,
         Message::MRejoinAck {
             clock: 21,
             your_highest: 15,
-            prefixes: vec![(0, 19), (1, 21), (2, 18)],
+            prefixes: vec![(9, 0, 19), (9, 1, 21), (42, 2, 18)],
         },
         Message::MStateRequest,
         Message::MState {
-            floor_ts: 13,
-            floor_dot: dot,
+            floors: vec![(9, 13, dot), (42, 11, Dot::new(1, 3))],
             kv: vec![(42, 7), (9, 2)],
             watermarks: vec![(0, 30), (1, 28)],
             queued: vec![QueuedCommit {

@@ -3,7 +3,8 @@
 //! queued commits the image covers, how the donor's queue is committed on top, when
 //! execution stays gated and whom the replica asks next (DESIGN.md §6).
 
-use tempo_core::{Message, Quorums, Tempo};
+use tempo_core::stability::{bucket_of, Bucket};
+use tempo_core::{Message, PromiseRange, Quorums, Tempo};
 use tempo_kernel::command::{Command, KVOp};
 use tempo_kernel::config::Config;
 use tempo_kernel::driver::{Driver, Output};
@@ -24,6 +25,12 @@ fn config() -> Config {
     Config::new(3, 1, 2)
 }
 
+/// The buckets of every key these tests use: the promise reports and images below
+/// cover all of them alike.
+fn buckets() -> impl Iterator<Item = Bucket> {
+    (0..16).map(bucket_of)
+}
+
 fn put(seq: u64, key: u64) -> Command {
     Command::single(Rifl::new(1, seq), 0, key, KVOp::Put(seq), 0)
 }
@@ -36,8 +43,8 @@ fn cross(seq: u64, key: u64) -> Command {
 
 /// Process 2 restarted as incarnation 1, its `MRejoin` handshake completed by peer 0
 /// (one ack makes the recovery quorum). `prefix` is the promise prefix the ack reports
-/// for both peers, i.e. the stable timestamp the replica starts from. `before` runs
-/// while the handshake is pending.
+/// for both peers in every bucket, i.e. the stable timestamp the replica starts from.
+/// `before` runs while the handshake is pending.
 fn rejoined(
     prefix: u64,
     before: impl FnOnce(&mut Driver<Tempo>),
@@ -49,7 +56,9 @@ fn rejoined(
     let ack = Message::MRejoinAck {
         clock: 40,
         your_highest: 0,
-        prefixes: vec![(0, prefix), (1, prefix), (2, 0)],
+        prefixes: buckets()
+            .flat_map(|b| [(b, 0, prefix), (b, 1, prefix)])
+            .collect(),
     };
     let output = replica.handle(0, ack, 0);
     assert!(replica.protocol().is_joined());
@@ -75,8 +84,9 @@ fn commit(
     replica.handle(0, commit, now_us)
 }
 
-/// An image complete up to `floor`, whose only executed watermark is `executed`: the
-/// origin-1 prefix the donor executed (its dots all lie at or below the floor).
+/// An image complete up to `floor` in every bucket, whose only executed watermark is
+/// `executed`: the origin-1 prefix the donor executed (its dots all lie at or below the
+/// floor).
 fn state(
     floor: (u64, Dot),
     executed: u64,
@@ -84,8 +94,7 @@ fn state(
     queued: Vec<QueuedCommit>,
 ) -> Message {
     Message::MState {
-        floor_ts: floor.0,
-        floor_dot: floor.1,
+        floors: buckets().map(|b| (b, floor.0, floor.1)).collect(),
         kv,
         watermarks: vec![(1, executed)],
         queued,
@@ -154,13 +163,7 @@ fn installing_an_image_drops_what_it_covers_and_commits_the_donor_queue_on_top()
 
     // Stability passes B: it executes without any `MStable` from shard 1 reaching this
     // replica — the attestation the donor consumed was fed again.
-    let promises = Message::MPromises {
-        detached: vec![],
-        attached: vec![],
-        executed: vec![],
-        frontier: 40,
-    };
-    let output = replica.handle(0, promises, 20);
+    let output = replica.handle(0, frontier(40), 20);
     assert_eq!(executed(&output), vec![10]);
     assert_eq!(replica.protocol().executor().store().get(3), Some(10));
 
@@ -280,16 +283,13 @@ fn a_commit_the_donor_missed_under_the_rejoin_prefixes_is_a_gap_not_a_duplicate(
     assert_eq!(tempo.executor().store().get(4), Some(7));
 }
 
-fn replied(output: &Output<Message>) -> Vec<u64> {
-    output.replies.iter().map(|e| e.rifl.seq).collect()
-}
-
-/// Commits `x` (seq 50, key 9, issued at the replica, so the replica answers its client)
-/// at timestamp 50 while both peers report promises up to
-/// 60 with one attachment at 45 to `y` (key 8), which has not committed here: `x` is
-/// stable on its keys, but the strict watermark stays at 44, under `y`'s attachment.
-fn stable_on_its_keys_only(replica: &mut Driver<Tempo>, now_us: u64) -> Output<Message> {
-    let y = Dot::new(1, 7);
+/// Commits `x` (seq 50, key 9) at timestamp 50 while both peers report every promise up
+/// to 60 in its bucket but their attachments at 50 to `x`, and in `y`'s (key 8) everything
+/// up to 60 but an attachment at 45 to `y`, which has not committed here: once committed,
+/// `x` is stable in its bucket, while `y`'s bucket stays stable at 44, under `y`'s
+/// attachment.
+fn stable_in_its_bucket_only(replica: &mut Driver<Tempo>, now_us: u64) -> Output<Message> {
+    let (x, y) = (Dot::new(REPLICA, 9), Dot::new(1, 7));
     let quorums: Quorums = [(0, vec![0, 1])].into();
     replica.handle(
         0,
@@ -302,39 +302,37 @@ fn stable_on_its_keys_only(replica: &mut Driver<Tempo>, now_us: u64) -> Output<M
     );
     for peer in [0, 1] {
         let promises = Message::MPromises {
-            detached: vec![tempo_core::PromiseRange::new(46, 60)],
-            attached: vec![(y, 45)],
+            detached: vec![
+                (bucket_of(8), PromiseRange::new(46, 60)),
+                (bucket_of(9), PromiseRange::new(51, 60)),
+            ],
+            attached: vec![(y, 45), (x, 50)],
             executed: vec![],
-            frontier: 44,
+            frontiers: vec![(bucket_of(8), 44), (bucket_of(9), 49)],
         };
         replica.handle(peer, promises, now_us);
     }
-    commit(replica, Dot::new(REPLICA, 9), put(50, 9), 50, now_us)
+    commit(replica, x, put(50, 9), 50, now_us)
 }
 
 #[test]
 fn a_rejoined_incarnation_replies_only_when_it_executes() {
-    // A replica that never restarted answers `x` as soon as it is stable on its keys, in
-    // the answer pass at the step's edge.
+    // A replica that never restarted answers `x` as soon as it is stable in its bucket:
+    // its reply is its execution, once, whatever `y`'s attachment holds back elsewhere.
     let mut fresh = Driver::<Tempo>::new(REPLICA, 0, config());
     fresh.start(View::trivial(config(), REPLICA), 0);
-    let output = stable_on_its_keys_only(&mut fresh, 10);
-    assert!(output.replies.is_empty() && output.executed.is_empty());
-    let output = fresh.fire_due(11);
-    assert_eq!(replied(&output), vec![50]);
-    assert!(
-        output.executed.is_empty(),
-        "executes later, with the prefix"
-    );
-    let output = fresh.handle(0, frontier(60), 20);
+    let output = stable_in_its_bucket_only(&mut fresh, 10);
     assert_eq!(executed(&output), vec![50]);
-    assert!(output.replies.is_empty(), "answered once");
+    assert_eq!(fresh.protocol().stable_timestamp(8), 44);
+    let output = fresh.handle(0, frontier(60), 20);
+    assert!(output.executed.is_empty(), "answered once");
 
     // DESIGN.md §6's case: the rejoin prefixes put the stable timestamp at 40 and the
-    // donor's queue holds entries at 5 and 10. Whatever runs, each reply leaves with its
-    // command's execution.
+    // donor's queue holds entries at 5 and 10. Whatever answers, answers as an execution:
+    // the first entry executes, the second commits under the seeded stable timestamp and
+    // is a gap the next image covers.
     let (mut replica, output) = rejoined(40, |_| {});
-    assert_eq!(replied(&output), executed(&output));
+    assert!(output.executed.is_empty());
     let entry = |seq, ts| QueuedCommit {
         dot: Dot::new(1, seq),
         ts,
@@ -348,30 +346,28 @@ fn a_rejoined_incarnation_replies_only_when_it_executes() {
         vec![entry(2, 5), entry(3, 10)],
     );
     let output = replica.handle(0, image, 10);
-    assert_eq!(replied(&output), executed(&output));
+    assert_eq!(executed(&output), vec![5]);
     let image = state((10, Dot::new(1, 3)), 3, vec![(2, 5), (3, 10)], vec![]);
     let output = replica.handle(1, image, 15);
-    assert_eq!(replied(&output), executed(&output));
+    assert!(output.executed.is_empty(), "nothing runs twice");
+    assert_eq!(replica.protocol().executor().store().get(3), Some(10));
     assert!(!replica.protocol().is_awaiting_state());
     assert!(!replica.protocol().executor().is_gated());
 
-    // The same `x` that a fresh replica answers at once: the rejoined one rests on
-    // seeded prefixes, so it answers nothing before its prefix execution.
-    let output = stable_on_its_keys_only(&mut replica, 20);
-    assert!(output.replies.is_empty() && output.executed.is_empty());
-    let output = replica.fire_due(21);
-    assert!(output.replies.is_empty() && output.executed.is_empty());
-    let output = replica.handle(0, frontier(60), 30);
+    // The same `x` a fresh replica answers at once: the rejoined one answers it with its
+    // execution too, in its bucket's order.
+    let output = stable_in_its_bucket_only(&mut replica, 20);
     assert_eq!(executed(&output), vec![50]);
-    assert_eq!(replied(&output), executed(&output));
+    let output = replica.handle(0, frontier(60), 30);
+    assert!(output.executed.is_empty(), "answered once");
 }
 
-/// An `MPromises` that only claims the safe frontier `at`.
+/// An `MPromises` that only claims the safe frontier `at` in every bucket.
 fn frontier(at: u64) -> Message {
     Message::MPromises {
         detached: vec![],
         attached: vec![],
         executed: vec![],
-        frontier: at,
+        frontiers: buckets().map(|b| (b, at)).collect(),
     }
 }

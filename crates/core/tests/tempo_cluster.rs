@@ -5,6 +5,7 @@
 //! timestamp agreement (Property 1), ordering, the fast-path condition of Table 1, the
 //! stability examples of Figures 2-4 and the recovery protocol of §5.
 
+use tempo_core::stability::bucket_of;
 use tempo_core::{Message, Phase, PromiseBundle, PromiseRange, Quorums, Tempo};
 use tempo_kernel::config::Config;
 use tempo_kernel::driver::{Driver, Outbound, Output};
@@ -23,11 +24,20 @@ fn key_cmd(client: u64, seq: u64, key: u64) -> Command {
     Command::single(rifl(client, seq), 0, key, KVOp::Put(seq), 0)
 }
 
-/// Sets a process clock to `value` by feeding it an `MBump` (bumping is always safe).
-fn set_clock(cluster: &mut LocalCluster<Tempo>, process: ProcessId, value: u64) {
+/// The commands of `executed` that touch `key`, in order: what every replica must agree
+/// on (commands on keys of different buckets may execute in either order).
+fn on_key(executed: &[tempo_kernel::protocol::Executed], key: u64) -> Vec<Rifl> {
+    let on = executed.iter().filter(|e| e.result.outputs.iter().any(|(k, _)| *k == key));
+    on.map(|e| e.rifl).collect()
+}
+
+/// Sets the clock of `key`'s bucket at `process` to `value` by feeding it an `MBump`
+/// (bumping is always safe).
+fn set_clock(cluster: &mut LocalCluster<Tempo>, process: ProcessId, key: u64, value: u64) {
     let msg = Message::MBump {
         dot: Dot::new(process, u64::MAX),
         ts: value,
+        buckets: vec![bucket_of(key)],
     };
     cluster.deliver(process, process, msg);
     assert_eq!(cluster.process(process).clock_value(), value);
@@ -76,8 +86,8 @@ fn fast_path_is_always_taken_with_f1() {
     let config = Config::full(5, 1);
     let mut cluster = LocalCluster::<Tempo>::new(config);
     // Give the replicas wildly different clocks.
-    set_clock(&mut cluster, 1, 100);
-    set_clock(&mut cluster, 2, 3);
+    set_clock(&mut cluster, 1, 1, 100);
+    set_clock(&mut cluster, 2, 1, 3);
     for seq in 1..=20 {
         cluster.submit(0, key_cmd(1, seq, seq));
     }
@@ -92,10 +102,10 @@ fn table1_scenario_a_fast_path_without_matching_proposals() {
     // count(11) = 2 >= f, so the fast path is taken and the timestamp is 11.
     let config = Config::full(5, 2);
     let mut cluster = LocalCluster::<Tempo>::new(config);
-    set_clock(&mut cluster, 0, 5);
-    set_clock(&mut cluster, 1, 6);
-    set_clock(&mut cluster, 2, 10);
-    set_clock(&mut cluster, 3, 10);
+    set_clock(&mut cluster, 0, 0, 5);
+    set_clock(&mut cluster, 1, 0, 6);
+    set_clock(&mut cluster, 2, 0, 10);
+    set_clock(&mut cluster, 3, 0, 10);
     cluster.submit(0, key_cmd(1, 1, 0));
     let metrics = cluster.process(0).metrics();
     assert_eq!(metrics.fast_paths, 1);
@@ -112,10 +122,10 @@ fn table1_scenario_b_slow_path_when_highest_proposal_is_unique() {
     // so the slow path is taken. The committed timestamp is still 11 (Property 1).
     let config = Config::full(5, 2);
     let mut cluster = LocalCluster::<Tempo>::new(config);
-    set_clock(&mut cluster, 0, 5);
-    set_clock(&mut cluster, 1, 6);
-    set_clock(&mut cluster, 2, 10);
-    set_clock(&mut cluster, 3, 5);
+    set_clock(&mut cluster, 0, 0, 5);
+    set_clock(&mut cluster, 1, 0, 6);
+    set_clock(&mut cluster, 2, 0, 10);
+    set_clock(&mut cluster, 3, 0, 5);
     cluster.submit(0, key_cmd(1, 1, 0));
     let metrics = cluster.process(0).metrics();
     assert_eq!(metrics.fast_paths, 0);
@@ -131,9 +141,9 @@ fn table1_scenario_c_fast_path_with_f1_divergent_clocks() {
     // Table 1 c): f = 1, clocks A=5, B=6, C=10 -> proposals 6,7,11; fast path, timestamp 11.
     let config = Config::full(5, 1);
     let mut cluster = LocalCluster::<Tempo>::new(config);
-    set_clock(&mut cluster, 0, 5);
-    set_clock(&mut cluster, 1, 6);
-    set_clock(&mut cluster, 2, 10);
+    set_clock(&mut cluster, 0, 0, 5);
+    set_clock(&mut cluster, 1, 0, 6);
+    set_clock(&mut cluster, 2, 0, 10);
     cluster.submit(0, key_cmd(1, 1, 0));
     assert_eq!(cluster.process(0).metrics().fast_paths, 1);
     assert_eq!(
@@ -147,9 +157,9 @@ fn table1_scenario_d_fast_path_with_matching_proposals() {
     // Table 1 d): f = 1, clocks A=5, B=5, C=1 -> proposals 6,6,6; fast path, timestamp 6.
     let config = Config::full(5, 1);
     let mut cluster = LocalCluster::<Tempo>::new(config);
-    set_clock(&mut cluster, 0, 5);
-    set_clock(&mut cluster, 1, 5);
-    set_clock(&mut cluster, 2, 1);
+    set_clock(&mut cluster, 0, 0, 5);
+    set_clock(&mut cluster, 1, 0, 5);
+    set_clock(&mut cluster, 2, 0, 1);
     cluster.submit(0, key_cmd(1, 1, 0));
     assert_eq!(cluster.process(0).metrics().fast_paths, 1);
     assert_eq!(
@@ -221,15 +231,21 @@ fn random_interleavings_preserve_ordering_property() {
         for _ in 0..5 {
             cluster.tick_all(5_000);
         }
-        let reference: Vec<Rifl> = cluster.executed(0).into_iter().map(|e| e.rifl).collect();
+        let reference = cluster.executed(0);
         assert_eq!(
             reference.len() as u64,
             total,
             "seed {seed}: missing executions"
         );
         for p in cluster.process_ids().into_iter().skip(1) {
-            let order: Vec<Rifl> = cluster.executed(p).into_iter().map(|e| e.rifl).collect();
-            assert_eq!(order, reference, "seed {seed}: divergent execution at {p}");
+            let order = cluster.executed(p);
+            for key in 0..2 {
+                assert_eq!(
+                    on_key(&order, key),
+                    on_key(&reference, key),
+                    "seed {seed}: divergent execution on key {key} at {p}"
+                );
+            }
         }
     }
 }
@@ -296,10 +312,10 @@ fn multi_shard_final_timestamp_is_max_of_shard_timestamps() {
     let mut cluster = LocalCluster::<Tempo>::new(config);
     // Shard 0 processes: 0,1,2 (clocks 5); shard 1 processes: 3,4,5 (clocks 9).
     for p in [0, 1, 2] {
-        set_clock(&mut cluster, p, 5);
+        set_clock(&mut cluster, p, 1, 5);
     }
     for p in [3, 4, 5] {
-        set_clock(&mut cluster, p, 9);
+        set_clock(&mut cluster, p, 2, 9);
     }
     let cmd = Command::new(rifl(1, 1), vec![(0, 1, KVOp::Get), (1, 2, KVOp::Get)], 0);
     cluster.submit(0, cmd);
@@ -335,7 +351,7 @@ fn recovery_after_coordinator_crash_preserves_fast_path_timestamp() {
     let config = Config::full(3, 1);
     let mut cluster = LocalCluster::<Tempo>::new(config);
     // Give process 1 a head start so the recovered timestamp is distinctive.
-    set_clock(&mut cluster, 1, 7);
+    set_clock(&mut cluster, 1, 0, 7);
     cluster.submit_no_deliver(0, key_cmd(1, 1, 0));
     // Deliver MPropose to process 1 and MPayload to process 2, then crash the coordinator
     // before it can receive the MProposeAck.
@@ -403,7 +419,7 @@ fn slow_path_consensus_tolerates_duplicate_acks() {
     // that replaying a consensus ack does not commit twice.
     let config = Config::full(5, 2);
     let mut cluster = LocalCluster::<Tempo>::new(config);
-    set_clock(&mut cluster, 2, 10);
+    set_clock(&mut cluster, 2, 0, 10);
     cluster.submit(0, key_cmd(1, 1, 0));
     let metrics = cluster.process(0).metrics();
     assert_eq!(metrics.slow_paths, 1);
@@ -450,12 +466,16 @@ fn gc_keeps_command_metadata_bounded_over_a_long_run() {
             "no live metadata must remain at {p} after {total} executed commands"
         );
     }
-    // GC must not disturb execution: all replicas executed the same order.
-    let reference: Vec<Rifl> = cluster.executed(0).into_iter().map(|e| e.rifl).collect();
+    // GC must not disturb execution: all replicas executed each key's commands in the
+    // same order.
+    let reference = cluster.executed(0);
     assert_eq!(reference.len() as u64, total);
     for p in [1u64, 2] {
-        let order: Vec<Rifl> = cluster.executed(p).into_iter().map(|e| e.rifl).collect();
-        assert_eq!(order, reference, "divergent execution at {p}");
+        let order = cluster.executed(p);
+        for key in 0..11 {
+            let (at_p, at_0) = (on_key(&order, key), on_key(&reference, key));
+            assert_eq!(at_p, at_0, "divergent execution on key {key} at {p}");
+        }
     }
 }
 
@@ -564,23 +584,23 @@ fn one_executor_batch_may_announce_execute_and_collect_its_own_commands() {
         );
         cluster.deliver(3, straggler, Message::MStable { dot });
     }
-    assert!(cluster.process(straggler).stable_timestamp() < 11);
+    assert!(cluster.process(straggler).stable_timestamp(10) < 11);
     let executed_everywhere = vec![(0, 2)];
     let caught_up = Message::MPromises {
         detached: Vec::new(),
         attached: Vec::new(),
         executed: executed_everywhere.clone(),
-        frontier: 0,
+        frontiers: Vec::new(),
     };
     cluster.deliver(1, straggler, caught_up);
     assert!(cluster.executed(straggler).is_empty());
     // The lagging promises of process 0 arrive: timestamps 1..=12 are now promised by a
     // majority (0 and the straggler itself), so 11 and 12 become stable at once.
     let lifts_stability = Message::MPromises {
-        detached: vec![PromiseRange::new(2, 11)],
+        detached: vec![(bucket_of(10), PromiseRange::new(2, 11))],
         attached: vec![(Dot::new(0, 1), 1), (Dot::new(0, 2), 12)],
         executed: executed_everywhere,
-        frontier: 0,
+        frontiers: Vec::new(),
     };
     cluster.deliver(0, straggler, lifts_stability);
     let order: Vec<Rifl> = cluster
@@ -590,7 +610,7 @@ fn one_executor_batch_may_announce_execute_and_collect_its_own_commands() {
         .collect();
     assert_eq!(order, vec![rifl(1, 1), rifl(1, 2)]);
     let tempo = cluster.process(straggler);
-    assert_eq!(tempo.stable_timestamp(), 12);
+    assert_eq!(tempo.stable_timestamp(10), 12);
     assert_eq!(
         tempo.info_len(),
         0,
@@ -619,7 +639,9 @@ fn promises(output: &Output<Message>) -> Vec<Vec<PromiseRange>> {
         .sends
         .iter()
         .filter_map(|s| match &s.msg {
-            Message::MPromises { detached, .. } => Some(detached.clone()),
+            Message::MPromises { detached, .. } => {
+                Some(detached.iter().map(|(_, range)| *range).collect())
+            }
             _ => None,
         })
         .collect()
@@ -629,34 +651,39 @@ fn bump(ts: u64) -> Message {
     Message::MBump {
         dot: Dot::new(0, 1),
         ts,
+        buckets: vec![bucket_of(7)],
     }
 }
 
-/// An `MCommit` whose timestamp a replica outside the fast quorum has not reached bumps
-/// that replica's clock, and the detached promises the bump generates must leave with
-/// the step that made them, not with the tick.
+/// An `MCommit` whose timestamp a fast-quorum replica has not reached bumps that
+/// replica's clock, and the detached promises the bump generates must leave with the
+/// step that made them, not with the tick: the command's stability waits for that
+/// replica's prefix. A replica outside the fast quorum bumps too, but its promises wait
+/// for the tick (or its next proposal in the bucket).
 #[test]
 fn flush_carries_commit_bump_promises_before_the_tick() {
-    // Replica 1 learns of coordinator 2's command (fast quorum {2, 0}, timestamp 5)
-    // from its payload and commit.
+    // Replica 1 proposes 1 for coordinator 2's command (fast quorum {2, 1}), which
+    // commits at 5: coordinator 2's clock ran ahead.
     let mut replica = bare_driver(1);
     let dot = Dot::new(2, 1);
-    let payload = Message::MPayload {
+    let quorums: Quorums = [(0, vec![2, 1])].into();
+    let propose = Message::MPropose {
         dot,
         cmd: key_cmd(1, 1, 7),
-        quorums: [(0, vec![2, 0])].into(),
+        quorums,
+        ts: 1,
     };
-    assert!(replica.handle(2, payload, 0).is_empty());
-    let commit = Message::MCommit {
+    assert!(promises(&replica.handle(2, propose, 0)).is_empty());
+    let commit = |attached| Message::MCommit {
         dot,
         shard: 0,
         ts: 5,
         promises: PromiseBundle {
-            attached: vec![(2, 5), (0, 5)],
-            detached: vec![(2, PromiseRange::new(1, 4)), (0, PromiseRange::new(1, 4))],
+            attached,
+            detached: vec![(2, bucket_of(7), PromiseRange::new(1, 4))],
         },
     };
-    let output = replica.handle(2, commit, 0);
+    let output = replica.handle(2, commit(vec![(2, 5), (1, 1)]), 0);
     assert!(promises(&output).is_empty(), "nothing fired yet");
     assert_eq!(replica.protocol().committed_timestamp(dot), Some(5));
     assert_eq!(replica.protocol().clock_value(), 5, "the commit bumped it");
@@ -672,13 +699,27 @@ fn flush_carries_commit_bump_promises_before_the_tick() {
             msg: Message::MPromises { detached, .. },
         }] => {
             assert_eq!(to, &[0, 2]);
-            assert_eq!(detached, &[PromiseRange::new(1, 5)]);
+            assert_eq!(detached, &[(bucket_of(7), PromiseRange::new(2, 5))]);
         }
         other => panic!("expected one MPromises, got {other:?}"),
     }
+    // Replica 0 learns of the same command from its payload and commit.
+    let mut outside = bare_driver(0);
+    let payload = Message::MPayload {
+        dot,
+        cmd: key_cmd(1, 1, 7),
+        quorums: [(0, vec![2, 1])].into(),
+    };
+    assert!(outside.handle(2, payload, 0).is_empty());
+    outside.handle(2, commit(vec![(2, 5), (1, 1)]), 0);
+    assert_eq!(outside.protocol().clock_value(), 5, "the commit bumped it");
+    assert_eq!(outside.next_timer_due(), Some(TICK_US), "no flush");
+    let output = outside.fire_due(TICK_US);
+    assert!(promises(&output).contains(&vec![PromiseRange::new(1, 5)]));
 }
 
-/// One command per coordinator (ring fast quorums {2,0}, {0,1}, {1,2}), interleaved so
+/// One command per coordinator on one key (ring fast quorums {2,0}, {0,1}, {1,2}),
+/// interleaved so
 /// that each needs a commit-bump promise of the one before: coordinator 0's timestamp 2
 /// needs replica 1's prefix to reach 2, and timestamp 1 at replica 1 is a detached
 /// promise generated by the first commit; coordinator 1's timestamp 3 needs replica
@@ -689,7 +730,7 @@ fn flush_makes_timestamps_stable_before_any_tick() {
     let mut cluster = LocalCluster::<Tempo>::new(Config::full(3, 1));
     let rounds = [(2, 1), (0, 2), (1, 3)];
     for (coordinator, ts) in rounds {
-        cluster.submit(coordinator, key_cmd(coordinator, 1, 7 + coordinator));
+        cluster.submit(coordinator, key_cmd(coordinator, 1, 7));
         let dot = Dot::new(coordinator, 1);
         assert_eq!(
             cluster.process(coordinator).committed_timestamp(dot),
@@ -699,7 +740,7 @@ fn flush_makes_timestamps_stable_before_any_tick() {
     }
     assert!(cluster.now_us() < TICK_US, "no tick has fired anywhere");
     for (coordinator, ts) in rounds {
-        let stable = cluster.process(coordinator).stable_timestamp();
+        let stable = cluster.process(coordinator).stable_timestamp(7);
         assert!(
             stable >= ts,
             "timestamp {ts} not stable at its coordinator {coordinator} before the tick: {stable}"
@@ -767,7 +808,7 @@ fn flush_is_silent_mid_rejoin_and_resumes_after_the_handshake() {
     let ack = Message::MRejoinAck {
         clock: 40,
         your_highest: 30,
-        prefixes: vec![(0, 40), (1, 30), (2, 40)],
+        prefixes: vec![(1, 0, 40), (1, 1, 30), (1, 2, 40)],
     };
     let output = replica.handle(0, ack, TICK_US);
     assert!(replica.protocol().is_joined());

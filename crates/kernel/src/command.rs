@@ -31,16 +31,6 @@ impl KVOp {
     pub fn is_read(&self) -> bool {
         matches!(self, KVOp::Get)
     }
-
-    /// Applies the operation to a key's `value` (`None`: the key is absent) and returns
-    /// its output: the value read, or the new value written.
-    pub fn apply(self, value: &mut Option<u64>) -> Option<u64> {
-        match self {
-            KVOp::Get => *value,
-            KVOp::Put(new) => Some(*value.insert(new)),
-            KVOp::Add(delta) => Some(*value.insert(value.unwrap_or(0).wrapping_add(delta))),
-        }
-    }
 }
 
 /// A client command: a set of keyed operations plus an opaque payload size.

@@ -9,9 +9,7 @@
 //!   sockets in `tempo-runtime`), and a copy addressed to the sending process itself is
 //!   handed straight back through [`Protocol::handle`] — *self-delivery*, below;
 //! * `Deliver` actions are collected into [`Output::executed`] — the push-based
-//!   completion stream that replaced v1's `drain_executed` polling — and `Reply`
-//!   actions into [`Output::replies`], the results for clients: a `Deliver` that no
-//!   `Reply` preceded is a reply too, one that did is not replied again;
+//!   completion stream that replaced v1's `drain_executed` polling;
 //! * `Schedule` actions are absorbed into the driver's timer queue; the scheduler asks
 //!   [`Driver::next_timer_due`] when to wake the process up and calls
 //!   [`Driver::fire_due`] once that moment arrives.
@@ -39,18 +37,17 @@
 //! no message leaves the process before the state that produced it is durable.
 //!
 //! The contract, in one paragraph: the *protocol* decides what to send, when to run
-//! periodic work (by scheduling its own timers), when a command's result may leave (by
-//! emitting `Reply`) and when a command has executed (by emitting `Deliver`); the
-//! *driver* turns those decisions into data the scheduler can act on; the *scheduler*
-//! owns transport and time — nothing else. See `DESIGN.md` ("Protocol API v2") for the
-//! full contract.
+//! periodic work (by scheduling its own timers) and when a command has executed (by
+//! emitting `Deliver`); the *driver* turns those decisions into data the scheduler can
+//! act on; the *scheduler* owns transport and time — nothing else. See `DESIGN.md`
+//! ("Protocol API v2") for the full contract.
 
 use crate::command::Command;
 use crate::config::Config;
-use crate::id::{ProcessId, Rifl, ShardId};
+use crate::id::{ProcessId, ShardId};
 use crate::protocol::{Action, Executed, Protocol, ProtocolMetrics, TimerId, View};
 use crate::trace::{CmdPhase, Tracer};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// An outbound message produced by one driver step: `msg` must be transported to every
 /// process in `to` (all remote: the driver has already delivered the sender's own copy).
@@ -67,12 +64,8 @@ pub struct Outbound<M> {
 pub struct Output<M> {
     /// Messages to transport.
     pub sends: Vec<Outbound<M>>,
-    /// Commands that executed at this process during the step, in execution order: what
-    /// a scheduler records (history, metrics).
+    /// Commands that executed at this process during the step, in execution order.
     pub executed: Vec<Executed>,
-    /// Results to hand to the commands' clients, each command once per process: its
-    /// `Reply`, or its `Deliver` when no `Reply` preceded it.
-    pub replies: Vec<Executed>,
 }
 
 impl<M> Output<M> {
@@ -80,13 +73,12 @@ impl<M> Output<M> {
         Self {
             sends: Vec::new(),
             executed: Vec::new(),
-            replies: Vec::new(),
         }
     }
 
     /// Whether the step produced nothing to act on.
     pub fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.executed.is_empty() && self.replies.is_empty()
+        self.sends.is_empty() && self.executed.is_empty()
     }
 }
 
@@ -100,8 +92,6 @@ pub struct Driver<P: Protocol> {
     /// The self-delivery work-list: action lists still being walked, innermost last.
     /// Empty between steps; a field only so that its allocation is reused.
     worklist: Vec<std::vec::IntoIter<Action<P::Message>>>,
-    /// Commands whose `Reply` left and whose `Deliver` has not come yet.
-    replied: HashSet<Rifl>,
     /// Lifecycle tracing handle; disabled by default (one branch per dispatch point).
     tracer: Tracer,
 }
@@ -120,14 +110,12 @@ impl<P: Protocol> Driver<P> {
             timers: BTreeSet::new(),
             messages_sent: 0,
             worklist: Vec::new(),
-            replied: HashSet::new(),
             tracer: Tracer::disabled(),
         }
     }
 
     /// Installs a lifecycle tracer. The driver emits the uniform `Submitted` and
-    /// `Executed` phase events itself (`Executed` when a command's result is first out:
-    /// its `Reply`, or its `Deliver` if none preceded it) and forwards the handle to the protocol (via
+    /// `Executed` phase events itself and forwards the handle to the protocol (via
     /// [`Protocol::attach_tracer`]) for the phases in between.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.protocol.attach_tracer(tracer.clone());
@@ -245,18 +233,9 @@ impl<P: Protocol> Driver<P> {
                     }
                 }
                 Some(Action::Deliver(executed)) => {
-                    if self.replied.is_empty() || !self.replied.remove(&executed.rifl) {
-                        self.tracer
-                            .phase(now_us, this, executed.rifl, CmdPhase::Executed);
-                        output.replies.push(executed.clone());
-                    }
-                    output.executed.push(executed);
-                }
-                Some(Action::Reply(reply)) => {
                     self.tracer
-                        .phase(now_us, this, reply.rifl, CmdPhase::Executed);
-                    self.replied.insert(reply.rifl);
-                    output.replies.push(reply);
+                        .phase(now_us, this, executed.rifl, CmdPhase::Executed);
+                    output.executed.push(executed);
                 }
                 Some(Action::Schedule { timer, after_us }) => {
                     // Clamp to at least 1 µs so a zero-delay reschedule cannot spin
@@ -502,46 +481,6 @@ mod tests {
         // The work-list is empty again and the next step starts clean.
         let _ = driver.handle(0, Ping(0), 0);
         assert_eq!(driver.protocol().seen.len(), 6);
-    }
-
-    #[test]
-    fn a_reply_leaves_once_ahead_of_its_execution_record() {
-        let mut driver = echo(vec![], 0);
-        let tracer = Tracer::enabled();
-        driver.set_tracer(tracer.clone());
-        let exec = |seq| Executed {
-            rifl: Rifl::new(1, seq),
-            result: CommandResult::new(Rifl::new(1, seq)),
-        };
-        let output = driver.step(vec![Action::Reply(exec(1))], 0);
-        assert_eq!(output.replies, [exec(1)]);
-        assert!(output.executed.is_empty(), "a reply is not an execution");
-        let deliveries = vec![Action::Deliver(exec(2)), Action::Deliver(exec(1))];
-        let output = driver.step(deliveries, 5);
-        assert_eq!(output.executed, [exec(2), exec(1)]);
-        assert_eq!(
-            output.replies,
-            [exec(2)],
-            "a Deliver no Reply preceded is the reply; the other is not answered twice"
-        );
-        // `Executed` is stamped once per command, when its result is first out.
-        let stamps: Vec<(u64, u64)> = tracer
-            .take()
-            .events
-            .iter()
-            .filter_map(|event| match event {
-                crate::trace::TraceEvent::Phase {
-                    at_us,
-                    rifl,
-                    phase: CmdPhase::Executed,
-                    ..
-                } => Some((rifl.seq, *at_us)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(stamps, [(1, 0), (2, 5)]);
-        // Nothing is left over for a command once its `Deliver` came.
-        assert!(driver.replied.is_empty());
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct LocalCluster<P: Protocol> {
     queue: VecDeque<InFlight<P::Message>>,
     /// Commands executed at each process and not yet claimed via [`Self::executed`].
     completions: BTreeMap<ProcessId, Vec<Executed>>,
-    /// Client replies of each process not yet claimed via [`Self::replies`].
-    replies: BTreeMap<ProcessId, Vec<Executed>>,
     /// Processes that have crashed: messages to and from them are dropped and their
     /// timers no longer fire.
     crashed: Vec<ProcessId>,
@@ -67,7 +65,6 @@ impl<P: Protocol> LocalCluster<P> {
             drivers: BTreeMap::new(),
             queue: VecDeque::new(),
             completions: BTreeMap::new(),
-            replies: BTreeMap::new(),
             crashed: Vec::new(),
             delivered: 0,
             dropped: 0,
@@ -152,9 +149,6 @@ impl<P: Protocol> LocalCluster<P> {
                 .or_default()
                 .extend(output.executed);
         }
-        if !output.replies.is_empty() {
-            self.replies.entry(from).or_default().extend(output.replies);
-        }
     }
 
     /// Submits a command at `process` and delivers all resulting messages to quiescence.
@@ -233,12 +227,6 @@ impl<P: Protocol> LocalCluster<P> {
     /// Drains the commands executed at `process` since the last call, in execution order.
     pub fn executed(&mut self, process: ProcessId) -> Vec<Executed> {
         self.completions.remove(&process).unwrap_or_default()
-    }
-
-    /// Drains the client replies `process` sent since the last call, in the order they
-    /// left: one per command, ahead of its execution or with it.
-    pub fn replies(&mut self, process: ProcessId) -> Vec<Executed> {
-        self.replies.remove(&process).unwrap_or_default()
     }
 
     /// Number of messages currently in flight.

@@ -158,23 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn an_op_applied_to_a_value_matches_the_store() {
-        // `KVOp::apply` is how a reply computed ahead of execution reads and writes.
-        let ops = [
-            KVOp::Get,
-            KVOp::Put(4),
-            KVOp::Add(3),
-            KVOp::Get,
-            KVOp::Add(u64::MAX),
-        ];
-        let (mut kv, mut value) = (KVStore::new(), None);
-        for op in ops {
-            assert_eq!(op.apply(&mut value), kv.apply(9, op), "{op:?}");
-            assert_eq!(value, kv.get(9));
-        }
-    }
-
-    #[test]
     fn add_wraps_instead_of_panicking() {
         let mut kv = KVStore::new();
         kv.apply(0, KVOp::Put(u64::MAX));

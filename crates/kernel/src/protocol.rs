@@ -20,8 +20,7 @@
 //!   store and applies committed commands in the order the protocol decided.
 //!
 //! Executed commands are *pushed* to the embedding runtime through
-//! [`Action::Deliver`] (and a result that may leave before execution through
-//! [`Action::Reply`]); there is no polling. Periodic work is *pulled into the protocol*:
+//! [`Action::Deliver`]; there is no polling. Periodic work is *pulled into the protocol*:
 //! each protocol schedules its own timers with [`Action::Schedule`] and reacts to them in
 //! [`Protocol::timer`] — there is no global tick.
 
@@ -71,15 +70,8 @@ pub enum Action<M> {
         msg: M,
     },
     /// A command executed at this process, pushed to the embedding runtime in execution
-    /// order (replaces the v1 `drain_executed` polling method). The runtime records it
-    /// (history, metrics) and answers the client with it, unless a [`Action::Reply`]
-    /// already did.
+    /// order (replaces the v1 `drain_executed` polling method).
     Deliver(Executed),
-    /// A command's result, computed before the command executes here: the runtime
-    /// answers the client with it now, and the command's `Deliver` follows in execution
-    /// order with the same result. Tempo emits it for a command stable on its keys; a
-    /// protocol that never emits it replies at execution.
-    Reply(Executed),
     /// Request a one-shot timer firing `after_us` microseconds from now; the runtime
     /// calls [`Protocol::timer`] with the same identifier once the delay elapses.
     Schedule {

@@ -69,7 +69,7 @@ use tempo_kernel::driver::{Driver, Output};
 use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
 use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::LogHistogram;
-use tempo_kernel::protocol::{Executed, Protocol, ProtocolMetrics, View, WireSize};
+use tempo_kernel::protocol::{Protocol, ProtocolMetrics, View, WireSize};
 use tempo_kernel::trace::{CmdPhase, ProcEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 use tempo_load::{Mix, Session};
 use tempo_planet::Planet;
@@ -465,8 +465,7 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
             let busy = self.busy_until.entry(from).or_insert(0);
             *busy = (*busy).max(at) + send_cost;
         }
-        self.record_executions(from, &output.executed);
-        self.complete_clients(from, at, output.replies);
+        self.complete_clients(from, at, output.executed);
         self.register_timer_wake(from, at);
     }
 
@@ -519,30 +518,24 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         }
     }
 
-    /// Records a step's executions: the history's per-replica execution order and the
-    /// CPU model's per-execution cost.
-    fn record_executions(&mut self, process: ProcessId, executed: &[Executed]) {
+    fn complete_clients(
+        &mut self,
+        process: ProcessId,
+        at: u64,
+        executed: Vec<tempo_kernel::protocol::Executed>,
+    ) {
         if executed.is_empty() {
             return;
         }
         let shard = self.membership.shard_of(process);
         let incarnation = self.incarnation_of(process);
         if let Some(history) = &mut self.history {
-            for exec in executed {
+            for exec in &executed {
                 history.record_execution(shard, process, incarnation, exec.rifl);
             }
         }
         self.charge_executions(process, executed.len());
-    }
-
-    /// Hands a step's replies to the clients watching `process`: a command completes
-    /// once every shard it accesses has answered.
-    fn complete_clients(&mut self, process: ProcessId, at: u64, replies: Vec<Executed>) {
-        if replies.is_empty() {
-            return;
-        }
-        let shard = self.membership.shard_of(process);
-        for exec in replies {
+        for exec in executed {
             let client_id = exec.rifl.client;
             let Some(client) = self.clients.get_mut(&client_id) else {
                 continue;
@@ -565,9 +558,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
                 .record(latency);
             self.overall.record(latency);
             // The reply "hop" is the watched replica handing the result back; the
-            // sim models it as instantaneous, so Replied lands at the instant the
-            // result was out (execute→reply measures queueing only under a real
-            // runtime).
+            // sim models it as instantaneous, so Replied lands at the execution
+            // instant (execute→reply measures queueing only under a real runtime).
             if let Some(tracer) = self.tracers.get(&process) {
                 tracer.phase(at, process, exec.rifl, CmdPhase::Replied);
             }
@@ -1157,21 +1149,17 @@ mod tests {
         let report = run::<Tempo, _>(config, planet, small_opts(), mix);
         assert!(!report.stalled, "partial replication run stalled");
         assert_eq!(report.completed, 3 * 4 * 5);
-        // Literals captured with key-scoped replies: single-shard commands answer once
-        // stable on their keys, so the closed-loop clients submit sooner (CHANGES.md
-        // has the account of what moved from `(1_082_504, 60, 1652, 213_479.0)`; with
-        // clients answered at execution the old literals come back exactly).
-        assert_eq!(
-            fingerprint(&report),
-            (1_444_002, 60, 1822, 205_063.183_333_333_32)
-        );
+        // Literals captured with one stability track per key bucket (CHANGES.md has the
+        // account of what moved from the scalar clock's `(1_082_504, 60, 1652,
+        // 213_479.0)`).
+        assert_eq!(fingerprint(&report), (1_020_500, 60, 1806, 158_883.2));
     }
 
     #[test]
     fn conflict_run_with_cpu_model_matches_pinned_literals() {
-        // Literals captured with key-scoped replies (CHANGES.md has the account of what
-        // moved from `(751_928, 240, 1554, 75_188.937_5)`, which clients answered at
-        // execution still reproduce): same seed, same hot/cold draws.
+        // Literals captured with one stability track per key bucket (CHANGES.md has the
+        // account of what moved from the scalar clock's `(751_928, 240, 1554,
+        // 75_188.937_5)`): same seed, same hot/cold draws.
         let report = run::<Tempo, _>(
             Config::full(3, 1),
             Planet::equidistant(3, 50.0),
@@ -1184,10 +1172,32 @@ mod tests {
             ConflictMix::new(0.1, 100, 42),
         );
         assert!(!report.stalled);
-        assert_eq!(
-            fingerprint(&report),
-            (585_266, 240, 1812, 53_913.133_333_333_33)
+        assert_eq!(fingerprint(&report), (550_565, 240, 1436, 50_989.937_5));
+    }
+
+    /// The contended five-replica run behind `tempo-perf`'s `lan_contended_f2` (f = 2, a
+    /// fifth of the commands on one hot key): at f = 2 the fast path needs two fast-quorum
+    /// processes to propose the highest timestamp. The proposals for a command off the hot
+    /// key come off its own bucket's clock, which its fast quorum keeps alike, so they
+    /// agree. One scalar clock sent 77,448 messages and took 2,264 fast paths out of
+    /// 5,000 commits; key-scoped replies beside it, 90,528 and 688.
+    #[test]
+    fn contended_five_replicas_keep_their_fast_path() {
+        let report = run::<Tempo, _>(
+            Config::full(5, 2),
+            Planet::equidistant(5, 1.0),
+            SimOpts {
+                clients_per_site: 50,
+                ..SimOpts::default()
+            },
+            ConflictMix::new(0.2, 100, 7),
         );
+        assert!(!report.stalled);
+        let metrics = &report.metrics;
+        assert!(metrics.messages_sent <= 77_448, "{}", metrics.messages_sent);
+        assert!(metrics.fast_paths >= 2_264, "{}", metrics.fast_paths);
+        assert_eq!((metrics.messages_sent, metrics.fast_paths), (62_892, 4_159));
+        assert_eq!(fingerprint(&report), (36_590, 5_000, 62_892, 1_396.58));
     }
 
     /// Stability is not paced by the periodic `MPromises` tick. The planet is
@@ -1195,13 +1205,11 @@ mod tests {
     /// that is where the tick shows: it is several hops long there, whereas at WAN
     /// distances the closed-loop clients move in lockstep at multiples of a 25 ms hop
     /// and a promise up to 5 ms late is never the last thing a command waits for. What
-    /// is left is the commit gate of Algorithm 2, line 47: under the strict watermark the
-    /// fast-quorum peer's prefix is held back by the peer's own in-flight proposals, the
-    /// latest made just before ours reached it, which commit there one round trip later
-    /// and are learnt here one more one-way hop after that — one round trip after our
-    /// commit. `Stable` is stamped at the early reply for a command that is stable on its
-    /// keys before that (DESIGN.md §10), so the bound holds with room to spare. A
-    /// detached promise waiting for the tick would put a 0–5 ms sawtooth on top.
+    /// is left is the commit gate of Algorithm 2, line 47: the fast-quorum peer's prefix
+    /// is held back by the peer's own in-flight proposals, the latest made just before
+    /// ours reached it, which commit there one round trip later and are learnt here one
+    /// more one-way hop after that — one round trip after our commit. A detached promise
+    /// waiting for the tick puts a 0–5 ms sawtooth on top of that.
     #[test]
     fn stability_waits_for_the_commit_gate_not_for_the_tick() {
         const ROUND_TRIP_US: u64 = 1_000;

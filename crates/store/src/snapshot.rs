@@ -5,9 +5,10 @@
 //! fact not re-derivable from the WAL suffix (DESIGN.md §6 gives the cut-point safety
 //! argument):
 //!
-//! * the applied key-value state and the execution boundary it corresponds to (the
-//!   `(timestamp, dot)` pair of the last executed command — execution pops in
-//!   `⟨ts, id⟩` order, so the executed set is exactly that prefix),
+//! * the applied key-value state and the execution floors it corresponds to (per key
+//!   bucket, the `(timestamp, dot)` pair of its last executed command — execution
+//!   follows each bucket in `⟨ts, id⟩` order, so the bucket's executed set is exactly
+//!   that prefix) and the buckets' stable timestamps,
 //! * the committed-but-unexecuted queue (with each entry's remaining sibling-shard
 //!   waits) — their `Commit` WAL records are being truncated,
 //! * the consensus state (`ts`/`bal`/`abal`) of still-pending dots — their
@@ -15,7 +16,7 @@
 //! * the timestamping clock floor and the per-origin executed watermarks feeding
 //!   committed-command GC.
 //!
-//! A snapshot is encoded as one checksummed frame behind the magic `b"TSN1"`, written
+//! A snapshot is encoded as one checksummed frame behind the magic `b"TSN2"`, written
 //! to a temporary file and renamed into place, so a crash mid-install leaves the
 //! previous snapshot intact.
 
@@ -27,7 +28,7 @@ use tempo_kernel::command::Command;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 
 /// Magic + version prefix of a snapshot stream.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"TSN1";
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"TSN2";
 
 /// A committed command still queued for execution at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,12 +61,11 @@ pub struct AcceptState {
 pub struct Snapshot {
     /// The timestamping clock floor: recovery must never propose at or below it.
     pub clock: u64,
-    /// The stability watermark last fed to the executor.
-    pub stable: u64,
-    /// Timestamp of the last executed command (the execution boundary).
-    pub floor_ts: u64,
-    /// Dot of the last executed command (`(0, 0)` when nothing executed yet).
-    pub floor_dot: Dot,
+    /// The stable timestamps last fed to the executor, as `(bucket, ts)` where not 0.
+    pub stable: Vec<(u64, u64)>,
+    /// The execution floors: per bucket where anything executed, the `(bucket, ts, dot)`
+    /// of its last executed command.
+    pub floors: Vec<(u64, u64, Dot)>,
     /// The dot-generator position (best effort; incarnation bands are the primary
     /// defence against dot reuse, see DESIGN.md §6).
     pub next_dot_seq: u64,
@@ -86,9 +86,13 @@ impl Snapshot {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(self.clock);
-        w.put_u64(self.stable);
-        w.put_u64(self.floor_ts);
-        put_dot(&mut w, self.floor_dot);
+        put_pairs(&mut w, &self.stable);
+        w.put_u32(self.floors.len() as u32);
+        for (bucket, ts, dot) in &self.floors {
+            w.put_u64(*bucket);
+            w.put_u64(*ts);
+            put_dot(&mut w, *dot);
+        }
         w.put_u64(self.next_dot_seq);
         w.put_u64(self.executed_count);
         put_pairs(&mut w, &self.kv);
@@ -117,9 +121,16 @@ impl Snapshot {
         // Fields in declaration order, which is the encoding order.
         Ok(Self {
             clock: r.u64()?,
-            stable: r.u64()?,
-            floor_ts: r.u64()?,
-            floor_dot: get_dot(r)?,
+            stable: get_pairs(r)?,
+            floors: {
+                let n = r.u32()?;
+                let n = r.checked_len(n, 32)?;
+                let mut floors = Vec::with_capacity(n);
+                for _ in 0..n {
+                    floors.push((r.u64()?, r.u64()?, get_dot(r)?));
+                }
+                floors
+            },
             next_dot_seq: r.u64()?,
             executed_count: r.u64()?,
             kv: get_pairs(r)?,
@@ -148,9 +159,8 @@ mod tests {
     fn sample() -> Snapshot {
         Snapshot {
             clock: 200,
-            stable: 150,
-            floor_ts: 149,
-            floor_dot: Dot::new(2, 31),
+            stable: vec![(0, 150), (42, 151)],
+            floors: vec![(0, 149, Dot::new(2, 31)), (42, 148, Dot::new(1, 8))],
             next_dot_seq: 40,
             executed_count: 120,
             kv: vec![(0, 55), (42, 7)],

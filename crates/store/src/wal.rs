@@ -2,7 +2,7 @@
 //!
 //! # Stream format
 //!
-//! A WAL stream is the 4-byte magic `b"TWL1"` followed by framed records. Each frame is
+//! A WAL stream is the 4-byte magic `b"TWL2"` followed by framed records. Each frame is
 //!
 //! ```text
 //! [ payload length : u32 LE ][ CRC-32 of payload : u32 LE ][ payload ]
@@ -27,7 +27,7 @@ use tempo_kernel::command::{Command, KVOp, Key};
 use tempo_kernel::id::{Dot, Rifl, ShardId};
 
 /// Magic + version prefix of a WAL stream.
-pub const WAL_MAGIC: &[u8; 4] = b"TWL1";
+pub const WAL_MAGIC: &[u8; 4] = b"TWL2";
 
 /// A decoding failure. Replay treats any error as the start of a torn tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -388,12 +388,12 @@ pub enum WalRecord {
         /// The attesting shard.
         shard: ShardId,
     },
-    /// The stability watermark (Theorem 1) advanced to `ts`. Interleaved with `Commit`
-    /// records in append order, this lets replay re-execute exactly the prefix that
-    /// executed before the crash — execution order is deterministic given commits and
-    /// watermark advances — so a recovered replica's applied image matches its
-    /// pre-crash image without waiting for peers.
-    Stable(u64),
+    /// The stable timestamps (Theorem 1) of these buckets advanced, as `(bucket, ts)`.
+    /// Interleaved with `Commit` records in append order, this lets replay re-execute
+    /// exactly what executed before the crash — execution order is deterministic given
+    /// commits and stable timestamps — so a recovered replica's applied image matches
+    /// its pre-crash image without waiting for peers.
+    Stable(Vec<(u64, u64)>),
     /// The replica may have used dot sequences up to this value and must generate
     /// future dots strictly above it. Like [`WalRecord::ClockFloor`], floors are
     /// persisted in chunks ahead of the live generator, so a clean restart skips at
@@ -445,9 +445,9 @@ impl WalRecord {
                 put_dot(&mut w, *dot);
                 w.put_u64(*shard);
             }
-            WalRecord::Stable(ts) => {
+            WalRecord::Stable(risen) => {
                 w.put_u8(TAG_STABLE);
-                w.put_u64(*ts);
+                put_pairs(&mut w, risen);
             }
             WalRecord::DotFloor(floor) => {
                 w.put_u8(TAG_DOT_FLOOR);
@@ -484,7 +484,7 @@ impl WalRecord {
                 dot: get_dot(&mut r)?,
                 shard: r.u64()?,
             },
-            TAG_STABLE => WalRecord::Stable(r.u64()?),
+            TAG_STABLE => WalRecord::Stable(get_pairs(&mut r)?),
             TAG_DOT_FLOOR => WalRecord::DotFloor(r.u64()?),
             t => return Err(DecodeError::BadTag(t)),
         };
@@ -598,7 +598,7 @@ mod tests {
                 dot: Dot::new(1, 1),
                 shard: 1,
             },
-            WalRecord::Stable(5),
+            WalRecord::Stable(vec![(5, 3), (4095, 9)]),
             WalRecord::DotFloor(96),
         ]
     }

@@ -1,7 +1,7 @@
 //! Golden-file and torn-write tests for the WAL/snapshot encoding.
 //!
 //! The checked-in fixtures under `tests/golden/` pin the exact on-disk byte format:
-//! `wal_v1.bin` is a complete WAL stream and `snapshot_v1.bin` a complete snapshot
+//! `wal_v2.bin` is a complete WAL stream and `snapshot_v2.bin` a complete snapshot
 //! stream, both produced by [`golden_records`]/[`golden_snapshot`]. If an encoding
 //! change is intentional, bump the stream magic and regenerate the fixtures with
 //! `cargo test -p tempo-store --test golden -- --ignored regenerate`.
@@ -13,7 +13,7 @@ use tempo_store::snapshot::{AcceptState, QueuedCommit};
 use tempo_store::wal::{replay, WAL_MAGIC};
 use tempo_store::{FileStore, MemStore, Snapshot, Store, WalRecord};
 
-/// The record sequence frozen in `tests/golden/wal_v1.bin`.
+/// The record sequence frozen in `tests/golden/wal_v2.bin`.
 fn golden_records() -> Vec<WalRecord> {
     vec![
         WalRecord::ClockFloor(64),
@@ -46,21 +46,18 @@ fn golden_records() -> Vec<WalRecord> {
             dot: Dot::new(1, 2),
             shard: 1,
         },
-        WalRecord::Stable(9),
+        WalRecord::Stable(vec![(1, 9), (42, 5)]),
         WalRecord::ClockFloor(128),
-        // Appended in PR 5 (tag 7, new record — existing encodings unchanged, so the
-        // magic stays at v1 and the fixture was regenerated with this record at the end).
         WalRecord::DotFloor(67),
     ]
 }
 
-/// The snapshot frozen in `tests/golden/snapshot_v1.bin`.
+/// The snapshot frozen in `tests/golden/snapshot_v2.bin`.
 fn golden_snapshot() -> Snapshot {
     Snapshot {
         clock: 128,
-        stable: 9,
-        floor_ts: 9,
-        floor_dot: Dot::new(1, 2),
+        stable: vec![(1, 9), (42, 5)],
+        floors: vec![(1, 9, Dot::new(1, 2)), (42, 5, Dot::new(0, 1))],
         next_dot_seq: 3,
         executed_count: 2,
         kv: vec![(1, 2), (42, 7)],
@@ -96,7 +93,7 @@ fn fixture_path(name: &str) -> PathBuf {
 
 #[test]
 fn golden_wal_fixture_decodes_to_the_expected_records() {
-    let bytes = std::fs::read(fixture_path("wal_v1.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("wal_v2.bin")).expect("fixture present");
     let replayed = replay(&bytes);
     assert_eq!(replayed.valid_len, bytes.len(), "fixture has no torn tail");
     assert_eq!(replayed.records, golden_records());
@@ -104,17 +101,17 @@ fn golden_wal_fixture_decodes_to_the_expected_records() {
 
 #[test]
 fn golden_wal_fixture_matches_the_current_encoder() {
-    let bytes = std::fs::read(fixture_path("wal_v1.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("wal_v2.bin")).expect("fixture present");
     assert_eq!(
         golden_wal_stream(),
         bytes,
-        "WAL encoding drifted from the v1 fixture — bump the magic and regenerate"
+        "WAL encoding drifted from the v2 fixture — bump the magic and regenerate"
     );
 }
 
 #[test]
 fn golden_snapshot_fixture_roundtrips() {
-    let bytes = std::fs::read(fixture_path("snapshot_v1.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("snapshot_v2.bin")).expect("fixture present");
     assert_eq!(
         Snapshot::decode(&bytes).expect("decodes"),
         golden_snapshot()
@@ -122,7 +119,7 @@ fn golden_snapshot_fixture_roundtrips() {
     assert_eq!(
         golden_snapshot().encode(),
         bytes,
-        "snapshot encoding drifted from the v1 fixture — bump the magic and regenerate"
+        "snapshot encoding drifted from the v2 fixture — bump the magic and regenerate"
     );
 }
 
@@ -229,6 +226,6 @@ fn backends_share_the_encoding() {
 #[ignore = "writes the golden fixtures; run manually after an intentional format change"]
 fn regenerate() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
-    std::fs::write(fixture_path("wal_v1.bin"), golden_wal_stream()).unwrap();
-    std::fs::write(fixture_path("snapshot_v1.bin"), golden_snapshot().encode()).unwrap();
+    std::fs::write(fixture_path("wal_v2.bin"), golden_wal_stream()).unwrap();
+    std::fs::write(fixture_path("snapshot_v2.bin"), golden_snapshot().encode()).unwrap();
 }

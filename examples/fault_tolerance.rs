@@ -12,10 +12,11 @@ fn main() {
     let config = Config::full(3, 1);
     let mut cluster = LocalCluster::<Tempo>::new(config);
 
-    println!("replica 1 has a head start: its clock is at 7");
+    println!("replica 1 has a head start: the clock of key 0's bucket is at 7");
     let bump = tempo_core::Message::MBump {
         dot: Dot::new(9, 9),
         ts: 7,
+        buckets: vec![tempo_core::stability::bucket_of(0)],
     };
     cluster.deliver(1, 1, bump);
 
