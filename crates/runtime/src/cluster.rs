@@ -195,6 +195,9 @@ pub(crate) struct Shared {
     /// their own counters into it on their heartbeat/timer cadence.
     pub(crate) registry: Option<Mutex<tempo_trace::MetricsRegistry>>,
     pub(crate) metrics_interval_us: Option<u64>,
+    /// Raised by [`NetCluster::shutdown`] before it stops the replicas: a replica that
+    /// stops then first handles what is on its way to it (a crash stops it dead).
+    pub(crate) closing: AtomicBool,
 }
 
 impl Shared {
@@ -290,8 +293,8 @@ where
     P: Protocol,
     P::Message: Wire,
 {
-    /// Acts on one driver step: peer sends are encoded once and fanned out, executions
-    /// feed the history and replies answer the issuing client's endpoint. Nothing
+    /// Acts on one driver step: peer sends are encoded once and fanned out,
+    /// executions answer the issuing client's endpoint and feed the history. Nothing
     /// is flushed here — the loop flushes once per burst. The driver already ran the
     /// protocol's persist hook, so everything queued here is backed by durable state
     /// before any flush can carry it (write-ahead across the wire).
@@ -304,13 +307,15 @@ where
                 self.transport.send(to, self.encoded.as_bytes());
             }
         }
-        if let (Some(history), false) = (&self.shared.history, output.executed.is_empty()) {
-            let mut history = history.lock().expect("history lock");
-            for exec in &output.executed {
-                history.record_execution(self.shard, self.id, self.incarnation, exec.rifl);
+        for exec in output.executed {
+            if let Some(history) = &self.shared.history {
+                history.lock().expect("history lock").record_execution(
+                    self.shard,
+                    self.id,
+                    self.incarnation,
+                    exec.rifl,
+                );
             }
-        }
-        for exec in output.replies {
             self.encoded.clear();
             self.encoded.put_u8(ENV_REPLY);
             ClientReply::from_result(self.shard, &exec.result).encode_into(&mut self.encoded);
@@ -376,6 +381,20 @@ where
         registry.sample(&format!("p{id}.suspicions"), now, suspicions);
     }
 
+    /// Handles what is on its way to a replica told to stop at shutdown — until its
+    /// inbox stays empty for a millisecond, for five polls at most — so that a replica
+    /// behind its inbox does not drop work its peers already delivered.
+    fn drain(&mut self) {
+        let deadline = Instant::now() + 5 * STOP_POLL;
+        while Instant::now() < deadline {
+            match self.transport.recv_timeout(Duration::from_millis(1)) {
+                Ok((from, bytes)) => self.on_frame(from, &bytes),
+                Err(_) => break,
+            }
+        }
+        self.transport.flush();
+    }
+
     /// The replica's event loop, until `stop` is raised or the endpoint closes.
     fn run(mut self, stop: &AtomicBool) -> ReplicaExit {
         // The first beacon waits one interval: sent at once, every replica of a fresh
@@ -384,6 +403,9 @@ where
         let mut next_heartbeat_us = self.shared.now_us() + HEARTBEAT_INTERVAL_US;
         let mut next_sample_us = self.shared.now_us();
         let mut closed = false;
+        // Whether the last burst was cut short with frames still waiting: the replica is
+        // behind its inbox, so a peer's latest frames may sit unread in it.
+        let mut behind = false;
         loop {
             let now = self.shared.now_us();
             if let (Some(interval), Some(registry)) = (
@@ -401,10 +423,15 @@ where
                     self.transport.send(*q, &[ENV_HEARTBEAT]);
                 }
             }
-            for event in self.detector.tick(now) {
-                match event {
-                    DetectorEvent::Suspect(q) => self.suspect(q),
-                    DetectorEvent::Unsuspect(q) => self.unsuspect(q),
+            // Silence is judged only once the inbox has been read up to date: behind it,
+            // a live peer's heartbeats wait unread, and under a load the replica cannot
+            // keep up with it would look silent.
+            if !behind {
+                for event in self.detector.tick(now) {
+                    match event {
+                        DetectorEvent::Suspect(q) => self.suspect(q),
+                        DetectorEvent::Unsuspect(q) => self.unsuspect(q),
+                    }
                 }
             }
             // Fire due timers between the burst and its flush: the periodic ones a busy
@@ -417,7 +444,13 @@ where
             // The one flush of the turn: the burst's output, what the timers added to
             // it and the beacons all leave before this thread may block.
             self.transport.flush();
-            if closed || stop.load(Ordering::Relaxed) {
+            if closed {
+                break;
+            }
+            if stop.load(Ordering::Relaxed) {
+                if self.shared.closing.load(Ordering::Relaxed) {
+                    self.drain();
+                }
                 break;
             }
             // The wait starts now, not at the top of the turn: whatever the steps above
@@ -445,6 +478,7 @@ where
                 }
                 timeout = Duration::ZERO;
             };
+            behind = taken == BURST_FRAMES;
         }
         (
             self.driver.metrics(),
@@ -706,6 +740,7 @@ impl NetCluster {
                 .metrics_interval
                 .map(|_| Mutex::new(tempo_trace::MetricsRegistry::new())),
             metrics_interval_us: opts.metrics_interval.map(|d| d.as_micros() as u64),
+            closing: AtomicBool::new(false),
         });
         let seats = Arc::new(Mutex::new(BTreeMap::new()));
         for id in membership.all_processes() {
@@ -812,6 +847,7 @@ impl NetCluster {
         }
         let seats = std::mem::take(&mut *self.seats.lock().expect("seats lock"));
         // Stop them all before joining any, so that their waits overlap.
+        self.shared.closing.store(true, Ordering::Relaxed);
         for seat in seats.values() {
             seat.stop.store(true, Ordering::Relaxed);
         }
@@ -1061,6 +1097,7 @@ mod tests {
                 tracers: BTreeMap::new(),
                 registry: None,
                 metrics_interval_us: None,
+                closing: AtomicBool::new(false),
             }
         }
     }
