@@ -5,16 +5,22 @@
 //! was committed.
 
 use tempo_bench::header;
+use tempo_core::stability::bucket_of;
 use tempo_core::{Message, Tempo};
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::protocol::Protocol;
 use tempo_kernel::{Command, Config, KVOp};
 
+/// The key every scenario's command writes.
+const KEY: u64 = 0;
+
+/// Sets the clock of `KEY`'s bucket at `process` to `value` (bumping is always safe).
 fn set_clock(cluster: &mut LocalCluster<Tempo>, process: ProcessId, value: u64) {
     let msg = Message::MBump {
         dot: Dot::new(process, u64::MAX),
         ts: value,
+        buckets: vec![bucket_of(KEY)],
     };
     cluster.deliver(process, process, msg);
 }
@@ -74,7 +80,7 @@ fn main() {
                 set_clock(&mut cluster, i as ProcessId, *clock);
             }
         }
-        let cmd = Command::single(Rifl::new(1, 1), 0, 0, KVOp::Put(1), 0);
+        let cmd = Command::single(Rifl::new(1, 1), 0, KEY, KVOp::Put(1), 0);
         cluster.submit(0, cmd);
         let metrics = cluster.process(0).metrics();
         let fast = metrics.fast_paths == 1;

@@ -6,7 +6,7 @@ use crate::executor::ExecutionInfo;
 use crate::info::Phase;
 use crate::messages::Quorums;
 use crate::protocol::{Tempo, TempoOptions};
-use crate::stability::{Bucket, Buckets};
+use crate::stability::{Bucket, Buckets, BUCKETS};
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
@@ -151,6 +151,18 @@ impl Durable {
     }
 }
 
+/// Checks the bucket numbers read back from the store: one out of range means a store
+/// written with another bucket count, which is not this replica's (fail-stop, like an
+/// I/O failure).
+fn check_buckets(buckets: impl IntoIterator<Item = Bucket>) {
+    for bucket in buckets {
+        assert!(
+            bucket < BUCKETS,
+            "the store names bucket {bucket} of {BUCKETS}: another build wrote it"
+        );
+    }
+}
+
 impl Tempo {
     /// Creates a Tempo instance backed by a durable [`Store`]: every per-dot
     /// ballot/accept/commit and the clock and dot floors are written ahead to it, periodic
@@ -172,14 +184,13 @@ impl Tempo {
         let empty = snapshot.is_none() && wal.is_empty();
         let replayed_wal = !wal.is_empty();
         if let Some(snap) = snapshot {
+            check_buckets(snap.stable.iter().map(|s| s.0));
+            check_buckets(snap.floors.iter().map(|f| f.0));
             tempo.stability.restore(snap.clock);
             tempo.dot_gen.skip_to(snap.next_dot_seq);
-            tempo.executor.restore(
-                &snap.stable,
-                &snap.floors,
-                snap.executed_count,
-                snap.kv,
-            );
+            tempo
+                .executor
+                .restore(&snap.stable, &snap.floors, snap.executed_count, snap.kv);
             // Every snapshot-covered execution was a commit; keep the two counters
             // consistent so the stall detector (`repair_scan`) stays meaningful.
             tempo.metrics.committed = snap.executed_count;
@@ -218,6 +229,7 @@ impl Tempo {
                     tempo.replay_feed(ExecutionInfo::ShardStable { dot, shard });
                 }
                 WalRecord::Stable(risen) => {
+                    check_buckets(risen.iter().map(|r| r.0));
                     tempo.replay_feed(ExecutionInfo::StableIn(risen));
                 }
             }

@@ -22,7 +22,7 @@
 //! hand-crafted event sequences (see the tests below), exactly the ordering/execution
 //! split the paper describes.
 
-use crate::stability::{bucket_of, Bucket, Buckets, BUCKETS};
+use crate::stability::{bucket_of, Bucket, Buckets, PerBucket, BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;
@@ -87,7 +87,7 @@ const DOT_MIN: Dot = Dot {
 pub struct TempoExecutor {
     shard: ShardId,
     /// Each bucket's stable timestamp as fed, at least `stable_all`.
-    stable: Vec<u64>,
+    stable: PerBucket<u64>,
     /// The timestamp every bucket is stable up to ([`ExecutionInfo::Stable`]).
     stable_all: u64,
     /// Committed-but-not-executed commands by dot.
@@ -108,8 +108,8 @@ pub struct TempoExecutor {
     /// floor*. Execution follows each line in order, so the bucket's executed commands
     /// are exactly its prefix at or below the floor; `(0, (0, 0))` before anything
     /// executes there. Durable snapshots and rejoin state transfers carry the floors
-    /// (DESIGN.md §6).
-    floors: Vec<(u64, Dot)>,
+    /// (DESIGN.md §6). Held as `(ts, source, sequence)` (see [`Self::floor`]).
+    floors: PerBucket<(u64, u64, u64)>,
     /// While gated, execution is suspended (commands still commit into the lines, and
     /// stability is still announced to sibling shards). The ordering stage gates the
     /// executor when the applied image is known to be missing a skipped command —
@@ -173,23 +173,35 @@ impl TempoExecutor {
     /// The execution floors of the buckets where anything executed, as
     /// `(bucket, ts, dot)`.
     pub fn floors(&self) -> Vec<(Bucket, u64, Dot)> {
-        let floors = (0..).zip(&self.floors);
-        let moved = floors.filter(|(_, floor)| floor.0 > 0);
-        moved.map(|(bucket, (ts, dot))| (bucket, *ts, *dot)).collect()
+        let moved = (0..BUCKETS).filter(|b| self.floors[*b as usize].0 > 0);
+        moved
+            .map(|bucket| {
+                let (ts, dot) = self.floor(bucket);
+                (bucket, ts, dot)
+            })
+            .collect()
+    }
+
+    /// The execution floor of `bucket`.
+    fn floor(&self, bucket: Bucket) -> (u64, Dot) {
+        let (ts, source, sequence) = self.floors[bucket as usize];
+        (ts, Dot::new(source, sequence))
+    }
+
+    fn set_floor(&mut self, bucket: Bucket, (ts, dot): (u64, Dot)) {
+        self.floors[bucket as usize] = (ts, dot.source, dot.sequence);
     }
 
     /// The stable timestamps of the buckets that have one, as `(bucket, ts)`.
     pub fn stables(&self) -> Vec<(Bucket, u64)> {
-        let stables = (0..).zip(&self.stable).map(|(b, ts)| (b, (*ts).max(self.stable_all)));
+        let stables = (0..BUCKETS).map(|b| (b, self.stable_in(b)));
         stables.filter(|(_, ts)| *ts > 0).collect()
     }
 
     /// Whether `⟨ts, dot⟩`, on `buckets`, lies at or below one of their execution floors:
     /// its effect is in the applied image (executed here, or installed with a transfer).
     pub fn covers(&self, ts: u64, dot: Dot, buckets: &[Bucket]) -> bool {
-        buckets
-            .iter()
-            .any(|b| (ts, dot) <= self.floors[*b as usize])
+        buckets.iter().any(|b| (ts, dot) <= self.floor(*b))
     }
 
     /// Whether `dot` is committed but not yet executed here (queued or waiting).
@@ -245,12 +257,15 @@ impl TempoExecutor {
         executed: u64,
         kv: Vec<(Key, u64)>,
     ) {
-        debug_assert!(self.pending.is_empty(), "restore only into a fresh executor");
+        debug_assert!(
+            self.pending.is_empty(),
+            "restore only into a fresh executor"
+        );
         for &(bucket, ts) in stables {
             self.stable[bucket as usize] = ts;
         }
         for &(bucket, ts, dot) in floors {
-            self.floors[bucket as usize] = (ts, dot);
+            self.set_floor(bucket, (ts, dot));
         }
         self.executed_count = executed;
         self.kv.restore(kv, executed);
@@ -258,8 +273,7 @@ impl TempoExecutor {
 
     /// Whether a peer's image cut at `floors` is ahead of this one in some bucket.
     pub fn is_behind(&self, floors: &[(Bucket, u64, Dot)]) -> bool {
-        let floor = |b: Bucket| self.floors[b as usize];
-        floors.iter().any(|&(b, ts, dot)| (ts, dot) > floor(b))
+        floors.iter().any(|&(b, ts, dot)| (ts, dot) > self.floor(b))
     }
 
     /// Installs a rejoin state transfer: in every bucket where the peer's image (which is
@@ -280,7 +294,7 @@ impl TempoExecutor {
     ) -> Vec<Dot> {
         let ahead: BTreeMap<Bucket, (u64, Dot)> = floors
             .iter()
-            .filter(|&&(b, ts, dot)| (ts, dot) > self.floors[b as usize])
+            .filter(|&&(b, ts, dot)| (ts, dot) > self.floor(b))
             .map(|&(b, ts, dot)| (b, (ts, dot)))
             .collect();
         let taken = |key: &Key| ahead.contains_key(&bucket_of(*key));
@@ -291,11 +305,14 @@ impl TempoExecutor {
         self.kv.restore(image, self.kv.commands_executed());
         let mut dropped = Vec::new();
         for (&bucket, &floor) in &ahead {
-            self.floors[bucket as usize] = floor;
+            self.set_floor(bucket, floor);
             let covered = (bucket, 0, DOT_MIN)..=(bucket, floor.0, floor.1);
             let under: Vec<Dot> = self.lines.range(covered).map(|e| e.2).collect();
             for dot in under {
-                let pending = self.pending.remove(&dot).expect("lined commands are pending");
+                let pending = self
+                    .pending
+                    .remove(&dot)
+                    .expect("lined commands are pending");
                 for &b in pending.buckets.iter() {
                     self.lines.remove(&(b, pending.ts, dot));
                     self.check.extend(self.head(b));
@@ -378,7 +395,10 @@ impl TempoExecutor {
             let Some(pending) = self.pending.get(&dot) else {
                 continue; // Executed already.
             };
-            let heads = pending.buckets.iter().all(|b| self.head(*b) == Some((ts, dot)));
+            let heads = pending
+                .buckets
+                .iter()
+                .all(|b| self.head(*b) == Some((ts, dot)));
             if !heads || !pending.waits.is_empty() || !self.is_stable(ts, &pending.buckets) {
                 continue;
             }
@@ -386,12 +406,12 @@ impl TempoExecutor {
             let result = self.kv.execute(self.shard, &pending.cmd);
             for &bucket in pending.buckets.iter() {
                 self.lines.remove(&(bucket, ts, dot));
-                let floor = &mut self.floors[bucket as usize];
                 debug_assert!(
-                    (ts, dot) > *floor,
-                    "executed {dot:?}@{ts} at or below bucket {bucket}'s floor {floor:?}"
+                    (ts, dot) > self.floor(bucket),
+                    "executed {dot:?}@{ts} at or below bucket {bucket}'s floor {:?}",
+                    self.floor(bucket)
                 );
-                *floor = (ts, dot);
+                self.set_floor(bucket, (ts, dot));
                 self.check.extend(self.head(bucket));
             }
             out.push(Executed {
@@ -411,7 +431,7 @@ impl Executor for TempoExecutor {
     fn new(_process: ProcessId, shard: ShardId, _config: Config) -> Self {
         Self {
             shard,
-            stable: vec![0; BUCKETS as usize],
+            stable: PerBucket::new(BUCKETS as usize),
             stable_all: 0,
             pending: BTreeMap::new(),
             lines: BTreeSet::new(),
@@ -419,7 +439,7 @@ impl Executor for TempoExecutor {
             newly_stable: Vec::new(),
             announce_visits: 0,
             executed_dots: Vec::new(),
-            floors: vec![(0, DOT_MIN); BUCKETS as usize],
+            floors: PerBucket::new(BUCKETS as usize),
             gated: false,
             kv: KVStore::new(),
             executed_count: 0,
@@ -569,7 +589,10 @@ mod tests {
 
     /// The buckets of these keys turned stable up to these timestamps.
     fn stable_in(ex: &mut TempoExecutor, risen: &[(Key, u64)]) -> Vec<Executed> {
-        let risen = risen.iter().map(|(key, ts)| (bucket_of(*key), *ts)).collect();
+        let risen = risen
+            .iter()
+            .map(|(key, ts)| (bucket_of(*key), *ts))
+            .collect();
         ex.handle(ExecutionInfo::StableIn(risen))
     }
 
@@ -664,7 +687,11 @@ mod tests {
             dot: Dot::new(1, 1),
             shard: 1,
         });
-        assert_eq!(rifls(&executed), [1, 2], "unblocking the head releases the line");
+        assert_eq!(
+            rifls(&executed),
+            [1, 2],
+            "unblocking the head releases the line"
+        );
     }
 
     #[test]
@@ -850,7 +877,10 @@ mod tests {
         for (seq, key) in [(1, 0), (2, 7), (3, 4095), (4, 4096)] {
             let _ = commit(&mut ex, 1, seq, cmd(seq, key));
         }
-        assert_eq!(rifls(&ex.handle(ExecutionInfo::Stable { ts: 3 })), [1, 2, 3]);
+        assert_eq!(
+            rifls(&ex.handle(ExecutionInfo::Stable { ts: 3 })),
+            [1, 2, 3]
+        );
         assert_eq!(rifls(&ex.handle(ExecutionInfo::Stable { ts: 4 })), [4]);
         assert_eq!((ex.stable_in(0), ex.stable_in(BUCKETS - 1)), (4, 4));
         // A bucket's own stable timestamp above it stands.

@@ -4,8 +4,10 @@
 //! Tempo is a leaderless state-machine replication protocol for full and partial
 //! replication. Each command is assigned a scalar timestamp by a fast quorum of
 //! `⌊n/2⌋ + f` processes; commands execute in timestamp order once their timestamp is
-//! *stable*, i.e. once every command with a lower timestamp is known. Both timestamping
-//! and stability detection are decentralized and tolerate `f` failures per shard.
+//! *stable*, i.e. once every conflicting command with a lower timestamp is known. Both
+//! timestamping and stability detection are decentralized and tolerate `f` failures per
+//! shard. As in the paper's implementation, clocks and stability are kept per key — here
+//! per key *bucket* — so only commands on the same keys ever wait for one another.
 //!
 //! # Quick start
 //!
@@ -30,13 +32,12 @@
 //!
 //! The crate is organised around the paper's ordering/execution split (Algorithm 2):
 //!
-//! * [`stability`] — the clock (`propose`/`bump`, Algorithm 1), the promises made and
-//!   heard, and the line-47 commit gate, in one owner (Algorithm 2, Theorem 1): the
-//!   strict watermark execution follows, and key-scoped stability (`stable_for`), under
-//!   which an uncommitted attachment holds back only the commands sharing a key with its
-//!   command,
-//! * [`promises`] — the promise sets and the incremental majority watermark
-//!   [`stability`] keeps,
+//! * [`stability`] — per key bucket (`BUCKETS` of them, a hash of the key), the clock
+//!   (`propose`/`bump`, Algorithm 1), the promises made and heard and the stable
+//!   timestamp, and the line-47 commit gate, in one owner (Algorithm 2, Theorem 1 per
+//!   bucket),
+//! * [`promises`] — the promise sets [`stability`] keeps, and the incremental majority
+//!   watermark of one promise track,
 //! * [`messages`] — the wire protocol,
 //! * [`info`] — per-command state (Figure 1 phases, Table 3 variables),
 //! * [`gc`] — committed-command garbage collection via executed watermarks,
@@ -51,9 +52,9 @@
 //!   recovery from them ([`Tempo::with_store`]; DESIGN.md §6),
 //! * `transfer` — the rejoin state transfer's execution gate in one owner (`Transfer`),
 //!   and the install of an `MState`,
-//! * [`executor`] — the [`TempoExecutor`] *execution* stage: stability-ordered
-//!   execution, fed with commit/stability events and independently testable, and the
-//!   early replies of the commands stable on their keys, in `⟨ts, id⟩` order per key,
+//! * [`executor`] — the [`TempoExecutor`] *execution* stage: a command executes — and
+//!   answers its client — once it is stable in each of its buckets, in `⟨ts, id⟩` order
+//!   per bucket; fed with commit/stability events and independently testable,
 //! * [`wire`] — the `tempo-net` [`Wire`](tempo_net::Wire) codec for the full message
 //!   set (what the TCP-backed cluster runtime ships over sockets), with the canonical
 //!   per-variant fixture in [`wire_fixture`] pinned by `tests/wire_golden.rs`.

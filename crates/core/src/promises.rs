@@ -73,6 +73,19 @@ pub(crate) struct SeqSet {
 }
 
 impl SeqSet {
+    /// The set `[1, contiguous]`.
+    pub(crate) fn with_prefix(contiguous: u64) -> Self {
+        Self {
+            contiguous,
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    /// Whether the set is its contiguous prefix, with nothing above a gap.
+    pub(crate) fn is_contiguous(&self) -> bool {
+        self.sparse.is_empty()
+    }
+
     /// The highest `c` such that every value in `[1, c]` is present.
     #[inline]
     pub(crate) fn contiguous(&self) -> u64 {

@@ -299,7 +299,10 @@ impl Tempo {
             }
             let info = info_entry(info, dot, now_us);
             if info.phase.is_committed_or_executed() || committing == Some(dot) {
-                let cmd = info.cmd.as_ref().expect("committed commands have a payload");
+                let cmd = info
+                    .cmd
+                    .as_ref()
+                    .expect("committed commands have a payload");
                 return Gating::Counts(Buckets::of(cmd, shard));
             }
             gated(dot);
@@ -662,9 +665,10 @@ impl Tempo {
         // local executor never applied it. So is one of a command executed here — by a
         // previous incarnation whose image this one restored — or at the donor of an
         // installed image (the executed frontier it restored).
-        let transferred =
-            self.executor.covers(final_ts, dot, &buckets) || self.gc.is_executed(dot);
-        let passed = buckets.iter().any(|b| final_ts <= self.executor.stable_in(*b));
+        let transferred = self.executor.covers(final_ts, dot, &buckets) || self.gc.is_executed(dot);
+        let passed = buckets
+            .iter()
+            .any(|b| final_ts <= self.executor.stable_in(*b));
         if transferred || passed {
             // Not placeable in ⟨ts, id⟩ order anymore. In the normal regime this cannot
             // happen — the line-47 commit gate keeps each bucket's stable timestamp
@@ -756,7 +760,10 @@ impl Tempo {
             info.bal = ballot;
             info.abal = ballot;
         }
-        let buckets = self.info[&dot].cmd.as_ref().map(|cmd| Buckets::of(cmd, self.shard));
+        let buckets = self.info[&dot]
+            .cmd
+            .as_ref()
+            .map(|cmd| Buckets::of(cmd, self.shard));
         // Write-ahead: the accept must survive a crash (a forgotten accept is how an
         // amnesiac acceptor lets two values commit). The driver's persist hook syncs
         // it before the ack below can leave this process.

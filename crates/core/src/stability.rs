@@ -30,6 +30,7 @@
 use crate::messages::PromiseBundle;
 use crate::promises::{PromiseRange, SeqSet};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Index, IndexMut};
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 
@@ -50,6 +51,47 @@ pub type Bucket = u64;
 /// eight buckets.
 pub fn bucket_of(key: Key) -> Bucket {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKET_BITS)
+}
+
+/// How many values a [`PerBucket`] page holds.
+const PAGE: usize = 64;
+
+/// One value per bucket (or per bucket and shard member), allocated a page at a time
+/// when first written: a process pays for the buckets it uses, not for all of them — a
+/// cluster starts as fast as with one scalar clock.
+#[derive(Debug)]
+pub(crate) struct PerBucket<T> {
+    pages: Vec<Option<Box<[T; PAGE]>>>,
+    /// What a value never written reads.
+    zero: T,
+}
+
+impl<T: Copy + Default> PerBucket<T> {
+    /// `len` values, all `T::default()`.
+    pub(crate) fn new(len: usize) -> Self {
+        Self {
+            pages: vec![None; len.div_ceil(PAGE)],
+            zero: T::default(),
+        }
+    }
+}
+
+impl<T> Index<usize> for PerBucket<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match &self.pages[i / PAGE] {
+            Some(page) => &page[i % PAGE],
+            None => &self.zero,
+        }
+    }
+}
+
+impl<T: Copy + Default> IndexMut<usize> for PerBucket<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        let page = &mut self.pages[i / PAGE];
+        &mut page.get_or_insert_with(|| Box::new([T::default(); PAGE]))[i % PAGE]
+    }
 }
 
 /// A command's buckets on one shard, sorted and distinct; the common single bucket is
@@ -125,6 +167,10 @@ pub type Outgoing = (
     Vec<(Bucket, u64)>,
 );
 
+/// The `MPromiseRepair` payload: per bucket with a clock, the clock, and the pinned
+/// attachments as `(bucket, timestamp, dot)`.
+pub type Repair = (Vec<(Bucket, u64)>, Vec<(Bucket, u64, Dot)>);
+
 /// What the caller of [`Stability::absorb`] knows of the command an attachment is
 /// attached to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,20 +184,10 @@ pub enum Gating {
     Collected,
 }
 
-/// One bucket's clock and stable timestamp.
-#[derive(Debug, Default, Clone)]
-struct Track {
-    /// The bucket's clock; the next proposal in it is at least `clock + 1`.
-    clock: u64,
-    /// The highest timestamp a majority of the bucket's promise prefixes reach.
-    stable: u64,
-    /// The highest safe frontier already broadcast (to skip no-news sends).
-    sent_frontier: u64,
-    /// Whether the bucket is listed in `Stability::moved`.
-    moved: bool,
-    /// Whether the bucket is listed in `Stability::risen`.
-    risen: bool,
-}
+/// `Stability::listed` bit: the bucket is in `Stability::moved`.
+const MOVED: u8 = 1;
+/// `Stability::listed` bit: the bucket is in `Stability::risen`.
+const RISEN: u8 = 2;
 
 /// The clocks, the promise tracks and the commit gate of one Tempo process.
 #[derive(Debug)]
@@ -160,13 +196,22 @@ pub struct Stability {
     /// The shard members, in identifier order (every track's membership).
     peers: Vec<ProcessId>,
     stability_index: usize,
-    /// One track per bucket.
-    tracks: Vec<Track>,
-    /// The `Promises` variable of Algorithm 2: per bucket, the promises of each shard
-    /// member (in `peers` order), at `bucket · n + member`.
-    promised: Vec<SeqSet>,
+    /// The clocks; the next proposal in a bucket is at least its clock + 1.
+    clocks: PerBucket<u64>,
+    /// The stable timestamps: the highest a majority of the bucket's prefixes reach.
+    stables: PerBucket<u64>,
+    /// The highest safe frontiers already broadcast (to skip no-news sends).
+    sent_frontiers: PerBucket<u64>,
+    /// Which of `moved` and `risen` list the bucket ([`MOVED`], [`RISEN`]).
+    listed: PerBucket<u8>,
+    /// The `Promises` variable of Algorithm 2: per bucket, each shard member's (in
+    /// `peers` order) contiguous prefix, at `bucket · n + member`...
+    prefixes: PerBucket<u64>,
+    /// ...and, at the same index, its whole promise set while a gap lies above that
+    /// prefix.
+    gapped: BTreeMap<usize, SeqSet>,
     /// A buffer for the prefixes a stable timestamp is picked from.
-    prefixes: Vec<u64>,
+    sorted: Vec<u64>,
     /// The highest clock over the buckets: the floor a restart must stay above.
     clock: u64,
     /// A clock floor restored from durable state: every bucket's clock is at least this,
@@ -200,13 +245,20 @@ impl Stability {
         let mut peers = shard_peers.to_vec();
         peers.sort_unstable();
         peers.dedup();
-        assert!(stability_index < peers.len(), "stability index out of range");
+        assert!(
+            stability_index < peers.len(),
+            "stability index out of range"
+        );
         Self {
             process,
             stability_index,
-            tracks: vec![Track::default(); BUCKETS as usize],
-            promised: vec![SeqSet::default(); (BUCKETS as usize) * peers.len()],
-            prefixes: Vec::with_capacity(peers.len()),
+            clocks: PerBucket::new(BUCKETS as usize),
+            stables: PerBucket::new(BUCKETS as usize),
+            sent_frontiers: PerBucket::new(BUCKETS as usize),
+            listed: PerBucket::new(BUCKETS as usize),
+            prefixes: PerBucket::new(BUCKETS as usize * peers.len()),
+            gapped: BTreeMap::new(),
+            sorted: Vec::with_capacity(peers.len()),
             clock: 0,
             restored: 0,
             unsent_detached: Vec::new(),
@@ -229,7 +281,7 @@ impl Stability {
 
     /// The clock of `bucket`.
     pub fn clock_of(&self, bucket: Bucket) -> u64 {
-        self.tracks[bucket as usize].clock.max(self.restored)
+        self.clocks[bucket as usize].max(self.restored)
     }
 
     /// The highest clock over `buckets`.
@@ -240,20 +292,39 @@ impl Stability {
 
     /// The highest stable timestamp of `bucket` (Theorem 1).
     pub fn stable_timestamp(&self, bucket: Bucket) -> u64 {
-        self.tracks[bucket as usize].stable
+        self.stables[bucket as usize]
     }
 
-    /// The promises of the shard member at `index` (of `peers`) in `bucket`.
-    fn promised(&self, bucket: Bucket, index: usize) -> &SeqSet {
-        &self.promised[bucket as usize * self.peers.len() + index]
+    /// The index of the shard member at `index` (of `peers`) in `bucket`'s promises.
+    fn slot(&self, bucket: Bucket, index: usize) -> usize {
+        bucket as usize * self.peers.len() + index
+    }
+
+    /// Whether the shard member at `index` promised `ts` in `bucket`.
+    #[cfg(test)]
+    fn promised(&self, bucket: Bucket, index: usize, ts: u64) -> bool {
+        let slot = self.slot(bucket, index);
+        ts <= self.prefixes[slot] || self.gapped.get(&slot).is_some_and(|set| set.contains(ts))
+    }
+
+    /// Lists `bucket` in `moved` (`MOVED`) or `risen` (`RISEN`), once.
+    fn list(&mut self, bucket: Bucket, which: u8) {
+        let listed = &mut self.listed[bucket as usize];
+        if *listed & which == 0 {
+            *listed |= which;
+            match which {
+                MOVED => self.moved.push(bucket),
+                _ => self.risen.push(bucket),
+            }
+        }
     }
 
     /// Moves the buckets whose stable timestamp rose since the last call into `risen`,
     /// each with its stable timestamp now.
     pub fn take_risen(&mut self, risen: &mut Vec<(Bucket, u64)>) {
         for &bucket in &self.risen {
-            self.tracks[bucket as usize].risen = false;
-            risen.push((bucket, self.stable_timestamp(bucket)));
+            self.listed[bucket as usize] &= !RISEN;
+            risen.push((bucket, self.stables[bucket as usize]));
         }
         self.risen.clear();
     }
@@ -300,7 +371,9 @@ impl Stability {
                 // share an attached timestamp in a bucket (timestamp uniqueness,
                 // Property 1's premise).
                 debug_assert!(
-                    self.pinned_in(bucket).next_back().is_none_or(|(_, ts, _)| *ts < t),
+                    self.pinned_in(bucket)
+                        .next_back()
+                        .is_none_or(|(_, ts, _)| *ts < t),
                     "timestamp {t} attached to a second dot in bucket {bucket}"
                 );
                 self.pinned.insert((bucket, t, dot));
@@ -346,12 +419,9 @@ impl Stability {
     }
 
     fn set_clock(&mut self, bucket: Bucket, t: u64) {
-        let track = &mut self.tracks[bucket as usize];
-        track.clock = t;
+        self.clocks[bucket as usize] = t;
         self.clock = self.clock.max(t);
-        if !std::mem::replace(&mut track.moved, true) {
-            self.moved.push(bucket);
-        }
+        self.list(bucket, MOVED);
     }
 
     /// From now on this incarnation claims nothing (no frontier, no `MPromiseRepair`): a
@@ -423,25 +493,38 @@ impl Stability {
         let Ok(index) = self.peers.binary_search(&process) else {
             return; // Another shard's: stability is a per-shard notion.
         };
-        let n = self.peers.len();
-        let first = bucket as usize * n;
-        let set = &mut self.promised[first + index];
-        let before = set.contiguous();
-        set.insert_range(range.start, range.end);
-        if set.contiguous() == before {
+        let slot = self.slot(bucket, index);
+        let before = self.prefixes[slot];
+        let after = match self.gapped.get_mut(&slot) {
+            Some(set) => {
+                set.insert_range(range.start, range.end);
+                let after = set.contiguous();
+                if set.is_contiguous() {
+                    self.gapped.remove(&slot);
+                }
+                after
+            }
+            None if range.start <= before + 1 => before.max(range.end),
+            None => {
+                let mut set = SeqSet::with_prefix(before);
+                set.insert_range(range.start, range.end);
+                self.gapped.insert(slot, set);
+                before
+            }
+        };
+        if after == before {
             return;
         }
-        let prefixes = self.promised[first..first + n].iter().map(SeqSet::contiguous);
-        self.prefixes.clear();
-        self.prefixes.extend(prefixes);
-        self.prefixes.sort_unstable();
-        let stable = self.prefixes[self.stability_index];
-        let track = &mut self.tracks[bucket as usize];
-        if stable > track.stable {
-            track.stable = stable;
-            if !std::mem::replace(&mut track.risen, true) {
-                self.risen.push(bucket);
-            }
+        self.prefixes[slot] = after;
+        let first = slot - index;
+        self.sorted.clear();
+        let prefixes = (first..first + self.peers.len()).map(|i| self.prefixes[i]);
+        self.sorted.extend(prefixes);
+        self.sorted.sort_unstable();
+        let stable = self.sorted[self.stability_index];
+        if stable > self.stables[bucket as usize] {
+            self.stables[bucket as usize] = stable;
+            self.list(bucket, RISEN);
         }
     }
 
@@ -482,10 +565,7 @@ impl Stability {
         if let Some((ts, buckets)) = self.pins.remove(&dot) {
             for &bucket in buckets.iter() {
                 self.pinned.remove(&(bucket, ts, dot));
-                let track = &mut self.tracks[bucket as usize];
-                if !std::mem::replace(&mut track.moved, true) {
-                    self.moved.push(bucket);
-                }
+                self.list(bucket, MOVED);
             }
         }
     }
@@ -523,12 +603,12 @@ impl Stability {
         let mut moved = std::mem::take(&mut self.moved);
         for bucket in moved.drain(..) {
             let frontier = self.frontier(bucket);
-            let track = &mut self.tracks[bucket as usize];
-            track.moved = false;
+            self.listed[bucket as usize] &= !MOVED;
             // Attachments land above the clock they were drawn from, so the claimed
             // prefix only grows (per-process promise monotonicity).
-            if frontier > track.sent_frontier {
-                track.sent_frontier = frontier;
+            let sent = &mut self.sent_frontiers[bucket as usize];
+            if frontier > *sent {
+                *sent = frontier;
                 frontiers.push((bucket, frontier));
             }
         }
@@ -554,14 +634,15 @@ impl Stability {
     /// The `MPromiseRepair` payload — per bucket with a clock, the clock, and the pinned
     /// attachments, i.e. "all of `[1, clock]` there but these" — or `None` if this
     /// incarnation claims nothing.
-    pub fn repair_report(&self) -> Option<(Vec<(Bucket, u64)>, Vec<(Bucket, u64, Dot)>)> {
+    pub fn repair_report(&self) -> Option<Repair> {
         if self.claims_nothing {
             return None;
         }
         let mut clocks = Vec::new();
-        for (bucket, track) in (0..).zip(&self.tracks) {
-            if track.clock > 0 {
-                clocks.push((bucket, track.clock));
+        for bucket in 0..BUCKETS {
+            let clock = self.clocks[bucket as usize];
+            if clock > 0 {
+                clocks.push((bucket, clock));
             }
         }
         Some((clocks, self.pinned.iter().copied().collect()))
@@ -575,10 +656,12 @@ impl Stability {
         let peer = self.peers.binary_search(&peer).ok();
         for bucket in 0..BUCKETS {
             if let Some(peer) = peer {
-                highest = highest.max(self.promised(bucket, peer).max_value());
+                let slot = self.slot(bucket, peer);
+                let set = self.gapped.get(&slot);
+                highest = highest.max(set.map_or(self.prefixes[slot], SeqSet::max_value));
             }
             for (index, &process) in self.peers.iter().enumerate() {
-                let prefix = self.promised(bucket, index).contiguous();
+                let prefix = self.prefixes[self.slot(bucket, index)];
                 if prefix > 0 {
                     prefixes.push((bucket, process, prefix));
                 }
@@ -771,8 +854,15 @@ mod tests {
         let (t, _) = s.propose(dot(1), 0, &Buckets::One(7));
         assert_eq!(t, 1);
         let (_, _, frontiers) = s.take_outgoing(false).expect("news");
-        assert_eq!(frontiers, [(3, 4)], "bucket 7 is pinned below its attachment");
-        assert_eq!(s.repair_report(), Some((vec![(3, 4), (7, 1)], vec![(7, 1, dot(1))])));
+        assert_eq!(
+            frontiers,
+            [(3, 4)],
+            "bucket 7 is pinned below its attachment"
+        );
+        assert_eq!(
+            s.repair_report(),
+            Some((vec![(3, 4), (7, 1)], vec![(7, 1, dot(1))]))
+        );
         s.forget(dot(1));
         let (_, _, frontiers) = s.take_outgoing(false).expect("the pin went");
         assert_eq!(frontiers, [(7, 1)]);
@@ -903,10 +993,8 @@ mod tests {
                     let clock = clock.expect("a bucket");
                     let min = clock.saturating_sub(2) + rng.gen_range(6);
                     let t = min.max(clock + 1);
-                    let (mut detached, unsent) = m
-                        .unsent
-                        .iter()
-                        .partition(|(b, _)| buckets.contains(b));
+                    let (mut detached, unsent) =
+                        m.unsent.iter().partition(|(b, _)| buckets.contains(b));
                     m.unsent = unsent;
                     for &b in buckets.iter() {
                         let c = m.clocks[b as usize];
@@ -999,7 +1087,12 @@ mod tests {
                             }
                         }
                         // Entries past the clock are ignored.
-                        pending.extend(stamps.iter().filter(|ts| **ts > clock).map(|ts| (b, *ts, dot(99))));
+                        pending.extend(
+                            stamps
+                                .iter()
+                                .filter(|ts| **ts > clock)
+                                .map(|ts| (b, *ts, dot(99))),
+                        );
                     }
                     s.absorb(Report::Repair(peer, clocks, pending), gating);
                 }
@@ -1053,7 +1146,12 @@ mod tests {
                             let mut pinned: Vec<(Bucket, u64, Dot)> = m
                                 .pinned
                                 .iter()
-                                .flat_map(|(d, t)| buckets_of(*d).iter().map(|b| (*b, *t, *d)).collect::<Vec<_>>())
+                                .flat_map(|(d, t)| {
+                                    buckets_of(*d)
+                                        .iter()
+                                        .map(|b| (*b, *t, *d))
+                                        .collect::<Vec<_>>()
+                                })
                                 .collect();
                             pinned.sort_unstable();
                             assert_eq!(pending, pinned);
@@ -1063,10 +1161,10 @@ mod tests {
                 }
             }
             let stable: Vec<u64> = (0..4).map(|b| m.stable(b)).collect();
-            for b in 0..4 {
+            for (b, &ts) in (0..).zip(&stable) {
                 assert_eq!(
-                    s.stable_timestamp(b as u64),
-                    stable[b],
+                    s.stable_timestamp(b),
+                    ts,
                     "seed {seed}, step {step}: bucket {b}'s stable timestamp diverged from the model"
                 );
             }
@@ -1081,16 +1179,23 @@ mod tests {
                 .filter_map(|b| m.promised[b][peer as usize].last().copied())
                 .max()
                 .unwrap_or(0);
-            assert_eq!((clock, highest), (*m.clocks.iter().max().unwrap(), highest_heard));
+            assert_eq!(
+                (clock, highest),
+                (*m.clocks.iter().max().unwrap(), highest_heard)
+            );
             for (b, process, prefix) in prefixes {
-                assert_eq!(prefix, m.prefixes(b as usize)[process as usize], "seed {seed}, step {step}");
+                assert_eq!(
+                    prefix,
+                    m.prefixes(b as usize)[process as usize],
+                    "seed {seed}, step {step}"
+                );
             }
             if step % 8 == 7 {
                 // The whole state, not only what it is summarised into.
                 for b in 0..4usize {
                     for (p, promised) in (0..n).zip(&m.promised[b]) {
                         for ts in 1..top + 12 {
-                            let heard = s.promised(b as u64, p as usize).contains(ts);
+                            let heard = s.promised(b as u64, p as usize, ts);
                             assert_eq!(heard, promised.contains(&ts));
                         }
                     }

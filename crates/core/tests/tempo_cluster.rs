@@ -27,7 +27,9 @@ fn key_cmd(client: u64, seq: u64, key: u64) -> Command {
 /// The commands of `executed` that touch `key`, in order: what every replica must agree
 /// on (commands on keys of different buckets may execute in either order).
 fn on_key(executed: &[tempo_kernel::protocol::Executed], key: u64) -> Vec<Rifl> {
-    let on = executed.iter().filter(|e| e.result.outputs.iter().any(|(k, _)| *k == key));
+    let on = executed
+        .iter()
+        .filter(|e| e.result.outputs.iter().any(|(k, _)| *k == key));
     on.map(|e| e.rifl).collect()
 }
 

@@ -50,7 +50,10 @@ fn sweep(config: Config, seeds: Range<u64>) {
         assert!(!report.stalled, "seed {seed} stalled: {}", report.summary());
         let history = report.history.as_ref().expect("history recorded");
         if let Err(violation) = history.check() {
-            panic!("seed {seed}: history failed: {violation}\n{}", report.summary());
+            panic!(
+                "seed {seed}: history failed: {violation}\n{}",
+                report.summary()
+            );
         }
         faults += report.faults.events();
         restarts += report.faults.restarts;
