@@ -23,7 +23,8 @@ use tempo_net::Wire;
 use tempo_planet::Planet;
 use tempo_runtime::{run_load, LoadOpts, NetCluster, NetOpts, RuntimeFactory};
 
-/// A WAN command's p50 here, in seconds (Tempo's is about 0.29 s, DESIGN.md §12).
+/// A WAN command's p50 here, in seconds, with room: Tempo's and Atlas's are about 0.15 s
+/// (DESIGN.md §12), so the sessions below are at least six times what is in flight.
 const WAN_P50_S: f64 = 0.3;
 const KEYS: u64 = 4_096;
 const THETA: f64 = 0.5;

@@ -46,8 +46,9 @@ fn main() {
         );
     }
     println!("\nWith 8 closed-loop clients per site every run is latency-bound: throughput is");
-    println!("clients over latency, so it stays flat as shards are added. Tempo's latency");
-    println!("includes one stability wait per shard clock (DESIGN.md §12), so here it trails");
-    println!("Janus*. The paper's Figure 9 has Tempo ahead and scaling with shards; per-key");
-    println!("stability (ROADMAP.md direction 2) is what this implementation lacks for that.");
+    println!("clients over latency, so it stays flat as shards are added. Tempo keeps its");
+    println!("clocks and stability per key bucket, so a transaction waits only for the ones");
+    println!("on its keys and Tempo is level with Janus* here (DESIGN.md §12). The paper's");
+    println!("Figure 9 has Tempo ahead and scaling with shards, under enough load that the");
+    println!("shard count matters: an open-loop run (ROADMAP.md direction 2).");
 }

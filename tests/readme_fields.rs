@@ -13,7 +13,7 @@ const QUOTED: [(&str, &str); 5] = [
     ),
     (
         "BENCH_load.json",
-        "offered_rate achieved_rate lat_p50_ms lat_p999_ms lat_max_ms",
+        "commit cores date offered_rate achieved_rate lat_p50_ms lat_p999_ms lat_max_ms",
     ),
     (
         "BENCH_fig6.json",
