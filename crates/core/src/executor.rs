@@ -22,7 +22,8 @@
 //! hand-crafted event sequences (see the tests below), exactly the ordering/execution
 //! split the paper describes.
 
-use crate::stability::{bucket_of, Bucket, Buckets, PerBucket, BUCKETS};
+use crate::promises::PerBucket;
+use crate::stability::{bucket_of, Bucket, Buckets, BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;

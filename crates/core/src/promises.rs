@@ -9,12 +9,12 @@
 //! Promises arrive mostly as contiguous ranges, so per process we keep the highest
 //! contiguous prefix plus coalesced out-of-order ranges, giving O(1) amortized insertion
 //! and O(1) `highest_contiguous_promise` queries. Stability detection is *incremental*:
-//! the sorted array of per-process watermarks is maintained in place as promises arrive
-//! (a watermark only ever moves up, so re-positioning it is O(1) typical, O(r) worst
-//! case) and [`PromiseTracker::stable_timestamp`] returns a cached value — the paper's
-//! "cheap background activity" (§3.2) instead of an allocate-and-sort per query.
+//! the stable timestamp is re-picked from the n prefixes only when one of them grows, and
+//! [`PromiseTracker::stable_timestamp`] returns a cached value — the paper's "cheap
+//! background activity" (§3.2) instead of an allocate-and-sort per query.
 
 use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 use tempo_kernel::id::ProcessId;
 
 /// An inclusive range of promised timestamps `[start, end]` from a single process.
@@ -196,174 +196,211 @@ impl SeqSet {
     }
 }
 
-/// The promises received from a single process: a contiguous prefix plus coalesced
-/// out-of-order promise ranges above it.
-#[derive(Debug, Clone, Default)]
-struct ProcessPromises {
-    set: SeqSet,
+/// How many values a [`PerBucket`] page holds.
+const PAGE: usize = 64;
+
+/// One value per index — a key bucket, or a bucket and a shard member — allocated a page at
+/// a time when first written: a process pays for the buckets it uses, not for all of them,
+/// so a cluster starts as fast as with one scalar clock.
+#[derive(Debug, Clone)]
+pub(crate) struct PerBucket<T> {
+    pages: Vec<Option<Box<[T; PAGE]>>>,
+    /// What a value never written reads.
+    zero: T,
 }
 
-impl ProcessPromises {
-    fn add(&mut self, range: PromiseRange) {
-        self.set.insert_range(range.start, range.end);
-    }
-
-    fn highest_contiguous(&self) -> u64 {
-        self.set.contiguous()
-    }
-
-    fn contains(&self, ts: u64) -> bool {
-        self.set.contains(ts)
+impl<T: Copy + Default> PerBucket<T> {
+    /// `len` values, all `T::default()`.
+    pub(crate) fn new(len: usize) -> Self {
+        Self {
+            pages: vec![None; len.div_ceil(PAGE)],
+            zero: T::default(),
+        }
     }
 }
 
-/// The `Promises` variable of Algorithm 2: promises known from every process of the shard,
-/// with majority-based stability detection.
+impl<T> Index<usize> for PerBucket<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match &self.pages[i / PAGE] {
+            Some(page) => &page[i % PAGE],
+            None => &self.zero,
+        }
+    }
+}
+
+impl<T: Copy + Default> IndexMut<usize> for PerBucket<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        let page = &mut self.pages[i / PAGE];
+        &mut page.get_or_insert_with(|| Box::new([T::default(); PAGE]))[i % PAGE]
+    }
+}
+
+/// The `Promises` variable of Algorithm 2 — the promises known from every process of the
+/// shard, with majority-based stability detection — once per *track*: `Stability` keeps
+/// one per key bucket, [`PromiseTracker::new`] builds one.
+///
+/// Per track and process the contiguous prefix is kept flat, and the whole [`SeqSet`] only
+/// while a gap lies above it; a track's stable timestamp, the `⌊n/2⌋`-th smallest prefix,
+/// is re-picked when a prefix grows (a shard is a handful of processes) and cached, so a
+/// query is a read — the paper's "cheap background activity" (§3.2).
 #[derive(Debug, Clone)]
 pub struct PromiseTracker {
-    /// Per-process promises, ordered by process identifier. Shard members have
-    /// consecutive identifiers, so the common lookup is a direct index (`process -
-    /// first`); a binary search covers any non-contiguous membership.
-    by_process: Vec<(ProcessId, ProcessPromises)>,
-    /// `⌊n/2⌋`: index into the sorted watermark array yielding the majority-stable value.
+    /// The shard members, in identifier order.
+    processes: Vec<ProcessId>,
+    /// `⌊n/2⌋`: a timestamp is stable once `n` minus this many prefixes reach it.
     stability_index: usize,
-    /// The per-process `highest_contiguous` watermarks, kept sorted ascending and updated
-    /// in place as promises arrive (process identities are irrelevant for Theorem 1, only
-    /// the multiset of watermarks matters).
-    sorted_watermarks: Vec<u64>,
-    /// `owner[i]`: index into `by_process` of the process owning `sorted_watermarks[i]`.
-    owner: Vec<usize>,
-    /// `slot[j]`: index into `sorted_watermarks` holding process `j`'s watermark — the
-    /// inverse of `owner`, so re-positioning a raised watermark needs no search at all.
-    slot: Vec<usize>,
-    /// Cached `sorted_watermarks[stability_index]`.
-    stable: u64,
+    /// Per track and process, the contiguous prefix, at `track · n + process index`...
+    prefixes: PerBucket<u64>,
+    /// ...and, at the same index, the whole promise set while a gap lies above it.
+    gapped: BTreeMap<usize, SeqSet>,
+    /// Per track, the cached stable timestamp.
+    stables: PerBucket<u64>,
+    /// A buffer for the prefixes a stable timestamp is picked from.
+    sorted: Vec<u64>,
 }
 
 impl PromiseTracker {
     /// Creates a tracker for the given shard members.
     pub fn new(shard_processes: &[ProcessId], stability_index: usize) -> Self {
-        let mut by_process: Vec<(ProcessId, ProcessPromises)> = shard_processes
-            .iter()
-            .map(|p| (*p, ProcessPromises::default()))
-            .collect();
-        by_process.sort_by_key(|(p, _)| *p);
-        by_process.dedup_by_key(|(p, _)| *p);
-        let r = by_process.len();
+        Self::with_tracks(shard_processes, stability_index, 1)
+    }
+
+    /// Creates a tracker of `tracks` tracks for the given shard members.
+    pub(crate) fn with_tracks(
+        shard_processes: &[ProcessId],
+        stability_index: usize,
+        tracks: usize,
+    ) -> Self {
+        let mut processes = shard_processes.to_vec();
+        processes.sort_unstable();
+        processes.dedup();
         // Validated against the deduplicated membership: a duplicate in the input must
-        // not leave the index out of bounds of the watermark array.
-        assert!(stability_index < r, "stability index out of range");
+        // not leave the index out of bounds of the prefixes.
+        assert!(
+            stability_index < processes.len(),
+            "stability index out of range"
+        );
         Self {
-            by_process,
+            prefixes: PerBucket::new(tracks * processes.len()),
+            gapped: BTreeMap::new(),
+            stables: PerBucket::new(tracks),
+            sorted: Vec::with_capacity(processes.len()),
+            processes,
             stability_index,
-            sorted_watermarks: vec![0; r],
-            owner: (0..r).collect(),
-            slot: (0..r).collect(),
-            stable: 0,
         }
     }
 
-    /// Index of `process` in `by_process`: direct offset for the contiguous-identifier
-    /// layout of a shard, binary search otherwise.
-    #[inline]
+    /// The shard members, in identifier order (the order of [`Self::prefix_in`]).
+    pub(crate) fn processes(&self) -> &[ProcessId] {
+        &self.processes
+    }
+
     fn index_of(&self, process: ProcessId) -> Option<usize> {
-        let first = self.by_process.first()?.0;
-        let idx = process.checked_sub(first)? as usize;
-        if idx < self.by_process.len() && self.by_process[idx].0 == process {
-            return Some(idx);
-        }
-        self.by_process
-            .binary_search_by_key(&process, |(p, _)| *p)
-            .ok()
+        self.processes.binary_search(&process).ok()
+    }
+
+    fn slot(&self, track: usize, index: usize) -> usize {
+        track * self.processes.len() + index
     }
 
     /// Adds a promise range issued by `process`. Ranges from unknown processes (other
     /// shards) are ignored: stability is a per-shard notion.
-    #[inline]
     pub fn add(&mut self, process: ProcessId, range: PromiseRange) {
-        let Some(index) = self.index_of(process) else {
-            return;
-        };
-        let promises = &mut self.by_process[index].1;
-        let before = promises.highest_contiguous();
-        promises.add(range);
-        let after = promises.highest_contiguous();
-        if after > before {
-            self.raise_watermark(index, after);
-        }
+        self.add_in(0, process, range);
     }
 
     /// Adds a single-timestamp promise issued by `process`.
-    #[inline]
     pub fn add_single(&mut self, process: ProcessId, ts: u64) {
         self.add(process, PromiseRange::single(ts));
     }
 
-    /// Re-positions the watermark of the process at `process_index` after it rose to
-    /// `new`. Watermarks only ever move up, so this shifts the intervening entries down
-    /// by one slot: O(1) when the order is unchanged, O(r) worst case (r = shard size).
-    #[inline]
-    fn raise_watermark(&mut self, process_index: usize, new: u64) {
-        let mut i = self.slot[process_index];
-        debug_assert_eq!(self.owner[i], process_index);
-        debug_assert!(self.sorted_watermarks[i] < new);
-        while i + 1 < self.sorted_watermarks.len() && self.sorted_watermarks[i + 1] < new {
-            self.sorted_watermarks[i] = self.sorted_watermarks[i + 1];
-            self.owner[i] = self.owner[i + 1];
-            self.slot[self.owner[i]] = i;
-            i += 1;
+    /// Adds a promise range issued by `process` in `track`; returns whether the track's
+    /// stable timestamp rose.
+    pub(crate) fn add_in(&mut self, track: usize, process: ProcessId, range: PromiseRange) -> bool {
+        let Some(index) = self.index_of(process) else {
+            return false;
+        };
+        let slot = self.slot(track, index);
+        let before = self.prefixes[slot];
+        let after = match self.gapped.get_mut(&slot) {
+            Some(set) => {
+                set.insert_range(range.start, range.end);
+                let after = set.contiguous();
+                if set.is_contiguous() {
+                    self.gapped.remove(&slot);
+                }
+                after
+            }
+            None if range.start <= before + 1 => before.max(range.end),
+            None => {
+                let mut set = SeqSet::with_prefix(before);
+                set.insert_range(range.start, range.end);
+                self.gapped.insert(slot, set);
+                before
+            }
+        };
+        if after == before {
+            return false;
         }
-        self.sorted_watermarks[i] = new;
-        self.owner[i] = process_index;
-        self.slot[process_index] = i;
-        self.stable = self.sorted_watermarks[self.stability_index];
+        self.prefixes[slot] = after;
+        let first = self.slot(track, 0);
+        self.sorted.clear();
+        let prefixes = (first..first + self.processes.len()).map(|i| self.prefixes[i]);
+        self.sorted.extend(prefixes);
+        self.sorted.sort_unstable();
+        let stable = self.sorted[self.stability_index];
+        let risen = stable > self.stables[track];
+        if risen {
+            self.stables[track] = stable;
+        }
+        risen
     }
 
     /// The highest contiguous promise received from `process`
     /// (Algorithm 2, `highest_contiguous_promise`).
     pub fn highest_contiguous_promise(&self, process: ProcessId) -> u64 {
-        self.index_of(process)
-            .map(|i| self.by_process[i].1.highest_contiguous())
-            .unwrap_or(0)
+        self.index_of(process).map_or(0, |i| self.prefix_in(0, i))
+    }
+
+    /// The contiguous prefix of the process at `index` in `track`.
+    pub(crate) fn prefix_in(&self, track: usize, index: usize) -> u64 {
+        self.prefixes[self.slot(track, index)]
+    }
+
+    /// The highest promise of the process at `index` in `track`, detached ranges
+    /// included (0 if none).
+    pub(crate) fn highest_in(&self, track: usize, index: usize) -> u64 {
+        let slot = self.slot(track, index);
+        let set = self.gapped.get(&slot);
+        set.map_or(self.prefixes[slot], SeqSet::max_value)
     }
 
     /// Whether the given promise is known.
     pub fn contains(&self, process: ProcessId, ts: u64) -> bool {
-        self.index_of(process)
-            .map(|i| self.by_process[i].1.contains(ts))
-            .unwrap_or(false)
+        self.contains_in(0, process, ts)
     }
 
-    /// The highest stable timestamp (Theorem 1): the entry at index `⌊n/2⌋` of the sorted
+    /// Whether `process` promised `ts` in `track`.
+    pub(crate) fn contains_in(&self, track: usize, process: ProcessId, ts: u64) -> bool {
+        let Some(index) = self.index_of(process) else {
+            return false;
+        };
+        let slot = self.slot(track, index);
+        ts <= self.prefixes[slot] || self.gapped.get(&slot).is_some_and(|set| set.contains(ts))
+    }
+
+    /// The highest stable timestamp (Theorem 1): the `⌊n/2⌋`-th smallest of the
     /// per-process highest contiguous promises; a majority of processes have promised
-    /// everything up to (and including) that value. O(1): the sorted array is maintained
-    /// incrementally by [`Self::add`].
-    #[inline]
+    /// everything up to (and including) that value. O(1): cached by [`Self::add`].
     pub fn stable_timestamp(&self) -> u64 {
-        self.stable
+        self.stable_in(0)
     }
 
-    /// The processes tracked (the shard membership).
-    pub fn processes(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.by_process.iter().map(|(p, _)| *p)
-    }
-
-    /// The highest promise ever received from `process`, detached ranges included (0 if
-    /// none). A rejoining process uses this as a clock floor: it must never propose a
-    /// timestamp it already used in a previous incarnation.
-    pub fn highest_promise(&self, process: ProcessId) -> u64 {
-        self.index_of(process)
-            .map(|i| self.by_process[i].1.set.max_value())
-            .unwrap_or(0)
-    }
-
-    /// The contiguous promise prefix per tracked process, for seeding the tracker of a
-    /// rejoining shard peer (`MRejoinAck`).
-    pub fn prefixes(&self) -> Vec<(ProcessId, u64)> {
-        self.by_process
-            .iter()
-            .map(|(p, promises)| (*p, promises.highest_contiguous()))
-            .collect()
+    /// The highest stable timestamp of `track`.
+    pub(crate) fn stable_in(&self, track: usize) -> u64 {
+        self.stables[track]
     }
 }
 
@@ -514,8 +551,8 @@ mod tests {
 
     #[test]
     fn incremental_watermarks_match_collect_and_sort() {
-        // The incremental sorted-watermark maintenance must agree with the naive
-        // collect-and-sort of the seed implementation after every single update.
+        // The cached stable timestamp must agree with the naive collect-and-sort of the
+        // seed implementation after every single update.
         let mut tracker = PromiseTracker::new(&[0, 1, 2, 3, 4], 2);
         let updates = [
             (0u64, 1u64, 5u64),
@@ -531,14 +568,25 @@ mod tests {
         ];
         for (p, start, end) in updates {
             tracker.add(p, PromiseRange::new(start, end));
-            let mut naive: Vec<u64> = tracker
-                .by_process
-                .iter()
-                .map(|(_, promises)| promises.highest_contiguous())
+            let mut naive: Vec<u64> = (0..5)
+                .map(|p| tracker.highest_contiguous_promise(p))
                 .collect();
             naive.sort_unstable();
-            assert_eq!(tracker.sorted_watermarks, naive);
             assert_eq!(tracker.stable_timestamp(), naive[2]);
         }
+    }
+
+    #[test]
+    fn tracks_are_independent() {
+        let mut tracker = PromiseTracker::with_tracks(&[0, 1, 2], 1, 3);
+        assert!(!tracker.add_in(2, 0, PromiseRange::new(1, 5)));
+        assert!(tracker.add_in(2, 1, PromiseRange::new(1, 4)));
+        assert!(
+            !tracker.add_in(1, 1, PromiseRange::new(3, 9)),
+            "above a gap"
+        );
+        assert_eq!((tracker.stable_in(2), tracker.stable_in(1)), (4, 0));
+        assert!(tracker.contains_in(1, 1, 9) && !tracker.contains_in(2, 1, 9));
+        assert_eq!((tracker.prefix_in(1, 1), tracker.highest_in(1, 1)), (0, 9));
     }
 }

@@ -28,9 +28,8 @@
 //! says which dots committed, persists the clock floor and ships what this produces.
 
 use crate::messages::PromiseBundle;
-use crate::promises::{PromiseRange, SeqSet};
+use crate::promises::{PerBucket, PromiseRange, PromiseTracker};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::{Index, IndexMut};
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 
@@ -51,47 +50,6 @@ pub type Bucket = u64;
 /// eight buckets.
 pub fn bucket_of(key: Key) -> Bucket {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKET_BITS)
-}
-
-/// How many values a [`PerBucket`] page holds.
-const PAGE: usize = 64;
-
-/// One value per bucket (or per bucket and shard member), allocated a page at a time
-/// when first written: a process pays for the buckets it uses, not for all of them — a
-/// cluster starts as fast as with one scalar clock.
-#[derive(Debug)]
-pub(crate) struct PerBucket<T> {
-    pages: Vec<Option<Box<[T; PAGE]>>>,
-    /// What a value never written reads.
-    zero: T,
-}
-
-impl<T: Copy + Default> PerBucket<T> {
-    /// `len` values, all `T::default()`.
-    pub(crate) fn new(len: usize) -> Self {
-        Self {
-            pages: vec![None; len.div_ceil(PAGE)],
-            zero: T::default(),
-        }
-    }
-}
-
-impl<T> Index<usize> for PerBucket<T> {
-    type Output = T;
-
-    fn index(&self, i: usize) -> &T {
-        match &self.pages[i / PAGE] {
-            Some(page) => &page[i % PAGE],
-            None => &self.zero,
-        }
-    }
-}
-
-impl<T: Copy + Default> IndexMut<usize> for PerBucket<T> {
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        let page = &mut self.pages[i / PAGE];
-        &mut page.get_or_insert_with(|| Box::new([T::default(); PAGE]))[i % PAGE]
-    }
 }
 
 /// A command's buckets on one shard, sorted and distinct; the common single bucket is
@@ -193,25 +151,14 @@ const RISEN: u8 = 2;
 #[derive(Debug)]
 pub struct Stability {
     process: ProcessId,
-    /// The shard members, in identifier order (every track's membership).
-    peers: Vec<ProcessId>,
-    stability_index: usize,
     /// The clocks; the next proposal in a bucket is at least its clock + 1.
     clocks: PerBucket<u64>,
-    /// The stable timestamps: the highest a majority of the bucket's prefixes reach.
-    stables: PerBucket<u64>,
+    /// The `Promises` variable of Algorithm 2, one track per bucket.
+    promises: PromiseTracker,
     /// The highest safe frontiers already broadcast (to skip no-news sends).
     sent_frontiers: PerBucket<u64>,
     /// Which of `moved` and `risen` list the bucket ([`MOVED`], [`RISEN`]).
     listed: PerBucket<u8>,
-    /// The `Promises` variable of Algorithm 2: per bucket, each shard member's (in
-    /// `peers` order) contiguous prefix, at `bucket · n + member`...
-    prefixes: PerBucket<u64>,
-    /// ...and, at the same index, its whole promise set while a gap lies above that
-    /// prefix.
-    gapped: BTreeMap<usize, SeqSet>,
-    /// A buffer for the prefixes a stable timestamp is picked from.
-    sorted: Vec<u64>,
     /// The highest clock over the buckets: the floor a restart must stay above.
     clock: u64,
     /// A clock floor restored from durable state: every bucket's clock is at least this,
@@ -242,23 +189,13 @@ impl Stability {
     /// Clocks at zero for `process` of `shard_peers`; a timestamp is stable in a bucket
     /// once the `stability_index`-th smallest promise prefix there reaches it.
     pub fn new(process: ProcessId, shard_peers: &[ProcessId], stability_index: usize) -> Self {
-        let mut peers = shard_peers.to_vec();
-        peers.sort_unstable();
-        peers.dedup();
-        assert!(
-            stability_index < peers.len(),
-            "stability index out of range"
-        );
+        let tracks = BUCKETS as usize;
         Self {
             process,
-            stability_index,
-            clocks: PerBucket::new(BUCKETS as usize),
-            stables: PerBucket::new(BUCKETS as usize),
-            sent_frontiers: PerBucket::new(BUCKETS as usize),
-            listed: PerBucket::new(BUCKETS as usize),
-            prefixes: PerBucket::new(BUCKETS as usize * peers.len()),
-            gapped: BTreeMap::new(),
-            sorted: Vec::with_capacity(peers.len()),
+            clocks: PerBucket::new(tracks),
+            promises: PromiseTracker::with_tracks(shard_peers, stability_index, tracks),
+            sent_frontiers: PerBucket::new(tracks),
+            listed: PerBucket::new(tracks),
             clock: 0,
             restored: 0,
             unsent_detached: Vec::new(),
@@ -270,7 +207,6 @@ impl Stability {
             moved: Vec::new(),
             risen: Vec::new(),
             claims_nothing: false,
-            peers,
         }
     }
 
@@ -292,19 +228,7 @@ impl Stability {
 
     /// The highest stable timestamp of `bucket` (Theorem 1).
     pub fn stable_timestamp(&self, bucket: Bucket) -> u64 {
-        self.stables[bucket as usize]
-    }
-
-    /// The index of the shard member at `index` (of `peers`) in `bucket`'s promises.
-    fn slot(&self, bucket: Bucket, index: usize) -> usize {
-        bucket as usize * self.peers.len() + index
-    }
-
-    /// Whether the shard member at `index` promised `ts` in `bucket`.
-    #[cfg(test)]
-    fn promised(&self, bucket: Bucket, index: usize, ts: u64) -> bool {
-        let slot = self.slot(bucket, index);
-        ts <= self.prefixes[slot] || self.gapped.get(&slot).is_some_and(|set| set.contains(ts))
+        self.promises.stable_in(bucket as usize)
     }
 
     /// Lists `bucket` in `moved` (`MOVED`) or `risen` (`RISEN`), once.
@@ -324,7 +248,7 @@ impl Stability {
     pub fn take_risen(&mut self, risen: &mut Vec<(Bucket, u64)>) {
         for &bucket in &self.risen {
             self.listed[bucket as usize] &= !RISEN;
-            risen.push((bucket, self.stables[bucket as usize]));
+            risen.push((bucket, self.stable_timestamp(bucket)));
         }
         self.risen.clear();
     }
@@ -487,43 +411,9 @@ impl Stability {
         }
     }
 
-    /// Adds `process`'s promise in `bucket`; when its prefix there grows, the bucket's
-    /// stable timestamp is the `stability_index`-th smallest prefix (Theorem 1).
+    /// Adds `process`'s promise in `bucket`.
     fn promise(&mut self, bucket: Bucket, process: ProcessId, range: PromiseRange) {
-        let Ok(index) = self.peers.binary_search(&process) else {
-            return; // Another shard's: stability is a per-shard notion.
-        };
-        let slot = self.slot(bucket, index);
-        let before = self.prefixes[slot];
-        let after = match self.gapped.get_mut(&slot) {
-            Some(set) => {
-                set.insert_range(range.start, range.end);
-                let after = set.contiguous();
-                if set.is_contiguous() {
-                    self.gapped.remove(&slot);
-                }
-                after
-            }
-            None if range.start <= before + 1 => before.max(range.end),
-            None => {
-                let mut set = SeqSet::with_prefix(before);
-                set.insert_range(range.start, range.end);
-                self.gapped.insert(slot, set);
-                before
-            }
-        };
-        if after == before {
-            return;
-        }
-        self.prefixes[slot] = after;
-        let first = slot - index;
-        self.sorted.clear();
-        let prefixes = (first..first + self.peers.len()).map(|i| self.prefixes[i]);
-        self.sorted.extend(prefixes);
-        self.sorted.sort_unstable();
-        let stable = self.sorted[self.stability_index];
-        if stable > self.stables[bucket as usize] {
-            self.stables[bucket as usize] = stable;
+        if self.promises.add_in(bucket as usize, process, range) {
             self.list(bucket, RISEN);
         }
     }
@@ -653,15 +543,15 @@ impl Stability {
     /// bucket where it has one.
     pub fn rejoin_report(&self, peer: ProcessId) -> (u64, u64, Vec<(Bucket, ProcessId, u64)>) {
         let (mut highest, mut prefixes) = (0, Vec::new());
-        let peer = self.peers.binary_search(&peer).ok();
+        let members = self.promises.processes();
+        let peer = members.binary_search(&peer).ok();
         for bucket in 0..BUCKETS {
+            let track = bucket as usize;
             if let Some(peer) = peer {
-                let slot = self.slot(bucket, peer);
-                let set = self.gapped.get(&slot);
-                highest = highest.max(set.map_or(self.prefixes[slot], SeqSet::max_value));
+                highest = highest.max(self.promises.highest_in(track, peer));
             }
-            for (index, &process) in self.peers.iter().enumerate() {
-                let prefix = self.prefixes[self.slot(bucket, index)];
+            for (index, &process) in members.iter().enumerate() {
+                let prefix = self.promises.prefix_in(track, index);
                 if prefix > 0 {
                     prefixes.push((bucket, process, prefix));
                 }
@@ -1174,28 +1064,28 @@ mod tests {
                 assert_eq!(ts, stable[b as usize], "seed {seed}, step {step}: risen");
             }
             apart |= stable.iter().any(|a| stable.iter().any(|b| a > b));
-            let (clock, highest, prefixes) = s.rejoin_report(peer);
-            let highest_heard = (0..4)
-                .filter_map(|b| m.promised[b][peer as usize].last().copied())
-                .max()
-                .unwrap_or(0);
-            assert_eq!(
-                (clock, highest),
-                (*m.clocks.iter().max().unwrap(), highest_heard)
-            );
-            for (b, process, prefix) in prefixes {
-                assert_eq!(
-                    prefix,
-                    m.prefixes(b as usize)[process as usize],
-                    "seed {seed}, step {step}"
-                );
-            }
             if step % 8 == 7 {
+                let (clock, highest, prefixes) = s.rejoin_report(peer);
+                let highest_heard = (0..4)
+                    .filter_map(|b| m.promised[b][peer as usize].last().copied())
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(
+                    (clock, highest),
+                    (*m.clocks.iter().max().unwrap(), highest_heard)
+                );
+                for (b, process, prefix) in prefixes {
+                    assert_eq!(
+                        prefix,
+                        m.prefixes(b as usize)[process as usize],
+                        "seed {seed}, step {step}"
+                    );
+                }
                 // The whole state, not only what it is summarised into.
                 for b in 0..4usize {
                     for (p, promised) in (0..n).zip(&m.promised[b]) {
                         for ts in 1..top + 12 {
-                            let heard = s.promised(b as u64, p as usize, ts);
+                            let heard = s.promises.contains_in(b, p, ts);
                             assert_eq!(heard, promised.contains(&ts));
                         }
                     }
