@@ -4,7 +4,7 @@
 //! execution stays gated and whom the replica asks next (DESIGN.md §6).
 
 use tempo_core::stability::{bucket_of, Bucket};
-use tempo_core::{Message, PromiseRange, Quorums, Tempo};
+use tempo_core::{Message, PromiseRange, Quorums, RecPhase, Tempo};
 use tempo_kernel::command::{Command, KVOp};
 use tempo_kernel::config::Config;
 use tempo_kernel::driver::{Driver, Output};
@@ -370,4 +370,33 @@ fn frontier(at: u64) -> Message {
         executed: vec![],
         frontiers: buckets().map(|b| (b, at)).collect(),
     }
+}
+
+/// A restarted incarnation makes no recovery proposal in `MRec` (`RecoverR`): its previous
+/// life may have proposed for the command, or committed it on the fast path as its
+/// coordinator, and a fresh proposal would tell the recovery it cannot have (DESIGN.md §6).
+/// A replica that never restarted answers.
+#[test]
+fn a_restarted_incarnation_makes_no_recovery_proposal() {
+    let dot = Dot::new(0, 5);
+    let recover = |replica: &mut Driver<Tempo>| {
+        let quorums: Quorums = [(0, vec![0, 1])].into();
+        let payload = Message::MPayload {
+            dot,
+            cmd: put(5, 3),
+            quorums,
+        };
+        replica.handle(0, payload, 10);
+        let output = replica.handle(1, Message::MRec { dot, ballot: 2 }, 20);
+        let acks = output.sends.into_iter().filter_map(|s| match s.msg {
+            Message::MRecAck { phase, .. } => Some(phase),
+            _ => None,
+        });
+        acks.collect::<Vec<_>>()
+    };
+    let mut fresh = Driver::<Tempo>::new(REPLICA, 0, config());
+    fresh.start(View::trivial(config(), REPLICA), 0);
+    assert_eq!(recover(&mut fresh), [RecPhase::RecoverR]);
+    let (mut restarted, _) = rejoined(40, |_| {});
+    assert_eq!(recover(&mut restarted), []);
 }
