@@ -235,7 +235,7 @@ impl Recovery {
     /// are `unexecuted` and execution made no progress for a timeout, and no request
     /// went out within one. The probes cover the commit side of liveness; this covers
     /// stability — an `MPromises` delta lost to the network leaves a gap in this
-    /// process's view of a peer's prefix that freezes its stable watermark (the
+    /// process's view of a peer's prefix that freezes a bucket's stable timestamp (the
     /// lossy-link nemesis found replicas frozen this way).
     pub(crate) fn repair_due(&mut self, unexecuted: bool, now_us: u64) -> bool {
         let since = |last: u64| now_us.saturating_sub(last);
@@ -568,11 +568,11 @@ impl Tempo {
         };
         // Clock floor, for every bucket: never propose at or below (a) any timestamp a
         // previous incarnation of this process used (as recorded by the peer) or (b) the
-        // peer's own highest clock. Over
-        // a recovery quorum of replies, (b) guarantees new proposals land above any
-        // stability watermark derivable when the handshake completes — see DESIGN.md §5.
-        // The peer's contiguous prefixes seed the promise tracker so stability detection
-        // works again at this process (a prefix report is a promise witness).
+        // peer's own highest clock. Over a recovery quorum of replies, (b) guarantees new
+        // proposals land above any stable timestamp derivable when the handshake
+        // completes — see DESIGN.md §5. The peer's contiguous prefixes seed the promise
+        // tracks so stability detection works again at this process (a prefix report is
+        // a promise witness).
         if self
             .stability
             .absorb_rejoin(clock.max(your_highest), prefixes)

@@ -150,8 +150,8 @@ impl Transfer {
 
     /// Notes the commit holes a peer's executed `frontier` reveals, a bounded window at a
     /// time ([`HOLE_SCAN_LIMIT`], [`HOLE_SUSPECT_CAP`]), for [`Transfer::probe_holes`] to
-    /// probe. A probe that is answered delivers the commit, which lands below the stable
-    /// watermark as a gap, and the state transfer the gap starts (`MState`) closes it. A
+    /// probe. A probe that is answered delivers the commit, which lands below its buckets'
+    /// stable timestamps as a gap, and the state transfer the gap starts (`MState`) closes it. A
     /// probe nobody answers is re-sent at the stale-command pace for as long as the hole
     /// lasts, with no escalation.
     pub(crate) fn note_holes(

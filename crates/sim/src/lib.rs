@@ -1205,11 +1205,12 @@ mod tests {
     /// that is where the tick shows: it is several hops long there, whereas at WAN
     /// distances the closed-loop clients move in lockstep at multiples of a 25 ms hop
     /// and a promise up to 5 ms late is never the last thing a command waits for. What
-    /// is left is the commit gate of Algorithm 2, line 47: the fast-quorum peer's prefix
-    /// is held back by the peer's own in-flight proposals, the latest made just before
-    /// ours reached it, which commit there one round trip later and are learnt here one
-    /// more one-way hop after that — one round trip after our commit. A detached promise
-    /// waiting for the tick puts a 0–5 ms sawtooth on top of that.
+    /// is left is the commit gate of Algorithm 2, line 47, within the command's key
+    /// bucket: a command on a cold bucket is stable at its coordinator when it commits,
+    /// and one whose bucket holds the peer's in-flight proposals for other commands waits
+    /// for those to commit there and be learnt here — at most one round trip after our
+    /// commit. A detached promise waiting for the tick would put a 0–5 ms sawtooth on
+    /// top.
     #[test]
     fn stability_waits_for_the_commit_gate_not_for_the_tick() {
         const ROUND_TRIP_US: u64 = 1_000;
