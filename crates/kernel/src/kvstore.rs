@@ -158,6 +158,31 @@ mod tests {
     }
 
     #[test]
+    fn an_op_applied_to_a_value_matches_the_store() {
+        // A model of one key's value (`None`: absent): each op's output and the value it
+        // leaves must be what the store reads and keeps for that key.
+        fn apply(op: KVOp, value: &mut Option<u64>) -> Option<u64> {
+            match op {
+                KVOp::Get => *value,
+                KVOp::Put(new) => Some(*value.insert(new)),
+                KVOp::Add(delta) => Some(*value.insert(value.unwrap_or(0).wrapping_add(delta))),
+            }
+        }
+        let ops = [
+            KVOp::Get,
+            KVOp::Put(4),
+            KVOp::Add(3),
+            KVOp::Get,
+            KVOp::Add(u64::MAX),
+        ];
+        let (mut kv, mut value) = (KVStore::new(), None);
+        for op in ops {
+            assert_eq!(apply(op, &mut value), kv.apply(9, op), "{op:?}");
+            assert_eq!(value, kv.get(9));
+        }
+    }
+
+    #[test]
     fn add_wraps_instead_of_panicking() {
         let mut kv = KVStore::new();
         kv.apply(0, KVOp::Put(u64::MAX));
