@@ -361,14 +361,18 @@ impl TempoExecutor {
         self.run(out);
     }
 
-    /// `bucket` is stable up to `ts` now: what it passed is announced, and the head of
-    /// its line checked.
+    /// `bucket` is stable up to `ts` now.
     fn raise_one(&mut self, bucket: Bucket, ts: u64) {
         let old = self.stable_in(bucket);
-        if ts <= old {
-            return;
+        if ts > old {
+            self.stable[bucket as usize] = ts;
+            self.passed(bucket, old, ts);
         }
-        self.stable[bucket as usize] = ts;
+    }
+
+    /// `bucket`'s stable timestamp rose from `old` to `ts`: what it passed is announced,
+    /// and the head of its line checked.
+    fn passed(&mut self, bucket: Bucket, old: u64, ts: u64) {
         let passed = (bucket, old + 1, DOT_MIN)..(bucket, ts + 1, DOT_MIN);
         let multi: Vec<Dot> = self
             .lines
@@ -501,23 +505,22 @@ impl TempoExecutor {
                 self.check.push((ts, dot));
                 self.run(out);
             }
-            ExecutionInfo::Stable { ts } => {
-                if ts > self.stable_all {
-                    let old = self.stable_all;
-                    self.stable_all = ts;
-                    let passed: Vec<(u64, Dot)> = (self.pending.iter())
-                        .filter(|(_, p)| p.ts <= ts)
-                        .map(|(dot, p)| (p.ts, *dot))
-                        .collect();
-                    for &(at, dot) in &passed {
-                        if at > old {
-                            self.announce(dot);
-                        }
+            ExecutionInfo::Stable { ts } if ts > self.stable_all => {
+                // `stable_all` is a floor under every bucket; those with a line are
+                // re-checked as in `raise`.
+                let floor = std::mem::replace(&mut self.stable_all, ts);
+                let mut lined = self.lines.first().map(|e| e.0);
+                while let Some(bucket) = lined {
+                    let old = self.stable[bucket as usize].max(floor);
+                    if ts > old {
+                        self.passed(bucket, old, ts);
                     }
-                    self.check.extend(passed);
-                    self.run(out);
+                    let rest = self.lines.range((bucket + 1, 0, DOT_MIN)..);
+                    lined = rest.map(|e| e.0).next();
                 }
+                self.run(out);
             }
+            ExecutionInfo::Stable { .. } => {}
             ExecutionInfo::StableIn(risen) => self.raise(&risen, out),
             ExecutionInfo::ShardStable { dot, shard } => {
                 match self.pending.get_mut(&dot) {

@@ -268,14 +268,10 @@ impl Tempo {
         info_entry(&mut self.info, dot, now_us)
     }
 
-    /// Bumps the clocks of `buckets` to `t` (see [`Stability::bump`]; `lazily`:
-    /// [`Stability::bump_lazily`]), keeping the durable clock floor ahead.
-    pub(crate) fn clock_bump(&mut self, buckets: &[Bucket], t: u64, lazily: bool) {
-        let moved = match lazily {
-            false => self.stability.bump(buckets, t),
-            true => self.stability.bump_lazily(buckets, t),
-        };
-        if moved {
+    /// Bumps the clocks of `buckets` to `t` (see [`Stability::bump`]), keeping the durable
+    /// clock floor ahead.
+    pub(crate) fn clock_bump(&mut self, buckets: &[Bucket], t: u64) {
+        if self.stability.bump(buckets, t) {
             self.durable.cover(Floor::Clock, self.stability.clock());
         }
     }
@@ -631,15 +627,14 @@ impl Tempo {
         now_us: u64,
         out: &mut Vec<Action<Message>>,
     ) {
-        let (cmd, proposed) = {
+        let cmd = {
             let info = self.info.get_mut(&dot).expect("info exists");
             if info.phase.is_committed_or_executed() {
                 return;
             }
             info.final_ts = final_ts;
             info.phase = Phase::Commit;
-            let cmd = info.cmd.clone().expect("committed commands have a payload");
-            (cmd, info.ts > 0)
+            info.cmd.clone().expect("committed commands have a payload")
         };
         self.metrics.committed += 1;
         self.tracer
@@ -656,9 +651,7 @@ impl Tempo {
         self.stability.commit(dot, &buckets);
         // Generate detached promises up to the committed timestamp (line 25/59); this is
         // what lets stability reach `final_ts` even when it exceeds this shard's clocks.
-        // Only a process that proposed (or accepted) a timestamp for the command is in a
-        // quorum its stability waits for.
-        self.clock_bump(&buckets, final_ts, !proposed);
+        self.clock_bump(&buckets, final_ts);
         // A commit at or below an execution floor of its buckets is a duplicate of state
         // this replica already *holds*: a rejoin state transfer installed a peer's image
         // complete up to the floor, so the command's effect is present even though the
@@ -774,7 +767,7 @@ impl Tempo {
         });
         // Without the payload its buckets are unknown here; the commit bumps them.
         if let Some(buckets) = buckets {
-            self.clock_bump(&buckets, ts, false);
+            self.clock_bump(&buckets, ts);
         }
         let ack = Message::MConsensusAck { dot, ballot };
         out.push(Action::send_one(from, ack));
@@ -1006,11 +999,10 @@ impl Tempo {
         out.push(Action::send(self.other_peers.clone(), msg));
     }
 
-    /// Arms the one-shot flush if this step left urgent detached promises in the buffer
-    /// (a commit of a command this process proposed for, an `MConsensus` or an `MBump`
-    /// bumped a clock; see [`Stability::bump`]) and no flush is outstanding. Attached
-    /// promises and a proposal's detached ones do not arm it: they already reach every
-    /// replica in the command's `MCommit` bundle.
+    /// Arms the one-shot flush if this step left detached promises in the buffer (a
+    /// commit, `MConsensus` or `MBump` bumped a clock; see [`Stability::bump`]) and no
+    /// flush is outstanding. Attached promises and a proposal's detached ones do not arm
+    /// it: they already reach every replica in the command's `MCommit` bundle.
     fn arm_flush(&mut self, out: &mut Vec<Action<Message>>) {
         if self.joined && !self.flush_armed && self.stability.flush_due() {
             self.flush_armed = true;
@@ -1118,7 +1110,7 @@ impl Protocol for Tempo {
             }
             Message::MBump { buckets, ts, .. } => {
                 // Bumping clocks is always safe; it only makes future proposals larger.
-                self.clock_bump(&buckets, ts, false);
+                self.clock_bump(&buckets, ts);
             }
             Message::MPromises {
                 detached,

@@ -434,12 +434,18 @@ impl Tempo {
             info.phase = Phase::RecoverP;
         }
         if info.bal == 0 && info.phase == Phase::Payload {
-            if self.stability.claims_nothing() {
-                // A proposal made here, in `MRec`, tells the recovery that the initial
-                // coordinator cannot have taken the fast path (line 93) — but a
-                // restarted incarnation may have proposed for this command, or even
-                // committed it as its coordinator, in the life it forgot. It stays out:
-                // the other processes of a recovery quorum decide.
+            let in_fast_quorum = info
+                .quorums
+                .get(&self.shard)
+                .is_some_and(|q| q.contains(&self.process));
+            if in_fast_quorum && self.stability.claims_nothing() {
+                // A fast-quorum member's proposal made here, in `MRec`, tells the
+                // recovery that the initial coordinator cannot have taken the fast path
+                // (line 93) — but a restarted incarnation may have proposed for this
+                // command, or even committed it as its coordinator, in the life it
+                // forgot. It stays out: the other processes of a recovery quorum decide.
+                // Outside the fast quorum its proposal proves nothing and counts only
+                // once the fast path is ruled out, so it answers.
                 return;
             }
             let cmd = info.cmd.as_ref().expect("checked above");

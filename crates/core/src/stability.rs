@@ -166,8 +166,6 @@ pub struct Stability {
     restored: u64,
     /// Detached promises made by bumps and not yet broadcast.
     unsent_detached: Vec<(Bucket, PromiseRange)>,
-    /// Whether one of them must leave with the next flush (see [`Self::bump`]).
-    urgent: bool,
     /// Attached promises made and not yet broadcast.
     unsent_attached: Vec<(Dot, u64)>,
     /// Attached promises to commands not committed here yet, by command (line 47).
@@ -199,7 +197,6 @@ impl Stability {
             clock: 0,
             restored: 0,
             unsent_detached: Vec::new(),
-            urgent: false,
             unsent_attached: Vec::new(),
             gated: BTreeMap::new(),
             pins: BTreeMap::new(),
@@ -257,8 +254,7 @@ impl Stability {
     /// proposal `min` (Algorithm 1, lines 34-39): `max(min, clock + 1)` over the highest
     /// clock of those buckets, to which each of them moves. Each bucket's skipped range
     /// `[clock + 1, t - 1]` is a detached promise; returned for the `MProposeAck`, it
-    /// reaches every replica in the `MCommit` bundle, and so do the unsent detached
-    /// promises of those buckets, which leave with it. `⟨self, t⟩` is an attached promise,
+    /// reaches every replica in the `MCommit` bundle. `⟨self, t⟩` is an attached promise,
     /// gated until `dot` commits here and pinning the buckets' frontiers below `t` until
     /// `dot` is forgotten.
     pub fn propose(
@@ -269,15 +265,6 @@ impl Stability {
     ) -> (u64, Vec<(Bucket, PromiseRange)>) {
         let t = min.max(self.clock_over(buckets) + 1);
         let mut detached = Vec::new();
-        if !self.unsent_detached.is_empty() {
-            self.unsent_detached.retain(|&(bucket, range)| {
-                let ours = buckets.contains(&bucket);
-                if ours {
-                    detached.push((bucket, range));
-                }
-                !ours
-            });
-        }
         for &bucket in buckets.iter() {
             let clock = self.clock_of(bucket);
             if t > clock + 1 {
@@ -311,16 +298,6 @@ impl Stability {
     /// promising each skipped range `[clock + 1, t]`, which the next flush broadcasts: the
     /// peers' stability may be waiting for it. Returns whether a clock moved.
     pub fn bump(&mut self, buckets: &[Bucket], t: u64) -> bool {
-        let moved = self.bump_lazily(buckets, t);
-        self.urgent |= moved;
-        moved
-    }
-
-    /// [`Self::bump`], for a commit this process proposed nothing for: the command's
-    /// stability rests on its fast quorum, a majority, so the promises wait for the
-    /// periodic broadcast — or for this process's next proposal in the bucket, whose
-    /// `MProposeAck` carries them.
-    pub fn bump_lazily(&mut self, buckets: &[Bucket], t: u64) -> bool {
         let mut moved = false;
         for &bucket in buckets {
             let clock = self.clock_of(bucket);
@@ -462,7 +439,7 @@ impl Stability {
 
     /// Whether detached promises are waiting for the next flush (see [`Self::bump`]).
     pub fn flush_due(&self) -> bool {
-        self.urgent
+        !self.unsent_detached.is_empty()
     }
 
     /// The safe frontier of `bucket`: every timestamp up to it is promised there by this
@@ -507,7 +484,6 @@ impl Stability {
         if !(news || unsent || !frontiers.is_empty()) {
             return None;
         }
-        self.urgent = false;
         let detached = std::mem::take(&mut self.unsent_detached);
         let attached = std::mem::take(&mut self.unsent_attached);
         Some((detached, attached, frontiers))
@@ -518,7 +494,6 @@ impl Stability {
     pub fn discard_outgoing(&mut self) {
         self.unsent_detached.clear();
         self.unsent_attached.clear();
-        self.urgent = false;
     }
 
     /// The `MPromiseRepair` payload — per bucket with a clock, the clock, and the pinned
@@ -667,17 +642,10 @@ mod tests {
         assert!(!s.flush_due(), "attached promises are not detached ones");
         assert!(s.take_outgoing(false).is_some());
         assert!(s.take_outgoing(false).is_none(), "nothing new to say");
-        s.bump_lazily(&A, 5);
-        assert!(!s.flush_due(), "a lazy bump waits for the tick");
         s.bump(&A, 10);
         assert!(s.flush_due());
-        // A proposal in the bucket takes its unsent promises along.
-        let (t, detached) = s.propose(dot(2), 0, &A);
-        assert_eq!(t, 11);
-        let ranges = [PromiseRange::new(2, 5), PromiseRange::new(6, 10)];
-        assert_eq!(detached, ranges.map(|range| (3, range)));
-        let (detached, _, _) = s.take_outgoing(false).expect("news");
-        assert!(detached.is_empty());
+        s.take_outgoing(false).expect("a bump is news");
+        assert!(!s.flush_due());
     }
 
     /// Process 0 of `{0, 1, 2}` with its own prefix at 10 in buckets 3 and 4, and peer 1
@@ -726,8 +694,7 @@ mod tests {
         // commits at 11, the timestamp both attachments sit on, and is stable there.
         let (mut s, _) = one_gate();
         let y = Dot::new(0, 1);
-        let bumped = vec![(4, PromiseRange::new(1, 10))];
-        assert_eq!(s.propose(y, 11, &Buckets::One(4)), (11, bumped));
+        assert_eq!(s.propose(y, 11, &Buckets::One(4)), (11, vec![]));
         let attached = vec![(y, 11)];
         s.absorb(Report::Promises(1, vec![], vec![], attached), |_| {
             Gating::Waits
@@ -883,9 +850,7 @@ mod tests {
                     let clock = clock.expect("a bucket");
                     let min = clock.saturating_sub(2) + rng.gen_range(6);
                     let t = min.max(clock + 1);
-                    let (mut detached, unsent) =
-                        m.unsent.iter().partition(|(b, _)| buckets.contains(b));
-                    m.unsent = unsent;
+                    let mut detached = Vec::new();
                     for &b in buckets.iter() {
                         let c = m.clocks[b as usize];
                         if t > c + 1 {

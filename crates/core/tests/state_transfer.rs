@@ -372,15 +372,17 @@ fn frontier(at: u64) -> Message {
     }
 }
 
-/// A restarted incarnation makes no recovery proposal in `MRec` (`RecoverR`): its previous
-/// life may have proposed for the command, or committed it on the fast path as its
-/// coordinator, and a fresh proposal would tell the recovery it cannot have (DESIGN.md §6).
-/// A replica that never restarted answers.
+/// A restarted incarnation in a command's fast quorum makes no recovery proposal in `MRec`
+/// (`RecoverR`): its previous life may have proposed for the command, or committed it on
+/// the fast path as its coordinator, and a fresh proposal would tell the recovery it
+/// cannot have (DESIGN.md §6). Outside the fast quorum it answers, as does a replica that
+/// never restarted: a recovery needs `n - f` acks, and with one process down there may be
+/// no others.
 #[test]
-fn a_restarted_incarnation_makes_no_recovery_proposal() {
+fn a_restarted_incarnation_makes_no_recovery_proposal_in_the_fast_quorum() {
     let dot = Dot::new(0, 5);
-    let recover = |replica: &mut Driver<Tempo>| {
-        let quorums: Quorums = [(0, vec![0, 1])].into();
+    let recover = |replica: &mut Driver<Tempo>, fast_quorum: Vec<ProcessId>| {
+        let quorums: Quorums = [(0, fast_quorum)].into();
         let payload = Message::MPayload {
             dot,
             cmd: put(5, 3),
@@ -394,9 +396,13 @@ fn a_restarted_incarnation_makes_no_recovery_proposal() {
         });
         acks.collect::<Vec<_>>()
     };
-    let mut fresh = Driver::<Tempo>::new(REPLICA, 0, config());
-    fresh.start(View::trivial(config(), REPLICA), 0);
-    assert_eq!(recover(&mut fresh), [RecPhase::RecoverR]);
+    for fast_quorum in [vec![0, 1], vec![0, REPLICA]] {
+        let mut fresh = Driver::<Tempo>::new(REPLICA, 0, config());
+        fresh.start(View::trivial(config(), REPLICA), 0);
+        assert_eq!(recover(&mut fresh, fast_quorum), [RecPhase::RecoverR]);
+    }
     let (mut restarted, _) = rejoined(40, |_| {});
-    assert_eq!(recover(&mut restarted), []);
+    assert_eq!(recover(&mut restarted, vec![0, REPLICA]), []);
+    let (mut restarted, _) = rejoined(40, |_| {});
+    assert_eq!(recover(&mut restarted, vec![0, 1]), [RecPhase::RecoverR]);
 }

@@ -12,7 +12,7 @@ use tempo_kernel::driver::{Driver, Outbound, Output};
 use tempo_kernel::harness::LocalCluster;
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::kvstore::KVStore;
-use tempo_kernel::protocol::{Protocol, View};
+use tempo_kernel::protocol::{Action, Protocol, View};
 use tempo_kernel::rand::Rng;
 use tempo_kernel::{Command, KVOp};
 
@@ -387,6 +387,63 @@ fn recovery_after_coordinator_crash_preserves_fast_path_timestamp() {
     assert!(cluster.process(1).metrics().recoveries_completed >= 1);
 }
 
+/// A restarted replica stays out of a recovery only where it is in the command's fast
+/// quorum (DESIGN.md §6). Here it is not: replica 3 restarted, coordinator 0's fast quorum
+/// is {0, 1, 2}, and 0 crashes after its proposals. The recovery needs n - f = 4 acks, so
+/// with 0 down the restarted replica's is one of them, and the command commits.
+#[test]
+fn a_restarted_replica_outside_the_fast_quorum_helps_recover_a_command() {
+    let config = Config::full(5, 1);
+    let mut cluster = LocalCluster::<Tempo>::new(config);
+    // Replica 3 restarts as incarnation 1 and completes its rejoin handshake.
+    for action in cluster.process_mut(3).rejoin(1, 0) {
+        if let Action::Send { to, msg } = action {
+            for target in to {
+                cluster.deliver(3, target, msg.clone());
+            }
+        }
+    }
+    cluster.run_to_quiescence();
+    assert!(cluster.process(3).is_joined());
+    cluster.submit_no_deliver(0, key_cmd(1, 1, 0));
+    // Deliver MPropose to 1 and 2 and MPayload to 3 and 4, then crash the coordinator
+    // before it can receive an MProposeAck.
+    assert_eq!(cluster.in_flight(), 4);
+    for _ in 0..4 {
+        assert!(cluster.step());
+    }
+    cluster.crash(0);
+    cluster.run_to_quiescence();
+    let dot = Dot::new(0, 1);
+    for (p, phase) in [
+        (1, Phase::Propose),
+        (2, Phase::Propose),
+        (3, Phase::Payload),
+    ] {
+        assert_eq!(cluster.process(p).phase_of(dot), Some(phase));
+    }
+    for p in 1..5 {
+        cluster.process_mut(p).suspect(0);
+    }
+    assert!(cluster.process(1).is_leader());
+    cluster.tick_all(3_000_000);
+    for p in 1..5 {
+        assert!(
+            cluster.process(p).committed_timestamp(dot).is_some(),
+            "the command must commit at {p}"
+        );
+    }
+    cluster.tick_all(5_000);
+    cluster.tick_all(5_000);
+    for p in 1..5 {
+        assert_eq!(
+            cluster.executed(p).len(),
+            1,
+            "the command must execute at {p}"
+        );
+    }
+}
+
 #[test]
 fn recovery_after_commit_spreads_the_existing_decision() {
     // The coordinator commits (so some process knows the outcome) and then crashes before
@@ -657,35 +714,35 @@ fn bump(ts: u64) -> Message {
     }
 }
 
-/// An `MCommit` whose timestamp a fast-quorum replica has not reached bumps that
-/// replica's clock, and the detached promises the bump generates must leave with the
-/// step that made them, not with the tick: the command's stability waits for that
-/// replica's prefix. A replica outside the fast quorum bumps too, but its promises wait
-/// for the tick (or its next proposal in the bucket).
+/// An `MCommit` whose timestamp a replica outside the fast quorum has not reached bumps
+/// that replica's clock, and the detached promises the bump generates must leave with
+/// the step that made them, not with the tick.
 #[test]
 fn flush_carries_commit_bump_promises_before_the_tick() {
-    // Replica 1 proposes 1 for coordinator 2's command (fast quorum {2, 1}), which
-    // commits at 5: coordinator 2's clock ran ahead.
+    // Replica 1 learns of coordinator 2's command (fast quorum {2, 0}, timestamp 5)
+    // from its payload and commit.
     let mut replica = bare_driver(1);
     let dot = Dot::new(2, 1);
-    let quorums: Quorums = [(0, vec![2, 1])].into();
-    let propose = Message::MPropose {
+    let payload = Message::MPayload {
         dot,
         cmd: key_cmd(1, 1, 7),
-        quorums,
-        ts: 1,
+        quorums: [(0, vec![2, 0])].into(),
     };
-    assert!(promises(&replica.handle(2, propose, 0)).is_empty());
-    let commit = |attached| Message::MCommit {
+    assert!(replica.handle(2, payload, 0).is_empty());
+    let bucket = bucket_of(7);
+    let commit = Message::MCommit {
         dot,
         shard: 0,
         ts: 5,
         promises: PromiseBundle {
-            attached,
-            detached: vec![(2, bucket_of(7), PromiseRange::new(1, 4))],
+            attached: vec![(2, 5), (0, 5)],
+            detached: vec![
+                (2, bucket, PromiseRange::new(1, 4)),
+                (0, bucket, PromiseRange::new(1, 4)),
+            ],
         },
     };
-    let output = replica.handle(2, commit(vec![(2, 5), (1, 1)]), 0);
+    let output = replica.handle(2, commit, 0);
     assert!(promises(&output).is_empty(), "nothing fired yet");
     assert_eq!(replica.protocol().committed_timestamp(dot), Some(5));
     assert_eq!(replica.protocol().clock_value(), 5, "the commit bumped it");
@@ -701,23 +758,10 @@ fn flush_carries_commit_bump_promises_before_the_tick() {
             msg: Message::MPromises { detached, .. },
         }] => {
             assert_eq!(to, &[0, 2]);
-            assert_eq!(detached, &[(bucket_of(7), PromiseRange::new(2, 5))]);
+            assert_eq!(detached, &[(bucket, PromiseRange::new(1, 5))]);
         }
         other => panic!("expected one MPromises, got {other:?}"),
     }
-    // Replica 0 learns of the same command from its payload and commit.
-    let mut outside = bare_driver(0);
-    let payload = Message::MPayload {
-        dot,
-        cmd: key_cmd(1, 1, 7),
-        quorums: [(0, vec![2, 1])].into(),
-    };
-    assert!(outside.handle(2, payload, 0).is_empty());
-    outside.handle(2, commit(vec![(2, 5), (1, 1)]), 0);
-    assert_eq!(outside.protocol().clock_value(), 5, "the commit bumped it");
-    assert_eq!(outside.next_timer_due(), Some(TICK_US), "no flush");
-    let output = outside.fire_due(TICK_US);
-    assert!(promises(&output).contains(&vec![PromiseRange::new(1, 5)]));
 }
 
 /// One command per coordinator on one key (ring fast quorums {2,0}, {0,1}, {1,2}),

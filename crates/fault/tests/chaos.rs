@@ -287,7 +287,7 @@ fn slow_node_with_lossy_links_stays_safe() {
 fn detector_mode_rolling_crashes_pass_the_checker_on_five_seeds() {
     let config = Config::full(5, 1);
     for seed in 61..=65u64 {
-        let schedule = NemesisSchedule::rolling_crashes(config, 100_000, 500_000);
+        let schedule = NemesisSchedule::rolling_crashes(config, 300_000, 500_000);
         let report = tempo_sim::run::<Tempo, _>(
             config,
             Planet::equidistant(config.n(), 50.0),

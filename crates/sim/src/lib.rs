@@ -127,7 +127,9 @@ pub struct SimOpts {
     pub seed: u64,
     /// Safety cap on simulated time; a run that exceeds it is reported as stalled.
     pub max_sim_time_us: u64,
-    /// Optional fault schedule injected while the run executes.
+    /// Optional fault schedule injected while the run executes. The run lasts until its
+    /// last fault has applied, even once every command is done: a fault that never
+    /// happens tests nothing.
     pub nemesis: Option<NemesisSchedule>,
     /// When set, a client gives up on a command with no response after this long (the
     /// command is tallied as aborted — it may still take effect) and issues its next
@@ -765,9 +767,11 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
     /// Runs the simulation to completion and produces the report.
     pub fn run(mut self) -> RunReport {
         // Register one wake-up per distinct fault time so faults apply exactly then.
+        let mut last_fault = None;
         if let Some(schedule) = self.opts.nemesis.clone() {
             for time in schedule.times() {
                 self.push(time, EventKind::NemesisWake);
+                last_fault = last_fault.max(Some(time));
             }
         }
         // Start every driver: protocols learn their view and schedule their own timers.
@@ -802,7 +806,8 @@ impl<P: Protocol, M: Mix> Simulation<P, M> {
         let mut stalled = false;
         while let Some(event) = self.queue.pop() {
             self.now = event.time;
-            if self.completed_total + self.aborted_total >= target {
+            let faults_done = last_fault.is_none_or(|t| self.now > t);
+            if self.completed_total + self.aborted_total >= target && faults_done {
                 break;
             }
             if self.now > self.opts.max_sim_time_us {
@@ -1152,7 +1157,7 @@ mod tests {
         // Literals captured with one stability track per key bucket (CHANGES.md has the
         // account of what moved from the scalar clock's `(1_082_504, 60, 1652,
         // 213_479.0)`).
-        assert_eq!(fingerprint(&report), (1_020_500, 60, 1806, 158_883.2));
+        assert_eq!(fingerprint(&report), (1_020_500, 60, 1898, 158_883.2));
     }
 
     #[test]
@@ -1172,7 +1177,7 @@ mod tests {
             ConflictMix::new(0.1, 100, 42),
         );
         assert!(!report.stalled);
-        assert_eq!(fingerprint(&report), (550_565, 240, 1436, 50_989.937_5));
+        assert_eq!(fingerprint(&report), (525_744, 240, 1770, 51_094.8));
     }
 
     /// The contended five-replica run behind `tempo-perf`'s `lan_contended_f2` (f = 2, a
@@ -1196,8 +1201,8 @@ mod tests {
         let metrics = &report.metrics;
         assert!(metrics.messages_sent <= 77_448, "{}", metrics.messages_sent);
         assert!(metrics.fast_paths >= 2_264, "{}", metrics.fast_paths);
-        assert_eq!((metrics.messages_sent, metrics.fast_paths), (62_892, 4_159));
-        assert_eq!(fingerprint(&report), (36_590, 5_000, 62_892, 1_396.58));
+        assert_eq!((metrics.messages_sent, metrics.fast_paths), (69_980, 4_161));
+        assert_eq!(fingerprint(&report), (37_590, 5_000, 69_980, 1_396.509_8));
     }
 
     /// Stability is not paced by the periodic `MPromises` tick. The planet is
