@@ -6,7 +6,7 @@ use crate::executor::ExecutionInfo;
 use crate::info::Phase;
 use crate::messages::Quorums;
 use crate::protocol::{Tempo, TempoOptions};
-use crate::stability::{Bucket, Buckets, BUCKETS};
+use crate::stability::{check_bucket, Bucket, Buckets};
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
@@ -154,12 +154,9 @@ impl Durable {
 /// Checks the bucket numbers read back from the store: one out of range means a store
 /// written with another bucket count, which is not this replica's (fail-stop, like an
 /// I/O failure).
-fn check_buckets(buckets: impl IntoIterator<Item = Bucket>) {
+fn fail_stop(buckets: impl IntoIterator<Item = Bucket>) {
     for bucket in buckets {
-        assert!(
-            bucket < BUCKETS,
-            "the store names bucket {bucket} of {BUCKETS}: another build wrote it"
-        );
+        check_bucket(bucket).expect("the store names a bucket of another build");
     }
 }
 
@@ -184,24 +181,26 @@ impl Tempo {
         let empty = snapshot.is_none() && wal.is_empty();
         let replayed_wal = !wal.is_empty();
         if let Some(snap) = snapshot {
-            check_buckets(snap.stable.iter().map(|s| s.0));
-            check_buckets(snap.floors.iter().map(|f| f.0));
+            let image = snap.image;
+            fail_stop(snap.stable.iter().map(|s| s.0));
+            fail_stop(image.floors.iter().map(|f| f.0));
             tempo.stability.restore(snap.clock);
             tempo.dot_gen.skip_to(snap.next_dot_seq);
-            tempo
-                .executor
-                .restore(&snap.stable, &snap.floors, snap.executed_count, snap.kv);
+            let dropped = tempo.executor.install(&image.floors, image.kv);
+            debug_assert!(dropped.is_empty(), "installed into a fresh executor");
+            tempo.replay_feed(ExecutionInfo::StableIn(snap.stable));
+            tempo.executor.set_executed(snap.executed_count);
             // Every snapshot-covered execution was a commit; keep the two counters
             // consistent so the stall detector (`repair_scan`) stays meaningful.
             tempo.metrics.committed = snap.executed_count;
-            tempo.gc.restore_executed(&snap.watermarks);
+            tempo.gc.restore_executed(&image.watermarks);
             for a in &snap.accepts {
                 let info = tempo.info_mut(a.dot, 0);
                 info.ts = a.ts;
                 info.bal = a.bal;
                 info.abal = a.abal;
             }
-            for q in snap.queued {
+            for q in image.queued {
                 tempo.replay_commit(q.dot, q.ts, q.cmd, q.waits);
             }
         }
@@ -229,7 +228,7 @@ impl Tempo {
                     tempo.replay_feed(ExecutionInfo::ShardStable { dot, shard });
                 }
                 WalRecord::Stable(risen) => {
-                    check_buckets(risen.iter().map(|r| r.0));
+                    fail_stop(risen.iter().map(|r| r.0));
                     tempo.replay_feed(ExecutionInfo::StableIn(risen));
                 }
             }
@@ -304,16 +303,12 @@ impl Tempo {
         if !self.durable.snapshot_due(force) {
             return;
         }
-        let image = self.applied_image();
         let (clock, next_dot_seq) = (self.stability.clock(), self.dot_gen.generated());
         let snapshot = Snapshot {
             clock,
             stable: self.executor.stables(),
-            floors: image.floors,
             next_dot_seq,
             executed_count: self.executor.executed(),
-            kv: image.kv,
-            queued: image.queued,
             accepts: self
                 .info
                 .iter()
@@ -325,7 +320,7 @@ impl Tempo {
                     abal: i.abal,
                 })
                 .collect(),
-            watermarks: image.watermarks,
+            image: self.applied_image(),
         };
         self.durable.install(&snapshot, clock, next_dot_seq);
     }

@@ -247,29 +247,10 @@ impl TempoExecutor {
         queued
     }
 
-    /// Restores the executor from a durable snapshot: the applied image, its execution
-    /// floors, and the stable timestamps in force when the snapshot was cut. The queued
-    /// commits of the snapshot are re-fed by the caller as ordinary `Committed` events —
-    /// the executor re-derives execution order itself.
-    pub fn restore(
-        &mut self,
-        stables: &[(Bucket, u64)],
-        floors: &[(Bucket, u64, Dot)],
-        executed: u64,
-        kv: Vec<(Key, u64)>,
-    ) {
-        debug_assert!(
-            self.pending.is_empty(),
-            "restore only into a fresh executor"
-        );
-        for &(bucket, ts) in stables {
-            self.stable[bucket as usize] = ts;
-        }
-        for &(bucket, ts, dot) in floors {
-            self.set_floor(bucket, (ts, dot));
-        }
+    /// Sets the count of commands executed, to what a restored snapshot's executor had
+    /// executed.
+    pub fn set_executed(&mut self, executed: u64) {
         self.executed_count = executed;
-        self.kv.restore(kv, executed);
     }
 
     /// Whether a peer's image cut at `floors` is ahead of this one in some bucket.
@@ -277,22 +258,19 @@ impl TempoExecutor {
         floors.iter().any(|&(b, ts, dot)| (ts, dot) > self.floor(b))
     }
 
-    /// Installs a rejoin state transfer: in every bucket where the peer's image (which is
-    /// complete up to `floors`) is ahead of this one, its keys take the image's values
-    /// and every queued entry at or below the bucket's new floor is dropped — their
-    /// effects are contained in the transferred image. Returns the dropped dots so the
-    /// ordering stage can account them as executed-elsewhere. The buckets' stable
-    /// timestamps are left to the caller, which first commits the peer's queue.
+    /// Installs an applied image — a snapshot's into a fresh executor, or a peer's
+    /// `MState` into the live one: in every bucket where the image (which is complete up
+    /// to `floors`) is ahead of this one, its keys take the image's values and every
+    /// queued entry at or below the bucket's new floor is dropped — their effects are
+    /// contained in the image. Returns the dropped dots so the ordering stage can account
+    /// them as executed elsewhere. The buckets' stable timestamps and the image's queue
+    /// are left to the caller.
     ///
-    /// The image is consistent with this one: a command executed at the peer but not
-    /// here lies above this process's floor and at or below the peer's in each of its
+    /// The image is consistent with this one: a command executed in the image but not
+    /// here lies above this process's floor and at or below the image's in each of its
     /// buckets, so it is dropped whole; the buckets where this process is ahead keep
     /// their own keys.
-    pub fn install_transfer(
-        &mut self,
-        kv: Vec<(Key, u64)>,
-        floors: &[(Bucket, u64, Dot)],
-    ) -> Vec<Dot> {
+    pub fn install(&mut self, floors: &[(Bucket, u64, Dot)], kv: Vec<(Key, u64)>) -> Vec<Dot> {
         let ahead: BTreeMap<Bucket, (u64, Dot)> = floors
             .iter()
             .filter(|&&(b, ts, dot)| (ts, dot) > self.floor(b))
@@ -912,10 +890,7 @@ mod tests {
         ];
         assert!(ex.is_behind(&floors));
         let image = vec![(0, 7), (1, 7), (2, 1)];
-        assert_eq!(
-            ex.install_transfer(image, &floors),
-            [Dot::new(1, 3), Dot::new(1, 4)]
-        );
+        assert_eq!(ex.install(&floors, image), [Dot::new(1, 3), Dot::new(1, 4)]);
         assert_eq!(ex.store().get(0), Some(7));
         assert_eq!(ex.store().get(2), Some(4), "its own bucket is ahead");
         assert!(ex.is_queued(Dot::new(1, 5)) && ex.queued() == 1);

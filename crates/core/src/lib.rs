@@ -80,4 +80,4 @@ pub use gc::GcTracker;
 pub use info::Phase;
 pub use messages::{Message, PromiseBundle, Quorums, RecPhase};
 pub use promises::{PromiseRange, PromiseTracker};
-pub use protocol::{Tempo, TempoOptions, TIMER_LIVENESS, TIMER_PROMISES};
+pub use protocol::{Tempo, TempoOptions};

@@ -10,10 +10,10 @@
 use crate::promises::PromiseRange;
 use crate::stability::Bucket;
 use std::collections::BTreeMap;
-use tempo_kernel::command::{Command, Key};
+use tempo_kernel::command::Command;
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 use tempo_kernel::protocol::WireSize;
-use tempo_store::QueuedCommit;
+use tempo_store::AppliedImage;
 
 /// The fast quorum chosen for each shard accessed by a command (the mapping `Q` of
 /// Algorithm 1, line 3).
@@ -37,9 +37,9 @@ impl PromiseBundle {
         self.attached.is_empty() && self.detached.is_empty()
     }
 
-    /// Approximate serialized size in bytes.
+    /// Approximate serialized size in bytes (a bucket number takes 2).
     pub fn wire_size(&self) -> usize {
-        self.attached.len() * 16 + self.detached.len() * 32
+        self.attached.len() * 16 + self.detached.len() * 26
     }
 }
 
@@ -246,25 +246,15 @@ pub enum Message {
     /// every command committed while it was down, and it must not serve reads around
     /// that gap. See `DESIGN.md` §6 ("State transfer").
     MStateRequest,
-    /// Reply to `MStateRequest`: the sender's applied state. The image contains the
-    /// effect of exactly the commands at or below each bucket's execution floor
-    /// (execution is in `⟨ts, id⟩` order per bucket, so each bucket's executed set is
-    /// that prefix), which is what makes installation safe: in every bucket where the
+    /// Reply to `MStateRequest`: the sender's applied image, the one a snapshot holds.
+    /// It contains the effect of exactly the commands at or below each bucket's
+    /// execution floor, which is what makes installation safe: in every bucket where the
     /// image is ahead, the receiver takes its keys, drops queued commits at or below the
     /// floor, and executes everything above it on top, reproducing the shard's order.
-    MState {
-        /// Per bucket where anything executed, the `(bucket, ts, dot)` of its last
-        /// executed command.
-        floors: Vec<(Bucket, u64, Dot)>,
-        /// The applied key-value image as `(key, value)` pairs.
-        kv: Vec<(Key, u64)>,
-        /// The sender's per-origin executed watermarks (seeds the receiver's GC).
-        watermarks: Vec<(ProcessId, u64)>,
-        /// The sender's committed-but-unexecuted queue (above the boundary), with each
-        /// entry's remaining sibling-shard waits: commands a receiver that was down can
-        /// learn nowhere else in time (DESIGN.md §6, "The revised restart story").
-        queued: Vec<QueuedCommit>,
-    },
+    /// The image's queue holds the commands a receiver that was down can learn nowhere
+    /// else in time (DESIGN.md §6, "The revised restart story"); its watermarks seed
+    /// the receiver's GC.
+    MState(AppliedImage),
 }
 
 impl Message {
@@ -299,14 +289,15 @@ impl Message {
 
 impl WireSize for Message {
     fn wire_size(&self) -> usize {
-        // Rough serialized sizes; command-carrying messages dominate.
+        // Rough serialized sizes (a bucket number takes 2 bytes); command-carrying
+        // messages dominate.
         match self {
             Message::MSubmit { cmd, quorums, .. }
             | Message::MPropose { cmd, quorums, .. }
             | Message::MPayload { cmd, quorums, .. } => {
                 32 + cmd.wire_size() + quorums.values().map(|q| 8 * q.len() + 8).sum::<usize>()
             }
-            Message::MProposeAck { detached, .. } => 32 + detached.len() * 24,
+            Message::MProposeAck { detached, .. } => 32 + detached.len() * 18,
             Message::MCommit { promises, .. } => 40 + promises.wire_size(),
             Message::MPromises {
                 detached,
@@ -314,26 +305,22 @@ impl WireSize for Message {
                 executed,
                 frontiers,
             } => {
-                16 + detached.len() * 24
+                16 + detached.len() * 18
                     + attached.len() * 24
                     + executed.len() * 16
-                    + frontiers.len() * 16
+                    + frontiers.len() * 10
             }
             Message::MCommitInfo { cmd, .. } => 32 + cmd.wire_size(),
             Message::MPromiseRepair { clocks, pending } => {
-                16 + clocks.len() * 16 + pending.len() * 32
+                16 + clocks.len() * 10 + pending.len() * 26
             }
-            Message::MRejoinAck { prefixes, .. } => 32 + prefixes.len() * 24,
-            Message::MState {
-                floors,
-                kv,
-                watermarks,
-                queued,
-            } => {
-                16 + floors.len() * 32
-                    + kv.len() * 16
-                    + watermarks.len() * 16
-                    + queued
+            Message::MRejoinAck { prefixes, .. } => 32 + prefixes.len() * 18,
+            Message::MState(image) => {
+                16 + image.floors.len() * 26
+                    + image.kv.len() * 16
+                    + image.watermarks.len() * 16
+                    + image
+                        .queued
                         .iter()
                         .map(|q| 40 + q.cmd.wire_size() + q.waits.len() * 8)
                         .sum::<usize>()
@@ -377,6 +364,6 @@ mod tests {
         bundle.attached.push((1, 5));
         bundle.detached.push((2, 9, PromiseRange::new(1, 4)));
         assert!(!bundle.is_empty());
-        assert_eq!(bundle.wire_size(), 48);
+        assert_eq!(bundle.wire_size(), 42);
     }
 }

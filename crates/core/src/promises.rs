@@ -241,7 +241,7 @@ impl<T: Copy + Default> IndexMut<usize> for PerBucket<T> {
 /// shard, with majority-based stability detection — once per *track*: `Stability` keeps
 /// one per key bucket, [`PromiseTracker::new`] builds one.
 ///
-/// Per track and process the contiguous prefix is kept flat, and the whole [`SeqSet`] only
+/// Per track and process the contiguous prefix is kept flat, and the whole `SeqSet` only
 /// while a gap lies above it; a track's stable timestamp, the `⌊n/2⌋`-th smallest prefix,
 /// is re-picked when a prefix grows (a shard is a handful of processes) and cached, so a
 /// query is a read — the paper's "cheap background activity" (§3.2).

@@ -33,7 +33,7 @@ use crate::messages::{Message, PromiseBundle, Quorums};
 use crate::promises::PromiseRange;
 use crate::recovery::Recovery;
 use crate::stability::{bucket_of, Bucket, Buckets, Gating, Report, Stability};
-use crate::transfer::{AppliedImage, Transfer};
+use crate::transfer::Transfer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tempo_kernel::command::{Command, Key};
@@ -49,10 +49,10 @@ use tempo_store::WalRecord;
 
 /// Timer driving the periodic `MPromises` broadcast (Algorithm 2, line 45), registered
 /// by the protocol itself via [`Action::Schedule`].
-pub const TIMER_PROMISES: TimerId = TimerId(1);
+const TIMER_PROMISES: TimerId = TimerId(1);
 /// Timer driving the liveness scan: payload resend, `MCommitRequest` and recovery
 /// take-over for commands pending too long (Appendix B).
-pub const TIMER_LIVENESS: TimerId = TimerId(2);
+const TIMER_LIVENESS: TimerId = TimerId(2);
 /// One-shot timer behind the burst-edge `MPromises` flush (see `Tempo::arm_flush`).
 const TIMER_FLUSH: TimerId = TimerId(3);
 
@@ -85,12 +85,6 @@ pub struct TempoOptions {
     /// discard every reply. `driver_conformance` and the chaos batteries of
     /// `crates/runtime/tests` shorten it.
     pub commit_request_timeout_us: u64,
-    /// After the `MRejoin` handshake, request a snapshot of the applied state from a
-    /// shard peer (`MStateRequest`/`MState`) and gate execution until it installs: even
-    /// with a durable store the replica misses what committed while it was down
-    /// (DESIGN.md §6). Off only in `crates/fault/tests/durability.rs`, to show the
-    /// stale reads a transfer-less restart serves.
-    pub state_transfer: bool,
     /// Install a durable snapshot (truncating the WAL) once this many records were
     /// appended since the previous one; the durability and chaos batteries lower it.
     pub snapshot_every_appends: u64,
@@ -100,7 +94,6 @@ impl Default for TempoOptions {
     fn default() -> Self {
         Self {
             commit_request_timeout_us: 1_000_000,
-            state_transfer: true,
             snapshot_every_appends: 256,
         }
     }
@@ -144,9 +137,9 @@ pub struct Tempo {
     /// Whether a `TIMER_FLUSH` firing is outstanding (a driver queues one firing per
     /// `Schedule`, so a burst of bumps must arm it once).
     flush_armed: bool,
-    /// Commands committed but skipped by the execution stage because local stability
-    /// had already passed their timestamp (only possible at restarted incarnations;
-    /// see `commit_with`).
+    /// Commands committed but never applied by the execution stage: duplicates of
+    /// state an installed image already holds, and gaps below local stability that an
+    /// image must close (only at restarted incarnations; see `commit_with`).
     pub(crate) exec_skipped: u64,
     pub(crate) metrics: ProtocolMetrics,
     /// Whether this instance is a full participant. `false` only between a restart (see
@@ -192,7 +185,7 @@ impl Tempo {
             executor: TempoExecutor::new(process, shard, config),
             gc,
             durable: Durable::new(options.snapshot_every_appends),
-            transfer: Transfer::new(options.state_transfer, timeout_us),
+            transfer: Transfer::new(timeout_us),
             risen: Vec::new(),
             executed: Vec::new(),
             drained: (Vec::new(), Vec::new()),
@@ -244,7 +237,8 @@ impl Tempo {
     }
 
     /// Commands committed at this process but never applied by the local executor:
-    /// amnesia skips (no state transfer) plus transfer-covered duplicates.
+    /// duplicates an installed image covers, plus gaps (commits that landed below local
+    /// stability) for a state transfer to close.
     pub fn exec_skipped(&self) -> u64 {
         self.exec_skipped
     }
@@ -673,16 +667,15 @@ impl Tempo {
             // attestation keeps sibling shards live. NOT written to the WAL: replaying it
             // into a partial image would corrupt the image.
             self.exec_skipped += 1;
-            let gap = (final_ts, dot);
-            let gapped = !transferred && self.transfer.record_gap(gap, buckets, &self.gc);
-            if gapped {
+            if !transferred {
+                self.transfer.record_gap((final_ts, dot), buckets, &self.gc);
                 self.executor.gate();
                 if self.joined && self.transfer.start() {
                     self.request_state(now_us, out);
                 }
             }
             self.mark_executed(dot);
-            if !gapped {
+            if transferred {
                 self.gc.record_executed(dot);
                 self.gc_collect();
             }
@@ -1147,20 +1140,7 @@ impl Protocol for Tempo {
                 prefixes,
             } => self.handle_rejoin_ack(from, clock, your_highest, prefixes, now_us, &mut out),
             Message::MStateRequest => self.handle_state_request(from, &mut out),
-            Message::MState {
-                floors,
-                kv,
-                watermarks,
-                queued,
-            } => {
-                let image = AppliedImage {
-                    floors,
-                    kv,
-                    watermarks,
-                    queued,
-                };
-                self.handle_state(image, now_us, &mut out)
-            }
+            Message::MState(image) => self.handle_state(image, now_us, &mut out),
         }
         self.arm_flush(&mut out);
         out

@@ -332,7 +332,7 @@ impl Tempo {
         out.push(Action::send(self.shard_peers.to_vec(), request));
     }
 
-    /// The liveness tick ([`crate::protocol::TIMER_LIVENESS`]; Algorithm 6, lines 75-78
+    /// The liveness tick (`TIMER_LIVENESS`; Algorithm 6, lines 75-78
     /// and 95-96): acts on [`Recovery::scan`], probes the suspected commit holes, and
     /// asks for a promise repair when execution stalls ([`Recovery::repair_due`]).
     pub(crate) fn liveness_scan(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {

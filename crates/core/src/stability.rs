@@ -32,6 +32,7 @@ use crate::promises::{PerBucket, PromiseRange, PromiseTracker};
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
+use tempo_store::DecodeError;
 
 /// `log2` of [`BUCKETS`].
 const BUCKET_BITS: u32 = 12;
@@ -50,6 +51,17 @@ pub type Bucket = u64;
 /// eight buckets.
 pub fn bucket_of(key: Key) -> Bucket {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKET_BITS)
+}
+
+/// Checks a bucket number read from outside this process — a peer's message or this
+/// replica's store, both of which write buckets in 16 bits: one at or past [`BUCKETS`]
+/// was written by a build with another bucket count.
+pub fn check_bucket(bucket: Bucket) -> Result<Bucket, DecodeError> {
+    if bucket < BUCKETS {
+        Ok(bucket)
+    } else {
+        Err(DecodeError::Invalid("bucket"))
+    }
 }
 
 /// A command's buckets on one shard, sorted and distinct; the common single bucket is

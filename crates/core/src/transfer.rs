@@ -10,10 +10,9 @@ use crate::messages::Message;
 use crate::protocol::Tempo;
 use crate::stability::{Bucket, Buckets};
 use std::collections::{BTreeMap, BTreeSet};
-use tempo_kernel::command::Key;
 use tempo_kernel::id::{Dot, ProcessId};
 use tempo_kernel::protocol::Action;
-use tempo_store::{QueuedCommit, WalRecord};
+use tempo_store::{AppliedImage, QueuedCommit, WalRecord};
 
 /// Most missing sequences noted per origin per executed-frontier report.
 const HOLE_SCAN_LIMIT: usize = 32;
@@ -23,8 +22,6 @@ const HOLE_SUSPECT_CAP: usize = 256;
 /// The state-transfer gate of one Tempo process.
 #[derive(Debug, Default)]
 pub(crate) struct Transfer {
-    /// `TempoOptions::state_transfer`: without transfers nothing could close a gap.
-    enabled: bool,
     /// `TempoOptions::commit_request_timeout_us`: request retry and hole probe pace.
     timeout_us: u64,
     /// Execution is gated until a peer's `MState` installs: the store is missing what
@@ -49,9 +46,8 @@ pub(crate) struct Transfer {
 
 impl Transfer {
     /// An idle gate.
-    pub(crate) fn new(enabled: bool, timeout_us: u64) -> Self {
+    pub(crate) fn new(timeout_us: u64) -> Self {
         Self {
-            enabled,
             timeout_us,
             ..Self::default()
         }
@@ -64,21 +60,17 @@ impl Transfer {
 
     /// A new incarnation: gated until an image back-fills what it missed; no gaps yet.
     pub(crate) fn rejoin(&mut self) {
-        self.awaiting = self.enabled;
+        self.awaiting = true;
         self.attempts = 0;
         self.gaps.clear();
         self.hole_suspects.clear();
     }
 
     /// Records a commit on `buckets` skipped unapplied, above their execution floors, as
-    /// a gap; `false` when transfers are off (the hole is accepted: gating would stall
-    /// forever).
-    pub(crate) fn record_gap(&mut self, gap: (u64, Dot), buckets: Buckets, gc: &GcTracker) -> bool {
-        if self.enabled {
-            debug_assert!(!gc.is_executed(gap.1), "gap {gap:?} executed");
-            self.gaps.insert(gap, buckets);
-        }
-        self.enabled
+    /// a gap.
+    pub(crate) fn record_gap(&mut self, gap: (u64, Dot), buckets: Buckets, gc: &GcTracker) {
+        debug_assert!(!gc.is_executed(gap.1), "gap {gap:?} executed");
+        self.gaps.insert(gap, buckets);
     }
 
     /// Gates execution; returns whether it was not gated yet (a request is due).
@@ -161,10 +153,6 @@ impl Transfer {
         info: &BTreeMap<Dot, CommandInfo>,
         now_us: u64,
     ) {
-        if !self.enabled {
-            // A probed commit would just be skipped unapplied (the accepted hole).
-            return;
-        }
         for &(origin, watermark) in frontier {
             for seq in gc.missing_below(origin, watermark, HOLE_SCAN_LIMIT) {
                 if self.hole_suspects.len() >= HOLE_SUSPECT_CAP {
@@ -205,18 +193,9 @@ impl Transfer {
     }
 }
 
-/// The applied state a snapshot and an `MState` carry: the execution floors `⟨ts, dot⟩`
-/// per bucket, the key-value image of exactly those prefixes, the executed watermarks
-/// and the queue.
-pub(crate) struct AppliedImage {
-    pub(crate) floors: Vec<(Bucket, u64, Dot)>,
-    pub(crate) kv: Vec<(Key, u64)>,
-    pub(crate) watermarks: Vec<(ProcessId, u64)>,
-    pub(crate) queued: Vec<QueuedCommit>,
-}
-
 impl Tempo {
-    /// The one builder of this replica's applied image.
+    /// The one builder of this replica's applied image, what a snapshot holds and an
+    /// `MState` carries.
     pub(crate) fn applied_image(&self) -> AppliedImage {
         AppliedImage {
             floors: self.executor.floors(),
@@ -244,13 +223,7 @@ impl Tempo {
             return;
         }
         let image = self.applied_image();
-        let msg = Message::MState {
-            floors: image.floors,
-            kv: image.kv,
-            watermarks: image.watermarks,
-            queued: image.queued,
-        };
-        out.push(Action::send_one(from, msg));
+        out.push(Action::send_one(from, Message::MState(image)));
     }
 
     pub(crate) fn handle_state(
@@ -264,7 +237,7 @@ impl Tempo {
             return;
         };
         if installed {
-            for dot in self.executor.install_transfer(image.kv, &floors) {
+            for dot in self.executor.install(&floors, image.kv) {
                 // Queued commits covered by the transferred image: their effects are
                 // present without the local executor applying them.
                 self.mark_executed(dot);
@@ -348,11 +321,11 @@ mod tests {
     }
 
     fn gapped(gaps: &[(u64, u64)]) -> Transfer {
-        let mut t = Transfer::new(true, TIMEOUT);
+        let mut t = Transfer::new(TIMEOUT);
         t.rejoin();
         let gc = GcTracker::new(0, &[0, 1, 2]);
         for &(ts, seq) in gaps {
-            assert!(t.record_gap((ts, dot(seq)), Buckets::One(1), &gc));
+            t.record_gap((ts, dot(seq)), Buckets::One(1), &gc);
         }
         t
     }
@@ -408,7 +381,7 @@ mod tests {
 
     #[test]
     fn hole_suspects_are_capped_paced_and_dropped_once_resolved() {
-        let mut t = Transfer::new(true, TIMEOUT);
+        let mut t = Transfer::new(TIMEOUT);
         let mut gc = GcTracker::new(0, &[0, 1, 2]);
         let mut info = BTreeMap::new();
         // One report names 32 missing sequences per origin at most.
@@ -421,7 +394,7 @@ mod tests {
         assert_eq!(t.hole_suspects.len(), HOLE_SUSPECT_CAP);
         assert!(!t.hole_suspects.contains_key(&Dot::new(2, 1)));
         // Probes wait out the grace period, then repeat once per timeout.
-        let mut t = Transfer::new(true, TIMEOUT);
+        let mut t = Transfer::new(TIMEOUT);
         t.note_holes(&[(1, 3)], &gc, &info, 100);
         assert!(t.probe_holes(&gc, &info, 100 + TIMEOUT - 1).is_empty());
         assert_eq!(
@@ -434,16 +407,5 @@ mod tests {
         gc.record_executed(dot(2));
         assert_eq!(t.probe_holes(&gc, &info, 100 + 2 * TIMEOUT), vec![dot(3)]);
         assert_eq!(t.hole_suspects.len(), 1);
-    }
-
-    #[test]
-    fn without_transfers_nothing_is_gated_or_suspected() {
-        let mut t = Transfer::new(false, TIMEOUT);
-        t.rejoin();
-        assert!(!t.is_awaiting());
-        let gc = GcTracker::new(0, &[0, 1, 2]);
-        assert!(!t.record_gap((5, dot(1)), Buckets::One(1), &gc));
-        t.note_holes(&[(1, 10)], &gc, &BTreeMap::new(), 0);
-        assert!(t.hole_suspects.is_empty());
     }
 }

@@ -5,22 +5,25 @@
 //! `tempo-store::wal` — the same `Writer`/`Reader`/CRC path the WAL and snapshots
 //! run, so a message that crosses a socket and a record that crosses a crash are
 //! covered by the same golden fixtures and torn-byte batteries
-//! (`tests/wire_golden.rs` pins the exact bytes).
+//! (`tests/wire_golden.rs` pins the exact bytes). `MState`'s applied image is the
+//! snapshot's, encoded by the same `AppliedImage` codec.
 //!
 //! Decoding never panics and never trusts a length prefix beyond the buffer:
 //! sequence counts are bounded by the remaining bytes before any allocation, and
-//! semantic validation (promise ranges with `start >= 1`, `start <= end`) returns
-//! [`DecodeError::Invalid`] instead of tripping the constructors' asserts.
+//! semantic validation (promise ranges with `start >= 1`, `start <= end`; bucket
+//! numbers below `BUCKETS`) returns [`DecodeError::Invalid`] instead of tripping the
+//! constructors' asserts.
 
 use crate::messages::{Message, PromiseBundle, RecPhase};
 use crate::promises::PromiseRange;
-use crate::stability::{Bucket, BUCKETS};
+use crate::stability::{check_bucket, Bucket};
 use tempo_kernel::id::Dot;
 use tempo_net::wire::{get_process_map, put_process_map, DecodeError, Wire};
 use tempo_store::wal::{
-    get_command, get_dot, get_pairs, get_queue, put_command, put_dot, put_pairs, put_queue, Reader,
-    Writer,
+    get_bucket, get_command, get_dot, get_pairs, get_seq, get_stamped_dots, get_stamps, put_bucket,
+    put_command, put_dot, put_pairs, put_seq, put_stamped_dots, put_stamps, Reader, Writer,
 };
+use tempo_store::AppliedImage;
 
 const TAG_SUBMIT: u8 = 1;
 const TAG_PROPOSE: u8 = 2;
@@ -58,112 +61,53 @@ fn get_range(r: &mut Reader<'_>) -> Result<PromiseRange, DecodeError> {
     Ok(PromiseRange::new(start, end))
 }
 
-fn get_bucket(r: &mut Reader<'_>) -> Result<Bucket, DecodeError> {
-    let bucket = r.u64()?;
-    if bucket >= BUCKETS {
-        return Err(DecodeError::Invalid("bucket"));
+/// Checks the bucket numbers of a list decoded by a `tempo-store` codec.
+fn checked<T>(items: Vec<T>, bucket: impl Fn(&T) -> Bucket) -> Result<Vec<T>, DecodeError> {
+    for item in &items {
+        check_bucket(bucket(item))?;
     }
-    Ok(bucket)
-}
-
-/// A sequence of `n`-byte elements, each written by `put`.
-fn put_seq<T>(w: &mut Writer, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
-    w.put_u32(items.len() as u32);
-    for item in items {
-        put(w, item);
-    }
-}
-
-/// A sequence written by [`put_seq`], each element at least `size` bytes.
-fn get_seq<T>(
-    r: &mut Reader<'_>,
-    size: usize,
-    mut get: impl FnMut(&mut Reader<'_>) -> Result<T, DecodeError>,
-) -> Result<Vec<T>, DecodeError> {
-    let n = r.u32()?;
-    let n = r.checked_len(n, size)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get(r)?);
-    }
-    Ok(out)
+    Ok(items)
 }
 
 fn put_ranges(w: &mut Writer, ranges: &[(Bucket, PromiseRange)]) {
     put_seq(w, ranges, |w, (bucket, range)| {
-        w.put_u64(*bucket);
+        put_bucket(w, *bucket);
         put_range(w, range);
     });
 }
 
 fn get_ranges(r: &mut Reader<'_>) -> Result<Vec<(Bucket, PromiseRange)>, DecodeError> {
-    get_seq(r, 24, |r| Ok((get_bucket(r)?, get_range(r)?)))
-}
-
-/// `(bucket, timestamp)` pairs: safe frontiers, repair clocks.
-fn put_stamps(w: &mut Writer, stamps: &[(Bucket, u64)]) {
-    put_seq(w, stamps, |w, (bucket, ts)| {
-        w.put_u64(*bucket);
-        w.put_u64(*ts);
-    });
-}
-
-fn get_stamps(r: &mut Reader<'_>) -> Result<Vec<(Bucket, u64)>, DecodeError> {
-    get_seq(r, 16, |r| Ok((get_bucket(r)?, r.u64()?)))
-}
-
-/// `(bucket, timestamp, dot)` triples: repair attachments, execution floors.
-fn put_stamped_dots(w: &mut Writer, entries: &[(Bucket, u64, Dot)]) {
-    put_seq(w, entries, |w, (bucket, ts, dot)| {
-        w.put_u64(*bucket);
-        w.put_u64(*ts);
-        put_dot(w, *dot);
-    });
-}
-
-fn get_stamped_dots(r: &mut Reader<'_>) -> Result<Vec<(Bucket, u64, Dot)>, DecodeError> {
-    get_seq(r, 32, |r| Ok((get_bucket(r)?, r.u64()?, get_dot(r)?)))
+    get_seq(r, 18, |r| {
+        Ok((check_bucket(get_bucket(r)?)?, get_range(r)?))
+    })
 }
 
 fn put_bundle(w: &mut Writer, bundle: &PromiseBundle) {
-    put_pairs(
-        w,
-        &bundle
-            .attached
-            .iter()
-            .map(|(p, ts)| (*p, *ts))
-            .collect::<Vec<_>>(),
-    );
+    put_pairs(w, &bundle.attached);
     put_seq(w, &bundle.detached, |w, (process, bucket, range)| {
         w.put_u64(*process);
-        w.put_u64(*bucket);
+        put_bucket(w, *bucket);
         put_range(w, range);
     });
 }
 
 fn get_bundle(r: &mut Reader<'_>) -> Result<PromiseBundle, DecodeError> {
     let attached = get_pairs(r)?;
-    let detached = get_seq(r, 32, |r| Ok((r.u64()?, get_bucket(r)?, get_range(r)?)))?;
+    let detached = get_seq(r, 26, |r| {
+        Ok((r.u64()?, check_bucket(get_bucket(r)?)?, get_range(r)?))
+    })?;
     Ok(PromiseBundle { attached, detached })
 }
 
 fn put_dot_ts(w: &mut Writer, pairs: &[(Dot, u64)]) {
-    w.put_u32(pairs.len() as u32);
-    for (dot, ts) in pairs {
+    put_seq(w, pairs, |w, (dot, ts)| {
         put_dot(w, *dot);
         w.put_u64(*ts);
-    }
+    });
 }
 
 fn get_dot_ts(r: &mut Reader<'_>) -> Result<Vec<(Dot, u64)>, DecodeError> {
-    let n = r.u32()?;
-    let n = r.checked_len(n, 24)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let dot = get_dot(r)?;
-        out.push((dot, r.u64()?));
-    }
-    Ok(out)
+    get_seq(r, 24, |r| Ok((get_dot(r)?, r.u64()?)))
 }
 
 fn put_rec_phase(w: &mut Writer, phase: RecPhase) {
@@ -241,7 +185,7 @@ impl Wire for Message {
                 w.put_u8(TAG_BUMP);
                 put_dot(w, *dot);
                 w.put_u64(*ts);
-                put_seq(w, buckets, |w, bucket| w.put_u64(*bucket));
+                put_seq(w, buckets, |w, bucket| put_bucket(w, *bucket));
             }
             Message::MPromises {
                 detached,
@@ -313,7 +257,7 @@ impl Wire for Message {
                 w.put_u64(*clock);
                 w.put_u64(*your_highest);
                 put_seq(w, prefixes, |w, (bucket, process, prefix)| {
-                    w.put_u64(*bucket);
+                    put_bucket(w, *bucket);
                     w.put_u64(*process);
                     w.put_u64(*prefix);
                 });
@@ -321,17 +265,9 @@ impl Wire for Message {
             Message::MStateRequest => {
                 w.put_u8(TAG_STATE_REQUEST);
             }
-            Message::MState {
-                floors,
-                kv,
-                watermarks,
-                queued,
-            } => {
+            Message::MState(image) => {
                 w.put_u8(TAG_STATE);
-                put_stamped_dots(w, floors);
-                put_pairs(w, kv);
-                put_pairs(w, watermarks);
-                put_queue(w, queued);
+                image.encode_into(w);
             }
         }
     }
@@ -377,13 +313,13 @@ impl Wire for Message {
             TAG_BUMP => Message::MBump {
                 dot: get_dot(r)?,
                 ts: r.u64()?,
-                buckets: get_seq(r, 8, get_bucket)?,
+                buckets: get_seq(r, 2, |r| check_bucket(get_bucket(r)?))?,
             },
             TAG_PROMISES => Message::MPromises {
                 detached: get_ranges(r)?,
                 attached: get_dot_ts(r)?,
                 executed: get_pairs(r)?,
-                frontiers: get_stamps(r)?,
+                frontiers: checked(get_stamps(r)?, |s| s.0)?,
             },
             TAG_STABLE => Message::MStable { dot: get_dot(r)? },
             TAG_REC => Message::MRec {
@@ -409,22 +345,25 @@ impl Wire for Message {
             },
             TAG_PROMISE_REQUEST => Message::MPromiseRequest,
             TAG_PROMISE_REPAIR => Message::MPromiseRepair {
-                clocks: get_stamps(r)?,
-                pending: get_stamped_dots(r)?,
+                clocks: checked(get_stamps(r)?, |c| c.0)?,
+                pending: checked(get_stamped_dots(r)?, |p| p.0)?,
             },
             TAG_REJOIN => Message::MRejoin,
             TAG_REJOIN_ACK => Message::MRejoinAck {
                 clock: r.u64()?,
                 your_highest: r.u64()?,
-                prefixes: get_seq(r, 24, |r| Ok((get_bucket(r)?, r.u64()?, r.u64()?)))?,
+                prefixes: get_seq(r, 18, |r| {
+                    Ok((check_bucket(get_bucket(r)?)?, r.u64()?, r.u64()?))
+                })?,
             },
             TAG_STATE_REQUEST => Message::MStateRequest,
-            TAG_STATE => Message::MState {
-                floors: get_stamped_dots(r)?,
-                kv: get_pairs(r)?,
-                watermarks: get_pairs(r)?,
-                queued: get_queue(r)?,
-            },
+            TAG_STATE => {
+                let image = AppliedImage::decode_from(r)?;
+                for floor in &image.floors {
+                    check_bucket(floor.0)?;
+                }
+                Message::MState(image)
+            }
             t => return Err(DecodeError::BadTag(t)),
         };
         Ok(msg)
@@ -435,6 +374,7 @@ impl Wire for Message {
 mod tests {
     use super::*;
     use crate::messages::Quorums;
+    use crate::stability::BUCKETS;
     use tempo_kernel::command::{Command, KVOp};
     use tempo_kernel::id::Rifl;
 
@@ -459,7 +399,7 @@ mod tests {
             put_dot(&mut w, Dot::new(1, 1));
             w.put_u64(9);
             w.put_u32(1);
-            w.put_u64(3);
+            put_bucket(&mut w, 3);
             w.put_u64(start);
             w.put_u64(end);
             assert_eq!(
@@ -480,8 +420,17 @@ mod tests {
         let mut bytes = msg.encode();
         assert_eq!(Message::decode(&bytes), Ok(msg));
         // The frontier's bucket sits just before its timestamp, at the end.
-        let at = bytes.len() - 16;
-        bytes[at..at + 8].copy_from_slice(&BUCKETS.to_le_bytes());
+        let at = bytes.len() - 10;
+        bytes[at..at + 2].copy_from_slice(&(BUCKETS as u16).to_le_bytes());
+        assert_eq!(Message::decode(&bytes), Err(DecodeError::Invalid("bucket")));
+        // An image's floors are checked too: the first floor's bucket follows the tag
+        // and the floor count.
+        let image = AppliedImage {
+            floors: vec![(BUCKETS - 1, 4, Dot::new(1, 1))],
+            ..AppliedImage::default()
+        };
+        let mut bytes = Message::MState(image).encode();
+        bytes[5..7].copy_from_slice(&(BUCKETS as u16).to_le_bytes());
         assert_eq!(Message::decode(&bytes), Err(DecodeError::Invalid("bucket")));
     }
 

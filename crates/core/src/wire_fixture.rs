@@ -9,7 +9,7 @@ use crate::messages::{Message, PromiseBundle, Quorums, RecPhase};
 use crate::promises::PromiseRange;
 use tempo_kernel::command::{Command, KVOp};
 use tempo_kernel::id::{Dot, Rifl};
-use tempo_store::QueuedCommit;
+use tempo_store::{AppliedImage, QueuedCommit};
 
 /// One message of every variant, with non-trivial nested fields.
 pub fn all_messages() -> Vec<Message> {
@@ -96,7 +96,7 @@ pub fn all_messages() -> Vec<Message> {
             prefixes: vec![(9, 0, 19), (9, 1, 21), (42, 2, 18)],
         },
         Message::MStateRequest,
-        Message::MState {
+        Message::MState(AppliedImage {
             floors: vec![(9, 13, dot), (42, 11, Dot::new(1, 3))],
             kv: vec![(42, 7), (9, 2)],
             watermarks: vec![(0, 30), (1, 28)],
@@ -106,6 +106,6 @@ pub fn all_messages() -> Vec<Message> {
                 cmd: Command::new(Rifl::new(5, 6), vec![(0, 42, KVOp::Put(8))], 8),
                 waits: vec![1],
             }],
-        },
+        }),
     ]
 }

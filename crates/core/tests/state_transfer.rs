@@ -1,16 +1,17 @@
 //! The rejoin state transfer, driven directly: a restarted replica on a bare driver is
 //! handed `MState` images and the test checks what installing them does — which
 //! queued commits the image covers, how the donor's queue is committed on top, when
-//! execution stays gated and whom the replica asks next (DESIGN.md §6).
+//! execution stays gated and whom the replica asks next (DESIGN.md §6) — and that a
+//! snapshot holding the same image restores the same applied state.
 
 use tempo_core::stability::{bucket_of, Bucket};
-use tempo_core::{Message, PromiseRange, Quorums, RecPhase, Tempo};
+use tempo_core::{Message, PromiseRange, Quorums, RecPhase, Tempo, TempoOptions};
 use tempo_kernel::command::{Command, KVOp};
 use tempo_kernel::config::Config;
 use tempo_kernel::driver::{Driver, Output};
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::protocol::{Protocol, View};
-use tempo_store::QueuedCommit;
+use tempo_store::{AppliedImage, MemStore, QueuedCommit, Snapshot, Store};
 
 /// Two shards of three replicas; the replica under test is process 2 of shard 0, whose
 /// shard peers are 0 and 1.
@@ -93,12 +94,12 @@ fn state(
     kv: Vec<(u64, u64)>,
     queued: Vec<QueuedCommit>,
 ) -> Message {
-    Message::MState {
+    Message::MState(AppliedImage {
         floors: buckets().map(|b| (b, floor.0, floor.1)).collect(),
         kv,
         watermarks: vec![(1, executed)],
         queued,
-    }
+    })
 }
 
 /// The peers an output asks for their image.
@@ -360,6 +361,59 @@ fn a_rejoined_incarnation_replies_only_when_it_executes() {
     assert_eq!(executed(&output), vec![50]);
     let output = replica.handle(0, frontier(60), 30);
     assert!(output.executed.is_empty(), "answered once");
+}
+
+#[test]
+fn a_snapshot_and_a_state_transfer_install_the_same_image() {
+    // Cut an image from a live replica: process 1 commits four commands and executes the
+    // two that a frontier at 10 makes stable; the other two stay queued.
+    let mut donor = Driver::<Tempo>::new(1, 0, config());
+    donor.start(View::trivial(config(), 1), 0);
+    for (seq, key, ts) in [(1, 1, 3), (2, 2, 5), (3, 3, 20), (4, 1, 30)] {
+        commit(&mut donor, Dot::new(0, seq), put(seq, key), ts, 0);
+    }
+    donor.handle(0, frontier(10), 0);
+    donor.handle(2, frontier(10), 0);
+    assert_eq!(donor.protocol().executor().queued(), 2);
+    let output = donor.handle(REPLICA, Message::MStateRequest, 0);
+    let image = output.sends.into_iter().find_map(|s| match s.msg {
+        Message::MState(image) => Some(image),
+        _ => None,
+    });
+    let image = image.expect("the donor answers with its image");
+
+    // The applied state a replica ends up with: floors, key-value image, executed
+    // watermarks and queued dots.
+    let applied = |tempo: &Tempo| {
+        let executor = tempo.executor();
+        let queued: Vec<Dot> = executor.queued_entries().iter().map(|q| q.dot).collect();
+        let watermarks = tempo.gc_tracker().executed_frontier();
+        (
+            executor.floors(),
+            executor.store().entries(),
+            watermarks,
+            queued,
+        )
+    };
+
+    // Once through a snapshot that holds the image, restored by `with_store`...
+    let mut store = MemStore::new();
+    store.install_snapshot(&Snapshot {
+        image: image.clone(),
+        ..Snapshot::default()
+    });
+    let options = TempoOptions::default();
+    let restored = Tempo::with_store(REPLICA, 0, config(), options, Box::new(store));
+    // ...and once through `MState`, installed by a fresh rejoiner.
+    let (mut rejoiner, _) = rejoined(0, |_| {});
+    rejoiner.handle(1, Message::MState(image), 10);
+
+    let from_snapshot = applied(&restored);
+    assert_eq!(from_snapshot, applied(rejoiner.protocol()));
+    let (floors, kv, watermarks, queued) = from_snapshot;
+    assert_eq!(floors.len(), 2);
+    assert_eq!((kv, watermarks), (vec![(1, 1), (2, 2)], vec![(0, 2)]));
+    assert_eq!(queued, [Dot::new(0, 3), Dot::new(0, 4)]);
 }
 
 /// An `MPromises` that only claims the safe frontier `at` in every bucket.

@@ -1,6 +1,6 @@
 //! Golden byte fixtures and corrupt-frame hardening for the Tempo message codec.
 //!
-//! `tests/golden/messages_v2.bin` freezes the framed encoding of the canonical
+//! `tests/golden/messages_v3.bin` freezes the framed encoding of the canonical
 //! per-variant fixture (`tempo_core::wire_fixture::all_messages`): format drift fails
 //! the comparison. On an intentional change, bump the fixture name and regenerate with
 //! `cargo test -p tempo-core --test wire_golden -- --ignored regenerate`.
@@ -45,17 +45,17 @@ fn fixture_covers_every_variant() {
 
 #[test]
 fn golden_fixture_matches_the_current_encoder() {
-    let bytes = std::fs::read(fixture_path("messages_v2.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("messages_v3.bin")).expect("fixture present");
     assert_eq!(
         golden_stream(),
         bytes,
-        "message encoding drifted from the v2 fixture — regenerate only on an intentional format change"
+        "message encoding drifted from the v3 fixture — regenerate only on an intentional format change"
     );
 }
 
 #[test]
 fn golden_fixture_decodes_to_the_expected_messages() {
-    let bytes = std::fs::read(fixture_path("messages_v2.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("messages_v3.bin")).expect("fixture present");
     let mut offset = 0;
     let mut decoded = Vec::new();
     while offset < bytes.len() {
@@ -125,5 +125,5 @@ fn unframed_payload_corruption_never_panics() {
 #[ignore = "writes the golden fixture; run manually after an intentional format change"]
 fn regenerate() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
-    std::fs::write(fixture_path("messages_v2.bin"), golden_stream()).unwrap();
+    std::fs::write(fixture_path("messages_v3.bin"), golden_stream()).unwrap();
 }

@@ -4,9 +4,8 @@
 //! replays its snapshot + WAL (pre-crash accepts and commits included), rejoins, and
 //! back-fills the commands it slept through with the `MStateRequest`/`MState` transfer
 //! — after which it serves *reads* again, and the whole run passes the history checker
-//! under a read/write workload. The counterpart test removes both the store and the
-//! state transfer and shows the checker catching the resulting stale reads — the
-//! DESIGN.md §5 amnesia caveat, now demonstrable instead of merely documented.
+//! under a read/write workload. (That the checker catches the stale reads a replica
+//! without the back-fill would serve is `history::tests::stale_read_is_caught`.)
 
 use std::path::PathBuf;
 use tempo_core::{Tempo, TempoOptions};
@@ -115,44 +114,15 @@ fn filestore_restart_serves_fresh_reads_and_passes_the_checker() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The contrast run: same seed, same schedule, same workload — but the restart comes
-/// back diskless (a fresh `MemStore`-less instance) and with the state transfer
-/// disabled. The restarted replica then serves reads from a store that misses every
-/// pre-crash command, and the checker must catch the stale reads.
-#[test]
-fn diskless_restart_without_state_transfer_serves_stale_reads() {
-    let seed = 31;
-    let options = TempoOptions {
-        state_transfer: false,
-        ..TempoOptions::default()
-    };
-    let factory: ProtocolFactory<Tempo> = Box::new(move |id, shard, config, _incarnation| {
-        Tempo::with_options(id, shard, config, options)
-    });
-    let report = run_scenario(seed, factory);
-    let history = report.history.as_ref().expect("history recorded");
-    assert!(
-        history.check().is_err(),
-        "a diskless, transfer-less restart must be caught serving stale reads \
-         (if this starts passing, the scenario no longer reads the hot key at the \
-         restarted replica — retune the seed): {}",
-        report.summary()
-    );
-    assert_eq!(report.metrics.wal_appends, 0, "no store, no WAL");
-}
-
-/// Durable state alone (WAL replay, no state transfer) closes only half the gap: the
-/// replica remembers everything *it* saw, but not what it slept through. This run
-/// keeps the store and disables the transfer — pre-crash state is back (unlike the
-/// diskless run it does not forget its own commits), yet commands committed while it
-/// was down are missing, and `exec_skipped`-style gaps remain possible. The checker
-/// verdict depends on timing, so this test only asserts the recovery accounting —
-/// the two tests above pin the observable extremes.
+/// The same restart with the store kept in memory: a `MemStore` handle the factory
+/// hands every incarnation of a process (the simulated disk). The restarted replica
+/// recovers its own pre-crash commits from the store and back-fills what it slept
+/// through with the state transfer, as with a `FileStore`, and the run stays safe.
 #[test]
 fn memstore_restart_preserved_by_the_factory_recovers_its_own_commits() {
     let seed = 31;
     // One shared MemStore handle per process, captured by the factory: the simulated
-    // disk. (A fresh MemStore per incarnation would be the diskless run above.)
+    // disk. (A fresh MemStore per incarnation would model a diskless replica.)
     let stores: Vec<tempo_store::MemStore> = (0..3).map(|_| tempo_store::MemStore::new()).collect();
     let factory: ProtocolFactory<Tempo> = Box::new(move |id, shard, config, _incarnation| {
         Tempo::with_store(

@@ -125,11 +125,6 @@ impl<P: Protocol> LocalCluster<P> {
         }
     }
 
-    /// Whether a process has crashed.
-    pub fn is_crashed(&self, id: ProcessId) -> bool {
-        self.crashed.contains(&id)
-    }
-
     fn absorb(&mut self, from: ProcessId, output: Output<P::Message>) {
         if self.crashed.contains(&from) {
             return;

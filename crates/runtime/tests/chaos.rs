@@ -31,7 +31,6 @@ fn chaos_options() -> TempoOptions {
     TempoOptions {
         commit_request_timeout_us: 200_000,
         snapshot_every_appends: 64,
-        ..TempoOptions::default()
     }
 }
 

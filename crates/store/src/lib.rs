@@ -10,9 +10,10 @@
 //! * [`wal`] — append-only log of [`WalRecord`]s (per-dot ballot/accept/commit state,
 //!   sibling-shard stability attestations, chunked clock and dot floors),
 //!   length+CRC-framed, replayed on open with torn-tail truncation;
-//! * [`snapshot`] — periodic [`Snapshot`]s of the applied state (key-value image,
-//!   execution boundary, pending queue, consensus state, GC watermarks) that truncate
-//!   the log;
+//! * [`snapshot`] — periodic [`Snapshot`]s that truncate the log: the replica's
+//!   [`AppliedImage`] (execution floors, key-value image, GC watermarks, pending queue —
+//!   the image a rejoin state transfer carries too) beside its clock, stable
+//!   timestamps and consensus state;
 //! * the [`Store`] trait with two backends: [`MemStore`], an in-memory byte store whose
 //!   cloned handles share contents (the simulator's deterministic stand-in for a disk
 //!   that survives a process restart), and [`FileStore`], a real on-disk backend
@@ -43,7 +44,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use fault::{FaultStore, StoreFaultPlan, StoreFaultSummary};
-pub use snapshot::{AcceptState, QueuedCommit, Snapshot};
+pub use snapshot::{AcceptState, AppliedImage, QueuedCommit, Snapshot};
 pub use wal::{DecodeError, Replay, WalRecord};
 
 use std::fmt;

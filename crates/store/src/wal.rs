@@ -2,7 +2,7 @@
 //!
 //! # Stream format
 //!
-//! A WAL stream is the 4-byte magic `b"TWL2"` followed by framed records. Each frame is
+//! A WAL stream is the 4-byte magic `b"TWL3"` followed by framed records. Each frame is
 //!
 //! ```text
 //! [ payload length : u32 LE ][ CRC-32 of payload : u32 LE ][ payload ]
@@ -27,7 +27,7 @@ use tempo_kernel::command::{Command, KVOp, Key};
 use tempo_kernel::id::{Dot, Rifl, ShardId};
 
 /// Magic + version prefix of a WAL stream.
-pub const WAL_MAGIC: &[u8; 4] = b"TWL2";
+pub const WAL_MAGIC: &[u8; 4] = b"TWL3";
 
 /// A decoding failure. Replay treats any error as the start of a torn tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,6 +113,11 @@ impl Writer {
         self.buf.push(v);
     }
 
+    /// Appends a `u16`, little-endian.
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -170,6 +175,11 @@ impl<'a> Reader<'a> {
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
@@ -264,35 +274,87 @@ pub fn get_command(r: &mut Reader<'_>) -> Result<Command, DecodeError> {
     Ok(Command::new(rifl, triples, payload_size))
 }
 
-/// Encodes a length-prefixed list of `(u64, u64)` pairs.
-pub fn put_pairs(w: &mut Writer, pairs: &[(u64, u64)]) {
-    w.put_u32(pairs.len() as u32);
-    for (a, b) in pairs {
-        w.put_u64(*a);
-        w.put_u64(*b);
+/// Encodes a length-prefixed sequence, each element written by `put`.
+pub fn put_seq<T>(w: &mut Writer, items: &[T], mut put: impl FnMut(&mut Writer, &T)) {
+    w.put_u32(items.len() as u32);
+    for item in items {
+        put(w, item);
     }
 }
 
-/// Decodes a list written by [`put_pairs`].
-pub fn get_pairs(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, DecodeError> {
+/// Decodes a sequence written by [`put_seq`], each element at least `size` bytes (which
+/// bounds the claimed count by the bytes left before anything is allocated).
+pub fn get_seq<T>(
+    r: &mut Reader<'_>,
+    size: usize,
+    mut get: impl FnMut(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
     let n = r.u32()?;
-    let n = r.checked_len(n, 16)?;
+    let n = r.checked_len(n, size)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push((r.u64()?, r.u64()?));
+        out.push(get(r)?);
     }
     Ok(out)
 }
 
+/// Encodes a length-prefixed list of `(u64, u64)` pairs.
+pub fn put_pairs(w: &mut Writer, pairs: &[(u64, u64)]) {
+    put_seq(w, pairs, |w, (a, b)| {
+        w.put_u64(*a);
+        w.put_u64(*b);
+    });
+}
+
+/// Decodes a list written by [`put_pairs`].
+pub fn get_pairs(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, DecodeError> {
+    get_seq(r, 16, |r| Ok((r.u64()?, r.u64()?)))
+}
+
+/// Encodes a key-bucket number in 16 bits, the one width of a bucket in every stream.
+/// The store does not know the bucket count; whoever reads a bucket back checks it.
+pub fn put_bucket(w: &mut Writer, bucket: u64) {
+    w.put_u16(u16::try_from(bucket).expect("a bucket number fits in 16 bits"));
+}
+
+/// Decodes a bucket number written by [`put_bucket`].
+pub fn get_bucket(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
+    Ok(u64::from(r.u16()?))
+}
+
+/// Encodes a list of `(bucket, timestamp)` stamps.
+pub fn put_stamps(w: &mut Writer, stamps: &[(u64, u64)]) {
+    put_seq(w, stamps, |w, (bucket, ts)| {
+        put_bucket(w, *bucket);
+        w.put_u64(*ts);
+    });
+}
+
+/// Decodes a list written by [`put_stamps`].
+pub fn get_stamps(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, DecodeError> {
+    get_seq(r, 10, |r| Ok((get_bucket(r)?, r.u64()?)))
+}
+
+/// Encodes a list of `(bucket, timestamp, dot)` stamped dots.
+pub fn put_stamped_dots(w: &mut Writer, entries: &[(u64, u64, Dot)]) {
+    put_seq(w, entries, |w, (bucket, ts, dot)| {
+        put_bucket(w, *bucket);
+        w.put_u64(*ts);
+        put_dot(w, *dot);
+    });
+}
+
+/// Decodes a list written by [`put_stamped_dots`].
+pub fn get_stamped_dots(r: &mut Reader<'_>) -> Result<Vec<(u64, u64, Dot)>, DecodeError> {
+    get_seq(r, 26, |r| Ok((get_bucket(r)?, r.u64()?, get_dot(r)?)))
+}
+
 /// Encodes one queued commit as `dot, ts, waits, cmd`: the one layout of a WAL
-/// [`WalRecord::Commit`] and of each entry of a snapshot's or a state transfer's queue.
+/// [`WalRecord::Commit`] and of each entry of an applied image's queue.
 pub fn put_queued(w: &mut Writer, dot: Dot, ts: u64, waits: &[ShardId], cmd: &Command) {
     put_dot(w, dot);
     w.put_u64(ts);
-    w.put_u32(waits.len() as u32);
-    for shard in waits {
-        w.put_u64(*shard);
-    }
+    put_seq(w, waits, |w, shard| w.put_u64(*shard));
     put_command(w, cmd);
 }
 
@@ -300,12 +362,7 @@ pub fn put_queued(w: &mut Writer, dot: Dot, ts: u64, waits: &[ShardId], cmd: &Co
 pub fn get_queued(r: &mut Reader<'_>) -> Result<QueuedCommit, DecodeError> {
     let dot = get_dot(r)?;
     let ts = r.u64()?;
-    let n = r.u32()?;
-    let n = r.checked_len(n, 8)?;
-    let mut waits = Vec::with_capacity(n);
-    for _ in 0..n {
-        waits.push(r.u64()?);
-    }
+    let waits = get_seq(r, 8, |r| r.u64())?;
     let cmd = get_command(r)?;
     Ok(QueuedCommit {
         dot,
@@ -313,26 +370,6 @@ pub fn get_queued(r: &mut Reader<'_>) -> Result<QueuedCommit, DecodeError> {
         cmd,
         waits,
     })
-}
-
-/// Encodes a length-prefixed list of [`put_queued`] entries.
-pub fn put_queue(w: &mut Writer, queue: &[QueuedCommit]) {
-    w.put_u32(queue.len() as u32);
-    for q in queue {
-        put_queued(w, q.dot, q.ts, &q.waits, &q.cmd);
-    }
-}
-
-/// Decodes a list written by [`put_queue`].
-pub fn get_queue(r: &mut Reader<'_>) -> Result<Vec<QueuedCommit>, DecodeError> {
-    let n = r.u32()?;
-    // An entry holds at least its dot, timestamp and waits count.
-    let n = r.checked_len(n, 28)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_queued(r)?);
-    }
-    Ok(out)
 }
 
 // ------------------------------------------------------------------- records
@@ -447,7 +484,7 @@ impl WalRecord {
             }
             WalRecord::Stable(risen) => {
                 w.put_u8(TAG_STABLE);
-                put_pairs(&mut w, risen);
+                put_stamps(&mut w, risen);
             }
             WalRecord::DotFloor(floor) => {
                 w.put_u8(TAG_DOT_FLOOR);
@@ -484,7 +521,7 @@ impl WalRecord {
                 dot: get_dot(&mut r)?,
                 shard: r.u64()?,
             },
-            TAG_STABLE => WalRecord::Stable(get_pairs(&mut r)?),
+            TAG_STABLE => WalRecord::Stable(get_stamps(&mut r)?),
             TAG_DOT_FLOOR => WalRecord::DotFloor(r.u64()?),
             t => return Err(DecodeError::BadTag(t)),
         };

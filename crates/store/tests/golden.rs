@@ -1,7 +1,7 @@
 //! Golden-file and torn-write tests for the WAL/snapshot encoding.
 //!
 //! The checked-in fixtures under `tests/golden/` pin the exact on-disk byte format:
-//! `wal_v2.bin` is a complete WAL stream and `snapshot_v2.bin` a complete snapshot
+//! `wal_v3.bin` is a complete WAL stream and `snapshot_v3.bin` a complete snapshot
 //! stream, both produced by [`golden_records`]/[`golden_snapshot`]. If an encoding
 //! change is intentional, bump the stream magic and regenerate the fixtures with
 //! `cargo test -p tempo-store --test golden -- --ignored regenerate`.
@@ -9,11 +9,11 @@
 use std::path::PathBuf;
 use tempo_kernel::command::{Command, KVOp};
 use tempo_kernel::id::{Dot, Rifl};
-use tempo_store::snapshot::{AcceptState, QueuedCommit};
+use tempo_store::snapshot::{AcceptState, AppliedImage, QueuedCommit};
 use tempo_store::wal::{replay, WAL_MAGIC};
 use tempo_store::{FileStore, MemStore, Snapshot, Store, WalRecord};
 
-/// The record sequence frozen in `tests/golden/wal_v2.bin`.
+/// The record sequence frozen in `tests/golden/wal_v3.bin`.
 fn golden_records() -> Vec<WalRecord> {
     vec![
         WalRecord::ClockFloor(64),
@@ -52,28 +52,30 @@ fn golden_records() -> Vec<WalRecord> {
     ]
 }
 
-/// The snapshot frozen in `tests/golden/snapshot_v2.bin`.
+/// The snapshot frozen in `tests/golden/snapshot_v3.bin`.
 fn golden_snapshot() -> Snapshot {
     Snapshot {
         clock: 128,
         stable: vec![(1, 9), (42, 5)],
-        floors: vec![(1, 9, Dot::new(1, 2)), (42, 5, Dot::new(0, 1))],
         next_dot_seq: 3,
         executed_count: 2,
-        kv: vec![(1, 2), (42, 7)],
-        queued: vec![QueuedCommit {
-            dot: Dot::new(2, 9),
-            ts: 13,
-            cmd: Command::single(Rifl::new(2, 2), 0, 0, KVOp::Add(1), 0),
-            waits: vec![],
-        }],
         accepts: vec![AcceptState {
             dot: Dot::new(2, 9),
             ts: 13,
             bal: 7,
             abal: 7,
         }],
-        watermarks: vec![(0, 1), (1, 2)],
+        image: AppliedImage {
+            floors: vec![(1, 9, Dot::new(1, 2)), (42, 5, Dot::new(0, 1))],
+            kv: vec![(1, 2), (42, 7)],
+            watermarks: vec![(0, 1), (1, 2)],
+            queued: vec![QueuedCommit {
+                dot: Dot::new(2, 9),
+                ts: 13,
+                cmd: Command::single(Rifl::new(2, 2), 0, 0, KVOp::Add(1), 0),
+                waits: vec![],
+            }],
+        },
     }
 }
 
@@ -93,7 +95,7 @@ fn fixture_path(name: &str) -> PathBuf {
 
 #[test]
 fn golden_wal_fixture_decodes_to_the_expected_records() {
-    let bytes = std::fs::read(fixture_path("wal_v2.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("wal_v3.bin")).expect("fixture present");
     let replayed = replay(&bytes);
     assert_eq!(replayed.valid_len, bytes.len(), "fixture has no torn tail");
     assert_eq!(replayed.records, golden_records());
@@ -101,17 +103,17 @@ fn golden_wal_fixture_decodes_to_the_expected_records() {
 
 #[test]
 fn golden_wal_fixture_matches_the_current_encoder() {
-    let bytes = std::fs::read(fixture_path("wal_v2.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("wal_v3.bin")).expect("fixture present");
     assert_eq!(
         golden_wal_stream(),
         bytes,
-        "WAL encoding drifted from the v2 fixture — bump the magic and regenerate"
+        "WAL encoding drifted from the v3 fixture — bump the magic and regenerate"
     );
 }
 
 #[test]
 fn golden_snapshot_fixture_roundtrips() {
-    let bytes = std::fs::read(fixture_path("snapshot_v2.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("snapshot_v3.bin")).expect("fixture present");
     assert_eq!(
         Snapshot::decode(&bytes).expect("decodes"),
         golden_snapshot()
@@ -119,7 +121,7 @@ fn golden_snapshot_fixture_roundtrips() {
     assert_eq!(
         golden_snapshot().encode(),
         bytes,
-        "snapshot encoding drifted from the v2 fixture — bump the magic and regenerate"
+        "snapshot encoding drifted from the v3 fixture — bump the magic and regenerate"
     );
 }
 
@@ -226,6 +228,21 @@ fn backends_share_the_encoding() {
 #[ignore = "writes the golden fixtures; run manually after an intentional format change"]
 fn regenerate() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
-    std::fs::write(fixture_path("wal_v2.bin"), golden_wal_stream()).unwrap();
-    std::fs::write(fixture_path("snapshot_v2.bin"), golden_snapshot().encode()).unwrap();
+    std::fs::write(fixture_path("wal_v3.bin"), golden_wal_stream()).unwrap();
+    std::fs::write(fixture_path("snapshot_v3.bin"), golden_snapshot().encode()).unwrap();
+}
+
+/// Streams of an earlier format (magics `TWL2`/`TSN2`, `u64` bucket numbers) are
+/// rejected whole: the WAL replays as empty and the snapshot does not decode.
+#[test]
+fn earlier_formats_are_rejected() {
+    let mut wal = golden_wal_stream();
+    wal[..4].copy_from_slice(b"TWL2");
+    assert_eq!(replay(&wal).valid_len, 0);
+    let mut snapshot = golden_snapshot().encode();
+    snapshot[..4].copy_from_slice(b"TSN2");
+    assert_eq!(
+        Snapshot::decode(&snapshot),
+        Err(tempo_store::DecodeError::BadMagic)
+    );
 }
